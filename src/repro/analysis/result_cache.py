@@ -28,17 +28,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
-from repro.common.config import MachineConfig, config_fingerprint, default_batch_exec
-from repro.core.machine import (
-    Job,
-    RunResult,
-    default_event_wheel,
-    default_fast_forward,
-    default_hier_wheel,
-)
-from repro.core.partition import default_lane_shards
-from repro.core.replay import default_loop_replay
-from repro.core.scalar_core import default_pre_decode
+from repro.common.config import MachineConfig, config_fingerprint
+from repro.core.machine import Job, RunResult
 
 #: Bump when simulation *semantics* change so old entries stop matching.
 #: v2: tickless event-wheel engine added; engine kill switches join the key.
@@ -47,22 +38,9 @@ from repro.core.scalar_core import default_pre_decode
 #:     switches join the key.
 #: v5: allocation subsystem added; the ``alloc`` ingredient (placement/
 #:     calibration namespace) joins the key.
-CACHE_VERSION = 5
-
-#: Every engine kill switch, as ``(env_var, default_fn)`` pairs — the single
-#: source of truth :func:`simulation_key` folds into its digest.  A new
-#: engine axis must be registered here (and in
-#: ``difftest.ENGINE_KILL_SWITCH_ENV``); the key-coverage test fails loudly
-#: when either registry misses one.
-ENGINE_SWITCHES = (
-    ("REPRO_NO_PRE_DECODE", default_pre_decode),
-    ("REPRO_NO_FAST_FORWARD", default_fast_forward),
-    ("REPRO_NO_LOOP_REPLAY", default_loop_replay),
-    ("REPRO_NO_EVENT_WHEEL", default_event_wheel),
-    ("REPRO_NO_BATCH_EXEC", default_batch_exec),
-    ("REPRO_NO_HIER_WHEEL", default_hier_wheel),
-    ("REPRO_NO_LANE_SHARDS", default_lane_shards),
-)
+#: v6: engine kill switches deleted; the key no longer carries an engine
+#:     tuple (nothing keyed here can select the reference engine).
+CACHE_VERSION = 6
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -133,12 +111,6 @@ def simulation_key(
     """
     digest = hashlib.sha256()
     digest.update(f"v{CACHE_VERSION}".encode("utf-8"))
-    # Engine kill switches (REPRO_NO_*) select bit-identical fast paths, but
-    # a flipped switch must not serve entries recorded under another engine:
-    # results carry engine-side profile fields, and a cache hit must mean
-    # "this exact run would have been produced".
-    engines = tuple(default() for _, default in ENGINE_SWITCHES)
-    digest.update(repr(engines).encode("utf-8"))
     digest.update(config_fingerprint(config).encode("utf-8"))
     digest.update(policy_key.encode("utf-8"))
     digest.update(str(max_cycles).encode("utf-8"))

@@ -32,15 +32,12 @@ Commands
     omits the (simulation-running) ECM sweep.
 ``diff-fuzz``
     Cross-engine differential fuzzing: random co-run programs executed
-    through every fast-path combination (ninety-five engines: pre-decode
-    x fast-forward x loop-replay x event-wheel x batch-exec x
-    hierarchical-wheel x lane-shards, minus the hier-without-wheel
-    duplicates) under every sharing mode, full run fingerprints diffed
-    against the seed interpreter.  ``--cores N`` widens the generated
-    co-runs to N-core machines; ``--engines key`` restricts the sweep to
-    the curated high-signal combinations for expensive smokes.
-    Diverging cases are shrunk to minimal repros and emitted as
-    regression tests.
+    by the fast engine and by the reference engine (the seed interpreter,
+    cycle by cycle) under every sharing mode, full run fingerprints
+    diffed.  ``--cores N`` widens the generated co-runs to N-core
+    machines.  Prints how much work each fast-engine mechanism did over
+    the sweep and fails when one saw none.  Diverging cases are shrunk to
+    minimal repros and emitted as regression tests.
 ``alloc-sweep``
     Sweep thread-to-core allocation (pairing) policies on large
     machines: the Fig. 16 blend tiled across ``--cores N`` machines,
@@ -84,9 +81,8 @@ Simulation commands accept these runtime options:
 ``--profile``
     After the command, print how the simulated cycles were covered:
     interpreted cycle-by-cycle, skipped by the idle fast-forward, or
-    replayed from steady-loop templates — plus, under the tickless
-    event-wheel engine, per-component busy / idle-stepped / asleep
-    cycle counts.  Only runs simulated in *this*
+    replayed from steady-loop templates — plus per-component busy /
+    idle-stepped / asleep cycle counts.  Only runs simulated in *this*
     process are counted — cached results and ``--jobs N`` worker
     processes contribute nothing, so use ``--jobs 1 --no-cache`` for a
     complete attribution.
@@ -408,13 +404,7 @@ def _cmd_diff_fuzz(args: argparse.Namespace) -> int:
     import json
 
     from repro.core.policies import POLICIES_BY_KEY
-    from repro.validation.difftest import (
-        DEFAULT_POLICIES,
-        FAST_ENGINES,
-        KEY_ENGINES,
-        BASELINE_ENGINE,
-        fuzz_seeds,
-    )
+    from repro.validation.difftest import DEFAULT_POLICIES, fuzz_seeds
 
     if args.policies:
         policies = tuple(args.policies.split(","))
@@ -424,60 +414,55 @@ def _cmd_diff_fuzz(args: argparse.Namespace) -> int:
             return 2
     else:
         policies = DEFAULT_POLICIES
-    engines = KEY_ENGINES if args.engines == "key" else FAST_ENGINES
     cores = validate_core_count(args.cores)
     seeds = list(range(args.start, args.start + args.seeds))
-    runs = len(seeds) * len(policies) * (len(engines) + 1)
     alloc_note = f", alloc={args.alloc}" if args.alloc else ""
     print(
         f"diff-fuzz: {len(seeds)} case(s), {cores} cores{alloc_note}, "
-        f"policies {', '.join(policies)}, "
-        f"{len(engines)} engine(s) vs {BASELINE_ENGINE.label} "
-        f"({runs} runs)"
+        f"policies {', '.join(policies)}, fast vs reference"
     )
     report = fuzz_seeds(
         seeds,
         policies=policies,
-        engines=engines,
         audit=True if args.audit else None,
         progress=print,
         num_cores=cores,
         alloc=args.alloc,
     )
     if report.clean:
-        print(f"OK: {report.runs} runs, all engines bit-identical")
+        print(f"OK: {report.runs} runs, fast engine bit-identical to reference")
     else:
         print(f"FAIL: {len(report.divergences)} divergence(s)")
         for divergence in report.divergences:
             print(f"  {divergence}")
             for line in divergence.detail:
                 print(f"    {line}")
+    print("fast-engine traffic over the sweep:")
+    for name, count in report.traffic().items():
+        print(f"  {name:<24}{count:>12}")
+    starved = report.starved
+    if starved:
+        print(
+            f"FAIL: no traffic for {', '.join(starved)} — this sweep says "
+            "nothing about them (more seeds, or other policies)"
+        )
     if not report.clean and not args.no_shrink:
-        from repro.validation.difftest import EngineSpec
         from repro.validation.shrink import shrink_case, write_regression_test
 
-        engines_by_label = {engine.label: engine for engine in FAST_ENGINES}
         emitted = set()
         for divergence in report.divergences[: args.shrink_limit]:
-            key = (divergence.policy, divergence.engine)
-            if key in emitted:
+            if divergence.policy in emitted:
                 continue
-            emitted.add(key)
-            engine = engines_by_label[divergence.engine]
-            print(
-                f"shrinking seed {divergence.seed} "
-                f"({divergence.policy}/{divergence.engine}) ..."
-            )
-            minimal = shrink_case(divergence.spec, divergence.policy, engine)
-            path = write_regression_test(
-                minimal, divergence.policy, engine, args.emit_dir
-            )
+            emitted.add(divergence.policy)
+            print(f"shrinking seed {divergence.seed} ({divergence.policy}) ...")
+            minimal = shrink_case(divergence.spec, divergence.policy)
+            path = write_regression_test(minimal, divergence.policy, args.emit_dir)
             print(f"  minimized repro written to {path}")
     if args.report:
         with open(args.report, "w", encoding="utf-8") as handle:
             json.dump(report.to_json(), handle, indent=2)
         print(f"report written to {args.report}")
-    return 0 if report.clean else 1
+    return 0 if report.clean and not starved else 1
 
 
 def _resolve_runner(dotted: str):
@@ -969,7 +954,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print simulated-cycle attribution (interpreted vs "
         "fast-forwarded vs loop-replayed, plus per-component busy/asleep "
-        "counts under the event-wheel engine) after the command; only runs "
+        "counts) after the command; only runs "
         "simulated in this process are counted, so combine with --jobs 1 "
         "(and --no-cache) for a complete picture",
     )
@@ -1126,13 +1111,6 @@ def build_parser() -> argparse.ArgumentParser:
         "with this allocation policy and diff every complex "
         "independently — exercises the placement layer's simulation "
         "invariance",
-    )
-    diff_fuzz.add_argument(
-        "--engines", choices=("all", "key"), default="all",
-        help="'all' diffs every fast-path combination (ninety-five "
-        "engines); 'key' only the curated high-signal combos — "
-        "everything-on, the prior-generation stack, each new axis "
-        "alone and each left out (default all)",
     )
     diff_fuzz.add_argument(
         "--report", default=None, metavar="OUT.json",

@@ -19,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Tuple
@@ -31,19 +30,6 @@ LANE_BITS = 128
 
 #: Width of one SIMD lane in bytes.
 LANE_BYTES = LANE_BITS // 8
-
-
-def default_batch_exec() -> bool:
-    """Whether the co-processor uses the batch-execute dispatch backend.
-
-    On unless ``REPRO_NO_BATCH_EXEC`` is set (to any non-empty value).  The
-    batch backend groups each cycle's ready lane-operations by opcode class
-    and executes each group as one bulk operation instead of per-uop Python
-    dispatch; it is bit-identical to the per-entry reference engine (the
-    differential-fuzz matrix diffs every combination), and the kill switch
-    exists for that matrix, the result-cache key and debugging.
-    """
-    return not os.environ.get("REPRO_NO_BATCH_EXEC")
 
 
 @dataclass(frozen=True)

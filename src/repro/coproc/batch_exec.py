@@ -31,9 +31,9 @@ loop for the whole core-cycle (counted, and attributed in ``--profile``):
 * an active **loop-replay recorder**, whose template wants the per-entry
   ``on_dispatch``/``on_commit`` event stream in reference order.
 
-The backend is bit-identical to the reference interpreter across every
-sharing mode and engine combination — the differential fuzzer diffs all 32
-engine variants — and is kill-switched by ``REPRO_NO_BATCH_EXEC``.
+The backend is the fast engine's dispatch path and is bit-identical to
+the reference engine's per-uop loop under every sharing mode — the
+differential fuzzer diffs the two engines.
 """
 
 from __future__ import annotations
@@ -260,10 +260,10 @@ class BatchExecutor:
     # --- commit ------------------------------------------------------------
 
     def commit_core(self, core: int, cycle: int) -> int:
-        """Batched in-order commit: one prefix scan, one slice delete, one
-        bulk physical-register release.  Returns the entries committed."""
+        """Batched in-order commit: one bulk physical-register release for
+        the whole committed prefix.  Returns the entries committed."""
         coproc = self.coproc
-        committed = coproc.pools[core].commit_ready_batched(cycle, self._commit_width)
+        committed = coproc.pools[core].commit_ready(cycle, self._commit_width)
         if committed:
             holders = sum(1 for entry in committed if entry.holds_phys_reg)
             if holders:

@@ -61,12 +61,8 @@ class CoProcessor:
         mode: SharingMode,
         metrics: Metrics,
         lane_manager: "LaneManagerProtocol",
-        indexed: bool = False,
-        batch_exec: bool = False,
-        lane_shards: Optional[bool] = None,
+        reference: bool = False,
     ) -> None:
-        from repro.core.partition import default_lane_shards
-
         self.config = config
         self.mode = mode
         self.metrics = metrics
@@ -83,28 +79,23 @@ class CoProcessor:
             LoadStoreUnit(c, self.memory, config.core.store_queue_entries)
             for c in range(num_cores)
         ]
-        #: When ``indexed`` (the event-wheel engine), dispatch consumes each
-        #: pool's incrementally maintained ready set instead of re-scanning
-        #: the whole window every cycle.  The batch-execute backend plans
-        #: from the same ready set, so it forces the index on too.
-        self._indexed = indexed or batch_exec
+        #: The differential oracle (``Machine(reference=True)``): every
+        #: cycle re-scans each whole pool window and dispatches per uop, and
+        #: CTS arbitration scans every pool.  The default fast engine plans
+        #: opcode-grouped batches from each pool's incrementally maintained
+        #: ready set and has the pools push 0↔non-zero occupancy transitions
+        #: into :attr:`_busy_pools`, so arbitration asks "who has work" in
+        #: O(busy cores).
+        self.reference = reference
         self.pools = [
             InstructionPool(
-                c, config.core.instruction_pool_entries, indexed=self._indexed
+                c, config.core.instruction_pool_entries, indexed=not reference
             )
             for c in range(num_cores)
         ]
-        #: Opcode-grouped dispatch/commit backend (``REPRO_NO_BATCH_EXEC``).
-        self._batch = BatchExecutor(self) if batch_exec else None
-        #: Sharded-bookkeeping switch (``REPRO_NO_LANE_SHARDS``), latched at
-        #: construction like the other engine axes.  When on, the pools push
-        #: 0↔non-zero occupancy transitions into :attr:`_busy_pools` so CTS
-        #: arbitration asks "who has work" in O(busy cores) instead of
-        #: scanning every pool each cycle.
-        self._lane_shards = (
-            default_lane_shards() if lane_shards is None else lane_shards
-        )
-        self._busy_pools: Optional[Set[int]] = set() if self._lane_shards else None
+        #: Opcode-grouped dispatch/commit backend.
+        self._batch = None if reference else BatchExecutor(self)
+        self._busy_pools: Optional[Set[int]] = None if reference else set()
         if self._busy_pools is not None:
             busy_pools = self._busy_pools
 
@@ -117,6 +108,9 @@ class CoProcessor:
             for pool in self.pools:
                 pool.on_occupancy = _on_occupancy
         self.core_active = [True] * num_cores
+        #: Masks of a bare :meth:`step` call: every core, nobody asleep.
+        self._every_core = list(range(num_cores))
+        self._all_awake = [True] * num_cores
         self._seq = 0
         self._rotate = 0
         #: Loop-replay template recorder (see :mod:`repro.core.replay`);
@@ -220,23 +214,26 @@ class CoProcessor:
     ) -> int:
         """Advance one cycle; returns the number of events processed.
 
-        ``awake`` (tickless engine only) masks out sleeping core complexes:
-        their commit/EM-SIMD/dispatch phases are skipped entirely — their
+        The tickless run loop passes all three masks; a bare call steps
+        every core.  ``awake`` masks out sleeping core complexes: their
+        commit/EM-SIMD/dispatch phases are skipped entirely — their
         per-cycle metric events are settled in bulk when they wake.
-        ``core_events`` when provided accumulates per-core event counts so
-        the scheduler can make per-component sleep decisions.  ``active``
-        (hierarchical-wheel engine) is the machine's sorted awake-live core
-        list: the per-core phases walk it instead of every core slot, so a
-        cycle costs O(components with work).  Cores absent from it are
-        either asleep (the ``awake`` mask skips them anyway) or done/absent
-        (provably no-ops in every phase: empty pool, inactive core flag,
-        lazily-drained LSU).
+        ``core_events`` accumulates per-core event counts so the scheduler
+        can make per-component sleep decisions.  ``active`` is the
+        machine's sorted awake-live core list: the per-core phases walk it
+        instead of every core slot, so a cycle costs O(components with
+        work).  Cores absent from it are either asleep (the ``awake`` mask
+        skips them anyway) or done/absent (provably no-ops in every phase:
+        empty pool, inactive core flag, lazily-drained LSU).
         """
+        if active is None:
+            awake = self._all_awake
+            core_events = [0] * self.config.num_cores
+            active = self._every_core
         events = 0
         recorder = self.recorder
-        cores = active if active is not None else range(self.config.num_cores)
-        for core in cores:
-            if awake is not None and not awake[core]:
+        for core in active:
+            if not awake[core]:
                 continue
             self.lsus[core].on_cycle(cycle)
             if self._batch is not None and recorder is None:
@@ -249,8 +246,7 @@ class CoProcessor:
                     if recorder is not None:
                         recorder.on_commit(core, entry)
                     committed += 1
-            if core_events is not None:
-                core_events[core] += committed
+            core_events[core] += committed
             events += committed
         events += self._execute_emsimd(cycle, awake, core_events, active)
         events += self._dispatch(cycle, awake, core_events, active)
@@ -259,15 +255,14 @@ class CoProcessor:
     def _execute_emsimd(
         self,
         cycle: int,
-        awake: Optional[List[bool]] = None,
-        core_events: Optional[List[int]] = None,
-        active: Optional[List[int]] = None,
+        awake: List[bool],
+        core_events: List[int],
+        active: List[int],
     ) -> int:
         """Process at most one head-of-pool EM-SIMD instruction per core."""
         events = 0
-        cores = active if active is not None else range(self.config.num_cores)
-        for core in cores:
-            if awake is not None and not awake[core]:
+        for core in active:
+            if not awake[core]:
                 continue
             pool = self.pools[core]
             head = pool.head()
@@ -285,8 +280,7 @@ class CoProcessor:
             head.complete_cycle = cycle + 1
             if self.recorder is not None:
                 self.recorder.on_emsimd()
-            if core_events is not None:
-                core_events[core] += 1
+            core_events[core] += 1
             events += 1
         return events
 
@@ -314,18 +308,15 @@ class CoProcessor:
             self.metrics.on_lane_change(core, lanes, cycle)
         self.metrics.on_reconfig(core, success)
 
-    def _core_order(self, active: Optional[List[int]] = None) -> List[int]:
+    def _core_order(self, active: List[int]) -> List[int]:
         """Rotate dispatch priority for fairness under temporal sharing.
 
-        With a sorted ``active`` list, returns the reference rotation
-        filtered to the active cores (the dropped cores are dispatch no-ops:
-        asleep cores are masked out by the caller and done/absent cores have
-        empty pools and an inactive core flag).
+        Returns the rotation ``rotate, rotate+1, ...`` (mod ``num_cores``)
+        filtered to the sorted ``active`` cores (the dropped cores are
+        dispatch no-ops: asleep cores are masked out by the caller and
+        done/absent cores have empty pools and an inactive core flag).
         """
-        n = self.config.num_cores
-        self._rotate = (self._rotate + 1) % n
-        if active is None:
-            return [(self._rotate + i) % n for i in range(n)]
+        self._rotate = (self._rotate + 1) % self.config.num_cores
         start = bisect_left(active, self._rotate)
         return active[start:] + active[:start]
 
@@ -339,11 +330,11 @@ class CoProcessor:
         expired = cycle >= self._cts_until
         busy = self._busy_pools
         if busy is not None:
-            # Sharded fast path: the pools maintain the busy set on 0↔non-
-            # zero occupancy transitions, so arbitration costs O(busy cores)
-            # instead of an all-pool scan.  ``min`` over the non-owner busy
-            # cores equals the reference's ``others_waiting[0]`` (it scans
-            # cores in ascending order).
+            # The pools maintain the busy set on 0↔non-zero occupancy
+            # transitions, so arbitration costs O(busy cores) instead of an
+            # all-pool scan.  ``min`` over the non-owner busy cores equals
+            # the reference's ``others_waiting[0]`` (it scans cores in
+            # ascending order).
             owner_busy = owner in busy
             if not (expired or not owner_busy):
                 return self._cts_owner
@@ -380,9 +371,9 @@ class CoProcessor:
     def _dispatch(
         self,
         cycle: int,
-        awake: Optional[List[bool]] = None,
-        core_events: Optional[List[int]] = None,
-        active: Optional[List[int]] = None,
+        awake: List[bool],
+        core_events: List[int],
+        active: List[int],
     ) -> int:
         vector = self.config.vector
         dispatched = 0
@@ -390,8 +381,7 @@ class CoProcessor:
             switches_before = self.cts_switches
             owner = self._cts_arbitrate(cycle)
             if (
-                awake is not None
-                and self.cts_switches != switches_before
+                self.cts_switches != switches_before
                 and self.wake_all_hook is not None
             ):
                 # An ownership switch changes sleepers' per-cycle stall
@@ -400,10 +390,9 @@ class CoProcessor:
                 # dispatching.
                 self.wake_all_hook(cycle)
             # The mid-cycle wake mutates ``active`` in place (via the
-            # machine's settle path), so read it only afterwards.
-            cores = active if active is not None else range(self.config.num_cores)
-            for core in cores:
-                if awake is not None and not awake[core]:
+            # machine's settle path), so iterate it only afterwards.
+            for core in active:
+                if not awake[core]:
                     continue
                 if core == owner:
                     budget = {
@@ -411,8 +400,7 @@ class CoProcessor:
                         "ldst": vector.ldst_issue_width,
                     }
                     issued = self._dispatch_entrypoint(core, budget, cycle)
-                    if core_events is not None:
-                        core_events[core] += issued
+                    core_events[core] += issued
                     dispatched += issued
                 elif not self.pools[core].empty:
                     self.metrics.on_stall(core, StallReason.ISSUE_BUDGET, cycle)
@@ -427,7 +415,7 @@ class CoProcessor:
         else:
             shared_budget = None
         for core in self._core_order(active):
-            if awake is not None and not awake[core]:
+            if not awake[core]:
                 continue
             # Spatial modes get a fresh per-core budget, built lazily so a
             # mostly-idle wide machine does not allocate ``num_cores`` dicts
@@ -441,26 +429,30 @@ class CoProcessor:
                 }
             )
             issued = self._dispatch_entrypoint(core, budget, cycle)
-            if core_events is not None:
-                core_events[core] += issued
+            core_events[core] += issued
             dispatched += issued
         return dispatched
 
     def _dispatch_entrypoint(self, core: int, budget: Dict[str, int], cycle: int) -> int:
-        """Route one core's dispatch through the batch backend when enabled."""
+        """Route one core's dispatch through the batch backend (fast engine)
+        or straight to the per-uop loop (reference engine)."""
         if self._batch is not None:
             return self._batch.dispatch_core(core, budget, cycle)
         return self._dispatch_core(core, budget, cycle)
 
-    def _dispatch_core(
-        self, core: int, budget: Dict[str, int], cycle: int, use_index: bool = True
-    ) -> int:
+    def _dispatch_core(self, core: int, budget: Dict[str, int], cycle: int) -> int:
+        """The per-uop age-order dispatch loop.
+
+        The reference engine's only dispatch path (scanning the whole
+        window); the fast engine's fallback when a core-cycle cannot be
+        batched (scanning the ready index).
+        """
         pool = self.pools[core]
         if pool.empty:
             if self.core_active[core]:
                 self.metrics.on_stall(core, StallReason.EMPTY, cycle)
             return 0
-        indexed = use_index and self._indexed
+        indexed = not self.reference
         scan = pool.ready_dispatchable(cycle) if indexed else pool.dispatchable()
         dispatched = 0
         blocked: Optional[StallReason] = None

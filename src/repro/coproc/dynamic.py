@@ -185,35 +185,8 @@ class InstructionPool:
         return eligible
 
     def commit_ready(self, cycle: float, width: int) -> List[DynamicInstruction]:
-        """Pop up to ``width`` completed entries from the head, in order."""
-        committed: List[DynamicInstruction] = []
-        while self._entries and len(committed) < width:
-            head = self._entries[0]
-            if head.state is EntryState.WAITING or head.complete_cycle > cycle:
-                break
-            committed.append(self._entries.pop(0))
-        self.committed += len(committed)
-        if committed and not self._entries and self.on_occupancy is not None:
-            self.on_occupancy(self.core_id, False)
-        if committed and self._indexed and not self._dirty:
-            for entry in committed:
-                self._by_seq.pop(entry.seq, None)
-                self._dep_waiters.pop(entry.seq, None)
-                if (
-                    entry.is_emsimd
-                    and self._emsimd_seqs
-                    and self._emsimd_seqs[0] == entry.seq
-                ):
-                    self._emsimd_seqs.popleft()
-        return committed
-
-    def commit_ready_batched(self, cycle: float, width: int) -> List[DynamicInstruction]:
-        """Batched :meth:`commit_ready`: one prefix scan and a single slice
-        delete instead of up to ``width`` O(n) head pops.
-
-        The batch-execute backend's commit kernel — result and index
-        bookkeeping are identical to the per-entry loop (property-tested).
-        """
+        """Pop up to ``width`` completed entries from the head, in order:
+        one prefix scan and a single slice delete."""
         entries = self._entries
         count = 0
         limit = min(width, len(entries))
@@ -426,13 +399,3 @@ class InstructionPool:
         if self._indexed and not self._dirty:
             return len(self._emsimd_seqs)
         return sum(1 for e in self._entries if e.is_emsimd)
-
-    def drained_for_head(self) -> bool:
-        """True when the head is the *only* in-flight instruction or older
-        ones have committed — i.e. the SIMD pipeline is drained up to it."""
-        if not self._entries:
-            return True
-        head = self._entries[0]
-        return head.state is EntryState.WAITING and all(
-            e is head or e.state is not EntryState.ISSUED for e in self._entries[:1]
-        )

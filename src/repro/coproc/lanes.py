@@ -23,7 +23,6 @@ class ExeBU:
 
     index: int
     owner: Optional[int] = FREE
-    uops_executed: int = 0
 
     @property
     def is_free(self) -> bool:
@@ -51,11 +50,6 @@ class LaneTable:
         self._free: List[int] = list(range(total_lanes))
         #: core -> ascending indices of the lanes it owns.
         self._owned: Dict[int, List[int]] = {}
-        #: core -> owned-lane count, maintained incrementally alongside
-        #: ``_owned`` (sharded bookkeeping: O(1) per-owner census without
-        #: touching the index lists; pinned against :meth:`scan_counters`
-        #: by a property test).
-        self._owner_counts: Dict[int, int] = {}
         self.reconfigurations = 0
         #: Runtime invariant auditor (``REPRO_AUDIT``); when set, every
         #: reconfiguration re-checks lane conservation and index agreement.
@@ -88,7 +82,6 @@ class LaneTable:
         if lanes < 0:
             raise ProtocolError("cannot assign a negative lane count")
         released = self._owned.pop(core, [])
-        self._owner_counts.pop(core, None)
         for index in released:
             self._lanes[index].owner = FREE
         if released:
@@ -104,33 +97,9 @@ class LaneTable:
             self._lanes[index].owner = core
         if claimed:
             self._owned[core] = claimed
-            self._owner_counts[core] = len(claimed)
         self.reconfigurations += 1
         if self.auditor is not None:
             self.auditor.on_lane_table(self)
-
-    def counters(self) -> Dict[Optional[int], int]:
-        """The incrementally maintained per-owner census.
-
-        Maps each owning core to its lane count, with :data:`FREE` (None)
-        mapping to the free-lane count.  O(owners) — never scans the lanes.
-        """
-        census: Dict[Optional[int], int] = dict(self._owner_counts)
-        census[FREE] = len(self._free)
-        return census
-
-    def scan_counters(self) -> Dict[Optional[int], int]:
-        """Per-owner census recomputed from the per-lane ground truth.
-
-        The from-scratch O(total_lanes) scan the property tests pin
-        :meth:`counters` against.
-        """
-        census: Dict[Optional[int], int] = {FREE: 0}
-        for bu in self._lanes:
-            census[bu.owner] = census.get(bu.owner, 0) + 1
-        if census[FREE] == 0 and self._free:  # pragma: no cover - defensive
-            raise ProtocolError("free list disagrees with lane owners")
-        return census
 
     @staticmethod
     def _merge_sorted(left: List[int], right: List[int]) -> List[int]:
@@ -160,26 +129,6 @@ class LaneTable:
         for index in self._owned.get(core, ()):
             mask[index] = True
         return mask
-
-    def record_uops(self, core: int, uops: int) -> None:
-        """Attribute ``uops`` executed micro-ops to each lane of ``core``."""
-        for index in self._owned.get(core, ()):
-            self._lanes[index].uops_executed += uops
-
-    def record_uops_batched(self, core: int, uops: int) -> None:
-        """Batched :meth:`record_uops`: one masked bulk update over all lanes.
-
-        The batch-execute backend's lane-attribution kernel.  Exactly
-        equivalent to the scalar per-lane loop — in particular it must not
-        touch lanes outside the core's current ownership mask, even right
-        after a mid-phase reclaim handed those lanes to another core.
-        """
-        owned = self._owned.get(core)
-        if not owned or uops == 0:
-            return
-        lanes = self._lanes
-        for index in owned:
-            lanes[index].uops_executed += uops
 
     def ownership_vector(self) -> Sequence[Optional[int]]:
         """Owner of each lane, by lane index (for tests/visualisation)."""

@@ -15,37 +15,26 @@ for every core:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 from repro.coproc.resource_table import ResourceTable
-from repro.core.partition import default_lane_shards, greedy_partition
+from repro.core.partition import greedy_partition
 from repro.core.roofline import RooflineModel
 
 
 class ElasticLaneManager:
     """The Occamy hardware lane manager (monitor + roofline + greedy)."""
 
-    def __init__(
-        self,
-        roofline: RooflineModel,
-        total_lanes: int,
-        sharded: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, roofline: RooflineModel, total_lanes: int) -> None:
         self.roofline = roofline
         self.total_lanes = total_lanes
-        #: Bulk-round partition switch (``REPRO_NO_LANE_SHARDS``), latched
-        #: at construction like every engine axis — repartitions happen at
-        #: runtime, when the kill-switch environment is no longer in scope.
-        self.sharded = default_lane_shards() if sharded is None else sharded
         self.plans_generated = 0
         self.plan_history: List[Tuple[int, Dict[int, int]]] = []
 
     def on_phase_change(self, table: ResourceTable, cycle: int) -> Dict[int, int]:
         """Re-plan on a phase entry/exit; cores with no phase decide to 0."""
         running = table.running_phases()
-        plan = greedy_partition(
-            running, self.total_lanes, self.roofline, sharded=self.sharded
-        )
+        plan = greedy_partition(running, self.total_lanes, self.roofline)
         decisions = {core: plan.get(core, 0) for core in range(table.num_cores)}
         self.plans_generated += 1
         self.plan_history.append((cycle, dict(decisions)))

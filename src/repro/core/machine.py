@@ -9,22 +9,16 @@ halts and drains.
 from __future__ import annotations
 
 import math
-import os
 from bisect import insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.common.config import MachineConfig, default_batch_exec
+from repro.common.config import MachineConfig
 from repro.common.errors import DeadlockError, SimulationError
 from repro.coproc.coprocessor import CoProcessor, SharingMode
 from repro.coproc.metrics import Metrics
 from repro.core.policies import Policy
-from repro.core.replay import (
-    GLOBAL_PROFILE,
-    ReplayController,
-    ReplayProfile,
-    default_loop_replay,
-)
+from repro.core.replay import GLOBAL_PROFILE, ReplayController, ReplayProfile
 from repro.core.scalar_core import ScalarCore
 from repro.isa.program import Program
 from repro.memory.image import MemoryImage
@@ -32,41 +26,6 @@ from repro.validation.invariants import InvariantAuditor, audit_enabled
 
 #: Cycles without any retire/dispatch/commit before declaring deadlock.
 DEADLOCK_WINDOW = 100_000
-
-
-def default_fast_forward() -> bool:
-    """Whether :meth:`Machine.run` fast-forwards idle cycles by default.
-
-    On unless ``REPRO_NO_FAST_FORWARD`` is set (to any non-empty value);
-    the two modes are bit-identical — the switch exists for the
-    determinism test layer and for debugging the fast-forward itself.
-    """
-    return not os.environ.get("REPRO_NO_FAST_FORWARD")
-
-
-def default_event_wheel() -> bool:
-    """Whether :meth:`Machine.run` uses the tickless event-wheel scheduler.
-
-    On unless ``REPRO_NO_EVENT_WHEEL`` is set (to any non-empty value).
-    The tickless engine — per-component sleep/wake plus ready-set dispatch
-    indexing — is bit-identical to the cycle-by-cycle interpreter; the kill
-    switch exists for the differential-fuzz engine matrix and debugging.
-    """
-    return not os.environ.get("REPRO_NO_EVENT_WHEEL")
-
-
-def default_hier_wheel() -> bool:
-    """Whether the tickless engine uses the hierarchical wake index.
-
-    On unless ``REPRO_NO_HIER_WHEEL`` is set (to any non-empty value).
-    The hierarchical wheel groups components into complexes under a
-    top-level heap and keeps an *active list* of awake live cores so every
-    per-cycle loop costs O(components with work), not O(num_cores).  It is
-    bit-identical to the flat :class:`~repro.core.scheduling.EventWheel`
-    path; the kill switch exists for the differential-fuzz engine matrix.
-    Only meaningful when the event wheel itself is enabled.
-    """
-    return not os.environ.get("REPRO_NO_HIER_WHEEL")
 
 
 @dataclass
@@ -107,7 +66,17 @@ class RunResult:
 
 
 class Machine:
-    """A ``config.num_cores``-core system under one sharing policy."""
+    """A ``config.num_cores``-core system under one sharing policy.
+
+    One of two engines runs it, latched at construction.  The default
+    *fast* engine stacks pre-decoded scalar dispatch, steady-loop replay,
+    the tickless event wheel with its active list, batched co-processor
+    dispatch and busy-pool CTS arbitration.  ``reference=True`` selects the
+    seed engine — the ``_exec_*`` interpreter stepped every cycle, no
+    fast-forward, no replay, a full-window per-uop dispatch scan — kept
+    solely as the oracle the differential fuzzer diffs the fast engine
+    against (:mod:`repro.validation.difftest`).  The two are bit-identical.
+    """
 
     def __init__(
         self,
@@ -115,9 +84,7 @@ class Machine:
         policy: Policy,
         jobs: Sequence[Optional[Job]],
         audit: Optional[bool] = None,
-        event_wheel: Optional[bool] = None,
-        batch_exec: Optional[bool] = None,
-        hier_wheel: Optional[bool] = None,
+        reference: bool = False,
     ) -> None:
         if len(jobs) != config.num_cores:
             raise SimulationError(
@@ -138,26 +105,9 @@ class Machine:
             total_lanes=config.vector.total_lanes,
             pipes_per_lane=config.vector.compute_issue_width,
         )
-        #: Tickless event-wheel engine switch (``REPRO_NO_EVENT_WHEEL``).
-        self._event_wheel = (
-            default_event_wheel() if event_wheel is None else event_wheel
-        )
-        #: Batch-execute backend switch (``REPRO_NO_BATCH_EXEC``).
-        self._batch_exec = (
-            default_batch_exec() if batch_exec is None else batch_exec
-        )
-        #: Hierarchical wake-index switch (``REPRO_NO_HIER_WHEEL``); only
-        #: active on top of the event wheel.
-        self._hier_wheel = (
-            default_hier_wheel() if hier_wheel is None else hier_wheel
-        ) and self._event_wheel
+        self.reference = reference
         self.coproc = CoProcessor(
-            config,
-            policy.mode,
-            self.metrics,
-            self.lane_manager,
-            indexed=self._event_wheel,
-            batch_exec=self._batch_exec,
+            config, policy.mode, self.metrics, self.lane_manager, reference=reference
         )
         self._done: List[bool] = [job is None for job in jobs]
         # Per-component (core complex = scalar core + pool + LSU) sleep
@@ -171,9 +121,8 @@ class Machine:
             ()
         ] * num_cores
         self._wheel = None
-        #: Sorted list of awake live cores (hierarchical-wheel mode only);
-        #: ``None`` under the flat wheel and the reference engine.
-        self._active: Optional[List[int]] = None
+        #: Sorted list of awake live cores (maintained by the fast engine).
+        self._active: List[int] = []
         self._comp_busy: List[int] = [0] * num_cores
         self._comp_idle: List[int] = [0] * num_cores
         self._comp_asleep: List[int] = [0] * num_cores
@@ -205,6 +154,7 @@ class Machine:
                         coproc=self.coproc,
                         metrics=self.metrics,
                         config=config.core,
+                        reference=reference,
                     )
                 )
 
@@ -288,35 +238,20 @@ class Machine:
             return cycle + skipped
         return cycle
 
-    def run(
-        self,
-        max_cycles: int = 3_000_000,
-        fast_forward: Optional[bool] = None,
-        fast_path: Optional[bool] = None,
-    ) -> RunResult:
-        """Simulate until every workload halts and drains.
-
-        ``fast_forward`` elides stretches of cycles in which no core and no
-        co-processor structure can make progress (memory-latency drains,
-        EM-SIMD barriers) by jumping the clock to the next scheduled event.
-        ``fast_path`` additionally replays whole steady-state loop
-        iterations from a verified event template (see
-        :mod:`repro.core.replay`) and defaults to
-        :func:`~repro.core.replay.default_loop_replay`.  Both switches are
-        bit-identical to the cycle-by-cycle loop — the determinism suite
-        asserts it.
-        """
-        if fast_forward is None:
-            fast_forward = default_fast_forward()
-        if fast_path is None:
-            fast_path = default_loop_replay()
-        replay = ReplayController(self) if fast_path else None
-        if self._event_wheel:
-            cycle = self._run_wheel(max_cycles, fast_forward, replay)
+    def run(self, max_cycles: int = 3_000_000) -> RunResult:
+        """Simulate until every workload halts and drains."""
+        if self.reference:
+            cycle = self._run_reference(max_cycles)
+            profile = ReplayProfile()
         else:
-            cycle = self._run_reference(max_cycles, fast_forward, replay)
+            replay = ReplayController(self)
+            cycle = self._run_fast(max_cycles, replay)
+            profile = replay.profile
+            batch = self.coproc._batch
+            profile.batched_dispatch_calls = batch.batched_calls
+            profile.scalar_dispatch_calls = batch.scalar_calls
+            profile.batched_uops = batch.batched_uops
         self.metrics.close(cycle)
-        profile = replay.profile if replay is not None else ReplayProfile()
         profile.total_cycles = cycle
         profile.fastforward_cycles = self._ff_skipped
         profile.interpreted_cycles = (
@@ -325,11 +260,6 @@ class Machine:
         profile.component_busy = list(self._comp_busy)
         profile.component_idle = list(self._comp_idle)
         profile.component_asleep = list(self._comp_asleep)
-        batch = self.coproc._batch
-        if batch is not None:
-            profile.batched_dispatch_calls = batch.batched_calls
-            profile.scalar_dispatch_calls = batch.scalar_calls
-            profile.batched_uops = batch.batched_uops
         self.profile = profile
         GLOBAL_PROFILE.merge(profile)
         return RunResult(
@@ -347,10 +277,8 @@ class Machine:
             },
         )
 
-    def _run_reference(
-        self, max_cycles: int, fast_forward: bool, replay: Optional[ReplayController]
-    ) -> int:
-        """The seed cycle-by-cycle loop (``REPRO_NO_EVENT_WHEEL``)."""
+    def _run_reference(self, max_cycles: int) -> int:
+        """The seed cycle-by-cycle loop (the differential oracle)."""
         cycle = 0
         last_progress = 0
         while not self.finished:
@@ -359,35 +287,22 @@ class Machine:
                     f"simulation exceeded {max_cycles} cycles "
                     f"(policy={self.policy.key})"
                 )
-            if replay is not None:
-                cycle, last_progress = replay.on_cycle(
-                    cycle, max_cycles, last_progress
-                )
-                if cycle >= max_cycles:
-                    continue
-            if fast_forward:
-                self.metrics.begin_idle_cycle()
             if self.step(cycle):
                 last_progress = cycle
-            else:
-                if (
-                    cycle - last_progress > DEADLOCK_WINDOW
-                    and self.next_event_cycle(cycle) is None
-                ):
-                    raise DeadlockError(
-                        f"no forward progress since cycle {last_progress} "
-                        f"(policy={self.policy.key})"
-                    )
-                if fast_forward:
-                    cycle = self._fast_forward(cycle, last_progress, max_cycles)
+            elif (
+                cycle - last_progress > DEADLOCK_WINDOW
+                and self.next_event_cycle(cycle) is None
+            ):
+                raise DeadlockError(
+                    f"no forward progress since cycle {last_progress} "
+                    f"(policy={self.policy.key})"
+                )
             cycle += 1
         return cycle
 
-    # --- tickless event-wheel engine ---------------------------------------
+    # --- the fast engine -----------------------------------------------------
 
-    def _run_wheel(
-        self, max_cycles: int, fast_forward: bool, replay: Optional[ReplayController]
-    ) -> int:
+    def _run_fast(self, max_cycles: int, replay: ReplayController) -> int:
         """The tickless run loop: per-component sleep/wake on an event wheel.
 
         A *component* is one core complex — scalar core, instruction pool
@@ -402,27 +317,27 @@ class Machine:
         earliest wake.  Temporal sharing (FTS) never sleeps — its shared
         issue budget and renamer couple the cores every cycle — and the
         loop-replay controller suspends sleeping while it probes, records
-        or replays.  Bit-identical to :meth:`_run_reference` (the
-        differential fuzzer diffs the two engines).
+        or replays; both fall back to :meth:`_fast_forward`.  The three
+        per-core loops of a cycle walk the sorted *active list* (awake live
+        cores), so a cycle costs O(components with work).  Bit-identical to
+        :meth:`_run_reference` (the differential fuzzer diffs the two
+        engines).
         """
-        from repro.core.scheduling import EventWheel, HierarchicalEventWheel
+        from repro.core.scheduling import HierarchicalEventWheel
 
-        num_cores = self.config.num_cores
         metrics = self.metrics
         coproc = self.coproc
-        wheel = HierarchicalEventWheel() if self._hier_wheel else EventWheel()
-        self._wheel = wheel
+        wheel = self._wheel = HierarchicalEventWheel()
         awake = self._awake
-        live = [
+        active = self._active = [
             core_id
             for core_id, core in enumerate(self.cores)
             if core is not None and not self._done[core_id]
         ]
-        self._live_count = len(live)
-        self._active = live if self._hier_wheel else None
+        self._live_count = len(active)
         sleep_allowed = coproc.mode is not SharingMode.TEMPORAL
         coproc.wake_all_hook = self._wake_all_mid_cycle
-        core_events = [0] * num_cores
+        core_events = [0] * self.config.num_cores
         cycle = 0
         last_progress = 0
         try:
@@ -433,7 +348,7 @@ class Machine:
                         f"simulation exceeded {max_cycles} cycles "
                         f"(policy={self.policy.key})"
                     )
-                if replay is not None and replay.engaged:
+                if replay.engaged:
                     self._settle_all(cycle)
                     cycle, last_progress = replay.on_cycle(
                         cycle, max_cycles, last_progress
@@ -443,7 +358,7 @@ class Machine:
                 if self._asleep_count:
                     for component in wheel.due(cycle):
                         self._settle(component, cycle)
-                    if fast_forward and self._asleep_count == self._live_count:
+                    if self._asleep_count == self._live_count:
                         nxt = wheel.next_wake()
                         if nxt is None:
                             # Every component is frozen with no event
@@ -457,7 +372,7 @@ class Machine:
                             cycle = target
                             continue
                 metrics.begin_idle_cycle()
-                progress = self._step_wheel(cycle, core_events)
+                progress = self._step_fast(cycle, core_events)
                 if progress:
                     last_progress = cycle
                 else:
@@ -470,31 +385,16 @@ class Machine:
                             f"no forward progress since cycle {last_progress} "
                             f"(policy={self.policy.key})"
                         )
-                    if (
-                        fast_forward
-                        and self._asleep_count == 0
-                        and (
-                            not sleep_allowed
-                            or (replay is not None and replay.engaged)
-                        )
+                    if self._asleep_count == 0 and (
+                        not sleep_allowed or replay.engaged
                     ):
                         # Per-component sleep cannot act (FTS coupling or
                         # an engaged replay controller): fall back to the
-                        # global idle fast-forward, exactly as the
-                        # reference engine would.
+                        # global idle fast-forward.
                         cycle = self._fast_forward(cycle, last_progress, max_cycles)
-                if sleep_allowed and (replay is None or not replay.engaged):
-                    active = self._active
-                    candidates = (
-                        range(num_cores) if active is None else tuple(active)
-                    )
-                    for component in candidates:
-                        if (
-                            not awake[component]
-                            or self._done[component]
-                            or self.cores[component] is None
-                            or core_events[component]
-                        ):
+                if sleep_allowed and not replay.engaged:
+                    for component in tuple(active):
+                        if core_events[component]:
                             continue
                         wake = self._component_wake(component, cycle)
                         if wake is not None and wake <= cycle + 1:
@@ -505,8 +405,7 @@ class Machine:
                         self._sleep_events[component] = metrics.core_idle_events(
                             component
                         )
-                        if active is not None:
-                            active.remove(component)
+                        active.remove(component)
                         if wake is not None:
                             wheel.schedule(component, wake)
                 cycle += 1
@@ -515,45 +414,27 @@ class Machine:
         self._settle_all(cycle)
         return cycle
 
-    def _step_wheel(self, cycle: int, core_events: List[int]) -> int:
+    def _step_fast(self, cycle: int, core_events: List[int]) -> int:
         """One tickless cycle: step only awake components.
 
-        With the hierarchical wheel the three per-core loops walk the
-        sorted active list instead of every core slot, so a cycle costs
-        O(awake components); ``core_events`` is still reset for *all* slots
+        The three per-core loops walk the sorted active list instead of
+        every core slot; ``core_events`` is still reset for *all* slots
         because a mid-cycle CTS wake can re-activate a sleeper whose entry
         must read zero.  The active list is mutated in place by done
         detection here and by :meth:`_settle` on mid-cycle wakes, so both
         post-dispatch loops walk snapshots.
         """
-        awake = self._awake
         active = self._active
         for component in range(len(core_events)):
             core_events[component] = 0
         progress = 0
         cores = self.cores
-        if active is None:
-            stepping = [
-                core_id
-                for core_id, core in enumerate(cores)
-                if core is not None and not self._done[core_id] and awake[core_id]
-            ]
-        else:
-            stepping = active
-        for core_id in stepping:
+        for core_id in active:
             retired = cores[core_id].step(cycle)
             core_events[core_id] += retired
             progress += retired
-        progress += self.coproc.step(cycle, awake, core_events, active)
-        checklist = (
-            tuple(active)
-            if active is not None
-            else tuple(
-                core_id
-                for core_id, core in enumerate(cores)
-                if core is not None and not self._done[core_id] and awake[core_id]
-            )
-        )
+        progress += self.coproc.step(cycle, self._awake, core_events, active)
+        checklist = tuple(active)
         for core_id in checklist:
             core = cores[core_id]
             if core.halted and self.coproc.drained(core_id):
@@ -563,8 +444,7 @@ class Machine:
                 if self._loop_recorder is not None:
                     self._loop_recorder.on_core_done()
                 self._live_count -= 1
-                if active is not None:
-                    active.remove(core_id)
+                active.remove(core_id)
                 core_events[core_id] += 1
                 progress += 1
         for core_id in checklist:
@@ -629,10 +509,8 @@ class Machine:
             self._comp_asleep[component] += slept
         self._awake[component] = True
         self._asleep_count -= 1
-        if self._active is not None:
-            insort(self._active, component)
-        if self._wheel is not None:
-            self._wheel.cancel(component)
+        insort(self._active, component)
+        self._wheel.cancel(component)
 
     def _settle_all(self, cycle: int) -> None:
         for component in range(self.config.num_cores):
@@ -669,20 +547,10 @@ def run_policy(
     policy: Policy,
     jobs: Sequence[Optional[Job]],
     max_cycles: int = 3_000_000,
-    fast_forward: Optional[bool] = None,
-    fast_path: Optional[bool] = None,
     audit: Optional[bool] = None,
-    event_wheel: Optional[bool] = None,
-    batch_exec: Optional[bool] = None,
-    hier_wheel: Optional[bool] = None,
+    reference: bool = False,
 ) -> RunResult:
     """Convenience wrapper: build a machine and run it."""
-    return Machine(
-        config,
-        policy,
-        jobs,
-        audit=audit,
-        event_wheel=event_wheel,
-        batch_exec=batch_exec,
-        hier_wheel=hier_wheel,
-    ).run(max_cycles=max_cycles, fast_forward=fast_forward, fast_path=fast_path)
+    return Machine(config, policy, jobs, audit=audit, reference=reference).run(
+        max_cycles=max_cycles
+    )

@@ -17,9 +17,8 @@ running workload receives at least one lane.
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.core.roofline import RooflineModel
@@ -29,18 +28,6 @@ from repro.isa.registers import OIValue
 GAIN_EPSILON = 1e-9
 
 
-def default_lane_shards() -> bool:
-    """Whether the sharded lane-bookkeeping fast paths are on by default.
-
-    On unless ``REPRO_NO_LANE_SHARDS`` is set (to any non-empty value).
-    Covers the bulk-round greedy partition below, the co-processor's
-    busy-pool set for CTS arbitration and the lane table's per-owner
-    counters — all bit-identical to the scanning reference paths; the kill
-    switch exists for the differential-fuzz engine matrix.
-    """
-    return not os.environ.get("REPRO_NO_LANE_SHARDS")
-
-
 @lru_cache(maxsize=4096)
 def _gain_profile(
     roofline: RooflineModel, oi: OIValue
@@ -48,7 +35,7 @@ def _gain_profile(
     """Marginal-gain profile of one phase: ``(gains, cap)``.
 
     ``gains[l]`` is Eq. 3's net gain of growing from ``l`` to ``l+1`` lanes
-    — the exact floats the reference rounds recompute every repartition.
+    — the exact floats :func:`greedy_partition_rounds` recomputes each round.
     ``attainable`` is the minimum of two linear-through-origin ceilings and
     a constant, hence concave in the lane count, so the gains are
     non-increasing and the profitable lane counts form a prefix: ``cap`` is
@@ -68,23 +55,44 @@ def _gain_profile(
     return gains, cap
 
 
-def _greedy_bulk(
-    active: Dict[int, OIValue],
-    plan: Dict[int, int],
-    remaining: int,
+def _one_lane_each(
+    demands: Mapping[int, OIValue], total_lanes: int
+) -> Tuple[Dict[int, OIValue], Dict[int, int], int]:
+    """Step 1: one ExeBU per running workload.
+
+    Returns ``(active, plan, remaining)``.  Raises when more phases run
+    than lanes exist (cannot satisfy the one-lane-minimum constraint of
+    Eq. 1).
+    """
+    active = {core: oi for core, oi in demands.items() if not oi.is_phase_end}
+    if len(active) > total_lanes:
+        raise ConfigurationError(
+            f"{len(active)} running phases exceed {total_lanes} lanes"
+        )
+    return active, {core: 1 for core in active}, total_lanes - len(active)
+
+
+def greedy_partition(
+    demands: Mapping[int, OIValue],
+    total_lanes: int,
     roofline: RooflineModel,
 ) -> Dict[int, int]:
-    """Bulk-round equivalent of the reference round loop.
+    """Partition ``total_lanes`` ExeBUs across the running phases.
 
-    The reference grants one lane per round to every positive-gain core in
-    ``(-gain, core)`` order.  Because each core's gains are non-increasing
-    (see :func:`_gain_profile`) the eligible set only shrinks, so ``r``
+    ``demands`` maps core id -> the OI of the phase it is executing; cores
+    without a running phase must not appear.  Returns core id -> lane count.
+
+    Steps 2-3 run as *bulk rounds*.  :func:`greedy_partition_rounds` grants
+    one lane per round to every positive-gain core in ``(-gain, core)``
+    order.  Because each core's gains are non-increasing (see
+    :func:`_gain_profile`) the eligible set only shrinks, so ``r``
     consecutive full rounds — while every eligible core keeps headroom and
     lanes remain for everyone — hand exactly ``r`` lanes to each eligible
     core regardless of order, collapsible into one bulk grant.  Only the
     final partial round (fewer lanes left than eligible cores) depends on
     the sort order, and it is replayed literally with the memoised gains.
     """
+    active, plan, remaining = _one_lane_each(demands, total_lanes)
     profiles = {core: _gain_profile(roofline, active[core]) for core in active}
     while remaining > 0:
         eligible = [core for core in active if plan[core] < profiles[core][1]]
@@ -109,36 +117,17 @@ def _greedy_bulk(
     return plan
 
 
-def greedy_partition(
+def greedy_partition_rounds(
     demands: Mapping[int, OIValue],
     total_lanes: int,
     roofline: RooflineModel,
-    sharded: Optional[bool] = None,
 ) -> Dict[int, int]:
-    """Partition ``total_lanes`` ExeBUs across the running phases.
+    """The literal lane-by-lane round loop of §5.2.
 
-    ``demands`` maps core id -> the OI of the phase it is executing; cores
-    without a running phase must not appear.  Returns core id -> lane count.
-    Raises when more phases run than lanes exist (cannot satisfy the
-    one-lane-minimum constraint of Eq. 1).  ``sharded`` selects the
-    bulk-round fast path (default :func:`default_lane_shards`), bit-identical
-    to the lane-by-lane reference rounds below.
+    The reference :func:`greedy_partition` is property-tested against; no
+    engine calls it.
     """
-    active = {core: oi for core, oi in demands.items() if not oi.is_phase_end}
-    if not active:
-        return {}
-    if len(active) > total_lanes:
-        raise ConfigurationError(
-            f"{len(active)} running phases exceed {total_lanes} lanes"
-        )
-
-    # Step 1: one ExeBU per running workload.
-    plan: Dict[int, int] = {core: 1 for core in active}
-    remaining = total_lanes - len(active)
-
-    if default_lane_shards() if sharded is None else sharded:
-        return _greedy_bulk(active, plan, remaining, roofline)
-
+    active, plan, remaining = _one_lane_each(demands, total_lanes)
     # Step 2: rounds of marginal-gain allocation.
     while remaining > 0:
         gains = [

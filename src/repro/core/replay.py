@@ -46,14 +46,13 @@ Design — record, verify, replay, roll back:
 
 EM-SIMD instructions (``MSR <OI>``/``MSR <VL>``) *executing* during the
 recorded period poison the template, so lane re-partitioning always takes
-the slow path.  ``REPRO_NO_LOOP_REPLAY=1`` (or ``fast_path=False``)
-disables the whole mechanism; the determinism suite pins both switches
-against each other.
+the slow path.  The reference engine (``Machine(reference=True)``) never
+builds a :class:`ReplayController`; the differential fuzzer diffs it
+against the replaying fast engine.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -90,16 +89,6 @@ MAX_PROBE_STRIDE = 256
 SUSPEND_CYCLES = 4096
 
 
-def default_loop_replay() -> bool:
-    """Whether :meth:`Machine.run` replays steady loops by default.
-
-    On unless ``REPRO_NO_LOOP_REPLAY`` is set (to any non-empty value);
-    replay-on and replay-off are bit-identical — the switch exists for the
-    determinism layer and for debugging the replay engine itself.
-    """
-    return not os.environ.get("REPRO_NO_LOOP_REPLAY")
-
-
 @dataclass
 class ReplayProfile:
     """Simulated-cycle attribution for one run (the ``--profile`` report)."""
@@ -113,15 +102,15 @@ class ReplayProfile:
     replay_aborts: int = 0
     #: Per-component (core complex) cycle attribution from the tickless
     #: event-wheel engine: cycles stepped with at least one event, cycles
-    #: stepped with none, and cycles skipped while asleep.  All-zero when
-    #: the event wheel is off (``REPRO_NO_EVENT_WHEEL``).
+    #: stepped with none, and cycles skipped while asleep.  All-zero
+    #: under the reference engine.
     component_busy: List[int] = field(default_factory=list)
     component_idle: List[int] = field(default_factory=list)
     component_asleep: List[int] = field(default_factory=list)
     #: Batch-execute backend attribution: per-core-cycle dispatch calls
     #: handled by the opcode-grouped plan/apply path vs. routed through the
     #: scalar per-entry fallback, and uops issued via groups.  All-zero
-    #: when the batch backend is off (``REPRO_NO_BATCH_EXEC``).
+    #: under the reference engine.
     batched_dispatch_calls: int = 0
     scalar_dispatch_calls: int = 0
     batched_uops: int = 0
@@ -313,8 +302,8 @@ class MachineTxn:
 class ReplayController:
     """Per-run driver: detection, recording, verified replay.
 
-    One instance is created by :meth:`Machine.run` when the fast path is
-    enabled; :meth:`on_cycle` is called at the top of every run-loop
+    One instance is created by every fast-engine :meth:`Machine.run`;
+    :meth:`on_cycle` is called at the top of every run-loop
     iteration and may return an advanced cycle after replaying whole
     periods.
     """

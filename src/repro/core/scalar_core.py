@@ -22,20 +22,19 @@ Two execution strategies implement the same semantics:
 
 * the **seed interpreter** (:meth:`ScalarCore._execute`): an
   ``isinstance`` chain that re-decodes operands on every execution —
-  kept as the reference path, selected by ``REPRO_NO_PRE_DECODE=1``;
-* the **pre-decoded dispatch table** (default): at construction every
-  :class:`Program` instruction is resolved once into a bound handler
-  closure with pre-parsed operands (:class:`DecodedInstr`), so the hot
-  loop performs no ``isinstance`` checks, no label lookups and no
+  the reference engine's path (``ScalarCore(reference=True)``);
+* the **pre-decoded dispatch table** (the fast engine): at construction
+  every :class:`Program` instruction is resolved once into a bound
+  handler closure with pre-parsed operands (:class:`DecodedInstr`), so
+  the hot loop performs no ``isinstance`` checks, no label lookups and no
   operand re-classification.
 
-Both paths are bit-identical — the determinism suite asserts it.
+Both paths are bit-identical — the differential fuzzer diffs them.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -70,17 +69,6 @@ _STALL = object()
 
 #: Elements per 128-bit lane for 32-bit data.
 ELEMS_PER_LANE = 4
-
-
-def default_pre_decode() -> bool:
-    """Whether cores execute via the pre-decoded dispatch table.
-
-    On unless ``REPRO_NO_PRE_DECODE`` is set (to any non-empty value);
-    the two paths are bit-identical — the switch exists so the
-    determinism layer can pin the decoded path against the seed
-    interpreter.
-    """
-    return not os.environ.get("REPRO_NO_PRE_DECODE")
 
 
 #: Scalar ALU semantics, shared by the seed interpreter and the decoded
@@ -205,7 +193,7 @@ class ScalarCore:
         coproc: CoProcessor,
         metrics: Metrics,
         config: CoreConfig,
-        pre_decode: Optional[bool] = None,
+        reference: bool = False,
     ) -> None:
         self.core_id = core_id
         self.program = program
@@ -224,7 +212,9 @@ class ScalarCore:
         self.retired_vector = 0
         self._monitor_idx = frozenset(program.meta.get("monitor", ()))
         self._reconfig_idx = frozenset(program.meta.get("reconfig", ()))
-        self.pre_decode = default_pre_decode() if pre_decode is None else pre_decode
+        #: Execute through the seed interpreter instead of the decoded
+        #: handlers (the differential oracle).
+        self.reference = reference
         #: Replay hooks: ``on_backedge(core_id, from_pc, target_pc, cycle)``
         #: fires when a taken branch jumps backwards; ``recorder`` (when
         #: set) receives an ``on_exec`` call per retired instruction.
@@ -234,8 +224,7 @@ class ScalarCore:
         #: memory-image writes append ``(array, index, old_slice)``.
         self._undo_log: Optional[List[Tuple[np.ndarray, int, np.ndarray]]] = None
         #: Pre-decoded dispatch table, one entry per instruction
-        #: (``None`` for labels).  Built eagerly: the loop-replay engine
-        #: uses it even when the seed interpreter drives `step`.
+        #: (``None`` for labels); `step` walks it under both engines.
         self.decoded: List[Optional[DecodedInstr]] = [
             self._decode(index, instr)
             for index, instr in enumerate(program.instructions)
@@ -333,7 +322,7 @@ class ScalarCore:
         retired_indices: List[int] = []
         stall_kind: Optional[str] = None
         decoded = self.decoded
-        use_decoded = self.pre_decode
+        reference = self.reference
         recorder = self.recorder
         while slots > 0 and not self.halted:
             d = decoded[self.pc]
@@ -342,10 +331,10 @@ class ScalarCore:
                 continue
             if d.is_vector and transmits <= 0:
                 break
-            if use_decoded:
-                outcome, kind = d.run(cycle)
-            else:
+            if reference:
                 outcome, kind = self._execute(d.instr, cycle)
+            else:
+                outcome, kind = d.run(cycle)
             if outcome == "stall":
                 stall_kind = kind
                 break

@@ -35,73 +35,19 @@ from repro.core.scalar_core import ScalarCore
 from repro.isa.registers import OIValue
 
 
-class EventWheel:
-    """Bucketed wake-cycle index for the tickless run loop.
+class HierarchicalEventWheel:
+    """Two-level wake index for the tickless run loop.
 
     Each sleeping component registers the earliest future cycle at which
     its externally observable behaviour can change (its *wake cycle*); the
     run loop asks :meth:`due` which components must be settled and stepped
     at the current cycle and :meth:`next_wake` how far the global clock may
-    jump when everything is asleep.  Wakes are hashed into fixed-size
-    buckets (``cycle % slots``) so the common exact-cycle lookup touches one
-    small set; wakes the clock jumped past (always settled before further
-    stepping) are recovered by a full scan, which is tiny because at most
-    one entry per component exists.
+    jump when everything is asleep.  Early wakes are harmless (the
+    component re-sleeps); late wakes are forbidden — the bit-exactness of
+    the tickless engine rests on every component's wake being a lower
+    bound on its next state change.
 
-    Early wakes are harmless (the component re-sleeps); late wakes are
-    forbidden — the bit-exactness of the tickless engine rests on every
-    component's wake being a lower bound on its next state change.
-    """
-
-    def __init__(self, slots: int = 256) -> None:
-        if slots < 1:
-            raise ConfigurationError("event wheel needs at least one slot")
-        self._slots = slots
-        self._buckets: List[set] = [set() for _ in range(slots)]
-        self._wake: Dict[int, int] = {}
-
-    def __len__(self) -> int:
-        return len(self._wake)
-
-    def schedule(self, component: int, cycle: int) -> None:
-        """Register (or move) ``component``'s wake to ``cycle``."""
-        self.cancel(component)
-        self._wake[component] = cycle
-        self._buckets[cycle % self._slots].add(component)
-
-    def cancel(self, component: int) -> None:
-        """Drop ``component``'s wake, if any (idempotent)."""
-        wake = self._wake.pop(component, None)
-        if wake is not None:
-            self._buckets[wake % self._slots].discard(component)
-
-    def wake_of(self, component: int) -> Optional[int]:
-        """The registered wake cycle, or ``None`` if not scheduled."""
-        return self._wake.get(component)
-
-    def next_wake(self) -> Optional[int]:
-        """Earliest registered wake across all components, or ``None``."""
-        return min(self._wake.values()) if self._wake else None
-
-    def due(self, cycle: int) -> List[int]:
-        """Pop and return components whose wake is ``<= cycle``, sorted."""
-        if not self._wake:
-            return []
-        bucket = self._buckets[cycle % self._slots]
-        out = [c for c in bucket if self._wake[c] == cycle]
-        if any(w < cycle for w in self._wake.values()):
-            out.extend(c for c, w in self._wake.items() if w < cycle)
-        for component in out:
-            self.cancel(component)
-        return sorted(out)
-
-
-class HierarchicalEventWheel:
-    """Two-level wake index: per-complex-group heaps under a top heap.
-
-    Drop-in replacement for :class:`EventWheel` (same ``schedule`` /
-    ``cancel`` / ``wake_of`` / ``next_wake`` / ``due`` contract) whose
-    per-call cost tracks the number of *scheduled* components, not the
+    Per-call cost tracks the number of *scheduled* components, not the
     machine size.  Components are grouped into complexes of
     ``group_size``; each group keeps a lazy min-heap of ``(wake,
     component)`` entries and the top level keeps a lazy min-heap of
@@ -119,8 +65,7 @@ class HierarchicalEventWheel:
     A 32-core machine with every complex asleep answers
     :meth:`next_wake` from the top heap in O(1) amortised, and
     :meth:`due` touches only the groups that actually have wakes at or
-    before the queried cycle — the reference wheel's overshoot recovery
-    rescans every registered component instead.
+    before the queried cycle.
     """
 
     def __init__(self, group_size: int = 4) -> None:

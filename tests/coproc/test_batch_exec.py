@@ -1,11 +1,11 @@
 """Batch-execute backend: batched kernels vs. the scalar per-entry loops.
 
-Every kernel the batch backend replaces — lane uop attribution, dispatch
-metrics aggregation, the commit prefix scan, and the full plan/apply
-dispatch pass — is pinned against the reference per-entry implementation
-on randomized inputs: random operand sets, opcodes, active-lane masks and
-mid-phase lane reclaims.  Equality is exact (``==`` on every counter and
-float), not approximate: the backend promises bit-identity.
+Every kernel the batch backend replaces — dispatch metrics aggregation,
+the commit prefix scan, and the full plan/apply dispatch pass — is pinned
+against the reference per-entry implementation on randomized inputs:
+random operand sets, opcodes and dependence edges.  Equality is exact
+(``==`` on every counter and float), not approximate: the backend promises
+bit-identity.
 """
 
 import random
@@ -21,54 +21,6 @@ from repro.core.lane_manager import StaticLaneManager, TemporalLaneManager
 
 
 class TestLaneBatchKernel:
-    """``record_uops_batched`` == per-lane ``record_uops`` under any mask."""
-
-    def test_random_masks_and_reclaims(self):
-        rng = random.Random(1234)
-        for _ in range(50):
-            total = rng.choice((4, 8, 16, 32))
-            scalar_table = LaneTable(total)
-            batched_table = LaneTable(total)
-            cores = list(range(rng.randint(1, 4)))
-            for _ in range(rng.randint(3, 20)):
-                action = rng.random()
-                if action < 0.5:
-                    # Mid-phase reclaim: re-partition ownership, possibly to
-                    # zero lanes (the cts hand-over), before recording more.
-                    core = rng.choice(cores)
-                    free = scalar_table.free_count + scalar_table.owned_count(core)
-                    lanes = rng.randint(0, free)
-                    scalar_table.reconfigure(core, lanes)
-                    batched_table.reconfigure(core, lanes)
-                else:
-                    core = rng.choice(cores + [99])  # 99: never owns a lane
-                    uops = rng.randint(0, 7)
-                    scalar_table.record_uops(core, uops)
-                    batched_table.record_uops_batched(core, uops)
-                assert (
-                    scalar_table.ownership_vector()
-                    == batched_table.ownership_vector()
-                )
-                scalar_counts = [
-                    scalar_table._lanes[i].uops_executed for i in range(total)
-                ]
-                batched_counts = [
-                    batched_table._lanes[i].uops_executed for i in range(total)
-                ]
-                assert scalar_counts == batched_counts
-
-    def test_inactive_lanes_untouched_after_reclaim(self):
-        table = LaneTable(8)
-        table.reconfigure(0, 8)
-        table.record_uops_batched(0, 3)
-        # Reclaim all of core 0's lanes for core 1 mid-phase.
-        table.reconfigure(0, 0)
-        table.reconfigure(1, 8)
-        table.record_uops_batched(0, 100)  # core 0 owns nothing now
-        assert [bu.uops_executed for bu in table._lanes] == [3] * 8
-        table.record_uops_batched(1, 2)
-        assert [bu.uops_executed for bu in table._lanes] == [5] * 8
-
     def test_active_mask_matches_ownership(self):
         rng = random.Random(7)
         table = LaneTable(16)
@@ -153,14 +105,14 @@ def _make_entry(seq, core, kind, rng, producers):
 
 
 class TestCommitBatchKernel:
-    """``commit_ready_batched`` == ``commit_ready`` on random windows."""
+    """Slice-delete ``commit_ready`` == the longest completed head prefix."""
 
     def test_random_windows(self):
         rng = random.Random(5)
         for _ in range(60):
             width = rng.randint(1, 8)
             cycle = rng.randint(0, 50)
-            pools = [InstructionPool(0, 64, indexed=True) for _ in range(2)]
+            pool = InstructionPool(0, 64, indexed=True)
             entries = []
             for seq in range(rng.randint(0, 20)):
                 entry = DynamicInstruction(
@@ -176,25 +128,20 @@ class TestCommitBatchKernel:
                     entry.complete_cycle = rng.randint(0, 60)
                     entry.holds_phys_reg = rng.random() < 0.5
                 entries.append(entry)
-            import copy
-
-            sides = [copy.deepcopy(entries), copy.deepcopy(entries)]
-            for pool, side in zip(pools, sides):
-                for entry in side:
-                    pool.push(entry)
-                pool.ready_dispatchable(cycle)  # build the index
-            reference = pools[0].commit_ready(cycle, width)
-            batched = pools[1].commit_ready_batched(cycle, width)
-            assert [e.seq for e in reference] == [e.seq for e in batched]
-            assert pools[0].committed == pools[1].committed
-            assert [e.seq for e in pools[0].entries()] == [
-                e.seq for e in pools[1].entries()
+                pool.push(entry)
+            pool.ready_dispatchable(cycle)  # build the index
+            expected = []
+            for entry in entries[:width]:  # in order, one at a time
+                if entry.state is EntryState.WAITING or entry.complete_cycle > cycle:
+                    break
+                expected.append(entry)
+            assert pool.commit_ready(cycle, width) == expected
+            assert pool.committed == len(expected)
+            assert pool.entries() == entries[len(expected) :]
+            # The index survives: same dispatch candidates as a fresh scan.
+            assert pool.ready_dispatchable(cycle) == [
+                e for e in pool.dispatchable() if e.ready(cycle)
             ]
-            # The index survives identically: same dispatch candidates after.
-            assert [e.seq for e in pools[0].ready_dispatchable(cycle)] == [
-                e.seq for e in pools[1].ready_dispatchable(cycle)
-            ]
-            assert pools[0].pending_emsimd() == pools[1].pending_emsimd()
 
 
 def _observable_state(coproc):
@@ -231,7 +178,7 @@ def _observable_state(coproc):
 
 def _build_pair(mode, num_cores, config):
     coprocs = []
-    for batch in (False, True):
+    for reference in (True, False):
         metrics = Metrics(num_cores, config.vector.total_lanes, 2)
         if mode is SharingMode.SPATIAL:
             per_core = config.vector.total_lanes // num_cores
@@ -239,9 +186,7 @@ def _build_pair(mode, num_cores, config):
         else:
             manager = TemporalLaneManager(config.vector.total_lanes)
         coprocs.append(
-            CoProcessor(
-                config, mode, metrics, manager, indexed=True, batch_exec=batch
-            )
+            CoProcessor(config, mode, metrics, manager, reference=reference)
         )
     return coprocs
 

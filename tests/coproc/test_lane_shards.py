@@ -1,9 +1,8 @@
-"""Sharded lane bookkeeping must equal the scanning reference paths.
+"""Incremental lane bookkeeping must equal its from-scratch counterpart.
 
-The ``REPRO_NO_LANE_SHARDS`` axis covers three incremental structures:
-the lane table's per-owner counters, the bulk-round greedy partition and
-the co-processor's busy-pool set for CTS arbitration.  Each has a
-from-scratch counterpart these tests diff against.
+The fast engine's bulk-round greedy partition and its busy-pool set for
+CTS arbitration each have a scanning counterpart these tests diff against:
+the literal round loop kept in ``partition.py`` and an all-pool scan.
 """
 
 import random
@@ -12,31 +11,10 @@ import pytest
 
 from repro.common.config import experiment_config
 from repro.common.errors import ConfigurationError
-from repro.coproc.lanes import FREE, LaneTable
-from repro.core.partition import greedy_partition
+from repro.core.partition import greedy_partition, greedy_partition_rounds
 from repro.core.roofline import RooflineModel
 from repro.isa.registers import OIValue
 from tests.conftest import compiled_job, make_axpy, make_reduction, run_fingerprint
-
-
-class TestOwnerCounters:
-    def test_counters_equal_scan_over_random_reconfigures(self):
-        for seed in range(10):
-            rng = random.Random(seed)
-            table = LaneTable(32)
-            for _ in range(200):
-                core = rng.randrange(8)
-                ceiling = table.owned_count(core) + table.free_count
-                table.reconfigure(core, rng.randint(0, ceiling))
-                assert table.counters() == table.scan_counters()
-
-    def test_full_and_empty_pool_extremes(self):
-        table = LaneTable(8)
-        assert table.counters() == table.scan_counters() == {FREE: 8}
-        table.reconfigure(0, 8)
-        assert table.counters() == table.scan_counters() == {FREE: 0, 0: 8}
-        table.reconfigure(0, 0)
-        assert table.counters() == table.scan_counters() == {FREE: 8}
 
 
 class TestBulkGreedyPartition:
@@ -62,17 +40,18 @@ class TestBulkGreedyPartition:
             demands = self._random_demands(rng, rng.choice((2, 4, 8, 16)))
             if not demands:
                 continue
-            sharded = greedy_partition(demands, 32, roofline, sharded=True)
-            reference = greedy_partition(demands, 32, roofline, sharded=False)
-            assert sharded == reference, f"seed {seed}: {demands}"
+            bulk = greedy_partition(demands, 32, roofline)
+            reference = greedy_partition_rounds(demands, 32, roofline)
+            assert bulk == reference, f"seed {seed}: {demands}"
 
     def test_oversubscribed_still_rejected(self):
         roofline = self._roofline()
         demands = {
             core: OIValue(issue=1.0, mem=1.0, level="dram") for core in range(3)
         }
-        with pytest.raises(ConfigurationError):
-            greedy_partition(demands, 2, roofline, sharded=True)
+        for partition in (greedy_partition, greedy_partition_rounds):
+            with pytest.raises(ConfigurationError):
+                partition(demands, 2, roofline)
 
 
 class TestBusyPoolSet:
@@ -81,7 +60,6 @@ class TestBusyPoolSet:
         from repro.core.machine import Machine
         from repro.core.policies import policy
 
-        monkeypatch.delenv("REPRO_NO_LANE_SHARDS", raising=False)
         mismatches = []
         checks = []
         original = CoProcessor._cts_arbitrate
@@ -107,42 +85,21 @@ class TestBusyPoolSet:
 
 
 class TestKillSwitch:
-    def test_latches_at_construction(self, monkeypatch):
-        from repro.core.lane_manager import ElasticLaneManager
+    def test_fingerprints_identical_with_and_without(self):
+        """Busy-set arbitration and bulk partitioning (fast engine) against
+        the all-pool scan (reference engine), where each decides most."""
         from repro.core.machine import Machine
         from repro.core.policies import policy
 
-        config = experiment_config()
-        jobs = [compiled_job(make_axpy(128), 0), None]
-        monkeypatch.setenv("REPRO_NO_LANE_SHARDS", "1")
-        machine = Machine(config, policy("occamy"), jobs)
-        manager = ElasticLaneManager(RooflineModel.from_config(config), 32)
-        assert machine.coproc._lane_shards is False
-        assert machine.coproc._busy_pools is None
-        assert manager.sharded is False
-        monkeypatch.delenv("REPRO_NO_LANE_SHARDS", raising=False)
-        assert machine.coproc._lane_shards is False  # latched, not re-read
-        assert manager.sharded is False
-        machine = Machine(config, policy("occamy"), jobs)
-        assert machine.coproc._lane_shards is True
-        assert machine.coproc._busy_pools == set()
-        assert ElasticLaneManager(RooflineModel.from_config(config), 32).sharded
-
-    def test_fingerprints_identical_with_and_without(self, monkeypatch):
-        from repro.core.machine import Machine
-        from repro.core.policies import policy
-
-        def run(policy_key):
+        def run(policy_key, reference):
             jobs = [
                 compiled_job(make_axpy(1536), 0),
                 compiled_job(make_reduction(256, 6), 1),
             ]
-            machine = Machine(experiment_config(), policy(policy_key), jobs)
+            machine = Machine(
+                experiment_config(), policy(policy_key), jobs, reference=reference
+            )
             return run_fingerprint(machine.run())
 
         for policy_key in ("occamy", "cts"):
-            monkeypatch.delenv("REPRO_NO_LANE_SHARDS", raising=False)
-            with_shards = run(policy_key)
-            monkeypatch.setenv("REPRO_NO_LANE_SHARDS", "1")
-            without = run(policy_key)
-            assert with_shards == without, policy_key
+            assert run(policy_key, False) == run(policy_key, True), policy_key

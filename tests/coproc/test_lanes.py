@@ -110,11 +110,3 @@ class TestIncrementalIndexes:
         table.reconfigure(2, 2)
         assert table.lanes_of(2) == [0, 1]
 
-
-class TestUopAccounting:
-    def test_record_uops(self):
-        table = LaneTable(8)
-        table.reconfigure(0, 4)
-        table.record_uops(0, 3)
-        busy = [bu.uops_executed for bu in table._lanes]
-        assert busy.count(3) == 4

@@ -9,7 +9,6 @@ from repro.core.replay import (
     MAX_PROBE_STRIDE,
     ReplayController,
     ReplayProfile,
-    default_loop_replay,
 )
 from tests.conftest import compiled_job, make_axpy, run_fingerprint
 
@@ -59,8 +58,10 @@ class TestEngagement:
 
 class TestBitExactness:
     def test_replay_matches_slow_path(self, config):
-        slow = run_policy(config, OCCAMY, _steady_jobs(), fast_path=False)
-        fast = run_policy(config, OCCAMY, _steady_jobs(), fast_path=True)
+        reference = Machine(config, OCCAMY, _steady_jobs(), reference=True)
+        slow = reference.run()
+        assert reference.profile.replayed_cycles == 0
+        fast = run_policy(config, OCCAMY, _steady_jobs())
         assert run_fingerprint(fast) == run_fingerprint(slow)
 
     def test_aperiodic_tail_still_exact(self, config):
@@ -70,20 +71,10 @@ class TestBitExactness:
         def jobs():
             return [compiled_job(make_axpy(4000, 4), 0), None]
 
-        slow = run_policy(config, OCCAMY, jobs(), fast_path=False)
-        fast = run_policy(config, OCCAMY, jobs(), fast_path=True)
-        assert run_fingerprint(fast) == run_fingerprint(slow)
-
-    def test_env_kill_switch(self, monkeypatch, config):
-        monkeypatch.setenv("REPRO_NO_LOOP_REPLAY", "1")
-        assert default_loop_replay() is False
-        machine = Machine(config, OCCAMY, _steady_jobs())
-        disabled = machine.run()
-        assert machine.profile.replayed_cycles == 0
-        monkeypatch.delenv("REPRO_NO_LOOP_REPLAY")
-        assert default_loop_replay() is True
-        enabled = run_policy(config, OCCAMY, _steady_jobs())
-        assert run_fingerprint(enabled) == run_fingerprint(disabled)
+        slow = run_policy(config, OCCAMY, jobs(), reference=True)
+        fast = Machine(config, OCCAMY, jobs())
+        assert run_fingerprint(fast.run()) == run_fingerprint(slow)
+        assert fast.profile.replay_aborts > 0
 
 
 class TestFutilityBackoff:

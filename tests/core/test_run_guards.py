@@ -1,9 +1,10 @@
-"""Failure guards of :meth:`Machine.run` under every execution mode.
+"""Failure guards of :meth:`Machine.run` under both engines.
 
 The deadlock detector and the ``max_cycles`` budget must fire at exactly
-the same cycle whether idle-cycle fast-forward is on or off and whether
-the tickless event wheel is on or off.  A fast-forward jump to a real
-future event can overshoot neither guard (events keep the machine live);
+the same cycle under the fast engine (idle fast-forward on the tickless
+event wheel) and the reference engine (slow cycle-by-cycle loop) — the
+``ff-wheel`` and ``slow-ref`` parameters below.  A fast-forward jump to a
+real future event can overshoot neither guard (events keep the machine live);
 a jump with *no* future event is capped at the deadlock horizon and at
 ``max_cycles`` so a skipped stretch can never leap over a failure.
 """
@@ -22,8 +23,12 @@ from tests.conftest import compiled_job, make_axpy
 
 WINDOW = 5_000
 
+ENGINES = pytest.mark.parametrize(
+    "reference", [False, True], ids=["ff-wheel", "slow-ref"]
+)
 
-def _wedged_machine(config, event_wheel=None) -> Machine:
+
+def _wedged_machine(config, reference=False) -> Machine:
     """A machine guaranteed to stop making progress.
 
     A poison entry sits at core 0's pool head, depending on a "ghost"
@@ -35,7 +40,7 @@ def _wedged_machine(config, event_wheel=None) -> Machine:
         config,
         PRIVATE,
         [compiled_job(make_axpy(length=64)), None],
-        event_wheel=event_wheel,
+        reference=reference,
     )
     ghost = DynamicInstruction(
         seq=-1, core=0, kind=EntryKind.COMPUTE, instr=None, vl_lanes=1,
@@ -49,95 +54,87 @@ def _wedged_machine(config, event_wheel=None) -> Machine:
     return machine
 
 
-def _counting(machine: Machine):
-    """Wrap ``machine.step`` with a call counter."""
+def _counting(machine: Machine, method: str):
+    """Wrap the engine's per-cycle ``method`` with a call counter."""
     calls = {"n": 0}
-    original = machine.step
+    original = getattr(machine, method)
 
-    def counted(cycle):
+    def counted(*args):
         calls["n"] += 1
-        return original(cycle)
+        return original(*args)
 
-    machine.step = counted  # type: ignore[method-assign]
+    setattr(machine, method, counted)
     return calls
 
 
-@pytest.mark.parametrize("event_wheel", [False, True], ids=["ref", "wheel"])
-@pytest.mark.parametrize("fast_forward", [False, True], ids=["slow", "ff"])
-def test_deadlock_detected(config, monkeypatch, fast_forward, event_wheel):
+@ENGINES
+def test_deadlock_detected(config, monkeypatch, reference):
     monkeypatch.setattr(machine_mod, "DEADLOCK_WINDOW", WINDOW)
     with pytest.raises(DeadlockError):
-        _wedged_machine(config, event_wheel).run(fast_forward=fast_forward)
+        _wedged_machine(config, reference).run()
 
 
 def test_deadlock_fires_at_identical_cycle(config, monkeypatch):
     """The error message embeds the last-progress cycle: must match."""
     monkeypatch.setattr(machine_mod, "DEADLOCK_WINDOW", WINDOW)
     messages = []
-    for event_wheel in (False, True):
-        for fast_forward in (False, True):
-            with pytest.raises(DeadlockError) as excinfo:
-                _wedged_machine(config, event_wheel).run(fast_forward=fast_forward)
-            messages.append(str(excinfo.value))
-    assert len(set(messages)) == 1
+    for reference in (False, True):
+        with pytest.raises(DeadlockError) as excinfo:
+            _wedged_machine(config, reference).run()
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1]
 
 
 def test_fast_forward_actually_skips(config, monkeypatch):
-    """The ff deadlock path steps far fewer times than the window.
-
-    Pinned to the reference loop: the step counter wraps ``Machine.step``,
-    which only the reference engine drives (the event wheel steps
-    components through its own masked loop).
-    """
+    """The fast engine's deadlock path steps far fewer times than the
+    window; the reference loop really walks every cycle of it."""
     monkeypatch.setattr(machine_mod, "DEADLOCK_WINDOW", WINDOW)
-    machine = _wedged_machine(config, event_wheel=False)
-    calls = _counting(machine)
+    machine = _wedged_machine(config)
+    calls = _counting(machine, "_step_fast")
     with pytest.raises(DeadlockError):
-        machine.run(fast_forward=True)
-    assert calls["n"] < WINDOW / 10
+        machine.run()
+    assert 0 < calls["n"] < WINDOW / 10
 
-    slow = _wedged_machine(config, event_wheel=False)
-    slow_calls = _counting(slow)
+    slow = _wedged_machine(config, reference=True)
+    slow_calls = _counting(slow, "step")
     with pytest.raises(DeadlockError):
-        slow.run(fast_forward=False)
+        slow.run()
     assert slow_calls["n"] > WINDOW  # the cycle-by-cycle loop really loops
 
 
-@pytest.mark.parametrize("event_wheel", [False, True], ids=["ref", "wheel"])
-@pytest.mark.parametrize("fast_forward", [False, True], ids=["slow", "ff"])
-def test_max_cycles_budget(config, fast_forward, event_wheel):
+@ENGINES
+def test_max_cycles_budget(config, reference):
     machine = Machine(
         config,
         PRIVATE,
         [compiled_job(make_axpy(length=64)), None],
-        event_wheel=event_wheel,
+        reference=reference,
     )
     with pytest.raises(SimulationError, match="exceeded 50 cycles"):
-        machine.run(max_cycles=50, fast_forward=fast_forward)
+        machine.run(max_cycles=50)
 
 
 def test_max_cycles_metrics_identical(config):
-    """Every mode stops at the same point with the same counters."""
+    """Both engines stop at the same point with the same counters."""
     counters = []
-    for event_wheel in (False, True):
-        for fast_forward in (False, True):
-            machine = Machine(
-                config,
-                PRIVATE,
-                [compiled_job(make_axpy(length=256)), None],
-                event_wheel=event_wheel,
+    for reference in (False, True):
+        machine = Machine(
+            config,
+            PRIVATE,
+            [compiled_job(make_axpy(length=256)), None],
+            reference=reference,
+        )
+        with pytest.raises(SimulationError):
+            machine.run(max_cycles=200)
+        m = machine.metrics
+        counters.append(
+            (
+                tuple(m.compute_uops),
+                tuple(m.ldst_uops),
+                tuple(
+                    tuple(sorted((r.name, n) for r, n in per_core.items()))
+                    for per_core in m.stalls
+                ),
             )
-            with pytest.raises(SimulationError):
-                machine.run(max_cycles=200, fast_forward=fast_forward)
-            m = machine.metrics
-            counters.append(
-                (
-                    tuple(m.compute_uops),
-                    tuple(m.ldst_uops),
-                    tuple(
-                        tuple(sorted((r.name, n) for r, n in per_core.items()))
-                        for per_core in m.stalls
-                    ),
-                )
-            )
-    assert len(set(counters)) == 1
+        )
+    assert counters[0] == counters[1]

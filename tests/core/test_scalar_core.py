@@ -20,16 +20,20 @@ setvl:
 """
 
 
-def machine_for(source, arrays=None, core_id=0, lanes_plan=None):
+def machine_for(source, arrays=None, core_id=0, lanes_plan=None, reference=False):
     config = experiment_config()
     metrics = Metrics(config.num_cores, config.vector.total_lanes, 2)
     manager = StaticLaneManager(lanes_plan or {0: 16, 1: 16})
-    coproc = CoProcessor(config, SharingMode.SPATIAL, metrics, manager)
+    coproc = CoProcessor(
+        config, SharingMode.SPATIAL, metrics, manager, reference=reference
+    )
     image = MemoryImage.for_core(core_id)
     for name, data in (arrays or {}).items():
         image.add_array(name, np.asarray(data, dtype=np.float32))
     program = assemble(source)
-    core = ScalarCore(core_id, program, image, coproc, metrics, config.core)
+    core = ScalarCore(
+        core_id, program, image, coproc, metrics, config.core, reference=reference
+    )
     return core, coproc, image
 
 
@@ -116,11 +120,8 @@ class TestBranchRetirement:
             self.execs.append((core, pc, outcome, target))
 
     @pytest.mark.parametrize("pre_decode", [True, False])
-    def test_taken_branch_retires_its_own_pc(self, pre_decode, monkeypatch):
-        if not pre_decode:
-            monkeypatch.setenv("REPRO_NO_PRE_DECODE", "1")
-        core, coproc, _ = machine_for(self.SOURCE)
-        assert core.pre_decode is pre_decode
+    def test_taken_branch_retires_its_own_pc(self, pre_decode):
+        core, coproc, _ = machine_for(self.SOURCE, reference=not pre_decode)
         recorder = self._Recorder()
         core.recorder = recorder
         backedges = []

@@ -85,16 +85,31 @@ class TestScheduling:
 
 
 class TestHierarchicalWheel:
-    """The two-level wake index is a drop-in for the flat wheel."""
+    """The two-level wake index against a flat wake map."""
 
     def test_matches_flat_wheel_on_randomized_schedules(self):
         import random
 
-        from repro.core.scheduling import EventWheel, HierarchicalEventWheel
+        from repro.core.scheduling import HierarchicalEventWheel
+
+        class FlatWheel:
+            """The wake-index contract spelled out over one dict."""
+
+            def __init__(self):
+                self.wake = {}
+
+            def next_wake(self):
+                return min(self.wake.values()) if self.wake else None
+
+            def due(self, cycle):
+                out = sorted(c for c, w in self.wake.items() if w <= cycle)
+                for component in out:
+                    del self.wake[component]
+                return out
 
         for seed in range(20):
             rng = random.Random(seed)
-            flat = EventWheel()
+            flat = FlatWheel()
             hier = HierarchicalEventWheel(group_size=rng.choice((1, 2, 4, 7)))
             clock = 0
             for _ in range(300):
@@ -102,10 +117,10 @@ class TestHierarchicalWheel:
                 component = rng.randrange(64)
                 if action < 0.55:
                     cycle = clock + rng.randrange(1, 400)
-                    flat.schedule(component, cycle)
+                    flat.wake[component] = cycle
                     hier.schedule(component, cycle)
                 elif action < 0.75:
-                    flat.cancel(component)
+                    flat.wake.pop(component, None)
                     hier.cancel(component)
                 else:
                     # Advance to (or past) the next wake and pop, the way
@@ -116,8 +131,8 @@ class TestHierarchicalWheel:
                         continue
                     clock = target + rng.choice((0, 0, 0, 3, 17))
                     assert hier.due(clock) == flat.due(clock)
-                assert len(hier) == len(flat)
-                assert hier.wake_of(component) == flat.wake_of(component)
+                assert len(hier) == len(flat.wake)
+                assert hier.wake_of(component) == flat.wake.get(component)
                 assert hier.next_wake() == flat.next_wake()
             # Drain both: the full remaining wake sequence must agree.
             while flat.next_wake() is not None:
@@ -147,48 +162,18 @@ class TestHierarchicalWheel:
         with pytest.raises(ConfigurationError):
             HierarchicalEventWheel(group_size=0)
 
-    def test_machine_fingerprint_identical_with_and_without(
-        self, config, monkeypatch
-    ):
+    def test_machine_fingerprint_identical_with_and_without(self, config):
+        """The wheel-driven fast engine against the wheel-less reference."""
         from repro.core.machine import Machine
         from repro.core.policies import policy
         from tests.conftest import compiled_job, run_fingerprint
 
-        def run():
+        def run(reference):
             jobs = [
                 compiled_job(make_axpy(2048), 0),
                 compiled_job(make_reduction(256, 8), 1),
             ]
-            machine = Machine(config, policy("occamy"), jobs)
+            machine = Machine(config, policy("occamy"), jobs, reference=reference)
             return run_fingerprint(machine.run())
 
-        monkeypatch.delenv("REPRO_NO_HIER_WHEEL", raising=False)
-        with_hier = run()
-        monkeypatch.setenv("REPRO_NO_HIER_WHEEL", "1")
-        without = run()
-        assert with_hier == without
-
-    def test_kill_switch_latches_at_construction(self, config, monkeypatch):
-        from repro.core.machine import Machine
-        from repro.core.policies import policy
-        from tests.conftest import compiled_job
-
-        jobs = [compiled_job(make_axpy(128), 0), None]
-        monkeypatch.setenv("REPRO_NO_HIER_WHEEL", "1")
-        machine = Machine(config, policy("occamy"), jobs)
-        assert machine._hier_wheel is False
-        monkeypatch.delenv("REPRO_NO_HIER_WHEEL", raising=False)
-        assert machine._hier_wheel is False  # latched, not re-read
-        machine = Machine(config, policy("occamy"), jobs)
-        assert machine._hier_wheel is True
-
-    def test_hier_wheel_requires_event_wheel(self, config, monkeypatch):
-        from repro.core.machine import Machine
-        from repro.core.policies import policy
-        from tests.conftest import compiled_job
-
-        monkeypatch.setenv("REPRO_NO_EVENT_WHEEL", "1")
-        monkeypatch.delenv("REPRO_NO_HIER_WHEEL", raising=False)
-        jobs = [compiled_job(make_axpy(128), 0), None]
-        machine = Machine(config, policy("occamy"), jobs)
-        assert machine._hier_wheel is False
+        assert run(reference=False) == run(reference=True)

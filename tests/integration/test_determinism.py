@@ -1,26 +1,33 @@
 """Determinism of the execution strategies (the tentpole's safety net).
 
-The parallel sweep engine, the persistent result cache, the idle-cycle
-fast-forward, the pre-decoded scalar dispatch table and the steady-state
-loop replay are all pure optimisations: every one of them must produce
-results bit-identical to the plain serial, cycle-by-cycle simulation.
-This suite pins that down by fingerprinting complete
-:class:`~repro.core.machine.RunResult` objects — cycle counts, every
-metric counter, phase records, lane timelines, cache statistics and final
-memory bytes — across strategies.
+The parallel sweep engine, the persistent result cache and the fast
+engine (pre-decoded scalar dispatch, idle fast-forward, steady-state loop
+replay, the tickless event wheel) are all pure optimisations: every one of
+them must produce results bit-identical to the plain serial,
+cycle-by-cycle reference engine.  This suite pins that down by
+fingerprinting complete :class:`~repro.core.machine.RunResult` objects —
+cycle counts, every metric counter, phase records, lane timelines, cache
+statistics and final memory bytes — across strategies.  Each engine test
+also proves from ``Machine.profile`` that the mechanism it is named after
+really ran in the fast engine and really did not in the reference.
 """
 
 from __future__ import annotations
+
+import functools
 
 import pytest
 
 from repro.analysis import experiments
 from repro.analysis.parallel import SimTask, run_tasks
-from repro.core.machine import run_policy
+from repro.common.config import experiment_config
+from repro.coproc.coprocessor import SharingMode
+from repro.core.machine import Machine, run_policy
 from repro.core.policies import ALL_POLICIES, EXTENDED_POLICIES
+from repro.core.scalar_core import ScalarCore
 from repro.workloads.pairs import all_pairs, jobs_for_pair
 
-from tests.conftest import run_fingerprint
+from tests.conftest import compiled_job, make_axpy, run_fingerprint
 
 SCALE = 0.1
 PAIRS = all_pairs()[:2]
@@ -64,106 +71,103 @@ def test_run_tasks_order_is_positional(config):
         assert result.policy_key == task.policy_key
 
 
+@functools.lru_cache(maxsize=None)
+def _both_engines(policy):
+    """``PAIRS[0]`` under ``policy`` on both engines, simulated once:
+    ``(fast fingerprint, fast profile, reference fingerprint, reference
+    profile)``."""
+    out = []
+    for reference in (False, True):
+        jobs = jobs_for_pair(PAIRS[0], SCALE)
+        machine = Machine(experiment_config(), policy, jobs, reference=reference)
+        out += [run_fingerprint(machine.run()), machine.profile]
+    return tuple(out)
+
+
 @pytest.mark.parametrize("policy", EXTENDED_POLICIES, ids=lambda p: p.key)
-def test_fast_forward_is_bit_exact(policy, config):
-    """Fast-forward on vs off: identical runs under every sharing mode.
+def test_fast_forward_is_bit_exact(policy):
+    """Idle cycles are skipped by the fast engine and stepped by the
+    reference: identical runs under every sharing mode.
 
     EXTENDED_POLICIES covers all three sharing modes (spatial, temporal
     and CTS's coarse-temporal), so each mode's next-event hooks are
     exercised.
     """
-    pair = PAIRS[0]
-    slow = run_policy(config, policy, jobs_for_pair(pair, SCALE), fast_forward=False)
-    fast = run_policy(config, policy, jobs_for_pair(pair, SCALE), fast_forward=True)
-    assert run_fingerprint(fast) == run_fingerprint(slow)
+    fast, fast_profile, slow, slow_profile = _both_engines(policy)
+    assert fast == slow
+    assert fast_profile.fastforward_cycles > 0
+    assert slow_profile.fastforward_cycles == 0
+    assert slow_profile.interpreted_cycles == slow_profile.total_cycles
 
 
 @pytest.mark.parametrize("policy", EXTENDED_POLICIES, ids=lambda p: p.key)
 def test_loop_replay_is_bit_exact(policy, config):
-    """Loop replay on vs off: identical runs under every sharing mode.
+    """A solo steady loop replays under every sharing mode and matches the
+    cycle-by-cycle reference.
 
     Together with the spatial/temporal/coarse-temporal spread this pins
     the replay engine's signature, verification and rollback logic
-    against the cycle-by-cycle interpreter.
+    against the reference interpreter.
     """
-    pair = PAIRS[0]
-    slow = run_policy(config, policy, jobs_for_pair(pair, SCALE), fast_path=False)
-    fast = run_policy(config, policy, jobs_for_pair(pair, SCALE), fast_path=True)
+
+    def jobs():
+        return [compiled_job(make_axpy(6144, 4), 0), None]
+
+    machine = Machine(config, policy, jobs())
+    fast = machine.run()
+    slow = run_policy(config, policy, jobs(), reference=True)
     assert run_fingerprint(fast) == run_fingerprint(slow)
+    assert machine.profile.replayed_cycles > 0
 
 
 @pytest.mark.parametrize("policy", EXTENDED_POLICIES, ids=lambda p: p.key)
 def test_pre_decode_matches_seed_interpreter(policy, config, monkeypatch):
-    """The pre-decoded dispatch table reproduces the seed interpreter."""
+    """The fast engine never enters the seed interpreter, the reference
+    engine retires every instruction through it, and they agree."""
+    calls = []
+    seed_execute = ScalarCore._execute
+
+    def counted(self, instr, cycle):
+        calls.append(self.reference)
+        return seed_execute(self, instr, cycle)
+
+    monkeypatch.setattr(ScalarCore, "_execute", counted)
     pair = PAIRS[0]
-    monkeypatch.setenv("REPRO_NO_PRE_DECODE", "1")
-    seed = run_policy(config, policy, jobs_for_pair(pair, SCALE))
-    monkeypatch.delenv("REPRO_NO_PRE_DECODE")
     decoded = run_policy(config, policy, jobs_for_pair(pair, SCALE))
+    assert not calls
+    seed = run_policy(config, policy, jobs_for_pair(pair, SCALE), reference=True)
+    assert calls and all(calls)
     assert run_fingerprint(decoded) == run_fingerprint(seed)
 
 
-def test_all_fast_paths_off_matches_all_on(config, monkeypatch):
-    """The fully pessimised configuration (seed interpreter, no
-    fast-forward, no loop replay) and the fully optimised default agree."""
-    pair = PAIRS[0]
-    policy = EXTENDED_POLICIES[3]  # occamy
-    monkeypatch.setenv("REPRO_NO_PRE_DECODE", "1")
-    baseline = run_policy(
-        config,
-        policy,
-        jobs_for_pair(pair, SCALE),
-        fast_forward=False,
-        fast_path=False,
-    )
-    monkeypatch.delenv("REPRO_NO_PRE_DECODE")
-    optimised = run_policy(config, policy, jobs_for_pair(pair, SCALE))
-    assert run_fingerprint(optimised) == run_fingerprint(baseline)
+def test_all_fast_paths_off_matches_all_on():
+    """The reference engine really is fully pessimised — nothing skipped,
+    replayed, slept through or batched — and the default agrees with it."""
+    optimised, _, baseline, profile = _both_engines(EXTENDED_POLICIES[3])  # occamy
+    assert optimised == baseline
+    assert profile.interpreted_cycles == profile.total_cycles
+    assert profile.replayed_cycles == profile.templates_built == 0
+    assert not any(profile.component_asleep)
+    assert profile.batched_dispatch_calls == profile.scalar_dispatch_calls == 0
 
 
 @pytest.mark.parametrize("policy", EXTENDED_POLICIES, ids=lambda p: p.key)
-def test_event_wheel_is_bit_exact(policy, config, monkeypatch):
-    """Tickless event wheel on vs off: identical under every sharing mode.
+def test_event_wheel_is_bit_exact(policy):
+    """Tickless event wheel vs every-cycle tick: identical under every
+    sharing mode.
 
     The wheel changes *everything* about the run loop — per-component
     sleep/wake, bulk metric settling, ready-set dispatch indexing — so
     this is the broadest single safety net for the tickless engine.
     """
-    pair = PAIRS[0]
-    monkeypatch.setenv("REPRO_NO_EVENT_WHEEL", "1")
-    reference = run_policy(config, policy, jobs_for_pair(pair, SCALE))
-    monkeypatch.delenv("REPRO_NO_EVENT_WHEEL")
-    tickless = run_policy(config, policy, jobs_for_pair(pair, SCALE))
-    assert run_fingerprint(tickless) == run_fingerprint(reference)
-
-
-def test_event_wheel_env_kill_switch(monkeypatch, config):
-    """REPRO_NO_EVENT_WHEEL=1 selects the reference loop — and changes
-    nothing observable."""
-    from repro.core.machine import default_event_wheel
-
-    monkeypatch.setenv("REPRO_NO_EVENT_WHEEL", "1")
-    assert default_event_wheel() is False
-    pair = PAIRS[0]
-    reference = run_policy(config, ALL_POLICIES[0], jobs_for_pair(pair, SCALE))
-    monkeypatch.delenv("REPRO_NO_EVENT_WHEEL")
-    assert default_event_wheel() is True
-    tickless = run_policy(config, ALL_POLICIES[0], jobs_for_pair(pair, SCALE))
-    assert run_fingerprint(reference) == run_fingerprint(tickless)
-
-
-def test_fast_forward_env_kill_switch(monkeypatch, config):
-    """REPRO_NO_FAST_FORWARD=1 selects the slow path — and changes nothing."""
-    from repro.core.machine import default_fast_forward
-
-    monkeypatch.setenv("REPRO_NO_FAST_FORWARD", "1")
-    assert default_fast_forward() is False
-    pair = PAIRS[0]
-    defaulted = run_policy(config, ALL_POLICIES[0], jobs_for_pair(pair, SCALE))
-    monkeypatch.delenv("REPRO_NO_FAST_FORWARD")
-    assert default_fast_forward() is True
-    fast = run_policy(config, ALL_POLICIES[0], jobs_for_pair(pair, SCALE))
-    assert run_fingerprint(defaulted) == run_fingerprint(fast)
+    tickless, fast_profile, reference, slow_profile = _both_engines(policy)
+    assert tickless == reference
+    asleep = sum(fast_profile.component_asleep)
+    if policy.mode is SharingMode.TEMPORAL:
+        assert asleep == 0  # FTS couples the cores every cycle: no sleeping
+    else:
+        assert asleep > 0
+    assert not any(slow_profile.component_asleep)
 
 
 def test_sweep_is_order_independent():

@@ -4,12 +4,10 @@ import pytest
 
 from repro.coproc.metrics import Metrics
 from repro.validation.difftest import (
-    BASELINE_ENGINE,
     DEFAULT_POLICIES,
-    FAST_ENGINES,
+    LONG_SEED_STRIDE,
     CaseSpec,
     CompiledCase,
-    EngineSpec,
     PhaseSpec,
     check_case,
     fuzz_seeds,
@@ -31,27 +29,20 @@ class TestGeneration:
             compiled = CompiledCase(generate_case(seed))
             assert any(program is not None for program in compiled.programs)
 
-    def test_engine_matrix_is_complete(self):
-        # 2^7 combinations minus the 32 hier-without-wheel duplicates and
-        # the baseline: ninety-five fast variants, no dupes.
-        assert len(FAST_ENGINES) == 95
-        assert BASELINE_ENGINE not in FAST_ENGINES
-        assert len(set(FAST_ENGINES)) == 95
-        assert sum(1 for engine in FAST_ENGINES if engine.event_wheel) == 64
-        assert sum(1 for engine in FAST_ENGINES if engine.batch_exec) == 48
-        assert sum(1 for engine in FAST_ENGINES if engine.hier_wheel) == 32
-        assert sum(1 for engine in FAST_ENGINES if engine.lane_shards) == 48
-        # The hierarchical wheel only exists on top of the event wheel.
-        assert all(
-            engine.event_wheel for engine in FAST_ENGINES if engine.hier_wheel
-        )
+    def test_engine_matrix_is_complete(self, monkeypatch):
+        """The matrix is fast vs reference: two runs per policy."""
+        from repro.core.machine import Machine
 
-    def test_key_engines_are_valid_matrix_members(self):
-        from repro.validation.difftest import KEY_ENGINES
+        built = []
+        original = Machine.__init__
 
-        assert len(set(KEY_ENGINES)) == len(KEY_ENGINES)
-        for engine in KEY_ENGINES:
-            assert engine in FAST_ENGINES
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("reference", False))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Machine, "__init__", spy)
+        assert not check_case(generate_case(4))
+        assert sorted(built) == [False] * 3 + [True] * 3
 
     def test_default_policies_cover_every_sharing_mode(self):
         from repro.core.policies import POLICIES_BY_KEY
@@ -62,18 +53,23 @@ class TestGeneration:
 
 class TestCleanEngines:
     def test_fuzz_seeds_clean(self):
-        # A small always-on slice of the CI sweep: every engine must be
-        # bit-identical to the interpreter on these cases.
-        report = fuzz_seeds(range(3))
+        # An always-on slice of the CI sweep, long enough to take in five
+        # long seeds: the fast engine must be bit-identical to the reference
+        # on these cases, and every one of its mechanisms must have run.
+        seeds = range(5 * LONG_SEED_STRIDE)
+        report = fuzz_seeds(seeds)
         assert report.clean, "\n".join(str(d) for d in report.divergences)
-        assert report.cases == 3
-        assert report.runs == 3 * len(DEFAULT_POLICIES) * (len(FAST_ENGINES) + 1)
+        assert report.cases == len(seeds)
+        assert report.runs == len(seeds) * len(DEFAULT_POLICIES) * 2
+        assert not report.starved, report.traffic()
 
     def test_audited_run_matches_unaudited(self):
         compiled = CompiledCase(generate_case(11))
-        plain = fingerprint_sections(compiled.run("occamy", BASELINE_ENGINE))
+        plain = fingerprint_sections(
+            compiled.machine("occamy", reference=True).run()
+        )
         audited = fingerprint_sections(
-            compiled.run("occamy", BASELINE_ENGINE, audit=True)
+            compiled.machine("occamy", reference=True, audit=True).run()
         )
         assert plain == audited
 
@@ -83,8 +79,7 @@ class TestCleanEngines:
 #: ``_cts_arbitrate`` rotates ownership, forcing the mid-cycle wake-all
 #: path.  An early wheel engine dropped the re-slept component's
 #: switch-cycle overhead from its frozen journal, shorting ``overhead`` by
-#: one entry per re-sleep; this spec reproduced it in all eight wheel
-#: engines.
+#: one entry per re-sleep.
 CTS_SWITCH_DURING_SKIP = CaseSpec(
     seed=0,
     cores=(
@@ -93,17 +88,12 @@ CTS_SWITCH_DURING_SKIP = CaseSpec(
     ),
 )
 
-WHEEL_ENGINES = tuple(engine for engine in FAST_ENGINES if engine.event_wheel)
-
 
 class TestCtsSwitchDuringSkip:
     def test_spec_exercises_a_mid_skip_switch(self, monkeypatch):
         """The pinned case really does switch quantum while a component
         sleeps — otherwise it regresses nothing."""
-        import os
-
         from repro.core.machine import Machine
-        from repro.core.policies import policy
 
         sleeper_counts = []
         original = Machine._wake_all_mid_cycle
@@ -113,18 +103,13 @@ class TestCtsSwitchDuringSkip:
             return original(self, cycle)
 
         monkeypatch.setattr(Machine, "_wake_all_mid_cycle", spy)
-        monkeypatch.setenv("REPRO_NO_PRE_DECODE", "1")
-        monkeypatch.delenv("REPRO_NO_EVENT_WHEEL", raising=False)
-        compiled = CompiledCase(CTS_SWITCH_DURING_SKIP)
-        machine = Machine(compiled.config, policy("cts"), compiled.jobs())
+        machine = CompiledCase(CTS_SWITCH_DURING_SKIP).machine("cts")
         machine.run()
         assert machine.coproc.cts_switches > 0
         assert any(count > 0 for count in sleeper_counts)
 
     def test_wheel_engines_stay_bit_exact(self):
-        divergences = check_case(
-            CTS_SWITCH_DURING_SKIP, policies=("cts",), engines=WHEEL_ENGINES
-        )
+        divergences = check_case(CTS_SWITCH_DURING_SKIP, policies=("cts",))
         assert not divergences, "\n".join(str(d) for d in divergences)
 
 
@@ -143,22 +128,15 @@ BATCH_PLANNER_PRESSURE = CaseSpec(
     ),
 )
 
-BATCH_ENGINES = tuple(engine for engine in FAST_ENGINES if engine.batch_exec)
-
 
 class TestBatchPlannerPressure:
-    def test_spec_exercises_the_planner_abort_paths(self, monkeypatch):
+    def test_spec_exercises_the_planner_abort_paths(self):
         """The pinned case really does hit rename and store-queue walls
         while dispatching in batches — otherwise it regresses nothing."""
         from repro.coproc.metrics import StallReason
-        from repro.core.machine import Machine
-        from repro.core.policies import policy
 
-        monkeypatch.setenv("REPRO_NO_EVENT_WHEEL", "1")
-        monkeypatch.delenv("REPRO_NO_BATCH_EXEC", raising=False)
-        compiled = CompiledCase(BATCH_PLANNER_PRESSURE)
-        machine = Machine(compiled.config, policy("fts"), compiled.jobs())
-        machine.run(fast_forward=True, fast_path=True)
+        machine = CompiledCase(BATCH_PLANNER_PRESSURE).machine("fts")
+        machine.run()
 
         stalls = {}
         for core in range(machine.config.num_cores):
@@ -172,57 +150,40 @@ class TestBatchPlannerPressure:
         assert machine.profile.scalar_dispatch_calls == 0
 
     def test_batch_engines_stay_bit_exact(self):
-        divergences = check_case(
-            BATCH_PLANNER_PRESSURE, policies=("fts",), engines=BATCH_ENGINES
-        )
+        divergences = check_case(BATCH_PLANNER_PRESSURE, policies=("fts",))
         assert not divergences, "\n".join(str(d) for d in divergences)
 
     def test_audited_batch_run_matches_unaudited(self):
         # The invariant auditor walks renamer/scoreboard state after every
         # batched commit and allocation; it must observe nothing the scalar
         # path would not have produced.
-        all_on = EngineSpec(
-            pre_decode=True,
-            fast_forward=True,
-            fast_path=True,
-            event_wheel=True,
-            batch_exec=True,
-        )
         compiled = CompiledCase(BATCH_PLANNER_PRESSURE)
-        plain = fingerprint_sections(compiled.run("fts", all_on))
-        audited = fingerprint_sections(compiled.run("fts", all_on, audit=True))
+        plain = fingerprint_sections(compiled.machine("fts").run())
+        audited = fingerprint_sections(compiled.machine("fts", audit=True).run())
         assert plain == audited
 
 
 class TestBugDetection:
     @pytest.fixture()
     def lossy_fast_forward(self, monkeypatch):
-        """Inject a bug: the idle fast-forward forgets the elided cycles'
-        metric increments, so every fast-forwarding engine diverges from
-        the interpreter in the stall/overhead accounting."""
+        """Inject a bug: the global idle fast-forward forgets the elided
+        cycles' metric increments, so the fast engine diverges from the
+        reference in the stall/overhead accounting wherever it takes that
+        jump — every idle stretch under FTS, which never sleeps."""
         monkeypatch.setattr(
             Metrics, "replay_idle_cycles", lambda self, times: None
         )
 
     def test_fuzzer_catches_injected_bug(self, lossy_fast_forward):
         spec = generate_case(0)
-        divergences = check_case(spec, policies=("occamy",))
+        divergences = check_case(spec, policies=("fts",))
         assert divergences, "injected metrics bug went undetected"
-        labels = {d.engine for d in divergences}
-        # Every engine that fast-forwards must trip; the pure pre-decode
-        # engine does not fast-forward and must stay bit-identical.
-        assert any("ff" in label for label in labels)
-        assert "decode" not in labels
         for divergence in divergences:
             assert divergence.sections, str(divergence)
             assert divergence.detail
 
     def test_divergence_names_the_broken_section(self, lossy_fast_forward):
-        divergences = check_case(
-            generate_case(0),
-            policies=("occamy",),
-            engines=(EngineSpec(pre_decode=False, fast_forward=True, fast_path=False),),
-        )
+        divergences = check_case(generate_case(0), policies=("fts",))
         assert divergences
         sections = set(divergences[0].sections)
         # Lost idle increments corrupt the stall/overhead books but not the
@@ -232,7 +193,7 @@ class TestBugDetection:
         assert "memory_images" not in sections
 
     def test_divergence_report_is_json_ready(self, lossy_fast_forward):
-        report = fuzz_seeds([0], policies=("occamy",))
+        report = fuzz_seeds([0], policies=("fts",))
         assert not report.clean
         import json
 
@@ -248,10 +209,10 @@ class TestCli:
         code = main(
             [
                 "diff-fuzz",
+                "--start",
+                "15",  # a long seed: one case that reaches every mechanism
                 "--seeds",
                 "1",
-                "--policies",
-                "occamy",
                 "--report",
                 str(report_path),
             ]
@@ -261,7 +222,17 @@ class TestCli:
 
         report = json.loads(report_path.read_text())
         assert report["clean"] is True
-        assert report["runs"] == len(FAST_ENGINES) + 1
+        assert report["runs"] == len(DEFAULT_POLICIES) * 2
+        assert all(report["traffic"].values())
+
+    def test_diff_fuzz_fails_a_starved_sweep(self, capsys):
+        """One short case cannot reach loop replay: clean, yet exit 1."""
+        from repro.cli import main
+
+        code = main(["diff-fuzz", "--seeds", "1", "--policies", "occamy"])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert "bit-identical" in out and "no traffic for replayed cycles" in out
 
     def test_diff_fuzz_rejects_unknown_policy(self):
         from repro.cli import main

@@ -80,14 +80,7 @@ class TestCleanRuns:
             compiled_job(make_two_phase(length=256), core_id=0),
             compiled_job(make_axpy(length=256), core_id=1),
         ]
-        result = run_policy(
-            config,
-            policy("occamy"),
-            jobs,
-            fast_forward=True,
-            fast_path=True,
-            audit=True,
-        )
+        result = run_policy(config, policy("occamy"), jobs, audit=True)
         assert result.total_cycles > 0
 
 

@@ -8,7 +8,6 @@ import pytest
 from repro.coproc.metrics import Metrics
 from repro.validation.difftest import (
     CaseSpec,
-    EngineSpec,
     PhaseSpec,
     check_case,
     generate_case,
@@ -20,8 +19,6 @@ from repro.validation.shrink import (
     shrink_case,
     write_regression_test,
 )
-
-FF_ENGINE = EngineSpec(pre_decode=False, fast_forward=True, fast_path=False)
 
 
 def _weight(spec: CaseSpec) -> int:
@@ -69,27 +66,28 @@ class TestReductionPasses:
 class TestShrinkOnInjectedBug:
     @pytest.fixture()
     def lossy_fast_forward(self, monkeypatch):
+        # Trips under FTS, whose idle stretches all take the global jump.
         monkeypatch.setattr(
             Metrics, "replay_idle_cycles", lambda self, times: None
         )
 
     def test_minimized_case_still_diverges_and_is_smaller(self, lossy_fast_forward):
         spec = generate_case(0)
-        assert check_case(spec, policies=("occamy",), engines=(FF_ENGINE,))
-        minimal = shrink_case(spec, "occamy", FF_ENGINE, max_evals=40)
+        assert check_case(spec, policies=("fts",))
+        minimal = shrink_case(spec, "fts", max_evals=40)
         assert _weight(minimal) < _weight(spec)
-        assert check_case(minimal, policies=("occamy",), engines=(FF_ENGINE,))
+        assert check_case(minimal, policies=("fts",))
 
     def test_shrink_is_noop_on_clean_case(self):
         spec = generate_case(1)
-        assert shrink_case(spec, "occamy", FF_ENGINE, max_evals=8) == spec
+        assert shrink_case(spec, "occamy", max_evals=8) == spec
 
 
 class TestEmission:
     def test_emitted_source_round_trips(self):
         spec = generate_case(2)
-        filename, source = emit_regression_test(spec, "fts", FF_ENGINE)
-        assert filename == "test_fuzz_seed2_fts_ff.py"
+        filename, source = emit_regression_test(spec, "fts")
+        assert filename == "test_fuzz_seed2_fts.py"
         namespace = {}
         exec(compile(source, filename, "exec"), namespace)  # noqa: S102
         tests = [v for k, v in namespace.items() if k.startswith("test_")]
@@ -98,21 +96,21 @@ class TestEmission:
 
     def test_emitted_file_is_collectable_by_pytest(self, tmp_path):
         spec = generate_case(2)
-        path = write_regression_test(spec, "occamy", FF_ENGINE, str(tmp_path))
+        path = write_regression_test(spec, "occamy", str(tmp_path))
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "--collect-only", "-q", path],
             capture_output=True,
             text=True,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "test_seed2_occamy_ff" in proc.stdout
+        assert "test_seed2_occamy" in proc.stdout
 
     def test_emitted_test_fails_while_bug_present(self, monkeypatch):
         monkeypatch.setattr(
             Metrics, "replay_idle_cycles", lambda self, times: None
         )
         spec = generate_case(0)
-        _, source = emit_regression_test(spec, "occamy", FF_ENGINE)
+        _, source = emit_regression_test(spec, "fts")
         namespace = {}
         exec(compile(source, "<emitted>", "exec"), namespace)  # noqa: S102
         test = [v for k, v in namespace.items() if k.startswith("test_")][0]
