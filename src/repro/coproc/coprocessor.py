@@ -278,6 +278,7 @@ class CoProcessor:
                 raise SimulationError(f"MSR to read-only register {head.sysreg}")
             head.state = EntryState.DONE
             head.complete_cycle = cycle + 1
+            pool.on_issue(head, cycle)
             if self.recorder is not None:
                 self.recorder.on_emsimd()
             core_events[core] += 1

@@ -18,7 +18,7 @@ import enum
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from math import ceil
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -90,9 +90,11 @@ class InstructionPool:
     all issued, promoted into an age-ordered ready list as their operands'
     completion cycles pass.  Dispatch then consumes
     :meth:`ready_dispatchable` instead of re-scanning the full window every
-    cycle.  Any code path that mutates entries behind the index's back
+    cycle.  It also keeps a min-heap of issued entries' completion cycles,
+    so :meth:`next_completion` costs O(log n) instead of a window scan.
+    Any code path that mutates entries behind the index's back
     (speculative rollback, replay commits, snapshot restore) must call
-    :meth:`mark_dirty`; the next indexed read rebuilds from scratch.
+    :meth:`mark_dirty`; the next indexed read rebuilds both from scratch.
     """
 
     def __init__(self, core_id: int, capacity: int, indexed: bool = False) -> None:
@@ -113,6 +115,14 @@ class InstructionPool:
         self._ready_seqs: List[int] = []
         self._waiting_seqs: List[int] = []
         self._emsimd_seqs: Deque[int] = deque()
+        #: Completion cycles of issued entries (min-heap).  Stale only on
+        #: one side: an entry that left the window completed at or before
+        #: the cycle it committed, so pruning everything ``<= cycle`` drops
+        #: exactly the values no query at ``cycle`` or later can return.
+        self._completions: List[float] = []
+        #: Highest cycle the heap has been pruned to; an earlier query
+        #: cannot trust it and rebuilds.
+        self._pruned_to: float = -1.0
         #: Optional ``(core_id, busy)`` callback fired on every 0↔non-zero
         #: occupancy transition (and idempotently on restore), so the
         #: co-processor can keep a busy-pool set instead of scanning every
@@ -158,8 +168,15 @@ class InstructionPool:
 
         Next-event hook for the idle-cycle fast-forward: while no entry
         completes, a stalled window cannot commit, unblock dependants, free
-        physical registers or drain for an EM-SIMD barrier.
+        physical registers or drain for an EM-SIMD barrier.  The indexed
+        pool answers from the completion heap; the window scan below is
+        the reference engine's body (and the heap's property-test oracle).
         """
+        if self._indexed:
+            if self._dirty or cycle < self._pruned_to:
+                self._rebuild()
+            heap = self._prune_completions(cycle)
+            return heap[0] if heap else None
         nxt: Optional[float] = None
         for entry in self._entries:
             if entry.state is EntryState.WAITING:
@@ -232,9 +249,20 @@ class InstructionPool:
             self.on_occupancy(self.core_id, False)
         return entry
 
+    def _prune_completions(self, cycle: float) -> List[float]:
+        """Drop completion cycles at or before ``cycle`` (completed, and
+        possibly already committed, entries); returns the heap."""
+        heap = self._completions
+        while heap and heap[0] <= cycle:
+            heappop(heap)
+        if cycle > self._pruned_to:
+            self._pruned_to = cycle
+        return heap
+
     def on_issue(self, entry: DynamicInstruction, cycle: int) -> bool:
-        """Notify the index that ``entry`` moved WAITING→ISSUED with its
-        completion cycle assigned, waking any dependants it was blocking.
+        """Notify the index that ``entry`` moved WAITING→ISSUED (or, for the
+        EM-SIMD head, WAITING→DONE) with its completion cycle assigned,
+        waking any dependants it was blocking.
 
         Returns True when a dependant became ready *at or before*
         ``cycle`` — a zero-latency completion (store-forwarded load, L0
@@ -243,6 +271,9 @@ class InstructionPool:
         """
         if not self._indexed or self._dirty:
             return False
+        # Pruning on every push keeps the heap within the window size even
+        # when nothing ever asks for the next completion (FTS never sleeps).
+        heappush(self._prune_completions(cycle), entry.complete_cycle)
         waiting = self._waiting_seqs
         pos = bisect_left(waiting, entry.seq)
         if pos < len(waiting) and waiting[pos] == entry.seq:
@@ -358,9 +389,14 @@ class InstructionPool:
         self._ready_seqs = []
         self._waiting_seqs = []
         self._emsimd_seqs = deque(e.seq for e in self._entries if e.is_emsimd)
+        self._completions = []
+        self._pruned_to = -1.0
         for entry in self._entries:
-            if not entry.is_emsimd and entry.state is EntryState.WAITING:
+            if entry.state is not EntryState.WAITING:
+                self._completions.append(entry.complete_cycle)
+            elif not entry.is_emsimd:
                 self._register(entry)
+        heapify(self._completions)
         self._dirty = False
 
     def snapshot(self) -> tuple:

@@ -315,9 +315,12 @@ class Machine:
         Sleeping components are skipped by :meth:`CoProcessor.step`; when
         every live component sleeps, the global clock jumps straight to the
         earliest wake.  Temporal sharing (FTS) never sleeps — its shared
-        issue budget and renamer couple the cores every cycle — and the
-        loop-replay controller suspends sleeping while it probes, records
-        or replays; both fall back to :meth:`_fast_forward`.  The three
+        issue budget and renamer couple the cores every cycle — and no
+        component goes to sleep while the loop-replay controller has a
+        probe pending, records or replays; both fall back to
+        :meth:`_fast_forward`.  Sleepers are woken before the controller
+        runs, except for a probe its gate resolves from state that sleep
+        freezes (:meth:`ReplayController.needs_all_awake`).  The three
         per-core loops of a cycle walk the sorted *active list* (awake live
         cores), so a cycle costs O(components with work).  Bit-identical to
         :meth:`_run_reference` (the differential fuzzer diffs the two
@@ -349,7 +352,8 @@ class Machine:
                         f"(policy={self.policy.key})"
                     )
                 if replay.engaged:
-                    self._settle_all(cycle)
+                    if replay.needs_all_awake(cycle):
+                        self._settle_all(cycle)
                     cycle, last_progress = replay.on_cycle(
                         cycle, max_cycles, last_progress
                     )

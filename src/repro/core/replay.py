@@ -12,9 +12,14 @@ signature has stabilised, whole iterations are replayed from a recorded
 Design — record, verify, replay, roll back:
 
 * **Detection.**  Scalar cores report taken backward branches
-  (:attr:`ScalarCore.on_backedge`).  When one backedge site fires with a
-  constant cycle interval ``P`` several times in a row, the machine is a
-  candidate for steady state with period ``P``.
+  (:attr:`ScalarCore.on_backedge`); each one requests a *probe* of the
+  machine state at the next cycle boundary.  A probe first takes an
+  O(cores) *coarse key* — a projection of the boundary signature — and
+  only when that key has been seen before builds the exact signature
+  (the *probe gate*: equal signatures have equal coarse keys, so a new
+  coarse key proves a new signature).  When one signature recurs at a
+  constant cycle distance ``P``, the machine is a candidate for steady
+  state with period ``P``.
 * **Recording.**  For one whole period the controller mirrors every
   externally visible engine decision into a template: scalar retires
   (pc + outcome), out-of-order dispatches (entry identity, operand width,
@@ -73,7 +78,8 @@ MAX_SITE_FAILS = 4
 #: Cycles to wait after a failed template before watching for loops again.
 COOLDOWN_CYCLES = 512
 
-#: Futility budget: probes (signature computations at backedge cycles)
+#: Futility budget: probes (backedge-cycle state checks, whether the gate
+#: resolved them from the coarse key or they built the full signature)
 #: that neither resume a saved template nor arm a recording, before the
 #: probe stride doubles.  Keeps the fast path near-zero-overhead on
 #: workloads whose state never recurs (irregular phases, CTS quantum
@@ -100,6 +106,10 @@ class ReplayProfile:
     replayed_periods: int = 0
     templates_built: int = 0
     replay_aborts: int = 0
+    #: Probes the gate resolved as futile from the O(cores) coarse key
+    #: alone, vs. probes that built the full boundary signature.
+    probes_gated: int = 0
+    probes_full: int = 0
     #: Per-component (core complex) cycle attribution from the tickless
     #: event-wheel engine: cycles stepped with at least one event, cycles
     #: stepped with none, and cycles skipped while asleep.  All-zero
@@ -123,6 +133,8 @@ class ReplayProfile:
         self.replayed_periods += other.replayed_periods
         self.templates_built += other.templates_built
         self.replay_aborts += other.replay_aborts
+        self.probes_gated += other.probes_gated
+        self.probes_full += other.probes_full
         self.batched_dispatch_calls += other.batched_dispatch_calls
         self.scalar_dispatch_calls += other.scalar_dispatch_calls
         self.batched_uops += other.batched_uops
@@ -148,6 +160,8 @@ class ReplayProfile:
             f"  replayed periods    {self.replayed_periods:>12}",
             f"  templates built     {self.templates_built:>12}",
             f"  replay aborts       {self.replay_aborts:>12}",
+            f"  probes gated        {self.probes_gated:>12}",
+            f"  probes full         {self.probes_full:>12}",
         ]
         if any(self.component_busy) or any(self.component_asleep):
             lines.append("per-component stepped cycles (event-wheel engine):")
@@ -230,6 +244,9 @@ class _Template:
     #: Relative cycle of the last progress event (drives the run loop's
     #: deadlock accounting after a replayed span).
     progress_offset: int
+    #: Hash of the coarse key at the recording boundary: a probe matching
+    #: it is never gated, so it always reaches the ``sig`` comparison.
+    coarse: int
     #: Backedge site that triggered the recording (failure accounting).
     site: Optional[tuple] = None
 
@@ -317,6 +334,10 @@ class ReplayController:
         # Signature-recurrence watching (see :meth:`on_backedge`):
         # signature hash -> (last cycle seen, last recurrence distance).
         self._sig_seen: Dict[int, Tuple[int, int]] = {}
+        # The probe gate (see :meth:`_probe`): coarse-key hash -> cycle of
+        # its first sighting, which the gate deferred; None once the second
+        # sighting has taken it over.
+        self._coarse_seen: Dict[int, Optional[int]] = {}
         #: Retired-but-reusable templates, newest last.  A loop disturbed
         #: by a periodic epilogue (an array pass's short tail chunk, a
         #: co-runner phase change) re-enters the very same steady state a
@@ -340,6 +361,7 @@ class ReplayController:
         self._base_seq = 0
         self._events: List[List[tuple]] = []
         self._sig: Optional[tuple] = None
+        self._sig_coarse = 0
         self._poisoned = False
         self._template: Optional[_Template] = None
         for core in machine.cores:
@@ -348,14 +370,29 @@ class ReplayController:
 
     @property
     def engaged(self) -> bool:
-        """True while the controller is probing, recording or replaying.
+        """True while a probe is pending or the controller is recording or
+        replaying.
 
-        The tickless scheduler suspends per-component sleeping whenever the
-        controller is engaged: probes read full-machine signatures,
-        recording needs every component's live events, and replayed spans
-        advance the clock past any sleeper's bookkeeping.
+        The tickless scheduler puts no component to sleep while the
+        controller is engaged.  Recording needs every component's live
+        events and replayed spans advance the clock past any sleeper's
+        bookkeeping, so those always wake every sleeper first; a pending
+        probe does so only when :meth:`needs_all_awake` says it will read
+        the full-machine signature.
         """
         return self.state is not self._IDLE or self._probe_at >= 0
+
+    def needs_all_awake(self, cycle: int) -> bool:
+        """Whether :meth:`on_cycle` at ``cycle`` may read sleepers' state.
+
+        False only for a pending probe the gate will resolve from the
+        coarse key, which reads nothing a sleeping component can change
+        (pool occupancy, pc and the renamer counts are frozen while it
+        sleeps; the dispatch rotation is advanced for skipped cycles).
+        """
+        if self.state is not self._IDLE or self._probe_at != cycle:
+            return True
+        return not self._gated(hash(self._coarse_key()))
     #
     # The period is found by *observing state recurrence directly* rather
     # than by trusting one core's backedge interval: a backedge requests a
@@ -388,8 +425,25 @@ class ReplayController:
         Returns True when a saved template's signature matches the current
         state — the caller should replay it immediately, no re-recording
         needed.
+
+        The *probe gate* runs first.  The coarse key is a projection of
+        the signature, so a coarse key never seen before proves the
+        signature was never seen either: the probe can neither resume a
+        template nor find a recurrence, and is accounted futile without
+        building the signature.
         """
         self._probe_at = -1
+        coarse = hash(self._coarse_key())
+        if self._gated(coarse):
+            self._remember(self._coarse_seen, coarse, cycle)
+            self.profile.probes_gated += 1
+            self._note_futile(1)
+            return False
+        # The coarse key's second sighting takes over the first, deferred
+        # one (if a sighting was deferred: a saved template's key is not).
+        deferred = self._coarse_seen.get(coarse)
+        self._remember(self._coarse_seen, coarse, None)
+        self.profile.probes_full += 1
         sig = self._signature(cycle, self.machine.coproc._seq)
         for template in reversed(self._saved):
             if template.sig == sig:
@@ -401,16 +455,14 @@ class ReplayController:
         sig_hash = hash(sig)
         seen = self._sig_seen.get(sig_hash)
         if seen is None:
-            self._sig_seen[sig_hash] = (cycle, 0)
-            if len(self._sig_seen) > 8192:
-                # Warm-up churn: every probe sees a fresh state.  Reset
-                # rather than grow without bound; steady state repopulates
-                # the map within one period.
-                self._sig_seen.clear()
-            return False
+            # New to the exact map.  The sighting the gate deferred stands
+            # in as this signature's previous occurrence, so a steady loop
+            # still arms on its third evenly spaced sighting; a wrong guess
+            # only skews one recorded distance.
+            seen = (cycle if deferred is None else deferred, 0)
         seen_cycle, seen_dist = seen
         dist = cycle - seen_cycle
-        self._sig_seen[sig_hash] = (cycle, dist)
+        self._remember(self._sig_seen, sig_hash, (cycle, dist))
         # Requiring the same recurrence distance twice in a row filters
         # out coincidental state matches (and hash collisions): a true
         # period produces evenly spaced recurrences.
@@ -418,8 +470,26 @@ class ReplayController:
             return False
         self._arm_site = self._probe_site
         self._period = dist
-        self._begin_recording(cycle)
+        self._begin_recording(cycle, sig, coarse)
         return False
+
+    def _gated(self, coarse: int) -> bool:
+        """True when ``coarse`` matches no earlier probe and no saved
+        template (whose keys must outlive a reset of the seen-map)."""
+        return coarse not in self._coarse_seen and all(
+            template.coarse != coarse for template in self._saved
+        )
+
+    @staticmethod
+    def _remember(seen: Dict[int, object], key: int, value: object) -> None:
+        """Record a sighting in a bounded map (hashes, not the tuples
+        themselves: 8192 sixteen-core keys would cost megabytes)."""
+        seen[key] = value
+        if len(seen) > 8192:
+            # Warm-up churn: every probe sees a fresh state.  Reset rather
+            # than grow without bound; steady state repopulates the map
+            # within one period (a reset only defers detection).
+            seen.clear()
 
     def _note_futile(self, weight: int) -> None:
         """Account probe/recording effort that produced no replay."""
@@ -506,14 +576,15 @@ class ReplayController:
 
     # --- recording lifecycle ------------------------------------------------
 
-    def _begin_recording(self, cycle: int) -> None:
+    def _begin_recording(self, cycle: int, sig: tuple, coarse: int) -> None:
         self._probe_at = -1
         self.state = self._RECORD
         self._base = cycle
         self._base_seq = self.machine.coproc._seq
         self._events = [[]]
         self._poisoned = False
-        self._sig = self._signature(cycle, self._base_seq)
+        self._sig = sig
+        self._sig_coarse = coarse
         machine = self.machine
         machine.coproc.recorder = self
         machine.metrics.recorder = self
@@ -585,6 +656,7 @@ class ReplayController:
             stall_totals=stall_totals,
             overhead_totals=overhead_totals,
             sig=self._sig,
+            coarse=self._sig_coarse,
             progress_offset=progress_offset,
             site=self._arm_site,
         )
@@ -659,6 +731,22 @@ class ReplayController:
             self._cooldown_until = cycle + COOLDOWN_CYCLES
             self._note_futile(16)
         return cycle, last_progress
+
+    def _coarse_key(self) -> tuple:
+        """O(cores) projection of :meth:`_signature` (the probe gate's key).
+
+        Every component is a function of the signature — a pool's
+        occupancy of its row tuple, the rest verbatim — so equal
+        signatures have equal coarse keys.
+        """
+        coproc = self.machine.coproc
+        return (
+            tuple(len(pool._entries) for pool in coproc.pools),
+            tuple(None if core is None else core.pc for core in self.machine.cores),
+            tuple(coproc.renamer._free),
+            tuple(coproc.renamer._held),
+            coproc._rotate,
+        )
 
     def _signature(self, cycle: int, base_seq: int) -> tuple:
         """Decision-relevant machine state, relative to ``cycle``/``base_seq``.

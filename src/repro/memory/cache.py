@@ -42,8 +42,13 @@ class Cache:
         self.name = name
         self.config = config
         self.stats = CacheStats()
+        # Geometry latched once: ``num_sets`` is a derived property and the
+        # per-line methods below run hundreds of thousands of times a run.
+        self._line_bytes = config.line_bytes
+        self._num_sets = config.num_sets
+        self._ways = config.ways
         self._sets: List["OrderedDict[int, bool]"] = [
-            OrderedDict() for _ in range(config.num_sets)
+            OrderedDict() for _ in range(self._num_sets)
         ]
         #: Lazy undo journal for speculative execution (loop replay): when
         #: armed, the first mutation of each set saves a pre-image so an
@@ -52,7 +57,7 @@ class Cache:
         self._txn_stats: Optional[Tuple[int, int, int]] = None
 
     def _set_for(self, line_addr: int) -> "OrderedDict[int, bool]":
-        index = (line_addr // self.config.line_bytes) % self.config.num_sets
+        index = (line_addr // self._line_bytes) % self._num_sets
         log = self._txn_log
         if log is not None and index not in log:
             log[index] = self._sets[index].copy()
@@ -81,7 +86,7 @@ class Cache:
 
     def line_of(self, addr: int) -> int:
         """The line-aligned address containing byte ``addr``."""
-        return addr - (addr % self.config.line_bytes)
+        return addr - (addr % self._line_bytes)
 
     def lines_spanning(self, addr: int, nbytes: int) -> List[int]:
         """Line addresses touched by ``[addr, addr + nbytes)``."""
@@ -89,7 +94,7 @@ class Cache:
             return []
         first = self.line_of(addr)
         last = self.line_of(addr + nbytes - 1)
-        step = self.config.line_bytes
+        step = self._line_bytes
         return list(range(first, last + step, step))
 
     def probe(self, line_addr: int) -> bool:
@@ -115,7 +120,7 @@ class Cache:
         """
         target_set = self._set_for(line_addr)
         victim: Optional[int] = None
-        if line_addr not in target_set and len(target_set) >= self.config.ways:
+        if line_addr not in target_set and len(target_set) >= self._ways:
             evicted_addr, evicted_dirty = target_set.popitem(last=False)
             if evicted_dirty:
                 self.stats.writebacks += 1

@@ -55,39 +55,49 @@ class VectorMemorySystem:
         have arrived; stores complete when all lines are owned by the Vec
         Cache (write-allocate).
         """
-        line_bytes = self.config.line_bytes
-        lines = self.vec_cache.lines_spanning(addr, nbytes)
+        config = self.config
+        line_bytes = config.line_bytes
+        vec_cache = self.vec_cache
+        l2 = self.l2
+        lines = vec_cache.lines_spanning(addr, nbytes)
         if not lines:
             return AccessResult(cycle, 0, 0, 0, 0)
 
+        # Per-line hot loop: latencies and bound methods hoisted out.
+        vc_latency = config.vec_cache.latency
+        l2_latency = config.l2.latency
+        dram_latency = config.dram_latency
+        vc_serve = self.vec_cache_bw.serve
+        l2_serve = self.l2_bw.serve
+        dram_serve = self.dram_bw.serve
         vc_hits = 0
         l2_hits = 0
         dram = 0
         complete = float(cycle)
         for line in lines:
             # Every line moves through the Vec Cache port.
-            ready = self.vec_cache_bw.serve(line_bytes, cycle)
-            latency = self.config.vec_cache.latency
-            if self.vec_cache.access(line, is_store):
+            ready = vc_serve(line_bytes, cycle)
+            latency = vc_latency
+            if vec_cache.access(line, is_store):
                 vc_hits += 1
             else:
                 # Miss: fetch from L2 (and DRAM below it), then fill.
-                ready = self.l2_bw.serve(line_bytes, ready)
-                latency += self.config.l2.latency
-                if self.l2.access(line, is_store=False):
+                ready = l2_serve(line_bytes, ready)
+                latency += l2_latency
+                if l2.access(line, is_store=False):
                     l2_hits += 1
                 else:
-                    ready = self.dram_bw.serve(line_bytes, ready)
-                    latency += self.config.dram_latency
+                    ready = dram_serve(line_bytes, ready)
+                    latency += dram_latency
                     dram += 1
-                    l2_victim = self.l2.fill(line, is_store=False)
+                    l2_victim = l2.fill(line, is_store=False)
                     if l2_victim is not None:
-                        self.dram_bw.serve(line_bytes, ready)
-                vc_victim = self.vec_cache.fill(line, is_store)
+                        dram_serve(line_bytes, ready)
+                vc_victim = vec_cache.fill(line, is_store)
                 if vc_victim is not None:
                     # Dirty eviction consumes L2 bandwidth (write-back).
-                    self.l2_bw.serve(line_bytes, ready)
-                    self.l2.fill(vc_victim, is_store=True)
+                    l2_serve(line_bytes, ready)
+                    l2.fill(vc_victim, is_store=True)
             complete = max(complete, ready + latency)
         return AccessResult(
             complete_cycle=complete,

@@ -55,7 +55,6 @@ class MemoryOrderingBuffer:
 
     def track(self, addr: int, nbytes: int, complete_cycle: float, is_store: bool) -> None:
         """Record an access that will complete at ``complete_cycle``."""
-        self._prune(complete_cycle - 1e9)  # cheap opportunistic prune
         if len(self._entries) >= self.capacity:
             # A full MOB stalls allocation; model by dropping the oldest
             # completed entries first, then the oldest outstanding one.

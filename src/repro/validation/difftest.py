@@ -323,6 +323,8 @@ class FuzzReport:
             "scalar dispatch calls": profile.scalar_dispatch_calls,
             "templates built": profile.templates_built,
             "replay aborts": profile.replay_aborts,
+            "probes gated": profile.probes_gated,
+            "probes full": profile.probes_full,
         }
 
     @property

@@ -121,6 +121,7 @@ class Driver:
             return
         head.state = EntryState.DONE
         head.complete_cycle = self.cycle + 1
+        self.pool.on_issue(head, self.cycle)
 
     def op_commit(self) -> None:
         self.pool.commit_ready(self.cycle, width=self.rng.randint(1, 4))

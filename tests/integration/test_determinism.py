@@ -100,6 +100,15 @@ def test_fast_forward_is_bit_exact(policy):
     assert slow_profile.interpreted_cycles == slow_profile.total_cycles
 
 
+REPLAYED_BEFORE_GATE = {
+    "private": 1356,
+    "fts": 1264,
+    "vls": 3354,
+    "occamy": 3354,
+    "cts": 1264,
+}
+
+
 @pytest.mark.parametrize("policy", EXTENDED_POLICIES, ids=lambda p: p.key)
 def test_loop_replay_is_bit_exact(policy, config):
     """A solo steady loop replays under every sharing mode and matches the
@@ -117,7 +126,9 @@ def test_loop_replay_is_bit_exact(policy, config):
     fast = machine.run()
     slow = run_policy(config, policy, jobs(), reference=True)
     assert run_fingerprint(fast) == run_fingerprint(slow)
-    assert machine.profile.replayed_cycles > 0
+    # Pinned at the commit before the probe gate: deferring a coarse key's
+    # first sighting must not cost a steady loop any replay.
+    assert machine.profile.replayed_cycles >= REPLAYED_BEFORE_GATE[policy.key]
 
 
 @pytest.mark.parametrize("policy", EXTENDED_POLICIES, ids=lambda p: p.key)

@@ -40,6 +40,21 @@ class TestOrdering:
         assert mob.outstanding(cycle=10) == 2
         assert mob.outstanding(cycle=60) == 1
 
+    def test_track_only_appends(self):
+        # ``track`` never prunes (``earliest_start`` does, on the same
+        # access): whatever was outstanding stays, plus the new region —
+        # even long-completed entries and far-future completion cycles.
+        mob = MemoryOrderingBuffer()
+        mob.track(0, 64, complete_cycle=5, is_store=True)
+        mob.track(64, 64, complete_cycle=70, is_store=False)
+        entries, conflicts = mob.snapshot()
+        mob.track(128, 64, complete_cycle=2e9, is_store=True)
+        after, conflicts_after = mob.snapshot()
+        assert after[:2] == entries and len(after) == 3
+        assert conflicts_after == conflicts
+        assert mob.outstanding(cycle=0) == 3
+        assert mob.outstanding(cycle=60) == 2
+
     def test_capacity_bound(self):
         mob = MemoryOrderingBuffer(capacity=4)
         for i in range(10):

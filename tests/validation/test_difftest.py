@@ -224,6 +224,7 @@ class TestCli:
         assert report["clean"] is True
         assert report["runs"] == len(DEFAULT_POLICIES) * 2
         assert all(report["traffic"].values())
+        assert {"probes gated", "probes full"} <= set(report["traffic"])
 
     def test_diff_fuzz_fails_a_starved_sweep(self, capsys):
         """One short case cannot reach loop replay: clean, yet exit 1."""
