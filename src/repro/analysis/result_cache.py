@@ -12,10 +12,33 @@ compiler optimisation, a workload scale — changes the key, so stale
 entries are never returned; bump :data:`CACHE_VERSION` when the
 *simulator's timing semantics* change instead.
 
-Loads are corruption-tolerant: a truncated, unreadable or
-version-mismatched file is treated as a miss (the caller re-simulates),
-never an error.  Writes are atomic (temp file + rename) so a crashed or
-parallel writer cannot leave a half-written entry behind.
+Entry layout (``<key>.pkl``, one layout, written by :meth:`ResultCache.put`
+only)::
+
+    prefix   12 bytes  big-endian (CACHE_VERSION: u32, file length: u64)
+    summary  pickle    summarize_result(result, key) - a ~1.4 KB dict
+    result   pickle    the full RunResult            - hundreds of KB
+
+The summary (policy, cycle counts, per-section fingerprint digests) is
+computed once, where the result is produced, so that the daemon can serve
+a cached resubmission from it.  Each reader touches only what it returns:
+:meth:`ResultCache.get_summary` reads the prefix and the summary frame —
+one buffered read of the file's first block, never the result —
+and :meth:`ResultCache.get` unpickles the summary only to step over it.
+The length in the prefix is written last, over a zeroed placeholder, and
+both readers check it against ``fstat``: that is how ``get_summary`` knows
+the result frame it did not read is all there.
+
+Loads are corruption-tolerant: a missing, truncated, unreadable or
+version-mismatched file is treated as a miss (the caller re-simulates and
+its ``put`` heals the entry), never an error.  That includes entries in
+the earlier single-frame ``(CACHE_VERSION, RunResult)`` layout: their
+first bytes do not parse as this version and this length, so they are
+misses until overwritten, and there is no reader for them.  The layout
+change therefore needs no :data:`CACHE_VERSION` bump — the version is
+hashed into every key, and keys name simulations, not file formats.
+Writes are atomic (temp file + rename) so a crashed or parallel writer
+cannot leave a half-written entry behind.
 """
 
 from __future__ import annotations
@@ -23,13 +46,15 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import struct
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.common.config import MachineConfig, config_fingerprint
 from repro.core.machine import Job, RunResult
+from repro.validation.fingerprint import summarize_result
 
 #: Bump when simulation *semantics* change so old entries stop matching.
 #: v2: tickless event-wheel engine added; engine kill switches join the key.
@@ -41,6 +66,9 @@ from repro.core.machine import Job, RunResult
 #: v6: engine kill switches deleted; the key no longer carries an engine
 #:     tuple (nothing keyed here can select the reference engine).
 CACHE_VERSION = 6
+
+#: Fixed-width entry prefix: (CACHE_VERSION, total file length in bytes).
+_PREFIX = struct.Struct(">IQ")
 
 #: Environment variable overriding the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -146,7 +174,8 @@ class CacheStats:
 
 
 class ResultCache:
-    """A directory of pickled :class:`RunResult` objects keyed by hash."""
+    """A directory of pickled :class:`RunResult` objects keyed by hash,
+    each behind its own summary (see the module docstring for the layout)."""
 
     def __init__(self, directory: Optional[os.PathLike] = None) -> None:
         self.directory = Path(directory) if directory else default_cache_dir()
@@ -156,31 +185,62 @@ class ResultCache:
     def path_for(self, key: str) -> Path:
         return self.directory / f"{key}.pkl"
 
+    def _read(self, key: str, with_result: bool):
+        """The result in ``key``'s entry if ``with_result``, else only the
+        summary in front of it (the result frame is then not read).
+
+        Anything but a file of this :data:`CACHE_VERSION` that is exactly
+        as long as its writer left it and holds what :meth:`put` wrote is
+        a counted miss (``None``), never an exception.
+        """
+        summary = result = None
+        try:
+            with open(self.path_for(key), "rb") as handle:
+                version, length = _PREFIX.unpack(handle.read(_PREFIX.size))
+                if (
+                    version == CACHE_VERSION
+                    and length == os.fstat(handle.fileno()).st_size
+                ):
+                    summary = pickle.load(handle)
+                    if with_result:
+                        result = pickle.load(handle)
+        except Exception:
+            pass
+        if not isinstance(summary, dict) or (
+            with_result and not isinstance(result, RunResult)
+        ):
+            self.misses += 1
+            return None
+        self.hits += 1
+        return result if with_result else summary
+
     def get(self, key: str) -> Optional[RunResult]:
         """The cached result for ``key``, or ``None``.
 
         Any failure to read or deserialise — missing file, truncation,
         pickle corruption, a payload written by a different
-        :data:`CACHE_VERSION` — is a miss, never an exception.
+        :data:`CACHE_VERSION` or in another layout — is a miss, never an
+        exception.
         """
-        try:
-            with open(self.path_for(key), "rb") as handle:
-                version, payload = pickle.load(handle)
-        except Exception:
-            self.misses += 1
-            return None
-        if version != CACHE_VERSION or not isinstance(payload, RunResult):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return payload
+        return self._read(key, with_result=True)
+
+    def get_summary(self, key: str) -> Optional[Dict[str, object]]:
+        """``summarize_result(self.get(key), key)`` without the ``get``.
+
+        Reads only the summary :meth:`put` stored in front of the result.
+        A miss exactly when :meth:`get` is one, but for damage inside the
+        result frame that leaves the file's length intact.
+        """
+        return self._read(key, with_result=False)
 
     def put(self, key: str, result: RunResult) -> bool:
-        """Store ``result`` under ``key`` atomically; best-effort.
+        """Store ``result`` and its summary under ``key`` atomically;
+        best-effort.
 
         Returns False (without raising) when the cache directory is not
         writable — persistence is an optimisation, never a requirement.
         """
+        summary = summarize_result(result, key)
         tmp_name = None
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
@@ -188,9 +248,12 @@ class ResultCache:
                 dir=self.directory, prefix=".write-", suffix=".tmp"
             )
             with os.fdopen(fd, "wb") as handle:
-                pickle.dump(
-                    (CACHE_VERSION, result), handle, protocol=pickle.HIGHEST_PROTOCOL
-                )
+                handle.write(_PREFIX.pack(0, 0))
+                pickle.dump(summary, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(result, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                length = handle.tell()
+                handle.seek(0)
+                handle.write(_PREFIX.pack(CACHE_VERSION, length))
             os.replace(tmp_name, self.path_for(key))
             return True
         except OSError:

@@ -35,7 +35,11 @@ Modules
 
 from repro.service.client import ServiceClient, wait_for_server
 from repro.service.queue import SCHEDULER_NAMES, CostModel, JobQueue
-from repro.service.protocol import default_address, summarize_result
+from repro.service.protocol import (
+    default_address,
+    fingerprint_digests,
+    summarize_result,
+)
 from repro.service.server import ServerOptions, SimulationServer
 from repro.service.specs import build_task, normalize_spec
 from repro.service.workers import WorkerPool
@@ -50,6 +54,7 @@ __all__ = [
     "WorkerPool",
     "build_task",
     "default_address",
+    "fingerprint_digests",
     "normalize_spec",
     "summarize_result",
     "wait_for_server",

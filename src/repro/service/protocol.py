@@ -7,25 +7,32 @@ streaming responses (job progress) carry an ``event`` field.  The framing
 is deliberately trivial — any language (or ``nc``) can drive the daemon.
 
 Result payloads never ship a pickled :class:`~repro.core.machine.RunResult`
-across the socket.  Instead :func:`summarize_result` reduces a run to a
+across the socket.  Instead :func:`summarize_result` (defined in
+:mod:`repro.validation.fingerprint`, re-exported here) reduces a run to a
 JSON-safe summary whose core is a **fingerprint digest map**: one SHA-256
 per named section of :func:`repro.validation.fingerprint.fingerprint_sections`.
 Two runs are bit-identical exactly when their digest maps are equal, so a
 client can prove a daemon-served result matches a direct in-process
 ``Machine.run`` without moving megabytes of metrics.  The full
 ``RunResult`` still lands in the persistent result cache, where any local
-process can load it by ``key``.
+process can load it by ``key``; the cache stores the summary in front of
+it, and that stored summary is what a cached resubmission is served.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.common.errors import ServiceProtocolError
+# Re-exported: the summary is part of the wire protocol, and the bench, CI
+# and docs import both names from here.
+from repro.validation.fingerprint import (  # noqa: F401
+    fingerprint_digests,
+    summarize_result,
+)
 
 #: Upper bound on one framed message; a line longer than this is a
 #: protocol violation (submissions and summaries are all far smaller).
@@ -89,33 +96,6 @@ def decode_line(line: bytes) -> Dict[str, object]:
 
 
 # --- result summaries ---------------------------------------------------------
-
-
-def fingerprint_digests(result) -> Dict[str, str]:
-    """SHA-256 per named fingerprint section of ``result``.
-
-    Section values are the hashable tuples produced by
-    :func:`~repro.validation.fingerprint.fingerprint_sections`; their
-    ``repr`` is deterministic across processes, so equal digests mean
-    bit-identical observable state.
-    """
-    from repro.validation.fingerprint import fingerprint_sections
-
-    digests = {}
-    for section, value in fingerprint_sections(result).items():
-        digests[section] = hashlib.sha256(repr(value).encode("utf-8")).hexdigest()
-    return digests
-
-
-def summarize_result(result, key: Optional[str] = None) -> Dict[str, object]:
-    """The JSON-safe summary of one run served over the socket."""
-    return {
-        "policy": result.policy_key,
-        "total_cycles": result.total_cycles,
-        "core_cycles": list(result.core_cycles),
-        "key": key,
-        "fingerprint": fingerprint_digests(result),
-    }
 
 
 def load_cached_result(key: str):

@@ -18,8 +18,9 @@ Endpoints (``op`` field of each request):
     coalesce: if an identical spec (same content-hash key) is already
     queued or running, the new client attaches to the in-flight job and
     no second execution happens; if the persistent result cache already
-    holds the key, the job completes instantly without touching the
-    queue.
+    holds the key, the job completes instantly from the summary stored
+    in front of the entry, without touching the queue or loading the
+    cached ``RunResult``.
 ``watch``
     Attach to an existing job's event stream (replays the terminal event
     if the job already finished).
@@ -47,10 +48,11 @@ cache.
 from __future__ import annotations
 
 import asyncio
+import collections
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Deque, Dict, List, Optional
 
 from repro.common.errors import AdmissionError, ServiceProtocolError
 from repro.service import protocol
@@ -70,6 +72,10 @@ TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED})
 
 #: Completed jobs kept in the registry for late ``result``/``watch`` calls.
 FINISHED_KEEP = 256
+
+#: Spec signatures whose content-hash key is remembered; the oldest is
+#: dropped first, and a dropped signature is simply hashed again.
+KEY_MEMO_KEEP = 4096
 
 
 @dataclass
@@ -138,7 +144,7 @@ class SimulationServer:
         )
         self._jobs: Dict[str, ServiceJob] = {}
         self._inflight: Dict[str, str] = {}  # key -> job_id (non-terminal)
-        self._finished_order: List[str] = []
+        self._finished_order: Deque[str] = collections.deque()
         self._key_memo: Dict[str, str] = {}  # signature -> content-hash key
         self._next_id = 0
         self.draining = False
@@ -316,7 +322,7 @@ class SimulationServer:
         self._publish(job, self._terminal_event(job, reason=reason))
         self._finished_order.append(job.job_id)
         while len(self._finished_order) > FINISHED_KEEP:
-            stale = self._finished_order.pop(0)
+            stale = self._finished_order.popleft()
             if self._jobs.get(stale) is not None and (
                 self._jobs[stale].state in TERMINAL_STATES
             ):
@@ -378,6 +384,8 @@ class SimulationServer:
 
             key = task_key(task)
             self._key_memo[signature] = key
+            if len(self._key_memo) > KEY_MEMO_KEEP:  # dicts keep insertion order
+                del self._key_memo[next(iter(self._key_memo))]
 
         # 1. coalesce onto an identical in-flight job
         existing_id = self._inflight.get(key)
@@ -387,13 +395,14 @@ class SimulationServer:
             self.counters["coalesced"] += 1
             return existing
 
-        # 2. instant completion from the persistent result cache
+        # 2. instant completion from the summary the persistent result
+        #    cache stores in front of the entry; the RunResult stays on disk
         from repro.analysis import result_cache
 
         cache = result_cache.default_cache()
         if cache is not None:
-            hit = cache.get(key)
-            if hit is not None:
+            summary = cache.get_summary(key)
+            if summary is not None:
                 self.counters["cache_hits"] += 1
                 job = ServiceJob(
                     job_id=self._new_job_id(),
@@ -405,10 +414,8 @@ class SimulationServer:
                     cached=True,
                 )
                 self._jobs[job.job_id] = job
-                self.cost_model.observe(signature, hit.total_cycles)
-                self._finish(
-                    job, DONE, summary=protocol.summarize_result(hit, key=key)
-                )
+                self.cost_model.observe(signature, summary["total_cycles"])
+                self._finish(job, DONE, summary=summary)
                 return job
 
         # 3. admission control + enqueue

@@ -7,11 +7,21 @@ overhead counters, phase records, lane timelines, LSU/cache statistics and
 the final memory image bytes.  ``fingerprint_sections`` keeps the values
 grouped under stable names so a mismatch can be reported as *which* piece
 of state diverged rather than as two giant unequal tuples.
+
+``fingerprint_digests`` reduces each section to one SHA-256 and
+``summarize_result`` wraps the digest map into the JSON-safe summary the
+service ships and the result cache stores in front of every entry.  They
+live here, not in :mod:`repro.service.protocol` (which re-exports them),
+so the cache can summarise a result without importing the service package.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+import hashlib
+from typing import Callable, Dict, List, Optional
+
+#: Bytes values are escaped into the hash this many bytes at a time.
+_BYTES_CHUNK = 1 << 16
 
 
 def fingerprint_sections(result) -> Dict[str, object]:
@@ -54,6 +64,68 @@ def fingerprint_sections(result) -> Dict[str, object]:
             else tuple((name, array.tobytes()) for name, array in image)
             for image in result.images
         ),
+    }
+
+
+def feed_repr(update: Callable[[bytes], object], value: object) -> None:
+    """Pass ``repr(value).encode("utf-8")`` to ``update``, piece by piece.
+
+    Plain tuples are walked and ``bytes`` leaves are escaped one chunk at a
+    time, so hashing a section never materialises the ``repr`` of a whole
+    memory image (4 characters per byte, then the same again encoded).
+    Everything else — including tuple subclasses, whose ``repr`` differs —
+    goes through ``repr`` itself, so the bytes fed are exactly those of
+    ``repr(value).encode("utf-8")``.
+    """
+    kind = type(value)
+    if kind is tuple and value:
+        update(b"(")
+        feed_repr(update, value[0])
+        for item in value[1:]:
+            update(b", ")
+            feed_repr(update, item)
+        update(b",)" if len(value) == 1 else b")")
+    elif kind is bytes:
+        # bytes.__repr__ picks its quote from the whole value; appending
+        # the *other* quote to a chunk forces the same choice on it (and
+        # is sliced off again together with the delimiters).
+        single = b'"' in value or b"'" not in value
+        quote, other = (b"'", b'"') if single else (b'"', b"'")
+        update(b"b" + quote)
+        for start in range(0, len(value), _BYTES_CHUNK):
+            chunk = value[start : start + _BYTES_CHUNK] + other
+            update(repr(chunk)[2:-2].encode("ascii"))
+        update(quote)
+    else:
+        update(repr(value).encode("utf-8"))
+
+
+def fingerprint_digests(result) -> Dict[str, str]:
+    """SHA-256 per named fingerprint section of ``result``.
+
+    Section values are the hashable tuples produced by
+    :func:`fingerprint_sections`; their ``repr`` is deterministic across
+    processes, so equal digests mean bit-identical observable state.  Each
+    digest equals ``sha256(repr(value).encode("utf-8"))``, streamed
+    through :func:`feed_repr`.
+    """
+    digests = {}
+    for section, value in fingerprint_sections(result).items():
+        digest = hashlib.sha256()
+        feed_repr(digest.update, value)
+        digests[section] = digest.hexdigest()
+    return digests
+
+
+def summarize_result(result, key: Optional[str] = None) -> Dict[str, object]:
+    """The JSON-safe summary of one run: what the service ships over the
+    socket and what the result cache stores in front of the full result."""
+    return {
+        "policy": result.policy_key,
+        "total_cycles": result.total_cycles,
+        "core_cycles": list(result.core_cycles),
+        "key": key,
+        "fingerprint": fingerprint_digests(result),
     }
 
 

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro import (
     Assign,
@@ -40,6 +45,18 @@ REMOVED_KILL_SWITCHES = tuple(
         "LANE_SHARDS",
     )
 )
+
+
+def run_fresh_python(code: str, *argv: str, timeout: float = 300.0) -> None:
+    """Run ``code`` in a new interpreter that imports this checkout's
+    ``repro`` (and inherits the environment, so the redirected cache)."""
+    src = Path(repro.__file__).resolve().parents[1]
+    subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+        timeout=timeout,
+    )
 
 
 @pytest.fixture(autouse=True, scope="session")
