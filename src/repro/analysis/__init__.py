@@ -5,69 +5,61 @@ share one pair sweep), ``area`` provides the Fig. 12 analytical area model,
 and ``reporting`` renders ASCII tables/series like the paper's plots.
 """
 
-from repro.analysis.area import AreaBreakdown, area_model
-from repro.analysis.energy import (
-    EnergyCoefficients,
-    EnergyReport,
-    compare_energy,
-    energy_report,
-)
-from repro.analysis.experiments import (
-    CaseStudyResult,
-    MotivationResult,
-    PairOutcome,
-    case_study_fig14,
-    clear_sweep_cache,
-    four_core_fig16,
-    motivation_fig2,
-    overhead_fig15,
-    pair_outcome,
-    run_with_fixed_lanes,
-    sweep_pairs,
-    table5_rows,
-)
-from repro.analysis.plots import (
-    bar_chart_svg,
-    lane_timeline_svg,
-    series_svg,
-    write_svg,
-)
-from repro.analysis.reporting import format_series, format_table, geomean
-from repro.analysis.sensitivity import SensitivityPoint, sweep
-from repro.analysis.trace import export_trace, phase_gantt, trace_dict
-from repro.analysis.validation import PhaseValidation, validate_phase
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "AreaBreakdown",
-    "EnergyCoefficients",
-    "EnergyReport",
-    "PhaseValidation",
-    "SensitivityPoint",
-    "bar_chart_svg",
-    "compare_energy",
-    "energy_report",
-    "export_trace",
-    "lane_timeline_svg",
-    "phase_gantt",
-    "series_svg",
-    "sweep",
-    "trace_dict",
-    "validate_phase",
-    "write_svg",
-    "CaseStudyResult",
-    "MotivationResult",
-    "PairOutcome",
-    "area_model",
-    "case_study_fig14",
-    "clear_sweep_cache",
-    "format_series",
-    "format_table",
-    "four_core_fig16",
-    "geomean",
-    "motivation_fig2",
-    "overhead_fig15",
-    "pair_outcome",
-    "run_with_fixed_lanes",
-    "sweep_pairs",
-    "table5_rows",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.area import AreaBreakdown, area_model
+    from repro.analysis.energy import (
+        EnergyCoefficients,
+        EnergyReport,
+        compare_energy,
+        energy_report,
+    )
+    from repro.analysis.experiments import (
+        CaseStudyResult,
+        MotivationResult,
+        PairOutcome,
+        case_study_fig14,
+        clear_sweep_cache,
+        four_core_fig16,
+        motivation_fig2,
+        overhead_fig15,
+        pair_outcome,
+        run_with_fixed_lanes,
+        sweep_pairs,
+        table5_rows,
+    )
+    from repro.analysis.plots import (
+        bar_chart_svg,
+        lane_timeline_svg,
+        series_svg,
+        write_svg,
+    )
+    from repro.analysis.reporting import format_series, format_table, geomean
+    from repro.analysis.sensitivity import SensitivityPoint, sweep
+    from repro.analysis.trace import export_trace, phase_gantt, trace_dict
+    from repro.analysis.validation import PhaseValidation, validate_phase
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.area": ("AreaBreakdown", "area_model"),
+        "repro.analysis.energy": (
+            "EnergyCoefficients", "EnergyReport", "compare_energy", "energy_report"
+        ),
+        "repro.analysis.experiments": (
+            "CaseStudyResult", "MotivationResult", "PairOutcome", "case_study_fig14",
+            "clear_sweep_cache", "four_core_fig16", "motivation_fig2", "overhead_fig15",
+            "pair_outcome", "run_with_fixed_lanes", "sweep_pairs", "table5_rows"
+        ),
+        "repro.analysis.plots": (
+            "bar_chart_svg", "lane_timeline_svg", "series_svg", "write_svg"
+        ),
+        "repro.analysis.reporting": ("format_series", "format_table", "geomean"),
+        "repro.analysis.sensitivity": ("SensitivityPoint", "sweep"),
+        "repro.analysis.trace": ("export_trace", "phase_gantt", "trace_dict"),
+        "repro.analysis.validation": ("PhaseValidation", "validate_phase"),
+    },
+)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List
 
 from repro.analysis.area import area_model
-from repro.core.machine import RunResult
+from repro.core.result import RunResult
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.common.config import MachineConfig, config_fingerprint, experiment_config
 from repro.compiler.ir import Kernel
 from repro.compiler.pipeline import CompileOptions, build_image, compile_kernel
-from repro.coproc.coprocessor import SharingMode
 from repro.coproc.metrics import StallReason
+from repro.coproc.sharing import SharingMode
 from repro.core.lane_manager import StaticLaneManager
-from repro.core.machine import Job, RunResult, run_policy
 from repro.core.policies import ALL_POLICIES, PRIVATE, Policy
+from repro.core.result import Job, RunResult
 from repro.core.roofline import RooflineModel
 from repro.isa.registers import OIValue
 from repro.workloads.pairs import (
@@ -82,6 +82,15 @@ def clear_sweep_cache() -> None:
         disk.clear()
 
 
+def _simulate(
+    config: MachineConfig, policy: Policy, jobs: Sequence[Optional[Job]]
+) -> RunResult:
+    """``run_policy``, importing the engine only now that something runs."""
+    from repro.core.machine import run_policy
+
+    return run_policy(config, policy, jobs)
+
+
 def _cached_pair_run(
     pair: CoRunPair, policy: Policy, scale: float, config: MachineConfig
 ) -> RunResult:
@@ -100,7 +109,7 @@ def _cached_pair_run(
         if result is not None:
             _sweep_cache[key] = result
             return result
-    result = run_policy(config, policy, jobs)
+    result = _simulate(config, policy, jobs)
     if disk is not None:
         disk.put(disk_key, result)
     _sweep_cache[key] = result
@@ -238,7 +247,7 @@ def run_with_fixed_lanes(
     program = compile_kernel(kernel, CompileOptions(default_vl=lanes, memory=config.memory))
     jobs: List[Optional[Job]] = [None] * config.num_cores
     jobs[core_id] = Job(program, build_image(kernel, core_id))
-    return run_policy(config, fixed, jobs)
+    return _simulate(config, fixed, jobs)
 
 
 @dataclass
@@ -298,7 +307,7 @@ def case_study_fig14(
             workload_job("spec", 20, core_id=0, scale=scale),
             workload_job("spec", 17, core_id=1, scale=3 * scale),
         ]
-        corun[policy.key] = run_policy(config, policy, jobs)
+        corun[policy.key] = _simulate(config, policy, jobs)
     return CaseStudyResult(lane_sweep=lane_sweep, corun=corun)
 
 
@@ -413,7 +422,7 @@ def _cached_group_run(
         if result is not None:
             _sweep_cache[key] = result
             return result
-    result = run_policy(config, policy, jobs)
+    result = _simulate(config, policy, jobs)
     if disk is not None:
         disk.put(disk_key, result)
     _sweep_cache[key] = result

@@ -24,15 +24,14 @@ values are rejected at the edge, never forwarded to
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.common.config import MachineConfig, experiment_config
 from repro.common.errors import ConfigurationError
 from repro.compiler.pipeline import CompileOptions, build_image, compile_kernel
-from repro.core.machine import Job, RunResult, run_policy
 from repro.core.policies import ALL_POLICIES, POLICIES_BY_KEY
+from repro.core.result import Job, RunResult
 from repro.workloads.motivating import motivating_pair
 from repro.workloads.pairs import (
     FOUR_CORE_GROUPS,
@@ -139,19 +138,40 @@ class SimTask:
 
 def execute_task(task: SimTask) -> RunResult:
     """Run one task to completion (the worker entry point)."""
+    from repro.core.machine import run_policy  # the engine loads where it runs
+
     policy = POLICIES_BY_KEY[task.policy_key]
     return run_policy(
         task.config, policy, task.build_jobs(), max_cycles=task.max_cycles
     )
 
 
-def task_key(task: SimTask) -> str:
-    """Persistent-cache key for ``task`` (hashes programs + images)."""
+def task_keys(tasks: Sequence[SimTask]) -> List[str]:
+    """Persistent-cache keys for ``tasks`` (hash programs + images).
+
+    Tasks that differ only in policy share one workload set: it is compiled
+    once and hashed under each policy (hashing does not mutate the jobs).
+    """
     from repro.analysis.result_cache import simulation_key
 
-    return simulation_key(
-        task.config, task.policy_key, task.build_jobs(), task.max_cycles
-    )
+    built: Dict[object, List[Optional[Job]]] = {}
+    keys = []
+    for task in tasks:
+        group = None if task.group is None else tuple(task.group)
+        workload = (task.kind, task.pair, group, task.scale, task.config.memory)
+        if workload not in built:
+            built[workload] = task.build_jobs()
+        keys.append(
+            simulation_key(
+                task.config, task.policy_key, built[workload], task.max_cycles
+            )
+        )
+    return keys
+
+
+def task_key(task: SimTask) -> str:
+    """Persistent-cache key for one task."""
+    return task_keys([task])[0]
 
 
 # --- the engine --------------------------------------------------------------
@@ -176,19 +196,19 @@ def run_tasks(
     jobs = resolve_jobs(jobs)
 
     results: List[Optional[RunResult]] = [None] * len(tasks)
-    keys: List[Optional[str]] = [None] * len(tasks)
-    pending: List[int] = []
-    for index, task in enumerate(tasks):
-        if cache is not None:
-            keys[index] = task_key(task)
-            hit = cache.get(keys[index])
-            if hit is not None:
-                results[index] = hit
-                continue
-        pending.append(index)
+    keys = task_keys(tasks) if cache is not None else []
+    for index, key in enumerate(keys):
+        results[index] = cache.get(key)
+    pending = [index for index, result in enumerate(results) if result is None]
 
     if pending:
+        # The engine is imported here, before any fork, so pool workers
+        # inherit it; a run that is all hits never loads it.
+        import repro.core.machine  # noqa: F401
+
         if jobs > 1 and len(pending) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             workers = min(jobs, len(pending))
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 computed = list(

@@ -2,7 +2,7 @@
 
 Every paper figure boils down to a set of ``(MachineConfig, policy,
 program, memory image)`` simulations.  Those are deterministic, so their
-:class:`~repro.core.machine.RunResult` can be reused across *processes* —
+:class:`~repro.core.result.RunResult` can be reused across *processes* —
 a warm re-run of a figure costs only compilation plus deserialisation.
 
 Keys are content hashes: the full configuration fingerprint, the policy
@@ -47,13 +47,12 @@ import hashlib
 import os
 import pickle
 import struct
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.common.config import MachineConfig, config_fingerprint
-from repro.core.machine import Job, RunResult
+from repro.core.result import Job, RunResult
 from repro.validation.fingerprint import summarize_result
 
 #: Bump when simulation *semantics* change so old entries stop matching.
@@ -240,6 +239,8 @@ class ResultCache:
         Returns False (without raising) when the cache directory is not
         writable — persistence is an optimisation, never a requirement.
         """
+        import tempfile  # only a process that simulated writes
+
         summary = summarize_result(result, key)
         tmp_name = None
         try:

@@ -13,7 +13,7 @@ import os
 import tempfile
 from typing import Dict, List, Optional
 
-from repro.core.machine import RunResult
+from repro.core.result import RunResult
 
 
 def trace_dict(result: RunResult) -> Dict[str, object]:

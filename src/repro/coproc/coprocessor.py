@@ -17,7 +17,6 @@ is in program order per core).  Each cycle it:
 
 from __future__ import annotations
 
-import enum
 import math
 from bisect import bisect_left
 from typing import Dict, List, Optional, Set
@@ -31,6 +30,7 @@ from repro.coproc.lsu import LoadStoreUnit
 from repro.coproc.metrics import Metrics, StallReason
 from repro.coproc.renamer import Renamer
 from repro.coproc.resource_table import ResourceTable
+from repro.coproc.sharing import SharingMode  # re-exported: the old import path
 from repro.isa.registers import OIValue, SystemRegister
 from repro.memory.hierarchy import VectorMemorySystem
 
@@ -39,17 +39,6 @@ COMMIT_WIDTH = 8
 
 #: Latency of a long-latency vector op (div/sqrt), in cycles.
 LONG_LATENCY = 12
-
-
-class SharingMode(enum.Enum):
-    """How cores share the lane pool."""
-
-    SPATIAL = "spatial"  # Private / VLS / Occamy: partitioned ownership
-    TEMPORAL = "temporal"  # FTS: fine-grained full-width time multiplexing
-    #: CTS (Beldianu & Ziavras's coarse-grained alternative): one core owns
-    #: the whole co-processor per quantum; switching pays a drain/restore
-    #: penalty but there is no shared-VRF renaming pressure.
-    COARSE_TEMPORAL = "coarse-temporal"
 
 
 class CoProcessor:

@@ -24,8 +24,8 @@ from typing import Dict
 
 from repro.common.config import MachineConfig
 from repro.common.errors import ConfigurationError
-from repro.coproc.coprocessor import SharingMode
 from repro.coproc.resource_table import ResourceTable
+from repro.coproc.sharing import SharingMode
 from repro.core.lane_manager import ElasticLaneManager
 from repro.core.policies import Policy
 from repro.core.roofline import RooflineModel

@@ -10,59 +10,21 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import MachineConfig
 from repro.common.errors import DeadlockError, SimulationError
-from repro.coproc.coprocessor import CoProcessor, SharingMode
+from repro.coproc.coprocessor import CoProcessor
 from repro.coproc.metrics import Metrics
+from repro.coproc.sharing import SharingMode
 from repro.core.policies import Policy
 from repro.core.replay import GLOBAL_PROFILE, ReplayController, ReplayProfile
+from repro.core.result import Job, RunResult  # re-exported: the old import path
 from repro.core.scalar_core import ScalarCore
-from repro.isa.program import Program
-from repro.memory.image import MemoryImage
 from repro.validation.invariants import InvariantAuditor, audit_enabled
 
 #: Cycles without any retire/dispatch/commit before declaring deadlock.
 DEADLOCK_WINDOW = 100_000
-
-
-@dataclass
-class Job:
-    """One workload: a compiled program plus its functional memory."""
-
-    program: Program
-    image: MemoryImage
-
-
-@dataclass
-class RunResult:
-    """Everything a simulation produced."""
-
-    policy_key: str
-    config: MachineConfig
-    metrics: Metrics
-    total_cycles: int
-    core_cycles: List[int]
-    images: List[Optional[MemoryImage]]
-    lane_manager: object
-    #: Per-core LSU traffic statistics (loads/stores/bytes, hit levels).
-    lsu_stats: List[object] = field(default_factory=list)
-    #: Cache tag statistics: {"vec_cache": CacheStats, "l2": CacheStats}.
-    cache_stats: Dict[str, object] = field(default_factory=dict)
-
-    def core_time(self, core: int) -> int:
-        """Cycles until core ``core``'s workload completed."""
-        return self.core_cycles[core]
-
-    def speedup_over(self, baseline: "RunResult", core: int) -> float:
-        """Per-core speedup relative to a baseline run (paper Fig. 10)."""
-        mine = self.core_time(core)
-        theirs = baseline.core_time(core)
-        if mine <= 0:
-            return float("inf")
-        return theirs / mine
 
 
 class Machine:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Tuple
 
 from repro.common.config import MachineConfig
-from repro.coproc.coprocessor import SharingMode
+from repro.coproc.sharing import SharingMode
 from repro.core.lane_manager import (
     ElasticLaneManager,
     StaticLaneManager,

@@ -33,29 +33,32 @@ Modules
     Blocking stdlib-socket client used by the CLI and tests.
 """
 
-from repro.service.client import ServiceClient, wait_for_server
-from repro.service.queue import SCHEDULER_NAMES, CostModel, JobQueue
-from repro.service.protocol import (
-    default_address,
-    fingerprint_digests,
-    summarize_result,
-)
-from repro.service.server import ServerOptions, SimulationServer
-from repro.service.specs import build_task, normalize_spec
-from repro.service.workers import WorkerPool
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "CostModel",
-    "JobQueue",
-    "SCHEDULER_NAMES",
-    "ServerOptions",
-    "ServiceClient",
-    "SimulationServer",
-    "WorkerPool",
-    "build_task",
-    "default_address",
-    "fingerprint_digests",
-    "normalize_spec",
-    "summarize_result",
-    "wait_for_server",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.service.client import ServiceClient, wait_for_server
+    from repro.service.queue import SCHEDULER_NAMES, CostModel, JobQueue
+    from repro.service.protocol import (
+        default_address,
+        fingerprint_digests,
+        summarize_result,
+    )
+    from repro.service.server import ServerOptions, SimulationServer
+    from repro.service.specs import build_task, normalize_spec
+    from repro.service.workers import WorkerPool
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.service.client": ("ServiceClient", "wait_for_server"),
+        "repro.service.protocol": (
+            "default_address", "fingerprint_digests", "summarize_result"
+        ),
+        "repro.service.queue": ("CostModel", "JobQueue", "SCHEDULER_NAMES"),
+        "repro.service.server": ("ServerOptions", "SimulationServer"),
+        "repro.service.specs": ("build_task", "normalize_spec"),
+        "repro.service.workers": ("WorkerPool",),
+    },
+)

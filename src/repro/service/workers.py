@@ -192,6 +192,10 @@ class WorkerPool:
     def start(self) -> None:
         if self._workers:
             return
+        # Workers exist to simulate: load the engine once, here, so every
+        # fork (and respawn) inherits it instead of importing it per worker.
+        import repro.core.machine  # noqa: F401
+
         self._workers = [
             _Worker(self._context, self.runner, self.recycle_after)
             for _ in range(self.size)

@@ -19,17 +19,24 @@ keeps that promise honest as the codebase grows:
     into the machine, lane table, renamer, LSUs and bandwidth model.
 """
 
-from repro.validation.fingerprint import (
-    diff_fingerprints,
-    fingerprint_sections,
-    run_fingerprint,
-)
-from repro.validation.invariants import InvariantAuditor, audit_enabled
+from typing import TYPE_CHECKING
 
-__all__ = [
-    "InvariantAuditor",
-    "audit_enabled",
-    "diff_fingerprints",
-    "fingerprint_sections",
-    "run_fingerprint",
-]
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.validation.fingerprint import (
+        diff_fingerprints,
+        fingerprint_sections,
+        run_fingerprint,
+    )
+    from repro.validation.invariants import InvariantAuditor, audit_enabled
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.validation.fingerprint": (
+            "diff_fingerprints", "fingerprint_sections", "run_fingerprint"
+        ),
+        "repro.validation.invariants": ("InvariantAuditor", "audit_enabled"),
+    },
+)

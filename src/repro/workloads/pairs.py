@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.common.config import experiment_config
 from repro.compiler.ir import Kernel
 from repro.compiler.pipeline import CompileOptions, build_image, compile_kernel
-from repro.core.machine import Job
+from repro.core.result import Job
 from repro.isa.program import Program
 from repro.workloads.opencv import opencv_workload
 from repro.workloads.spec import spec_workload

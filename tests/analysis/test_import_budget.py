@@ -1,0 +1,131 @@
+"""What a command may import — asserted on module *names*, never on times.
+
+The import graph follows the data flow ``leaf types -> compile path ->
+engine -> analysis -> cli/service`` (DESIGN.md, "Import layering"): a
+process loads the engine only when it is about to simulate.  Every check
+runs in a fresh interpreter, because this process has long since imported
+everything.
+"""
+
+from __future__ import annotations
+
+import json
+
+from tests.conftest import run_fresh_python
+
+#: What a process that simulates nothing has no use for.
+ENGINE = (
+    "repro.core.machine",
+    "repro.core.scalar_core",
+    "repro.core.replay",
+    "repro.coproc.coprocessor",
+    "repro.coproc.dynamic",
+    "repro.coproc.batch_exec",
+)
+UNUSED_BY_A_HIT = ENGINE + (
+    "repro.analysis.ecm",
+    "repro.analysis.validation",
+    "repro.analysis.plots",
+    "repro.analysis.sensitivity",
+    "repro.service",
+    "multiprocessing",
+)
+
+#: ``argv[1]`` is a JSON spec: run ``main(command)`` if there is one (after
+#: ``import repro.cli`` either way), then check ``sys.modules`` — a name
+#: stands for the module and everything below it — how often workloads
+#: were compiled when the spec counts ``builds``, and what was printed.
+CHILD = """
+import contextlib, io, json, re, sys
+spec = json.loads(sys.argv[1])
+import repro.cli
+builds = []
+if "builds" in spec:
+    from repro.analysis.parallel import SimTask
+    build_jobs = SimTask.build_jobs
+    SimTask.build_jobs = lambda task: builds.append(task) or build_jobs(task)
+printed = io.StringIO()
+if "command" in spec:
+    with contextlib.redirect_stdout(printed):
+        assert repro.cli.main(spec["command"]) == 0
+for pattern in spec.get("prints", ()):
+    assert re.search(pattern, printed.getvalue()), printed.getvalue()
+
+def loaded(name):
+    return [m for m in sys.modules if m == name or m.startswith(name + ".")]
+
+extra = sorted(m for name in spec.get("forbidden", ()) for m in loaded(name))
+assert not extra, f"{spec.get('command', 'import repro.cli')} imported {extra}"
+missing = [name for name in spec.get("required", ()) if not loaded(name)]
+assert not missing, f"{spec['command']} never imported {missing}"
+assert len(builds) == spec.get("builds", 0), f"{len(builds)} build_jobs() calls"
+"""
+
+
+def _child(**spec) -> None:
+    run_fresh_python(CHILD, json.dumps(spec))
+
+
+def test_importing_the_cli_loads_no_numpy_and_no_simulator():
+    _child(
+        forbidden=[
+            "numpy",
+            "multiprocessing",
+            "repro.core",
+            "repro.coproc",
+            "repro.compiler",
+            "repro.service",
+        ]
+    )
+
+
+def test_warm_report_imports_what_it_reads(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    cold, warm = tmp_path / "cold.md", tmp_path / "warm.md"
+    options = ["--scale", "0.05", "--pairs", "1", "--jobs", "2"]
+
+    # Cold: eight misses on a pool.  The parent loaded the engine before it
+    # forked (the workers inherit it) and compiled only the two workload
+    # sets the keys are hashed from; each miss compiles afresh in its worker.
+    _child(command=["report", str(cold), *options], required=ENGINE[:1], builds=2)
+    entries = sorted(path.name for path in (tmp_path / "cache").glob("*.pkl"))
+    assert len(entries) == 8
+
+    # Warm: eight hits.  One compile per workload set (the motivating pair
+    # and the Table 3 pair, four policies each), no engine, no extras, no
+    # pool — and the report the simulations gave.
+    _child(command=["report", str(warm), *options], forbidden=UNUSED_BY_A_HIT, builds=2)
+    assert warm.read_bytes() == cold.read_bytes()
+
+    # --profile on an all-hit run attributes zero cycles: it neither fails
+    # for want of the engine nor quietly simulates to have something to say.
+    _child(
+        command=["report", str(warm), *options, "--profile"],
+        forbidden=ENGINE[:2],
+        prints=[r"total cycles +0\n", r"interpreted +0 "],
+    )
+    assert warm.read_bytes() == cold.read_bytes()
+    assert sorted(path.name for path in (tmp_path / "cache").glob("*.pkl")) == entries
+
+
+def test_non_simulating_commands_stay_light(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    for command in (["cache", "stats"], ["area"]):
+        _child(command=command, forbidden=["numpy", *UNUSED_BY_A_HIT])
+
+
+def test_worker_pool_loads_the_engine_before_it_forks():
+    """Daemon workers inherit the engine; none imports it for itself."""
+    run_fresh_python(
+        """
+import sys
+from repro.service.workers import WorkerPool
+assert "repro.core.machine" not in sys.modules
+pool = WorkerPool(workers=1)
+pool.start()
+try:
+    assert "repro.core.machine" in sys.modules
+finally:
+    pool.stop()
+"""
+    )
