@@ -22,12 +22,11 @@ Simulation commands accept these runtime options:
     Disable the persistent cache for this invocation.
 ``--profile``
     After the command, print how the simulated cycles were covered:
-    interpreted cycle-by-cycle, skipped by the idle fast-forward, or
-    replayed from steady-loop templates — plus per-component busy /
-    idle-stepped / asleep cycle counts.  Only runs simulated in *this*
-    process are counted — cached results and ``--jobs N`` worker
-    processes contribute nothing, so use ``--jobs 1 --no-cache`` for a
-    complete attribution.
+    interpreted cycle-by-cycle or skipped by the idle fast-forward —
+    plus per-component busy / idle-stepped / asleep cycle counts.  Only
+    runs simulated in *this* process are counted — cached results and
+    ``--jobs N`` worker processes contribute nothing, so use
+    ``--jobs 1 --no-cache`` for a complete attribution.
 ``--audit``
     Enable runtime invariant auditing (sets ``REPRO_AUDIT`` so worker
     processes inherit it): every simulated cycle cross-checks lane
@@ -85,10 +84,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="print simulated-cycle attribution (interpreted vs "
-        "fast-forwarded vs loop-replayed, plus per-component busy/asleep "
-        "counts) after the command; only runs "
-        "simulated in this process are counted, so combine with --jobs 1 "
-        "(and --no-cache) for a complete picture",
+        "fast-forwarded, plus per-component busy/asleep counts) after the "
+        "command; only runs simulated in this process are counted, so "
+        "combine with --jobs 1 (and --no-cache) for a complete picture",
     )
     runtime.add_argument(
         "--audit",
@@ -552,7 +550,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if getattr(args, "profile", False):
-        from repro.core.replay import GLOBAL_PROFILE
+        from repro.core.result import GLOBAL_PROFILE
 
         print()
         print(GLOBAL_PROFILE.report())

@@ -20,16 +20,14 @@ cycle into two passes:
 
 **Scalar fallback.**  The plan/apply split is only valid when nothing an
 accepted entry does can change a *later* planning decision within the same
-scan.  Three situations break that and fall back to the reference per-entry
+scan.  Two situations break that and fall back to the reference per-entry
 loop for the whole core-cycle (counted, and attributed in ``--profile``):
 
 * a **zero-byte memory access** — the only zero-latency completion in the
   machine; it can wake a younger dependant mid-scan, which the reference
   loop observes by rebuilding its candidate list;
 * a **sub-cycle compute latency** (``compute_latency < 1``), which would
-  open the same mid-scan wake for computes;
-* an active **loop-replay recorder**, whose template wants the per-entry
-  ``on_dispatch``/``on_commit`` event stream in reference order.
+  open the same mid-scan wake for computes.
 
 The backend is the fast engine's dispatch path and is bit-identical to
 the reference engine's per-uop loop under every sharing mode — the
@@ -98,8 +96,6 @@ class BatchExecutor:
             if coproc.core_active[core]:
                 coproc.metrics.on_stall(core, StallReason.EMPTY, cycle)
             return 0
-        if coproc.recorder is not None:
-            return self._fallback(core, budget, cycle, "recorder")
         if not self._latency_safe:
             return self._fallback(core, budget, cycle, "sub-cycle-latency")
         scan = pool.ready_dispatchable(cycle)

@@ -102,9 +102,6 @@ class CoProcessor:
         self._all_awake = [True] * num_cores
         self._seq = 0
         self._rotate = 0
-        #: Loop-replay template recorder (see :mod:`repro.core.replay`);
-        #: when set, dispatch/commit/EM-SIMD events are mirrored into it.
-        self.recorder = None
         #: Tickless-scheduler callback: invoked with the current cycle when a
         #: CTS ownership switch fires while components are asleep, so the
         #: machine can settle and wake them *before* the dispatch phase runs
@@ -220,20 +217,17 @@ class CoProcessor:
             core_events = [0] * self.config.num_cores
             active = self._every_core
         events = 0
-        recorder = self.recorder
         for core in active:
             if not awake[core]:
                 continue
             self.lsus[core].on_cycle(cycle)
-            if self._batch is not None and recorder is None:
+            if self._batch is not None:
                 committed = self._batch.commit_core(core, cycle)
             else:
                 committed = 0
                 for entry in self.pools[core].commit_ready(cycle, COMMIT_WIDTH):
                     if entry.holds_phys_reg:
                         self.renamer.release(core)
-                    if recorder is not None:
-                        recorder.on_commit(core, entry)
                     committed += 1
             core_events[core] += committed
             events += committed
@@ -268,8 +262,6 @@ class CoProcessor:
             head.state = EntryState.DONE
             head.complete_cycle = cycle + 1
             pool.on_issue(head, cycle)
-            if self.recorder is not None:
-                self.recorder.on_emsimd()
             core_events[core] += 1
             events += 1
         return events
@@ -350,10 +342,6 @@ class CoProcessor:
             self._cts_until = cycle + penalty + self.config.vector.cts_quantum
             self._cts_blocked_until = cycle + penalty
             self.cts_switches += 1
-            if self.recorder is not None:
-                self.recorder.on_cts_switch(
-                    self._cts_owner, self._cts_until, self._cts_blocked_until
-                )
         if cycle < self._cts_blocked_until:
             return None  # draining/restoring contexts
         return self._cts_owner
@@ -473,8 +461,6 @@ class CoProcessor:
                 budget["compute"] -= 1
                 woke_now = pool.on_issue(entry, cycle)
                 self.metrics.on_compute_dispatch(core, entry.vl_lanes, entry.flops, cycle)
-                if self.recorder is not None:
-                    self.recorder.on_dispatch(core, entry)
                 dispatched += 1
             elif entry.kind in (EntryKind.LOAD, EntryKind.STORE):
                 if budget["ldst"] <= 0:
@@ -495,8 +481,6 @@ class CoProcessor:
                 budget["ldst"] -= 1
                 woke_now = pool.on_issue(entry, cycle)
                 self.metrics.on_ldst_dispatch(core, entry.vl_lanes, entry.nbytes, cycle)
-                if self.recorder is not None:
-                    self.recorder.on_dispatch(core, entry)
                 dispatched += 1
             else:  # EM-SIMD entries never appear (dispatchable() stops there)
                 raise SimulationError("EM-SIMD instruction in dispatch scan")

@@ -92,9 +92,8 @@ class InstructionPool:
     :meth:`ready_dispatchable` instead of re-scanning the full window every
     cycle.  It also keeps a min-heap of issued entries' completion cycles,
     so :meth:`next_completion` costs O(log n) instead of a window scan.
-    Any code path that mutates entries behind the index's back
-    (speculative rollback, replay commits, snapshot restore) must call
-    :meth:`mark_dirty`; the next indexed read rebuilds both from scratch.
+    Both are fed only by :meth:`push`, :meth:`on_issue` and
+    :meth:`commit_ready`: an entry's state must not change behind them.
     """
 
     def __init__(self, core_id: int, capacity: int, indexed: bool = False) -> None:
@@ -106,7 +105,6 @@ class InstructionPool:
         self.transmitted = 0
         self.committed = 0
         self._indexed = indexed
-        self._dirty = True
         self._by_seq: Dict[int, DynamicInstruction] = {}
         self._dep_waiters: Dict[int, List[DynamicInstruction]] = {}
         self._pending_deps: Dict[int, int] = {}
@@ -124,9 +122,8 @@ class InstructionPool:
         #: cannot trust it and rebuilds.
         self._pruned_to: float = -1.0
         #: Optional ``(core_id, busy)`` callback fired on every 0↔non-zero
-        #: occupancy transition (and idempotently on restore), so the
-        #: co-processor can keep a busy-pool set instead of scanning every
-        #: pool per cycle for CTS arbitration.
+        #: occupancy transition, so the co-processor can keep a busy-pool
+        #: set instead of scanning every pool per cycle for CTS arbitration.
         self.on_occupancy = None
 
     def __len__(self) -> int:
@@ -148,7 +145,7 @@ class InstructionPool:
         self.transmitted += 1
         if self.on_occupancy is not None and len(self._entries) == 1:
             self.on_occupancy(self.core_id, True)
-        if self._indexed and not self._dirty:
+        if self._indexed:
             self._by_seq[entry.seq] = entry
             if entry.is_emsimd:
                 self._emsimd_seqs.append(entry.seq)
@@ -173,8 +170,8 @@ class InstructionPool:
         the reference engine's body (and the heap's property-test oracle).
         """
         if self._indexed:
-            if self._dirty or cycle < self._pruned_to:
-                self._rebuild()
+            if cycle < self._pruned_to:
+                self._rebuild_completions()
             heap = self._prune_completions(cycle)
             return heap[0] if heap else None
         nxt: Optional[float] = None
@@ -219,7 +216,7 @@ class InstructionPool:
         self.committed += count
         if not entries and self.on_occupancy is not None:
             self.on_occupancy(self.core_id, False)
-        if self._indexed and not self._dirty:
+        if self._indexed:
             for entry in committed:
                 self._by_seq.pop(entry.seq, None)
                 self._dep_waiters.pop(entry.seq, None)
@@ -234,20 +231,6 @@ class InstructionPool:
     # ------------------------------------------------------------------
     # Ready-set index (incremental dispatch candidates)
     # ------------------------------------------------------------------
-
-    def mark_dirty(self) -> None:
-        """Invalidate the ready-set index after an out-of-band mutation."""
-        self._dirty = True
-
-    def pop_head_for_replay(self) -> DynamicInstruction:
-        """Pop the head entry during a replayed commit (bypasses width/time
-        checks — the template already proved them) and invalidate the index."""
-        self._dirty = True
-        self.committed += 1
-        entry = self._entries.pop(0)
-        if not self._entries and self.on_occupancy is not None:
-            self.on_occupancy(self.core_id, False)
-        return entry
 
     def _prune_completions(self, cycle: float) -> List[float]:
         """Drop completion cycles at or before ``cycle`` (completed, and
@@ -269,7 +252,7 @@ class InstructionPool:
         hit) enables younger entries within the same dispatch scan, so the
         caller must refresh its candidate list mid-scan.
         """
-        if not self._indexed or self._dirty:
+        if not self._indexed:
             return False
         # Pruning on every push keeps the heap within the window size even
         # when nothing ever asks for the next completion (FTS never sleeps).
@@ -306,8 +289,6 @@ class InstructionPool:
         Invariant (property-tested): equals
         ``[e for e in self.dispatchable() if e.ready(cycle)]``.
         """
-        if self._dirty:
-            self._rebuild()
         heap = self._wake_heap
         ready = self._ready_seqs
         while heap and heap[0][0] <= cycle:
@@ -330,11 +311,6 @@ class InstructionPool:
             if entry is None or entry.state is not EntryState.WAITING:
                 stale.append(seq)
                 continue
-            if not entry.ready(cycle):
-                # A producer was rewound without a dirty mark; rebuild from
-                # scratch rather than trust the stale wake cycle.
-                self._dirty = True
-                return self.ready_dispatchable(cycle)
             out.append(entry)
         for seq in stale:
             ready.remove(seq)
@@ -348,8 +324,6 @@ class InstructionPool:
         zero-dispatch path the reference scan's stall attribution anchor
         (whose reason leads the age-order scan) without walking the window.
         """
-        if self._dirty:
-            self._rebuild()
         barrier = self._emsimd_seqs[0] if self._emsimd_seqs else None
         waiting = self._waiting_seqs
         while waiting:
@@ -380,58 +354,19 @@ class InstructionPool:
         if pending == 0:
             heappush(self._wake_heap, (wake, entry.seq))
 
-    def _rebuild(self) -> None:
-        self._by_seq = {e.seq: e for e in self._entries}
-        self._dep_waiters = {}
-        self._pending_deps = {}
-        self._wake_at = {}
-        self._wake_heap = []
-        self._ready_seqs = []
-        self._waiting_seqs = []
-        self._emsimd_seqs = deque(e.seq for e in self._entries if e.is_emsimd)
-        self._completions = []
-        self._pruned_to = -1.0
-        for entry in self._entries:
-            if entry.state is not EntryState.WAITING:
-                self._completions.append(entry.complete_cycle)
-            elif not entry.is_emsimd:
-                self._register(entry)
+    def _rebuild_completions(self) -> None:
+        """Refill the completion heap from the window (a query went back
+        past what the heap was pruned to)."""
+        self._completions = [
+            entry.complete_cycle
+            for entry in self._entries
+            if entry.state is not EntryState.WAITING
+        ]
         heapify(self._completions)
-        self._dirty = False
-
-    def snapshot(self) -> tuple:
-        """Capture window state for speculative execution.
-
-        Saves the entry list plus the three mutable progress fields of every
-        entry currently in flight; entries pushed *after* the snapshot are
-        dropped wholesale on restore, entries already in flight get their
-        progress rewound.
-        """
-        return (
-            list(self._entries),
-            [(e.state, e.complete_cycle, e.holds_phys_reg) for e in self._entries],
-            self.transmitted,
-            self.committed,
-        )
-
-    def restore(self, snap: tuple) -> None:
-        """Rewind to a :meth:`snapshot` (aborted speculative execution)."""
-        entries, fields, transmitted, committed = snap
-        self._entries = list(entries)
-        if self.on_occupancy is not None:
-            # Idempotent: the busy-set callback adds/discards, so simply
-            # reasserting the restored occupancy is always correct.
-            self.on_occupancy(self.core_id, bool(self._entries))
-        for entry, (state, complete_cycle, holds) in zip(self._entries, fields):
-            entry.state = state
-            entry.complete_cycle = complete_cycle
-            entry.holds_phys_reg = holds
-        self.transmitted = transmitted
-        self.committed = committed
-        self._dirty = True
+        self._pruned_to = -1.0
 
     def pending_emsimd(self) -> int:
         """Number of EM-SIMD instructions still in flight (for MRS sync)."""
-        if self._indexed and not self._dirty:
+        if self._indexed:
             return len(self._emsimd_seqs)
         return sum(1 for e in self._entries if e.is_emsimd)

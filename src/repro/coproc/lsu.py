@@ -99,41 +99,6 @@ class LoadStoreUnit:
         """Housekeeping: retire completed stores from the STQ model."""
         self._drain_stores(cycle)
 
-    def snapshot(self) -> tuple:
-        """Capture MOB/STQ/statistics state for speculative execution.
-
-        The shared memory hierarchy is *not* included — callers wrap it in
-        its own transaction (it is shared across all cores' LSUs).
-        """
-        return (
-            self.mob.snapshot(),
-            tuple(self._store_completions),
-            (
-                self.stats.loads,
-                self.stats.stores,
-                self.stats.bytes_loaded,
-                self.stats.bytes_stored,
-                self.stats.vec_cache_hits,
-                self.stats.l2_hits,
-                self.stats.dram_accesses,
-            ),
-        )
-
-    def restore(self, snap: tuple) -> None:
-        """Rewind to a :meth:`snapshot` (aborted speculative execution)."""
-        mob_snap, completions, stats = snap
-        self.mob.restore(mob_snap)
-        self._store_completions = deque(completions)
-        (
-            self.stats.loads,
-            self.stats.stores,
-            self.stats.bytes_loaded,
-            self.stats.bytes_stored,
-            self.stats.vec_cache_hits,
-            self.stats.l2_hits,
-            self.stats.dram_accesses,
-        ) = stats
-
     def next_store_retire(self, cycle: float) -> Optional[float]:
         """Earliest future cycle a queued store retires (frees an STQ slot).
 

@@ -105,9 +105,6 @@ class Metrics:
             [] for _ in range(num_cores)
         ]
         self._journal_touched: List[int] = []
-        #: Loop-replay template recorder (see :mod:`repro.core.replay`);
-        #: when set, stall/overhead events are mirrored into the template.
-        self.recorder = None
 
     # --- co-processor events --------------------------------------------
 
@@ -172,8 +169,6 @@ class Metrics:
         self.stalls[core][reason] += 1
         if self._journal_armed:
             self._journal_append(core, ("stall", core, reason))
-        if self.recorder is not None:
-            self.recorder.on_stall(core, reason)
 
     def on_lane_change(self, core: int, lanes: int, cycle: int) -> None:
         self.lane_timeline[core].record(cycle, lanes)
@@ -203,8 +198,6 @@ class Metrics:
             self.reconfig_cycles[core] += 1
         if self._journal_armed:
             self._journal_append(core, ("overhead", core, kind))
-        if self.recorder is not None:
-            self.recorder.on_overhead(core, kind)
 
     # --- idle-cycle fast-forward support ----------------------------------
 
@@ -299,57 +292,6 @@ class Metrics:
     def on_sleep_span(self, core: int, start_cycle: int, end_cycle: int) -> None:
         """Record that ``core``'s complex slept over ``[start, end)``."""
         self.sleep_series[core].add_range(start_cycle, end_cycle, 1.0)
-
-    def snapshot(self) -> tuple:
-        """Capture every counter the loop replay can touch.
-
-        The replay never executes EM-SIMD instructions, so phase markers,
-        lane timelines, reconfig counters and core-done records cannot
-        change; open :class:`PhaseRecord` s *do* accumulate uop counts and
-        are saved field-wise (records are shared by reference with
-        :attr:`phases`).
-        """
-        return (
-            self.busy_pipe_slots,
-            list(self.compute_uops),
-            list(self.ldst_uops),
-            list(self.flops),
-            [dict(s) for s in self.stalls],
-            list(self.monitor_cycles),
-            list(self.reconfig_cycles),
-            [(s._sums.copy(), s._counts.copy()) for s in self.busy_lanes_series],
-            [
-                (p, p.compute_uops, p.ldst_uops)
-                for p in self._open_phase
-                if p is not None
-            ],
-        )
-
-    def restore(self, snap: tuple) -> None:
-        """Rewind to a :meth:`snapshot` (aborted loop replay)."""
-        (
-            self.busy_pipe_slots,
-            compute_uops,
-            ldst_uops,
-            flops,
-            stalls,
-            monitor,
-            reconfig,
-            series,
-            open_phases,
-        ) = snap
-        self.compute_uops = list(compute_uops)
-        self.ldst_uops = list(ldst_uops)
-        self.flops = list(flops)
-        self.stalls = [dict(s) for s in stalls]
-        self.monitor_cycles = list(monitor)
-        self.reconfig_cycles = list(reconfig)
-        for bucket, (sums, counts) in zip(self.busy_lanes_series, series):
-            bucket._sums = list(sums)
-            bucket._counts = list(counts)
-        for record, compute, ldst in open_phases:
-            record.compute_uops = compute
-            record.ldst_uops = ldst
 
     def on_core_done(self, core: int, cycle: int) -> None:
         if self.core_done_cycle[core] is None:

@@ -144,23 +144,6 @@ class Renamer:
         if self.auditor is not None:
             self.auditor.on_renamer(self)
 
-    def snapshot(self) -> tuple:
-        """Capture freelist state for speculative execution."""
-        return (
-            list(self._free),
-            list(self._held),
-            self.allocations,
-            self.failed_allocations,
-        )
-
-    def restore(self, snap: tuple) -> None:
-        """Rewind to a :meth:`snapshot` (aborted speculative execution)."""
-        free, held, allocations, failed = snap
-        self._free = list(free)
-        self._held = list(held)
-        self.allocations = allocations
-        self.failed_allocations = failed
-
     def in_flight(self, core: int) -> int:
         """Registers currently held by in-flight writes of ``core``."""
         return self._held[core]

@@ -18,7 +18,7 @@ from repro.coproc.coprocessor import CoProcessor
 from repro.coproc.metrics import Metrics
 from repro.coproc.sharing import SharingMode
 from repro.core.policies import Policy
-from repro.core.replay import GLOBAL_PROFILE, ReplayController, ReplayProfile
+from repro.core.result import GLOBAL_PROFILE, RunProfile
 from repro.core.result import Job, RunResult  # re-exported: the old import path
 from repro.core.scalar_core import ScalarCore
 from repro.validation.invariants import InvariantAuditor, audit_enabled
@@ -31,11 +31,11 @@ class Machine:
     """A ``config.num_cores``-core system under one sharing policy.
 
     One of two engines runs it, latched at construction.  The default
-    *fast* engine stacks pre-decoded scalar dispatch, steady-loop replay,
-    the tickless event wheel with its active list, batched co-processor
-    dispatch and busy-pool CTS arbitration.  ``reference=True`` selects the
-    seed engine — the ``_exec_*`` interpreter stepped every cycle, no
-    fast-forward, no replay, a full-window per-uop dispatch scan — kept
+    *fast* engine stacks pre-decoded scalar dispatch, the tickless event
+    wheel with its active list, batched co-processor dispatch and
+    busy-pool CTS arbitration.  ``reference=True`` selects the seed
+    engine — the ``_exec_*`` interpreter stepped every cycle, no
+    fast-forward, a full-window per-uop dispatch scan — kept
     solely as the oracle the differential fuzzer diffs the fast engine
     against (:mod:`repro.validation.difftest`).  The two are bit-identical.
     """
@@ -88,14 +88,11 @@ class Machine:
         self._comp_busy: List[int] = [0] * num_cores
         self._comp_idle: List[int] = [0] * num_cores
         self._comp_asleep: List[int] = [0] * num_cores
-        #: Loop-replay template recorder (set by the replay engine while a
-        #: steady-state period is being recorded; see :mod:`repro.core.replay`).
-        self._loop_recorder = None
         self._ff_skipped = 0
         #: Simulated-cycle attribution of the last completed :meth:`run`
         #: (kept off :class:`RunResult` so cached result pickles keep their
         #: shape across cache versions).
-        self.profile: Optional[ReplayProfile] = None
+        self.profile: Optional[RunProfile] = None
         #: Opt-in runtime invariant auditor (``REPRO_AUDIT`` / ``audit=True``);
         #: strictly read-only, so audited runs stay bit-identical.
         self.auditor = None
@@ -140,8 +137,6 @@ class Machine:
                 self._done[core_id] = True
                 self.metrics.on_core_done(core_id, cycle)
                 self.coproc.set_core_active(core_id, False)
-                if self._loop_recorder is not None:
-                    self._loop_recorder.on_core_done()
                 progress += 1
         if self.auditor is not None:
             self.auditor.check_machine(cycle)
@@ -166,7 +161,8 @@ class Machine:
         return min(live) if live else None
 
     def _fast_forward(self, cycle: int, last_progress: int, max_cycles: int) -> int:
-        """Jump the clock over known-idle cycles after a zero-progress step.
+        """Jump the clock over known-idle cycles after a zero-progress step
+        (temporal sharing only: every other mode sleeps per component).
 
         A zero-progress cycle leaves every pool, queue and register table
         untouched, so each elided cycle would repeat exactly the metric
@@ -191,24 +187,16 @@ class Machine:
             self.metrics.replay_idle_cycles(skipped)
             self.coproc.skip_idle_cycles(skipped)
             self._ff_skipped += skipped
-            if self._loop_recorder is not None:
-                # A jump cut short by the deadlock horizon or cycle budget
-                # depends on absolute time and poisons the loop template.
-                self._loop_recorder.on_fast_forward(
-                    skipped, capped=(target != next_event)
-                )
             return cycle + skipped
         return cycle
 
     def run(self, max_cycles: int = 3_000_000) -> RunResult:
         """Simulate until every workload halts and drains."""
+        profile = RunProfile()
         if self.reference:
             cycle = self._run_reference(max_cycles)
-            profile = ReplayProfile()
         else:
-            replay = ReplayController(self)
-            cycle = self._run_fast(max_cycles, replay)
-            profile = replay.profile
+            cycle = self._run_fast(max_cycles)
             batch = self.coproc._batch
             profile.batched_dispatch_calls = batch.batched_calls
             profile.scalar_dispatch_calls = batch.scalar_calls
@@ -216,9 +204,7 @@ class Machine:
         self.metrics.close(cycle)
         profile.total_cycles = cycle
         profile.fastforward_cycles = self._ff_skipped
-        profile.interpreted_cycles = (
-            cycle - self._ff_skipped - profile.replayed_cycles
-        )
+        profile.interpreted_cycles = cycle - self._ff_skipped
         profile.component_busy = list(self._comp_busy)
         profile.component_idle = list(self._comp_idle)
         profile.component_asleep = list(self._comp_asleep)
@@ -264,7 +250,7 @@ class Machine:
 
     # --- the fast engine -----------------------------------------------------
 
-    def _run_fast(self, max_cycles: int, replay: ReplayController) -> int:
+    def _run_fast(self, max_cycles: int) -> int:
         """The tickless run loop: per-component sleep/wake on an event wheel.
 
         A *component* is one core complex — scalar core, instruction pool
@@ -277,16 +263,11 @@ class Machine:
         Sleeping components are skipped by :meth:`CoProcessor.step`; when
         every live component sleeps, the global clock jumps straight to the
         earliest wake.  Temporal sharing (FTS) never sleeps — its shared
-        issue budget and renamer couple the cores every cycle — and no
-        component goes to sleep while the loop-replay controller has a
-        probe pending, records or replays; both fall back to
-        :meth:`_fast_forward`.  Sleepers are woken before the controller
-        runs, except for a probe its gate resolves from state that sleep
-        freezes (:meth:`ReplayController.needs_all_awake`).  The three
-        per-core loops of a cycle walk the sorted *active list* (awake live
-        cores), so a cycle costs O(components with work).  Bit-identical to
-        :meth:`_run_reference` (the differential fuzzer diffs the two
-        engines).
+        issue budget and renamer couple the cores every cycle — and falls
+        back to :meth:`_fast_forward`.  The three per-core loops of a cycle
+        walk the sorted *active list* (awake live cores), so a cycle costs
+        O(components with work).  Bit-identical to :meth:`_run_reference`
+        (the differential fuzzer diffs the two engines).
         """
         from repro.core.scheduling import HierarchicalEventWheel
 
@@ -313,14 +294,6 @@ class Machine:
                         f"simulation exceeded {max_cycles} cycles "
                         f"(policy={self.policy.key})"
                     )
-                if replay.engaged:
-                    if replay.needs_all_awake(cycle):
-                        self._settle_all(cycle)
-                    cycle, last_progress = replay.on_cycle(
-                        cycle, max_cycles, last_progress
-                    )
-                    if cycle >= max_cycles:
-                        continue
                 if self._asleep_count:
                     for component in wheel.due(cycle):
                         self._settle(component, cycle)
@@ -351,14 +324,11 @@ class Machine:
                             f"no forward progress since cycle {last_progress} "
                             f"(policy={self.policy.key})"
                         )
-                    if self._asleep_count == 0 and (
-                        not sleep_allowed or replay.engaged
-                    ):
-                        # Per-component sleep cannot act (FTS coupling or
-                        # an engaged replay controller): fall back to the
-                        # global idle fast-forward.
+                    if not sleep_allowed:
+                        # Per-component sleep cannot act (FTS coupling):
+                        # fall back to the global idle fast-forward.
                         cycle = self._fast_forward(cycle, last_progress, max_cycles)
-                if sleep_allowed and not replay.engaged:
+                if sleep_allowed:
                     for component in tuple(active):
                         if core_events[component]:
                             continue
@@ -407,8 +377,6 @@ class Machine:
                 self._done[core_id] = True
                 self.metrics.on_core_done(core_id, cycle)
                 self.coproc.set_core_active(core_id, False)
-                if self._loop_recorder is not None:
-                    self._loop_recorder.on_core_done()
                 self._live_count -= 1
                 active.remove(core_id)
                 core_events[core_id] += 1

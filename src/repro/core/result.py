@@ -1,4 +1,5 @@
-"""What goes into a simulation and what comes out: :class:`Job`, :class:`RunResult`.
+"""What goes into a simulation and what comes out: :class:`Job`,
+:class:`RunResult`, and the engine's :class:`RunProfile` of the run.
 
 A leaf of the import graph: the cache, the sweep engine and the report
 read and write these without loading the engine that produces them
@@ -9,6 +10,7 @@ entries pickled as ``repro.core.machine.RunResult`` still load).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:
@@ -53,3 +55,96 @@ class RunResult:
         if mine <= 0:
             return float("inf")
         return theirs / mine
+
+
+@dataclass
+class RunProfile:
+    """Simulated-cycle attribution for one run (the ``--profile`` report)."""
+
+    total_cycles: int = 0
+    interpreted_cycles: int = 0
+    fastforward_cycles: int = 0
+    # Always 0: loop replay is deleted, but the frozen ledger
+    # (bench/wl_sim.py::run_counts) still reads these three; they go in the
+    # `benchmark` PR of ROADMAP item 1.
+    replayed_cycles: int = 0
+    templates_built: int = 0
+    replay_aborts: int = 0
+    #: Per-component (core complex) cycle attribution from the tickless
+    #: event-wheel engine: cycles stepped with at least one event, cycles
+    #: stepped with none, and cycles skipped while asleep.  All-zero
+    #: under the reference engine.
+    component_busy: List[int] = field(default_factory=list)
+    component_idle: List[int] = field(default_factory=list)
+    component_asleep: List[int] = field(default_factory=list)
+    #: Batch-execute backend attribution: per-core-cycle dispatch calls
+    #: handled by the opcode-grouped plan/apply path vs. routed through the
+    #: scalar per-entry fallback, and uops issued via groups.  All-zero
+    #: under the reference engine.
+    batched_dispatch_calls: int = 0
+    scalar_dispatch_calls: int = 0
+    batched_uops: int = 0
+
+    def merge(self, other: "RunProfile") -> None:
+        self.total_cycles += other.total_cycles
+        self.interpreted_cycles += other.interpreted_cycles
+        self.fastforward_cycles += other.fastforward_cycles
+        self.batched_dispatch_calls += other.batched_dispatch_calls
+        self.scalar_dispatch_calls += other.scalar_dispatch_calls
+        self.batched_uops += other.batched_uops
+        self.component_busy = _merge_padded(self.component_busy, other.component_busy)
+        self.component_idle = _merge_padded(self.component_idle, other.component_idle)
+        self.component_asleep = _merge_padded(
+            self.component_asleep, other.component_asleep
+        )
+
+    def report(self) -> str:
+        """Human-readable attribution table."""
+        total = max(1, self.total_cycles)
+
+        def pct(part: int) -> str:
+            return f"{100.0 * part / total:5.1f}%"
+
+        lines = [
+            "simulated-cycle attribution:",
+            f"  total cycles        {self.total_cycles:>12}",
+            f"  interpreted         {self.interpreted_cycles:>12}  {pct(self.interpreted_cycles)}",
+            f"  fast-forwarded      {self.fastforward_cycles:>12}  {pct(self.fastforward_cycles)}",
+        ]
+        if any(self.component_busy) or any(self.component_asleep):
+            lines.append("per-component stepped cycles (event-wheel engine):")
+            for core in range(len(self.component_busy)):
+                busy = self.component_busy[core]
+                idle = self.component_idle[core]
+                asleep = (
+                    self.component_asleep[core]
+                    if core < len(self.component_asleep)
+                    else 0
+                )
+                lines.append(
+                    f"  core {core}   busy {busy:>12}  idle-stepped {idle:>12}"
+                    f"  asleep {asleep:>12}"
+                )
+        if self.batched_dispatch_calls or self.scalar_dispatch_calls:
+            calls = max(1, self.batched_dispatch_calls + self.scalar_dispatch_calls)
+            share = 100.0 * self.batched_dispatch_calls / calls
+            lines.append("batch-execute backend (per-core dispatch calls):")
+            lines.append(
+                f"  batched             {self.batched_dispatch_calls:>12}  {share:5.1f}%"
+            )
+            lines.append(
+                f"  scalar fallback     {self.scalar_dispatch_calls:>12}"
+            )
+            lines.append(f"  uops in groups      {self.batched_uops:>12}")
+        return "\n".join(lines)
+
+
+def _merge_padded(mine: List[int], theirs: List[int]) -> List[int]:
+    """Element-wise sum, padding the shorter list with zeros."""
+    return [a + b for a, b in zip_longest(mine, theirs, fillvalue=0)]
+
+
+#: Process-wide aggregate over every completed run (CLI ``--profile``).
+#: Sweeps fanned out over worker processes contribute only the runs that
+#: executed in this process.
+GLOBAL_PROFILE = RunProfile()

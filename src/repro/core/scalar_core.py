@@ -215,14 +215,6 @@ class ScalarCore:
         #: Execute through the seed interpreter instead of the decoded
         #: handlers (the differential oracle).
         self.reference = reference
-        #: Replay hooks: ``on_backedge(core_id, from_pc, target_pc, cycle)``
-        #: fires when a taken branch jumps backwards; ``recorder`` (when
-        #: set) receives an ``on_exec`` call per retired instruction.
-        self.on_backedge: Optional[Callable[[int, int, int, int], None]] = None
-        self.recorder = None
-        #: Undo journal armed by the replay engine: when set, in-place
-        #: memory-image writes append ``(array, index, old_slice)``.
-        self._undo_log: Optional[List[Tuple[np.ndarray, int, np.ndarray]]] = None
         #: Pre-decoded dispatch table, one entry per instruction
         #: (``None`` for labels); `step` walks it under both engines.
         self.decoded: List[Optional[DecodedInstr]] = [
@@ -323,7 +315,6 @@ class ScalarCore:
         stall_kind: Optional[str] = None
         decoded = self.decoded
         reference = self.reference
-        recorder = self.recorder
         while slots > 0 and not self.halted:
             d = decoded[self.pc]
             if d is None:  # label: occupies no slot
@@ -342,18 +333,8 @@ class ScalarCore:
             # overhead attribution — for branches too (the branch *target*
             # is where execution resumes, not what retired this cycle).
             retired_indices.append(self.pc)
-            if recorder is not None:
-                recorder.on_exec(
-                    self.core_id,
-                    self.pc,
-                    outcome,
-                    self._branch_target if outcome == "branch" else 0,
-                )
             if outcome == "branch":
-                target = self._branch_target
-                if target <= self.pc and self.on_backedge is not None:
-                    self.on_backedge(self.core_id, self.pc, target, cycle)
-                self.pc = target
+                self.pc = self._branch_target
             else:
                 self.pc += 1
             slots -= 1
@@ -379,51 +360,6 @@ class ScalarCore:
                 self.metrics.on_overhead_cycle(self.core_id, "reconfig")
             else:
                 self.metrics.on_overhead_cycle(self.core_id, "monitor")
-
-    # --- replay support ----------------------------------------------------
-
-    def replay_snapshot(self) -> tuple:
-        """Cheap copy of every mutable field the replay engine may touch."""
-        return (
-            self.pc,
-            self.halted,
-            self.retired,
-            self.retired_vector,
-            dict(self.regs),
-            dict(self.vregs),
-            dict(self.pregs),
-            dict(self._last_writer),
-            dict(self._pending_scalar),
-        )
-
-    def replay_restore(self, snap: tuple) -> None:
-        """Undo to a :meth:`replay_snapshot` state (aborted replay).
-
-        The register dictionaries are restored *in place*: decoded handler
-        closures captured the dict objects at construction, so rebinding
-        the attributes would leave the handlers writing into orphans.
-        """
-        (
-            self.pc,
-            self.halted,
-            self.retired,
-            self.retired_vector,
-            regs,
-            vregs,
-            pregs,
-            last_writer,
-            pending,
-        ) = snap
-        self.regs.clear()
-        self.regs.update(regs)
-        self.vregs.clear()
-        self.vregs.update(vregs)
-        self.pregs.clear()
-        self.pregs.update(pregs)
-        self._last_writer.clear()
-        self._last_writer.update(last_writer)
-        self._pending_scalar.clear()
-        self._pending_scalar.update(pending)
 
     # --- instruction pre-decoding -------------------------------------------
 
@@ -746,10 +682,6 @@ class ScalarCore:
             if value is _STALL:
                 return "stall", None
             if active > 0:
-                if self._undo_log is not None:
-                    self._undo_log.append(
-                        (array, index, array[index : index + active].copy())
-                    )
                 array[index : index + active] = value[:active]
             entry = DynamicInstruction(
                 seq=coproc.next_seq(),
@@ -1029,10 +961,6 @@ class ScalarCore:
         if value is _STALL:
             return "stall", None
         if active > 0:
-            if self._undo_log is not None:
-                self._undo_log.append(
-                    (array, index, array[index : index + active].copy())
-                )
             array[index : index + active] = value[:active]
         dep_names = (instr.src.name,) + ((instr.pred.name,) if instr.pred else ())
         entry = DynamicInstruction(

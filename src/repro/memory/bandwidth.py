@@ -40,14 +40,6 @@ class BandwidthRegulator:
             self.auditor.on_bandwidth_serve(self, nbytes, earliest_cycle, start, finish)
         return finish
 
-    def snapshot(self) -> tuple:
-        """Capture queue/statistics state for speculative execution."""
-        return (self._next_free, self.bytes_served, self.requests_served)
-
-    def restore(self, snap: tuple) -> None:
-        """Rewind to a :meth:`snapshot` (aborted speculative execution)."""
-        self._next_free, self.bytes_served, self.requests_served = snap
-
     def busy_until(self) -> float:
         """Cycle at which all currently queued traffic completes."""
         return self._next_free

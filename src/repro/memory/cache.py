@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.common.config import CacheConfig
 
@@ -50,39 +50,9 @@ class Cache:
         self._sets: List["OrderedDict[int, bool]"] = [
             OrderedDict() for _ in range(self._num_sets)
         ]
-        #: Lazy undo journal for speculative execution (loop replay): when
-        #: armed, the first mutation of each set saves a pre-image so an
-        #: aborted transaction can restore tags and LRU order exactly.
-        self._txn_log: Optional[Dict[int, "OrderedDict[int, bool]"]] = None
-        self._txn_stats: Optional[Tuple[int, int, int]] = None
 
     def _set_for(self, line_addr: int) -> "OrderedDict[int, bool]":
-        index = (line_addr // self._line_bytes) % self._num_sets
-        log = self._txn_log
-        if log is not None and index not in log:
-            log[index] = self._sets[index].copy()
-        return self._sets[index]
-
-    # --- speculative-execution transactions --------------------------------
-
-    def begin_txn(self) -> None:
-        """Arm the undo journal; mutations until commit/abort are revocable."""
-        self._txn_log = {}
-        self._txn_stats = (self.stats.hits, self.stats.misses, self.stats.writebacks)
-
-    def commit_txn(self) -> None:
-        """Keep every mutation made since :meth:`begin_txn`."""
-        self._txn_log = None
-        self._txn_stats = None
-
-    def abort_txn(self) -> None:
-        """Restore tags, LRU order and stats to the :meth:`begin_txn` state."""
-        assert self._txn_log is not None and self._txn_stats is not None
-        for index, pre_image in self._txn_log.items():
-            self._sets[index] = pre_image
-        self.stats.hits, self.stats.misses, self.stats.writebacks = self._txn_stats
-        self._txn_log = None
-        self._txn_stats = None
+        return self._sets[(line_addr // self._line_bytes) % self._num_sets]
 
     def line_of(self, addr: int) -> int:
         """The line-aligned address containing byte ``addr``."""

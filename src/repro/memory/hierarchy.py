@@ -112,36 +112,3 @@ class VectorMemorySystem:
         self.vec_cache_bw.reset()
         self.l2_bw.reset()
         self.dram_bw.reset()
-
-    # --- speculative-execution transactions --------------------------------
-
-    def begin_txn(self) -> None:
-        """Make subsequent accesses revocable (loop-replay speculation).
-
-        Cache tag/LRU mutations are journalled lazily per set; the three
-        bandwidth regulators are tiny and snapshotted whole.
-        """
-        self.vec_cache.begin_txn()
-        self.l2.begin_txn()
-        self._bw_snap = (
-            self.vec_cache_bw.snapshot(),
-            self.l2_bw.snapshot(),
-            self.dram_bw.snapshot(),
-        )
-
-    def commit_txn(self) -> None:
-        """Keep every access made since :meth:`begin_txn`."""
-        self.vec_cache.commit_txn()
-        self.l2.commit_txn()
-        self._bw_snap = None
-
-    def abort_txn(self) -> None:
-        """Rewind tags, LRU order, stats and queued traffic to
-        :meth:`begin_txn`."""
-        self.vec_cache.abort_txn()
-        self.l2.abort_txn()
-        vc, l2, dram = self._bw_snap
-        self.vec_cache_bw.restore(vc)
-        self.l2_bw.restore(l2)
-        self.dram_bw.restore(dram)
-        self._bw_snap = None

@@ -64,18 +64,6 @@ class MemoryOrderingBuffer:
             _Entry(start=addr, end=addr + nbytes, complete_cycle=complete_cycle, is_store=is_store)
         )
 
-    def snapshot(self) -> tuple:
-        """Capture buffer state for speculative execution.
-
-        ``_Entry`` records are never mutated after insertion (only created
-        and pruned), so a shallow list copy is an exact pre-image.
-        """
-        return (list(self._entries), self.conflicts_detected)
-
-    def restore(self, snap: tuple) -> None:
-        """Rewind to a :meth:`snapshot` (aborted speculative execution)."""
-        self._entries, self.conflicts_detected = snap
-
     def outstanding(self, cycle: float) -> int:
         """Number of regions still incomplete at ``cycle``."""
         self._prune(cycle)

@@ -2,9 +2,9 @@
 
 The simulator has two engines (see :class:`~repro.core.machine.Machine`):
 the default *fast* engine — pre-decoded scalar dispatch, idle fast-forward,
-steady-loop replay, the tickless event wheel, batched co-processor
-dispatch, busy-pool CTS arbitration — and the *reference* engine, the seed
-interpreter stepped cycle by cycle.  They are promised bit-identical.
+the tickless event wheel, batched co-processor dispatch, busy-pool CTS
+arbitration — and the *reference* engine, the seed interpreter stepped
+cycle by cycle.  They are promised bit-identical.
 This module generates randomized multi-phase co-running programs, runs
 each through both engines under every sharing mode, and diffs the complete
 run fingerprint (architectural memory state, metrics, lane timelines,
@@ -13,10 +13,9 @@ turned on the simulator itself: one model, validated against one
 reference.
 
 One fast stack means a mechanism can go unexercised without anyone
-noticing — starved by a layer above it, or never reached by the cases (the
-historical short trips never got to loop replay) — so :class:`FuzzReport`
-also sums the fast runs' mechanism counters; a sweep in which any
-mechanism saw no traffic proves nothing about it.
+noticing — starved by a layer above it, or never reached by the cases —
+so :class:`FuzzReport` also sums the fast runs' mechanism counters; a
+sweep in which any mechanism saw no traffic proves nothing about it.
 
 Cases are described by :class:`CaseSpec`, an explicit per-phase
 instruction mix (not an opaque RNG trace), so the shrinker in
@@ -35,7 +34,7 @@ from repro.compiler.ir import Kernel
 from repro.compiler.pipeline import CompileOptions, build_image, compile_kernel
 from repro.core.machine import Job, Machine
 from repro.core.policies import policy
-from repro.core.replay import ReplayProfile
+from repro.core.result import RunProfile
 from repro.validation.fingerprint import (
     describe_divergence,
     diff_fingerprints,
@@ -55,17 +54,6 @@ DEFAULT_POLICIES: Tuple[str, ...] = ("occamy", "fts", "cts")
 #: footprints still split across residency classes under the scaled caches.
 STREAMING_TRIPS = (192, 320, 512)
 RESIDENT_TRIPS = (96, 160, 256)
-
-#: Loop replay records a template only after tens of identical iterations,
-#: which the short trips above never reach (a 300-seed sweep replayed zero
-#: cycles).  So every ``LONG_SEED_STRIDE``-th seed is a *long* case: one
-#: core's trips are stretched by ``LONG_TRIP_FACTOR`` per core of the
-#: machine (an iteration covers up to the whole lane pool, which grows
-#: with the core count).  Its co-runners stay short, so the case costs one
-#: core's solo tail — and replay is exercised both against live
-#: co-runners and alone.
-LONG_SEED_STRIDE = 8
-LONG_TRIP_FACTOR = 16
 
 
 @dataclass(frozen=True)
@@ -136,15 +124,9 @@ def generate_case(seed: int, num_cores: int = 2) -> CaseSpec:
     mass on the flipped and mixed shapes that same-class co-runners and
     multi-phase workloads are exercised too.  For ``num_cores=2`` the draw
     sequence is byte-identical to the historical two-core generator, so
-    existing regression seeds keep reproducing the same cases (long seeds
-    only scale the drawn trips; see :data:`LONG_SEED_STRIDE`).
+    existing regression seeds keep reproducing the same cases.
     """
     rng = random.Random(seed)
-    long_core = (
-        (seed // LONG_SEED_STRIDE) % num_cores
-        if seed % LONG_SEED_STRIDE == LONG_SEED_STRIDE - 1
-        else None
-    )
     cores: List[Tuple[PhaseSpec, ...]] = []
     for core in range(num_cores):
         phases: List[PhaseSpec] = []
@@ -160,8 +142,6 @@ def generate_case(seed: int, num_cores: int = 2) -> CaseSpec:
                 counts = solve_counts(oi)
                 trip = rng.choice(RESIDENT_TRIPS)
                 repeats = rng.randint(1, 3)
-            if core == long_core:
-                trip *= LONG_TRIP_FACTOR * num_cores
             phases.append(
                 PhaseSpec(
                     comp=counts.comp,
@@ -259,7 +239,7 @@ def check_case(
     config: Optional[MachineConfig] = None,
     max_cycles: int = 3_000_000,
     audit: Optional[bool] = None,
-    profile: Optional[ReplayProfile] = None,
+    profile: Optional[RunProfile] = None,
 ) -> List[Divergence]:
     """Diff the fast engine against the reference engine, per policy.
 
@@ -301,7 +281,7 @@ class FuzzReport:
     runs: int
     divergences: List[Divergence]
     #: Sum of every fast run's ``Machine.profile``.
-    profile: ReplayProfile = field(default_factory=ReplayProfile)
+    profile: RunProfile = field(default_factory=RunProfile)
 
     @property
     def clean(self) -> bool:
@@ -316,15 +296,10 @@ class FuzzReport:
         profile = self.profile
         return {
             "interpreted cycles": profile.interpreted_cycles,
-            "replayed cycles": profile.replayed_cycles,
             "fast-forwarded cycles": profile.fastforward_cycles,
             "component-asleep cycles": sum(profile.component_asleep),
             "batched dispatch calls": profile.batched_dispatch_calls,
             "scalar dispatch calls": profile.scalar_dispatch_calls,
-            "templates built": profile.templates_built,
-            "replay aborts": profile.replay_aborts,
-            "probes gated": profile.probes_gated,
-            "probes full": profile.probes_full,
         }
 
     @property

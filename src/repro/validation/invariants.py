@@ -13,8 +13,6 @@ construction and re-checks the co-processor's structural invariants —
 * **physical-register leak-freedom**: each core's renamer hold count
   equals the number of in-flight pool entries holding a physical
   register, and every freelist stays within ``[0, capacity]``;
-* **replay-template/live-state agreement**: after every committed loop-
-  replay period the full machine audit re-runs on the replayed state;
 * **bandwidth accounting**: every per-level regulator serves requests at
   or after their arrival, advances its queue monotonically within a
   request, and keeps its counters consistent.
@@ -44,8 +42,7 @@ class InvariantAuditor:
     Construction installs the auditor on the machine's lane table,
     renamer, LSUs and bandwidth regulators (their per-call hooks), and
     :meth:`check_machine` runs the full structural audit — called by
-    ``Machine.step`` every simulated cycle and by the replay engine at
-    every committed period boundary.
+    ``Machine.step`` every simulated cycle.
     """
 
     def __init__(self, machine) -> None:
@@ -153,25 +150,12 @@ class InvariantAuditor:
     # --- full-machine audit -------------------------------------------------
 
     def check_machine(self, cycle: int) -> None:
-        """The end-of-cycle structural audit (also run at replay commits)."""
+        """The end-of-cycle structural audit."""
         self.checks += 1
         self._check_lanes()
         self._check_pools(cycle)
         self._check_renamer_leaks()
         self._check_bandwidth()
-
-    def check_replay_commit(self, cycle: int, template) -> None:
-        """Audit the live state a committed replay period left behind.
-
-        The replay engine verified every templated event against the live
-        machine while applying the period; this confirms the *resulting*
-        state still satisfies every structural invariant — the agreement
-        check between the template's scripted decisions and the machine
-        they produced.
-        """
-        if template.period <= 0:
-            self._fail(f"replayed a non-positive period {template.period}")
-        self.check_machine(cycle)
 
     def _check_lanes(self) -> None:
         from repro.coproc.coprocessor import SharingMode

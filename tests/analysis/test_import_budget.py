@@ -17,7 +17,6 @@ from tests.conftest import run_fresh_python
 ENGINE = (
     "repro.core.machine",
     "repro.core.scalar_core",
-    "repro.core.replay",
     "repro.coproc.coprocessor",
     "repro.coproc.dynamic",
     "repro.coproc.batch_exec",

@@ -7,13 +7,11 @@ invariant, for any query cycle:
 
     indexed_pool.next_completion(cycle) == scan over the same entries
 
-The heap is fed where entries become ISSUED/DONE (``on_issue``) and is
-otherwise only told "something changed behind your back" through the
-ready-set index's existing dirty mark.  This suite reuses the ready-index
-exerciser (pushes, issues of every kind with zero / fractional latencies,
-EM-SIMD head completion, commits, snapshot/restore, ``mark_dirty``), adds
-replayed head pops, and checks the invariant after every step — at the
-current cycle and at query cycles that jump forwards *and backwards*.
+The heap is fed where entries become ISSUED/DONE (``on_issue``).  This
+suite reuses the ready-index exerciser (pushes, issues of every kind with
+zero / fractional latencies, EM-SIMD head completion, commits) and checks
+the invariant after every step — at the current cycle and at query cycles
+that jump forwards *and backwards*.
 """
 
 from __future__ import annotations
@@ -70,19 +68,9 @@ class HeapDriver(Driver):
             self.answers += got is not None
             self.rewinds += before is not None and cycle < before
 
-    def op_pop_head_for_replay(self) -> None:
-        """A replayed commit pops the completed head behind the index."""
-        head = self.pool.head()
-        if head is not None and head.completed(self.cycle):
-            self.pool.pop_head_for_replay()
-
     def run(self) -> None:
-        # Interleave replay pops with the base mix (which draws its ops
-        # from the same seeded stream).
         for _ in range(5):
             super().run()
-            self.op_pop_head_for_replay()
-            self.check()
 
 
 @pytest.mark.parametrize("seed", range(25))

@@ -10,9 +10,8 @@ window every cycle.  Its contract is a single invariant:
 This suite drives randomized sequences of every operation that can touch the
 index — program-order pushes (with random dependence edges), dispatch issues
 (including zero-latency completions that wake dependants *within* the same
-cycle, the cascade case), EM-SIMD barrier execution, in-order commits,
-speculative snapshot/restore, out-of-band ``mark_dirty`` — and checks the
-invariant after every single step.
+cycle, the cascade case), EM-SIMD barrier execution, in-order commits —
+and checks the invariant after every single step.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ class Driver:
         self.pool = InstructionPool(0, CAPACITY, indexed=True)
         self.cycle = 0
         self.next_seq = 0
-        self.snap = None
         self.issues = 0
         self.cascades = 0
 
@@ -126,20 +124,6 @@ class Driver:
     def op_commit(self) -> None:
         self.pool.commit_ready(self.cycle, width=self.rng.randint(1, 4))
 
-    def op_mark_dirty(self) -> None:
-        self.pool.mark_dirty()
-
-    def op_snapshot(self) -> None:
-        self.snap = self.pool.snapshot()
-
-    def op_restore(self) -> None:
-        if self.snap is None:
-            return
-        # restore rewinds every surviving entry's progress fields and
-        # drops entries pushed after the snapshot; it must dirty the index.
-        self.pool.restore(self.snap)
-        self.snap = None
-
     def op_advance(self) -> None:
         self.cycle += self.rng.randint(1, 3)
 
@@ -150,9 +134,6 @@ class Driver:
             (self.op_execute_emsimd, 6),
             (self.op_commit, 12),
             (self.op_advance, 18),
-            (self.op_mark_dirty, 3),
-            (self.op_snapshot, 3),
-            (self.op_restore, 3),
         )
         weights = [w for _, w in ops]
         funcs = [f for f, _ in ops]

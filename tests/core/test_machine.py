@@ -1,5 +1,8 @@
 """The multi-core machine: end-to-end runs and policy behaviour."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import (
@@ -96,3 +99,19 @@ class TestGuards:
             ]
             results.append(run_policy(config, OCCAMY, jobs).core_cycles)
         assert results[0] == results[1]
+
+    def test_finished_machine_is_freed_without_the_collector(self, config):
+        # Nothing a run builds may point back at the Machine, or its memory
+        # is held until the cycle collector happens to run and
+        # ``peak_rss_mb`` measures collector timing.  (Its cores and its
+        # co-processor are still cyclic garbage: ROADMAP item 2.)
+        gc.collect()
+        gc.disable()
+        try:
+            machine = Machine(config, OCCAMY, [compiled_job(make_axpy()), None])
+            machine.run()
+            ref = weakref.ref(machine)
+            del machine
+            assert ref() is None
+        finally:
+            gc.enable()

@@ -98,9 +98,8 @@ class TestScalarSemantics:
 class TestBranchRetirement:
     """Regression: a retired taken branch reports its *own* index.
 
-    The Fig. 15 overhead attribution and the loop-replay template both
-    key off the per-cycle retirement list; a branch must contribute the
-    index it retired at, with its target carried separately (execution
+    The Fig. 15 overhead attribution keys off the per-cycle retirement
+    list; a branch must contribute the index it retired at (execution
     resumes at the target, but the target did not retire this cycle).
     """
 
@@ -112,35 +111,31 @@ class TestBranchRetirement:
         halt
     """
 
-    class _Recorder:
-        def __init__(self):
-            self.execs = []
-
-        def on_exec(self, core, pc, outcome, target):
-            self.execs.append((core, pc, outcome, target))
-
     @pytest.mark.parametrize("pre_decode", [True, False])
     def test_taken_branch_retires_its_own_pc(self, pre_decode):
         core, coproc, _ = machine_for(self.SOURCE, reference=not pre_decode)
-        recorder = self._Recorder()
-        core.recorder = recorder
-        backedges = []
-        core.on_backedge = lambda c, frm, tgt, cycle: backedges.append((c, frm, tgt))
+        retired = []  # every cycle's retirement list, in order
+        account = core._account_overhead
+
+        def spy(retired_indices, stall_kind):
+            retired.extend(retired_indices)
+            account(retired_indices, stall_kind)
+
+        core._account_overhead = spy
         run(core, coproc)
         assert core.regs["Xi"] == 5
         branch_pc = next(
             i for i, d in enumerate(core.decoded) if d is not None and d.is_branch
         )
         loop_head = core.program.target("top")
-        taken = [e for e in recorder.execs if e[2] == "branch"]
-        assert len(taken) == 4  # Xi = 1..4 branch back; Xi = 5 falls through
-        assert all(e[1] == branch_pc for e in taken)
-        assert all(e[3] == loop_head for e in taken)
-        fallthrough = [
-            e for e in recorder.execs if e[1] == branch_pc and e[2] != "branch"
+        # Xi = 1..4 branch back, Xi = 5 falls through: five retirements, all
+        # at the branch's own index — the label it jumps to retires nothing.
+        assert retired.count(branch_pc) == 5
+        assert retired.count(loop_head) == 0
+        after_branch = [
+            after for at, after in zip(retired, retired[1:]) if at == branch_pc
         ]
-        assert len(fallthrough) == 1 and fallthrough[0][3] == 0
-        assert backedges == [(0, branch_pc, loop_head)] * 4
+        assert after_branch == [loop_head + 1] * 4 + [branch_pc + 1]
 
 
 class TestVectorSemantics:

@@ -47,11 +47,10 @@ class TestOrdering:
         mob = MemoryOrderingBuffer()
         mob.track(0, 64, complete_cycle=5, is_store=True)
         mob.track(64, 64, complete_cycle=70, is_store=False)
-        entries, conflicts = mob.snapshot()
+        entries, conflicts = list(mob._entries), mob.conflicts_detected
         mob.track(128, 64, complete_cycle=2e9, is_store=True)
-        after, conflicts_after = mob.snapshot()
-        assert after[:2] == entries and len(after) == 3
-        assert conflicts_after == conflicts
+        assert mob._entries[:2] == entries and len(mob._entries) == 3
+        assert mob.conflicts_detected == conflicts
         assert mob.outstanding(cycle=0) == 3
         assert mob.outstanding(cycle=60) == 2
 
