@@ -27,7 +27,7 @@ from __future__ import annotations
 import random as _random
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from repro.analysis.ecm import EcmModel
 from repro.common.config import MachineConfig, experiment_config
@@ -61,6 +61,8 @@ class AllocContext:
     seed: int = 0
     calibrate: bool = False
     calib_scale: float = 0.05
+    #: Worker count for calibration co-runs (``None``: ``$REPRO_JOBS``).
+    jobs: Union[int, str, None] = None
 
     def complex_config(self) -> MachineConfig:
         return self.config or experiment_config(num_cores=self.complex_size)

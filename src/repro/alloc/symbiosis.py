@@ -24,17 +24,17 @@ the random expectation (each specific pair is matched with probability
 ``1/(n-1)``).  The property test in ``tests/alloc`` pins this bound.
 
 ``--calibrate`` replaces the prior with *measured* entries: every
-candidate pair is co-run once at a short fixed scale through the result
-cache (keyed with the ``alloc=`` ingredient of ``simulation_key``), so a
-warm cache makes calibration nearly free and repeated calibrations are
-bit-identical.
+candidate pair is co-run once at a short fixed scale through
+``run_tasks`` and its result cache (keyed with the ``alloc=`` ingredient
+of ``simulation_key``), so a warm cache makes calibration nearly free and
+repeated calibrations are bit-identical.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.analysis.ecm import TEMPORAL_POLICIES, EcmModel
 from repro.common.config import MachineConfig
@@ -205,12 +205,11 @@ def calibrate_matrix(
     Every entry is measured (never mixed with ECM-prior entries, which
     live at a different scale) by simulating the pair's *calibration
     kernels* on the complex config under the context's sharing policy.
-    Runs route through the persistent result cache with the ``alloc``
-    key ingredient, so re-calibration is a cache hit.
+    The co-runs are ordinary tasks for ``run_tasks`` (``context.jobs``
+    fans them out), keyed with the ``alloc`` ingredient, so re-calibration
+    is a cache hit.
     """
-    from repro.analysis import result_cache
-    from repro.compiler.pipeline import CompileOptions, build_image, compile_kernel
-    from repro.core.machine import Job, run_policy
+    from repro.analysis.parallel import SimTask, run_tasks
     from repro.core.policies import POLICIES_BY_KEY
 
     if context.sharing_key not in POLICIES_BY_KEY:
@@ -223,47 +222,34 @@ def calibrate_matrix(
             "symbiosis calibration needs a 2-core complex config, got "
             f"{config.num_cores} cores"
         )
-    policy = POLICIES_BY_KEY[context.sharing_key]
     kernels = {thread.key: thread.calibration_kernel for thread in threads}
-    options = CompileOptions(memory=config.memory)
-    disk = result_cache.default_cache()
-    entries = []
-    for key_a, key_b in candidate_pairs(threads):
-        jobs: List[Optional[Job]] = [
-            Job(
-                program=compile_kernel(kernels[key], options),
-                image=build_image(kernels[key], core_id=core),
-            )
-            for core, key in enumerate((key_a, key_b))
-        ]
-        disk_key = None
-        result = None
-        if disk is not None:
-            disk_key = result_cache.simulation_key(
-                config,
-                policy.key,
-                jobs,
+    pairs = candidate_pairs(threads)
+    results = run_tasks(
+        [
+            SimTask(
+                policy_key=context.sharing_key,
+                scale=context.calib_scale,
+                config=config,
+                kind="kernels",
+                kernels=(kernels[key_a], kernels[key_b]),
                 alloc=f"symbiosis-calib:{context.sharing_key}",
             )
-            result = disk.get(disk_key)
-        if result is None:
-            result = run_policy(config, policy, jobs)
-            if disk is not None:
-                disk.put(disk_key, result)
-        entries.append(
+            for key_a, key_b in pairs
+        ],
+        jobs=context.jobs,
+    )
+    return SymbiosisMatrix(
+        sharing_key=context.sharing_key,
+        entries=tuple(
             (
-                (key_a, key_b),
+                pair,
                 MatrixEntry(
-                    drains=(
-                        float(result.core_time(0)),
-                        float(result.core_time(1)),
-                    ),
+                    drains=(float(result.core_time(0)), float(result.core_time(1))),
                     source="measured",
                 ),
             )
-        )
-    return SymbiosisMatrix(
-        sharing_key=context.sharing_key, entries=tuple(entries)
+            for pair, result in zip(pairs, results)
+        ),
     )
 
 

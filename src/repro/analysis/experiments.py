@@ -1,31 +1,35 @@
 """Experiment drivers — one per evaluation figure/table (paper §7).
 
-All drivers share a two-level result cache so Fig. 10 (speedups), Fig. 11
-(utilisation), Fig. 13 (renaming stalls) and Fig. 15 (overhead) reuse the
-same 25-pair x 4-policy simulations instead of re-running them:
+Every driver is a list of :class:`~repro.analysis.parallel.SimTask`s —
+workload sets × sharing policies — handed to :func:`_run`, plus a fold of
+the results into the figure's outcome type.  ``_run`` is a two-level
+cache, so Fig. 10 (speedups), Fig. 11 (utilisation), Fig. 13 (renaming
+stalls) and Fig. 15 (overhead) reuse the same 25-pair x 4-policy
+simulations instead of re-running them:
 
-* an in-process memo keyed by (pair, policy, scale, config fingerprint);
-* the persistent on-disk layer of :mod:`repro.analysis.result_cache`,
-  shared across processes and invocations (disable with ``--no-cache`` /
-  ``REPRO_NO_CACHE``).
+* an in-process memo keyed by the task (pair or group, policy, scale and
+  the whole machine configuration);
+* behind it :func:`repro.analysis.parallel.run_tasks` — the persistent
+  on-disk layer of :mod:`repro.analysis.result_cache`, shared across
+  processes and invocations (disable with ``--no-cache`` /
+  ``REPRO_NO_CACHE``), and the only place a simulation is run.
 
 Passing ``jobs`` (or setting ``REPRO_JOBS``) fans cache misses out across
-worker processes via :mod:`repro.analysis.parallel`; results are
-bit-identical to the serial path.
+worker processes; results are bit-identical to the serial run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.common.config import MachineConfig, config_fingerprint, experiment_config
+from repro.common.config import MachineConfig, experiment_config
 from repro.compiler.ir import Kernel
 from repro.compiler.pipeline import CompileOptions, build_image, compile_kernel
 from repro.coproc.metrics import StallReason
 from repro.coproc.sharing import SharingMode
 from repro.core.lane_manager import StaticLaneManager
-from repro.core.policies import ALL_POLICIES, PRIVATE, Policy
+from repro.core.policies import ALL_POLICIES, Policy
 from repro.core.result import Job, RunResult
 from repro.core.roofline import RooflineModel
 from repro.isa.registers import OIValue
@@ -33,42 +37,24 @@ from repro.workloads.pairs import (
     FOUR_CORE_GROUPS,
     CoRunPair,
     all_pairs,
-    jobs_for_pair,
     workload_job,
 )
 from repro.workloads.spec import spec_workload
 
+# Last on purpose: imported first, it is what loads numpy, one import frame
+# deeper, and a warm `repro report` then takes ~1300 more page faults
+# (ru_minflt 6480 -> 7800; +15 % on the bench's report_warm wall_s).
+from repro.analysis.parallel import Jobs, SimTask, run_tasks  # isort: skip
+
 #: Default workload scale for the benchmark harness (repeat multiplier).
 DEFAULT_SCALE = 0.35
 
-_sweep_cache: Dict[Tuple[object, ...], RunResult] = {}
+# The four architectures every figure compares, in plotting order.
+_ALL_POLICY_KEYS: Tuple[str, ...] = tuple(policy.key for policy in ALL_POLICIES)
 
-
-def _memo_key(
-    pair: CoRunPair, policy_key: str, scale: float, config: MachineConfig
-) -> Tuple[object, ...]:
-    # The full config fingerprint (not just num_cores): any knob change —
-    # cache geometry, lane count, latencies — must be a miss.
-    return (str(pair), policy_key, scale, config_fingerprint(config))
-
-
-def lookup_sweep_memo(
-    pair: CoRunPair, policy_key: str, scale: float, config: MachineConfig
-) -> Optional[RunResult]:
-    """The memoised result for one sweep point, if present."""
-    return _sweep_cache.get(_memo_key(pair, policy_key, scale, config))
-
-
-def seed_sweep_memo(
-    pair: CoRunPair,
-    policy_key: str,
-    scale: float,
-    config: MachineConfig,
-    result: RunResult,
-) -> None:
-    """Install an externally computed result (the parallel engine's) so
-    later serial drivers reuse it."""
-    _sweep_cache[_memo_key(pair, policy_key, scale, config)] = result
+# Keyed by the whole task, config included: any knob change — cache
+# geometry, lane count, latencies — must be a miss.
+_sweep_cache: Dict[SimTask, RunResult] = {}
 
 
 def clear_sweep_cache() -> None:
@@ -82,45 +68,46 @@ def clear_sweep_cache() -> None:
         disk.clear()
 
 
-def _simulate(
-    config: MachineConfig, policy: Policy, jobs: Sequence[Optional[Job]]
-) -> RunResult:
-    """``run_policy``, importing the engine only now that something runs."""
-    from repro.core.machine import run_policy
+def _run(tasks: Sequence[SimTask], jobs: Jobs = None) -> List[RunResult]:
+    """``run_tasks`` behind the in-process memo, results in task order.
 
-    return run_policy(config, policy, jobs)
-
-
-def _cached_pair_run(
-    pair: CoRunPair, policy: Policy, scale: float, config: MachineConfig
-) -> RunResult:
-    from repro.analysis import result_cache
-
-    key = _memo_key(pair, policy.key, scale, config)
-    hit = _sweep_cache.get(key)
-    if hit is not None:
-        return hit
-    jobs = jobs_for_pair(pair, scale)
-    disk = result_cache.default_cache()
-    disk_key = None
-    if disk is not None:
-        disk_key = result_cache.simulation_key(config, policy.key, jobs)
-        result = disk.get(disk_key)
-        if result is not None:
-            _sweep_cache[key] = result
-            return result
-    result = _simulate(config, policy, jobs)
-    if disk is not None:
-        disk.put(disk_key, result)
-    _sweep_cache[key] = result
-    return result
+    A task runs (or loads) once per process, however many figures and
+    placements name it, and a repeat call returns the same objects.
+    """
+    missing = [task for task in dict.fromkeys(tasks) if task not in _sweep_cache]
+    _sweep_cache.update(zip(missing, run_tasks(missing, jobs=jobs)))
+    return [_sweep_cache[task] for task in tasks]
 
 
-@dataclass
-class PairOutcome:
-    """All four policies' results for one co-running pair."""
+def _run_grid(
+    workloads: Sequence[Dict[str, object]],
+    policy_keys: Sequence[str],
+    scale: float,
+    config: MachineConfig,
+    jobs: Jobs,
+) -> List[Dict[str, RunResult]]:
+    """Every workload set (the :class:`SimTask` fields naming one) under
+    every policy, as one task list: a ``{policy key: result}`` per set."""
+    results = iter(
+        _run(
+            [
+                SimTask(policy_key=key, scale=scale, config=config, **workload)
+                for workload in workloads
+                for key in policy_keys
+            ],
+            jobs,
+        )
+    )
+    return [{key: next(results) for key in policy_keys} for _ in workloads]
 
-    pair: CoRunPair
+
+def _group_workloads(groups: Sequence[Sequence[int]]) -> List[Dict[str, object]]:
+    return [{"kind": "group", "group": tuple(group)} for group in groups]
+
+
+class _PerPolicy:
+    """What every outcome holding one run per policy key can report."""
+
     results: Dict[str, RunResult]
 
     def speedup(self, policy_key: str, core: int) -> float:
@@ -130,6 +117,14 @@ class PairOutcome:
     def utilization(self, policy_key: str) -> float:
         """Whole-run SIMD utilisation (Fig. 11)."""
         return self.results[policy_key].metrics.simd_utilization()
+
+
+@dataclass
+class PairOutcome(_PerPolicy):
+    """All four policies' results for one co-running pair."""
+
+    pair: CoRunPair
+    results: Dict[str, RunResult]
 
     def rename_stall_fraction(self, policy_key: str, core: int) -> float:
         """Fraction of cycles stalled waiting for free registers (Fig. 13)."""
@@ -142,31 +137,39 @@ class PairOutcome:
         return self.results["occamy"].metrics.overhead_fraction(core)
 
 
+def _pair_outcomes(
+    pairs: Sequence[CoRunPair],
+    scale: float,
+    config: Optional[MachineConfig],
+    policies: Sequence[Policy],
+    jobs: Jobs,
+) -> List[PairOutcome]:
+    grid = _run_grid(
+        [{"pair": pair} for pair in pairs],
+        [policy.key for policy in policies],
+        scale,
+        config or experiment_config(),
+        jobs,
+    )
+    return [PairOutcome(pair, results) for pair, results in zip(pairs, grid)]
+
+
 def pair_outcome(
     pair: CoRunPair,
     scale: float = DEFAULT_SCALE,
     config: Optional[MachineConfig] = None,
     policies: Sequence[Policy] = ALL_POLICIES,
-    jobs: Optional[int] = None,
+    jobs: Jobs = None,
 ) -> PairOutcome:
     """Run (or fetch) one pair under every policy."""
-    from repro.analysis.parallel import resolve_jobs
-
-    config = config or experiment_config()
-    if policies is ALL_POLICIES and resolve_jobs(jobs) > 1:
-        return sweep_pairs([pair], scale, config, jobs=jobs)[0]
-    results = {
-        policy.key: _cached_pair_run(pair, policy, scale, config)
-        for policy in policies
-    }
-    return PairOutcome(pair=pair, results=results)
+    return _pair_outcomes([pair], scale, config, policies, jobs)[0]
 
 
 def sweep_pairs(
     pairs: Optional[Sequence[CoRunPair]] = None,
     scale: float = DEFAULT_SCALE,
     config: Optional[MachineConfig] = None,
-    jobs: Optional[int] = None,
+    jobs: Jobs = None,
 ) -> List[PairOutcome]:
     """The full Fig. 10/11/13/15 sweep (memoised, optionally parallel).
 
@@ -174,28 +177,18 @@ def sweep_pairs(
     simulations across worker processes; the outcomes — and their order —
     are bit-identical either way.
     """
-    from repro.analysis.parallel import resolve_jobs, sweep_pairs_parallel
-
     pairs = list(pairs) if pairs is not None else all_pairs()
-    if resolve_jobs(jobs) > 1:
-        return sweep_pairs_parallel(pairs, scale=scale, config=config, jobs=jobs)
-    return [pair_outcome(pair, scale, config) for pair in pairs]
+    return _pair_outcomes(pairs, scale, config, ALL_POLICIES, jobs)
 
 
 # --- Fig. 2: the motivating example ----------------------------------------
 
 
 @dataclass
-class MotivationResult:
+class MotivationResult(_PerPolicy):
     """Fig. 2(b)-(f): four architectures co-running WL#0 + WL#1."""
 
     results: Dict[str, RunResult]
-
-    def speedup(self, policy_key: str, core: int) -> float:
-        return self.results[policy_key].speedup_over(self.results["private"], core)
-
-    def utilization(self, policy_key: str) -> float:
-        return self.results[policy_key].metrics.simd_utilization()
 
     def issue_rates(self, policy_key: str, core: int) -> List[float]:
         metrics = self.results[policy_key].metrics
@@ -210,19 +203,32 @@ class MotivationResult:
 def motivation_fig2(
     scale: float = 0.5,
     config: Optional[MachineConfig] = None,
-    jobs: Optional[int] = None,
+    jobs: Jobs = None,
 ) -> MotivationResult:
-    """Run the §2 motivating example on all four architectures.
-
-    Routed through the parallel engine so runs hit the persistent result
-    cache and ``jobs > 1`` fans the four policies across processes.
-    """
-    from repro.analysis.parallel import motivation_runs
-
-    return MotivationResult(results=motivation_runs(scale, config, jobs=jobs))
+    """Run the §2 motivating example on all four architectures."""
+    (results,) = _run_grid(
+        [{"kind": "motivate"}],
+        _ALL_POLICY_KEYS,
+        scale,
+        config or experiment_config(),
+        jobs,
+    )
+    return MotivationResult(results=results)
 
 
 # --- Fig. 14: case study with fixed lane counts ------------------------------
+#
+# Fixed-lane policies are built here, not named by a key, so these runs are
+# plain ``run_policy`` calls: uncached, and not tasks.
+
+
+def _simulate(
+    config: MachineConfig, policy: Policy, jobs: Sequence[Optional[Job]]
+) -> RunResult:
+    """``run_policy``, importing the engine only now that something runs."""
+    from repro.core.machine import run_policy
+
+    return run_policy(config, policy, jobs)
 
 
 def run_with_fixed_lanes(
@@ -357,17 +363,16 @@ def four_core_fig16(
     scale: float = DEFAULT_SCALE,
     config: Optional[MachineConfig] = None,
     groups: Sequence[Sequence[int]] = FOUR_CORE_GROUPS,
-    jobs: Optional[int] = None,
+    jobs: Jobs = None,
 ) -> List[Dict[str, RunResult]]:
-    """Run each Fig. 16 group on the 4-core configuration, all policies.
-
-    Routed through the parallel engine (persistent cache + optional
-    process fan-out via ``jobs``/``REPRO_JOBS``).
-    """
-    from repro.analysis.parallel import four_core_runs
-
-    config = config or experiment_config(num_cores=4)
-    return four_core_runs(scale, config, groups=groups, jobs=jobs)
+    """Run each Fig. 16 group on the 4-core configuration, all policies."""
+    return _run_grid(
+        _group_workloads(groups),
+        _ALL_POLICY_KEYS,
+        scale,
+        config or experiment_config(num_cores=4),
+        jobs,
+    )
 
 
 # --- N-core scaling sweep (ROADMAP item 1's experiment axis) -----------------
@@ -392,54 +397,13 @@ def ncore_group(num_cores: int) -> Tuple[int, ...]:
     return tuple(flat[core % len(flat)] for core in range(num_cores))
 
 
-def _ncore_jobs(group: Sequence[int], scale: float) -> List[Optional[Job]]:
-    return [
-        workload_job("spec", workload, core_id=core, scale=scale)
-        for core, workload in enumerate(group)
-    ]
-
-
-def _cached_group_run(
-    label: str,
-    policy: Policy,
-    scale: float,
-    config: MachineConfig,
-    jobs: Sequence[Optional[Job]],
-) -> RunResult:
-    """Two-level cached run keyed by a group label (the N-core analogue of
-    :func:`_cached_pair_run`)."""
-    from repro.analysis import result_cache
-
-    key = (label, policy.key, scale, config_fingerprint(config))
-    hit = _sweep_cache.get(key)
-    if hit is not None:
-        return hit
-    disk = result_cache.default_cache()
-    disk_key = None
-    if disk is not None:
-        disk_key = result_cache.simulation_key(config, policy.key, jobs)
-        result = disk.get(disk_key)
-        if result is not None:
-            _sweep_cache[key] = result
-            return result
-    result = _simulate(config, policy, jobs)
-    if disk is not None:
-        disk.put(disk_key, result)
-    _sweep_cache[key] = result
-    return result
-
-
 @dataclass
-class NCoreOutcome:
+class NCoreOutcome(_PerPolicy):
     """One machine size's per-policy co-run results."""
 
     num_cores: int
     group: Tuple[int, ...]
     results: Dict[str, RunResult]
-
-    def speedup(self, policy_key: str, core: int) -> float:
-        """Per-core speedup over the Private baseline at this size."""
-        return self.results[policy_key].speedup_over(self.results["private"], core)
 
     def geomean_speedup(self, policy_key: str) -> float:
         """Geometric-mean per-core speedup over Private at this size."""
@@ -448,28 +412,23 @@ class NCoreOutcome:
             product *= max(self.speedup(policy_key, core), 1e-12)
         return product ** (1.0 / self.num_cores)
 
-    def utilization(self, policy_key: str) -> float:
-        return self.results[policy_key].metrics.simd_utilization()
-
 
 def ncore_outcome(
     num_cores: int,
     scale: float = DEFAULT_SCALE,
     policies: Sequence[str] = NCORE_POLICY_KEYS,
     config: Optional[MachineConfig] = None,
+    jobs: Jobs = None,
 ) -> NCoreOutcome:
     """Run (or fetch) the ``num_cores``-machine co-run under ``policies``."""
-    from repro.core.policies import POLICIES_BY_KEY
-
-    config = config or experiment_config(num_cores=num_cores)
     group = ncore_group(num_cores)
-    label = f"ncore{list(group)}"
-    results: Dict[str, RunResult] = {}
-    for policy_key in policies:
-        jobs = _ncore_jobs(group, scale)
-        results[policy_key] = _cached_group_run(
-            label, POLICIES_BY_KEY[policy_key], scale, config, jobs
-        )
+    (results,) = _run_grid(
+        _group_workloads([group]),
+        policies,
+        scale,
+        config or experiment_config(num_cores=num_cores),
+        jobs,
+    )
     return NCoreOutcome(num_cores=num_cores, group=group, results=results)
 
 
@@ -477,6 +436,7 @@ def ncore_sweep(
     core_counts: Sequence[int] = (8, 16, 32),
     scale: float = DEFAULT_SCALE,
     policies: Sequence[str] = NCORE_POLICY_KEYS,
+    jobs: Jobs = None,
 ) -> List[NCoreOutcome]:
     """The N-core scaling matrix: every size × every policy, memoised.
 
@@ -485,7 +445,8 @@ def ncore_sweep(
     proportional to the cores that actually have work.
     """
     return [
-        ncore_outcome(num_cores, scale, policies) for num_cores in core_counts
+        ncore_outcome(num_cores, scale, policies, jobs=jobs)
+        for num_cores in core_counts
     ]
 
 
@@ -494,10 +455,10 @@ def ncore_sweep(
 # The allocation layer (ROADMAP item 1's remaining half) partitions the
 # N-core thread blend into 2-core *complexes* — each the paper's evaluated
 # machine — and simulates every complex independently under the sharing
-# policy.  Placement is a pure pre-simulation decision: the same pair of
-# workloads yields the same simulation (same memo/disk key) no matter
-# which policy placed them together, which is what the alloc-smoke CI job
-# asserts via per-pair fingerprints.
+# policy.  Placement is a pure pre-simulation decision: a complex's task
+# names only its workloads, so the same pair is the same simulation (same
+# memo slot, same disk entry) no matter which policy placed it together,
+# which is what the alloc-smoke CI job asserts via per-pair fingerprints.
 
 #: Sharing policies the allocation matrix runs within each complex.
 ALLOC_SHARING_KEYS: Tuple[str, ...] = NCORE_POLICY_KEYS
@@ -602,15 +563,6 @@ class AllocOutcome:
         return max(self.pair_cycles())
 
 
-def _complex_jobs(
-    group: Sequence[int], members: Sequence[int], scale: float
-) -> List[Optional[Job]]:
-    return [
-        workload_job("spec", group[thread], core_id=core, scale=scale)
-        for core, thread in enumerate(members)
-    ]
-
-
 def alloc_outcome(
     num_cores: int,
     alloc_key: str,
@@ -619,6 +571,7 @@ def alloc_outcome(
     seed: int = 0,
     calibrate: bool = False,
     complex_size: int = 2,
+    jobs: Jobs = None,
 ) -> AllocOutcome:
     """Place the ``num_cores`` blend with ``alloc_key``, then run every
     complex under ``sharing_key`` (two-level cached, like the pair sweep)."""
@@ -645,30 +598,28 @@ def alloc_outcome(
         complex_size=complex_size,
         seed=seed,
         calibrate=calibrate,
+        jobs=jobs,
     )
-    threads = alloc_threads(num_cores, scale)
     group = alloc_group(num_cores)
-    placement = ALLOC_POLICIES_BY_KEY[alloc_key](threads, context)
-    policy = POLICIES_BY_KEY[sharing_key]
-    results = []
-    for members in placement:
-        workloads = tuple(group[thread] for thread in members)
-        jobs = _complex_jobs(group, members, scale)
-        # The label names only the pair (not the placing policy): the same
-        # pair under any placement is the same simulation, so it must hit
-        # the same memo slot and the same disk entry.
-        results.append(
-            _cached_group_run(
-                f"alloc{list(workloads)}", policy, scale, complex_config, jobs
-            )
-        )
+    placement = ALLOC_POLICIES_BY_KEY[alloc_key](
+        alloc_threads(num_cores, scale), context
+    )
+    grid = _run_grid(
+        _group_workloads(
+            [[group[thread] for thread in members] for members in placement]
+        ),
+        [sharing_key],
+        scale,
+        complex_config,
+        jobs,
+    )
     return AllocOutcome(
         num_cores=num_cores,
         alloc_key=alloc_key,
         sharing_key=sharing_key,
         group=group,
         placement=placement,
-        results=tuple(results),
+        results=tuple(results[sharing_key] for results in grid),
     )
 
 
@@ -693,6 +644,7 @@ def alloc_winloss(
     scale: float = DEFAULT_SCALE,
     seed: int = 0,
     calibrate: bool = False,
+    jobs: Jobs = None,
 ) -> List[PairWinLoss]:
     """Per-pair sharing-policy win/loss under one placement.
 
@@ -701,34 +653,26 @@ def alloc_winloss(
     "given who shares, which sharing policy wins each pair?" — the
     ROADMAP item 3 follow-on.
     """
-    from repro.core.policies import POLICIES_BY_KEY
-
     base = alloc_outcome(
-        num_cores, alloc_key, "occamy", scale=scale, seed=seed, calibrate=calibrate
+        num_cores, alloc_key, "occamy", scale=scale, seed=seed,
+        calibrate=calibrate, jobs=jobs,
     )
-    complex_config = experiment_config(num_cores=len(base.placement[0]))
-    rows = []
-    for members in base.placement:
-        workloads = tuple(base.group[thread] for thread in members)
-        cycles: Dict[str, int] = {}
-        for sharing_key in sharing_keys:
-            jobs = _complex_jobs(base.group, members, scale)
-            result = _cached_group_run(
-                f"alloc{list(workloads)}",
-                POLICIES_BY_KEY[sharing_key],
-                scale,
-                complex_config,
-                jobs,
-            )
-            cycles[sharing_key] = result.total_cycles
-        rows.append(
-            PairWinLoss(
-                label="+".join(str(w) for w in workloads),
-                workloads=workloads,
-                cycles=cycles,
-            )
+    complexes = [base.complex_workloads(i) for i in range(len(base.placement))]
+    grid = _run_grid(
+        _group_workloads(complexes),
+        sharing_keys,
+        scale,
+        experiment_config(num_cores=len(complexes[0])),
+        jobs,
+    )
+    return [
+        PairWinLoss(
+            label="+".join(str(w) for w in workloads),
+            workloads=workloads,
+            cycles={key: result.total_cycles for key, result in results.items()},
         )
-    return rows
+        for workloads, results in zip(complexes, grid)
+    ]
 
 
 def alloc_sweep(
@@ -738,6 +682,7 @@ def alloc_sweep(
     scale: float = DEFAULT_SCALE,
     seed: int = 0,
     calibrate: bool = False,
+    jobs: Jobs = None,
 ) -> List[AllocOutcome]:
     """The pairing × sharing × core-count matrix, memoised.
 
@@ -755,6 +700,7 @@ def alloc_sweep(
             scale=scale,
             seed=seed,
             calibrate=calibrate,
+            jobs=jobs,
         )
         for num_cores in core_counts
         for sharing_key in sharing_keys

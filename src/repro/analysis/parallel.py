@@ -1,10 +1,13 @@
-"""Parallel sweep engine: fan simulations across worker processes.
+"""The sweep engine: the one way to run a cached simulation.
 
 Every evaluation driver is a bag of independent, deterministic
 simulations — one per (policy × workload set) point.  This module turns
-such a bag into picklable :class:`SimTask` specs, resolves each against
-the persistent :mod:`~repro.analysis.result_cache`, and fans the misses
-out over a :class:`concurrent.futures.ProcessPoolExecutor`.
+such a bag into picklable :class:`SimTask` specs, and :func:`run_tasks`
+is the only place one becomes a content key, is looked up in the
+persistent :mod:`~repro.analysis.result_cache`, run — in this process or
+fanned out over a :class:`concurrent.futures.ProcessPoolExecutor` — and
+stored.  The figure drivers (:mod:`repro.analysis.experiments`), the
+allocation layer's calibration and the daemon's worker all call it.
 
 Determinism guarantees (asserted by ``tests/integration/test_determinism``):
 
@@ -24,28 +27,27 @@ values are rejected at the edge, never forwarded to
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.common.config import MachineConfig, experiment_config
+from repro.common.config import MachineConfig
 from repro.common.errors import ConfigurationError
+from repro.compiler.ir import Kernel
 from repro.compiler.pipeline import CompileOptions, build_image, compile_kernel
-from repro.core.policies import ALL_POLICIES, POLICIES_BY_KEY
+from repro.core.policies import POLICIES_BY_KEY
 from repro.core.result import Job, RunResult
+from repro.validation.fingerprint import summarize_result
 from repro.workloads.motivating import motivating_pair
-from repro.workloads.pairs import (
-    FOUR_CORE_GROUPS,
-    CoRunPair,
-    all_pairs,
-    jobs_for_group,
-    jobs_for_pair,
-)
+from repro.workloads.pairs import CoRunPair, jobs_for_group, jobs_for_pair
 
 #: Environment variable supplying the default worker count.
 JOBS_ENV = "REPRO_JOBS"
 
 #: Spelling for "one worker per CPU" (``--jobs auto`` / ``REPRO_JOBS=auto``).
 JOBS_AUTO = "auto"
+
+#: A worker count as every driver accepts it (see :func:`resolve_jobs`).
+Jobs = Optional[Union[int, str]]
 
 
 def _parse_jobs(value: Union[int, str], source: str) -> int:
@@ -81,7 +83,7 @@ def _parse_jobs(value: Union[int, str], source: str) -> int:
     return value
 
 
-def resolve_jobs(jobs: Optional[Union[int, str]] = None) -> int:
+def resolve_jobs(jobs: Jobs = None) -> int:
     """Effective worker count: argument, else ``$REPRO_JOBS``, else 1.
 
     ``jobs`` may be a positive integer or ``"auto"`` (all CPUs); any other
@@ -109,7 +111,12 @@ class SimTask:
 
     * ``"pair"`` — the Table 3 co-run ``pair`` (Figs. 10/11/13/15);
     * ``"motivate"`` — the §2 motivating pair (Fig. 2);
-    * ``"group"`` — a four-core Fig. 16 group, ids in ``group``.
+    * ``"group"`` — SPEC workload ids in ``group``, one per core: a
+      Fig. 16 group, an N-core blend or one allocation complex;
+    * ``"kernels"`` — the IR ``kernels`` themselves, one per core (the
+      allocation layer's calibration micro co-runs).
+
+    Hashable, so a task can key a memo; pass ``group`` as a tuple.
     """
 
     policy_key: str
@@ -119,6 +126,10 @@ class SimTask:
     pair: Optional[CoRunPair] = None
     group: Optional[Sequence[int]] = None
     max_cycles: int = 3_000_000
+    # Compared but not hashed: ``Kernel.params`` is a dict.
+    kernels: Optional[Tuple[Kernel, ...]] = field(default=None, hash=False)
+    #: ``simulation_key``'s ``alloc`` namespace ("" for ordinary runs).
+    alloc: str = ""
 
     def build_jobs(self) -> List[Optional[Job]]:
         """Compile the task's workloads into per-core jobs."""
@@ -127,13 +138,16 @@ class SimTask:
         if self.kind == "group":
             return jobs_for_group(self.group, scale=self.scale)
         if self.kind == "motivate":
-            wl0, wl1 = motivating_pair(self.scale)
-            options = CompileOptions(memory=self.config.memory)
-            return [
-                Job(compile_kernel(wl0, options), build_image(wl0, 0)),
-                Job(compile_kernel(wl1, options), build_image(wl1, 1)),
-            ]
-        raise ValueError(f"unknown task kind {self.kind!r}")
+            kernels = motivating_pair(self.scale)
+        elif self.kind == "kernels":
+            kernels = self.kernels
+        else:
+            raise ValueError(f"unknown task kind {self.kind!r}")
+        options = CompileOptions(memory=self.config.memory)
+        return [
+            Job(compile_kernel(kernel, options), build_image(kernel, core))
+            for core, kernel in enumerate(kernels)
+        ]
 
 
 def execute_task(task: SimTask) -> RunResult:
@@ -158,12 +172,20 @@ def task_keys(tasks: Sequence[SimTask]) -> List[str]:
     keys = []
     for task in tasks:
         group = None if task.group is None else tuple(task.group)
-        workload = (task.kind, task.pair, group, task.scale, task.config.memory)
+        # Kernels are unhashable; the same objects are the same workload.
+        kernels = None if task.kernels is None else tuple(map(id, task.kernels))
+        workload = (
+            task.kind, task.pair, group, kernels, task.scale, task.config.memory
+        )
         if workload not in built:
             built[workload] = task.build_jobs()
         keys.append(
             simulation_key(
-                task.config, task.policy_key, built[workload], task.max_cycles
+                task.config,
+                task.policy_key,
+                built[workload],
+                task.max_cycles,
+                alloc=task.alloc,
             )
         )
     return keys
@@ -179,15 +201,24 @@ def task_key(task: SimTask) -> str:
 
 def run_tasks(
     tasks: Sequence[SimTask],
-    jobs: Optional[Union[int, str]] = None,
+    jobs: Jobs = None,
     cache: object = "default",
-) -> List[RunResult]:
+    summaries: bool = False,
+) -> list:
     """Run ``tasks``, returning results in task order.
 
-    Each task is first resolved against the persistent cache (pass
+    The one place a simulation becomes a key, is looked up, run and
+    stored: each task is first resolved against the persistent cache (pass
     ``cache=None`` to bypass, or a :class:`ResultCache` to use a specific
     directory); misses run serially or on a process pool, then populate
-    the cache for the next invocation.
+    the cache for the next invocation.  Nothing is remembered between
+    calls, so a long-lived caller holds no results it did not keep.
+
+    With ``summaries`` each run comes back as its
+    :func:`~repro.validation.fingerprint.summarize_result` dict instead of
+    its :class:`RunResult`: the one the cache stores in front of the entry
+    (a hit reads only that; a miss returns what ``put`` computed), made
+    here — keyless when there is no cache — only if nothing was stored.
     """
     from repro.analysis import result_cache
 
@@ -195,10 +226,12 @@ def run_tasks(
         cache = result_cache.default_cache()
     jobs = resolve_jobs(jobs)
 
-    results: List[Optional[RunResult]] = [None] * len(tasks)
-    keys = task_keys(tasks) if cache is not None else []
-    for index, key in enumerate(keys):
-        results[index] = cache.get(key)
+    results: list = [None] * len(tasks)
+    keys: list = [None] * len(tasks)
+    if cache is not None:
+        keys = task_keys(tasks)
+        lookup = cache.get_summary if summaries else cache.get
+        results = [lookup(key) for key in keys]
     pending = [index for index, result in enumerate(results) if result is None]
 
     if pending:
@@ -217,110 +250,8 @@ def run_tasks(
         else:
             computed = [execute_task(tasks[i]) for i in pending]
         for index, result in zip(pending, computed):
+            stored = cache.put(keys[index], result) if cache is not None else None
+            if summaries:
+                result = stored or summarize_result(result, keys[index])
             results[index] = result
-            if cache is not None:
-                cache.put(keys[index], result)
-    return results  # type: ignore[return-value]
-
-
-# --- figure-level drivers ----------------------------------------------------
-
-
-def sweep_pairs_parallel(
-    pairs: Optional[Sequence[CoRunPair]] = None,
-    scale: float = 0.35,
-    config: Optional[MachineConfig] = None,
-    jobs: Optional[int] = None,
-    cache: object = "default",
-) -> List["PairOutcome"]:
-    """The Fig. 10/11/13/15 sweep, fanned out over worker processes.
-
-    Produces exactly the outcomes of
-    :func:`repro.analysis.experiments.sweep_pairs` (the determinism suite
-    asserts bit-equality) and seeds its in-memory memo so subsequent
-    serial drivers reuse these results.
-    """
-    from repro.analysis import experiments
-
-    config = config or experiment_config()
-    pairs = list(pairs) if pairs is not None else all_pairs()
-    points = [(pair, policy) for pair in pairs for policy in ALL_POLICIES]
-    # Honour the in-process memo first so repeated sweeps return the same
-    # objects the serial path would (pair_outcome's memoisation contract).
-    memo_hits: Dict[int, RunResult] = {}
-    tasks: List[SimTask] = []
-    task_index: List[int] = []
-    for index, (pair, policy) in enumerate(points):
-        hit = experiments.lookup_sweep_memo(pair, policy.key, scale, config)
-        if hit is not None:
-            memo_hits[index] = hit
-        else:
-            tasks.append(
-                SimTask(policy_key=policy.key, scale=scale, config=config, pair=pair)
-            )
-            task_index.append(index)
-    computed = run_tasks(tasks, jobs=jobs, cache=cache)
-    results: List[RunResult] = [None] * len(points)  # type: ignore[list-item]
-    for index, hit in memo_hits.items():
-        results[index] = hit
-    for index, result in zip(task_index, computed):
-        results[index] = result
-    outcomes: List[experiments.PairOutcome] = []
-    cursor = 0
-    for pair in pairs:
-        per_policy: Dict[str, RunResult] = {}
-        for policy in ALL_POLICIES:
-            result = results[cursor]
-            per_policy[policy.key] = result
-            experiments.seed_sweep_memo(pair, policy.key, scale, config, result)
-            cursor += 1
-        outcomes.append(experiments.PairOutcome(pair=pair, results=per_policy))
-    return outcomes
-
-
-def motivation_runs(
-    scale: float = 0.5,
-    config: Optional[MachineConfig] = None,
-    jobs: Optional[int] = None,
-    cache: object = "default",
-) -> Dict[str, RunResult]:
-    """The §2 motivating example under all four policies (Fig. 2)."""
-    config = config or experiment_config()
-    tasks = [
-        SimTask(policy_key=policy.key, scale=scale, config=config, kind="motivate")
-        for policy in ALL_POLICIES
-    ]
-    results = run_tasks(tasks, jobs=jobs, cache=cache)
-    return {policy.key: result for policy, result in zip(ALL_POLICIES, results)}
-
-
-def four_core_runs(
-    scale: float = 0.35,
-    config: Optional[MachineConfig] = None,
-    groups: Sequence[Sequence[int]] = FOUR_CORE_GROUPS,
-    jobs: Optional[int] = None,
-    cache: object = "default",
-) -> List[Dict[str, RunResult]]:
-    """The Fig. 16 four-core groups under every policy."""
-    config = config or experiment_config(num_cores=4)
-    tasks = [
-        SimTask(
-            policy_key=policy.key,
-            scale=scale,
-            config=config,
-            kind="group",
-            group=tuple(group),
-        )
-        for group in groups
-        for policy in ALL_POLICIES
-    ]
-    results = run_tasks(tasks, jobs=jobs, cache=cache)
-    out: List[Dict[str, RunResult]] = []
-    cursor = 0
-    for _group in groups:
-        per_policy: Dict[str, RunResult] = {}
-        for policy in ALL_POLICIES:
-            per_policy[policy.key] = results[cursor]
-            cursor += 1
-        out.append(per_policy)
-    return out
+    return results

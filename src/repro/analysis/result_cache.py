@@ -232,12 +232,13 @@ class ResultCache:
         """
         return self._read(key, with_result=False)
 
-    def put(self, key: str, result: RunResult) -> bool:
+    def put(self, key: str, result: RunResult) -> Optional[Dict[str, object]]:
         """Store ``result`` and its summary under ``key`` atomically;
         best-effort.
 
-        Returns False (without raising) when the cache directory is not
-        writable — persistence is an optimisation, never a requirement.
+        Returns the summary it stored, or ``None`` (without raising) when
+        the cache directory is not writable — persistence is an
+        optimisation, never a requirement.
         """
         import tempfile  # only a process that simulated writes
 
@@ -256,14 +257,14 @@ class ResultCache:
                 handle.seek(0)
                 handle.write(_PREFIX.pack(CACHE_VERSION, length))
             os.replace(tmp_name, self.path_for(key))
-            return True
+            return summary
         except OSError:
             if tmp_name is not None:
                 try:
                     os.unlink(tmp_name)
                 except OSError:
                     pass
-            return False
+            return None
 
     def entries(self) -> List["CacheEntry"]:
         """Every cached entry (key, size, mtime), oldest first.

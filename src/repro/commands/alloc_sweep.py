@@ -31,6 +31,7 @@ def run(args: argparse.Namespace) -> int:
         scale=args.scale,
         seed=args.seed,
         calibrate=args.calibrate,
+        jobs=args.jobs,
     )
     report = []
     for outcome in outcomes:

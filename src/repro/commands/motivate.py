@@ -51,7 +51,11 @@ def _motivate_ncore(args: argparse.Namespace) -> int:
     if args.alloc:
         for num_cores in args.cores:
             outcome = alloc_outcome(
-                num_cores, args.alloc, scale=args.scale, calibrate=args.calibrate
+                num_cores,
+                args.alloc,
+                scale=args.scale,
+                calibrate=args.calibrate,
+                jobs=args.jobs,
             )
             rows = [
                 [outcome.pair_label(index), result.total_cycles]
@@ -65,7 +69,7 @@ def _motivate_ncore(args: argparse.Namespace) -> int:
             print(f"per-thread geomean: {outcome.geomean_cycles():.1f}")
         return 0
     for num_cores in args.cores:
-        outcome = ncore_outcome(num_cores, scale=args.scale)
+        outcome = ncore_outcome(num_cores, scale=args.scale, jobs=args.jobs)
         rows = []
         for key in NCORE_POLICY_KEYS:
             sim = outcome.results[key]

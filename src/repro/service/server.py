@@ -104,7 +104,6 @@ class ServiceJob:
     key: str
     signature: str
     spec: Dict[str, object]
-    task: object
     client: str
     state: str = QUEUED
     attempts: int = 0
@@ -255,7 +254,7 @@ class SimulationServer:
         job = self._jobs[queued.job_id]
         job.state = RUNNING
         job.attempts += 1
-        pid = self.pool.dispatch(job.job_id, job.task)
+        pid = self.pool.dispatch(job.job_id, queued.task)
         self.counters["executed"] += 1 if job.attempts == 1 else 0
         self._publish(
             job,
@@ -272,8 +271,10 @@ class SimulationServer:
         if job is None or job.state in TERMINAL_STATES:  # pragma: no cover
             return
         if event.kind == "done":
-            summary = protocol.summarize_result(event.result, key=job.key)
-            self.cost_model.observe(job.signature, event.result.total_cycles)
+            # The worker summarised (a run_tasks worker: its cache.put did);
+            # nothing is unpickled or fingerprinted on this loop.
+            summary = dict(event.result, key=job.key)
+            self.cost_model.observe(job.signature, summary["total_cycles"])
             self._finish(job, DONE, summary=summary)
         elif event.kind == "error":
             # Deterministic runner failure: retrying cannot help.
@@ -377,11 +378,14 @@ class SimulationServer:
         spec = normalize_spec(spec)
         self.counters["submitted"] += 1
         signature = task_signature(spec)
-        task = build_task(spec)
+        # Built on first need: a coalesced or cached resubmission whose
+        # key is remembered is answered without a SimTask.
+        task = None
         key = self._key_memo.get(signature)
         if key is None:
             from repro.analysis.parallel import task_key
 
+            task = build_task(spec)
             key = task_key(task)
             self._key_memo[signature] = key
             if len(self._key_memo) > KEY_MEMO_KEEP:  # dicts keep insertion order
@@ -409,7 +413,6 @@ class SimulationServer:
                     key=key,
                     signature=signature,
                     spec=spec,
-                    task=task,
                     client=client,
                     cached=True,
                 )
@@ -427,7 +430,6 @@ class SimulationServer:
             key=key,
             signature=signature,
             spec=spec,
-            task=task,
             client=client,
         )
         entry = QueuedJob(
@@ -436,7 +438,7 @@ class SimulationServer:
             signature=signature,
             client=client,
             seq=self.queue.next_seq(),
-            task=task,
+            task=task or build_task(spec),
         )
         try:
             self.queue.submit(

@@ -18,10 +18,12 @@ Design:
 * results are drained *before* liveness/timeout checks, so a job that
   finished in the same poll window as its deadline is reported as done,
   never spuriously killed;
-* the default job runner resolves the persistent result cache around
-  :func:`repro.analysis.parallel.execute_task` — a worker that finishes a
-  job has already landed the full ``RunResult`` in the cache, so results
-  survive client disconnects and daemon restarts.
+* the default job runner is the sweep engine's own
+  :func:`repro.analysis.parallel.run_tasks` — a worker that finishes a
+  job has already landed the full ``RunResult`` in the persistent cache,
+  so results survive client disconnects and daemon restarts, and what
+  crosses back to the daemon is only the ~1.4 KB summary stored in front
+  of it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.common.errors import ConfigurationError
 
@@ -38,25 +40,19 @@ from repro.common.errors import ConfigurationError
 DEFAULT_RECYCLE_AFTER = 64
 
 
-def run_cached_task(task) -> object:
-    """Default worker runner: result-cache-wrapped ``execute_task``.
+def run_cached_task(task) -> Dict[str, object]:
+    """Default worker runner: ``run_tasks`` on one task, for its summary.
 
-    Mirrors the sweep engine's cache discipline so daemon-served results
-    are interchangeable with ``--jobs`` sweep results: same key, same
-    payload, same cache directory.
+    The same function a ``--jobs`` sweep calls, so daemon-served results
+    are interchangeable with sweep results: same key, same payload, same
+    cache directory.  A runner returns the run's
+    :func:`~repro.validation.fingerprint.summarize_result` dict (its
+    ``key`` may be ``None``: the daemon stamps the job's).
     """
-    from repro.analysis import parallel, result_cache
+    from repro.analysis.parallel import run_tasks
 
-    cache = result_cache.default_cache()
-    key = parallel.task_key(task) if cache is not None else None
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    result = parallel.execute_task(task)
-    if cache is not None:
-        cache.put(key, result)
-    return result
+    (summary,) = run_tasks([task], jobs=1, summaries=True)
+    return summary
 
 
 def _worker_main(task_q, result_q, runner, recycle_after) -> None:
@@ -82,9 +78,10 @@ def _worker_main(task_q, result_q, runner, recycle_after) -> None:
 class PoolEvent:
     """One supervision event surfaced by :meth:`WorkerPool.poll`.
 
-    ``kind`` is ``"done"`` (with ``result``), ``"error"`` (runner raised;
-    deterministic, not retried), ``"crashed"`` (worker died mid-job) or
-    ``"timeout"`` (job exceeded its deadline and the worker was killed).
+    ``kind`` is ``"done"`` (``result`` is the runner's summary dict),
+    ``"error"`` (runner raised; deterministic, not retried), ``"crashed"``
+    (worker died mid-job) or ``"timeout"`` (job exceeded its deadline and
+    the worker was killed).
     """
 
     kind: str

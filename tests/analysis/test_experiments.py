@@ -27,6 +27,20 @@ class TestPairOutcome:
         third = pair_outcome(pair, scale=0.05)
         assert third.results["private"] is not first.results["private"]
 
+    def test_an_equal_policy_tuple_and_a_pool_give_the_default_results(self):
+        """``policies`` is compared by value and ``jobs`` only fans out:
+        neither selects another code path."""
+        from repro.core.policies import ALL_POLICIES
+        from tests.conftest import run_fingerprint
+
+        pair = CoRunPair("spec", 20, 17)
+        default = pair_outcome(pair, scale=0.05)
+        clear_sweep_cache()
+        pooled = pair_outcome(pair, scale=0.05, policies=tuple(ALL_POLICIES), jobs=2)
+        assert list(pooled.results) == list(default.results)
+        for key, result in default.results.items():
+            assert run_fingerprint(pooled.results[key]) == run_fingerprint(result)
+
     def test_outcome_accessors(self):
         pair = CoRunPair("spec", 20, 17)
         outcome = pair_outcome(pair, scale=0.05)

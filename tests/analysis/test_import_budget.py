@@ -96,6 +96,16 @@ def test_warm_report_imports_what_it_reads(tmp_path, monkeypatch):
     _child(command=["report", str(warm), *options], forbidden=UNUSED_BY_A_HIT, builds=2)
     assert warm.read_bytes() == cold.read_bytes()
 
+    # --jobs 1 is the same task list through the same run_tasks: the same
+    # two compiles (not one per policy), the same imports, the same bytes.
+    serial = tmp_path / "serial.md"
+    _child(
+        command=["report", str(serial), *options[:-1], "1"],
+        forbidden=UNUSED_BY_A_HIT,
+        builds=2,
+    )
+    assert serial.read_bytes() == cold.read_bytes()
+
     # --profile on an all-hit run attributes zero cycles: it neither fails
     # for want of the engine nor quietly simulates to have something to say.
     _child(

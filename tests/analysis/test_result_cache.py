@@ -253,7 +253,7 @@ def test_unwritable_directory_degrades_gracefully(config, small_run):
     jobs, result = small_run
     broken = ResultCache("/proc/no-such-dir/repro-cache")
     key = simulation_key(config, PRIVATE.key, jobs)
-    assert broken.put(key, result) is False
+    assert broken.put(key, result) is None
     assert broken.get(key) is None
     assert broken.get_summary(key) is None
     assert len(broken) == 0

@@ -59,6 +59,26 @@ def test_parallel_sweep_matches_serial():
     assert _sweep_fingerprints(jobs=4) == serial
 
 
+def _ncore_fingerprints(jobs):
+    outcome = experiments.ncore_outcome(4, scale=0.05, jobs=jobs)
+    return [(key, run_fingerprint(result)) for key, result in outcome.results.items()]
+
+
+def _alloc_fingerprints(jobs):
+    return [
+        (outcome.alloc_key, outcome.pair_labels(), [run_fingerprint(r) for r in outcome.results])
+        for outcome in experiments.alloc_sweep((8,), scale=0.05, jobs=jobs)
+    ]
+
+
+@pytest.mark.parametrize("fingerprints", [_ncore_fingerprints, _alloc_fingerprints])
+def test_ncore_and_alloc_sweeps_match_serial(fingerprints):
+    """The drivers that used to drop ``jobs`` fan out to the same results."""
+    serial = fingerprints(jobs=1)
+    experiments._sweep_cache.clear()
+    assert fingerprints(jobs=2) == serial
+
+
 def test_run_tasks_order_is_positional(config):
     """Results come back in task order, not completion order."""
     tasks = [

@@ -2,8 +2,9 @@
 
 These run inside forked worker processes, so they must be module-level
 (importable) and configured through the environment / filesystem rather
-than closures.  ``make_fake_result`` builds the minimal RunResult-shaped
-object :func:`repro.service.protocol.summarize_result` accepts, so pure
+than closures.  A runner hands back what the daemon serves — the run's
+:func:`repro.service.protocol.summarize_result` dict, ``key`` left for the
+daemon to stamp — so ``make_fake_result`` builds one of those and pure
 scheduling tests never pay for a real simulation.
 """
 
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import os
 import time
-from types import SimpleNamespace
 
 #: Sleep duration (seconds) used by :func:`sleep_runner`.
 SLEEP_ENV = "REPRO_TEST_SLEEP_S"
@@ -21,30 +21,14 @@ SENTINEL_ENV = "REPRO_TEST_SENTINEL"
 
 
 def make_fake_result(policy_key: str = "occamy", total_cycles: int = 1000):
-    """A RunResult look-alike that fingerprints deterministically."""
-    metrics = SimpleNamespace(
-        compute_uops=[0, 0],
-        ldst_uops=[0, 0],
-        flops=[0, 0],
-        busy_pipe_slots=0,
-        stalls=[{}, {}],
-        monitor_cycles=[0, 0],
-        reconfig_cycles=[0, 0],
-        reconfig_success=[0, 0],
-        reconfig_failed=[0, 0],
-        phases=[],
-        lane_timeline=[],
-        busy_lanes_series=[],
-    )
-    return SimpleNamespace(
-        policy_key=policy_key,
-        metrics=metrics,
-        total_cycles=total_cycles,
-        core_cycles=[total_cycles, total_cycles],
-        lsu_stats=[],
-        cache_stats={},
-        images=[None, None],
-    )
+    """A summary that no simulation produced, the same on every call."""
+    return {
+        "policy": policy_key,
+        "total_cycles": total_cycles,
+        "core_cycles": [total_cycles, total_cycles],
+        "key": None,
+        "fingerprint": {"fake": f"{policy_key}:{total_cycles}"},
+    }
 
 
 def fast_runner(task):

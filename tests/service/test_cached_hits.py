@@ -1,10 +1,12 @@
 """A cached resubmission is served from the entry's summary header.
 
 The daemon's "instant completion" branch reads ``ResultCache.get_summary``
-and nothing else: no ``RunResult`` is unpickled and nothing is fingerprinted
-on the event loop.  These tests pin that, that the served summary is still
-exactly what the cached result would be summarised to, and that the header
-never outlives the entry it describes.
+and nothing else, and a miss is answered with the summary its worker sends
+back: no ``RunResult`` is unpickled and nothing is fingerprinted on the
+event loop, and a resubmission whose key is remembered builds no task.
+These tests pin that, that the served summary is still exactly what the
+cached result would be summarised to, and that the header never outlives
+the entry it describes.
 """
 
 from __future__ import annotations
@@ -40,30 +42,37 @@ def _submit(handle, spec):
 
 @pytest.fixture
 def hit_path_spies(monkeypatch):
-    """Record every daemon-process call of the two things a hit must not do.
+    """Record every daemon-process call of the things its event loop must
+    not do: load a result, summarise or fingerprint one, build a task.
 
-    Install *after* the entry exists: the miss that creates it summarises
-    the worker's result on the event loop, by design.
+    Workers fork from the daemon, so what they call lands in their own copy
+    of the list; only this process's calls are seen here.
     """
 
-    def install():
+    def install(build_task=False):
         calls = []
-        real_get = ResultCache.get
-        real_digests = fingerprint.fingerprint_digests
 
-        def spy_get(self, key):
-            calls.append(("ResultCache.get", key))
-            return real_get(self, key)
+        def spy(owner, name, describe):
+            real = getattr(owner, name)
 
-        def spy_digests(result):
-            calls.append(("fingerprint_digests", result.policy_key))
-            return real_digests(result)
+            def wrapper(*args, **kwargs):
+                calls.append((name, describe(*args)))
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(ResultCache, "get", spy_get)
-        # summarize_result resolves the name in its defining module; the
-        # service re-export is a second binding.
-        monkeypatch.setattr(fingerprint, "fingerprint_digests", spy_digests)
-        monkeypatch.setattr(protocol, "fingerprint_digests", spy_digests)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        spy(ResultCache, "get", lambda self, key: key)
+        # summarize_result resolves fingerprint_digests in its defining
+        # module; the service and cache re-exports are further bindings.
+        for module, names in (
+            (fingerprint, ("summarize_result", "fingerprint_digests")),
+            (protocol, ("summarize_result", "fingerprint_digests")),
+            (result_cache, ("summarize_result",)),
+        ):
+            for name in names:
+                spy(module, name, lambda result, *rest: result.policy_key)
+        if build_task:
+            spy(server_module, "build_task", lambda spec: spec["policy"])
         return calls
 
     return install
@@ -74,9 +83,11 @@ def test_cached_resubmissions_neither_load_nor_fingerprint(
 ):
     handle = service_server()
     spec = _spec()
+    calls = hit_path_spies()  # before the miss: its worker summarises, not the daemon
     first = _submit(handle, spec)
     assert not first["cached"]
-    calls = hit_path_spies()
+    assert calls == []
+    calls = hit_path_spies(build_task=True)  # the key is remembered from here on
     for _ in range(12):
         again = _submit(handle, spec)
         assert again["cached"]

@@ -190,7 +190,7 @@ def test_gateway_routes_and_repeats_land_on_same_shard(service_server, gateway_f
     # Consistent hashing: the repeat lands on the warm shard.
     assert first["gateway"]["shard"] == second["gateway"]["shard"]
     assert first["gateway"]["failovers"] == 0
-    expected = summarize_result(runners.fast_runner(build_task(spec)))
+    expected = runners.fast_runner(build_task(spec))
     assert first["result"]["fingerprint"] == expected["fingerprint"]
     assert second["result"]["fingerprint"] == expected["fingerprint"]
 
@@ -269,7 +269,7 @@ def test_gateway_fails_over_when_shard_dies_mid_job(
     assert payload["gateway"]["failovers"] == 1
     assert gw.gateway.counters["failovers"] == 1
     assert gw.gateway.shards["shard0"].alive is False
-    expected = summarize_result(runners.fast_runner(build_task(spec)))
+    expected = runners.fast_runner(build_task(spec))
     assert payload["result"]["fingerprint"] == expected["fingerprint"]
 
 

@@ -47,8 +47,41 @@ def test_dispatch_and_done_event(pool_factory):
     (event,) = _wait_events(pool, 1)
     assert event.kind == "done"
     assert event.job_id == "job-1"
-    assert event.result.total_cycles == 1000
+    assert event.result["total_cycles"] == 1000
     assert pool.idle_count() == 2
+
+
+@pytest.mark.parametrize("cached", [True, False], ids=["cache", "no-cache"])
+def test_default_runner_sends_back_the_summary_not_the_run(
+    pool_factory, tmp_path, monkeypatch, cached
+):
+    """What crosses worker -> daemon for a miss is ``summarize_result`` of
+    the run — the dict ``ResultCache.put`` stored in front of the entry, or
+    with the cache off the worker's own, keyless — never the ~1 MB run."""
+    import pickle
+
+    from repro.analysis.parallel import execute_task, task_key
+    from repro.analysis.result_cache import ResultCache
+    from repro.service.protocol import summarize_result
+    from repro.service.specs import build_task, spec_for_pair
+    from repro.service.workers import run_cached_task
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    if not cached:
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    task = build_task(spec_for_pair("spec", 20, 17, scale=0.05))
+    pool = pool_factory(runner=run_cached_task, job_timeout=120.0)
+    pool.dispatch("job-1", task)
+    (event,) = _wait_events(pool, 1, deadline_s=120.0)
+    assert event.kind == "done"
+    assert type(event.result) is dict
+    assert len(pickle.dumps(event.result)) <= 8 * 1024
+    if cached:
+        key = task_key(task)
+        assert event.result == summarize_result(ResultCache(tmp_path / "cache").get(key), key)
+    else:
+        assert event.result == summarize_result(execute_task(task))
+        assert not (tmp_path / "cache").exists()
 
 
 def test_runner_exception_is_error_event(pool_factory):
