@@ -124,6 +124,10 @@ class VectorConfig:
             )
         if self.compute_issue_width < 1 or self.ldst_issue_width < 1:
             raise ConfigurationError("issue widths must be positive")
+        if self.compute_latency < 1:
+            # Dispatch planning relies on no compute completing within its
+            # own dispatch cycle.
+            raise ConfigurationError("compute_latency must be at least 1 cycle")
 
     @property
     def issue_width(self) -> int:

@@ -18,16 +18,16 @@ cycle into two passes:
    completion cycle, and one aggregated metrics update per group instead of
    one per uop.
 
-**Scalar fallback.**  The plan/apply split is only valid when nothing an
+**Segments.**  The plan/apply split is only valid while nothing an
 accepted entry does can change a *later* planning decision within the same
-scan.  Two situations break that and fall back to the reference per-entry
-loop for the whole core-cycle (counted, and attributed in ``--profile``):
-
-* a **zero-byte memory access** — the only zero-latency completion in the
-  machine; it can wake a younger dependant mid-scan, which the reference
-  loop observes by rebuilding its candidate list;
-* a **sub-cycle compute latency** (``compute_latency < 1``), which would
-  open the same mid-scan wake for computes.
+scan.  One thing can: a **zero-byte memory access** — the only same-cycle
+completion in the machine (every compute takes ``compute_latency >= 1``
+cycles, enforced where configs are built) — wakes a younger dependant
+mid-scan, which the reference loop observes as it walks past it.  The
+planner therefore ends a plan *segment* right after a zero-byte access,
+applies it, and plans the rest of the window afresh from the pool's ready
+index filtered to younger sequence numbers (older skipped entries are not
+revisited by the reference either).
 
 The backend is the fast engine's dispatch path and is bit-identical to
 the reference engine's per-uop loop under every sharing mode — the
@@ -56,9 +56,9 @@ class BatchPlan:
     allocations: int = 0
     rename_failed: bool = False
     blocked: Optional[StallReason] = None
-    #: A planned entry turned out irregular (zero-byte memory access):
-    #: discard the plan untouched and rerun through the reference loop.
-    irregular: bool = False
+    #: The segment ends at a zero-byte memory access (the last of
+    #: ``memory``): the rest of the window is planned after applying it.
+    cut: bool = False
 
     @property
     def dispatched(self) -> int:
@@ -66,45 +66,51 @@ class BatchPlan:
 
 
 class BatchExecutor:
-    """Opcode-grouped dispatch/commit engine bolted onto a co-processor."""
+    """Opcode-grouped dispatch/commit engine for a fast co-processor.
 
-    def __init__(self, coproc) -> None:
+    Holds only its attribution counters; the co-processor it serves is
+    passed per call (no back-pointer, so a finished machine is freed by
+    reference count).
+    """
+
+    def __init__(self) -> None:
         # Imported here: coprocessor.py imports this module at its top, so a
         # module-level import back would hit a half-initialised module.
         from repro.coproc.coprocessor import COMMIT_WIDTH, LONG_LATENCY
 
-        self.coproc = coproc
         self._commit_width = COMMIT_WIDTH
         self._long_latency = LONG_LATENCY
-        self._short_latency = coproc.config.vector.compute_latency
-        # A compute must never complete within its own dispatch cycle — the
-        # planner relies on that to rule out mid-scan wakes from computes.
-        self._latency_safe = coproc.config.vector.compute_latency >= 1
-        #: Attribution counters surfaced through ``--profile``.
+        #: Attribution counters surfaced through ``--profile`` and
+        #: ``diff-fuzz``'s traffic table.
         self.batched_calls = 0
-        self.scalar_calls = 0
         self.batched_uops = 0
-        self.fallback_reasons: Dict[str, int] = {}
+        self.plan_cuts = 0
 
     # --- dispatch ----------------------------------------------------------
 
-    def dispatch_core(self, core: int, budget: Dict[str, int], cycle: int) -> int:
-        """Batched replacement for ``CoProcessor._dispatch_core``."""
-        coproc = self.coproc
+    def dispatch_core(
+        self, coproc, core: int, budget: Dict[str, int], cycle: int
+    ) -> int:
+        """Batched equivalent of ``CoProcessor._dispatch_core``."""
         pool = coproc.pools[core]
         if pool.empty:
             if coproc.core_active[core]:
                 coproc.metrics.on_stall(core, StallReason.EMPTY, cycle)
             return 0
-        if not self._latency_safe:
-            return self._fallback(core, budget, cycle, "sub-cycle-latency")
-        scan = pool.ready_dispatchable(cycle)
-        plan = self._plan(core, scan, budget, cycle)
-        if plan.irregular:
-            return self._fallback(core, budget, cycle, "zero-byte-access")
         self.batched_calls += 1
-        dispatched = self._apply(core, pool, plan, budget, cycle)
+        scan = rest = pool.ready_dispatchable(cycle)
+        dispatched = 0
+        while True:
+            plan = self._plan(coproc, core, rest, budget, cycle)
+            dispatched += self._apply(coproc, core, pool, plan, budget, cycle)
+            if not plan.cut:
+                break
+            self.plan_cuts += 1
+            cut_seq = plan.memory[-1].seq
+            rest = [e for e in pool.ready_dispatchable(cycle) if e.seq > cut_seq]
         if dispatched == 0:
+            # No cut either (a cut dispatches its access): ``scan`` and
+            # ``plan`` are the whole window's.
             coproc._attribute_indexed_stall(
                 core, pool, scan, budget, plan.blocked, cycle
             )
@@ -112,15 +118,9 @@ class BatchExecutor:
         self.batched_uops += dispatched
         return dispatched
 
-    def _fallback(
-        self, core: int, budget: Dict[str, int], cycle: int, reason: str
-    ) -> int:
-        self.scalar_calls += 1
-        self.fallback_reasons[reason] = self.fallback_reasons.get(reason, 0) + 1
-        return self.coproc._dispatch_core(core, budget, cycle)
-
     def _plan(
         self,
+        coproc,
         core: int,
         scan: List[DynamicInstruction],
         budget: Dict[str, int],
@@ -132,7 +132,6 @@ class BatchExecutor:
         inside :meth:`~repro.coproc.lsu.LoadStoreUnit.stq_occupancy`, which
         the reference loop performs identically via ``store_queue_full``.
         """
-        coproc = self.coproc
         plan = BatchPlan()
         compute_left = budget["compute"]
         ldst_left = budget["ldst"]
@@ -146,9 +145,8 @@ class BatchExecutor:
                 blocked = blocked or StallReason.ISSUE_BUDGET
                 break
             # ``entry.ready(cycle)`` holds for every index candidate, and no
-            # plan decision can un-ready a later one (nothing completes
-            # mid-scan once the irregular cases are fenced off), so the
-            # reference loop's DEPENDENCY re-check is vacuous here.
+            # plan decision can un-ready a later one, so the reference
+            # loop's DEPENDENCY re-check is vacuous here.
             kind = entry.kind
             if kind is EntryKind.COMPUTE:
                 if compute_left <= 0:
@@ -181,16 +179,16 @@ class BatchExecutor:
                         break
                     avail -= 1
                     plan.allocations += 1
-                if entry.nbytes <= 0:
-                    # Zero-byte access: completes within this very cycle and
-                    # can wake a younger dependant mid-scan.  Abandon the
-                    # plan (nothing was mutated) and take the scalar loop.
-                    plan.irregular = True
-                    return plan
                 if is_store:
                     stq_used += 1
                 ldst_left -= 1
                 plan.memory.append(entry)
+                if entry.nbytes <= 0:
+                    # Zero-byte access: completes within this very cycle and
+                    # can wake a younger dependant mid-scan.  End the
+                    # segment here; the caller plans the rest after it.
+                    plan.cut = True
+                    break
             else:  # EM-SIMD entries never appear (the scan stops at them)
                 raise SimulationError("EM-SIMD instruction in dispatch scan")
         plan.blocked = blocked
@@ -198,6 +196,7 @@ class BatchExecutor:
 
     def _apply(
         self,
+        coproc,
         core: int,
         pool,
         plan: BatchPlan,
@@ -211,9 +210,9 @@ class BatchExecutor:
         memory state; ``on_issue`` heap pops order by ``(wake, seq)``
         regardless of push order and its pending-counter decrements
         commute; every completion lands strictly after ``cycle`` (latency
-        >= 1 computes, non-zero-byte memory), so no mid-scan wake occurs.
+        >= 1 computes, non-zero-byte memory) except a zero-byte access,
+        which is the segment's last entry, so no wake lands mid-segment.
         """
-        coproc = self.coproc
         metrics = coproc.metrics
         if plan.allocations:
             coproc.renamer.allocate_batch(core, plan.allocations)
@@ -223,7 +222,7 @@ class BatchExecutor:
         if dispatched == 0:
             return 0
         for group, latency in (
-            (plan.short_compute, self._short_latency),
+            (plan.short_compute, coproc.config.vector.compute_latency),
             (plan.long_compute, self._long_latency),
         ):
             if not group:
@@ -255,10 +254,9 @@ class BatchExecutor:
 
     # --- commit ------------------------------------------------------------
 
-    def commit_core(self, core: int, cycle: int) -> int:
+    def commit_core(self, coproc, core: int, cycle: int) -> int:
         """Batched in-order commit: one bulk physical-register release for
         the whole committed prefix.  Returns the entries committed."""
-        coproc = self.coproc
         committed = coproc.pools[core].commit_ready(cycle, self._commit_width)
         if committed:
             holders = sum(1 for entry in committed if entry.holds_phys_reg)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.common.config import MachineConfig
 from repro.common.errors import SimulationError
@@ -69,12 +69,9 @@ class CoProcessor:
             for c in range(num_cores)
         ]
         #: The differential oracle (``Machine(reference=True)``): every
-        #: cycle re-scans each whole pool window and dispatches per uop, and
-        #: CTS arbitration scans every pool.  The default fast engine plans
-        #: opcode-grouped batches from each pool's incrementally maintained
-        #: ready set and has the pools push 0↔non-zero occupancy transitions
-        #: into :attr:`_busy_pools`, so arbitration asks "who has work" in
-        #: O(busy cores).
+        #: cycle re-scans each whole pool window and dispatches per uop.
+        #: The default fast engine plans opcode-grouped batches from each
+        #: pool's incrementally maintained ready set.
         self.reference = reference
         self.pools = [
             InstructionPool(
@@ -82,20 +79,8 @@ class CoProcessor:
             )
             for c in range(num_cores)
         ]
-        #: Opcode-grouped dispatch/commit backend.
-        self._batch = None if reference else BatchExecutor(self)
-        self._busy_pools: Optional[Set[int]] = None if reference else set()
-        if self._busy_pools is not None:
-            busy_pools = self._busy_pools
-
-            def _on_occupancy(core: int, busy: bool) -> None:
-                if busy:
-                    busy_pools.add(core)
-                else:
-                    busy_pools.discard(core)
-
-            for pool in self.pools:
-                pool.on_occupancy = _on_occupancy
+        #: Opcode-grouped dispatch/commit backend (fast engine only).
+        self._batch = None if reference else BatchExecutor()
         self.core_active = [True] * num_cores
         #: Masks of a bare :meth:`step` call: every core, nobody asleep.
         self._every_core = list(range(num_cores))
@@ -222,7 +207,7 @@ class CoProcessor:
                 continue
             self.lsus[core].on_cycle(cycle)
             if self._batch is not None:
-                committed = self._batch.commit_core(core, cycle)
+                committed = self._batch.commit_core(self, core, cycle)
             else:
                 committed = 0
                 for entry in self.pools[core].commit_ready(cycle, COMMIT_WIDTH):
@@ -309,32 +294,17 @@ class CoProcessor:
         if cycle < self._cts_blocked_until:
             return None  # still draining/restoring from the last hand-over
         owner = self._cts_owner
-        expired = cycle >= self._cts_until
-        busy = self._busy_pools
-        if busy is not None:
-            # The pools maintain the busy set on 0↔non-zero occupancy
-            # transitions, so arbitration costs O(busy cores) instead of an
-            # all-pool scan.  ``min`` over the non-owner busy cores equals
-            # the reference's ``others_waiting[0]`` (it scans cores in
-            # ascending order).
-            owner_busy = owner in busy
-            if not (expired or not owner_busy):
-                return self._cts_owner
-            next_owner = min(
-                (core for core in busy if core != owner), default=None
-            )
-            waiting = next_owner is not None
-        else:
-            n = self.config.num_cores
-            owner_busy = not self.pools[owner].empty
-            others_waiting = [
+        if cycle < self._cts_until and not self.pools[owner].empty:
+            return owner  # has work and its quantum has not expired
+        next_owner = next(
+            (
                 core
-                for core in range(n)
-                if core != owner and not self.pools[core].empty
-            ]
-            waiting = bool(others_waiting)
-            next_owner = others_waiting[0] if others_waiting else None
-        if waiting and (expired or not owner_busy):
+                for core, pool in enumerate(self.pools)
+                if core != owner and not pool.empty
+            ),
+            None,
+        )
+        if next_owner is not None:
             self._cts_owner = next_owner
             penalty = self.config.vector.cts_switch_penalty
             # The quantum starts once the hand-over drain completes, so a
@@ -354,6 +324,13 @@ class CoProcessor:
         active: List[int],
     ) -> int:
         vector = self.config.vector
+        # Both take ``(coproc, core, budget, cycle)``: the fast engine plans
+        # batches, the reference engine walks the window per uop.
+        dispatch_core = (
+            CoProcessor._dispatch_core
+            if self._batch is None
+            else self._batch.dispatch_core
+        )
         dispatched = 0
         if self.mode is SharingMode.COARSE_TEMPORAL:
             switches_before = self.cts_switches
@@ -377,7 +354,7 @@ class CoProcessor:
                         "compute": vector.compute_issue_width,
                         "ldst": vector.ldst_issue_width,
                     }
-                    issued = self._dispatch_entrypoint(core, budget, cycle)
+                    issued = dispatch_core(self, core, budget, cycle)
                     core_events[core] += issued
                     dispatched += issued
                 elif not self.pools[core].empty:
@@ -406,45 +383,29 @@ class CoProcessor:
                     "ldst": vector.ldst_issue_width,
                 }
             )
-            issued = self._dispatch_entrypoint(core, budget, cycle)
+            issued = dispatch_core(self, core, budget, cycle)
             core_events[core] += issued
             dispatched += issued
         return dispatched
 
-    def _dispatch_entrypoint(self, core: int, budget: Dict[str, int], cycle: int) -> int:
-        """Route one core's dispatch through the batch backend (fast engine)
-        or straight to the per-uop loop (reference engine)."""
-        if self._batch is not None:
-            return self._batch.dispatch_core(core, budget, cycle)
-        return self._dispatch_core(core, budget, cycle)
-
     def _dispatch_core(self, core: int, budget: Dict[str, int], cycle: int) -> int:
-        """The per-uop age-order dispatch loop.
-
-        The reference engine's only dispatch path (scanning the whole
-        window); the fast engine's fallback when a core-cycle cannot be
-        batched (scanning the ready index).
-        """
+        """The reference engine's per-uop age-order dispatch loop, scanning
+        the whole window (the fast engine plans batches instead:
+        :meth:`BatchExecutor.dispatch_core`)."""
         pool = self.pools[core]
         if pool.empty:
             if self.core_active[core]:
                 self.metrics.on_stall(core, StallReason.EMPTY, cycle)
             return 0
-        indexed = not self.reference
-        scan = pool.ready_dispatchable(cycle) if indexed else pool.dispatchable()
         dispatched = 0
         blocked: Optional[StallReason] = None
-        index = 0
-        while index < len(scan):
-            entry = scan[index]
-            index += 1
+        for entry in pool.dispatchable():
             if budget["compute"] <= 0 and budget["ldst"] <= 0:
                 blocked = blocked or StallReason.ISSUE_BUDGET
                 break
             if not entry.ready(cycle):
                 blocked = blocked or StallReason.DEPENDENCY
                 continue
-            woke_now = False
             if entry.kind is EntryKind.COMPUTE:
                 if budget["compute"] <= 0:
                     blocked = blocked or StallReason.ISSUE_BUDGET
@@ -459,7 +420,6 @@ class CoProcessor:
                 entry.state = EntryState.ISSUED
                 entry.complete_cycle = cycle + latency
                 budget["compute"] -= 1
-                woke_now = pool.on_issue(entry, cycle)
                 self.metrics.on_compute_dispatch(core, entry.vl_lanes, entry.flops, cycle)
                 dispatched += 1
             elif entry.kind in (EntryKind.LOAD, EntryKind.STORE):
@@ -479,28 +439,11 @@ class CoProcessor:
                 entry.state = EntryState.ISSUED
                 entry.complete_cycle = result.complete_cycle
                 budget["ldst"] -= 1
-                woke_now = pool.on_issue(entry, cycle)
                 self.metrics.on_ldst_dispatch(core, entry.vl_lanes, entry.nbytes, cycle)
                 dispatched += 1
             else:  # EM-SIMD entries never appear (dispatchable() stops there)
                 raise SimulationError("EM-SIMD instruction in dispatch scan")
-            if woke_now:
-                # A zero-latency completion made a younger dependant ready
-                # within this very scan — exactly what the reference
-                # age-order pass picks up as it walks past it.  Rebuild the
-                # candidate list from the index, dropping everything at or
-                # before the issuing entry (older skipped entries are not
-                # revisited by the reference either).
-                scan = [
-                    e
-                    for e in pool.ready_dispatchable(cycle)
-                    if e.seq > entry.seq
-                ]
-                index = 0
         if dispatched == 0:
-            if indexed:
-                self._attribute_indexed_stall(core, pool, scan, budget, blocked, cycle)
-                return 0
             head = pool.head()
             if head is not None and head.is_emsimd:
                 self.metrics.on_stall(core, StallReason.RECONFIG, cycle)
@@ -529,10 +472,9 @@ class CoProcessor:
         reason (the oldest dispatchable entry *is* ``scan[0]``, and both
         scans visit the same ready entries in the same order with the same
         budget state).  A RENAME failure overrides unconditionally in both
-        scans at the same (first ready renaming) entry.  Shared by the
-        indexed reference scan and the batch-execute planner — at zero
-        dispatches neither has mutated budgets or rebuilt ``scan``, so
-        their inputs here are identical.
+        scans at the same (first ready renaming) entry.  At zero dispatches
+        the batch planner has neither mutated budgets nor cut a segment, so
+        ``scan`` is the whole window's ready list.
         """
         oldest = pool.oldest_waiting_seq()
         if oldest is None:

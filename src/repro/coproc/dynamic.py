@@ -121,10 +121,6 @@ class InstructionPool:
         #: Highest cycle the heap has been pruned to; an earlier query
         #: cannot trust it and rebuilds.
         self._pruned_to: float = -1.0
-        #: Optional ``(core_id, busy)`` callback fired on every 0↔non-zero
-        #: occupancy transition, so the co-processor can keep a busy-pool
-        #: set instead of scanning every pool per cycle for CTS arbitration.
-        self.on_occupancy = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -143,8 +139,6 @@ class InstructionPool:
             raise SimulationError(f"core {self.core_id}: pool overflow")
         self._entries.append(entry)
         self.transmitted += 1
-        if self.on_occupancy is not None and len(self._entries) == 1:
-            self.on_occupancy(self.core_id, True)
         if self._indexed:
             self._by_seq[entry.seq] = entry
             if entry.is_emsimd:
@@ -214,8 +208,6 @@ class InstructionPool:
         committed = entries[:count]
         del entries[:count]
         self.committed += count
-        if not entries and self.on_occupancy is not None:
-            self.on_occupancy(self.core_id, False)
         if self._indexed:
             for entry in committed:
                 self._by_seq.pop(entry.seq, None)
@@ -242,20 +234,17 @@ class InstructionPool:
             self._pruned_to = cycle
         return heap
 
-    def on_issue(self, entry: DynamicInstruction, cycle: int) -> bool:
+    def on_issue(self, entry: DynamicInstruction, cycle: int) -> None:
         """Notify the index that ``entry`` moved WAITING→ISSUED (or, for the
         EM-SIMD head, WAITING→DONE) with its completion cycle assigned,
-        waking any dependants it was blocking.
-
-        Returns True when a dependant became ready *at or before*
-        ``cycle`` — a zero-latency completion (store-forwarded load, L0
-        hit) enables younger entries within the same dispatch scan, so the
-        caller must refresh its candidate list mid-scan.
+        waking any dependants it was blocking.  A dependant of a same-cycle
+        completion (a zero-byte access) is ready at ``cycle`` itself: the
+        next :meth:`ready_dispatchable` query returns it.
         """
         if not self._indexed:
-            return False
+            return
         # Pruning on every push keeps the heap within the window size even
-        # when nothing ever asks for the next completion (FTS never sleeps).
+        # while nothing asks for the next completion (a busy stretch).
         heappush(self._prune_completions(cycle), entry.complete_cycle)
         waiting = self._waiting_seqs
         pos = bisect_left(waiting, entry.seq)
@@ -263,11 +252,10 @@ class InstructionPool:
             waiting.pop(pos)
         waiters = self._dep_waiters.pop(entry.seq, None)
         if not waiters:
-            return False
+            return
         done = ceil(entry.complete_cycle)
         pending = self._pending_deps
         wake_at = self._wake_at
-        woke_now = False
         for waiter in waiters:
             seq = waiter.seq
             left = pending.get(seq)
@@ -279,9 +267,6 @@ class InstructionPool:
             pending[seq] = left
             if left == 0:
                 heappush(self._wake_heap, (wake_at[seq], seq))
-                if wake_at[seq] <= cycle:
-                    woke_now = True
-        return woke_now
 
     def ready_dispatchable(self, cycle: int) -> List[DynamicInstruction]:
         """Dispatch candidates this cycle, oldest first, via the ready index.

@@ -92,19 +92,24 @@ class Metrics:
         #: fingerprint (it describes the engine, not the machine).
         self.sleep_series = [BucketSeries(bucket_cycles) for _ in range(num_cores)]
         self.total_cycles = 0
-        #: Per-cycle event journal used by the idle-cycle fast-forward and
-        #: the tickless scheduler's sleep capture.  Sharded per core so
-        #: settling a component's slept span reads only that core's entries
-        #: (O(its events), not O(all cores' events)).  Epoch stamps make the
-        #: per-cycle reset O(1): :meth:`begin_idle_cycle` bumps the epoch and
-        #: a core's list is lazily cleared on its first append of the cycle.
-        self._journal_armed = False
-        self._journal_epoch = 0
-        self._journal_stamp = [-1] * num_cores
-        self._journal: List[List[Tuple[str, int, object]]] = [
-            [] for _ in range(num_cores)
-        ]
-        self._journal_touched: List[int] = []
+        #: Sleep capture for the tickless run loop: per core, the last stall
+        #: reason and the last EM-SIMD overhead kind recorded, each with the
+        #: cycle (as announced by :meth:`begin_cycle`) it was recorded in.
+        #: One slot of each suffices because a core records at most one
+        #: stall and at most one overhead event per cycle (an ``--audit``
+        #: invariant, through :attr:`auditor`).
+        self._now = -1
+        self._stall_at = [-1] * num_cores
+        self._stall_reason: List[Optional[StallReason]] = [None] * num_cores
+        self._overhead_at = [-1] * num_cores
+        self._overhead_kind: List[Optional[str]] = [None] * num_cores
+        #: Runtime invariant auditor (``REPRO_AUDIT``); when set, it is told
+        #: of every stall and overhead record.
+        self.auditor = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # Results are pickled into the cache; the auditor belongs to the run.
+        return {**self.__dict__, "auditor": None}
 
     # --- co-processor events --------------------------------------------
 
@@ -167,8 +172,10 @@ class Metrics:
 
     def on_stall(self, core: int, reason: StallReason, cycle: int) -> None:
         self.stalls[core][reason] += 1
-        if self._journal_armed:
-            self._journal_append(core, ("stall", core, reason))
+        self._stall_at[core] = self._now
+        self._stall_reason[core] = reason
+        if self.auditor is not None:
+            self.auditor.on_core_event(core, "stall")
 
     def on_lane_change(self, core: int, lanes: int, cycle: int) -> None:
         self.lane_timeline[core].record(cycle, lanes)
@@ -196,98 +203,51 @@ class Metrics:
             self.monitor_cycles[core] += 1
         else:
             self.reconfig_cycles[core] += 1
-        if self._journal_armed:
-            self._journal_append(core, ("overhead", core, kind))
+        self._overhead_at[core] = self._now
+        self._overhead_kind[core] = kind
+        if self.auditor is not None:
+            self.auditor.on_core_event(core, "overhead")
 
-    # --- idle-cycle fast-forward support ----------------------------------
+    # --- sleep capture and settle (tickless run loop) ----------------------
 
-    def _journal_append(self, core: int, event: Tuple[str, int, object]) -> None:
-        """Record one armed-cycle event in ``core``'s journal shard."""
-        if self._journal_stamp[core] != self._journal_epoch:
-            self._journal_stamp[core] = self._journal_epoch
-            self._journal[core] = [event]
-            self._journal_touched.append(core)
-        else:
-            self._journal[core].append(event)
+    def begin_cycle(self, cycle: int) -> None:
+        """Announce the cycle about to be stepped: the stamp under which
+        this cycle's stall and overhead records are captured."""
+        self._now = cycle
 
-    def begin_idle_cycle(self) -> None:
-        """Arm (and reset) the per-cycle event journal.
+    def core_idle_events(
+        self, core: int
+    ) -> Tuple[Optional[StallReason], Optional[str]]:
+        """``(stall reason, overhead kind)`` recorded for ``core`` in the
+        current cycle, ``None`` where it recorded none.
 
-        The machine's fast-forward loop calls this before every
-        :meth:`~repro.core.machine.Machine.step`.  During a zero-progress
-        cycle the only metric mutations are stall attributions and EM-SIMD
-        overhead cycles, both pure per-cycle counter increments; the journal
-        captures exactly those so skipped idle cycles replay them verbatim.
-        Resetting is an epoch bump — no per-core work for cores that stay
-        silent this cycle.
+        Captured by the tickless scheduler at the cycle a component goes to
+        sleep: during a zero-progress cycle the only metric mutations are
+        the stall attribution and the EM-SIMD overhead cycle, both pure
+        per-cycle counter increments, and a frozen component repeats
+        exactly these every slept cycle.
         """
-        self._journal_armed = True
-        self._journal_epoch += 1
-        self._journal_touched = []
-
-    def core_idle_events(self, core: int) -> Tuple[Tuple[str, int, object], ...]:
-        """The armed cycle's journal entries attributed to ``core``.
-
-        Used by the tickless scheduler to capture, at the cycle a component
-        goes to sleep, exactly the increments that component repeats every
-        slept cycle.  O(that core's events): the journal is sharded per
-        core, so no scan over other cores' entries.
-        """
-        if not self._journal_armed or self._journal_stamp[core] != self._journal_epoch:
-            return ()
-        return tuple(self._journal[core])
-
-    def replay_idle_cycles(self, times: int) -> None:
-        """Repeat the just-journalled idle cycle's increments ``times`` more
-        times — the accounting for cycles elided by the fast-forward."""
-        if times <= 0 or not self._journal_armed:
-            return
-        for core in self._journal_touched:
-            for kind, _core, what in self._journal[core]:
-                if kind == "stall":
-                    self.stalls[core][what] += times
-                elif what == "monitor":
-                    self.monitor_cycles[core] += times
-                else:
-                    self.reconfig_cycles[core] += times
-
-    def mirror_core_idle_events(
-        self, events: Tuple[Tuple[str, int, object], ...]
-    ) -> None:
-        """Re-journal already-settled events into the armed cycle.
-
-        A mid-cycle wake settles a sleeper's span through
-        :meth:`replay_core_idle_cycles`; those same increments also belong
-        to the *current* armed cycle's journal so a subsequent fast-forward
-        or sleep capture sees them, exactly as if they had been recorded
-        live by :meth:`on_stall`/:meth:`on_overhead_cycle`.
-        """
-        if not self._journal_armed:
-            return
-        for event in events:
-            self._journal_append(event[1], event)
+        now = self._now
+        return (
+            self._stall_reason[core] if self._stall_at[core] == now else None,
+            self._overhead_kind[core] if self._overhead_at[core] == now else None,
+        )
 
     def replay_core_idle_cycles(
-        self, events: Tuple[Tuple[str, int, object], ...], times: int
+        self,
+        core: int,
+        events: Tuple[Optional[StallReason], Optional[str]],
+        times: int,
     ) -> None:
-        """Settle one component's slept span: repeat its captured per-cycle
-        journal entries ``times`` times.
-
-        The tickless scheduler captures, at the cycle a component goes to
-        sleep, the journal entries attributed to that component (its stall
-        reason and any EM-SIMD overhead); a frozen component repeats those
-        exact increments every cycle, so the whole span lands as a handful
-        of bulk adds when the component wakes.
-        """
-        if times <= 0:
-            return
-        for kind, core, what in events:
-            if kind == "stall":
-                self.stalls[core][what] += times
-            elif what == "monitor":
-                self.monitor_cycles[core] += times
-            else:
-                self.reconfig_cycles[core] += times
+        """Settle ``core``'s slept span: repeat its captured
+        :meth:`core_idle_events` ``times`` times, as two bulk adds."""
+        stall, overhead = events
+        if stall is not None:
+            self.stalls[core][stall] += times
+        if overhead == "monitor":
+            self.monitor_cycles[core] += times
+        elif overhead is not None:
+            self.reconfig_cycles[core] += times
 
     def on_sleep_span(self, core: int, start_cycle: int, end_cycle: int) -> None:
         """Record that ``core``'s complex slept over ``[start, end)``."""

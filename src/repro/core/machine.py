@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import insort
+from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import MachineConfig
@@ -27,17 +28,77 @@ from repro.validation.invariants import InvariantAuditor, audit_enabled
 DEADLOCK_WINDOW = 100_000
 
 
+class EventWheel:
+    """Wake index for the tickless run loop.
+
+    Each sleeping component registers the earliest future cycle at which
+    its externally observable behaviour can change (its *wake cycle*); the
+    run loop asks :meth:`due` which components must be settled and stepped
+    at the current cycle and :meth:`next_wake` how far the global clock may
+    jump when everything is asleep.  Early wakes are harmless (the
+    component re-sleeps); late wakes are forbidden — the bit-exactness of
+    the tickless engine rests on every component's wake being a lower
+    bound on its next state change.
+
+    One lazy min-heap of ``(wake, component)`` entries.  ``_wake`` is the
+    ground truth: a heap entry is valid only while ``_wake[component]``
+    still equals its recorded cycle, so cancels and reschedules are O(1)
+    and stale entries are discarded when they surface at the heap top.
+    """
+
+    def __init__(self) -> None:
+        self._wake: Dict[int, int] = {}
+        self._heap: List[Tuple[int, int]] = []
+
+    def __len__(self) -> int:
+        return len(self._wake)
+
+    def schedule(self, component: int, cycle: int) -> None:
+        """Register (or move) ``component``'s wake to ``cycle``."""
+        self._wake[component] = cycle
+        heappush(self._heap, (cycle, component))
+
+    def cancel(self, component: int) -> None:
+        """Drop ``component``'s wake, if any (idempotent)."""
+        self._wake.pop(component, None)
+
+    def wake_of(self, component: int) -> Optional[int]:
+        """The registered wake cycle, or ``None`` if not scheduled."""
+        return self._wake.get(component)
+
+    def next_wake(self) -> Optional[int]:
+        """Earliest registered wake across all components, or ``None``."""
+        wake = self._wake
+        heap = self._heap
+        while heap and wake.get(heap[0][1]) != heap[0][0]:
+            heappop(heap)  # stale: cancelled or rescheduled
+        return heap[0][0] if heap else None
+
+    def due(self, cycle: int) -> List[int]:
+        """Pop and return components whose wake is ``<= cycle``, sorted."""
+        wake = self._wake
+        heap = self._heap
+        out: List[int] = []
+        while heap and heap[0][0] <= cycle:
+            entry_cycle, component = heappop(heap)
+            if wake.get(component) == entry_cycle:
+                del wake[component]
+                out.append(component)
+        return sorted(out)
+
+
 class Machine:
     """A ``config.num_cores``-core system under one sharing policy.
 
     One of two engines runs it, latched at construction.  The default
-    *fast* engine stacks pre-decoded scalar dispatch, the tickless event
-    wheel with its active list, batched co-processor dispatch and
-    busy-pool CTS arbitration.  ``reference=True`` selects the seed
-    engine — the ``_exec_*`` interpreter stepped every cycle, no
-    fast-forward, a full-window per-uop dispatch scan — kept
-    solely as the oracle the differential fuzzer diffs the fast engine
-    against (:mod:`repro.validation.difftest`).  The two are bit-identical.
+    *fast* engine stacks pre-decoded scalar dispatch, per-component sleep
+    on the event wheel (whose limit case, every component asleep, is the
+    idle clock jump), the pools' ready index and completion heap, and
+    batched co-processor dispatch.  ``reference=True`` selects the seed
+    engine — the ``_exec_*`` interpreter stepped every cycle, nothing
+    skipped, a full-window per-uop dispatch scan — kept solely as the
+    oracle the differential fuzzer diffs the fast engine against
+    (:mod:`repro.validation.difftest`).  The two are bit-identical.
     """
 
     def __init__(
@@ -79,10 +140,9 @@ class Machine:
         self._asleep_count = 0
         self._live_count = 0
         self._sleep_from: List[int] = [0] * num_cores
-        self._sleep_events: List[Tuple[Tuple[str, int, object], ...]] = [
-            ()
-        ] * num_cores
-        self._wheel = None
+        #: Per sleeper, the :meth:`Metrics.core_idle_events` it repeats.
+        self._sleep_events: List[tuple] = [(None, None)] * num_cores
+        self._wheel = EventWheel()
         #: Sorted list of awake live cores (maintained by the fast engine).
         self._active: List[int] = []
         self._comp_busy: List[int] = [0] * num_cores
@@ -160,36 +220,6 @@ class Machine:
         live = [c for c in candidates if c is not None]
         return min(live) if live else None
 
-    def _fast_forward(self, cycle: int, last_progress: int, max_cycles: int) -> int:
-        """Jump the clock over known-idle cycles after a zero-progress step
-        (temporal sharing only: every other mode sleeps per component).
-
-        A zero-progress cycle leaves every pool, queue and register table
-        untouched, so each elided cycle would repeat exactly the metric
-        increments just journalled by the real step.  While a real event is
-        pending the jump goes straight to it — a legitimately long skip
-        (e.g. a drain covering more than ``DEADLOCK_WINDOW`` cycles) is
-        *not* a hang, so the deadlock horizon does not cap it; only when no
-        event is pending at all (the machine is frozen for good) does the
-        jump stop at the horizon, where the deadlock check fires at the
-        same cycle as the cycle-by-cycle loop.  ``max_cycles`` always caps.
-        Returns the cycle the caller should resume *after* (the run loop's
-        ``cycle += 1`` then lands on the first interesting one).
-        """
-        next_event = self.next_event_cycle(cycle)
-        if next_event is None:
-            target = last_progress + DEADLOCK_WINDOW + 1
-        else:
-            target = next_event
-        target = min(target, max_cycles)
-        skipped = target - cycle - 1
-        if skipped > 0:
-            self.metrics.replay_idle_cycles(skipped)
-            self.coproc.skip_idle_cycles(skipped)
-            self._ff_skipped += skipped
-            return cycle + skipped
-        return cycle
-
     def run(self, max_cycles: int = 3_000_000) -> RunResult:
         """Simulate until every workload halts and drains."""
         profile = RunProfile()
@@ -199,8 +229,8 @@ class Machine:
             cycle = self._run_fast(max_cycles)
             batch = self.coproc._batch
             profile.batched_dispatch_calls = batch.batched_calls
-            profile.scalar_dispatch_calls = batch.scalar_calls
             profile.batched_uops = batch.batched_uops
+            profile.plan_cuts = batch.plan_cuts
         self.metrics.close(cycle)
         profile.total_cycles = cycle
         profile.fastforward_cycles = self._ff_skipped
@@ -258,22 +288,23 @@ class Machine:
         reports its wake cycle (earliest future cycle at which its
         behaviour can change: next pool completion, store retire, pending
         scalar writeback, or CTS quantum boundary) into the wheel and goes
-        to sleep; its per-cycle journal entries (stall reason, EM-SIMD
-        overhead) are captured once and settled in bulk when it wakes.
+        to sleep; the stall reason and EM-SIMD overhead it recorded that
+        cycle are captured once and settled in bulk when it wakes.
         Sleeping components are skipped by :meth:`CoProcessor.step`; when
         every live component sleeps, the global clock jumps straight to the
-        earliest wake.  Temporal sharing (FTS) never sleeps — its shared
-        issue budget and renamer couple the cores every cycle — and falls
-        back to :meth:`_fast_forward`.  The three per-core loops of a cycle
-        walk the sorted *active list* (awake live cores), so a cycle costs
-        O(components with work).  Bit-identical to :meth:`_run_reference`
-        (the differential fuzzer diffs the two engines).
+        earliest wake.  Temporal sharing (FTS) couples the cores through
+        one issue budget and one renamer, so there the components sleep all
+        together or not at all — only after a machine-wide zero-progress
+        cycle, and only if none would wake at the very next cycle — and a
+        due wake of any of them settles all.  The three per-core loops of a
+        cycle walk the sorted *active list* (awake live cores), so a cycle
+        costs O(components with work).  Bit-identical to
+        :meth:`_run_reference` (the differential fuzzer diffs the two
+        engines).
         """
-        from repro.core.scheduling import HierarchicalEventWheel
-
         metrics = self.metrics
         coproc = self.coproc
-        wheel = self._wheel = HierarchicalEventWheel()
+        wheel = self._wheel
         awake = self._awake
         active = self._active = [
             core_id
@@ -281,7 +312,7 @@ class Machine:
             if core is not None and not self._done[core_id]
         ]
         self._live_count = len(active)
-        sleep_allowed = coproc.mode is not SharingMode.TEMPORAL
+        coupled = coproc.mode is SharingMode.TEMPORAL
         coproc.wake_all_hook = self._wake_all_mid_cycle
         core_events = [0] * self.config.num_cores
         cycle = 0
@@ -295,8 +326,12 @@ class Machine:
                         f"(policy={self.policy.key})"
                     )
                 if self._asleep_count:
-                    for component in wheel.due(cycle):
-                        self._settle(component, cycle)
+                    due = wheel.due(cycle)
+                    if due and coupled:
+                        self._settle_all(cycle)
+                    else:
+                        for component in due:
+                            self._settle(component, cycle)
                     if self._asleep_count == self._live_count:
                         nxt = wheel.next_wake()
                         if nxt is None:
@@ -310,31 +345,31 @@ class Machine:
                             self._ff_skipped += skipped
                             cycle = target
                             continue
-                metrics.begin_idle_cycle()
+                metrics.begin_cycle(cycle)
                 progress = self._step_fast(cycle, core_events)
                 if progress:
                     last_progress = cycle
-                else:
-                    if (
-                        cycle - last_progress > DEADLOCK_WINDOW
-                        and self.next_event_cycle(cycle) is None
-                    ):
-                        self._settle_all(cycle)
-                        raise DeadlockError(
-                            f"no forward progress since cycle {last_progress} "
-                            f"(policy={self.policy.key})"
-                        )
-                    if not sleep_allowed:
-                        # Per-component sleep cannot act (FTS coupling):
-                        # fall back to the global idle fast-forward.
-                        cycle = self._fast_forward(cycle, last_progress, max_cycles)
-                if sleep_allowed:
-                    for component in tuple(active):
+                elif (
+                    cycle - last_progress > DEADLOCK_WINDOW
+                    and self.next_event_cycle(cycle) is None
+                ):
+                    self._settle_all(cycle)
+                    raise DeadlockError(
+                        f"no forward progress since cycle {last_progress} "
+                        f"(policy={self.policy.key})"
+                    )
+                if not (coupled and progress):
+                    sleepers = []
+                    for component in active:
                         if core_events[component]:
                             continue
                         wake = self._component_wake(component, cycle)
-                        if wake is not None and wake <= cycle + 1:
-                            continue  # nothing to skip before the next event
+                        # A wake at the next cycle leaves nothing to skip.
+                        if wake is None or wake > cycle + 1:
+                            sleepers.append((component, wake))
+                    if coupled and len(sleepers) < len(active):
+                        sleepers = ()
+                    for component, wake in sleepers:
                         awake[component] = False
                         self._asleep_count += 1
                         self._sleep_from[component] = cycle + 1
@@ -396,7 +431,7 @@ class Machine:
         """Earliest future cycle at which ``component`` can change behaviour.
 
         The wake-cycle contract: a sleeping component repeats this cycle's
-        journal entries verbatim until (a) one of its issued instructions
+        captured stall and overhead verbatim until (a) one of its issued instructions
         completes (unblocking commit, dependants, renamer frees and the
         transmit gate), (b) a queued store retires from its STQ, (c) a
         pending vector→scalar writeback lands in the scalar core, or — under
@@ -437,7 +472,7 @@ class Machine:
         slept = cycle - start
         if slept > 0:
             self.metrics.replay_core_idle_cycles(
-                self._sleep_events[component], slept
+                component, self._sleep_events[component], slept
             )
             self.metrics.on_sleep_span(component, start, cycle)
             self._comp_asleep[component] += slept
@@ -456,24 +491,20 @@ class Machine:
         Sleeping components' scalar phases for this very cycle were skipped
         while still frozen (the switch happens in the later dispatch
         phase), so after settling the span up to ``cycle`` their captured
-        EM-SIMD overhead entries are replayed once more; the dispatch phase
-        then runs live with the post-switch attribution.  Their commit and
-        EM-SIMD phases this cycle are provably no-ops (no completion due
-        before their wake, head not an executable EM-SIMD).
+        EM-SIMD overhead is recorded once more — through the live hook, so
+        a component that goes back to sleep at the end of this very cycle
+        captures it again; the dispatch phase then runs live with the
+        post-switch attribution.  Their commit and EM-SIMD phases this
+        cycle are provably no-ops (no completion due before their wake,
+        head not an executable EM-SIMD).
         """
         for component in range(self.config.num_cores):
             if self._awake[component]:
                 continue
-            events = self._sleep_events[component]
+            overhead = self._sleep_events[component][1]
             self._settle(component, cycle)
-            overhead = tuple(event for event in events if event[0] == "overhead")
-            if overhead:
-                self.metrics.replay_core_idle_cycles(overhead, 1)
-                # Mirror the replayed entries into the armed per-cycle
-                # journal: if the component goes back to sleep at the end
-                # of this very cycle, its frozen journal must include the
-                # scalar-phase overhead it keeps incurring.
-                self.metrics.mirror_core_idle_events(overhead)
+            if overhead is not None:
+                self.metrics.on_overhead_cycle(component, overhead)
 
 
 def run_policy(

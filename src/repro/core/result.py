@@ -78,20 +78,23 @@ class RunProfile:
     component_idle: List[int] = field(default_factory=list)
     component_asleep: List[int] = field(default_factory=list)
     #: Batch-execute backend attribution: per-core-cycle dispatch calls
-    #: handled by the opcode-grouped plan/apply path vs. routed through the
-    #: scalar per-entry fallback, and uops issued via groups.  All-zero
-    #: under the reference engine.
+    #: planned and applied in opcode groups, uops issued via groups, and
+    #: plan segments cut at a zero-byte access.  All-zero under the
+    #: reference engine.
     batched_dispatch_calls: int = 0
-    scalar_dispatch_calls: int = 0
     batched_uops: int = 0
+    plan_cuts: int = 0
+    # Always 0: the scalar dispatch fallback is deleted; goes with the three
+    # replay fields above (ROADMAP item 1(f)).
+    scalar_dispatch_calls: int = 0
 
     def merge(self, other: "RunProfile") -> None:
         self.total_cycles += other.total_cycles
         self.interpreted_cycles += other.interpreted_cycles
         self.fastforward_cycles += other.fastforward_cycles
         self.batched_dispatch_calls += other.batched_dispatch_calls
-        self.scalar_dispatch_calls += other.scalar_dispatch_calls
         self.batched_uops += other.batched_uops
+        self.plan_cuts += other.plan_cuts
         self.component_busy = _merge_padded(self.component_busy, other.component_busy)
         self.component_idle = _merge_padded(self.component_idle, other.component_idle)
         self.component_asleep = _merge_padded(
@@ -125,17 +128,11 @@ class RunProfile:
                     f"  core {core}   busy {busy:>12}  idle-stepped {idle:>12}"
                     f"  asleep {asleep:>12}"
                 )
-        if self.batched_dispatch_calls or self.scalar_dispatch_calls:
-            calls = max(1, self.batched_dispatch_calls + self.scalar_dispatch_calls)
-            share = 100.0 * self.batched_dispatch_calls / calls
+        if self.batched_dispatch_calls:
             lines.append("batch-execute backend (per-core dispatch calls):")
-            lines.append(
-                f"  batched             {self.batched_dispatch_calls:>12}  {share:5.1f}%"
-            )
-            lines.append(
-                f"  scalar fallback     {self.scalar_dispatch_calls:>12}"
-            )
+            lines.append(f"  batched             {self.batched_dispatch_calls:>12}")
             lines.append(f"  uops in groups      {self.batched_uops:>12}")
+            lines.append(f"  zero-byte plan cuts {self.plan_cuts:>12}")
         return "\n".join(lines)
 
 

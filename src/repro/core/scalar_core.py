@@ -341,6 +341,12 @@ class ScalarCore:
             if d.is_vector:
                 transmits -= 1
             self.retired += 1
+        if self.halted:
+            # The handlers close over this core; a halted core never runs
+            # one again, and without them it is freed by reference count.
+            for d in decoded:
+                if d is not None:
+                    d.run = None
         self._account_overhead(retired_indices, stall_kind)
         return len(retired_indices)
 

@@ -21,9 +21,8 @@ implements exactly that protocol for more workloads than cores:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from repro.common.config import MachineConfig
 from repro.common.errors import ConfigurationError, SimulationError
@@ -33,117 +32,6 @@ from repro.core.machine import Job
 from repro.core.policies import Policy
 from repro.core.scalar_core import ScalarCore
 from repro.isa.registers import OIValue
-
-
-class HierarchicalEventWheel:
-    """Two-level wake index for the tickless run loop.
-
-    Each sleeping component registers the earliest future cycle at which
-    its externally observable behaviour can change (its *wake cycle*); the
-    run loop asks :meth:`due` which components must be settled and stepped
-    at the current cycle and :meth:`next_wake` how far the global clock may
-    jump when everything is asleep.  Early wakes are harmless (the
-    component re-sleeps); late wakes are forbidden — the bit-exactness of
-    the tickless engine rests on every component's wake being a lower
-    bound on its next state change.
-
-    Per-call cost tracks the number of *scheduled* components, not the
-    machine size.  Components are grouped into complexes of
-    ``group_size``; each group keeps a lazy min-heap of ``(wake,
-    component)`` entries and the top level keeps a lazy min-heap of
-    ``(wake, group)`` entries.  ``_wake`` is the ground truth — an entry
-    in either heap is valid only while ``_wake[component]`` still equals
-    its recorded cycle, so cancels and reschedules are O(1) (stale
-    entries are discarded when they surface at a heap top).
-
-    Correctness of the laziness: every :meth:`schedule` pushes into both
-    heaps, so the currently valid minimum of every group always has a
-    live top-level entry with the same cycle; heap order therefore
-    surfaces the true global minimum before any later valid entry, and
-    popping stale or duplicate entries can never skip it.
-
-    A 32-core machine with every complex asleep answers
-    :meth:`next_wake` from the top heap in O(1) amortised, and
-    :meth:`due` touches only the groups that actually have wakes at or
-    before the queried cycle.
-    """
-
-    def __init__(self, group_size: int = 4) -> None:
-        if group_size < 1:
-            raise ConfigurationError("complex group size must be positive")
-        self._group_size = group_size
-        self._wake: Dict[int, int] = {}
-        #: group id -> lazy min-heap of (wake cycle, component).
-        self._groups: Dict[int, List[Tuple[int, int]]] = {}
-        #: lazy min-heap of (wake cycle, group id).
-        self._top: List[Tuple[int, int]] = []
-
-    def __len__(self) -> int:
-        return len(self._wake)
-
-    def _group_of(self, component: int) -> int:
-        return component // self._group_size
-
-    def schedule(self, component: int, cycle: int) -> None:
-        """Register (or move) ``component``'s wake to ``cycle``."""
-        self._wake[component] = cycle
-        group = self._group_of(component)
-        heappush(self._groups.setdefault(group, []), (cycle, component))
-        heappush(self._top, (cycle, group))
-
-    def cancel(self, component: int) -> None:
-        """Drop ``component``'s wake, if any (idempotent, O(1) — the heap
-        entries become stale and are discarded lazily)."""
-        self._wake.pop(component, None)
-
-    def wake_of(self, component: int) -> Optional[int]:
-        """The registered wake cycle, or ``None`` if not scheduled."""
-        return self._wake.get(component)
-
-    def next_wake(self) -> Optional[int]:
-        """Earliest registered wake across all components, or ``None``."""
-        wake = self._wake
-        if not wake:
-            return None
-        top = self._top
-        groups = self._groups
-        while top:
-            cycle, group = top[0]
-            heap = groups.get(group)
-            while heap and wake.get(heap[0][1]) != heap[0][0]:
-                heappop(heap)  # stale: cancelled or rescheduled
-            if not heap:
-                groups.pop(group, None)
-                heappop(top)
-                continue
-            if heap[0][0] == cycle:
-                return cycle
-            # This top entry is stale (the group's min moved); the live
-            # minimum pushed its own top entry, so popping is safe.
-            heappop(top)
-        return None
-
-    def due(self, cycle: int) -> List[int]:
-        """Pop and return components whose wake is ``<= cycle``, sorted."""
-        wake = self._wake
-        if not wake:
-            return []
-        out: List[int] = []
-        top = self._top
-        groups = self._groups
-        while top and top[0][0] <= cycle:
-            _, group = heappop(top)
-            heap = groups.get(group)
-            if heap is None:
-                continue
-            while heap and heap[0][0] <= cycle:
-                entry_cycle, component = heappop(heap)
-                if wake.get(component) == entry_cycle:
-                    del wake[component]
-                    out.append(component)
-            if not heap:
-                groups.pop(group, None)
-        return sorted(out)
 
 
 @dataclass

@@ -1,10 +1,11 @@
 """Cross-engine differential fuzzing (``python -m repro diff-fuzz``).
 
 The simulator has two engines (see :class:`~repro.core.machine.Machine`):
-the default *fast* engine — pre-decoded scalar dispatch, idle fast-forward,
-the tickless event wheel, batched co-processor dispatch, busy-pool CTS
-arbitration — and the *reference* engine, the seed interpreter stepped
-cycle by cycle.  They are promised bit-identical.
+the default *fast* engine — pre-decoded scalar dispatch, per-component
+sleep on the event wheel (and the idle clock jump when all sleep), batched
+co-processor dispatch from the pools' ready index — and the *reference*
+engine, the seed interpreter stepped cycle by cycle.  They are promised
+bit-identical.
 This module generates randomized multi-phase co-running programs, runs
 each through both engines under every sharing mode, and diffs the complete
 run fingerprint (architectural memory state, metrics, lane timelines,
@@ -299,7 +300,7 @@ class FuzzReport:
             "fast-forwarded cycles": profile.fastforward_cycles,
             "component-asleep cycles": sum(profile.component_asleep),
             "batched dispatch calls": profile.batched_dispatch_calls,
-            "scalar dispatch calls": profile.scalar_dispatch_calls,
+            "zero-byte plan cuts": profile.plan_cuts,
         }
 
     @property

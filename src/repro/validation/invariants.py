@@ -15,7 +15,11 @@ construction and re-checks the co-processor's structural invariants —
   register, and every freelist stays within ``[0, capacity]``;
 * **bandwidth accounting**: every per-level regulator serves requests at
   or after their arrival, advances its queue monotonically within a
-  request, and keeps its counters consistent.
+  request, and keeps its counters consistent;
+* **one event per core-cycle**: a core records at most one stall and at
+  most one EM-SIMD overhead event per cycle (what the fast engine's
+  one-slot sleep capture rests on), and under temporal sharing the
+  components are asleep all together or not at all.
 
 Every check is strictly read-only — enabling the audit cannot perturb the
 simulation, so audited runs stay bit-identical to unaudited ones (the
@@ -26,9 +30,11 @@ validation tests assert this).  A violated invariant raises
 from __future__ import annotations
 
 import os
-from typing import Optional
+import weakref
+from typing import Set, Tuple
 
 from repro.common.errors import InvariantViolation
+from repro.coproc.sharing import SharingMode
 
 
 def audit_enabled() -> bool:
@@ -42,12 +48,18 @@ class InvariantAuditor:
     Construction installs the auditor on the machine's lane table,
     renamer, LSUs and bandwidth regulators (their per-call hooks), and
     :meth:`check_machine` runs the full structural audit — called by
-    ``Machine.step`` every simulated cycle.
+    ``Machine.step`` every simulated cycle.  The machine is held weakly:
+    its parts point at the auditor, and a finished machine must be freed by
+    reference count.
     """
 
     def __init__(self, machine) -> None:
-        self.machine = machine
+        self.machine = weakref.proxy(machine)
         self.checks = 0
+        #: ``(core, "stall" | "overhead")`` records since the last
+        #: :meth:`check_machine`.
+        self._core_events: Set[Tuple[int, str]] = set()
+        machine.metrics.auditor = self
         coproc = machine.coproc
         coproc.lane_table.auditor = self
         coproc.renamer.auditor = self
@@ -147,19 +159,27 @@ class InvariantAuditor:
                 f"!= last finish {finish}"
             )
 
+    def on_core_event(self, core: int, kind: str) -> None:
+        """After a stall or overhead record: the first of its kind for
+        ``core`` since the last end-of-cycle audit."""
+        self.checks += 1
+        if (core, kind) in self._core_events:
+            self._fail(f"core {core} recorded two {kind} events in one cycle")
+        self._core_events.add((core, kind))
+
     # --- full-machine audit -------------------------------------------------
 
     def check_machine(self, cycle: int) -> None:
         """The end-of-cycle structural audit."""
         self.checks += 1
+        self._core_events.clear()
         self._check_lanes()
         self._check_pools(cycle)
         self._check_renamer_leaks()
         self._check_bandwidth()
+        self._check_coupled_sleep()
 
     def _check_lanes(self) -> None:
-        from repro.coproc.coprocessor import SharingMode
-
         coproc = self.machine.coproc
         self.on_lane_table(coproc.lane_table)
         self.checks -= 1  # on_lane_table counted itself
@@ -233,6 +253,17 @@ class InvariantAuditor:
                     f"renamer slot {slot}: {renamer._free[slot]} free + "
                     f"{held} held != capacity {renamer._capacity[slot]}"
                 )
+
+    def _check_coupled_sleep(self) -> None:
+        machine = self.machine
+        if (
+            machine.coproc.mode is SharingMode.TEMPORAL
+            and 0 < machine._asleep_count < machine._live_count
+        ):
+            self._fail(
+                f"temporal sharing with {machine._asleep_count} of "
+                f"{machine._live_count} live components asleep (all or none)"
+            )
 
     def _check_bandwidth(self) -> None:
         for regulator in self._regulators():

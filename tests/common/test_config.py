@@ -109,6 +109,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             VectorConfig(vregs_per_block=16, arch_vregs=32)
 
+    def test_compute_latency_at_least_one_cycle(self):
+        # A compute completing in its own dispatch cycle would wake a
+        # dependant mid-scan, which batched dispatch planning rules out.
+        with pytest.raises(ConfigurationError):
+            VectorConfig(compute_latency=0)
+
     def test_core_parameters_positive(self):
         with pytest.raises(ConfigurationError):
             CoreConfig(scalar_ipc=0)

@@ -238,10 +238,19 @@ class TestBatchedDispatchProperty:
                 ), f"diverged at cycle {cycle} under {mode}"
             assert batched._batch.batched_calls > 0
 
-    def test_zero_byte_access_takes_scalar_fallback(self):
+    def test_zero_byte_access_cuts_a_plan_segment(self, monkeypatch):
         """A zero-byte memory op (VL 0 after a cts reclaim) completes within
         its own cycle and can wake a younger dependant mid-scan — the one
-        dispatch shape the planner must not batch."""
+        dispatch shape the planner must end a segment at, and still
+        without any per-uop loop."""
+        per_uop = []
+        loop = CoProcessor._dispatch_core
+
+        def spy(self, core, budget, cycle):
+            per_uop.append(self.reference)
+            return loop(self, core, budget, cycle)
+
+        monkeypatch.setattr(CoProcessor, "_dispatch_core", spy)
         config = experiment_config()
         num_cores = config.num_cores
         reference, batched = _build_pair(SharingMode.SPATIAL, num_cores, config)
@@ -255,7 +264,6 @@ class TestBatchedDispatchProperty:
             addr=0,
             nbytes=0,
         )
-        fallbacks_before = batched._batch.scalar_calls
         for side_entry, coproc in (
             (load, reference),
             (
@@ -288,5 +296,8 @@ class TestBatchedDispatchProperty:
             for cycle in range(40):
                 coproc.step(cycle)
         assert _observable_state(reference) == _observable_state(batched)
-        assert batched._batch.scalar_calls > fallbacks_before
-        assert batched._batch.fallback_reasons.get("zero-byte-access", 0) > 0
+        assert batched._batch.plan_cuts == 1
+        # The dependant rode the segment planned after the cut, in the
+        # access's own cycle, as under the reference's age-order walk.
+        assert batched.metrics.compute_uops[0] == 1
+        assert per_uop and all(per_uop), "the fast engine ran a per-uop loop"

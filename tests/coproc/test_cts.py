@@ -15,7 +15,7 @@ from repro.coproc.coprocessor import SharingMode
 from repro.coproc.metrics import StallReason
 from repro.core.machine import Machine
 from repro.core.policies import CTS, policy
-from tests.conftest import compiled_job, make_axpy, make_two_phase
+from tests.conftest import compiled_job, make_axpy, make_reduction, make_two_phase
 
 
 class TestCtsPolicy:
@@ -68,6 +68,33 @@ class TestCtsPolicy:
             for core in (0, 1)
         )
         assert waits > 100
+
+    def test_owner_sequence_matches_reference(self, config, monkeypatch):
+        """One arbitration body serves both engines: at every cycle the
+        fast engine arbitrates (it skips the cycles everyone sleeps
+        through) it names the owner, and has counted the switches, the
+        cycle-by-cycle reference has there."""
+        from repro.coproc.coprocessor import CoProcessor
+
+        original = CoProcessor._cts_arbitrate
+        seen = {False: {}, True: {}}
+
+        def spy(self, cycle):
+            granted = original(self, cycle)
+            seen[self.reference][cycle] = (granted, self._cts_owner, self.cts_switches)
+            return granted
+
+        monkeypatch.setattr(CoProcessor, "_cts_arbitrate", spy)
+        for reference in (False, True):
+            jobs = [
+                compiled_job(make_axpy(2048), 0),
+                compiled_job(make_reduction(256, 8), 1),
+            ]
+            Machine(config, CTS, jobs, reference=reference).run()
+        fast, slow = seen[False], seen[True]
+        assert 0 < len(fast) < len(slow), "the fast engine never slept"
+        assert all(slow[cycle] == state for cycle, state in fast.items())
+        assert fast[max(fast)][2] == slow[max(slow)][2] >= 2
 
 class TestCtsArbitrateEdges:
     """Direct edge-case drives of :meth:`CoProcessor._cts_arbitrate`."""

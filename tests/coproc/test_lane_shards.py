@@ -1,8 +1,7 @@
 """Incremental lane bookkeeping must equal its from-scratch counterpart.
 
-The fast engine's bulk-round greedy partition and its busy-pool set for
-CTS arbitration each have a scanning counterpart these tests diff against:
-the literal round loop kept in ``partition.py`` and an all-pool scan.
+The fast engine's bulk-round greedy partition has a scanning counterpart
+these tests diff against: the literal round loop kept in ``partition.py``.
 """
 
 import random
@@ -54,40 +53,10 @@ class TestBulkGreedyPartition:
                 partition(demands, 2, roofline)
 
 
-class TestBusyPoolSet:
-    def test_set_matches_pool_scan_at_every_arbitration(self, monkeypatch):
-        from repro.coproc.coprocessor import CoProcessor
-        from repro.core.machine import Machine
-        from repro.core.policies import policy
-
-        mismatches = []
-        checks = []
-        original = CoProcessor._cts_arbitrate
-
-        def audited(self, cycle):
-            scanned = {
-                core for core, pool in enumerate(self.pools) if not pool.empty
-            }
-            checks.append(cycle)
-            if self._busy_pools != scanned:
-                mismatches.append((cycle, self._busy_pools, scanned))
-            return original(self, cycle)
-
-        monkeypatch.setattr(CoProcessor, "_cts_arbitrate", audited)
-        jobs = [
-            compiled_job(make_axpy(2048), 0),
-            compiled_job(make_reduction(256, 8), 1),
-        ]
-        machine = Machine(experiment_config(), policy("cts"), jobs)
-        machine.run()
-        assert checks, "CTS run never arbitrated ownership"
-        assert not mismatches, mismatches[:3]
-
-
 class TestKillSwitch:
     def test_fingerprints_identical_with_and_without(self):
-        """Busy-set arbitration and bulk partitioning (fast engine) against
-        the all-pool scan (reference engine), where each decides most."""
+        """Bulk partitioning and CTS arbitration on the fast engine against
+        the reference engine, where each decides most."""
         from repro.core.machine import Machine
         from repro.core.policies import policy
 

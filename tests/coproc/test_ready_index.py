@@ -107,7 +107,9 @@ class Driver:
         entry.state = EntryState.ISSUED
         entry.complete_cycle = self.cycle + self.rng.choice(LATENCIES)
         self.issues += 1
-        if self.pool.on_issue(entry, self.cycle):
+        self.pool.on_issue(entry, self.cycle)
+        was_ready = {e.seq for e in ready}
+        if any(e.seq not in was_ready for e in reference_ready(self.pool, self.cycle)):
             self.cascades += 1
 
     def op_execute_emsimd(self) -> None:
@@ -152,9 +154,9 @@ def test_index_equals_scan(seed):
 
 
 def test_cascade_paths_are_exercised():
-    """Across the seed set, same-cycle wakes (on_issue -> True) occur —
-    the exact case that diverged dispatch order before the mid-scan
-    refresh existed."""
+    """Across the seed set, same-cycle wakes (an issue that makes a
+    dependant ready at the very same cycle) occur — the exact case that
+    diverged dispatch order before the planner cut its segment there."""
     cascades = 0
     for seed in range(25):
         driver = Driver(seed)
@@ -185,7 +187,7 @@ def test_zero_latency_wake_is_visible_same_cycle():
     assert pool.ready_dispatchable(5) == [a]
     a.state = EntryState.ISSUED
     a.complete_cycle = 5  # store-forwarded: completes the cycle it issues
-    assert pool.on_issue(a, 5) is True
+    pool.on_issue(a, 5)
     assert pool.ready_dispatchable(5) == [b]
     assert reference_ready(pool, 5) == [b]
 
@@ -209,6 +211,6 @@ def test_future_completion_wakes_later():
     pool.ready_dispatchable(0)
     a.state = EntryState.ISSUED
     a.complete_cycle = 7.5
-    assert pool.on_issue(a, 0) is False
+    pool.on_issue(a, 0)
     assert pool.ready_dispatchable(7) == []
     assert pool.ready_dispatchable(8) == [b]

@@ -1,7 +1,7 @@
 """The tickless event wheel: wake index, engine selection, deadlock windows.
 
 Unit-level coverage of the wake-index contract of
-:class:`repro.core.scheduling.HierarchicalEventWheel` plus the run-loop
+:class:`repro.core.machine.EventWheel` plus the run-loop
 properties around it: ``reference=True`` is the only engine selector (the
 deleted ``REPRO_NO_*`` kill switches are inert), and the satellite fix that
 a *legitimate* long skip — a memory-bound stretch far wider than
@@ -14,10 +14,8 @@ from __future__ import annotations
 import pytest
 
 import repro.core.machine as machine_mod
-from repro.common.errors import ConfigurationError
-from repro.core.machine import Machine
+from repro.core.machine import EventWheel, Machine
 from repro.core.policies import PRIVATE, policy
-from repro.core.scheduling import HierarchicalEventWheel
 
 from tests.conftest import (
     REMOVED_KILL_SWITCHES,
@@ -30,7 +28,7 @@ from tests.conftest import (
 
 class TestEventWheel:
     def test_schedule_and_due(self):
-        wheel = HierarchicalEventWheel()
+        wheel = EventWheel()
         wheel.schedule(0, 10)
         wheel.schedule(1, 12)
         assert len(wheel) == 2
@@ -43,7 +41,7 @@ class TestEventWheel:
 
     def test_due_recovers_overshot_wakes(self):
         """Wakes the clock jumped past are still returned (and popped)."""
-        wheel = HierarchicalEventWheel()
+        wheel = EventWheel()
         wheel.schedule(0, 5)
         wheel.schedule(1, 7)
         wheel.schedule(2, 40)
@@ -52,7 +50,7 @@ class TestEventWheel:
         assert wheel.next_wake() == 40
 
     def test_reschedule_moves_the_wake(self):
-        wheel = HierarchicalEventWheel()
+        wheel = EventWheel()
         wheel.schedule(0, 10)
         wheel.schedule(0, 300)  # the stale (10, 0) heap entries must not fire
         assert wheel.due(10) == []
@@ -60,7 +58,7 @@ class TestEventWheel:
         assert wheel.due(300) == [0]
 
     def test_cancel_is_idempotent(self):
-        wheel = HierarchicalEventWheel()
+        wheel = EventWheel()
         wheel.schedule(3, 9)
         wheel.cancel(3)
         wheel.cancel(3)
@@ -68,16 +66,13 @@ class TestEventWheel:
         assert wheel.next_wake() is None
 
     def test_bucket_collisions(self):
-        """Components sharing a group heap stay distinct."""
-        wheel = HierarchicalEventWheel(group_size=4)
+        """Components due at one cycle are all returned, sorted."""
+        wheel = EventWheel()
+        wheel.schedule(3, 8)
         wheel.schedule(0, 8)
-        wheel.schedule(1, 12)  # same group as component 0
-        assert wheel.due(8) == [0]
+        wheel.schedule(1, 12)
+        assert wheel.due(8) == [0, 3]
         assert wheel.due(12) == [1]
-
-    def test_rejects_zero_slots(self):
-        with pytest.raises(ConfigurationError):
-            HierarchicalEventWheel(group_size=0)
 
 
 class TestKillSwitch:
@@ -112,7 +107,6 @@ class TestKillSwitch:
             assert machine.coproc.reference is reference
             assert all(core.reference is reference for core in machine.cores)
             assert (machine.coproc._batch is None) is reference
-            assert (machine.coproc._busy_pools is None) is reference
             assert all(
                 pool._indexed is not reference for pool in machine.coproc.pools
             )

@@ -101,17 +101,21 @@ class TestGuards:
         assert results[0] == results[1]
 
     def test_finished_machine_is_freed_without_the_collector(self, config):
-        # Nothing a run builds may point back at the Machine, or its memory
-        # is held until the cycle collector happens to run and
-        # ``peak_rss_mb`` measures collector timing.  (Its cores and its
-        # co-processor are still cyclic garbage: ROADMAP item 2.)
+        # Nothing a run builds may point back at the Machine, its
+        # co-processor or a scalar core, or their memory is held until the
+        # cycle collector happens to run and ``peak_rss_mb`` measures
+        # collector timing.
         gc.collect()
         gc.disable()
         try:
-            machine = Machine(config, OCCAMY, [compiled_job(make_axpy()), None])
-            machine.run()
-            ref = weakref.ref(machine)
-            del machine
-            assert ref() is None
+            for audit in (False, True):
+                machine = Machine(
+                    config, OCCAMY, [compiled_job(make_axpy()), None], audit=audit
+                )
+                machine.run()
+                refs = [weakref.ref(machine), weakref.ref(machine.coproc)]
+                refs += [weakref.ref(core) for core in machine.cores if core]
+                del machine
+                assert [ref() for ref in refs] == [None] * len(refs), audit
         finally:
             gc.enable()

@@ -85,12 +85,13 @@ class TestScheduling:
 
 
 class TestHierarchicalWheel:
-    """The two-level wake index against a flat wake map."""
+    """The lazy-heap wake index against a brute-force ``min`` oracle (the
+    class keeps the name of the two-level wheel it was written for)."""
 
     def test_matches_flat_wheel_on_randomized_schedules(self):
         import random
 
-        from repro.core.scheduling import HierarchicalEventWheel
+        from repro.core.machine import EventWheel
 
         class FlatWheel:
             """The wake-index contract spelled out over one dict."""
@@ -110,7 +111,7 @@ class TestHierarchicalWheel:
         for seed in range(20):
             rng = random.Random(seed)
             flat = FlatWheel()
-            hier = HierarchicalEventWheel(group_size=rng.choice((1, 2, 4, 7)))
+            hier = EventWheel()
             clock = 0
             for _ in range(300):
                 action = rng.random()
@@ -143,9 +144,9 @@ class TestHierarchicalWheel:
             assert len(hier) == 0
 
     def test_reschedule_overrides_stale_heap_entries(self):
-        from repro.core.scheduling import HierarchicalEventWheel
+        from repro.core.machine import EventWheel
 
-        wheel = HierarchicalEventWheel(group_size=4)
+        wheel = EventWheel()
         wheel.schedule(5, 100)
         wheel.schedule(5, 40)  # moves earlier: old entry is stale
         assert wheel.next_wake() == 40
@@ -155,12 +156,6 @@ class TestHierarchicalWheel:
         assert wheel.next_wake() == 500
         assert wheel.due(10) == []
         assert wheel.due(500) == [6]
-
-    def test_bad_group_size_rejected(self):
-        from repro.core.scheduling import HierarchicalEventWheel
-
-        with pytest.raises(ConfigurationError):
-            HierarchicalEventWheel(group_size=0)
 
     def test_machine_fingerprint_identical_with_and_without(self, config):
         """The wheel-driven fast engine against the wheel-less reference."""

@@ -21,7 +21,6 @@ import pytest
 from repro.analysis import experiments
 from repro.analysis.parallel import SimTask, run_tasks
 from repro.common.config import experiment_config
-from repro.coproc.coprocessor import SharingMode
 from repro.core.machine import Machine, run_policy
 from repro.core.policies import ALL_POLICIES, EXTENDED_POLICIES
 from repro.core.scalar_core import ScalarCore
@@ -174,11 +173,8 @@ def test_event_wheel_is_bit_exact(policy):
     """
     tickless, fast_profile, reference, slow_profile = _both_engines(policy)
     assert tickless == reference
-    asleep = sum(fast_profile.component_asleep)
-    if policy.mode is SharingMode.TEMPORAL:
-        assert asleep == 0  # FTS couples the cores every cycle: no sleeping
-    else:
-        assert asleep > 0
+    # Every mode sleeps — FTS too, all components together or not at all.
+    assert sum(fast_profile.component_asleep) > 0
     assert not any(slow_profile.component_asleep)
 
 

@@ -144,9 +144,8 @@ class TestBatchPlannerPressure:
         assert stalls.get(StallReason.RENAME, 0) > 0
         assert stalls.get(StallReason.STORE_QUEUE, 0) > 0
         assert machine.profile.batched_dispatch_calls > 0
-        # Nothing in this spec is irregular: the backend must never have
-        # had to fall back to per-lane dispatch.
-        assert machine.profile.scalar_dispatch_calls == 0
+        # Nothing in this spec is a zero-byte access: one segment per plan.
+        assert machine.profile.plan_cuts == 0
 
     def test_batch_engines_stay_bit_exact(self):
         divergences = check_case(BATCH_PLANNER_PRESSURE, policies=("fts",))
@@ -165,12 +164,11 @@ class TestBatchPlannerPressure:
 class TestBugDetection:
     @pytest.fixture()
     def lossy_fast_forward(self, monkeypatch):
-        """Inject a bug: the global idle fast-forward forgets the elided
-        cycles' metric increments, so the fast engine diverges from the
-        reference in the stall/overhead accounting wherever it takes that
-        jump — every idle stretch under FTS, which never sleeps."""
+        """Inject a bug: settling a slept span forgets its metric
+        increments, so the fast engine diverges from the reference in the
+        stall/overhead accounting wherever a component slept."""
         monkeypatch.setattr(
-            Metrics, "replay_idle_cycles", lambda self, times: None
+            Metrics, "replay_core_idle_cycles", lambda self, core, events, times: None
         )
 
     def test_fuzzer_catches_injected_bug(self, lossy_fast_forward):
@@ -225,14 +223,15 @@ class TestCli:
         assert all(report["traffic"].values())
 
     def test_diff_fuzz_fails_a_starved_sweep(self, capsys):
-        """FTS never sleeps a component: clean, yet exit 1."""
+        """Seed 0 under FTS issues no zero-byte access, so the planner
+        never cuts a segment: clean, yet exit 1."""
         from repro.cli import main
 
         code = main(["diff-fuzz", "--seeds", "1", "--policies", "fts"])
         out = capsys.readouterr().out
         assert code == 1
         assert "bit-identical" in out
-        assert "no traffic for component-asleep cycles" in out
+        assert "no traffic for zero-byte plan cuts" in out
 
     def test_diff_fuzz_rejects_unknown_policy(self):
         from repro.cli import main

@@ -133,6 +133,29 @@ class TestCorruptionCaught:
         with pytest.raises(InvariantViolation, match="negative"):
             machine.auditor.check_machine(10_000)
 
+    def test_second_stall_or_overhead_in_one_cycle(self, config):
+        # One capture slot per core rests on one record per core-cycle.
+        from repro.coproc.metrics import StallReason
+
+        machine = _run_some(_machine(config))
+        metrics = machine.metrics
+        metrics.on_stall(0, StallReason.EMPTY, 10_000)
+        metrics.on_overhead_cycle(0, "monitor")
+        metrics.on_stall(1, StallReason.EMPTY, 10_000)  # another core: fine
+        with pytest.raises(InvariantViolation, match="two stall events"):
+            metrics.on_stall(0, StallReason.DEPENDENCY, 10_000)
+        with pytest.raises(InvariantViolation, match="two overhead events"):
+            metrics.on_overhead_cycle(0, "reconfig")
+        machine.auditor.check_machine(10_000)  # end of cycle: a new one
+        metrics.on_stall(0, StallReason.EMPTY, 10_001)
+
+    def test_partial_sleep_under_temporal_sharing(self, config):
+        machine = _run_some(_machine(config, key="fts"))
+        machine._live_count = 2
+        machine._asleep_count = 1  # one of two coupled components asleep
+        with pytest.raises(InvariantViolation, match="all or none"):
+            machine.auditor.check_machine(10_000)
+
     def test_bandwidth_serve_hook_rejects_time_travel(self, config):
         # The per-serve hook is a self-consistency check on the channel's
         # own arithmetic; feed it an impossible schedule directly.

@@ -66,9 +66,9 @@ class TestReductionPasses:
 class TestShrinkOnInjectedBug:
     @pytest.fixture()
     def lossy_fast_forward(self, monkeypatch):
-        # Trips under FTS, whose idle stretches all take the global jump.
+        # Trips wherever a component slept (under FTS: every idle stretch).
         monkeypatch.setattr(
-            Metrics, "replay_idle_cycles", lambda self, times: None
+            Metrics, "replay_core_idle_cycles", lambda self, core, events, times: None
         )
 
     def test_minimized_case_still_diverges_and_is_smaller(self, lossy_fast_forward):
@@ -107,7 +107,7 @@ class TestEmission:
 
     def test_emitted_test_fails_while_bug_present(self, monkeypatch):
         monkeypatch.setattr(
-            Metrics, "replay_idle_cycles", lambda self, times: None
+            Metrics, "replay_core_idle_cycles", lambda self, core, events, times: None
         )
         spec = generate_case(0)
         _, source = emit_regression_test(spec, "fts")
