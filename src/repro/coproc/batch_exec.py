@@ -1,9 +1,10 @@
 """Batch-execute backend: opcode-grouped dispatch and commit kernels.
 
-The reference engine dispatches one lane-operation at a time: an age-order
-Python loop that, per entry, re-checks budgets, renaming, the store queue,
-then issues and books metrics individually.  This backend restructures each
-cycle into two passes:
+The oracle (``WindowScan`` in :mod:`repro.validation.reference_engine`)
+dispatches one lane-operation at a time: an age-order Python loop that, per
+entry, re-checks budgets, renaming, the store queue, then issues and books
+metrics individually — "the reference scan" below.  This backend
+restructures each cycle into two passes:
 
 1. **Plan** — a side-effect-free walk of the ready candidates that mirrors
    the reference scan's decision sequence exactly (issue budgets, renamer
@@ -29,9 +30,9 @@ applies it, and plans the rest of the window afresh from the pool's ready
 index filtered to younger sequence numbers (older skipped entries are not
 revisited by the reference either).
 
-The backend is the fast engine's dispatch path and is bit-identical to
-the reference engine's per-uop loop under every sharing mode — the
-differential fuzzer diffs the two engines.
+The backend is the engine's one dispatch path and is bit-identical to
+``WindowScan``'s per-uop loop under every sharing mode — the differential
+fuzzer diffs the two engines.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class BatchExecutor:
     def dispatch_core(
         self, coproc, core: int, budget: Dict[str, int], cycle: int
     ) -> int:
-        """Batched equivalent of ``CoProcessor._dispatch_core``."""
+        """Batched equivalent of the oracle's ``WindowScan.dispatch_core``."""
         pool = coproc.pools[core]
         if pool.empty:
             if coproc.core_active[core]:
@@ -111,7 +112,7 @@ class BatchExecutor:
         if dispatched == 0:
             # No cut either (a cut dispatches its access): ``scan`` and
             # ``plan`` are the whole window's.
-            coproc._attribute_indexed_stall(
+            coproc._attribute_zero_dispatch_stall(
                 core, pool, scan, budget, plan.blocked, cycle
             )
             return 0

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 from repro.common.config import MachineConfig
 from repro.common.errors import SimulationError
 from repro.coproc.batch_exec import BatchExecutor
-from repro.coproc.dynamic import DynamicInstruction, EntryKind, EntryState, InstructionPool
+from repro.coproc.dynamic import DynamicInstruction, EntryState, InstructionPool
 from repro.coproc.lanes import LaneTable
 from repro.coproc.lsu import LoadStoreUnit
 from repro.coproc.metrics import Metrics, StallReason
@@ -50,7 +50,6 @@ class CoProcessor:
         mode: SharingMode,
         metrics: Metrics,
         lane_manager: "LaneManagerProtocol",
-        reference: bool = False,
     ) -> None:
         self.config = config
         self.mode = mode
@@ -68,19 +67,13 @@ class CoProcessor:
             LoadStoreUnit(c, self.memory, config.core.store_queue_entries)
             for c in range(num_cores)
         ]
-        #: The differential oracle (``Machine(reference=True)``): every
-        #: cycle re-scans each whole pool window and dispatches per uop.
-        #: The default fast engine plans opcode-grouped batches from each
-        #: pool's incrementally maintained ready set.
-        self.reference = reference
         self.pools = [
-            InstructionPool(
-                c, config.core.instruction_pool_entries, indexed=not reference
-            )
+            InstructionPool(c, config.core.instruction_pool_entries)
             for c in range(num_cores)
         ]
-        #: Opcode-grouped dispatch/commit backend (fast engine only).
-        self._batch = None if reference else BatchExecutor()
+        #: Dispatch/commit backend: plans opcode-grouped batches from each
+        #: pool's incrementally maintained ready set.
+        self._batch = BatchExecutor()
         self.core_active = [True] * num_cores
         #: Masks of a bare :meth:`step` call: every core, nobody asleep.
         self._every_core = list(range(num_cores))
@@ -206,14 +199,7 @@ class CoProcessor:
             if not awake[core]:
                 continue
             self.lsus[core].on_cycle(cycle)
-            if self._batch is not None:
-                committed = self._batch.commit_core(self, core, cycle)
-            else:
-                committed = 0
-                for entry in self.pools[core].commit_ready(cycle, COMMIT_WIDTH):
-                    if entry.holds_phys_reg:
-                        self.renamer.release(core)
-                    committed += 1
+            committed = self._batch.commit_core(self, core, cycle)
             core_events[core] += committed
             events += committed
         events += self._execute_emsimd(cycle, awake, core_events, active)
@@ -324,13 +310,7 @@ class CoProcessor:
         active: List[int],
     ) -> int:
         vector = self.config.vector
-        # Both take ``(coproc, core, budget, cycle)``: the fast engine plans
-        # batches, the reference engine walks the window per uop.
-        dispatch_core = (
-            CoProcessor._dispatch_core
-            if self._batch is None
-            else self._batch.dispatch_core
-        )
+        dispatch_core = self._batch.dispatch_core
         dispatched = 0
         if self.mode is SharingMode.COARSE_TEMPORAL:
             switches_before = self.cts_switches
@@ -388,72 +368,7 @@ class CoProcessor:
             dispatched += issued
         return dispatched
 
-    def _dispatch_core(self, core: int, budget: Dict[str, int], cycle: int) -> int:
-        """The reference engine's per-uop age-order dispatch loop, scanning
-        the whole window (the fast engine plans batches instead:
-        :meth:`BatchExecutor.dispatch_core`)."""
-        pool = self.pools[core]
-        if pool.empty:
-            if self.core_active[core]:
-                self.metrics.on_stall(core, StallReason.EMPTY, cycle)
-            return 0
-        dispatched = 0
-        blocked: Optional[StallReason] = None
-        for entry in pool.dispatchable():
-            if budget["compute"] <= 0 and budget["ldst"] <= 0:
-                blocked = blocked or StallReason.ISSUE_BUDGET
-                break
-            if not entry.ready(cycle):
-                blocked = blocked or StallReason.DEPENDENCY
-                continue
-            if entry.kind is EntryKind.COMPUTE:
-                if budget["compute"] <= 0:
-                    blocked = blocked or StallReason.ISSUE_BUDGET
-                    continue
-                if entry.writes_vreg and not self.renamer.try_allocate(core):
-                    # Renaming happens in program order: a rename stall
-                    # blocks every younger instruction too.
-                    blocked = StallReason.RENAME
-                    break
-                entry.holds_phys_reg = entry.writes_vreg
-                latency = LONG_LATENCY if entry.long_latency else self.config.vector.compute_latency
-                entry.state = EntryState.ISSUED
-                entry.complete_cycle = cycle + latency
-                budget["compute"] -= 1
-                self.metrics.on_compute_dispatch(core, entry.vl_lanes, entry.flops, cycle)
-                dispatched += 1
-            elif entry.kind in (EntryKind.LOAD, EntryKind.STORE):
-                if budget["ldst"] <= 0:
-                    blocked = blocked or StallReason.ISSUE_BUDGET
-                    continue
-                is_store = entry.kind is EntryKind.STORE
-                lsu = self.lsus[core]
-                if is_store and lsu.store_queue_full(cycle):
-                    blocked = blocked or StallReason.STORE_QUEUE
-                    continue
-                if not is_store and not self.renamer.try_allocate(core):
-                    blocked = StallReason.RENAME
-                    break
-                entry.holds_phys_reg = not is_store
-                result = lsu.issue(entry.addr, entry.nbytes, cycle, is_store)
-                entry.state = EntryState.ISSUED
-                entry.complete_cycle = result.complete_cycle
-                budget["ldst"] -= 1
-                self.metrics.on_ldst_dispatch(core, entry.vl_lanes, entry.nbytes, cycle)
-                dispatched += 1
-            else:  # EM-SIMD entries never appear (dispatchable() stops there)
-                raise SimulationError("EM-SIMD instruction in dispatch scan")
-        if dispatched == 0:
-            head = pool.head()
-            if head is not None and head.is_emsimd:
-                self.metrics.on_stall(core, StallReason.RECONFIG, cycle)
-            elif blocked is not None:
-                self.metrics.on_stall(core, blocked, cycle)
-            elif any(e.state is EntryState.WAITING for e in pool.dispatchable()):
-                self.metrics.on_stall(core, StallReason.DEPENDENCY, cycle)
-        return dispatched
-
-    def _attribute_indexed_stall(
+    def _attribute_zero_dispatch_stall(
         self,
         core: int,
         pool: InstructionPool,
@@ -464,17 +379,19 @@ class CoProcessor:
     ) -> None:
         """Zero-dispatch stall attribution from the ready index.
 
-        Reconstructs the reference scan's reason (first blocked reason in
-        age order over the whole window).  With zero dispatches the budgets
-        never moved, so the reference loop's reason is anchored at the
-        oldest dispatchable entry: a both-budgets-exhausted break there,
-        DEPENDENCY if it is not ready, else the indexed scan's own first
-        reason (the oldest dispatchable entry *is* ``scan[0]``, and both
-        scans visit the same ready entries in the same order with the same
-        budget state).  A RENAME failure overrides unconditionally in both
-        scans at the same (first ready renaming) entry.  At zero dispatches
-        the batch planner has neither mutated budgets nor cut a segment, so
-        ``scan`` is the whole window's ready list.
+        Reconstructs the reason a per-uop age-order scan of the whole
+        window reports (its first blocked reason; the oracle's
+        ``WindowScan`` in :mod:`repro.validation.reference_engine` is that
+        scan).  With zero dispatches the budgets never moved, so the window
+        scan's reason is anchored at the oldest dispatchable entry: a
+        both-budgets-exhausted break there, DEPENDENCY if it is not ready,
+        else the ready-index scan's own first reason (the oldest
+        dispatchable entry *is* ``scan[0]``, and both scans visit the same
+        ready entries in the same order with the same budget state).  A
+        RENAME failure overrides unconditionally in both scans at the same
+        (first ready renaming) entry.  At zero dispatches the batch planner
+        has neither mutated budgets nor cut a segment, so ``scan`` is the
+        whole window's ready list.
         """
         oldest = pool.oldest_waiting_seq()
         if oldest is None:

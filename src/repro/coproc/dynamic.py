@@ -85,18 +85,19 @@ class DynamicInstruction:
 class InstructionPool:
     """Per-core in-flight window with in-order commit.
 
-    With ``indexed=True`` the pool additionally maintains an incrementally
-    updated *ready set*: a wake-cycle heap of entries whose producers have
-    all issued, promoted into an age-ordered ready list as their operands'
-    completion cycles pass.  Dispatch then consumes
-    :meth:`ready_dispatchable` instead of re-scanning the full window every
-    cycle.  It also keeps a min-heap of issued entries' completion cycles,
-    so :meth:`next_completion` costs O(log n) instead of a window scan.
-    Both are fed only by :meth:`push`, :meth:`on_issue` and
+    The pool maintains an incrementally updated *ready set*: a wake-cycle
+    heap of entries whose producers have all issued, promoted into an
+    age-ordered ready list as their operands' completion cycles pass.
+    Dispatch consumes :meth:`ready_dispatchable` instead of re-scanning the
+    full window every cycle.  It also keeps a min-heap of issued entries'
+    completion cycles, so :meth:`next_completion` costs O(log n) instead of
+    a window scan.  Both are fed only by :meth:`push`, :meth:`on_issue` and
     :meth:`commit_ready`: an entry's state must not change behind them.
+    (The window-scan pool these are property-tested against is
+    ``repro.validation.reference_engine.ScanPool``.)
     """
 
-    def __init__(self, core_id: int, capacity: int, indexed: bool = False) -> None:
+    def __init__(self, core_id: int, capacity: int) -> None:
         if capacity < 1:
             raise SimulationError("pool capacity must be positive")
         self.core_id = core_id
@@ -104,7 +105,6 @@ class InstructionPool:
         self._entries: List[DynamicInstruction] = []
         self.transmitted = 0
         self.committed = 0
-        self._indexed = indexed
         self._by_seq: Dict[int, DynamicInstruction] = {}
         self._dep_waiters: Dict[int, List[DynamicInstruction]] = {}
         self._pending_deps: Dict[int, int] = {}
@@ -139,12 +139,11 @@ class InstructionPool:
             raise SimulationError(f"core {self.core_id}: pool overflow")
         self._entries.append(entry)
         self.transmitted += 1
-        if self._indexed:
-            self._by_seq[entry.seq] = entry
-            if entry.is_emsimd:
-                self._emsimd_seqs.append(entry.seq)
-            elif entry.state is EntryState.WAITING:
-                self._register(entry)
+        self._by_seq[entry.seq] = entry
+        if entry.is_emsimd:
+            self._emsimd_seqs.append(entry.seq)
+        elif entry.state is EntryState.WAITING:
+            self._register(entry)
 
     def head(self) -> Optional[DynamicInstruction]:
         """The oldest in-flight instruction."""
@@ -159,38 +158,13 @@ class InstructionPool:
 
         Next-event hook for the idle-cycle fast-forward: while no entry
         completes, a stalled window cannot commit, unblock dependants, free
-        physical registers or drain for an EM-SIMD barrier.  The indexed
-        pool answers from the completion heap; the window scan below is
-        the reference engine's body (and the heap's property-test oracle).
+        physical registers or drain for an EM-SIMD barrier.  Answered from
+        the completion heap.
         """
-        if self._indexed:
-            if cycle < self._pruned_to:
-                self._rebuild_completions()
-            heap = self._prune_completions(cycle)
-            return heap[0] if heap else None
-        nxt: Optional[float] = None
-        for entry in self._entries:
-            if entry.state is EntryState.WAITING:
-                continue
-            if entry.complete_cycle > cycle and (
-                nxt is None or entry.complete_cycle < nxt
-            ):
-                nxt = entry.complete_cycle
-        return nxt
-
-    def dispatchable(self) -> List[DynamicInstruction]:
-        """Entries eligible for dispatch this cycle, oldest first.
-
-        EM-SIMD instructions serialise the window (§4.2.2 executes them in
-        order on a drained pipeline), so scanning stops at the first one.
-        """
-        eligible: List[DynamicInstruction] = []
-        for entry in self._entries:
-            if entry.is_emsimd:
-                break
-            if entry.state is EntryState.WAITING:
-                eligible.append(entry)
-        return eligible
+        if cycle < self._pruned_to:
+            self._rebuild_completions()
+        heap = self._prune_completions(cycle)
+        return heap[0] if heap else None
 
     def commit_ready(self, cycle: float, width: int) -> List[DynamicInstruction]:
         """Pop up to ``width`` completed entries from the head, in order:
@@ -208,16 +182,15 @@ class InstructionPool:
         committed = entries[:count]
         del entries[:count]
         self.committed += count
-        if self._indexed:
-            for entry in committed:
-                self._by_seq.pop(entry.seq, None)
-                self._dep_waiters.pop(entry.seq, None)
-                if (
-                    entry.is_emsimd
-                    and self._emsimd_seqs
-                    and self._emsimd_seqs[0] == entry.seq
-                ):
-                    self._emsimd_seqs.popleft()
+        for entry in committed:
+            self._by_seq.pop(entry.seq, None)
+            self._dep_waiters.pop(entry.seq, None)
+            if (
+                entry.is_emsimd
+                and self._emsimd_seqs
+                and self._emsimd_seqs[0] == entry.seq
+            ):
+                self._emsimd_seqs.popleft()
         return committed
 
     # ------------------------------------------------------------------
@@ -241,8 +214,6 @@ class InstructionPool:
         completion (a zero-byte access) is ready at ``cycle`` itself: the
         next :meth:`ready_dispatchable` query returns it.
         """
-        if not self._indexed:
-            return
         # Pruning on every push keeps the heap within the window size even
         # while nothing asks for the next completion (a busy stretch).
         heappush(self._prune_completions(cycle), entry.complete_cycle)
@@ -271,8 +242,8 @@ class InstructionPool:
     def ready_dispatchable(self, cycle: int) -> List[DynamicInstruction]:
         """Dispatch candidates this cycle, oldest first, via the ready index.
 
-        Invariant (property-tested): equals
-        ``[e for e in self.dispatchable() if e.ready(cycle)]``.
+        Invariant (property-tested): equals the ready entries of a
+        from-scratch window scan (``ScanPool.dispatchable``).
         """
         heap = self._wake_heap
         ready = self._ready_seqs
@@ -304,8 +275,8 @@ class InstructionPool:
     def oldest_waiting_seq(self) -> Optional[int]:
         """Sequence number of the oldest dispatch-eligible WAITING entry.
 
-        ``None`` iff :meth:`dispatchable` is empty — i.e. no non-EM-SIMD
-        entry before the EM-SIMD barrier is still WAITING.  This gives the
+        ``None`` iff no non-EM-SIMD entry before the EM-SIMD barrier is
+        still WAITING (a window scan finds nothing eligible).  This gives the
         zero-dispatch path the reference scan's stall attribution anchor
         (whose reason leads the age-order scan) without walking the window.
         """
@@ -352,6 +323,4 @@ class InstructionPool:
 
     def pending_emsimd(self) -> int:
         """Number of EM-SIMD instructions still in flight (for MRS sync)."""
-        if self._indexed:
-            return len(self._emsimd_seqs)
-        return sum(1 for e in self._entries if e.is_emsimd)
+        return len(self._emsimd_seqs)

@@ -90,16 +90,15 @@ class EventWheel:
 class Machine:
     """A ``config.num_cores``-core system under one sharing policy.
 
-    One of two engines runs it, latched at construction.  The default
-    *fast* engine stacks pre-decoded scalar dispatch, per-component sleep
-    on the event wheel (whose limit case, every component asleep, is the
-    idle clock jump), the pools' ready index and completion heap, and
-    batched co-processor dispatch.  ``reference=True`` selects the seed
-    engine — the ``_exec_*`` interpreter stepped every cycle, nothing
-    skipped, a full-window per-uop dispatch scan — kept solely as the
-    oracle the differential fuzzer diffs the fast engine against
-    (:mod:`repro.validation.difftest`).  The two are bit-identical.
+    The engine stacks pre-decoded scalar dispatch, per-component sleep on
+    the event wheel (whose limit case, every component asleep, is the idle
+    clock jump), the pools' ready index and completion heap, and batched
+    co-processor dispatch.
     """
+
+    #: The co-processor and scalar-core classes a machine is built from.
+    coproc_class = CoProcessor
+    core_class = ScalarCore
 
     def __init__(
         self,
@@ -107,7 +106,6 @@ class Machine:
         policy: Policy,
         jobs: Sequence[Optional[Job]],
         audit: Optional[bool] = None,
-        reference: bool = False,
     ) -> None:
         if len(jobs) != config.num_cores:
             raise SimulationError(
@@ -128,9 +126,8 @@ class Machine:
             total_lanes=config.vector.total_lanes,
             pipes_per_lane=config.vector.compute_issue_width,
         )
-        self.reference = reference
-        self.coproc = CoProcessor(
-            config, policy.mode, self.metrics, self.lane_manager, reference=reference
+        self.coproc = self.coproc_class(
+            config, policy.mode, self.metrics, self.lane_manager
         )
         self._done: List[bool] = [job is None for job in jobs]
         # Per-component (core complex = scalar core + pool + LSU) sleep
@@ -143,7 +140,7 @@ class Machine:
         #: Per sleeper, the :meth:`Metrics.core_idle_events` it repeats.
         self._sleep_events: List[tuple] = [(None, None)] * num_cores
         self._wheel = EventWheel()
-        #: Sorted list of awake live cores (maintained by the fast engine).
+        #: Sorted list of awake live cores.
         self._active: List[int] = []
         self._comp_busy: List[int] = [0] * num_cores
         self._comp_idle: List[int] = [0] * num_cores
@@ -166,14 +163,13 @@ class Machine:
                 self.metrics.on_core_done(core_id, 0)
             else:
                 self.cores.append(
-                    ScalarCore(
+                    self.core_class(
                         core_id=core_id,
                         program=job.program,
                         image=job.image,
                         coproc=self.coproc,
                         metrics=self.metrics,
                         config=config.core,
-                        reference=reference,
                     )
                 )
 
@@ -222,16 +218,12 @@ class Machine:
 
     def run(self, max_cycles: int = 3_000_000) -> RunResult:
         """Simulate until every workload halts and drains."""
+        cycle = self._run_fast(max_cycles)
         profile = RunProfile()
-        if self.reference:
-            cycle = self._run_reference(max_cycles)
-        else:
-            cycle = self._run_fast(max_cycles)
-            batch = self.coproc._batch
-            profile.batched_dispatch_calls = batch.batched_calls
-            profile.batched_uops = batch.batched_uops
-            profile.plan_cuts = batch.plan_cuts
-        self.metrics.close(cycle)
+        batch = self.coproc._batch
+        profile.batched_dispatch_calls = batch.batched_calls
+        profile.batched_uops = batch.batched_uops
+        profile.plan_cuts = batch.plan_cuts
         profile.total_cycles = cycle
         profile.fastforward_cycles = self._ff_skipped
         profile.interpreted_cycles = cycle - self._ff_skipped
@@ -240,6 +232,11 @@ class Machine:
         profile.component_asleep = list(self._comp_asleep)
         self.profile = profile
         GLOBAL_PROFILE.merge(profile)
+        return self._result(cycle)
+
+    def _result(self, cycle: int) -> RunResult:
+        """Close the books at ``cycle`` and package the run."""
+        self.metrics.close(cycle)
         return RunResult(
             policy_key=self.policy.key,
             config=self.config,
@@ -255,30 +252,7 @@ class Machine:
             },
         )
 
-    def _run_reference(self, max_cycles: int) -> int:
-        """The seed cycle-by-cycle loop (the differential oracle)."""
-        cycle = 0
-        last_progress = 0
-        while not self.finished:
-            if cycle >= max_cycles:
-                raise SimulationError(
-                    f"simulation exceeded {max_cycles} cycles "
-                    f"(policy={self.policy.key})"
-                )
-            if self.step(cycle):
-                last_progress = cycle
-            elif (
-                cycle - last_progress > DEADLOCK_WINDOW
-                and self.next_event_cycle(cycle) is None
-            ):
-                raise DeadlockError(
-                    f"no forward progress since cycle {last_progress} "
-                    f"(policy={self.policy.key})"
-                )
-            cycle += 1
-        return cycle
-
-    # --- the fast engine -----------------------------------------------------
+    # --- the tickless run loop -----------------------------------------------
 
     def _run_fast(self, max_cycles: int) -> int:
         """The tickless run loop: per-component sleep/wake on an event wheel.
@@ -298,9 +272,10 @@ class Machine:
         cycle, and only if none would wake at the very next cycle — and a
         due wake of any of them settles all.  The three per-core loops of a
         cycle walk the sorted *active list* (awake live cores), so a cycle
-        costs O(components with work).  Bit-identical to
-        :meth:`_run_reference` (the differential fuzzer diffs the two
-        engines).
+        costs O(components with work).  Bit-identical to calling
+        :meth:`step` once per cycle, which is what the oracle does
+        (``ReferenceMachine`` in :mod:`repro.validation.reference_engine`;
+        the differential fuzzer diffs the two).
         """
         metrics = self.metrics
         coproc = self.coproc
@@ -513,9 +488,6 @@ def run_policy(
     jobs: Sequence[Optional[Job]],
     max_cycles: int = 3_000_000,
     audit: Optional[bool] = None,
-    reference: bool = False,
 ) -> RunResult:
     """Convenience wrapper: build a machine and run it."""
-    return Machine(config, policy, jobs, audit=audit, reference=reference).run(
-        max_cycles=max_cycles
-    )
+    return Machine(config, policy, jobs, audit=audit).run(max_cycles=max_cycles)

@@ -72,15 +72,13 @@ class RunProfile:
     replay_aborts: int = 0
     #: Per-component (core complex) cycle attribution from the tickless
     #: event-wheel engine: cycles stepped with at least one event, cycles
-    #: stepped with none, and cycles skipped while asleep.  All-zero
-    #: under the reference engine.
+    #: stepped with none, and cycles skipped while asleep.
     component_busy: List[int] = field(default_factory=list)
     component_idle: List[int] = field(default_factory=list)
     component_asleep: List[int] = field(default_factory=list)
     #: Batch-execute backend attribution: per-core-cycle dispatch calls
     #: planned and applied in opcode groups, uops issued via groups, and
-    #: plan segments cut at a zero-byte access.  All-zero under the
-    #: reference engine.
+    #: plan segments cut at a zero-byte access.
     batched_dispatch_calls: int = 0
     batched_uops: int = 0
     plan_cuts: int = 0

@@ -18,18 +18,14 @@ Ordering rules implemented here (Table 2, scalar-core-managed cells):
   <decision>`` is transmitted speculatively (§4.1.1) and reads the table
   immediately.
 
-Two execution strategies implement the same semantics:
-
-* the **seed interpreter** (:meth:`ScalarCore._execute`): an
-  ``isinstance`` chain that re-decodes operands on every execution —
-  the reference engine's path (``ScalarCore(reference=True)``);
-* the **pre-decoded dispatch table** (the fast engine): at construction
-  every :class:`Program` instruction is resolved once into a bound
-  handler closure with pre-parsed operands (:class:`DecodedInstr`), so
-  the hot loop performs no ``isinstance`` checks, no label lookups and no
-  operand re-classification.
-
-Both paths are bit-identical — the differential fuzzer diffs them.
+Execution goes through a **pre-decoded dispatch table**: at construction
+every :class:`Program` instruction is resolved once (:meth:`ScalarCore._decode`)
+into a bound handler closure with pre-parsed operands
+(:class:`DecodedInstr`), so the hot loop performs no ``isinstance`` checks,
+no label lookups and no operand re-classification.  The seed
+``isinstance`` interpreter these handlers are diffed against lives with
+the oracle (``SeedCore`` in :mod:`repro.validation.reference_engine`),
+which overrides ``_decode`` and shares :meth:`ScalarCore.step`.
 """
 
 from __future__ import annotations
@@ -71,8 +67,8 @@ _STALL = object()
 ELEMS_PER_LANE = 4
 
 
-#: Scalar ALU semantics, shared by the seed interpreter and the decoded
-#: handlers so both paths compute identical values.
+#: Scalar ALU semantics (the oracle's seed interpreter shares this table,
+#: so both compute identical values).
 _SCALAR_IMPLS: Dict[str, Callable[[List[object]], object]] = {
     "mov": lambda v: v[0],
     "add": lambda v: v[0] + v[1],
@@ -105,7 +101,7 @@ def _vop_div(operands: List[object]) -> np.ndarray:
     return np.nan_to_num(result, nan=0.0, posinf=0.0, neginf=0.0)
 
 
-#: Element-wise vector semantics, shared by both execution paths.
+#: Element-wise vector semantics (shared with the oracle, as above).
 _VOP_IMPLS: Dict[str, Callable[[List[object]], np.ndarray]] = {
     "add": lambda o: o[0] + o[1],
     "sub": lambda o: o[0] - o[1],
@@ -124,21 +120,12 @@ _VOP_IMPLS: Dict[str, Callable[[List[object]], np.ndarray]] = {
 }
 
 
-def _apply_vop(op: str, operands: List[object]) -> np.ndarray:
-    """Element-wise semantics of a vector compute operation."""
-    try:
-        impl = _VOP_IMPLS[op]
-    except KeyError:  # pragma: no cover - guarded by VOp validation
-        raise SimulationError(f"unknown vector op {op}")
-    return impl(operands)
-
-
 class DecodedInstr:
     """One pre-decoded instruction: a bound handler plus static facts.
 
-    ``run(cycle)`` executes the instruction exactly as the seed
-    interpreter would, returning the same ``(outcome, stall_kind)``
-    pair.  Operand classification (immediate vs register vs vector),
+    ``run(cycle)`` executes the instruction and returns ``(outcome,
+    stall_kind)``, outcome being "ok", "branch" or "stall".  Operand
+    classification (immediate vs register vs vector),
     label resolution and semantic-function lookup all happened once at
     decode time.
     """
@@ -193,7 +180,6 @@ class ScalarCore:
         coproc: CoProcessor,
         metrics: Metrics,
         config: CoreConfig,
-        reference: bool = False,
     ) -> None:
         self.core_id = core_id
         self.program = program
@@ -212,11 +198,8 @@ class ScalarCore:
         self.retired_vector = 0
         self._monitor_idx = frozenset(program.meta.get("monitor", ()))
         self._reconfig_idx = frozenset(program.meta.get("reconfig", ()))
-        #: Execute through the seed interpreter instead of the decoded
-        #: handlers (the differential oracle).
-        self.reference = reference
         #: Pre-decoded dispatch table, one entry per instruction
-        #: (``None`` for labels); `step` walks it under both engines.
+        #: (``None`` for labels).
         self.decoded: List[Optional[DecodedInstr]] = [
             self._decode(index, instr)
             for index, instr in enumerate(program.instructions)
@@ -234,28 +217,14 @@ class ScalarCore:
             del self._pending_scalar[name]
         return self.regs.get(name, 0)
 
-    def _read_scalar(self, src: object, cycle: int) -> object:
-        """Read a scalar operand; returns ``_STALL`` if a vector write to it
-        is still in flight."""
-        if isinstance(src, Imm):
-            return src.value
-        if isinstance(src, (int, float)):
-            return src
-        name = src.name if isinstance(src, ScalarRef) else src
-        return self._read_reg(name, cycle)
-
     def _elems(self) -> int:
         """Current vector length in 32-bit elements."""
         return self.coproc.configured_vl(self.core_id) * ELEMS_PER_LANE
 
-    def _vec_operand(self, operand: object, active: int, cycle: int) -> object:
-        """Materialise a vector operand as an array of >= ``active`` elems
-        (or ``_STALL`` when a broadcast scalar is still pending)."""
-        kind, payload = _vector_spec(operand)
-        return self._vec_read(kind, payload, active, cycle)
-
     def _vec_read(self, kind: int, payload: object, active: int, cycle: int) -> object:
-        """Materialise a pre-classified vector operand spec."""
+        """Materialise a pre-classified vector operand spec as an array of
+        >= ``active`` elems (or ``_STALL`` when a broadcast scalar is
+        still pending)."""
         if kind == _V_VREG:
             value = self.vregs.get(payload)
             if value is None:
@@ -314,7 +283,6 @@ class ScalarCore:
         retired_indices: List[int] = []
         stall_kind: Optional[str] = None
         decoded = self.decoded
-        reference = self.reference
         while slots > 0 and not self.halted:
             d = decoded[self.pc]
             if d is None:  # label: occupies no slot
@@ -322,10 +290,7 @@ class ScalarCore:
                 continue
             if d.is_vector and transmits <= 0:
                 break
-            if reference:
-                outcome, kind = self._execute(d.instr, cycle)
-            else:
-                outcome, kind = d.run(cycle)
+            outcome, kind = d.run(cycle)
             if outcome == "stall":
                 stall_kind = kind
                 break
@@ -368,6 +333,10 @@ class ScalarCore:
                 self.metrics.on_overhead_cycle(self.core_id, "monitor")
 
     # --- instruction pre-decoding -------------------------------------------
+
+    #: Where a taken branch resumes (set by the branch handler, read by
+    #: :meth:`step`).
+    _branch_target = 0
 
     def _decode(self, index: int, instr: Instruction) -> Optional[DecodedInstr]:
         """Resolve ``instr`` once into a bound handler closure."""
@@ -749,271 +718,3 @@ class ScalarCore:
             return "ok", None
 
         return run
-
-    # --- instruction semantics (the seed interpreter) ------------------------
-
-    def _execute(self, instr: Instruction, cycle: int) -> Tuple[str, Optional[str]]:
-        """Execute one instruction. Returns (outcome, stall_kind) where
-        outcome is "ok", "branch" or "stall"."""
-        if isinstance(instr, ScalarOp):
-            return self._exec_scalar_op(instr, cycle)
-        if isinstance(instr, Branch):
-            return self._exec_branch(instr, cycle)
-        if isinstance(instr, AddVL):
-            value = self._read_scalar(instr.src, cycle)
-            if value is _STALL:
-                return "stall", None
-            lanes = self.coproc.configured_vl(self.core_id)
-            self.regs[instr.dst] = value + lanes * 16 // instr.elem_bytes
-            return "ok", None
-        if isinstance(instr, Halt):
-            self.halted = True
-            return "ok", None
-        if isinstance(instr, MSR):
-            return self._exec_msr(instr, cycle)
-        if isinstance(instr, MRS):
-            return self._exec_mrs(instr, cycle)
-        if isinstance(instr, WhileLT):
-            return self._exec_whilelt(instr, cycle)
-        if isinstance(instr, VOp):
-            return self._exec_vop(instr, cycle)
-        if isinstance(instr, VLoad):
-            return self._exec_vload(instr, cycle)
-        if isinstance(instr, VStore):
-            return self._exec_vstore(instr, cycle)
-        if isinstance(instr, VHReduce):
-            return self._exec_vhreduce(instr, cycle)
-        raise SimulationError(f"cannot execute {instr!r}")
-
-    def _exec_scalar_op(self, instr: ScalarOp, cycle: int) -> Tuple[str, Optional[str]]:
-        values = []
-        for src in instr.srcs:
-            value = self._read_scalar(src, cycle)
-            if value is _STALL:
-                return "stall", None
-            values.append(value)
-        try:
-            impl = _SCALAR_IMPLS[instr.op]
-        except KeyError:  # pragma: no cover - guarded by ScalarOp validation
-            raise SimulationError(f"unknown scalar op {instr.op}")
-        self.regs[instr.dst] = impl(values)
-        return "ok", None
-
-    _branch_target = 0
-
-    def _exec_branch(self, instr: Branch, cycle: int) -> Tuple[str, Optional[str]]:
-        if instr.cond == "al":
-            taken = True
-        else:
-            lhs = self._read_scalar(instr.src1, cycle)
-            rhs = self._read_scalar(instr.src2, cycle)
-            if lhs is _STALL or rhs is _STALL:
-                return "stall", None
-            taken = _BRANCH_IMPLS[instr.cond](lhs, rhs)
-        if taken:
-            self._branch_target = self.program.target(instr.target)
-            return "branch", None
-        return "ok", None
-
-    def _exec_msr(self, instr: MSR, cycle: int) -> Tuple[str, Optional[str]]:
-        if not self.coproc.can_transmit(self.core_id):
-            return "stall", None
-        value = self._read_scalar(instr.src, cycle)
-        if value is _STALL:
-            return "stall", None
-        entry = DynamicInstruction(
-            seq=self.coproc.next_seq(),
-            core=self.core_id,
-            kind=EntryKind.EMSIMD,
-            instr=instr,
-            vl_lanes=self.coproc.configured_vl(self.core_id),
-            transmit_cycle=cycle,
-            sysreg=instr.sysreg,
-            value=value,
-        )
-        self.coproc.transmit(entry)
-        self.retired_vector += 1
-        return "ok", None
-
-    def _exec_mrs(self, instr: MRS, cycle: int) -> Tuple[str, Optional[str]]:
-        if instr.sysreg is not SystemRegister.DECISION:
-            # Synchronising read: wait for older EM-SIMD writes to execute.
-            if self.coproc.pending_emsimd(self.core_id) > 0:
-                return "stall", "reconfig"
-        self.regs[instr.dst] = self.coproc.read_sysreg(self.core_id, instr.sysreg)
-        return "ok", None
-
-    def _exec_whilelt(self, instr: WhileLT, cycle: int) -> Tuple[str, Optional[str]]:
-        if not self.coproc.can_transmit(self.core_id):
-            return "stall", None
-        counter = self._read_scalar(instr.counter, cycle)
-        limit = self._read_scalar(instr.limit, cycle)
-        if counter is _STALL or limit is _STALL:
-            return "stall", None
-        active = max(0, min(self._elems(), int(limit) - int(counter)))
-        self.pregs[instr.pdst.name] = active
-        entry = DynamicInstruction(
-            seq=self.coproc.next_seq(),
-            core=self.core_id,
-            kind=EntryKind.COMPUTE,
-            instr=instr,
-            vl_lanes=0,  # predicate generation occupies no FP lanes
-            transmit_cycle=cycle,
-            writes_vreg=False,
-        )
-        self._last_writer[instr.pdst.name] = entry
-        self.coproc.transmit(entry)
-        self.retired_vector += 1
-        return "ok", None
-
-    def _exec_vop(self, instr: VOp, cycle: int) -> Tuple[str, Optional[str]]:
-        if not self.coproc.can_transmit(self.core_id):
-            return "stall", None
-        active = self._active(instr.pred)
-        operands = []
-        for src in instr.srcs:
-            value = self._vec_operand(src, active, cycle)
-            if value is _STALL:
-                return "stall", None
-            operands.append(value)
-        elems = self._elems()
-        width = max(elems, active)
-        # Merging predication: inactive lanes keep the old destination value
-        # (SVE /M), which reduction accumulators rely on in tail iterations.
-        old = self.vregs.get(instr.dst.name)
-        result = np.zeros(width, dtype=np.float32)
-        if old is not None:
-            span = min(len(old), width)
-            result[:span] = old[:span]
-        if active > 0:
-            result[:active] = _apply_vop(instr.op, operands)
-        self.vregs[instr.dst.name] = result
-        dep_names = tuple(
-            src.name for src in instr.srcs if isinstance(src, VReg)
-        ) + ((instr.pred.name,) if instr.pred else ())
-        entry = DynamicInstruction(
-            seq=self.coproc.next_seq(),
-            core=self.core_id,
-            kind=EntryKind.COMPUTE,
-            instr=instr,
-            vl_lanes=self.coproc.configured_vl(self.core_id),
-            transmit_cycle=cycle,
-            deps=self._deps_for(dep_names),
-            flops=instr.flops_per_element * active,
-            long_latency=instr.is_long_latency,
-            writes_vreg=True,
-        )
-        self._last_writer[instr.dst.name] = entry
-        self.coproc.transmit(entry)
-        self.retired_vector += 1
-        return "ok", None
-
-    def _exec_vload(self, instr: VLoad, cycle: int) -> Tuple[str, Optional[str]]:
-        if not self.coproc.can_transmit(self.core_id):
-            return "stall", None
-        index = self._read_scalar(instr.index, cycle)
-        if index is _STALL:
-            return "stall", None
-        index = int(index)
-        active = self._active(instr.pred)
-        stride = instr.stride
-        array = self.image.array(instr.array)
-        span = (active - 1) * stride + 1 if active > 0 else 0
-        if active > 0 and index + span > len(array):
-            raise SimulationError(
-                f"core {self.core_id}: load of {instr.array}"
-                f"[{index}:{index + span}:{stride}] overruns "
-                f"length {len(array)}"
-            )
-        elems = self._elems()
-        value = np.zeros(max(elems, active), dtype=np.float32)
-        if active > 0:
-            value[:active] = array[index : index + span : stride]
-        self.vregs[instr.dst.name] = value
-        dep_names = (instr.pred.name,) if instr.pred else ()
-        entry = DynamicInstruction(
-            seq=self.coproc.next_seq(),
-            core=self.core_id,
-            kind=EntryKind.LOAD,
-            instr=instr,
-            vl_lanes=self.coproc.configured_vl(self.core_id),
-            transmit_cycle=cycle,
-            deps=self._deps_for(dep_names),
-            addr=self.image.address_of(instr.array, index, instr.elem_bytes),
-            # A strided access touches every line in its span.
-            nbytes=span * instr.elem_bytes,
-            writes_vreg=True,
-        )
-        self._last_writer[instr.dst.name] = entry
-        self.coproc.transmit(entry)
-        self.retired_vector += 1
-        return "ok", None
-
-    def _exec_vstore(self, instr: VStore, cycle: int) -> Tuple[str, Optional[str]]:
-        if not self.coproc.can_transmit(self.core_id):
-            return "stall", None
-        index = self._read_scalar(instr.index, cycle)
-        if index is _STALL:
-            return "stall", None
-        index = int(index)
-        active = self._active(instr.pred)
-        array = self.image.array(instr.array)
-        if active > 0 and index + active > len(array):
-            raise SimulationError(
-                f"core {self.core_id}: store to {instr.array}"
-                f"[{index}:{index + active}] overruns length {len(array)}"
-            )
-        value = self._vec_operand(instr.src, active, cycle)
-        if value is _STALL:
-            return "stall", None
-        if active > 0:
-            array[index : index + active] = value[:active]
-        dep_names = (instr.src.name,) + ((instr.pred.name,) if instr.pred else ())
-        entry = DynamicInstruction(
-            seq=self.coproc.next_seq(),
-            core=self.core_id,
-            kind=EntryKind.STORE,
-            instr=instr,
-            vl_lanes=self.coproc.configured_vl(self.core_id),
-            transmit_cycle=cycle,
-            deps=self._deps_for(dep_names),
-            addr=self.image.address_of(instr.array, index, instr.elem_bytes),
-            nbytes=active * instr.elem_bytes,
-            writes_vreg=False,
-        )
-        self.coproc.transmit(entry)
-        self.retired_vector += 1
-        return "ok", None
-
-    def _exec_vhreduce(self, instr: VHReduce, cycle: int) -> Tuple[str, Optional[str]]:
-        if not self.coproc.can_transmit(self.core_id):
-            return "stall", None
-        active = self._active(instr.pred)
-        source = self._vec_operand(instr.src, active, cycle)
-        if active > 0:
-            if instr.op == "add":
-                value = float(np.add.reduce(source[:active], dtype=np.float64))
-            elif instr.op == "max":
-                value = float(np.max(source[:active]))
-            else:
-                value = float(np.min(source[:active]))
-        else:
-            value = 0.0
-        self.regs[instr.dst] = value
-        dep_names = (instr.src.name,) + ((instr.pred.name,) if instr.pred else ())
-        entry = DynamicInstruction(
-            seq=self.coproc.next_seq(),
-            core=self.core_id,
-            kind=EntryKind.COMPUTE,
-            instr=instr,
-            vl_lanes=self.coproc.configured_vl(self.core_id),
-            transmit_cycle=cycle,
-            deps=self._deps_for(dep_names),
-            flops=active,
-            writes_vreg=False,
-            scalar_dst=instr.dst,
-        )
-        self._pending_scalar[instr.dst] = entry
-        self.coproc.transmit(entry)
-        self.retired_vector += 1
-        return "ok", None

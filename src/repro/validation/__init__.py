@@ -1,12 +1,18 @@
 """Differential validation: cross-engine fuzzing and runtime invariant audits.
 
-The simulator has one reference engine (the seed interpreter, cycle by
-cycle) and one fast engine promised bit-identical to it.  This package
-keeps that promise honest as the codebase grows:
+The classes under ``repro.core`` and ``repro.coproc`` are the fast engine;
+the seed engine it is promised bit-identical to lives here, with the code
+that diffs the two.  This package keeps that promise honest as the
+codebase grows:
 
 :mod:`repro.validation.fingerprint`
     A named-section fingerprint of everything a :class:`RunResult`
     exposes, and a differ that reports exactly which section diverged.
+:mod:`repro.validation.reference_engine`
+    The oracle — cycle-by-cycle run loop, ``isinstance`` interpreter,
+    per-uop window-scan dispatch, list-scan pool — in one module; its
+    docstring lists what it still shares with the fast engine.  Nothing
+    outside this package imports it.
 :mod:`repro.validation.difftest`
     The cross-engine differential fuzzer: random programs run through
     both engines under every sharing mode and diffed
@@ -30,6 +36,7 @@ if TYPE_CHECKING:
         run_fingerprint,
     )
     from repro.validation.invariants import InvariantAuditor, audit_enabled
+    from repro.validation.reference_engine import ReferenceMachine, run_reference
 
 __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
@@ -38,5 +45,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "diff_fingerprints", "fingerprint_sections", "run_fingerprint"
         ),
         "repro.validation.invariants": ("InvariantAuditor", "audit_enabled"),
+        "repro.validation.reference_engine": ("ReferenceMachine", "run_reference"),
     },
 )

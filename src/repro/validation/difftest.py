@@ -1,11 +1,11 @@
 """Cross-engine differential fuzzing (``python -m repro diff-fuzz``).
 
-The simulator has two engines (see :class:`~repro.core.machine.Machine`):
-the default *fast* engine — pre-decoded scalar dispatch, per-component
-sleep on the event wheel (and the idle clock jump when all sleep), batched
-co-processor dispatch from the pools' ready index — and the *reference*
-engine, the seed interpreter stepped cycle by cycle.  They are promised
-bit-identical.
+There are two engines: the *fast* one (:class:`~repro.core.machine.Machine`
+— pre-decoded scalar dispatch, per-component sleep on the event wheel and
+the idle clock jump when all sleep, batched co-processor dispatch from the
+pools' ready index) and the *reference* one, the seed interpreter stepped
+cycle by cycle (:mod:`repro.validation.reference_engine`).  They are
+promised bit-identical.
 This module generates randomized multi-phase co-running programs, runs
 each through both engines under every sharing mode, and diffs the complete
 run fingerprint (architectural memory state, metrics, lane timelines,
@@ -27,6 +27,7 @@ and a minimized spec can be pasted verbatim into a regression test.
 from __future__ import annotations
 
 import random
+import traceback
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -35,12 +36,13 @@ from repro.compiler.ir import Kernel
 from repro.compiler.pipeline import CompileOptions, build_image, compile_kernel
 from repro.core.machine import Job, Machine
 from repro.core.policies import policy
-from repro.core.result import RunProfile
+from repro.core.result import RunProfile, RunResult
 from repro.validation.fingerprint import (
     describe_divergence,
     diff_fingerprints,
     fingerprint_sections,
 )
+from repro.validation.reference_engine import run_reference
 from repro.workloads.generator import COMPUTE_OI_RANGE, MEMORY_OI_RANGE
 from repro.workloads.synth import Counts, solve_counts, synth_loop
 
@@ -90,7 +92,12 @@ class CaseSpec:
 
 @dataclass
 class Divergence:
-    """The fast engine disagreeing with the reference under one policy."""
+    """The fast engine disagreeing with the reference under one policy.
+
+    ``sections`` names the fingerprint sections that differ, or is
+    ``["error"]`` when an engine crashed and the other did not crash the
+    same way.
+    """
 
     seed: int
     policy: str
@@ -221,17 +228,23 @@ class CompiledCase:
             for core, (kernel, program) in enumerate(zip(self.kernels, self.programs))
         ]
 
-    def machine(
-        self, policy_key: str, reference: bool = False, audit: Optional[bool] = None
-    ) -> Machine:
-        """A fresh machine for this case under ``policy_key``."""
-        return Machine(
-            self.config,
-            policy(policy_key),
-            self.jobs(),
-            audit=audit,
-            reference=reference,
-        )
+    def machine(self, policy_key: str, audit: Optional[bool] = None) -> Machine:
+        """A fresh (fast) machine for this case under ``policy_key``."""
+        return Machine(self.config, policy(policy_key), self.jobs(), audit=audit)
+
+
+def _outcome(run: Callable[[], RunResult]) -> Dict[str, object]:
+    """What one engine made of a case: its fingerprint sections, or an
+    ``error`` section holding the ``(type, message)`` it died of (plus
+    where, for the report — the engines' loops differ, so not compared)."""
+    try:
+        return fingerprint_sections(run())
+    except Exception as exc:  # a crash is an outcome to diff, not to die of
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        return {
+            "error": (type(exc).__name__, str(exc)),
+            "raised at": f"{frame.filename}:{frame.lineno} in {frame.name}",
+        }
 
 
 def check_case(
@@ -246,27 +259,40 @@ def check_case(
 
     Returns one :class:`Divergence` per policy whose full fast-run
     fingerprint differs from the reference's; empty means the fast engine
-    is bit-exact on this case.  ``profile``, when given, accumulates the
-    fast runs' ``Machine.profile``.
+    is bit-exact on this case.  An engine that raises is an outcome too:
+    both dying of the same simulation error (a deadlock, ``max_cycles``)
+    agree, anything else — one crashing, different errors, an ``--audit``
+    invariant violation even on both — is a divergence in section
+    ``error``.  ``profile``, when given, accumulates the fast runs'
+    ``Machine.profile``.
     """
     compiled = CompiledCase(spec, config)
     divergences: List[Divergence] = []
     for policy_key in policies:
-        baseline = fingerprint_sections(
-            compiled.machine(policy_key, reference=True, audit=audit).run(max_cycles)
+        baseline = _outcome(
+            lambda: run_reference(
+                compiled.config, policy(policy_key), compiled.jobs(), max_cycles, audit
+            )
         )
         fast = compiled.machine(policy_key, audit=audit)
-        sections = fingerprint_sections(fast.run(max_cycles))
-        if profile is not None:
+        sections = _outcome(lambda: fast.run(max_cycles))
+        if profile is not None and fast.profile is not None:
             profile.merge(fast.profile)
-        diverged = diff_fingerprints(baseline, sections)
+        errors = [o["error"] for o in (baseline, sections) if "error" in o]
+        if errors:
+            same = len(errors) == 2 and errors[0] == errors[1]
+            audit_violation = errors[0][0] == "InvariantViolation"
+            diverged = [] if same and not audit_violation else ["error"]
+            shown = ["error", "raised at"]
+        else:
+            shown = diverged = diff_fingerprints(baseline, sections)
         if diverged:
             divergences.append(
                 Divergence(
                     seed=spec.seed,
                     policy=policy_key,
                     sections=diverged,
-                    detail=describe_divergence(baseline, sections, diverged),
+                    detail=describe_divergence(baseline, sections, shown),
                     spec=spec,
                 )
             )

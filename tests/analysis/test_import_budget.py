@@ -21,6 +21,8 @@ ENGINE = (
     "repro.coproc.dynamic",
     "repro.coproc.batch_exec",
 )
+#: The differential oracle: only ``diff-fuzz`` (and tests) have a use for it.
+ORACLE = "repro.validation.reference_engine"
 UNUSED_BY_A_HIT = ENGINE + (
     "repro.analysis.ecm",
     "repro.analysis.validation",
@@ -28,6 +30,7 @@ UNUSED_BY_A_HIT = ENGINE + (
     "repro.analysis.sensitivity",
     "repro.service",
     "multiprocessing",
+    ORACLE,
 )
 
 #: ``argv[1]`` is a JSON spec: run ``main(command)`` if there is one (after
@@ -138,3 +141,22 @@ finally:
     pool.stop()
 """
     )
+
+
+def test_only_diff_fuzz_loads_the_oracle():
+    """The dependency points one way, ``validation -> engine``: importing
+    the engine does not pull the oracle in, a simulation runs without it,
+    and the command that diffs the two engines is the one that loads it."""
+    run_fresh_python(
+        f"""
+import sys
+import repro.core.machine, repro.core.scheduling
+assert {ORACLE!r} not in sys.modules
+"""
+    )
+    _child(
+        command=["motivate", "--scale", "0.05", "--jobs", "1", "--no-cache"],
+        required=ENGINE,
+        forbidden=[ORACLE],
+    )
+    _child(command=["diff-fuzz", "--start", "2", "--seeds", "1"], required=[ORACLE])

@@ -27,7 +27,15 @@ from repro import (
     experiment_config,
 )
 from repro.compiler.pipeline import CompileOptions
+from repro.core.machine import Machine
 from repro.validation.fingerprint import run_fingerprint as validation_run_fingerprint
+from repro.validation.reference_engine import ReferenceMachine, ScanPool
+
+#: Run a test on the fast engine (``ff-wheel``) and on the oracle
+#: (``slow-ref``).
+BOTH_ENGINES = pytest.mark.parametrize(
+    "machine_class", [Machine, ReferenceMachine], ids=["ff-wheel", "slow-ref"]
+)
 
 
 #: The seven engine kill switches deleted with the engine matrix (spelled
@@ -183,3 +191,24 @@ def run_fingerprint(result) -> tuple:
     fuzzer can never drift apart on what "bit-identical" covers.
     """
     return validation_run_fingerprint(result)
+
+
+def engines_agree(config, policy, make_jobs):
+    """Run ``make_jobs()`` afresh on the fast engine and on the oracle,
+    assert the two runs fingerprint identically, and return both machines
+    (fast first) for whatever else the caller wants to know about them."""
+    machines = [
+        machine_class(config, policy, make_jobs())
+        for machine_class in (Machine, ReferenceMachine)
+    ]
+    fast, slow = (run_fingerprint(machine.run()) for machine in machines)
+    assert fast == slow
+    return machines
+
+
+def scan_view(pool) -> ScanPool:
+    """The oracle's list-scan pool over ``pool``'s live window: what a
+    from-scratch walk of the same entries answers."""
+    view = ScanPool(pool.core_id, pool.capacity)
+    view._entries = pool._entries
+    return view

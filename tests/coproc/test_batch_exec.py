@@ -18,6 +18,8 @@ from repro.coproc.dynamic import DynamicInstruction, EntryKind, EntryState, Inst
 from repro.coproc.lanes import LaneTable
 from repro.coproc.metrics import Metrics
 from repro.core.lane_manager import StaticLaneManager, TemporalLaneManager
+from repro.validation.reference_engine import ReferenceCoProcessor, WindowScan
+from tests.conftest import scan_view
 
 
 class TestLaneBatchKernel:
@@ -112,7 +114,7 @@ class TestCommitBatchKernel:
         for _ in range(60):
             width = rng.randint(1, 8)
             cycle = rng.randint(0, 50)
-            pool = InstructionPool(0, 64, indexed=True)
+            pool = InstructionPool(0, 64)
             entries = []
             for seq in range(rng.randint(0, 20)):
                 entry = DynamicInstruction(
@@ -140,7 +142,7 @@ class TestCommitBatchKernel:
             assert pool.entries() == entries[len(expected) :]
             # The index survives: same dispatch candidates as a fresh scan.
             assert pool.ready_dispatchable(cycle) == [
-                e for e in pool.dispatchable() if e.ready(cycle)
+                e for e in scan_view(pool).dispatchable() if e.ready(cycle)
             ]
 
 
@@ -178,16 +180,14 @@ def _observable_state(coproc):
 
 def _build_pair(mode, num_cores, config):
     coprocs = []
-    for reference in (True, False):
+    for coproc_class in (ReferenceCoProcessor, CoProcessor):
         metrics = Metrics(num_cores, config.vector.total_lanes, 2)
         if mode is SharingMode.SPATIAL:
             per_core = config.vector.total_lanes // num_cores
             manager = StaticLaneManager({c: per_core for c in range(num_cores)})
         else:
             manager = TemporalLaneManager(config.vector.total_lanes)
-        coprocs.append(
-            CoProcessor(config, mode, metrics, manager, reference=reference)
-        )
+        coprocs.append(coproc_class(config, mode, metrics, manager))
     return coprocs
 
 
@@ -244,13 +244,13 @@ class TestBatchedDispatchProperty:
         dispatch shape the planner must end a segment at, and still
         without any per-uop loop."""
         per_uop = []
-        loop = CoProcessor._dispatch_core
+        loop = WindowScan.dispatch_core
 
-        def spy(self, core, budget, cycle):
-            per_uop.append(self.reference)
-            return loop(self, core, budget, cycle)
+        def spy(self, coproc, core, budget, cycle):
+            per_uop.append(coproc)
+            return loop(self, coproc, core, budget, cycle)
 
-        monkeypatch.setattr(CoProcessor, "_dispatch_core", spy)
+        monkeypatch.setattr(WindowScan, "dispatch_core", spy)
         config = experiment_config()
         num_cores = config.num_cores
         reference, batched = _build_pair(SharingMode.SPATIAL, num_cores, config)
@@ -300,4 +300,6 @@ class TestBatchedDispatchProperty:
         # The dependant rode the segment planned after the cut, in the
         # access's own cycle, as under the reference's age-order walk.
         assert batched.metrics.compute_uops[0] == 1
-        assert per_uop and all(per_uop), "the fast engine ran a per-uop loop"
+        assert per_uop and all(coproc is reference for coproc in per_uop), (
+            "the fast engine ran a per-uop loop"
+        )

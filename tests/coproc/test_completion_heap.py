@@ -1,11 +1,11 @@
 """Property test: the completion heap never drifts from the window scan.
 
 The fast engine's :meth:`InstructionPool.next_completion` answers from a
-lazily pruned min-heap of issued entries' completion cycles; the reference
-engine's body is a scan of the whole window.  The contract is one
-invariant, for any query cycle:
+lazily pruned min-heap of issued entries' completion cycles; the oracle's
+``ScanPool`` scans the whole window.  The contract is one invariant, for
+any query cycle:
 
-    indexed_pool.next_completion(cycle) == scan over the same entries
+    pool.next_completion(cycle) == scan_view(pool).next_completion(cycle)
 
 The heap is fed where entries become ISSUED/DONE (``on_issue``).  This
 suite reuses the ready-index exerciser (pushes, issues of every kind with
@@ -28,19 +28,14 @@ from tests.conftest import (
     make_stencil,
     make_two_phase,
     run_fingerprint,
+    scan_view,
 )
 from tests.coproc.test_ready_index import CAPACITY, Driver
 
 
-#: Captured at import, before any test monkeypatches the method.
-_NEXT_COMPLETION = InstructionPool.next_completion
-
-
 def scan_next_completion(pool: InstructionPool, cycle: float):
-    """The reference engine's scan body, run over ``pool``'s live entries."""
-    reference = InstructionPool(pool.core_id, pool.capacity, indexed=False)
-    reference._entries = pool._entries
-    return _NEXT_COMPLETION(reference, cycle)
+    """The oracle's scan body, run over ``pool``'s live entries."""
+    return scan_view(pool).next_completion(cycle)
 
 
 class HeapDriver(Driver):

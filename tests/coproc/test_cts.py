@@ -15,7 +15,14 @@ from repro.coproc.coprocessor import SharingMode
 from repro.coproc.metrics import StallReason
 from repro.core.machine import Machine
 from repro.core.policies import CTS, policy
-from tests.conftest import compiled_job, make_axpy, make_reduction, make_two_phase
+from repro.validation.reference_engine import ReferenceCoProcessor
+from tests.conftest import (
+    compiled_job,
+    engines_agree,
+    make_axpy,
+    make_reduction,
+    make_two_phase,
+)
 
 
 class TestCtsPolicy:
@@ -81,16 +88,22 @@ class TestCtsPolicy:
 
         def spy(self, cycle):
             granted = original(self, cycle)
-            seen[self.reference][cycle] = (granted, self._cts_owner, self.cts_switches)
+            seen[isinstance(self, ReferenceCoProcessor)][cycle] = (
+                granted,
+                self._cts_owner,
+                self.cts_switches,
+            )
             return granted
 
         monkeypatch.setattr(CoProcessor, "_cts_arbitrate", spy)
-        for reference in (False, True):
-            jobs = [
+        engines_agree(
+            config,
+            CTS,
+            lambda: [
                 compiled_job(make_axpy(2048), 0),
                 compiled_job(make_reduction(256, 8), 1),
-            ]
-            Machine(config, CTS, jobs, reference=reference).run()
+            ],
+        )
         fast, slow = seen[False], seen[True]
         assert 0 < len(fast) < len(slow), "the fast engine never slept"
         assert all(slow[cycle] == state for cycle, state in fast.items())

@@ -13,7 +13,7 @@ from repro.common.errors import ConfigurationError
 from repro.core.partition import greedy_partition, greedy_partition_rounds
 from repro.core.roofline import RooflineModel
 from repro.isa.registers import OIValue
-from tests.conftest import compiled_job, make_axpy, make_reduction, run_fingerprint
+from tests.conftest import compiled_job, engines_agree, make_axpy, make_reduction
 
 
 class TestBulkGreedyPartition:
@@ -57,18 +57,13 @@ class TestKillSwitch:
     def test_fingerprints_identical_with_and_without(self):
         """Bulk partitioning and CTS arbitration on the fast engine against
         the reference engine, where each decides most."""
-        from repro.core.machine import Machine
         from repro.core.policies import policy
 
-        def run(policy_key, reference):
-            jobs = [
+        def jobs():
+            return [
                 compiled_job(make_axpy(1536), 0),
                 compiled_job(make_reduction(256, 6), 1),
             ]
-            machine = Machine(
-                experiment_config(), policy(policy_key), jobs, reference=reference
-            )
-            return run_fingerprint(machine.run())
 
         for policy_key in ("occamy", "cts"):
-            assert run(policy_key, False) == run(policy_key, True), policy_key
+            engines_agree(experiment_config(), policy(policy_key), jobs)

@@ -15,6 +15,7 @@ from repro.isa.instructions import MSR
 from repro.isa.operands import Imm
 from repro.isa.registers import SystemRegister
 from repro.memory.hierarchy import VectorMemorySystem
+from repro.validation.reference_engine import ScanPool
 
 
 def entry(seq, kind=EntryKind.COMPUTE, core=0, **kw):
@@ -59,7 +60,7 @@ class TestInstructionPool:
         assert len(pool.commit_ready(cycle=1, width=4)) == 4
 
     def test_dispatchable_stops_at_emsimd_barrier(self):
-        pool = InstructionPool(0, capacity=8)
+        pool = ScanPool(0, capacity=8)
         pool.push(entry(1))
         pool.push(entry(2, kind=EntryKind.EMSIMD))
         pool.push(entry(3))

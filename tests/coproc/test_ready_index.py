@@ -5,7 +5,9 @@ an incrementally maintained wake-heap index, instead of re-scanning the whole
 window every cycle.  Its contract is a single invariant:
 
     pool.ready_dispatchable(cycle)
-        == [e for e in pool.dispatchable() if e.ready(cycle)]
+        == [e for e in scan_view(pool).dispatchable() if e.ready(cycle)]
+
+(``scan_view``: the oracle's list-scan pool over the same window.)
 
 This suite drives randomized sequences of every operation that can touch the
 index — program-order pushes (with random dependence edges), dispatch issues
@@ -26,6 +28,7 @@ from repro.coproc.dynamic import (
     EntryState,
     InstructionPool,
 )
+from tests.conftest import scan_view
 
 CAPACITY = 12
 STEPS = 250
@@ -43,7 +46,7 @@ KINDS = (
 
 def reference_ready(pool: InstructionPool, cycle: int):
     """The from-scratch truth the index must always reproduce."""
-    return [e for e in pool.dispatchable() if e.ready(cycle)]
+    return [e for e in scan_view(pool).dispatchable() if e.ready(cycle)]
 
 
 class Driver:
@@ -51,7 +54,7 @@ class Driver:
 
     def __init__(self, seed: int) -> None:
         self.rng = random.Random(seed)
-        self.pool = InstructionPool(0, CAPACITY, indexed=True)
+        self.pool = InstructionPool(0, CAPACITY)
         self.cycle = 0
         self.next_seq = 0
         self.issues = 0
@@ -66,7 +69,7 @@ class Driver:
         )
         # The zero-dispatch stall path anchors on the oldest dispatchable
         # WAITING entry; the index must name the same one as a full scan.
-        dispatchable = self.pool.dispatchable()
+        dispatchable = scan_view(self.pool).dispatchable()
         want_oldest = dispatchable[0].seq if dispatchable else None
         assert self.pool.oldest_waiting_seq() == want_oldest
 
@@ -98,7 +101,7 @@ class Driver:
         self.pool.push(entry)
 
     def op_issue(self) -> None:
-        """Issue like _dispatch_core does: pick from the reference-ready
+        """Issue like a dispatcher does: pick from the reference-ready
         set, assign a completion, notify the index."""
         ready = reference_ready(self.pool, self.cycle)
         if not ready:
@@ -169,7 +172,7 @@ def test_zero_latency_wake_is_visible_same_cycle():
     """Deterministic miniature of the cascade: B depends on A; A issues
     with a same-cycle completion; B must appear in the index at the same
     cycle without any rebuild."""
-    pool = InstructionPool(0, 8, indexed=True)
+    pool = InstructionPool(0, 8)
     a = DynamicInstruction(
         seq=0, core=0, kind=EntryKind.LOAD, instr=None, vl_lanes=8, transmit_cycle=0
     )
@@ -193,7 +196,7 @@ def test_zero_latency_wake_is_visible_same_cycle():
 
 
 def test_future_completion_wakes_later():
-    pool = InstructionPool(0, 8, indexed=True)
+    pool = InstructionPool(0, 8)
     a = DynamicInstruction(
         seq=0, core=0, kind=EntryKind.LOAD, instr=None, vl_lanes=8, transmit_cycle=0
     )

@@ -2,8 +2,9 @@
 
 Unit-level coverage of the wake-index contract of
 :class:`repro.core.machine.EventWheel` plus the run-loop
-properties around it: ``reference=True`` is the only engine selector (the
-deleted ``REPRO_NO_*`` kill switches are inert), and the satellite fix that
+properties around it: nothing selects an engine (the deleted ``REPRO_NO_*``
+kill switches are inert, the ``reference=`` / ``indexed=`` parameters are
+gone — the oracle is a module), and the satellite fix that
 a *legitimate* long skip — a memory-bound stretch far wider than
 ``DEADLOCK_WINDOW`` — is never misreported as a hang (the detector requires
 the machine to have no future event at all, under both engines).
@@ -11,13 +12,18 @@ the machine to have no future event at all, under both engines).
 
 from __future__ import annotations
 
-import pytest
+import inspect
 
 import repro.core.machine as machine_mod
-from repro.core.machine import EventWheel, Machine
+from repro.coproc.coprocessor import CoProcessor
+from repro.coproc.dynamic import InstructionPool
+from repro.core.machine import EventWheel, Machine, run_policy
 from repro.core.policies import PRIVATE, policy
+from repro.core.scalar_core import ScalarCore
+from repro.validation.difftest import CompiledCase
 
 from tests.conftest import (
+    BOTH_ENGINES,
     REMOVED_KILL_SWITCHES,
     compiled_job,
     make_axpy,
@@ -91,25 +97,50 @@ class TestKillSwitch:
         for name in REMOVED_KILL_SWITCHES:
             monkeypatch.setenv(name, "1")
         switched = Machine(config, policy("occamy"), self._jobs())
-        assert switched.reference is False
+        assert type(switched.coproc) is CoProcessor
         assert run_fingerprint(switched.run()) == run_fingerprint(plain_result)
         assert switched.profile == plain.profile
         assert switched.profile.fastforward_cycles > 0
         assert switched.profile.batched_dispatch_calls > 0
 
     def test_explicit_argument_wins(self, config):
-        """``reference=True`` is the one selector, handed down to every
-        layer at construction."""
-        for reference in (False, True):
-            machine = Machine(
-                config, policy("cts"), self._jobs(), reference=reference
-            )
-            assert machine.coproc.reference is reference
-            assert all(core.reference is reference for core in machine.cores)
-            assert (machine.coproc._batch is None) is reference
-            assert all(
-                pool._indexed is not reference for pool in machine.coproc.pools
-            )
+        """There is no argument left to win: no engine selector in any
+        signature, and nothing the oracle runs is an attribute of the
+        classes under ``core/`` and ``coproc/``."""
+        for signature_of in (
+            Machine,
+            run_policy,
+            CoProcessor,
+            ScalarCore,
+            CompiledCase.machine,
+            InstructionPool,
+        ):
+            parameters = inspect.signature(signature_of).parameters
+            assert not {"reference", "indexed"} & set(parameters), signature_of
+        moved = {
+            Machine: ("_run_reference", "reference"),
+            CoProcessor: ("_dispatch_core", "reference"),
+            ScalarCore: (
+                "_execute",
+                "_exec_vop",
+                "_exec_vload",
+                "_read_scalar",
+                "_vec_operand",
+                "reference",
+            ),
+            InstructionPool: ("dispatchable", "_indexed"),
+        }
+        machine = Machine(config, policy("cts"), self._jobs())
+        instances = {
+            Machine: machine,
+            CoProcessor: machine.coproc,
+            ScalarCore: machine.cores[0],
+            InstructionPool: machine.coproc.pools[0],
+        }
+        for hot_class, names in moved.items():
+            for name in names:
+                assert not hasattr(instances[hot_class], name), (hot_class, name)
+        assert not hasattr(inspect.getmodule(ScalarCore), "_apply_vop")
 
     def test_wheel_runs_sleep_components(self, config):
         """A memory-bound co-run actually exercises sleep (the engine's
@@ -134,11 +165,11 @@ class TestLegitimateLongSkip:
     reference loop and under the fast engine's wheel alike.
     """
 
-    @pytest.mark.parametrize("reference", [False, True], ids=["ff-wheel", "slow-ref"])
-    def test_run_completes(self, config, monkeypatch, reference):
+    @BOTH_ENGINES
+    def test_run_completes(self, config, monkeypatch, machine_class):
         monkeypatch.setattr(machine_mod, "DEADLOCK_WINDOW", WINDOW)
         jobs = [compiled_job(make_axpy(length=256)), None]
-        machine = Machine(config, PRIVATE, jobs, reference=reference)
+        machine = machine_class(config, PRIVATE, jobs)
         result = machine.run()  # must not raise
         assert result.total_cycles > WINDOW
 

@@ -1,10 +1,10 @@
 """Long steady loops (what loop replay used to cover): fast == reference,
 and the run profile's cycle attribution."""
 
-from repro.core.machine import Machine, run_policy
+from repro.core.machine import Machine
 from repro.core.policies import OCCAMY
 from repro.core.result import RunProfile
-from tests.conftest import compiled_job, make_axpy, run_fingerprint
+from tests.conftest import compiled_job, engines_agree, make_axpy
 
 #: A solo steady loop: the length divides the 48-element per-iteration
 #: chunk (12 lanes * 4 fp32), so array passes contain no narrower tail
@@ -48,16 +48,9 @@ class TestEngagement:
 
 class TestBitExactness:
     def test_replay_matches_slow_path(self, config):
-        slow = run_policy(config, OCCAMY, _steady_jobs(), reference=True)
-        fast = run_policy(config, OCCAMY, _steady_jobs())
-        assert run_fingerprint(fast) == run_fingerprint(slow)
+        engines_agree(config, OCCAMY, _steady_jobs)
 
     def test_aperiodic_tail_still_exact(self, config):
         # 4000 is not divisible by the 48-element iteration chunk: every
         # array pass ends in a narrower tail load that breaks the period.
-        def jobs():
-            return [compiled_job(make_axpy(4000, 4), 0), None]
-
-        slow = run_policy(config, OCCAMY, jobs(), reference=True)
-        fast = run_policy(config, OCCAMY, jobs())
-        assert run_fingerprint(fast) == run_fingerprint(slow)
+        engines_agree(config, OCCAMY, lambda: [compiled_job(make_axpy(4000, 4), 0), None])

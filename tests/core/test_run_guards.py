@@ -2,7 +2,7 @@
 
 The deadlock detector and the ``max_cycles`` budget must fire at exactly
 the same cycle under the fast engine (idle fast-forward on the tickless
-event wheel) and the reference engine (slow cycle-by-cycle loop) — the
+event wheel) and the oracle (``ReferenceMachine``'s cycle-by-cycle loop) — the
 ``ff-wheel`` and ``slow-ref`` parameters below.  A fast-forward jump to a
 real future event can overshoot neither guard (events keep the machine live);
 a jump with *no* future event is capped at the deadlock horizon and at
@@ -18,17 +18,14 @@ from repro.common.errors import DeadlockError, SimulationError
 from repro.coproc.dynamic import DynamicInstruction, EntryKind
 from repro.core.machine import Machine
 from repro.core.policies import PRIVATE
+from repro.validation.reference_engine import ReferenceMachine
 
-from tests.conftest import compiled_job, make_axpy
+from tests.conftest import BOTH_ENGINES, compiled_job, make_axpy
 
 WINDOW = 5_000
 
-ENGINES = pytest.mark.parametrize(
-    "reference", [False, True], ids=["ff-wheel", "slow-ref"]
-)
 
-
-def _wedged_machine(config, reference=False) -> Machine:
+def _wedged_machine(config, machine_class=Machine) -> Machine:
     """A machine guaranteed to stop making progress.
 
     A poison entry sits at core 0's pool head, depending on a "ghost"
@@ -36,11 +33,8 @@ def _wedged_machine(config, reference=False) -> Machine:
     never becomes ready, so nothing behind it can commit, the pool never
     drains, and core 0 can never finish.
     """
-    machine = Machine(
-        config,
-        PRIVATE,
-        [compiled_job(make_axpy(length=64)), None],
-        reference=reference,
+    machine = machine_class(
+        config, PRIVATE, [compiled_job(make_axpy(length=64)), None]
     )
     ghost = DynamicInstruction(
         seq=-1, core=0, kind=EntryKind.COMPUTE, instr=None, vl_lanes=1,
@@ -67,20 +61,20 @@ def _counting(machine: Machine, method: str):
     return calls
 
 
-@ENGINES
-def test_deadlock_detected(config, monkeypatch, reference):
+@BOTH_ENGINES
+def test_deadlock_detected(config, monkeypatch, machine_class):
     monkeypatch.setattr(machine_mod, "DEADLOCK_WINDOW", WINDOW)
     with pytest.raises(DeadlockError):
-        _wedged_machine(config, reference).run()
+        _wedged_machine(config, machine_class).run()
 
 
 def test_deadlock_fires_at_identical_cycle(config, monkeypatch):
     """The error message embeds the last-progress cycle: must match."""
     monkeypatch.setattr(machine_mod, "DEADLOCK_WINDOW", WINDOW)
     messages = []
-    for reference in (False, True):
+    for machine_class in (Machine, ReferenceMachine):
         with pytest.raises(DeadlockError) as excinfo:
-            _wedged_machine(config, reference).run()
+            _wedged_machine(config, machine_class).run()
         messages.append(str(excinfo.value))
     assert messages[0] == messages[1]
 
@@ -95,20 +89,17 @@ def test_fast_forward_actually_skips(config, monkeypatch):
         machine.run()
     assert 0 < calls["n"] < WINDOW / 10
 
-    slow = _wedged_machine(config, reference=True)
+    slow = _wedged_machine(config, ReferenceMachine)
     slow_calls = _counting(slow, "step")
     with pytest.raises(DeadlockError):
         slow.run()
     assert slow_calls["n"] > WINDOW  # the cycle-by-cycle loop really loops
 
 
-@ENGINES
-def test_max_cycles_budget(config, reference):
-    machine = Machine(
-        config,
-        PRIVATE,
-        [compiled_job(make_axpy(length=64)), None],
-        reference=reference,
+@BOTH_ENGINES
+def test_max_cycles_budget(config, machine_class):
+    machine = machine_class(
+        config, PRIVATE, [compiled_job(make_axpy(length=64)), None]
     )
     with pytest.raises(SimulationError, match="exceeded 50 cycles"):
         machine.run(max_cycles=50)
@@ -117,12 +108,9 @@ def test_max_cycles_budget(config, reference):
 def test_max_cycles_metrics_identical(config):
     """Both engines stop at the same point with the same counters."""
     counters = []
-    for reference in (False, True):
-        machine = Machine(
-            config,
-            PRIVATE,
-            [compiled_job(make_axpy(length=256)), None],
-            reference=reference,
+    for machine_class in (Machine, ReferenceMachine):
+        machine = machine_class(
+            config, PRIVATE, [compiled_job(make_axpy(length=256)), None]
         )
         with pytest.raises(SimulationError):
             machine.run(max_cycles=200)

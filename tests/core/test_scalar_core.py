@@ -11,6 +11,7 @@ from repro.core.lane_manager import StaticLaneManager
 from repro.core.scalar_core import ScalarCore
 from repro.isa.assembler import assemble
 from repro.memory.image import MemoryImage
+from repro.validation.reference_engine import ReferenceCoProcessor, SeedCore
 
 SETVL = """
 setvl:
@@ -20,20 +21,17 @@ setvl:
 """
 
 
-def machine_for(source, arrays=None, core_id=0, lanes_plan=None, reference=False):
+def machine_for(source, arrays=None, core_id=0, lanes_plan=None, core_class=ScalarCore):
     config = experiment_config()
     metrics = Metrics(config.num_cores, config.vector.total_lanes, 2)
     manager = StaticLaneManager(lanes_plan or {0: 16, 1: 16})
-    coproc = CoProcessor(
-        config, SharingMode.SPATIAL, metrics, manager, reference=reference
-    )
+    coproc_class = ReferenceCoProcessor if core_class is SeedCore else CoProcessor
+    coproc = coproc_class(config, SharingMode.SPATIAL, metrics, manager)
     image = MemoryImage.for_core(core_id)
     for name, data in (arrays or {}).items():
         image.add_array(name, np.asarray(data, dtype=np.float32))
     program = assemble(source)
-    core = ScalarCore(
-        core_id, program, image, coproc, metrics, config.core, reference=reference
-    )
+    core = core_class(core_id, program, image, coproc, metrics, config.core)
     return core, coproc, image
 
 
@@ -111,9 +109,9 @@ class TestBranchRetirement:
         halt
     """
 
-    @pytest.mark.parametrize("pre_decode", [True, False])
-    def test_taken_branch_retires_its_own_pc(self, pre_decode):
-        core, coproc, _ = machine_for(self.SOURCE, reference=not pre_decode)
+    @pytest.mark.parametrize("core_class", [ScalarCore, SeedCore], ids=["True", "False"])
+    def test_taken_branch_retires_its_own_pc(self, core_class):
+        core, coproc, _ = machine_for(self.SOURCE, core_class=core_class)
         retired = []  # every cycle's retirement list, in order
         account = core._account_overhead
 

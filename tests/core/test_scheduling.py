@@ -159,16 +159,14 @@ class TestHierarchicalWheel:
 
     def test_machine_fingerprint_identical_with_and_without(self, config):
         """The wheel-driven fast engine against the wheel-less reference."""
-        from repro.core.machine import Machine
         from repro.core.policies import policy
-        from tests.conftest import compiled_job, run_fingerprint
+        from tests.conftest import compiled_job, engines_agree
 
-        def run(reference):
-            jobs = [
+        engines_agree(
+            config,
+            policy("occamy"),
+            lambda: [
                 compiled_job(make_axpy(2048), 0),
                 compiled_job(make_reduction(256, 8), 1),
-            ]
-            machine = Machine(config, policy("occamy"), jobs, reference=reference)
-            return run_fingerprint(machine.run())
-
-        assert run(reference=False) == run(reference=True)
+            ],
+        )

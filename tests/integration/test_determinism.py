@@ -9,7 +9,8 @@ fingerprinting complete :class:`~repro.core.machine.RunResult` objects —
 cycle counts, every metric counter, phase records, lane timelines, cache
 statistics and final memory bytes — across strategies.  Each engine test
 also proves from ``Machine.profile`` that the mechanism it is named after
-really ran in the fast engine and really did not in the reference.
+really ran in the fast engine; the reference machine has no profile and
+none of the fast machine's sleep bookkeeping ever moves on it.
 """
 
 from __future__ import annotations
@@ -21,12 +22,11 @@ import pytest
 from repro.analysis import experiments
 from repro.analysis.parallel import SimTask, run_tasks
 from repro.common.config import experiment_config
-from repro.core.machine import Machine, run_policy
 from repro.core.policies import ALL_POLICIES, EXTENDED_POLICIES
-from repro.core.scalar_core import ScalarCore
+from repro.validation.reference_engine import SeedCore
 from repro.workloads.pairs import all_pairs, jobs_for_pair
 
-from tests.conftest import compiled_job, make_axpy, run_fingerprint
+from tests.conftest import compiled_job, engines_agree, make_axpy, run_fingerprint
 
 SCALE = 0.1
 PAIRS = all_pairs()[:2]
@@ -92,15 +92,11 @@ def test_run_tasks_order_is_positional(config):
 
 @functools.lru_cache(maxsize=None)
 def _both_engines(policy):
-    """``PAIRS[0]`` under ``policy`` on both engines, simulated once:
-    ``(fast fingerprint, fast profile, reference fingerprint, reference
-    profile)``."""
-    out = []
-    for reference in (False, True):
-        jobs = jobs_for_pair(PAIRS[0], SCALE)
-        machine = Machine(experiment_config(), policy, jobs, reference=reference)
-        out += [run_fingerprint(machine.run()), machine.profile]
-    return tuple(out)
+    """``PAIRS[0]`` under ``policy`` on both engines, simulated once and
+    found bit-identical: ``(fast machine, reference machine)``."""
+    return engines_agree(
+        experiment_config(), policy, lambda: jobs_for_pair(PAIRS[0], SCALE)
+    )
 
 
 @pytest.mark.parametrize("policy", EXTENDED_POLICIES, ids=lambda p: p.key)
@@ -112,11 +108,9 @@ def test_fast_forward_is_bit_exact(policy):
     and CTS's coarse-temporal), so each mode's next-event hooks are
     exercised.
     """
-    fast, fast_profile, slow, slow_profile = _both_engines(policy)
-    assert fast == slow
-    assert fast_profile.fastforward_cycles > 0
-    assert slow_profile.fastforward_cycles == 0
-    assert slow_profile.interpreted_cycles == slow_profile.total_cycles
+    fast, slow = _both_engines(policy)
+    assert fast.profile.fastforward_cycles > 0
+    assert slow.profile is None and slow._ff_skipped == 0
 
 
 @pytest.mark.parametrize("policy", EXTENDED_POLICIES, ids=lambda p: p.key)
@@ -124,12 +118,7 @@ def test_loop_replay_is_bit_exact(policy, config):
     """A solo steady loop — the longest one diffed against the oracle —
     matches the cycle-by-cycle reference under every sharing mode."""
 
-    def jobs():
-        return [compiled_job(make_axpy(6144, 4), 0), None]
-
-    fast = run_policy(config, policy, jobs())
-    slow = run_policy(config, policy, jobs(), reference=True)
-    assert run_fingerprint(fast) == run_fingerprint(slow)
+    engines_agree(config, policy, lambda: [compiled_job(make_axpy(6144, 4), 0), None])
 
 
 @pytest.mark.parametrize("policy", EXTENDED_POLICIES, ids=lambda p: p.key)
@@ -137,29 +126,27 @@ def test_pre_decode_matches_seed_interpreter(policy, config, monkeypatch):
     """The fast engine never enters the seed interpreter, the reference
     engine retires every instruction through it, and they agree."""
     calls = []
-    seed_execute = ScalarCore._execute
+    seed_execute = SeedCore._execute
 
     def counted(self, instr, cycle):
-        calls.append(self.reference)
+        calls.append(self)
         return seed_execute(self, instr, cycle)
 
-    monkeypatch.setattr(ScalarCore, "_execute", counted)
-    pair = PAIRS[0]
-    decoded = run_policy(config, policy, jobs_for_pair(pair, SCALE))
-    assert not calls
-    seed = run_policy(config, policy, jobs_for_pair(pair, SCALE), reference=True)
-    assert calls and all(calls)
-    assert run_fingerprint(decoded) == run_fingerprint(seed)
+    monkeypatch.setattr(SeedCore, "_execute", counted)
+    fast, slow = engines_agree(config, policy, lambda: jobs_for_pair(PAIRS[0], SCALE))
+    assert not any(isinstance(core, SeedCore) for core in fast.cores)
+    assert len(calls) >= sum(core.retired for core in slow.cores) > 0
+    assert {id(core) for core in calls} == {id(core) for core in slow.cores}
 
 
 def test_all_fast_paths_off_matches_all_on():
     """The reference engine really is fully pessimised — nothing skipped,
     slept through or batched — and the default agrees with it."""
-    optimised, _, baseline, profile = _both_engines(EXTENDED_POLICIES[3])  # occamy
-    assert optimised == baseline
-    assert profile.interpreted_cycles == profile.total_cycles
-    assert not any(profile.component_asleep)
-    assert profile.batched_dispatch_calls == profile.scalar_dispatch_calls == 0
+    _fast, slow = _both_engines(EXTENDED_POLICIES[3])  # occamy
+    assert slow.profile is None
+    assert slow._ff_skipped == 0 and not any(slow._comp_asleep)
+    assert len(slow._wheel) == 0 and all(slow._awake)
+    assert not hasattr(slow.coproc._batch, "batched_calls")
 
 
 @pytest.mark.parametrize("policy", EXTENDED_POLICIES, ids=lambda p: p.key)
@@ -171,11 +158,10 @@ def test_event_wheel_is_bit_exact(policy):
     sleep/wake, bulk metric settling, ready-set dispatch indexing — so
     this is the broadest single safety net for the tickless engine.
     """
-    tickless, fast_profile, reference, slow_profile = _both_engines(policy)
-    assert tickless == reference
+    tickless, reference = _both_engines(policy)
     # Every mode sleeps — FTS too, all components together or not at all.
-    assert sum(fast_profile.component_asleep) > 0
-    assert not any(slow_profile.component_asleep)
+    assert sum(tickless.profile.component_asleep) > 0
+    assert not any(reference._comp_asleep)
 
 
 def test_sweep_is_order_independent():

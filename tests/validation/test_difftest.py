@@ -13,6 +13,7 @@ from repro.validation.difftest import (
     generate_case,
 )
 from repro.validation.fingerprint import fingerprint_sections
+from repro.validation.reference_engine import ReferenceMachine, run_reference
 
 
 class TestGeneration:
@@ -36,7 +37,7 @@ class TestGeneration:
         original = Machine.__init__
 
         def spy(self, *args, **kwargs):
-            built.append(kwargs.get("reference", False))
+            built.append(type(self) is ReferenceMachine)
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(Machine, "__init__", spy)
@@ -63,12 +64,14 @@ class TestCleanEngines:
         assert not report.starved, report.traffic()
 
     def test_audited_run_matches_unaudited(self):
+        from repro.core.policies import OCCAMY
+
         compiled = CompiledCase(generate_case(11))
-        plain = fingerprint_sections(
-            compiled.machine("occamy", reference=True).run()
-        )
-        audited = fingerprint_sections(
-            compiled.machine("occamy", reference=True, audit=True).run()
+        plain, audited = (
+            fingerprint_sections(
+                run_reference(compiled.config, OCCAMY, compiled.jobs(), audit=audit)
+            )
+            for audit in (False, True)
         )
         assert plain == audited
 
@@ -196,6 +199,68 @@ class TestBugDetection:
 
         payload = json.dumps(report.to_json())
         assert "stalls" in payload
+
+
+class TestCrashIsADivergence:
+    """One engine raising where the other does not is a finding like any
+    other: reported, written to ``--report``, shrunk — not a traceback."""
+
+    @pytest.fixture()
+    def crashing_settle(self, monkeypatch):
+        """Inject a fast-only crash: waking a sleeper dies (the oracle
+        never sleeps, so it never gets there)."""
+        from repro.core.machine import Machine
+
+        def settle(self, component, cycle):
+            if not self._awake[component]:
+                raise KeyError(f"no sleeper {component}")
+
+        monkeypatch.setattr(Machine, "_settle", settle)
+
+    def test_fast_only_raise_is_one_error_divergence(self, crashing_settle):
+        report = fuzz_seeds([0], policies=("fts",))
+        assert len(report.divergences) == 1
+        divergence = report.divergences[0]
+        assert divergence.sections == ["error"]
+        assert "KeyError" in divergence.detail[0] and "got=" in divergence.detail[0]
+
+    def test_cli_writes_the_report_and_a_shrunk_spec(self, crashing_settle, tmp_path):
+        import json
+
+        from repro.cli import main
+
+        report_path = tmp_path / "report.json"
+        argv = ["diff-fuzz", "--seeds", "1", "--policies", "fts"]
+        code = main(
+            argv + ["--report", str(report_path), "--emit-dir", str(tmp_path / "emit")]
+        )
+        assert code == 1
+        report = json.loads(report_path.read_text())
+        assert report["clean"] is False
+        assert [d["sections"] for d in report["divergences"]] == [["error"]]
+        (emitted,) = (tmp_path / "emit").glob("test_fuzz_seed0_fts.py")
+        namespace = {}
+        exec(compile(emitted.read_text(), str(emitted), "exec"), namespace)  # noqa: S102
+        spec, minimal = generate_case(0), namespace["test_seed0_fts"]
+        with pytest.raises(AssertionError, match="diverged"):
+            minimal()  # the shrunk spec still crashes the fast engine only
+        assert str(spec) not in emitted.read_text()  # and it did shrink
+
+    def test_same_error_on_both_engines_is_clean(self):
+        # Both engines exhaust the same budget at the same cycle.
+        assert not check_case(generate_case(0), policies=("fts",), max_cycles=50)
+
+    def test_audit_violation_is_never_clean(self, monkeypatch):
+        """An invariant broken on both engines alike is still a bug."""
+        from repro.common.errors import InvariantViolation
+        from repro.validation.invariants import InvariantAuditor
+
+        def check_machine(self, cycle):
+            raise InvariantViolation("broken at cycle 0")
+
+        monkeypatch.setattr(InvariantAuditor, "check_machine", check_machine)
+        divergences = check_case(generate_case(0), policies=("fts",), audit=True)
+        assert [d.sections for d in divergences] == [["error"]]
 
 
 class TestCli:
