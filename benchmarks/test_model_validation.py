@@ -6,7 +6,7 @@ Not a paper figure — a validation study for DESIGN.md.  Two gates:
   attainable performance -> more achieved throughput) and saturation
   knees must track the simulator for the plans to make sense;
 * the ECM cycle predictor (``repro.analysis.ecm``): its *absolute*
-  predictions feed the service scheduler's cold-start prior and the
+  predictions feed the symbiosis allocation policy and the
   ``repro perf-report`` error tables, so its geomean relative cycle
   error across the Table 3 workloads under occamy/fts/cts is CI-gated
   at ``ECM_ERROR_GATE``.

@@ -3,9 +3,8 @@
 The symbiosis policy scores every unordered pair of threads by the
 predicted *co-run makespan* of a 2-core complex running them — straight
 from the ECM cycle prior (arXiv 1509.03118), with the shared L2/DRAM
-ceilings halved and (for spatial sharing policies) the lane pool split,
-exactly like the service scheduler's cold-start prior.  No simulation is
-needed to build the matrix.
+ceilings halved and (for spatial sharing policies) the lane pool split.
+No simulation is needed to build the matrix.
 
 A pair's matching weight is ``-(log t_a + log t_b)`` where ``t_a, t_b``
 are the two threads' predicted drain times in the co-run, so maximising

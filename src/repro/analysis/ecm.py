@@ -35,19 +35,13 @@ story, none fitted per workload.  Cross-validation against ``Machine.run``
 over the Table 3 workloads under occamy/fts/cts lands at a geometric-mean
 relative cycle error well inside the CI gate (see
 ``benchmarks/test_model_validation.py`` and ``repro perf-report``).
-
-The model is what the spjf service scheduler uses as a *prior*: a job
-whose signature has never been observed gets an ECM estimate instead of
-an infinite cost, so a cold fleet still runs shortest-job-first
-(:func:`predict_spec_cycles`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.common.config import LANE_BYTES, MachineConfig, experiment_config
 from repro.common.errors import ConfigurationError
@@ -336,72 +330,6 @@ class EcmModel:
             policy_key=policy_key,
             phases=tuple(phases),
         )
-
-
-# --- service prior ------------------------------------------------------------
-
-
-def _kernels_for_spec(spec: Dict[str, object]) -> List[Kernel]:
-    """The kernels a (normalized) job spec would run, one per core."""
-    from repro.workloads.motivating import motivating_pair
-    from repro.workloads.opencv import opencv_workload
-    from repro.workloads.spec import spec_workload
-
-    scale = float(spec["scale"])
-    kind = spec["kind"]
-    if kind == "motivate":
-        return list(motivating_pair(scale))
-    if kind == "pair":
-        build = spec_workload if spec["suite"] == "spec" else opencv_workload
-        return [build(spec["mem"], scale=scale), build(spec["comp"], scale=scale)]
-    if kind == "group":
-        return [spec_workload(wid, scale=scale) for wid in spec["group"]]
-    raise ConfigurationError(f"unknown spec kind {kind!r}")
-
-
-@lru_cache(maxsize=512)
-def _predict_signature(signature: str) -> Optional[float]:
-    import json
-
-    from repro.service.specs import normalize_spec
-
-    try:
-        spec = normalize_spec(json.loads(signature))
-        kernels = _kernels_for_spec(spec)
-        config = experiment_config(num_cores=int(spec["cores"]))
-    except Exception:  # not a spec signature / unknown workload id
-        return None
-    runners = max(1, len(kernels))
-    model = EcmModel(config, bandwidth_share=1.0 / runners)
-    policy = str(spec["policy"])
-    spatial_share = (
-        None
-        if policy in TEMPORAL_POLICIES
-        else max(1, config.vector.total_lanes // runners)
-    )
-    try:
-        predictions = [
-            model.predict_kernel(kernel, policy, max_lanes=spatial_share)
-            for kernel in kernels
-        ]
-    except Exception:  # analysis failure on an exotic kernel: no prior
-        return None
-    # The co-run finishes when its slowest workload drains.
-    return max(prediction.cycles for prediction in predictions)
-
-
-def predict_spec_cycles(signature: str) -> Optional[float]:
-    """ECM cycle estimate for a job-spec *signature* (cost-model prior).
-
-    ``signature`` is the canonical JSON produced by
-    :func:`repro.service.specs.task_signature`.  Returns ``None`` for
-    anything that is not a parseable spec — the caller falls back to the
-    infinite-cost FIFO behaviour, so opaque signatures keep their old
-    semantics.  Estimates are co-run aware: the shared L2/DRAM ceilings
-    and (for spatial policies) the lane pool are split across the spec's
-    workloads, and the prediction is the slowest workload's drain time.
-    """
-    return _predict_signature(signature)
 
 
 # --- convenience --------------------------------------------------------------

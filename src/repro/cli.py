@@ -321,11 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max queued+running jobs per client (default 16)",
     )
     serve.add_argument(
-        "--sched", choices=("fifo", "spjf", "fair"), default="fifo",
-        help="scheduling policy: arrival order, shortest-predicted-job-"
-        "first (cached cycle counts), or per-client fair share",
-    )
-    serve.add_argument(
         "--job-timeout", type=float, default=300.0, metavar="S",
         help="per-job wall-clock deadline in seconds; 0 disables "
         "(default 300)",
@@ -375,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--policy", choices=sorted(POLICY_KEYS + ("cts",)), default="occamy"
         )
         sp.add_argument("--scale", type=float, default=default_scale)
-        sp.add_argument("--client", default="cli", help="client name for "
-                        "fair-share scheduling and per-client quotas")
+        sp.add_argument("--client", default="cli",
+                        help="client name for per-client quotas")
         sp.add_argument("--no-wait", action="store_true",
                         help="return after the queued acknowledgement")
         sp.add_argument("--json", action="store_true",
@@ -427,22 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="gateway listen address (default 127.0.0.1:8765)",
     )
     fleet_serve.add_argument(
-        "--routing", choices=("hash", "least-loaded", "steal"), default="hash",
-        help="shard routing policy: consistent-hash (warm-shard affinity), "
-        "least-loaded, or hash with work-stealing above --steal-threshold",
-    )
-    fleet_serve.add_argument(
-        "--steal-threshold", type=int, default=4, metavar="N",
-        help="queue-depth gap before 'steal' overrides the hash home "
-        "(default 4)",
-    )
-    fleet_serve.add_argument(
         "--workers", type=int, default=2, metavar="N",
         help="worker processes per daemon (default 2)",
-    )
-    fleet_serve.add_argument(
-        "--sched", choices=("fifo", "spjf", "fair"), default="fifo",
-        help="per-daemon scheduling policy (default fifo)",
     )
     fleet_serve.add_argument(
         "--queue-depth", type=int, default=64, metavar="N",

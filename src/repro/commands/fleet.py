@@ -61,7 +61,6 @@ def _serve(args: argparse.Namespace) -> int:
     manager = FleetManager(
         base_dir=args.base_dir,
         workers=args.workers,
-        scheduler=args.sched,
         queue_depth=args.queue_depth,
         max_per_client=args.max_per_client,
         job_timeout=args.job_timeout,
@@ -69,7 +68,7 @@ def _serve(args: argparse.Namespace) -> int:
     )
     print(
         f"repro fleet: starting {args.count} daemon(s) "
-        f"({args.workers} worker(s) each, sched={args.sched}) ...",
+        f"({args.workers} worker(s) each) ...",
         flush=True,
     )
     try:
@@ -80,14 +79,11 @@ def _serve(args: argparse.Namespace) -> int:
             GatewayOptions(
                 host=host or "127.0.0.1",
                 port=port,
-                routing=args.routing,
-                steal_threshold=args.steal_threshold,
                 fleet=manager,
             )
         )
         print(
-            f"repro fleet: gateway on http://{host or '127.0.0.1'}:{port} "
-            f"(routing={args.routing})",
+            f"repro fleet: gateway on http://{host or '127.0.0.1'}:{port}",
             flush=True,
         )
         try:
@@ -121,8 +117,7 @@ def _status(args: argparse.Namespace) -> int:
     gateway = payload.get("gateway", {})
     print(
         f"gateway {gateway.get('http')} up {gateway.get('uptime_s')}s "
-        f"(routing={gateway.get('routing')}, "
-        f"{gateway.get('alive')} shard(s) alive)"
+        f"({gateway.get('alive')} shard(s) alive)"
     )
     print(
         "gateway counters: "

@@ -1,8 +1,8 @@
 """``repro serve``: run the simulation daemon in the foreground.
 
 A long-lived asyncio service owning a supervised worker pool, admitting jobs
-over a local socket with explicit backpressure and a pluggable scheduling
-policy (fifo / spjf / fair).  See ``docs/service.md``.
+over a local socket with explicit backpressure and running them in arrival
+order.  See ``docs/service.md``.
 """
 
 import argparse
@@ -40,7 +40,6 @@ def run(args: argparse.Namespace) -> int:
         workers=args.workers,
         queue_depth=args.queue_depth,
         max_per_client=args.max_per_client,
-        scheduler=args.sched,
         job_timeout=args.job_timeout if args.job_timeout > 0 else None,
         max_retries=args.max_retries,
         retry_backoff=args.retry_backoff,
@@ -50,8 +49,7 @@ def run(args: argparse.Namespace) -> int:
     server = SimulationServer(options)
     print(
         f"repro daemon: serving on {server.address} "
-        f"({options.workers} worker(s), sched={options.scheduler}, "
-        f"queue depth {options.queue_depth})",
+        f"({options.workers} worker(s), queue depth {options.queue_depth})",
         flush=True,
     )
     try:

@@ -20,8 +20,7 @@ def _print_daemon_status(status: dict) -> None:
     print(
         f"daemon pid {status.get('pid')} up {status.get('uptime_s')}s "
         f"at {status.get('address')} "
-        f"(sched={status.get('scheduler')}, "
-        f"draining={status.get('draining')})"
+        f"(draining={status.get('draining')})"
     )
     print(
         f"queue: {queue.get('depth')}/{queue.get('max_depth')} queued, "

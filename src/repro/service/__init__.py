@@ -5,10 +5,8 @@ invocation paid interpreter startup, workload synthesis and cold cache
 probes, and two concurrent callers could silently run the same
 simulation twice.  The service turns the toolkit into the first layer
 whose job is *serving traffic*: a daemon owns a bounded worker pool and
-arbitrates many queued simulation requests onto it — the same shape as
-the paper's §5 problem of arbitrating one scarce co-processor across
-competing cores, and solved the same way, with an explicit, swappable
-policy.
+feeds many queued simulation requests onto it in arrival order, behind
+explicit admission control.
 
 Modules
 -------
@@ -20,9 +18,8 @@ Modules
     The wire-level job description and its translation to a picklable
     :class:`~repro.analysis.parallel.SimTask`.
 :mod:`~repro.service.queue`
-    Priority queue with admission control (bounded depth, per-client
-    quota, explicit backpressure) and pluggable scheduling policies
-    (``fifo`` / ``spjf`` / ``fair``).
+    FIFO queue with a retry fence behind admission control (bounded
+    depth, per-client quota, explicit backpressure).
 :mod:`~repro.service.workers`
     Supervised worker-process pool: per-job timeouts, crash detection,
     worker recycling.
@@ -39,7 +36,7 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.service.client import ServiceClient, wait_for_server
-    from repro.service.queue import SCHEDULER_NAMES, CostModel, JobQueue
+    from repro.service.queue import JobQueue
     from repro.service.protocol import (
         default_address,
         fingerprint_digests,
@@ -56,7 +53,7 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.service.protocol": (
             "default_address", "fingerprint_digests", "summarize_result"
         ),
-        "repro.service.queue": ("CostModel", "JobQueue", "SCHEDULER_NAMES"),
+        "repro.service.queue": ("JobQueue",),
         "repro.service.server": ("ServerOptions", "SimulationServer"),
         "repro.service.specs": ("build_task", "normalize_spec"),
         "repro.service.workers": ("WorkerPool",),

@@ -8,12 +8,11 @@ is independent of HTTP:
 
 * :class:`HashRing` — consistent hashing of job identities onto shard
   names, so repeat submissions of the same spec land on the shard whose
-  queue/cost-model/OS page cache is already warm for it, and so adding
-  or removing a shard only remaps the keys that lived on it;
-* :func:`choose_shard` — the pluggable routing policies (``hash`` /
-  ``least-loaded`` / ``steal``), the service-level analogue of the
-  paper's lane-allocation policies: *which shard serves this job* is an
-  explicit, swappable decision, not an accident of connection order;
+  key memo and OS page cache are already warm for it, and so adding or
+  removing a shard only remaps the keys that lived on it;
+* :func:`choose_shard` — the one routing rule: a job goes to its hash
+  home, and when that shard is down or already tried, to the next live
+  shard in ring order;
 * :func:`aggregate_statuses` — folds per-daemon ``status`` payloads into
   one fleet view (queue depths, worker occupancy, cache hit rate, retry
   counts) shared by the gateway's ``/status`` endpoint and the
@@ -38,17 +37,10 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError, ServiceUnavailableError
 
-#: Routing policies accepted by the gateway (``--routing``).
-ROUTING_POLICIES = ("hash", "least-loaded", "steal")
-
 #: Virtual nodes per shard on the hash ring.  Enough that a 2..32-shard
 #: fleet balances within a few percent; small enough that rebuilding the
 #: ring on scale events is trivial.
 RING_REPLICAS = 64
-
-#: Default queue-depth gap before the ``steal`` policy overrides the
-#: hash-home shard in favour of the least-loaded one.
-DEFAULT_STEAL_THRESHOLD = 4
 
 
 def _ring_hash(value: str) -> int:
@@ -106,50 +98,21 @@ class HashRing:
 
 
 def choose_shard(
-    routing: str,
     ring: HashRing,
     signature: str,
     shards: Mapping[str, object],
     exclude: Iterable[str] = (),
-    steal_threshold: int = DEFAULT_STEAL_THRESHOLD,
 ):
     """Pick the shard that should run the job identified by ``signature``.
 
-    ``shards`` maps shard name to any object with ``alive`` (bool) and
-    ``inflight`` (int, gateway-tracked jobs currently routed there).
+    ``shards`` maps shard name to any object with ``alive`` (bool).
     ``exclude`` names shards already tried this job (failover).  Returns
-    the chosen shard object, or ``None`` when no live shard remains.
-
-    Policies:
-
-    ``hash``
-        The signature's home on the consistent-hash ring; failover walks
-        the ring order.  Repeat keys land on the warm shard.
-    ``least-loaded``
-        The live shard with the fewest gateway-tracked in-flight jobs
-        (name breaks ties, so the choice is deterministic).
-    ``steal``
-        Hash-home routing, but when the home shard's in-flight depth
-        exceeds the fleet minimum by more than ``steal_threshold`` the
-        job is stolen by the least-loaded shard — cache affinity until a
-        queue imbalance makes spreading worth losing it.
+    the first live, non-excluded shard in the signature's ring order —
+    its hash home when that is up, so repeat keys land on the warm shard
+    — or ``None`` when no live shard remains.
     """
-    if routing not in ROUTING_POLICIES:
-        raise ConfigurationError(
-            f"unknown routing policy {routing!r}; choose from {ROUTING_POLICIES}"
-        )
     excluded = set(exclude)
-    candidates = [
-        shard
-        for name, shard in shards.items()
-        if shard.alive and name not in excluded
-    ]
-    if not candidates:
-        return None
-    least = min(candidates, key=lambda shard: (shard.inflight, shard.name))
-    if routing == "least-loaded":
-        return least
-    home = next(
+    return next(
         (
             shards[name]
             for name in ring.preference(signature)
@@ -157,11 +120,6 @@ def choose_shard(
         ),
         None,
     )
-    if home is None:  # pragma: no cover - candidates nonempty implies a home
-        return least
-    if routing == "steal" and home.inflight - least.inflight > steal_threshold:
-        return least
-    return home
 
 
 # --- fleet-wide status aggregation -------------------------------------------
@@ -239,16 +197,13 @@ class FleetManager:
     """Spawns and supervises N daemon subprocesses on private sockets.
 
     Every shard shares the parent's environment — in particular
-    ``REPRO_CACHE_DIR`` — so the fleet shares one result-cache tier and
-    one persisted cost model (whose :meth:`~repro.service.queue.CostModel.save`
-    merges rather than clobbers, precisely because N daemons write it).
+    ``REPRO_CACHE_DIR`` — so the fleet shares one result-cache tier.
     """
 
     def __init__(
         self,
         base_dir: Optional[os.PathLike] = None,
         workers: int = 2,
-        scheduler: str = "fifo",
         queue_depth: int = 64,
         max_per_client: int = 16,
         job_timeout: float = 300.0,
@@ -261,7 +216,6 @@ class FleetManager:
             base_dir = default_cache_dir() / "fleet"
         self.base_dir = Path(base_dir)
         self.workers = workers
-        self.scheduler = scheduler
         self.queue_depth = queue_depth
         self.max_per_client = max_per_client
         self.job_timeout = job_timeout
@@ -301,8 +255,6 @@ class FleetManager:
             address,
             "--workers",
             str(self.workers),
-            "--sched",
-            self.scheduler,
             "--queue-depth",
             str(self.queue_depth),
             "--max-per-client",

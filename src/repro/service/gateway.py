@@ -1,16 +1,13 @@
 """HTTP/JSON gateway: one front door for a fleet of simulation daemons.
 
-The gateway is the fleet-scale analogue of the paper's lane manager: many
-submitters compete for a pool of shards, and the gateway turns that
-contention into explicit policy.  It speaks plain HTTP/1.1 + JSON to
-clients (any language, ``curl``-able) and the existing line-delimited
-JSON socket protocol to each daemon, adding exactly four things a single
-daemon cannot provide:
+Many submitters compete for a pool of shards.  The gateway speaks plain
+HTTP/1.1 + JSON to clients (any language, ``curl``-able) and the existing
+line-delimited JSON socket protocol to each daemon, adding exactly four
+things a single daemon cannot provide:
 
 * **shard routing** — each submission is routed by consistent hash of
   its spec signature (the stable identity behind the content-hash
-  simulation key), so repeat keys land on the warm shard; ``least-loaded``
-  and ``steal`` policies trade that affinity for queue balance
+  simulation key), so repeat keys land on the warm shard
   (:func:`repro.service.fleet.choose_shard`);
 * **fleet-wide single-flight** — identical specs submitted concurrently
   through the gateway execute once *globally*, even when shard routing
@@ -65,13 +62,7 @@ from repro.common.errors import (
     ServiceUnavailableError,
 )
 from repro.service import protocol
-from repro.service.fleet import (
-    DEFAULT_STEAL_THRESHOLD,
-    HashRing,
-    ROUTING_POLICIES,
-    aggregate_statuses,
-    choose_shard,
-)
+from repro.service.fleet import HashRing, aggregate_statuses, choose_shard
 from repro.service.specs import normalize_spec, task_signature
 
 #: Job events that end a submission stream.
@@ -101,8 +92,6 @@ class GatewayOptions:
     shards: Sequence[str] = ()
     host: str = "127.0.0.1"
     port: int = 0
-    routing: str = "hash"
-    steal_threshold: int = DEFAULT_STEAL_THRESHOLD
     health_interval: float = 2.0
     connect_timeout: float = 10.0
     #: Per-job wall-clock bound on one shard conversation (ack + events).
@@ -119,7 +108,7 @@ class ShardState:
     name: str
     address: str
     alive: bool = True
-    #: Gateway-tracked jobs currently routed here (drives least-loaded/steal).
+    #: Gateway-tracked jobs currently routed here (reported by ``/status``).
     inflight: int = 0
     routed: int = 0
     completed: int = 0
@@ -143,11 +132,6 @@ class Gateway:
 
     def __init__(self, options: Optional[GatewayOptions] = None, **overrides) -> None:
         options = options or GatewayOptions(**overrides)
-        if options.routing not in ROUTING_POLICIES:
-            raise ConfigurationError(
-                f"unknown routing policy {options.routing!r}; "
-                f"choose from {ROUTING_POLICIES}"
-            )
         self.options = options
         addresses = list(options.shards)
         if not addresses and options.fleet is not None:
@@ -336,14 +320,7 @@ class Gateway:
         failovers = 0
         last_error: Optional[ServiceUnavailableError] = None
         while True:
-            shard = choose_shard(
-                self.options.routing,
-                self.ring,
-                signature,
-                self.shards,
-                exclude=tried,
-                steal_threshold=self.options.steal_threshold,
-            )
+            shard = choose_shard(self.ring, signature, self.shards, exclude=tried)
             if shard is None:
                 self.counters["unroutable"] += 1
                 raise ServiceUnavailableError(
@@ -463,8 +440,6 @@ class Gateway:
             "gateway": {
                 "uptime_s": round(time.monotonic() - self._started_at, 3),
                 "http": f"{self.options.host}:{self.bound_port}",
-                "routing": self.options.routing,
-                "steal_threshold": self.options.steal_threshold,
                 "counters": dict(self.counters),
                 "singleflight": len(self._singleflight),
                 "alive": sum(1 for shard in states if shard.alive),
@@ -637,7 +612,6 @@ class Gateway:
                 "ok": alive > 0,
                 "alive": alive,
                 "shards": len(self.shards),
-                "routing": self.options.routing,
             }
             return (200 if alive else 503), payload
         if path == "/status":

@@ -1,68 +1,31 @@
-"""Job queue: admission control plus pluggable scheduling policies.
+"""Job queue: admission control in front of a FIFO with a retry fence.
 
-This is the service-level analogue of the co-processor's ``LaneMgr``:
-many clients compete for a bounded pool of workers, and *which job runs
-next* is an explicit, swappable policy rather than an accident of arrival
-order — mirroring how the paper makes lane arbitration a first-class
-mechanism (§5) and how co-run allocation-policy work (Navarro et al.)
-treats thread-to-core mapping as a pluggable family.
+Many clients compete for a bounded pool of workers.  The queue decides
+two things and nothing else knows either:
 
-Admission control is strict and explicit:
+*Who gets in* — admission control is strict and explicit:
 
 * **bounded depth** — beyond ``max_depth`` queued jobs the submit is
   rejected with a ``queue-full`` :class:`AdmissionError` (the server turns
   this into a backpressure response; nothing buffers without bound);
 * **per-client quota** — one client cannot occupy more than
   ``max_per_client`` queued+running slots (``client-quota`` rejection),
-  so a chatty client cannot starve the rest regardless of scheduler.
+  so a chatty client cannot starve the rest.
 
-Schedulers (``SCHEDULERS``):
-
-``fifo``
-    Arrival order (lowest sequence number).
-``spjf``
-    Shortest-predicted-job-first: predicted cost is the cycle count the
-    :class:`CostModel` has recorded for previous runs of the same spec
-    signature.  A signature never observed before is estimated with the
-    ECM analytical model (:func:`repro.analysis.ecm.predict_spec_cycles`)
-    instead of an infinite cost, so a cold fleet still runs shortest-
-    job-first rather than degrading to FIFO; only signatures the model
-    cannot parse (opaque/test signatures) keep the infinite-estimate
-    FIFO fallback, and ``not_before`` retry fences plus FIFO tie-breaks
-    keep every job from starving either way.
-``fair``
-    Fair-share round-robin across clients: the client with the fewest
-    scheduled jobs this session goes first; FIFO within a client.
+*Which job runs next* — arrival order: :meth:`JobQueue.pop_next` returns
+the lowest sequence number among the jobs whose ``not_before`` retry
+fence has passed.  A retried job keeps its original sequence number, so
+once its backoff expires it goes ahead of everything admitted after it.
+Arrival order is the only ordering because no service workload in the
+repository can tell another one apart (``docs/service.md``, "Scheduling").
 """
 
 from __future__ import annotations
 
-import json
-import math
-import os
-import tempfile
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.common.errors import AdmissionError, ConfigurationError
-
-
-def _valid_cost(value: object) -> bool:
-    """True for a usable cycle count: a finite, non-negative real number.
-
-    ``bool`` is an ``int`` subclass, so ``isinstance(x, (int, float))``
-    alone would accept ``true``/``false`` from a hand-edited JSON file;
-    non-finite floats are worse — a single ``NaN`` loaded from a corrupt
-    shared ``service_costs.json`` poisons every spjf ``min`` comparison
-    it participates in, silently randomising the schedule.
-    """
-    return (
-        isinstance(value, (int, float))
-        and not isinstance(value, bool)
-        and math.isfinite(value)
-        and value >= 0
-    )
 
 #: Default bound on queued (not yet running) jobs.
 DEFAULT_MAX_DEPTH = 64
@@ -77,257 +40,25 @@ class QueuedJob:
 
     job_id: str
     key: str
-    signature: str
     client: str
     seq: int
     task: object = None
-    #: Monotonic time before which the scheduler must not pick this job
+    #: Monotonic time before which ``pop_next`` must not pick this job
     #: (retry backoff fence; 0 = immediately eligible).
     not_before: float = 0.0
-    #: Predicted cost in simulated cycles (None = no observation yet).
-    predicted_cycles: Optional[float] = None
-
-
-# --- cost model ---------------------------------------------------------------
-
-
-class CostModel:
-    """Cycle-count observations keyed by spec signature.
-
-    Backs the ``spjf`` scheduler: every completed job reports its
-    ``total_cycles`` and later submissions of the same signature are
-    predicted at the exponential moving average of those observations.
-    Signatures with no observation yet fall back to the ECM analytical
-    estimate (see :meth:`predict`) unless ``prior=False``.  Optionally
-    persisted (atomically, best-effort) as JSON next to the result cache
-    so predictions survive daemon restarts; corrupt entries — booleans,
-    ``NaN``/``Infinity``, negatives — are rejected on load and on merge
-    and are never written back (see :func:`_valid_cost`).
-    """
-
-    #: EMA smoothing: new observation weight.
-    ALPHA = 0.5
-
-    def __init__(self, path: Optional[os.PathLike] = None, prior: bool = True) -> None:
-        self.path = Path(path) if path else None
-        self._costs: Dict[str, float] = {}
-        self._loaded = False
-        self._prior_enabled = prior
-
-    def load(self) -> None:
-        """Read persisted observations; any unreadable file is ignored."""
-        self._loaded = True
-        if self.path is None:
-            return
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-            return
-        if isinstance(data, dict):
-            self._costs.update(
-                {
-                    str(sig): float(cost)
-                    for sig, cost in data.items()
-                    if _valid_cost(cost)
-                }
-            )
-
-    def save(self, merge: bool = True) -> bool:
-        """Persist observations atomically; returns False on any failure.
-
-        The write is tempfile + ``os.replace`` so a crash mid-write can
-        never leave a torn file, and with ``merge=True`` (the default)
-        signatures another daemon persisted since our load are folded in
-        rather than clobbered — N fleet daemons sharing one
-        ``service_costs.json`` each keep their own observations for
-        conflicting signatures but never erase a sibling's.  In-memory
-        state is left untouched either way.
-        """
-        if self.path is None:
-            return False
-        entries = dict(self._costs)
-        tmp_name = None
-        try:
-            if merge:
-                try:
-                    with open(self.path, "r", encoding="utf-8") as handle:
-                        on_disk = json.load(handle)
-                except (OSError, json.JSONDecodeError, UnicodeDecodeError):
-                    on_disk = None
-                if isinstance(on_disk, dict):
-                    for sig, cost in on_disk.items():
-                        if _valid_cost(cost):
-                            entries.setdefault(str(sig), float(cost))
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=self.path.parent, prefix=".costs-", suffix=".tmp"
-            )
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(entries, handle)
-            os.replace(tmp_name, self.path)
-            return True
-        except OSError:
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-            return False
-
-    def observe(self, signature: str, cycles: float) -> None:
-        """Fold one measured cycle count into the signature's EMA.
-
-        Invalid observations (bool, non-finite, negative) are dropped:
-        persisting one would poison the shared cost file for every
-        daemon that later merges it.
-        """
-        if not _valid_cost(cycles):
-            return
-        if not self._loaded:
-            self.load()
-        previous = self._costs.get(signature)
-        if previous is None:
-            self._costs[signature] = float(cycles)
-        else:
-            self._costs[signature] = (
-                self.ALPHA * float(cycles) + (1.0 - self.ALPHA) * previous
-            )
-
-    def predict(self, signature: str) -> Optional[float]:
-        """Predicted cycles: the observed EMA, else the ECM prior.
-
-        The prior (lazy-imported so queue construction never pays for
-        the analysis stack) only produces estimates for signatures that
-        parse as job specs; anything else returns ``None`` and keeps the
-        infinite-estimate FIFO fallback.
-        """
-        if not self._loaded:
-            self.load()
-        observed = self._costs.get(signature)
-        if observed is not None:
-            return observed
-        if not self._prior_enabled:
-            return None
-        from repro.analysis.ecm import predict_spec_cycles
-
-        return predict_spec_cycles(signature)
-
-    def observed(self, signature: str) -> Optional[float]:
-        """The measured EMA alone (no analytical prior), if any."""
-        if not self._loaded:
-            self.load()
-        return self._costs.get(signature)
-
-    def __len__(self) -> int:
-        if not self._loaded:
-            self.load()
-        return len(self._costs)
-
-
-# --- scheduling policies ------------------------------------------------------
-
-
-class Scheduler:
-    """Picks the next job to dispatch from the eligible set."""
-
-    name = "base"
-
-    def select(self, eligible: List[QueuedJob]) -> QueuedJob:
-        raise NotImplementedError
-
-    def on_scheduled(self, job: QueuedJob) -> None:
-        """Hook: called when ``job`` is handed to a worker."""
-
-
-class FifoScheduler(Scheduler):
-    """Strict arrival order."""
-
-    name = "fifo"
-
-    def select(self, eligible: List[QueuedJob]) -> QueuedJob:
-        return min(eligible, key=lambda job: job.seq)
-
-
-class ShortestPredictedScheduler(Scheduler):
-    """Shortest-predicted-job-first, FIFO among unknown-cost jobs.
-
-    Known-cost jobs rank by predicted simulated cycles; jobs with no
-    observation rank behind all predicted ones (infinite estimate) in
-    arrival order.  Ties always break by sequence number so the order is
-    deterministic.
-    """
-
-    name = "spjf"
-
-    def select(self, eligible: List[QueuedJob]) -> QueuedJob:
-        return min(
-            eligible,
-            key=lambda job: (
-                job.predicted_cycles
-                if job.predicted_cycles is not None
-                else float("inf"),
-                job.seq,
-            ),
-        )
-
-
-class FairShareScheduler(Scheduler):
-    """Round-robin across clients, FIFO within a client.
-
-    The client with the fewest jobs scheduled so far goes first; sequence
-    numbers break ties, so with a single client this degrades to FIFO.
-    """
-
-    name = "fair"
-
-    def __init__(self) -> None:
-        self._served: Dict[str, int] = {}
-
-    def select(self, eligible: List[QueuedJob]) -> QueuedJob:
-        return min(
-            eligible,
-            key=lambda job: (self._served.get(job.client, 0), job.seq),
-        )
-
-    def on_scheduled(self, job: QueuedJob) -> None:
-        self._served[job.client] = self._served.get(job.client, 0) + 1
-
-
-SCHEDULERS = {
-    FifoScheduler.name: FifoScheduler,
-    ShortestPredictedScheduler.name: ShortestPredictedScheduler,
-    FairShareScheduler.name: FairShareScheduler,
-}
-
-SCHEDULER_NAMES = tuple(sorted(SCHEDULERS))
-
-
-def make_scheduler(name: str) -> Scheduler:
-    try:
-        factory = SCHEDULERS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown scheduling policy {name!r}; choose from {SCHEDULER_NAMES}"
-        ) from None
-    return factory()
-
-
-# --- the queue ----------------------------------------------------------------
 
 
 @dataclass
 class QueueStats:
     depth: int
     max_depth: int
-    per_client: Dict[str, int] = field(default_factory=dict)
     admitted: int = 0
     rejected_full: int = 0
     rejected_quota: int = 0
 
 
 class JobQueue:
-    """Bounded, policy-scheduled job queue with explicit backpressure.
+    """Bounded FIFO job queue with explicit backpressure.
 
     ``running_counts`` (per-client in-flight jobs) is supplied by the
     server on submit so the per-client quota covers queued *and* running
@@ -338,8 +69,6 @@ class JobQueue:
         self,
         max_depth: int = DEFAULT_MAX_DEPTH,
         max_per_client: int = DEFAULT_MAX_PER_CLIENT,
-        scheduler: str = "fifo",
-        cost_model: Optional[CostModel] = None,
     ) -> None:
         if max_depth <= 0:
             raise ConfigurationError(f"max_depth must be positive, got {max_depth}")
@@ -349,10 +78,6 @@ class JobQueue:
             )
         self.max_depth = max_depth
         self.max_per_client = max_per_client
-        self.scheduler = (
-            scheduler if isinstance(scheduler, Scheduler) else make_scheduler(scheduler)
-        )
-        self.cost_model = cost_model or CostModel()
         self._jobs: List[QueuedJob] = []
         self._seq = 0
         self.stats = QueueStats(depth=0, max_depth=max_depth)
@@ -389,8 +114,6 @@ class JobQueue:
                 f">= {self.max_per_client})",
                 reason="client-quota",
             )
-        if job.predicted_cycles is None:
-            job.predicted_cycles = self.cost_model.predict(job.signature)
         self._jobs.append(job)
         self.stats.admitted += 1
         self.stats.depth = len(self._jobs)
@@ -414,9 +137,8 @@ class JobQueue:
         eligible = [job for job in self._jobs if job.not_before <= now]
         if not eligible:
             return None
-        job = self.scheduler.select(eligible)
+        job = min(eligible, key=lambda job: job.seq)
         self._jobs.remove(job)
-        self.scheduler.on_scheduled(job)
         self.stats.depth = len(self._jobs)
         return job
 
@@ -441,7 +163,6 @@ class JobQueue:
                 "job": job.job_id,
                 "client": job.client,
                 "seq": job.seq,
-                "predicted_cycles": job.predicted_cycles,
                 "not_before": job.not_before or None,
             }
             for job in sorted(self._jobs, key=lambda j: j.seq)

@@ -27,7 +27,7 @@ Endpoints (``op`` field of each request):
 ``result``
     Fetch a finished job's summary without streaming.
 ``status``
-    Queue depth and snapshot, worker pids, scheduler name, counters.
+    Queue depth and snapshot, worker pids, counters.
 ``cancel``
     Remove a *queued* job; running jobs are not interrupted.
 ``drain``
@@ -35,7 +35,7 @@ Endpoints (``op`` field of each request):
     then reply — the clean way to quiesce before shutdown.
 ``shutdown``
     Stop the daemon (optionally draining first).  Workers are stopped,
-    the socket file is removed, the cost model is persisted.
+    the socket file is removed.
 
 Failure semantics: a worker *crash* or job *timeout* is retried with
 exponential backoff up to ``max_retries`` before the job fails; a runner
@@ -56,7 +56,7 @@ from typing import Deque, Dict, List, Optional
 
 from repro.common.errors import AdmissionError, ServiceProtocolError
 from repro.service import protocol
-from repro.service.queue import CostModel, JobQueue, QueuedJob
+from repro.service.queue import JobQueue, QueuedJob
 from repro.service.specs import build_task, normalize_spec, task_signature
 from repro.service.workers import PoolEvent, WorkerPool, run_cached_task
 
@@ -86,14 +86,12 @@ class ServerOptions:
     workers: int = 2
     queue_depth: int = 64
     max_per_client: int = 16
-    scheduler: str = "fifo"
     job_timeout: Optional[float] = 300.0
     max_retries: int = 2
     retry_backoff: float = 0.25
     recycle_after: Optional[int] = 64
     poll_interval: float = 0.02
     runner: object = run_cached_task
-    cost_path: object = "default"
 
 
 @dataclass
@@ -122,18 +120,9 @@ class SimulationServer:
         options = options or ServerOptions(**overrides)
         self.options = options
         self.address = options.address or protocol.default_address()
-        if options.cost_path == "default":
-            from repro.analysis.result_cache import default_cache_dir
-
-            cost_path = default_cache_dir() / "service_costs.json"
-        else:
-            cost_path = options.cost_path
-        self.cost_model = CostModel(cost_path)
         self.queue = JobQueue(
             max_depth=options.queue_depth,
             max_per_client=options.max_per_client,
-            scheduler=options.scheduler,
-            cost_model=self.cost_model,
         )
         self.pool = WorkerPool(
             workers=options.workers,
@@ -177,7 +166,6 @@ class SimulationServer:
 
     async def start(self) -> None:
         """Bind the socket, start workers and the pump task."""
-        self.cost_model.load()
         self.pool.start()
         self._stop_event = asyncio.Event()
         loop = asyncio.get_running_loop()
@@ -209,7 +197,7 @@ class SimulationServer:
             loop.call_soon_threadsafe(self.request_stop)
 
     async def aclose(self) -> None:
-        """Tear down: stop pump, close socket, stop workers, persist costs."""
+        """Tear down: stop pump, close socket, stop workers."""
         self.request_stop()
         if self._server is not None:
             self._server.close()
@@ -227,7 +215,6 @@ class SimulationServer:
             self._pump_task = None
         self.pool.stop()
         protocol.cleanup_socket(self.address)
-        self.cost_model.save()
 
     # -- pump: queue -> workers, pool events -> job events ---------------------
 
@@ -274,7 +261,6 @@ class SimulationServer:
             # The worker summarised (a run_tasks worker: its cache.put did);
             # nothing is unpickled or fingerprinted on this loop.
             summary = dict(event.result, key=job.key)
-            self.cost_model.observe(job.signature, summary["total_cycles"])
             self._finish(job, DONE, summary=summary)
         elif event.kind == "error":
             # Deterministic runner failure: retrying cannot help.
@@ -417,7 +403,6 @@ class SimulationServer:
                     cached=True,
                 )
                 self._jobs[job.job_id] = job
-                self.cost_model.observe(signature, summary["total_cycles"])
                 self._finish(job, DONE, summary=summary)
                 return job
 
@@ -435,7 +420,6 @@ class SimulationServer:
         entry = QueuedJob(
             job_id=job.job_id,
             key=key,
-            signature=signature,
             client=client,
             seq=self.queue.next_seq(),
             task=task or build_task(spec),
@@ -667,7 +651,6 @@ class SimulationServer:
             "uptime_s": round(time.monotonic() - self._started_at, 3),
             "address": self.address,
             "draining": self.draining,
-            "scheduler": self.queue.scheduler.name,
             "queue": {
                 "depth": len(self.queue),
                 "max_depth": self.queue.max_depth,
@@ -684,5 +667,4 @@ class SimulationServer:
             },
             "jobs_by_state": states,
             "counters": dict(self.counters),
-            "cost_model_entries": len(self.cost_model),
         }

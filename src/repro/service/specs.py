@@ -16,7 +16,7 @@ A spec looks like::
 
 :func:`normalize_spec` validates and fills defaults (rejecting unknown
 fields so typos fail loudly); :func:`task_signature` produces the stable
-string the cost model keys its cycle-count observations by.
+string the gateway routes and coalesces by.
 """
 
 from __future__ import annotations
@@ -138,11 +138,12 @@ def build_task(spec: Dict[str, object]):
 
 
 def task_signature(spec: Dict[str, object]) -> str:
-    """Stable identity of a spec for cycle-cost bookkeeping.
+    """Stable identity of a spec: the gateway's routing and single-flight
+    key and the daemon's key-memo index.
 
     Unlike the result-cache key this does **not** hash compiled programs
-    (no compilation needed), so the scheduler can predict a job's cost
-    before the daemon ever materialises it.
+    (no compilation needed), so a resubmission is recognised before the
+    daemon ever materialises it.
     """
     return json.dumps(normalize_spec(spec), sort_keys=True, separators=(",", ":"))
 

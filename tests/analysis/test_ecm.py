@@ -1,6 +1,4 @@
-"""ECM cycle predictor: decomposition invariants and the service prior."""
-
-import math
+"""ECM cycle predictor: decomposition invariants."""
 
 import pytest
 
@@ -8,13 +6,11 @@ from repro.analysis.ecm import (
     TEMPORAL_POLICIES,
     EcmModel,
     lane_sweep,
-    predict_spec_cycles,
     predict_workload,
 )
 from repro.common.config import experiment_config
 from repro.common.errors import ConfigurationError
 from repro.compiler.phase_analysis import analyze_kernel
-from repro.service.specs import task_signature
 from repro.workloads.spec import spec_workload
 
 LANES = (1, 2, 4, 8, 16, 32)
@@ -165,47 +161,3 @@ class TestBandwidthShare:
     def test_invalid_share_rejected(self, share):
         with pytest.raises(ConfigurationError):
             EcmModel(bandwidth_share=share)
-
-
-# --- the spjf cold-start prior ------------------------------------------------
-
-
-class TestSpecPrior:
-    def test_opaque_signature_has_no_prior(self):
-        assert predict_spec_cycles("sig-not-a-spec") is None
-        assert predict_spec_cycles('{"kind": "nope"}') is None
-
-    def test_pair_spec_gets_a_finite_estimate(self):
-        signature = task_signature(
-            {"kind": "pair", "suite": "spec", "mem": 20, "comp": 17,
-             "policy": "occamy", "scale": 0.05}
-        )
-        estimate = predict_spec_cycles(signature)
-        assert estimate is not None
-        assert math.isfinite(estimate) and estimate > 0
-        # Deterministic (and cached): same signature, same number.
-        assert predict_spec_cycles(signature) == estimate
-
-    def test_estimates_order_by_scale(self):
-        """A 4x-larger job must be predicted costlier — the ordering is
-        what spjf consumes, not the absolute number.  (Compute-resident
-        workloads scale via ``repeats``; streaming phases quantise their
-        repeat count away below scale ~0.5, so WL17 is the probe.)"""
-        small, large = (
-            predict_spec_cycles(
-                task_signature(
-                    {"kind": "group", "group": [17],
-                     "policy": "occamy", "scale": scale}
-                )
-            )
-            for scale in (0.05, 0.2)
-        )
-        assert small < large
-
-    def test_motivate_and_group_kinds_covered(self):
-        for spec in (
-            {"kind": "motivate", "policy": "fts", "scale": 0.05},
-            {"kind": "group", "group": [17, 20], "policy": "cts", "scale": 0.05},
-        ):
-            estimate = predict_spec_cycles(task_signature(spec))
-            assert estimate is not None and estimate > 0

@@ -10,6 +10,7 @@ everything.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 from tests.conftest import run_fresh_python
 
@@ -160,3 +161,67 @@ assert {ORACLE!r} not in sys.modules
         forbidden=[ORACLE],
     )
     _child(command=["diff-fuzz", "--start", "2", "--seeds", "1"], required=[ORACLE])
+
+
+def test_daemon_admits_a_miss_and_a_hit_without_the_analysis_stack(tmp_path, monkeypatch):
+    """Admission, the queue and the hit path need no cycle model: a daemon
+    that ran a never-seen spec, served it again from the cache and shut
+    down has not loaded ECM and has left cache entries, nothing else."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    tests_root = str(Path(__file__).resolve().parents[2])
+    run_fresh_python(
+        """
+import pickle, sys, threading
+sys.path.insert(0, sys.argv[1])
+from repro.analysis import result_cache
+from repro.service.client import ServiceClient, wait_for_server
+from repro.service.server import ServerOptions, SimulationServer
+from repro.service.specs import spec_for_pair
+from tests.service import runners
+
+server = SimulationServer(ServerOptions(
+    address=sys.argv[2], workers=1, poll_interval=0.01, runner=runners.fast_runner))
+thread = threading.Thread(target=server.run, daemon=True)
+thread.start()
+wait_for_server(server.address, deadline_s=15.0)
+try:
+    spec = spec_for_pair("spec", 20, 17, policy="occamy", scale=0.05)
+    with ServiceClient(server.address, timeout=60.0) as client:
+        miss = client.submit(spec, timeout=60)
+        # fast_runner caches nothing; leave what a real worker's put leaves
+        # (get_summary reads the header and no further).
+        cache = result_cache.default_cache()
+        cache.directory.mkdir(parents=True, exist_ok=True)
+        body = pickle.dumps(miss["result"]) + pickle.dumps(None)
+        prefix = result_cache._PREFIX
+        cache.path_for(miss["result"]["key"]).write_bytes(
+            prefix.pack(result_cache.CACHE_VERSION, prefix.size + len(body)) + body)
+        hit = client.submit(spec, timeout=60)
+    assert not miss["cached"] and hit["cached"], (miss, hit)
+    counters = server.counters
+    assert (counters["executed"], counters["cache_hits"]) == (1, 1), counters
+finally:
+    server.stop_threadsafe()
+    thread.join(timeout=15.0)
+    server.pool.stop()
+assert "repro.analysis.ecm" not in sys.modules
+left = sorted(path.name for path in cache.directory.iterdir())
+assert left == [miss["result"]["key"] + ".pkl"], left  # the one format it writes
+""",
+        tests_root,
+        str(tmp_path / "svc.sock"),
+    )
+
+
+def test_the_cycle_model_loads_nothing_of_the_service():
+    """``analysis`` sits below ``service`` (DESIGN.md, "Import layering")."""
+    run_fresh_python(
+        """
+import sys
+from repro.analysis.ecm import EcmModel
+from repro.workloads.spec import spec_workload
+assert EcmModel().predict_kernel(spec_workload(17, scale=0.05), "occamy").cycles > 0
+loaded = sorted(name for name in sys.modules if name.startswith("repro.service"))
+assert not loaded, f"repro.analysis.ecm imported {loaded}"
+"""
+    )

@@ -197,7 +197,7 @@ def offline_server(tmp_path, monkeypatch) -> SimulationServer:
     an empty cache directory so that nothing it admits is a hit."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     return SimulationServer(
-        ServerOptions(address="unused.sock", runner=runners.fast_runner, cost_path=None)
+        ServerOptions(address="unused.sock", runner=runners.fast_runner)
     )
 
 

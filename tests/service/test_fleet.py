@@ -91,7 +91,7 @@ def test_empty_ring_rejected():
         HashRing([])
 
 
-# --- routing policies ---------------------------------------------------------
+# --- routing ------------------------------------------------------------------
 
 
 def _shards(**inflight):
@@ -105,27 +105,9 @@ def test_hash_routing_follows_ring_preference():
     shards = _shards(a=0, b=0, c=0)
     ring = HashRing(shards)
     pref = ring.preference("sig")
-    assert choose_shard("hash", ring, "sig", shards).name == pref[0]
+    assert choose_shard(ring, "sig", shards).name == pref[0]
     # Excluding the home (failover) walks to the next shard in ring order.
-    assert choose_shard("hash", ring, "sig", shards, exclude={pref[0]}).name == pref[1]
-
-
-def test_least_loaded_picks_min_inflight_deterministically():
-    shards = _shards(a=3, b=1, c=1)
-    ring = HashRing(shards)
-    assert choose_shard("least-loaded", ring, "sig", shards).name == "b"
-
-
-def test_steal_keeps_affinity_until_threshold():
-    shards = _shards(a=0, b=0, c=0)
-    ring = HashRing(shards)
-    home = ring.preference("sig")[0]
-    shards[home].inflight = 3
-    # Gap of 3 <= threshold 4: stay home for cache affinity.
-    assert choose_shard("steal", ring, "sig", shards).name == home
-    shards[home].inflight = 10
-    stolen = choose_shard("steal", ring, "sig", shards)
-    assert stolen.name != home and stolen.inflight == 0
+    assert choose_shard(ring, "sig", shards, exclude={pref[0]}).name == pref[1]
 
 
 def test_dead_shards_are_never_chosen():
@@ -133,13 +115,7 @@ def test_dead_shards_are_never_chosen():
     for shard in shards.values():
         shard.alive = False
     ring = HashRing(shards)
-    assert choose_shard("hash", ring, "sig", shards) is None
-
-
-def test_unknown_policy_rejected():
-    shards = _shards(a=0)
-    with pytest.raises(ConfigurationError):
-        choose_shard("round-robin", HashRing(shards), "sig", shards)
+    assert choose_shard(ring, "sig", shards) is None
 
 
 # --- status aggregation -------------------------------------------------------
@@ -444,3 +420,19 @@ def test_svc_status_reports_unreachable_shards(service_server, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["totals"]["reachable"] == 1
     assert payload["totals"]["shards"] == 2
+
+
+def test_policy_flags_are_gone_not_ignored(capsys):
+    """The daemon schedules one way and the gateway routes one way."""
+    from repro import cli
+
+    for argv in (
+        ["serve", "--sched", "fifo"],
+        ["fleet", "serve", "--sched", "fifo"],
+        ["fleet", "serve", "--routing", "hash"],
+        ["fleet", "serve", "--steal-threshold", "4"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err

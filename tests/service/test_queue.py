@@ -1,24 +1,16 @@
-"""Admission control, scheduling policies and the cost model."""
-
-import math
+"""Admission control and the arrival-order queue behind it."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.common.errors import AdmissionError, ConfigurationError
-from repro.service.queue import CostModel, JobQueue, QueuedJob, make_scheduler
-from repro.service.specs import task_signature
+from repro.service.queue import JobQueue, QueuedJob
 
 
-def _job(queue, job_id, client="c", signature=None, predicted=None):
-    job = QueuedJob(
-        job_id=job_id,
-        key=f"key-{job_id}",
-        signature=signature or f"sig-{job_id}",
-        client=client,
-        seq=queue.next_seq(),
-        predicted_cycles=predicted,
+def _job(queue, job_id, client="c"):
+    return QueuedJob(
+        job_id=job_id, key=f"key-{job_id}", client=client, seq=queue.next_seq()
     )
-    return job
 
 
 # --- admission ----------------------------------------------------------------
@@ -71,211 +63,93 @@ def test_bad_configuration_rejected():
         JobQueue(max_depth=0)
     with pytest.raises(ConfigurationError):
         JobQueue(max_per_client=-1)
-    with pytest.raises(ConfigurationError):
-        make_scheduler("round-robin-ish")
 
 
-# --- scheduling policies ------------------------------------------------------
+# --- arrival order ------------------------------------------------------------
 
 
 def test_fifo_orders_by_arrival():
-    queue = JobQueue(scheduler="fifo")
+    queue = JobQueue()
     for name in ("a", "b", "c"):
         queue.submit(_job(queue, name))
     assert [queue.pop_next(0.0).job_id for _ in range(3)] == ["a", "b", "c"]
 
 
-def test_spjf_prefers_cheapest_predicted_job():
-    cost = CostModel()
-    cost.observe("sig-cheap", 100)
-    cost.observe("sig-dear", 100_000)
-    queue = JobQueue(scheduler="spjf", cost_model=cost)
-    queue.submit(_job(queue, "dear", signature="sig-dear"))
-    queue.submit(_job(queue, "unknown", signature="sig-new"))
-    queue.submit(_job(queue, "cheap", signature="sig-cheap"))
-    order = [queue.pop_next(0.0).job_id for _ in range(3)]
-    # known costs first (cheapest leading), unknown-cost jobs last in FIFO order
-    assert order == ["cheap", "dear", "unknown"]
+_OPS = st.one_of(
+    st.tuples(st.just("submit"), st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(st.just("pop"), st.integers(0, 3), st.just(0)),
+    st.tuples(st.just("requeue"), st.integers(0, 7), st.integers(0, 3)),
+    st.tuples(st.just("remove"), st.integers(0, 40), st.just(0)),
+)
 
 
-def test_spjf_uses_ecm_prior_for_never_observed_spec(monkeypatch):
-    """A cold-fleet job with a parseable spec signature is ranked by the
-    ECM analytical estimate, not pushed to the back as infinite-cost —
-    here it overtakes a *longer* job the model has actually observed."""
-    cold_sig = task_signature(
-        {"kind": "pair", "suite": "spec", "mem": 20, "comp": 17,
-         "policy": "occamy", "scale": 0.05}
-    )
-    cost = CostModel()
-    assert cost.observed(cold_sig) is None  # never run anywhere...
-    prior = cost.predict(cold_sig)  # ...but ECM-predictable
-    assert prior is not None and math.isfinite(prior) and prior > 0
-    cost.observe("sig-known-long", 100 * prior)
+@settings(max_examples=300, deadline=None)
+@given(
+    max_depth=st.integers(1, 6),
+    max_per_client=st.integers(1, 4),
+    ops=st.lists(_OPS, max_size=60),
+)
+def test_every_interleaving_keeps_the_queue_promises(max_depth, max_per_client, ops):
+    """submit / requeue / pop_next / remove in any order, 1-4 clients:
+    bounded admission, lowest eligible seq first, nothing lost or doubled."""
+    queue = JobQueue(max_depth=max_depth, max_per_client=max_per_client)
+    queued = {}  # job_id -> job: what the queue must hold
+    popped = []  # handed out and not put back
+    entered, left = {}, {}  # job_id -> times put in / taken out
+    now = 0
 
-    queue = JobQueue(scheduler="spjf", cost_model=cost)
-    queue.submit(_job(queue, "long", signature="sig-known-long"))
-    queue.submit(_job(queue, "cold", signature=cold_sig))
-    assert [queue.pop_next(0.0).job_id for _ in range(2)] == ["cold", "long"]
+    def took_out(job):
+        assert queued.pop(job.job_id) is job
+        left[job.job_id] = left.get(job.job_id, 0) + 1
 
+    for op, a, b in ops:
+        if op == "submit":
+            client, running = f"client{a}", b
+            job = _job(queue, f"j{len(entered)}", client=client)
+            mine = sum(1 for other in queued.values() if other.client == client)
+            expected = (
+                "queue-full" if len(queued) >= max_depth
+                else "client-quota" if mine + running >= max_per_client
+                else None
+            )
+            try:
+                queue.submit(job, running_for_client=running)
+            except AdmissionError as exc:
+                assert exc.reason == expected
+            else:
+                assert expected is None
+                queued[job.job_id] = job
+                entered[job.job_id] = 1
+                assert len(queue) <= max_depth
+                assert mine + 1 + running <= max_per_client
+        elif op == "pop":
+            now += a
+            eligible = [job for job in queued.values() if job.not_before <= now]
+            job = queue.pop_next(now)
+            if not eligible:
+                assert job is None
+            else:
+                assert job is min(eligible, key=lambda other: other.seq)
+                took_out(job)
+                popped.append(job)
+        elif op == "requeue" and popped:
+            job = popped.pop(a % len(popped))
+            queue.requeue(job, not_before=now + b)  # past depth and quota alike
+            queued[job.job_id] = job
+            entered[job.job_id] += 1
+        elif op == "remove":
+            job = queue.remove(f"j{a}")
+            assert job is queued.get(f"j{a}")
+            if job is not None:
+                took_out(job)
+        assert queue.stats.depth == len(queue) == len(queued)
+        assert [row["job"] for row in queue.snapshot()] == [
+            job.job_id for job in sorted(queued.values(), key=lambda other: other.seq)
+        ]
 
-def test_cost_model_prior_can_be_disabled():
-    sig = task_signature({"kind": "motivate", "policy": "fts", "scale": 0.05})
-    assert CostModel(prior=False).predict(sig) is None
-    assert CostModel().predict(sig) is not None
-
-
-def test_fair_share_round_robins_across_clients():
-    queue = JobQueue(scheduler="fair")
-    for i in range(3):
-        queue.submit(_job(queue, f"a{i}", client="alice"))
-    queue.submit(_job(queue, "b0", client="bob"))
-    queue.submit(_job(queue, "b1", client="bob"))
-    order = [queue.pop_next(0.0).job_id for _ in range(5)]
-    # alice went first (earliest seq), then alternation: no client runs
-    # twice while the other still has an eligible job and fewer grants.
-    assert order == ["a0", "b0", "a1", "b1", "a2"]
-
-
-def test_fair_share_single_client_degrades_to_fifo():
-    queue = JobQueue(scheduler="fair")
-    for name in ("x", "y", "z"):
-        queue.submit(_job(queue, name))
-    assert [queue.pop_next(0.0).job_id for _ in range(3)] == ["x", "y", "z"]
-
-
-# --- cost model ---------------------------------------------------------------
-
-
-def test_cost_model_ema_and_persistence(tmp_path):
-    path = tmp_path / "costs.json"
-    model = CostModel(path)
-    model.observe("sig", 100)
-    assert model.predict("sig") == 100
-    model.observe("sig", 200)
-    assert model.predict("sig") == pytest.approx(150.0)
-    assert model.save()
-
-    fresh = CostModel(path)
-    assert fresh.predict("sig") == pytest.approx(150.0)
-    assert fresh.predict("other") is None
-
-
-def test_cost_model_tolerates_corrupt_file(tmp_path):
-    path = tmp_path / "costs.json"
-    path.write_text("{not json", encoding="utf-8")
-    model = CostModel(path)
-    assert model.predict("sig") is None
-    model.observe("sig", 10)
-    assert model.save()
-
-
-def test_cost_model_save_is_atomic_under_crash(tmp_path, monkeypatch):
-    """A crash between tempfile write and replace never tears the file."""
-    import repro.service.queue as queue_module
-
-    path = tmp_path / "costs.json"
-    model = CostModel(path)
-    model.observe("sig", 100)
-    assert model.save()
-    before = path.read_bytes()
-
-    def exploding_replace(src, dst):
-        raise OSError("simulated crash mid-rename")
-
-    monkeypatch.setattr(queue_module.os, "replace", exploding_replace)
-    model.observe("sig", 900)
-    assert model.save() is False
-    monkeypatch.undo()
-
-    # The on-disk file is byte-identical to the last good save, the
-    # tempfile was cleaned up, and a retry round-trips the new state.
-    assert path.read_bytes() == before
-    assert not list(tmp_path.glob(".costs-*.tmp"))
-    assert model.save()
-    assert CostModel(path).predict("sig") == pytest.approx(500.0)
-
-
-def test_cost_model_concurrent_daemons_merge_not_clobber(tmp_path):
-    """Two daemons saving to one costs file keep each other's entries."""
-    path = tmp_path / "costs.json"
-    daemon_a = CostModel(path)
-    daemon_b = CostModel(path)
-    daemon_a.observe("only-a", 100)
-    daemon_b.observe("only-b", 200)
-    daemon_a.observe("both", 10)
-    daemon_b.observe("both", 90)
-
-    assert daemon_a.save()
-    assert daemon_b.save()  # b never saw only-a; merge must preserve it
-
-    fresh = CostModel(path)
-    assert fresh.predict("only-a") == pytest.approx(100.0)
-    assert fresh.predict("only-b") == pytest.approx(200.0)
-    # Conflicting signatures: the last writer's own observation wins.
-    assert fresh.predict("both") == pytest.approx(90.0)
-    # In-memory state was not polluted by the merge.
-    assert daemon_b.predict("only-a") is None
-
-
-def test_cost_model_drops_invalid_observations():
-    """bool/NaN/inf/negative cycle counts never enter the EMA."""
-    model = CostModel()
-    for bad in (float("nan"), float("inf"), float("-inf"), -1, True, False):
-        model.observe("sig", bad)
-    assert model.observed("sig") is None
-    model.observe("sig", 10)
-    model.observe("sig", float("nan"))  # must not disturb the EMA either
-    assert model.observed("sig") == pytest.approx(10.0)
-
-
-def test_cost_model_poisoned_file_round_trip(tmp_path):
-    """A corrupted shared costs file is scrubbed, not propagated.
-
-    ``json`` happily parses ``NaN``/``Infinity``/``true``; before the
-    ``_valid_cost`` filter those flowed through load -> merge-save and a
-    single NaN then poisoned every spjf ``min`` comparison on every
-    daemon sharing the file.
-    """
-    path = tmp_path / "costs.json"
-    path.write_text(
-        '{"good": 100.0, "nan": NaN, "inf": Infinity, "neg": -5.0, '
-        '"bool": true, "text": "fast"}',
-        encoding="utf-8",
-    )
-
-    daemon_a = CostModel(path)
-    assert daemon_a.observed("good") == pytest.approx(100.0)
-    for poisoned in ("nan", "inf", "neg", "bool", "text"):
-        assert daemon_a.observed(poisoned) is None
-        assert daemon_a.predict(poisoned) is None
-    daemon_a.observe("mine-a", 50)
-    # The merge path re-reads the still-poisoned on-disk file here.
-    assert daemon_a.save()
-
-    daemon_b = CostModel(path)
-    daemon_b.observe("mine-b", 70)
-    assert daemon_b.save()
-
-    text = path.read_text(encoding="utf-8")
-    assert "NaN" not in text and "Infinity" not in text and "true" not in text
-
-    fresh = CostModel(path)
-    assert fresh.observed("good") == pytest.approx(100.0)
-    assert fresh.observed("mine-a") == pytest.approx(50.0)
-    assert fresh.observed("mine-b") == pytest.approx(70.0)
-    for poisoned in ("nan", "inf", "neg", "bool", "text"):
-        assert fresh.observed(poisoned) is None
-
-
-def test_cost_model_save_without_merge_clobbers(tmp_path):
-    path = tmp_path / "costs.json"
-    daemon_a = CostModel(path)
-    daemon_a.observe("only-a", 100)
-    assert daemon_a.save()
-    daemon_b = CostModel(path)
-    daemon_b._loaded = True  # simulate a daemon that never loaded the file
-    daemon_b.observe("only-b", 200)
-    assert daemon_b.save(merge=False)
-    fresh = CostModel(path)
-    assert fresh.predict("only-a") is None
-    assert fresh.predict("only-b") == pytest.approx(200.0)
+    while queued:  # every fence passes eventually: the queue drains, in order
+        job = queue.pop_next(float("inf"))
+        assert job.seq == min(other.seq for other in queued.values())
+        took_out(job)
+    assert queue.pop_next(float("inf")) is None and len(queue) == 0
+    assert left == entered

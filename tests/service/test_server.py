@@ -37,7 +37,7 @@ def _pair_spec(policy="occamy", scale=SCALE):
 
 def test_served_results_bit_identical_across_sharing_modes(service_server):
     """Acceptance: daemon-served == direct Machine.run for all 3 modes."""
-    handle = service_server(workers=2, scheduler="spjf")
+    handle = service_server(workers=2)
     for policy in SHARING_MODES:
         spec = _pair_spec(policy=policy)
         with handle.client() as client:
@@ -302,7 +302,6 @@ def test_status_watch_result_and_cancel(service_server, monkeypatch):
 
         status = client.status()
         assert status["ok"]
-        assert status["scheduler"] == "fifo"
         assert status["workers"]["size"] == 1
         assert status["counters"]["submitted"] == 2
 
