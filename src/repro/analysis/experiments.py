@@ -25,25 +25,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import MachineConfig, experiment_config
 from repro.compiler.ir import Kernel
-from repro.compiler.pipeline import CompileOptions, build_image, compile_kernel
+import repro.compiler.pipeline  # noqa: F401  isort: skip  (see the last import)
 from repro.coproc.metrics import StallReason
-from repro.coproc.sharing import SharingMode
-from repro.core.lane_manager import StaticLaneManager
 from repro.core.policies import ALL_POLICIES, Policy
-from repro.core.result import Job, RunResult
+from repro.core.result import RunResult, attribution_report
 from repro.core.roofline import RooflineModel
 from repro.isa.registers import OIValue
-from repro.workloads.pairs import (
-    FOUR_CORE_GROUPS,
-    CoRunPair,
-    all_pairs,
-    workload_job,
-)
+from repro.workloads.pairs import FOUR_CORE_GROUPS, CoRunPair, all_pairs
 from repro.workloads.spec import spec_workload
 
 # Last on purpose: imported first, it is what loads numpy, one import frame
 # deeper, and a warm `repro report` then takes ~1300 more page faults
-# (ru_minflt 6480 -> 7800; +15 % on the bench's report_warm wall_s).
+# (ru_minflt 6480 -> 7800; +15 % on the bench's report_warm wall_s).  The
+# same goes for `workloads.pairs`, which is why `compiler.pipeline` — what
+# imports numpy, and used by nothing here — is imported above it by name
+# (without it: ru_minflt 6460 -> 7770, report_warm wall_s +21 %, n=10).
 from repro.analysis.parallel import Jobs, SimTask, run_tasks  # isort: skip
 
 #: Default workload scale for the benchmark harness (repeat multiplier).
@@ -79,19 +75,26 @@ def _run(tasks: Sequence[SimTask], jobs: Jobs = None) -> List[RunResult]:
     return [_sweep_cache[task] for task in tasks]
 
 
-def _run_grid(
+def profile_report() -> str:
+    """The ``--profile`` block over every result this process's drivers
+    used (the memo holds exactly those), hits and worker runs included."""
+    return attribution_report(_sweep_cache.values())
+
+
+def run_grid(
     workloads: Sequence[Dict[str, object]],
     policy_keys: Sequence[str],
     scale: float,
     config: MachineConfig,
     jobs: Jobs,
 ) -> List[Dict[str, RunResult]]:
-    """Every workload set (the :class:`SimTask` fields naming one) under
-    every policy, as one task list: a ``{policy key: result}`` per set."""
+    """Every workload set (the :class:`SimTask` fields naming one; a
+    ``config`` among them overrides the grid's) under every policy, as one
+    task list: a ``{policy key: result}`` per set."""
     results = iter(
         _run(
             [
-                SimTask(policy_key=key, scale=scale, config=config, **workload)
+                SimTask(policy_key=key, scale=scale, **{"config": config, **workload})
                 for workload in workloads
                 for key in policy_keys
             ],
@@ -144,7 +147,7 @@ def _pair_outcomes(
     policies: Sequence[Policy],
     jobs: Jobs,
 ) -> List[PairOutcome]:
-    grid = _run_grid(
+    grid = run_grid(
         [{"pair": pair} for pair in pairs],
         [policy.key for policy in policies],
         scale,
@@ -206,7 +209,7 @@ def motivation_fig2(
     jobs: Jobs = None,
 ) -> MotivationResult:
     """Run the §2 motivating example on all four architectures."""
-    (results,) = _run_grid(
+    (results,) = run_grid(
         [{"kind": "motivate"}],
         _ALL_POLICY_KEYS,
         scale,
@@ -217,18 +220,13 @@ def motivation_fig2(
 
 
 # --- Fig. 14: case study with fixed lane counts ------------------------------
-#
-# Fixed-lane policies are built here, not named by a key, so these runs are
-# plain ``run_policy`` calls: uncached, and not tasks.
 
 
-def _simulate(
-    config: MachineConfig, policy: Policy, jobs: Sequence[Optional[Job]]
-) -> RunResult:
-    """``run_policy``, importing the engine only now that something runs."""
-    from repro.core.machine import run_policy
-
-    return run_policy(config, policy, jobs)
+def _solo(kernel: Kernel, config: MachineConfig, core_id: int = 0) -> Dict[str, object]:
+    """The workload set that runs ``kernel`` alone on ``core_id``."""
+    kernels: List[Optional[Kernel]] = [None] * config.num_cores
+    kernels[core_id] = kernel
+    return {"kind": "kernels", "kernels": tuple(kernels)}
 
 
 def run_with_fixed_lanes(
@@ -242,18 +240,9 @@ def run_with_fixed_lanes(
     Used for Fig. 14(a)'s "normalised execution time vs #lanes" sweep.
     """
     config = config or experiment_config()
-    fixed = Policy(
-        key=f"fixed{lanes}",
-        label=f"Fixed({lanes})",
-        mode=SharingMode.SPATIAL,
-        _factory=lambda cfg, ois: StaticLaneManager(
-            {core: lanes for core in range(cfg.num_cores)}
-        ),
-    )
-    program = compile_kernel(kernel, CompileOptions(default_vl=lanes, memory=config.memory))
-    jobs: List[Optional[Job]] = [None] * config.num_cores
-    jobs[core_id] = Job(program, build_image(kernel, core_id))
-    return _simulate(config, fixed, jobs)
+    key = f"fixed{lanes}"
+    # A kernel's scale is baked into it: the task's only labels the run.
+    return run_grid([_solo(kernel, config, core_id)], [key], 1.0, config, None)[0][key]
 
 
 @dataclass
@@ -293,27 +282,28 @@ def case_study_fig14(
     scale: float = DEFAULT_SCALE,
     config: Optional[MachineConfig] = None,
     lane_choices: Sequence[int] = (4, 8, 12, 16, 20, 24, 28),
+    jobs: Jobs = None,
 ) -> CaseStudyResult:
     """The §7.4 Case 1 study: WL20 (sff2+sff5) + WL17 (wsm52)."""
     config = config or experiment_config()
     wl20 = spec_workload(20, scale=scale)
     wl17 = spec_workload(17, scale=scale)
-    lane_sweep: Dict[int, Tuple[List[int], int]] = {}
-    for lanes in lane_choices:
-        mem_run = run_with_fixed_lanes(wl20, lanes, config)
-        comp_run = run_with_fixed_lanes(wl17, lanes, config)
-        durations = [p.duration for p in mem_run.metrics.phases_of(0)]
-        lane_sweep[lanes] = (durations, comp_run.core_time(0))
+    fixed = [f"fixed{lanes}" for lanes in lane_choices]
+    mem_runs, comp_runs = run_grid(
+        [_solo(wl20, config), _solo(wl17, config)], fixed, 1.0, config, jobs
+    )
+    lane_sweep = {
+        lanes: (
+            [p.duration for p in mem_runs[key].metrics.phases_of(0)],
+            comp_runs[key].core_time(0),
+        )
+        for lanes, key in zip(lane_choices, fixed)
+    }
     # In the co-run, WL17 must outlive WL20 (the paper's regime) so it
     # inherits the full lane pool after WL20's phases end; compile the
     # compute side with a larger repeat scale than the memory side.
-    corun = {}
-    for policy in ALL_POLICIES:
-        jobs = [
-            workload_job("spec", 20, core_id=0, scale=scale),
-            workload_job("spec", 17, core_id=1, scale=3 * scale),
-        ]
-        corun[policy.key] = _simulate(config, policy, jobs)
+    pair = {"kind": "kernels", "kernels": (wl20, spec_workload(17, scale=3 * scale))}
+    (corun,) = run_grid([pair], _ALL_POLICY_KEYS, scale, config, jobs)
     return CaseStudyResult(lane_sweep=lane_sweep, corun=corun)
 
 
@@ -366,7 +356,7 @@ def four_core_fig16(
     jobs: Jobs = None,
 ) -> List[Dict[str, RunResult]]:
     """Run each Fig. 16 group on the 4-core configuration, all policies."""
-    return _run_grid(
+    return run_grid(
         _group_workloads(groups),
         _ALL_POLICY_KEYS,
         scale,
@@ -376,9 +366,6 @@ def four_core_fig16(
 
 
 # --- N-core scaling sweep (ROADMAP item 1's experiment axis) -----------------
-
-#: Core counts the ``--cores`` CLI axis accepts.
-NCORE_COUNTS: Tuple[int, ...] = (2, 4, 8, 16, 32)
 
 #: Policies the N-core matrix runs: the Private baseline plus one policy
 #: per sharing mode (spatial/temporal/coarse-temporal).
@@ -422,7 +409,7 @@ def ncore_outcome(
 ) -> NCoreOutcome:
     """Run (or fetch) the ``num_cores``-machine co-run under ``policies``."""
     group = ncore_group(num_cores)
-    (results,) = _run_grid(
+    (results,) = run_grid(
         _group_workloads([group]),
         policies,
         scale,
@@ -549,15 +536,6 @@ class AllocOutcome:
             series=f"alloc {self.alloc_key}/{self.sharing_key}",
         )
 
-    def pair_geomean_cycles(self) -> float:
-        """Geometric-mean per-complex makespan (the machine-level view)."""
-        from repro.analysis.reporting import geomean
-
-        return geomean(
-            [float(c) for c in self.pair_cycles()],
-            series=f"alloc {self.alloc_key}/{self.sharing_key}",
-        )
-
     def makespan(self) -> int:
         """Whole-machine finish time: the slowest complex."""
         return max(self.pair_cycles())
@@ -570,7 +548,6 @@ def alloc_outcome(
     scale: float = DEFAULT_SCALE,
     seed: int = 0,
     calibrate: bool = False,
-    complex_size: int = 2,
     jobs: Jobs = None,
 ) -> AllocOutcome:
     """Place the ``num_cores`` blend with ``alloc_key``, then run every
@@ -591,20 +568,15 @@ def alloc_outcome(
             f"unknown sharing policy {sharing_key!r} "
             f"(have: {', '.join(sorted(POLICIES_BY_KEY))})"
         )
-    complex_config = experiment_config(num_cores=complex_size)
     context = AllocContext(
-        config=complex_config,
-        sharing_key=sharing_key,
-        complex_size=complex_size,
-        seed=seed,
-        calibrate=calibrate,
-        jobs=jobs,
+        sharing_key=sharing_key, seed=seed, calibrate=calibrate, jobs=jobs
     )
+    complex_config = context.complex_config()
     group = alloc_group(num_cores)
     placement = ALLOC_POLICIES_BY_KEY[alloc_key](
         alloc_threads(num_cores, scale), context
     )
-    grid = _run_grid(
+    grid = run_grid(
         _group_workloads(
             [[group[thread] for thread in members] for members in placement]
         ),
@@ -658,7 +630,7 @@ def alloc_winloss(
         calibrate=calibrate, jobs=jobs,
     )
     complexes = [base.complex_workloads(i) for i in range(len(base.placement))]
-    grid = _run_grid(
+    grid = run_grid(
         _group_workloads(complexes),
         sharing_keys,
         scale,

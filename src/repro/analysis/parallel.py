@@ -6,8 +6,11 @@ such a bag into picklable :class:`SimTask` specs, and :func:`run_tasks`
 is the only place one becomes a content key, is looked up in the
 persistent :mod:`~repro.analysis.result_cache`, run — in this process or
 fanned out over a :class:`concurrent.futures.ProcessPoolExecutor` — and
-stored.  The figure drivers (:mod:`repro.analysis.experiments`), the
-allocation layer's calibration and the daemon's worker all call it.
+stored.  Every driver (:mod:`repro.analysis.experiments`, and through it
+the validation and sensitivity sweeps), the allocation layer's calibration
+and the daemon's worker call it, :func:`execute_task` is the engine's only
+caller above ``core/``, and everything a run produced comes back through
+it — the result, its summary, the engine's profile on both.
 
 Determinism guarantees (asserted by ``tests/integration/test_determinism``):
 
@@ -33,12 +36,11 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.common.config import MachineConfig
 from repro.common.errors import ConfigurationError
 from repro.compiler.ir import Kernel
-from repro.compiler.pipeline import CompileOptions, build_image, compile_kernel
-from repro.core.policies import POLICIES_BY_KEY
+from repro.core.policies import policy
 from repro.core.result import Job, RunResult
 from repro.validation.fingerprint import summarize_result
 from repro.workloads.motivating import motivating_pair
-from repro.workloads.pairs import CoRunPair, jobs_for_group, jobs_for_pair
+from repro.workloads.pairs import CoRunPair, job_for
 
 #: Environment variable supplying the default worker count.
 JOBS_ENV = "REPRO_JOBS"
@@ -112,11 +114,15 @@ class SimTask:
     * ``"pair"`` — the Table 3 co-run ``pair`` (Figs. 10/11/13/15);
     * ``"motivate"`` — the §2 motivating pair (Fig. 2);
     * ``"group"`` — SPEC workload ids in ``group``, one per core: a
-      Fig. 16 group, an N-core blend or one allocation complex;
+      Fig. 16 group, an N-core blend, one allocation complex, or a solo
+      run (the ECM validation's ``(id, None, ...)``);
     * ``"kernels"`` — the IR ``kernels`` themselves, one per core (the
-      allocation layer's calibration micro co-runs).
+      allocation layer's calibration micro co-runs, Fig. 14's co-run and
+      its fixed-lane solo runs).
 
-    Hashable, so a task can key a memo; pass ``group`` as a tuple.
+    A ``None`` member of ``group`` / ``kernels`` is an idle core.  Whatever
+    the kind, the programs are compiled for ``config.memory``.  Hashable,
+    so a task can key a memo; pass ``group`` as a tuple.
     """
 
     policy_key: str
@@ -132,31 +138,36 @@ class SimTask:
     alloc: str = ""
 
     def build_jobs(self) -> List[Optional[Job]]:
-        """Compile the task's workloads into per-core jobs."""
+        """Compile the task's workloads, one per core, for the memory the
+        task runs on (``None`` where the core idles)."""
         if self.kind == "pair":
-            return jobs_for_pair(self.pair, self.scale)
-        if self.kind == "group":
-            return jobs_for_group(self.group, scale=self.scale)
-        if self.kind == "motivate":
-            kernels = motivating_pair(self.scale)
+            suite = self.pair.suite
+            workloads = [(suite, self.pair.core0), (suite, self.pair.core1)]
+        elif self.kind == "group":
+            workloads = [None if w is None else ("spec", w) for w in self.group]
+        elif self.kind == "motivate":
+            workloads = motivating_pair(self.scale)
         elif self.kind == "kernels":
-            kernels = self.kernels
+            workloads = self.kernels
         else:
             raise ValueError(f"unknown task kind {self.kind!r}")
-        options = CompileOptions(memory=self.config.memory)
+        memory = self.config.memory
         return [
-            Job(compile_kernel(kernel, options), build_image(kernel, core))
-            for core, kernel in enumerate(kernels)
+            job_for(workload, core, self.scale, memory)
+            for core, workload in enumerate(workloads)
         ]
 
 
 def execute_task(task: SimTask) -> RunResult:
-    """Run one task to completion (the worker entry point)."""
+    """Run one task to completion (the worker entry point): the one place
+    above ``core/`` where the engine is entered."""
     from repro.core.machine import run_policy  # the engine loads where it runs
 
-    policy = POLICIES_BY_KEY[task.policy_key]
     return run_policy(
-        task.config, policy, task.build_jobs(), max_cycles=task.max_cycles
+        task.config,
+        policy(task.policy_key),
+        task.build_jobs(),
+        max_cycles=task.max_cycles,
     )
 
 

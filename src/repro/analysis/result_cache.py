@@ -16,12 +16,13 @@ Entry layout (``<key>.pkl``, one layout, written by :meth:`ResultCache.put`
 only)::
 
     prefix   12 bytes  big-endian (CACHE_VERSION: u32, file length: u64)
-    summary  pickle    summarize_result(result, key) - a ~1.4 KB dict
+    summary  pickle    summarize_result(result, key) - a ~1.7 KB dict
     result   pickle    the full RunResult            - hundreds of KB
 
-The summary (policy, cycle counts, per-section fingerprint digests) is
-computed once, where the result is produced, so that the daemon can serve
-a cached resubmission from it.  Each reader touches only what it returns:
+The summary (policy, cycle counts, per-section fingerprint digests, the
+run's profile) is computed once, where the result is produced, so that the
+daemon can serve a cached resubmission from it.  Each reader touches only
+what it returns:
 :meth:`ResultCache.get_summary` reads the prefix and the summary frame —
 one buffered read of the file's first block, never the result —
 and :meth:`ResultCache.get` unpickles the summary only to step over it.
@@ -228,9 +229,14 @@ class ResultCache:
 
         Reads only the summary :meth:`put` stored in front of the result.
         A miss exactly when :meth:`get` is one, but for damage inside the
-        result frame that leaves the file's length intact.
+        result frame that leaves the file's length intact.  An entry
+        written before runs carried a profile serves ``"profile": None``,
+        as ``summarize_result`` of its result would.
         """
-        return self._read(key, with_result=False)
+        summary = self._read(key, with_result=False)
+        if summary is not None:
+            summary.setdefault("profile", None)
+        return summary
 
     def put(self, key: str, result: RunResult) -> Optional[Dict[str, object]]:
         """Store ``result`` and its summary under ``key`` atomically;

@@ -4,7 +4,9 @@ Sweeps one machine parameter at a time and reports Occamy's compute-core
 speedup over Private on the motivating pair — quantifying where elastic
 sharing pays off: more total lanes (more slack to reassign), scarcer DRAM
 bandwidth (memory phases saturate earlier, freeing more lanes), deeper
-windows.
+windows.  Each point is the ``motivate`` task under the transformed
+configuration — compiled for that configuration's memory, cached, and
+fanned out under ``jobs`` like any other sweep.
 """
 
 from __future__ import annotations
@@ -13,11 +15,9 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence
 
+from repro.analysis.experiments import run_grid
+from repro.analysis.parallel import Jobs
 from repro.common.config import MachineConfig, experiment_config
-from repro.compiler.pipeline import CompileOptions, build_image, compile_kernel
-from repro.core.machine import Job, run_policy
-from repro.core.policies import OCCAMY, PRIVATE
-from repro.workloads.motivating import motivating_pair
 
 
 @dataclass(frozen=True)
@@ -61,23 +61,20 @@ def sweep(
     values: Sequence[object] = None,
     scale: float = 0.35,
     base_config: MachineConfig = None,
+    jobs: Jobs = None,
 ) -> List[SensitivityPoint]:
     """Sweep ``parameter`` over ``values`` on the motivating pair."""
     defaults, transform = SWEEPS[parameter]
     values = values if values is not None else defaults
     base_config = base_config or experiment_config()
-    wl0, wl1 = motivating_pair(scale)
+    workloads = [
+        {"kind": "motivate", "config": transform(base_config, value)}
+        for value in values
+    ]
+    grid = run_grid(workloads, ("private", "occamy"), scale, base_config, jobs)
     points = []
-    for value in values:
-        config = transform(base_config, value)
-        options = CompileOptions(memory=config.memory)
-        p0, p1 = compile_kernel(wl0, options), compile_kernel(wl1, options)
-
-        def jobs():
-            return [Job(p0, build_image(wl0, 0)), Job(p1, build_image(wl1, 1))]
-
-        private = run_policy(config, PRIVATE, jobs())
-        occamy = run_policy(config, OCCAMY, jobs())
+    for value, results in zip(values, grid):
+        private, occamy = results["private"], results["occamy"]
         points.append(
             SensitivityPoint(
                 parameter=parameter,

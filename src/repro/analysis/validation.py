@@ -1,6 +1,9 @@
 """Model validation: do the analytical models track the simulator?
 
-Two predictors are cross-validated against ``Machine.run``:
+Two predictors are cross-validated against the simulator; every measured
+run is a :class:`~repro.analysis.parallel.SimTask` through
+:func:`repro.analysis.experiments.run_grid`, so both sweeps are cached,
+fan out under ``jobs`` / ``$REPRO_JOBS``, and import no engine themselves:
 
 * the **roofline** (Eq. 4) the lane manager plans with — its *ordering*
   must track the machine (more predicted attainable performance means
@@ -24,7 +27,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.ecm import EcmModel
-from repro.analysis.experiments import run_with_fixed_lanes
+from repro.analysis.experiments import run_grid, run_with_fixed_lanes
+from repro.analysis.parallel import Jobs
 from repro.analysis.reporting import geomean
 from repro.common.config import MachineConfig, experiment_config
 from repro.compiler.ir import Kernel
@@ -217,31 +221,29 @@ def validate_ecm(
     policies: Sequence[str] = ECM_VALIDATION_POLICIES,
     scale: float = 0.1,
     config: Optional[MachineConfig] = None,
+    jobs: Jobs = None,
 ) -> EcmValidation:
     """Run Table 3 workloads solo under each policy and diff vs the ECM.
 
     Each workload occupies core 0 alone (the other cores idle), matching
     the lane-allocation semantics :meth:`EcmModel.lanes_for` models; the
-    measured side is a full ``Machine.run``.  Measured IPC counts vector
-    uops (compute + ld/st) per total cycle, the same accounting the
-    predictor uses.
+    measured side is one ``group=(id, None, ...)`` task per workload and
+    policy, compiled for ``config``'s memory — the residency levels the
+    ECM terms are.  Measured IPC counts vector uops (compute + ld/st) per
+    total cycle, the same accounting the predictor uses.
     """
-    from repro.core.machine import run_policy
-    from repro.core.policies import POLICIES_BY_KEY
-    from repro.workloads.pairs import workload_job
     from repro.workloads.spec import SPEC_WORKLOADS, spec_workload
 
     config = config or experiment_config()
     model = EcmModel(config)
     ids = sorted(workload_ids) if workload_ids is not None else sorted(SPEC_WORKLOADS)
+    idle = (None,) * (config.num_cores - 1)
+    solo = [{"kind": "group", "group": (workload_id,) + idle} for workload_id in ids]
+    grid = run_grid(solo, policies, scale, config, jobs)
     points = []
-    for workload_id in ids:
+    for workload_id, results in zip(ids, grid):
         kernel = spec_workload(workload_id, scale=scale)
-        for policy_key in policies:
-            jobs: List[object] = [
-                workload_job("spec", workload_id, core_id=0, scale=scale)
-            ] + [None] * (config.num_cores - 1)
-            result = run_policy(config, POLICIES_BY_KEY[policy_key], jobs)
+        for policy_key, result in results.items():
             prediction = model.predict_kernel(kernel, policy_key)
             measured_uops = result.metrics.compute_uops[0] + result.metrics.ldst_uops[0]
             measured_ipc = (

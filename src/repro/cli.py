@@ -21,12 +21,12 @@ Simulation commands accept these runtime options:
 ``--no-cache``
     Disable the persistent cache for this invocation.
 ``--profile``
-    After the command, print how the simulated cycles were covered:
-    interpreted cycle-by-cycle or skipped by the idle fast-forward —
-    plus per-component busy / idle-stepped / asleep cycle counts.  Only
-    runs simulated in *this* process are counted — cached results and
-    ``--jobs N`` worker processes contribute nothing, so use
-    ``--jobs 1 --no-cache`` for a complete attribution.
+    After the command, print how the simulated cycles of the results it
+    used were covered: interpreted cycle-by-cycle or skipped by the idle
+    fast-forward — plus per-component busy / idle-stepped / asleep cycle
+    counts.  The profile rides on each result, so the block is the same
+    whether a run happened here, on a ``--jobs N`` worker or was read back
+    from the cache; results that carry none are counted as such.
 ``--audit``
     Enable runtime invariant auditing (sets ``REPRO_AUDIT`` so worker
     processes inherit it): every simulated cycle cross-checks lane
@@ -84,9 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="print simulated-cycle attribution (interpreted vs "
-        "fast-forwarded, plus per-component busy/asleep counts) after the "
-        "command; only runs simulated in this process are counted, so "
-        "combine with --jobs 1 (and --no-cache) for a complete picture",
+        "fast-forwarded, plus per-component busy/asleep counts) of the "
+        "results the command used, after the command",
     )
     runtime.add_argument(
         "--audit",
@@ -530,11 +529,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "profile", False):
-        from repro.core.result import GLOBAL_PROFILE
+    if getattr(args, "profile", False) and args.command != "diff-fuzz":
+        # diff-fuzz runs its machines itself and prints the sum it keeps;
+        # every other driver's results are the ones in the experiments memo.
+        from repro.analysis.experiments import profile_report
 
         print()
-        print(GLOBAL_PROFILE.report())
+        print(profile_report())
     return code
 
 

@@ -73,4 +73,7 @@ def run(args: argparse.Namespace) -> int:
         with open(args.report, "w", encoding="utf-8") as handle:
             json.dump(report.to_json(), handle, indent=2)
         print(f"report written to {args.report}")
+    if args.profile:
+        print()
+        print(report.profile.report())
     return 0 if report.clean and not starved else 1

@@ -112,19 +112,6 @@ class Timeline:
             return
         self._points.append((cycle, value))
 
-    def record_range(self, start_cycle: int, end_cycle: int, value: float) -> None:
-        """Record ``value`` over ``[start_cycle, end_cycle)``, then revert.
-
-        Batch form used when a span of cycles is settled at once: the level
-        that held before the span is restored at ``end_cycle``, so later
-        point recordings continue from the pre-span value.
-        """
-        if end_cycle <= start_cycle:
-            return
-        resume = self.value_at(start_cycle)
-        self.record(start_cycle, value)
-        self.record(end_cycle, resume)
-
     def value_at(self, cycle: int) -> float:
         """Value of the step function at ``cycle`` (0.0 before first point)."""
         result = 0.0

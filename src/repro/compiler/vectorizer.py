@@ -43,11 +43,6 @@ class VectorizedLoop:
     index_temps: Tuple[Tuple[int, int, int], ...] = ()
 
     @property
-    def registers_used(self) -> int:
-        used = len(self.reg_of) + len(self.acc_regs)
-        return used + (1 if self.scratch is not None else 0)
-
-    @property
     def shifts(self) -> Tuple[int, ...]:
         """Distinct nonzero unit-stride stencil shifts (compatibility)."""
         return tuple(

@@ -24,10 +24,6 @@ class ExeBU:
     index: int
     owner: Optional[int] = FREE
 
-    @property
-    def is_free(self) -> bool:
-        return self.owner is FREE
-
 
 class LaneTable:
     """Ownership of the N ExeBU/RegBlk pairs (Dispatch.Cfg + RegFile.Cfg).

@@ -82,9 +82,6 @@ class ResourceTable:
             raise ProtocolError(f"decision {lanes} out of range")
         self._entry(core).decision = lanes
 
-    def set_status(self, core: int, status: int) -> None:
-        self._entry(core).status = status
-
     def apply_vl(self, core: int, lanes: int) -> bool:
         """Atomically retarget core ``core`` to ``lanes`` lanes.
 

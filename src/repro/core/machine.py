@@ -19,7 +19,7 @@ from repro.coproc.coprocessor import CoProcessor
 from repro.coproc.metrics import Metrics
 from repro.coproc.sharing import SharingMode
 from repro.core.policies import Policy
-from repro.core.result import GLOBAL_PROFILE, RunProfile
+from repro.core.result import RunProfile
 from repro.core.result import Job, RunResult  # re-exported: the old import path
 from repro.core.scalar_core import ScalarCore
 from repro.validation.invariants import InvariantAuditor, audit_enabled
@@ -147,8 +147,7 @@ class Machine:
         self._comp_asleep: List[int] = [0] * num_cores
         self._ff_skipped = 0
         #: Simulated-cycle attribution of the last completed :meth:`run`
-        #: (kept off :class:`RunResult` so cached result pickles keep their
-        #: shape across cache versions).
+        #: (the same object as its result's ``profile``).
         self.profile: Optional[RunProfile] = None
         #: Opt-in runtime invariant auditor (``REPRO_AUDIT`` / ``audit=True``);
         #: strictly read-only, so audited runs stay bit-identical.
@@ -231,10 +230,9 @@ class Machine:
         profile.component_idle = list(self._comp_idle)
         profile.component_asleep = list(self._comp_asleep)
         self.profile = profile
-        GLOBAL_PROFILE.merge(profile)
-        return self._result(cycle)
+        return self._result(cycle, profile)
 
-    def _result(self, cycle: int) -> RunResult:
+    def _result(self, cycle: int, profile: Optional[RunProfile] = None) -> RunResult:
         """Close the books at ``cycle`` and package the run."""
         self.metrics.close(cycle)
         return RunResult(
@@ -250,6 +248,7 @@ class Machine:
                 "vec_cache": self.coproc.memory.vec_cache.stats,
                 "l2": self.coproc.memory.l2.stats,
             },
+            profile=profile,
         )
 
     # --- the tickless run loop -----------------------------------------------

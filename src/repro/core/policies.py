@@ -95,7 +95,15 @@ POLICIES_BY_KEY: Dict[str, Policy] = {p.key: p for p in EXTENDED_POLICIES}
 
 
 def policy(key: str) -> Policy:
-    """Look up a policy by key (``private``/``fts``/``vls``/``occamy``)."""
+    """Look up a policy by key (``private``/``fts``/``vls``/``occamy``/``cts``),
+    or ``fixed<N>``: every core pinned at ``N`` lanes (Fig. 14(a)'s sweep)."""
+    if key.startswith("fixed") and key[5:].isdigit():
+        lanes = int(key[5:])
+
+        def pinned(config: MachineConfig, phase_ois: PhaseOIs) -> StaticLaneManager:
+            return StaticLaneManager({core: lanes for core in range(config.num_cores)})
+
+        return Policy(key, f"Fixed({lanes})", SharingMode.SPATIAL, pinned)
     try:
         return POLICIES_BY_KEY[key]
     except KeyError as exc:

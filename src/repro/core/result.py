@@ -1,5 +1,6 @@
 """What goes into a simulation and what comes out: :class:`Job`,
-:class:`RunResult`, and the engine's :class:`RunProfile` of the run.
+:class:`RunResult`, and the engine's :class:`RunProfile` of the run, which
+rides on the result (``RunResult.profile``) wherever the result goes.
 
 A leaf of the import graph: the cache, the sweep engine and the report
 read and write these without loading the engine that produces them
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 if TYPE_CHECKING:
     from repro.common.config import MachineConfig
@@ -43,6 +44,10 @@ class RunResult:
     lsu_stats: List[object] = field(default_factory=list)
     #: Cache tag statistics: {"vec_cache": CacheStats, "l2": CacheStats}.
     cache_stats: Dict[str, object] = field(default_factory=dict)
+    #: How the engine covered the run's cycles.  Not part of the fingerprint:
+    #: it says how the answer was computed, not what it is.  ``None`` on the
+    #: oracle's results and on cache entries written before the field existed.
+    profile: Optional[RunProfile] = None
 
     def core_time(self, core: int) -> int:
         """Cycles until core ``core``'s workload completed."""
@@ -117,11 +122,7 @@ class RunProfile:
             for core in range(len(self.component_busy)):
                 busy = self.component_busy[core]
                 idle = self.component_idle[core]
-                asleep = (
-                    self.component_asleep[core]
-                    if core < len(self.component_asleep)
-                    else 0
-                )
+                asleep = self.component_asleep[core]
                 lines.append(
                     f"  core {core}   busy {busy:>12}  idle-stepped {idle:>12}"
                     f"  asleep {asleep:>12}"
@@ -134,12 +135,20 @@ class RunProfile:
         return "\n".join(lines)
 
 
+def attribution_report(results: Iterable[RunResult]) -> str:
+    """The ``--profile`` block: the profiles ``results`` carry, folded into
+    one; those that carry none are counted, not read as zero cycles."""
+    total = RunProfile()
+    profiles = [result.profile for result in results]
+    for profile in profiles:
+        if profile is not None:
+            total.merge(profile)
+    lines = [total.report(), f"results used          {len(profiles):>12}"]
+    if None in profiles:
+        lines.append(f"  without a profile   {profiles.count(None):>12}")
+    return "\n".join(lines)
+
+
 def _merge_padded(mine: List[int], theirs: List[int]) -> List[int]:
     """Element-wise sum, padding the shorter list with zeros."""
     return [a + b for a, b in zip_longest(mine, theirs, fillvalue=0)]
-
-
-#: Process-wide aggregate over every completed run (CLI ``--profile``).
-#: Sweeps fanned out over worker processes contribute only the runs that
-#: executed in this process.
-GLOBAL_PROFILE = RunProfile()

@@ -40,10 +40,6 @@ class BandwidthRegulator:
             self.auditor.on_bandwidth_serve(self, nbytes, earliest_cycle, start, finish)
         return finish
 
-    def busy_until(self) -> float:
-        """Cycle at which all currently queued traffic completes."""
-        return self._next_free
-
     def utilization(self, total_cycles: int) -> float:
         """Fraction of the channel's capacity used over ``total_cycles``."""
         if total_cycles <= 0:

@@ -348,7 +348,6 @@ class FuzzReport:
 def place_case(
     spec: CaseSpec,
     alloc_key: str,
-    complex_size: int = 2,
     sharing_key: str = "occamy",
     seed: int = 0,
     config: Optional[MachineConfig] = None,
@@ -379,12 +378,7 @@ def place_case(
         ThreadSpec(key=f"c{core:02d}", kernel=kernel)
         for core, kernel in enumerate(kernels)
     ]
-    context = AllocContext(
-        config=config or experiment_config(complex_size),
-        sharing_key=sharing_key,
-        complex_size=complex_size,
-        seed=seed,
-    )
+    context = AllocContext(config=config, sharing_key=sharing_key, seed=seed)
     placement = ALLOC_POLICIES_BY_KEY[alloc_key](threads, context)
     return [
         (
@@ -410,7 +404,6 @@ def fuzz_seeds(
     progress: Optional[Callable[[str], None]] = None,
     num_cores: int = 2,
     alloc: Optional[str] = None,
-    complex_size: int = 2,
 ) -> FuzzReport:
     """Run :func:`check_case` over ``seeds``; collect every divergence.
 
@@ -420,24 +413,19 @@ def fuzz_seeds(
     by that allocation policy (:func:`place_case`) and every complex is
     diffed independently on the complex-sized machine.
     """
-    if config is None:
-        config = experiment_config(num_cores if alloc is None else complex_size)
     report = FuzzReport(seeds=list(seeds), cases=len(seeds), runs=0, divergences=[])
     for index, seed in enumerate(seeds):
         spec = generate_case(seed, num_cores)
         if alloc is None:
             subs = [spec]
         else:
-            subs = [
-                sub
-                for _members, sub in place_case(
-                    spec, alloc, complex_size=complex_size, config=config
-                )
-            ]
+            subs = [sub for _members, sub in place_case(spec, alloc, config=config)]
         found: List[Divergence] = []
         for sub in subs:
+            # Without a config, the machine is as wide as the (sub-)case.
+            sub_config = config or experiment_config(len(sub.cores))
             found.extend(
-                check_case(sub, policies, config, max_cycles, audit, report.profile)
+                check_case(sub, policies, sub_config, max_cycles, audit, report.profile)
             )
             report.runs += 2 * len(policies)
         report.divergences.extend(found)

@@ -17,6 +17,7 @@ so the cache can summarise a result without importing the service package.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 from typing import Callable, Dict, List, Optional
 
@@ -119,13 +120,18 @@ def fingerprint_digests(result) -> Dict[str, str]:
 
 def summarize_result(result, key: Optional[str] = None) -> Dict[str, object]:
     """The JSON-safe summary of one run: what the service ships over the
-    socket and what the result cache stores in front of the full result."""
+    socket and what the result cache stores in front of the full result.
+    ``profile`` (the :class:`~repro.core.result.RunProfile` as a dict, or
+    ``None``) is not a fingerprint section: it says how the engine got there.
+    """
+    profile = result.profile
     return {
         "policy": result.policy_key,
         "total_cycles": result.total_cycles,
         "core_cycles": list(result.core_cycles),
         "key": key,
         "fingerprint": fingerprint_digests(result),
+        "profile": None if profile is None else dataclasses.asdict(profile),
     }
 
 

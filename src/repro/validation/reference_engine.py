@@ -50,7 +50,7 @@ Runs **only here**, top to bottom:
 ``Metrics.replay_core_idle_cycles``, ``skip_idle_cycles``), the ``_make_*``
 decoded handlers, ``BatchExecutor``, ``InstructionPool``'s ready index and
 completion heap, ``_attribute_zero_dispatch_stall``, the ``*_batch``
-kernels, ``RunProfile`` / ``GLOBAL_PROFILE``.
+kernels, ``RunProfile``.
 """
 
 from __future__ import annotations
@@ -548,7 +548,7 @@ class SeedCore(ScalarCore):
 class ReferenceMachine(Machine):
     """A :class:`Machine` of seed parts, run one cycle at a time.
 
-    Produces no ``profile`` and merges nothing into ``GLOBAL_PROFILE``:
+    Its results carry no ``profile`` (``RunResult.profile`` stays ``None``):
     ``--profile`` attributes the fast engine's cycles only.
     """
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
-from repro.common.config import experiment_config
+from repro.common.config import MemoryConfig, experiment_config
 from repro.compiler.ir import Kernel
 from repro.compiler.pipeline import CompileOptions, build_image, compile_kernel
 from repro.core.result import Job
@@ -102,31 +102,47 @@ def corun_pair_set(group: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _compiled(suite: str, workload_id: int, scale: float) -> Tuple[Kernel, Program]:
+def _compiled(
+    suite: str, workload_id: int, scale: float, memory: MemoryConfig
+) -> Tuple[Kernel, Program]:
     if suite == "spec":
         kernel = spec_workload(workload_id, scale=scale)
     elif suite == "opencv":
         kernel = opencv_workload(workload_id, scale=scale)
     else:
         raise KeyError(f"unknown suite {suite!r}")
-    options = CompileOptions(memory=experiment_config().memory)
-    return kernel, compile_kernel(kernel, options)
+    return kernel, compile_kernel(kernel, CompileOptions(memory=memory))
 
 
-def workload_job(
-    suite: str, workload_id: int, core_id: int, scale: float = 1.0
-) -> Job:
-    """Compile (cached) and instantiate one workload for ``core_id``."""
-    kernel, program = _compiled(suite, workload_id, scale)
+def job_for(
+    workload: Union[Tuple[str, int], Kernel, None],
+    core_id: int,
+    scale: float = 1.0,
+    memory: Optional[MemoryConfig] = None,
+) -> Optional[Job]:
+    """The one place a workload becomes a :class:`Job` for ``core_id``.
+
+    ``workload`` is a Table 3 ``(suite, id)`` name, a ready-made kernel
+    (its scale baked in) or ``None``, an idle core.  A phase's ``<OI>`` is
+    taken at the level of ``memory`` its working set fits, so a program
+    belongs to the memory it was compiled for — the experiment
+    configuration's by default — and a named workload is compiled once
+    per process, scale *and* memory.
+    """
+    if workload is None:
+        return None
+    memory = memory or experiment_config().memory
+    if isinstance(workload, Kernel):
+        kernel = workload
+        program = compile_kernel(kernel, CompileOptions(memory=memory))
+    else:
+        kernel, program = _compiled(*workload, scale, memory)
     return Job(program=program, image=build_image(kernel, core_id=core_id))
 
 
 def jobs_for_pair(pair: CoRunPair, scale: float = 1.0) -> List[Optional[Job]]:
     """Jobs for the two cores of ``pair`` (fresh images each call)."""
-    return [
-        workload_job(pair.suite, pair.core0, core_id=0, scale=scale),
-        workload_job(pair.suite, pair.core1, core_id=1, scale=scale),
-    ]
+    return jobs_for_group((pair.core0, pair.core1), scale, pair.suite)
 
 
 def jobs_for_group(
@@ -134,6 +150,6 @@ def jobs_for_group(
 ) -> List[Optional[Job]]:
     """Jobs for a four-core group (Fig. 16)."""
     return [
-        workload_job(suite, workload_id, core_id=core, scale=scale)
+        job_for((suite, workload_id), core, scale)
         for core, workload_id in enumerate(group)
     ]

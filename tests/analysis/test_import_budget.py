@@ -9,9 +9,11 @@ everything.
 
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
+import repro
 from tests.conftest import run_fresh_python
 
 #: What a process that simulates nothing has no use for.
@@ -37,7 +39,8 @@ UNUSED_BY_A_HIT = ENGINE + (
 #: ``argv[1]`` is a JSON spec: run ``main(command)`` if there is one (after
 #: ``import repro.cli`` either way), then check ``sys.modules`` — a name
 #: stands for the module and everything below it — how often workloads
-#: were compiled when the spec counts ``builds``, and what was printed.
+#: were compiled when the spec counts ``builds``, and what was printed
+#: (kept in the file ``output`` names, if any).
 CHILD = """
 import contextlib, io, json, re, sys
 spec = json.loads(sys.argv[1])
@@ -53,6 +56,8 @@ if "command" in spec:
         assert repro.cli.main(spec["command"]) == 0
 for pattern in spec.get("prints", ()):
     assert re.search(pattern, printed.getvalue()), printed.getvalue()
+if "output" in spec:
+    open(spec["output"], "w").write(printed.getvalue())
 
 def loaded(name):
     return [m for m in sys.modules if m == name or m.startswith(name + ".")]
@@ -110,15 +115,79 @@ def test_warm_report_imports_what_it_reads(tmp_path, monkeypatch):
     )
     assert serial.read_bytes() == cold.read_bytes()
 
-    # --profile on an all-hit run attributes zero cycles: it neither fails
-    # for want of the engine nor quietly simulates to have something to say.
+    # --profile on an all-hit run still loads no engine, and says what the
+    # engine said when the runs were made: the attribution stored with each
+    # entry, the same block a cold, serial, uncached run prints.
+    cold_out, warm_out = tmp_path / "cold.txt", tmp_path / "warm.txt"
+    _child(
+        command=["report", str(serial), *options[:-1], "1", "--no-cache", "--profile"],
+        required=ENGINE[:1],
+        prints=[r"total cycles +[1-9]\d*\n", r"results used +8\n"],
+        output=str(cold_out),
+    )
     _child(
         command=["report", str(warm), *options, "--profile"],
         forbidden=ENGINE[:2],
-        prints=[r"total cycles +0\n", r"interpreted +0 "],
+        output=str(warm_out),
+    )
+    marker = "simulated-cycle attribution:"
+    assert marker in cold_out.read_text()
+    assert (
+        warm_out.read_text().partition(marker)[2]
+        == cold_out.read_text().partition(marker)[2]
     )
     assert warm.read_bytes() == cold.read_bytes()
     assert sorted(path.name for path in (tmp_path / "cache").glob("*.pkl")) == entries
+
+
+def test_warm_perf_report_loads_no_engine(tmp_path, monkeypatch):
+    """The ECM validation sweep is a task list like any other: the second
+    ``perf-report`` reads its measurements back and simulates nothing."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    command = [
+        "perf-report", "--bench-dir", str(tmp_path),
+        "--scale", "0.05", "--workloads", "17,20",
+    ]
+    cold_out, warm_out = tmp_path / "cold.md", tmp_path / "warm.md"
+    _child(command=command, required=ENGINE[:1], output=str(cold_out))
+    entries = sorted(path.name for path in (tmp_path / "cache").glob("*.pkl"))
+    assert len(entries) == 6  # two workloads under occamy / fts / cts
+    _child(command=command, forbidden=ENGINE, output=str(warm_out))
+    assert warm_out.read_bytes() == cold_out.read_bytes()
+    assert sorted(path.name for path in (tmp_path / "cache").glob("*.pkl")) == entries
+
+
+def test_only_the_sweep_engine_imports_the_simulator():
+    """Above ``core/`` the engine is entered from ``analysis/parallel.py``
+    and nowhere else (DESIGN.md, "Import layering") — checked on the
+    source, so a function-level import counts too.  Two other files name
+    the module without calling into it: ``service/workers.py`` preloads it
+    ahead of the daemon's forks (as ``run_tasks`` does ahead of its pool's),
+    and ``service/protocol.py`` holds the one line owed to the frozen bench
+    (ROADMAP item 1(e))."""
+    preloads_only = {"service/workers.py", "service/protocol.py"}
+    root = Path(repro.__file__).resolve().parent
+    offenders = []
+    for package in ("analysis", "alloc", "commands", "service"):
+        for path in sorted((root / package).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [f"{node.module}.{alias.name}" for alias in node.names]
+                else:
+                    continue
+                engine = [
+                    name for name in names
+                    if name.startswith("repro.core.machine")
+                    or name in ("repro.core.Machine", "repro.core.run_policy",
+                                "repro.Machine", "repro.run_policy")
+                ]
+                where = str(path.relative_to(root))
+                preload = isinstance(node, ast.Import) and where in preloads_only
+                if engine and not preload and where != "analysis/parallel.py":
+                    offenders.append((where, node.lineno, engine))
+    assert not offenders, offenders
 
 
 def test_non_simulating_commands_stay_light(tmp_path, monkeypatch):

@@ -76,6 +76,7 @@ def test_an_entry_pickled_under_the_old_path_is_a_hit(tmp_path, monkeypatch, con
     from repro.core.machine import RunResult, run_policy
 
     result = run_policy(config, OCCAMY, [compiled_job(make_axpy(128)), None])
+    result.profile = None  # results of that layout carried none
     cache = ResultCache(tmp_path)
     with monkeypatch.context() as old_layout:
         # pickle by reference, as entries written before the move were

@@ -1,4 +1,7 @@
-"""Strict worker-count validation in ``analysis.parallel.resolve_jobs``."""
+"""``analysis.parallel``: strict worker-count validation in
+``resolve_jobs``, and how a ``SimTask`` builds its jobs."""
+
+import dataclasses
 
 import pytest
 
@@ -92,3 +95,77 @@ def test_cli_surfaces_configuration_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert code == 2
     assert "not positive" in captured.err
+
+
+# --- SimTask.build_jobs: a task compiles for the memory it runs on ------------
+
+
+def _assert_compiled_for_its_memory(task, kernels):
+    """Every built program is ``compile_kernel`` for the task's own memory."""
+    from repro.compiler.pipeline import CompileOptions, compile_kernel
+
+    jobs = task.build_jobs()
+    assert len(jobs) == len(kernels)
+    for job, kernel in zip(jobs, kernels):
+        if kernel is None:
+            assert job is None
+            continue
+        expected = compile_kernel(kernel, CompileOptions(memory=task.config.memory))
+        assert job.program.meta["phase_ois"] == expected.meta["phase_ois"]
+        assert job.program.disassemble() == expected.disassemble()
+
+
+def test_pair_and_group_tasks_compile_for_the_config_they_run_on():
+    from repro.analysis.parallel import SimTask
+    from repro.common.config import experiment_config, table4_config
+    from repro.workloads.pairs import CoRunPair
+    from repro.workloads.spec import spec_workload
+
+    full = table4_config()
+    assert full.memory != experiment_config().memory
+    pair = SimTask(
+        policy_key="occamy", scale=0.1, config=full, pair=CoRunPair("spec", 20, 17)
+    )
+    _assert_compiled_for_its_memory(
+        pair, [spec_workload(20, scale=0.1), spec_workload(17, scale=0.1)]
+    )
+    # A group task, one member an idle core.
+    group = SimTask(
+        policy_key="occamy", scale=0.1, config=full, kind="group", group=(None, 8)
+    )
+    _assert_compiled_for_its_memory(group, [None, spec_workload(8, scale=0.1)])
+    # The check has teeth: the same pair compiles differently for the
+    # scaled-down experiment memory (WL20's working set fits no cache there).
+    scaled = dataclasses.replace(pair, config=experiment_config())
+    assert [job.program.meta["phase_ois"] for job in scaled.build_jobs()] != [
+        job.program.meta["phase_ois"] for job in pair.build_jobs()
+    ]
+
+
+@pytest.mark.parametrize("first", ["table4", "experiment"])
+def test_compile_memo_never_crosses_memories(first):
+    """One process, the same pair under two memories, either order: each
+    task gets the program compiled for its own."""
+    from repro.analysis.parallel import SimTask
+    from repro.common.config import experiment_config, table4_config
+    from repro.workloads import pairs
+    from repro.workloads.spec import spec_workload
+
+    configs = {"table4": table4_config(), "experiment": experiment_config()}
+    order = [first] + [name for name in configs if name != first]
+    pairs._compiled.cache_clear()
+    kernels = [spec_workload(8, scale=0.1), spec_workload(17, scale=0.1)]
+    for _ in range(2):  # the second pass is served from the memo
+        for name in order:
+            task = SimTask(
+                policy_key="vls", scale=0.1, config=configs[name],
+                pair=pairs.CoRunPair("spec", 8, 17),
+            )
+            _assert_compiled_for_its_memory(task, kernels)
+    # The helpers outside a task are the same path, for the experiment memory.
+    default = pairs.jobs_for_pair(pairs.CoRunPair("spec", 8, 17), scale=0.1)
+    explicit = [
+        pairs.job_for(("spec", workload), core, 0.1, configs["experiment"].memory)
+        for core, workload in enumerate((8, 17))
+    ]
+    assert [job.program for job in default] == [job.program for job in explicit]

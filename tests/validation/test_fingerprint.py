@@ -8,6 +8,7 @@ tests pin that what it feeds the hash is nevertheless byte-for-byte the
 from __future__ import annotations
 
 import collections
+import dataclasses
 import hashlib
 
 import pytest
@@ -115,4 +116,6 @@ def test_every_section_of_a_real_run_digests_as_its_repr(real_run):
         "core_cycles": list(real_run.core_cycles),
         "key": "k",
         "fingerprint": digests,
+        "profile": dataclasses.asdict(real_run.profile),
     }
+    assert summary["profile"]["total_cycles"] == real_run.total_cycles
