@@ -25,7 +25,6 @@ if TYPE_CHECKING:
         clear_sweep_cache,
         four_core_fig16,
         motivation_fig2,
-        overhead_fig15,
         pair_outcome,
         run_with_fixed_lanes,
         sweep_pairs,
@@ -51,8 +50,8 @@ __all__, __getattr__, __dir__ = lazy_exports(
         ),
         "repro.analysis.experiments": (
             "CaseStudyResult", "MotivationResult", "PairOutcome", "case_study_fig14",
-            "clear_sweep_cache", "four_core_fig16", "motivation_fig2", "overhead_fig15",
-            "pair_outcome", "run_with_fixed_lanes", "sweep_pairs", "table5_rows"
+            "clear_sweep_cache", "four_core_fig16", "motivation_fig2", "pair_outcome",
+            "run_with_fixed_lanes", "sweep_pairs", "table5_rows"
         ),
         "repro.analysis.plots": (
             "bar_chart_svg", "lane_timeline_svg", "series_svg", "write_svg"

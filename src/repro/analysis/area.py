@@ -35,7 +35,7 @@ MANAGER_AREA = 0.002
 
 #: Extra area per core beyond two for FTS's per-core full-width contexts
 #: (calibrated so 4-core FTS costs +33.5% over the other architectures).
-FTS_CONTEXT_AREA_PER_EXTRA_CORE = 0.436
+FTS_CONTEXT_AREA_PER_EXTRA_CORE = 0.411
 
 _BASE_LANES = 32
 _BASE_CORES = 2
@@ -43,7 +43,7 @@ _BASE_VREGS = 128
 _BASE_VEC_CACHE = 128 * 1024
 
 #: Components treated as control logic for the §4.2.1 scaling rule.
-_CONTROL = ("inst_pool", "decode", "rename", "dispatch", "rob")
+CONTROL_LOGIC = ("inst_pool", "decode", "rename", "dispatch", "rob")
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,7 @@ def area_model(config: MachineConfig, policy_key: str) -> AreaBreakdown:
         "register_file": BASELINE["register_file"] * lanes * vregs,
         "vec_cache": BASELINE["vec_cache"] * vc,
     }
-    for name in _CONTROL:
+    for name in CONTROL_LOGIC:
         components[name] = BASELINE[name] * control_scale
 
     if policy_key == "fts":
@@ -89,6 +89,6 @@ def area_model(config: MachineConfig, policy_key: str) -> AreaBreakdown:
             components["register_file"] += (
                 FTS_CONTEXT_AREA_PER_EXTRA_CORE * extra_cores
             )
-    if policy_key in ("vls", "occamy"):
+    if policy_key == "occamy":
         components["manager"] = MANAGER_AREA
     return AreaBreakdown(components=components)

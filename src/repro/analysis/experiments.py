@@ -321,29 +321,22 @@ def table5_rows(
     return roofline.table_rows(oi, lane_choices, frequency_ghz=config.frequency_ghz)
 
 
-# --- Fig. 15: runtime overhead ------------------------------------------------
+TABLE5_HEADERS = ["VL", "IssueBound", "MemBound", "CompBound", "Perf"]
 
 
-def overhead_fig15(
-    pairs: Optional[Sequence[CoRunPair]] = None,
-    scale: float = DEFAULT_SCALE,
-    config: Optional[MachineConfig] = None,
-) -> List[Tuple[CoRunPair, Dict[str, float]]]:
-    """Per-pair EM-SIMD overhead under Occamy (monitor vs reconfig)."""
-    outcomes = sweep_pairs(pairs, scale, config)
-    rows = []
-    for outcome in outcomes:
-        per_core = [outcome.overhead(core) for core in (0, 1)]
-        rows.append(
-            (
-                outcome.pair,
-                {
-                    "monitor": max(oc["monitor"] for oc in per_core),
-                    "reconfig": max(oc["reconfig"] for oc in per_core),
-                },
-            )
-        )
-    return rows
+def table5_cells(config: MachineConfig) -> List[List[object]]:
+    """Table 5 as ``repro table5`` and ``repro report`` print it: one row
+    per vector length under :data:`TABLE5_HEADERS`."""
+    return [
+        [
+            int(row["vl"]),
+            f"{row['simd_issue_bound']:.1f}",
+            f"{row['mem_bound']:.1f}",
+            f"{row['comp_bound']:.1f}",
+            f"{row['performance']:.1f}",
+        ]
+        for row in table5_rows(config)
+    ]
 
 
 # --- Fig. 16: four-core scalability --------------------------------------------

@@ -23,6 +23,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from repro.analysis.reporting import md_table
 from repro.analysis.validation import (
     ECM_VALIDATION_POLICIES,
     EcmValidation,
@@ -61,16 +62,6 @@ def load_bench_records(bench_dir: Path) -> List[Dict[str, object]]:
     return records
 
 
-def _md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    lines = [
-        "| " + " | ".join(str(h) for h in headers) + " |",
-        "|" + "|".join(" --- " for _ in headers) + "|",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(str(cell) for cell in row) + " |")
-    return "\n".join(lines)
-
-
 def _trajectory_section(records: List[Dict[str, object]]) -> List[str]:
     lines = ["## Perf trajectory (CI-gated speedup benchmarks)", ""]
     if not records:
@@ -94,7 +85,7 @@ def _trajectory_section(records: List[Dict[str, object]]) -> List[str]:
             ]
         )
     lines += [
-        _md_table(
+        md_table(
             ["bench", "speedup", "reference", "optimised", "scale", "python", "recorded"],
             rows,
         ),
@@ -119,7 +110,7 @@ def _validation_section(validation: EcmValidation) -> List[str]:
         f"predictions use the overlapping ECM convention "
         f"(`non-overlap` column shows the pessimistic bracket).",
         "",
-        _md_table(
+        md_table(
             [
                 "workload",
                 "policy",
@@ -139,7 +130,7 @@ def _validation_section(validation: EcmValidation) -> List[str]:
         for key, err in validation.errors_by_policy().items()
     ]
     lines += [
-        _md_table(["policy", "geomean error"], policy_rows),
+        md_table(["policy", "geomean error"], policy_rows),
         "",
         f"**Geomean relative cycle error: {100 * geo:.1f}% "
         f"(max {100 * validation.max_error:.1f}%) — gate ≤ {100 * gate:.0f}%: "
@@ -179,7 +170,7 @@ def _ncore_section(outcomes: Sequence[object]) -> List[str]:
     return [
         "## N-core scaling (geomean speedup over Private)",
         "",
-        _md_table(headers, rows),
+        md_table(headers, rows),
         "",
         "Each row co-runs the Fig. 16 workload blend tiled across the "
         "machine (`repro motivate --cores`); geomeans are per-core "
@@ -213,7 +204,7 @@ def _alloc_section(
     lines = [
         "## Thread-to-core allocation (per-thread geomean cycles)",
         "",
-        _md_table(
+        md_table(
             ["cores", "allocation", "sharing", "geomean", "Δ vs random", "pairing"],
             rows,
         ),
@@ -242,7 +233,7 @@ def _alloc_section(
             "",
             "### Per-pair sharing-policy win/loss (symbiosis placement)",
             "",
-            _md_table(["pair"] + sharing_keys + ["winner"], wl_rows),
+            md_table(["pair"] + sharing_keys + ["winner"], wl_rows),
             "",
             "Each row is one co-scheduled pair's total cycles under every "
             "sharing policy; the winner column names the cheapest policy "
@@ -258,7 +249,7 @@ def _config_section(config: MachineConfig) -> List[str]:
     return [
         "## Machine configuration",
         "",
-        _md_table(["knob", "value", "unit"], rows),
+        md_table(["knob", "value", "unit"], rows),
     ]
 
 

@@ -10,43 +10,42 @@ CLI: ``python -m repro report out.md [--scale S] [--pairs N]``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from repro.analysis.area import area_model
 from repro.analysis.energy import compare_energy
 from repro.analysis.experiments import (
+    TABLE5_HEADERS,
     MotivationResult,
     motivation_fig2,
     sweep_pairs,
-    table5_rows,
+    table5_cells,
 )
-from repro.analysis.reporting import geomean
+from repro.analysis.reporting import md_table
 from repro.common.config import MachineConfig, experiment_config, table4_config
-from repro.coproc.metrics import StallReason
 from repro.workloads.pairs import all_pairs
 
-PAPER_FIG2 = {"private": 1.00, "fts": 1.41, "vls": 1.25, "occamy": 1.62}
-PAPER_FIG10 = {"fts": 1.20, "vls": 1.11, "occamy": 1.39}
-PAPER_FIG11 = {"private": 0.632, "fts": 0.725, "vls": 0.708, "occamy": 0.842}
-POLICIES = ("private", "fts", "vls", "occamy")
+# After `experiments` on purpose: imported first, `fidelity` is what loads it
+# (and numpy) one import frame deeper, and a warm `repro report` takes ~400
+# more page faults (ru_minflt 6410 -> 7100; see experiments.py's last import).
+from repro.analysis import fidelity  # isort: skip
 
 
-def _md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    lines = ["| " + " | ".join(str(h) for h in headers) + " |"]
-    lines.append("|" + "|".join("---" for _ in headers) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(str(cell) for cell in row) + " |")
-    return "\n".join(lines)
+def _paper(artefact: str, quantity: str) -> str:
+    """The paper's figure, as :mod:`repro.analysis.fidelity` states it."""
+    return fidelity.ROW[artefact, quantity].paper_text
 
 
 def _fig2_section(result: MotivationResult) -> str:
     rows = []
-    for key in POLICIES:
+    for key in fidelity.POLICIES:
+        # Private is the baseline: 1 by definition, not a number of the paper's.
+        paper = "1.00" if key == "private" else _paper("Fig. 2", f"sp1 {key}")
         rows.append(
             [
                 key,
                 f"{result.speedup(key, 1):.2f}x",
-                f"{PAPER_FIG2[key]:.2f}x",
+                f"{paper}x",
                 f"{result.speedup(key, 0):.2f}x",
                 f"{100 * result.utilization(key):.1f}%",
             ]
@@ -55,54 +54,40 @@ def _fig2_section(result: MotivationResult) -> str:
     plan_text = " -> ".join(str(plan) for _cycle, plan in plans[:4])
     return (
         "## Motivating example (Fig. 2)\n\n"
-        + _md_table(["arch", "sp1", "sp1 (paper)", "sp0", "util"], rows)
+        + md_table(["arch", "sp1", "sp1 (paper)", "sp0", "util"], rows)
         + f"\n\nOccamy's elastic plan: `{plan_text}`\n"
     )
 
 
 def _pairs_section(outcomes) -> str:
-    gm1 = {
-        key: geomean([o.speedup(key, 1) for o in outcomes])
-        for key in ("fts", "vls", "occamy")
-    }
-    gm0 = geomean([o.speedup("occamy", 0) for o in outcomes])
-    util = {key: geomean([o.utilization(key) for o in outcomes]) for key in POLICIES}
-    fts_stalls = geomean(
-        [
-            max(o.rename_stall_fraction("fts", core) for core in (0, 1)) or 1e-6
-            for o in outcomes
-        ]
-    )
+    gm1 = {key: fidelity.gm_speedup(outcomes, key, 1) for key in fidelity.SHARING}
+    gm0 = fidelity.gm_speedup(outcomes, "occamy", 0)
+    util = {key: fidelity.gm_utilization(outcomes, key) for key in fidelity.POLICIES}
+    fts_stalls = fidelity.gm_fts_rename_stalls(outcomes)
+    paper_gm1 = " / ".join(_paper("Fig. 10", f"GM sp1 {key}") for key in fidelity.SHARING)
+    paper_util = " / ".join(_paper("Fig. 11", f"GM util {key}") for key in fidelity.SHARING)
     rows = [
         ["GM Core1 speedup", f"{gm1['fts']:.2f}", f"{gm1['vls']:.2f}",
-         f"{gm1['occamy']:.2f}", "1.20 / 1.11 / 1.39"],
+         f"{gm1['occamy']:.2f}", paper_gm1],
         ["GM utilisation", f"{100 * util['fts']:.1f}%", f"{100 * util['vls']:.1f}%",
          f"{100 * util['occamy']:.1f}%",
-         "72.5% / 70.8% / 84.2% (Private 63.2%)"],
+         f"{paper_util} (Private {_paper('Fig. 11', 'GM util private')})"],
     ]
     return (
         f"## Co-running pairs (Figs. 10/11/13; {len(outcomes)} pairs)\n\n"
-        + _md_table(["metric", "FTS", "VLS", "Occamy", "paper"], rows)
-        + f"\n\nOccamy Core0 GM: {gm0:.2f}x (paper ~1.00). "
+        + md_table(["metric", "FTS", "VLS", "Occamy", "paper"], rows)
+        + f"\n\nOccamy Core0 GM: {gm0:.2f}x "
+        f"(paper ~{_paper('Fig. 10', 'GM sp0 occamy')}). "
         f"FTS renaming stalls GM (worst core): {100 * fts_stalls:.0f}% "
-        "(paper >70%); 0% on the spatial policies.\n"
+        f"(paper {_paper('Fig. 13', 'GM fts stalls (worst core)')}); "
+        "0% on the spatial policies.\n"
     )
 
 
 def _table5_section(config: MachineConfig) -> str:
-    rows = [
-        [
-            int(row["vl"]),
-            f"{row['simd_issue_bound']:.1f}",
-            f"{row['mem_bound']:.1f}",
-            f"{row['comp_bound']:.1f}",
-            f"{row['performance']:.1f}",
-        ]
-        for row in table5_rows(config)
-    ]
     return (
         "## Table 5 (exact reproduction)\n\n"
-        + _md_table(["VL", "IssueBound", "MemBound", "CompBound", "Perf"], rows)
+        + md_table(TABLE5_HEADERS, table5_cells(config))
         + "\n"
     )
 
@@ -110,16 +95,15 @@ def _table5_section(config: MachineConfig) -> str:
 def _area_section() -> str:
     config = table4_config()
     rows = [
-        [key, f"{area_model(config, key).total:.3f}",
-         "1.265" if key == "occamy" else "1.263"]
-        for key in POLICIES
+        [key, f"{area_model(config, key).total:.3f}", _paper("Fig. 12", f"mm^2 {key}")]
+        for key in fidelity.POLICIES
     ]
-    config4 = table4_config(4)
-    overhead = area_model(config4, "fts").total / area_model(config4, "private").total - 1
+    overhead = fidelity.ROW["Fig. 12", "4-core fts overhead"]
     return (
         "## Area (Fig. 12)\n\n"
-        + _md_table(["arch", "mm^2", "paper"], rows)
-        + f"\n\n4-core FTS overhead: +{100 * overhead:.1f}% (paper +33.5%).\n"
+        + md_table(["arch", "mm^2", "paper"], rows)
+        + f"\n\n4-core FTS overhead: {overhead.ours_text(fidelity.fts_area_overhead())} "
+        f"(paper {overhead.paper_text}).\n"
     )
 
 
@@ -132,7 +116,7 @@ def _energy_section(result: MotivationResult) -> str:
     ]
     return (
         "## Energy (extension)\n\n"
-        + _md_table(["arch", "energy (uJ)", "runtime (us)", "EDP"], rows)
+        + md_table(["arch", "energy (uJ)", "runtime (us)", "EDP"], rows)
         + "\n"
     )
 
@@ -167,5 +151,5 @@ def generate_report(
 
 def write_report(path: str, **kwargs) -> None:
     """Generate and write the report to ``path``."""
-    with open(path, "w") as handle:
+    with open(path, "w", encoding="utf-8") as handle:
         handle.write(generate_report(**kwargs))

@@ -1,4 +1,4 @@
-"""ASCII rendering of the paper's tables and series plots."""
+"""ASCII and Markdown rendering of the paper's tables and series plots."""
 
 from __future__ import annotations
 
@@ -43,6 +43,16 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> st
         lines.append("  ".join(cell.rjust(width) for cell, width in zip(row, widths)))
         if index == 0:
             lines.append("  ".join("-" * width for width in widths))
+    return "\n".join(lines)
+
+
+def md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+    """GitHub-flavoured Markdown table (``repro report`` / ``perf-report`` /
+    ``fidelity``)."""
+    lines = ["| " + " | ".join(str(h) for h in headers) + " |"]
+    lines.append("|" + "|".join("---" for _ in headers) + "|")
+    for row in rows:
+        lines.append("| " + " | ".join(str(cell) for cell in row) + " |")
     return "\n".join(lines)
 
 

@@ -127,7 +127,6 @@ def simulation_key(
     policy_key: str,
     jobs: Sequence[Optional[Job]],
     max_cycles: int = 3_000_000,
-    salt: str = "",
     alloc: str = "",
 ) -> str:
     """Content hash identifying one simulation's full input.
@@ -142,7 +141,6 @@ def simulation_key(
     digest.update(config_fingerprint(config).encode("utf-8"))
     digest.update(policy_key.encode("utf-8"))
     digest.update(str(max_cycles).encode("utf-8"))
-    digest.update(salt.encode("utf-8"))
     digest.update(f"alloc:{alloc}".encode("utf-8"))
     for job in jobs:
         _feed_job(digest, job)

@@ -3,9 +3,9 @@
 This module only parses.  Each sub-command's body lives in — and is
 documented by — the module of its name under :mod:`repro.commands`
 (``motivate``, ``pair``, ``roofline``, ``table5``, ``area``, ``trace``,
-``figures``, ``report``, ``perf-report``, ``diff-fuzz``, ``alloc-sweep``,
-``serve``, ``submit``, ``svc-status``, ``fleet``, ``cache``), and
-:func:`main` imports only the one selected: ``repro cache stats`` loads no
+``figures``, ``report``, ``fidelity``, ``perf-report``, ``diff-fuzz``,
+``alloc-sweep``, ``serve``, ``submit``, ``svc-status``, ``fleet``,
+``cache``), and :func:`main` imports only the one selected: ``repro cache stats`` loads no
 numpy, a warm ``repro report`` no simulator (DESIGN.md, "Import layering").
 
 Simulation commands accept these runtime options:
@@ -160,6 +160,13 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("output")
     report.add_argument("--scale", type=float, default=0.4)
     report.add_argument("--pairs", type=int, default=6)
+
+    fidelity = sub.add_parser(
+        "fidelity",
+        help="print the paper-vs-ours table (exit 1 on a failing row; calibrated at 0.5)",
+        parents=[runtime],
+    )
+    fidelity.add_argument("--scale", type=float, default=0.5)
 
     perf_report = sub.add_parser(
         "perf-report",

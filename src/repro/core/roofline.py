@@ -18,7 +18,7 @@ an *effective* issue bandwidth of 4 bytes/cycle per 32-bit lane — the value
 that also emerges mechanically in our simulator from the in-flight-window /
 memory-latency product.  We therefore default ``issue_bytes_per_lane`` to
 4.0, which reproduces Table 5 exactly (see
-``benchmarks/test_table5_roofline.py``).
+``tests/core/test_roofline.py`` and the Table 5 rows of ``repro fidelity``).
 """
 
 from __future__ import annotations

@@ -36,11 +36,36 @@ UNUSED_BY_A_HIT = ENGINE + (
     ORACLE,
 )
 
+#: Everything of ours a warm ``repro report`` loads: what it reads results
+#: with, the compile path that hashes the keys, and the tables it prints.
+WARM_REPORT_MODULES = """
+repro repro._lazy repro.cli repro.commands repro.commands.report
+repro.analysis repro.analysis.area repro.analysis.energy
+repro.analysis.experiments repro.analysis.fidelity repro.analysis.parallel
+repro.analysis.report repro.analysis.reporting repro.analysis.result_cache
+repro.common repro.common.config repro.common.errors repro.common.timeline
+repro.compiler repro.compiler.dag repro.compiler.emsimd repro.compiler.ir
+repro.compiler.optimizer repro.compiler.phase_analysis repro.compiler.pipeline
+repro.compiler.vectorizer
+repro.coproc repro.coproc.lsu repro.coproc.metrics repro.coproc.resource_table
+repro.coproc.sharing
+repro.core repro.core.lane_manager repro.core.partition repro.core.policies
+repro.core.result repro.core.roofline
+repro.isa repro.isa.instructions repro.isa.operands repro.isa.program
+repro.isa.registers
+repro.memory repro.memory.bandwidth repro.memory.cache repro.memory.hierarchy
+repro.memory.image repro.memory.mob
+repro.validation repro.validation.fingerprint
+repro.workloads repro.workloads.motivating repro.workloads.opencv
+repro.workloads.pairs repro.workloads.spec repro.workloads.synth
+""".split()
+
 #: ``argv[1]`` is a JSON spec: run ``main(command)`` if there is one (after
 #: ``import repro.cli`` either way), then check ``sys.modules`` — a name
 #: stands for the module and everything below it — how often workloads
-#: were compiled when the spec counts ``builds``, and what was printed
-#: (kept in the file ``output`` names, if any).
+#: were compiled when the spec counts ``builds``, what was printed (kept in
+#: the file ``output`` names, if any) and, when the spec lists them
+#: ``exactly``, that the ``repro`` modules loaded are those and no other.
 CHILD = """
 import contextlib, io, json, re, sys
 spec = json.loads(sys.argv[1])
@@ -67,6 +92,9 @@ assert not extra, f"{spec.get('command', 'import repro.cli')} imported {extra}"
 missing = [name for name in spec.get("required", ()) if not loaded(name)]
 assert not missing, f"{spec['command']} never imported {missing}"
 assert len(builds) == spec.get("builds", 0), f"{len(builds)} build_jobs() calls"
+if "exactly" in spec:
+    ours = sorted(m for m in sys.modules if m == "repro" or m.startswith("repro."))
+    assert ours == sorted(spec["exactly"]), set(ours) ^ set(spec["exactly"])
 """
 
 
@@ -101,8 +129,14 @@ def test_warm_report_imports_what_it_reads(tmp_path, monkeypatch):
 
     # Warm: eight hits.  One compile per workload set (the motivating pair
     # and the Table 3 pair, four policies each), no engine, no extras, no
-    # pool — and the report the simulations gave.
-    _child(command=["report", str(warm), *options], forbidden=UNUSED_BY_A_HIT, builds=2)
+    # pool — and the report the simulations gave.  Its paper columns come
+    # from ``analysis.fidelity``: the one module the table costs a hit.
+    _child(
+        command=["report", str(warm), *options],
+        forbidden=UNUSED_BY_A_HIT,
+        builds=2,
+        exactly=WARM_REPORT_MODULES,
+    )
     assert warm.read_bytes() == cold.read_bytes()
 
     # --jobs 1 is the same task list through the same run_tasks: the same

@@ -1,5 +1,7 @@
 """The one-shot Markdown reproduction report."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.report import generate_report, write_report
@@ -28,6 +30,13 @@ class TestReport:
     def test_paper_references_included(self, report):
         assert "1.20 / 1.11 / 1.39" in report
         assert "+33.5%" in report
+
+    def test_every_byte_is_the_captured_one(self, report):
+        """``report_scale005_pairs1.md`` is what PR 23 wrote for these eight
+        simulations, but for the two Fig. 12 lines PR 24 declared (VLS
+        carries no Manager: 1.265 -> 1.263; 4-core FTS +35.5% -> +33.5%)."""
+        golden = Path(__file__).with_name("report_scale005_pairs1.md")
+        assert report == golden.read_text(encoding="utf-8")
 
     def test_markdown_tables_well_formed(self, report):
         for line in report.splitlines():
