@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 from repro.common.config import MachineConfig
 from repro.common.errors import SimulationError
 from repro.coproc.batch_exec import BatchExecutor
-from repro.coproc.dynamic import DynamicInstruction, EntryState, InstructionPool
+from repro.coproc.dynamic import DynamicInstruction, EntryKind, EntryState, InstructionPool
 from repro.coproc.lanes import LaneTable
 from repro.coproc.lsu import LoadStoreUnit
 from repro.coproc.metrics import Metrics, StallReason
@@ -44,6 +44,9 @@ LONG_LATENCY = 12
 class CoProcessor:
     """The shared SIMD co-processor serving ``config.num_cores`` cores."""
 
+    #: The memory hierarchy a co-processor is built with.
+    memory_class = VectorMemorySystem
+
     def __init__(
         self,
         config: MachineConfig,
@@ -62,7 +65,7 @@ class CoProcessor:
         self.renamer = Renamer(
             config.vector, num_cores, shared=(mode is SharingMode.TEMPORAL)
         )
-        self.memory = VectorMemorySystem(config.memory)
+        self.memory = self.memory_class(config.memory)
         self.lsus = [
             LoadStoreUnit(c, self.memory, config.core.store_queue_entries)
             for c in range(num_cores)
@@ -71,8 +74,8 @@ class CoProcessor:
             InstructionPool(c, config.core.instruction_pool_entries)
             for c in range(num_cores)
         ]
-        #: Dispatch/commit backend: plans opcode-grouped batches from each
-        #: pool's incrementally maintained ready set.
+        #: Dispatch/commit backend: one age-order pass over each pool's
+        #: incrementally maintained ready set.
         self._batch = BatchExecutor()
         self.core_active = [True] * num_cores
         #: Masks of a bare :meth:`step` call: every core, nobody asleep.
@@ -219,8 +222,10 @@ class CoProcessor:
             if not awake[core]:
                 continue
             pool = self.pools[core]
-            head = pool.head()
-            if head is None or not head.is_emsimd or head.state is not EntryState.WAITING:
+            if not pool._entries:
+                continue
+            head = pool._entries[0]
+            if head.kind is not EntryKind.EMSIMD or head.state is not EntryState.WAITING:
                 continue
             # The head being EM-SIMD means every older instruction committed:
             # the core's SIMD pipeline is drained (in-order commit).
@@ -268,8 +273,11 @@ class CoProcessor:
         filtered to the sorted ``active`` cores (the dropped cores are
         dispatch no-ops: asleep cores are masked out by the caller and
         done/absent cores have empty pools and an inactive core flag).
+        A list of one core is its own rotation and is returned as is.
         """
         self._rotate = (self._rotate + 1) % self.config.num_cores
+        if len(active) < 2:
+            return active
         start = bisect_left(active, self._rotate)
         return active[start:] + active[:start]
 
@@ -389,9 +397,10 @@ class CoProcessor:
         dispatchable entry *is* ``scan[0]``, and both scans visit the same
         ready entries in the same order with the same budget state).  A
         RENAME failure overrides unconditionally in both scans at the same
-        (first ready renaming) entry.  At zero dispatches the batch planner
-        has neither mutated budgets nor cut a segment, so ``scan`` is the
-        whole window's ready list.
+        (first ready renaming) entry.  At zero dispatches the one-pass walk
+        has neither mutated budgets nor re-queried after a zero-byte
+        access, so ``scan`` is the whole window's ready list.  The pool is
+        not empty (its empty case never reaches here).
         """
         oldest = pool.oldest_waiting_seq()
         if oldest is None:
@@ -402,8 +411,7 @@ class CoProcessor:
             blocked = StallReason.ISSUE_BUDGET
         elif not scan or scan[0].seq != oldest:
             blocked = StallReason.DEPENDENCY
-        head = pool.head()
-        if head is not None and head.is_emsimd:
+        if pool._entries[0].kind is EntryKind.EMSIMD:
             self.metrics.on_stall(core, StallReason.RECONFIG, cycle)
         elif blocked is not None:
             self.metrics.on_stall(core, blocked, cycle)

@@ -40,7 +40,7 @@ class EntryKind(enum.Enum):
     EMSIMD = "emsimd"
 
 
-@dataclass
+@dataclass(slots=True)
 class DynamicInstruction:
     """One in-flight instance of a transmitted vector/EM-SIMD instruction."""
 
@@ -140,7 +140,7 @@ class InstructionPool:
         self._entries.append(entry)
         self.transmitted += 1
         self._by_seq[entry.seq] = entry
-        if entry.is_emsimd:
+        if entry.kind is EntryKind.EMSIMD:
             self._emsimd_seqs.append(entry.seq)
         elif entry.state is EntryState.WAITING:
             self._register(entry)
@@ -182,15 +182,17 @@ class InstructionPool:
         committed = entries[:count]
         del entries[:count]
         self.committed += count
+        emsimd = self._emsimd_seqs
         for entry in committed:
-            self._by_seq.pop(entry.seq, None)
-            self._dep_waiters.pop(entry.seq, None)
-            if (
-                entry.is_emsimd
-                and self._emsimd_seqs
-                and self._emsimd_seqs[0] == entry.seq
-            ):
-                self._emsimd_seqs.popleft()
+            seq = entry.seq
+            self._by_seq.pop(seq, None)
+            self._dep_waiters.pop(seq, None)
+            # Every producer of a committed entry issued before it did, so
+            # no ``on_issue`` looks its ready-index keys up again.
+            self._pending_deps.pop(seq, None)
+            self._wake_at.pop(seq, None)
+            if entry.kind is EntryKind.EMSIMD and emsimd and emsimd[0] == seq:
+                emsimd.popleft()
         return committed
 
     # ------------------------------------------------------------------
@@ -215,8 +217,14 @@ class InstructionPool:
         next :meth:`ready_dispatchable` query returns it.
         """
         # Pruning on every push keeps the heap within the window size even
-        # while nothing asks for the next completion (a busy stretch).
-        heappush(self._prune_completions(cycle), entry.complete_cycle)
+        # while nothing asks for the next completion (a busy stretch).  It is
+        # :meth:`_prune_completions`, inlined: this runs once per uop.
+        heap = self._completions
+        while heap and heap[0] <= cycle:
+            heappop(heap)
+        if cycle > self._pruned_to:
+            self._pruned_to = cycle
+        heappush(heap, entry.complete_cycle)
         waiting = self._waiting_seqs
         pos = bisect_left(waiting, entry.seq)
         if pos < len(waiting) and waiting[pos] == entry.seq:

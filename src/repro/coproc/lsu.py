@@ -54,10 +54,10 @@ class LoadStoreUnit:
     def stq_occupancy(self, cycle: float) -> int:
         """Occupied STQ entries once completed stores have retired at ``cycle``.
 
-        The narrowed batch-dispatch interface: the batch planner reads the
-        occupancy once at the top of its scan and shadow-counts its own
-        planned stores, instead of re-asking :meth:`store_queue_full` per
-        entry the way the reference scan does.  Both observe the same
+        The narrowed batch-dispatch interface: the one-pass dispatch reads
+        the occupancy at the top of its walk (and again after a zero-byte
+        access) and counts its own stores, instead of re-asking
+        :meth:`store_queue_full` per entry the way the reference scan does.  Both observe the same
         drained queue (retirement is idempotent within a cycle).
         """
         self._drain_stores(cycle)

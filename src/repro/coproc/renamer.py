@@ -94,8 +94,8 @@ class Renamer:
         """Claim ``count`` physical registers at once (batch-execute backend).
 
         Exactly equivalent to ``count`` successful :meth:`try_allocate`
-        calls; the batch planner must have proven availability against
-        :meth:`available` before applying its plan.
+        calls; the one-pass dispatch must have counted availability down
+        from :meth:`available` as it admitted each write.
         """
         if count <= 0:
             return
@@ -111,11 +111,11 @@ class Renamer:
             self.auditor.on_renamer(self)
 
     def note_failed_allocation(self) -> None:
-        """Record one renaming stall observed by the batch planner.
+        """Record one renaming stall observed by the one-pass dispatch.
 
-        The planner never calls :meth:`try_allocate` (its walk is
-        side-effect free), so the failure counter the reference scan would
-        have bumped is settled here when the plan is applied.
+        The walk never calls :meth:`try_allocate` (it counts headroom
+        locally), so the failure counter the reference scan would have
+        bumped is settled here once per core-cycle.
         """
         self.failed_allocations += 1
 

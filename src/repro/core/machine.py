@@ -146,6 +146,8 @@ class Machine:
         self._comp_idle: List[int] = [0] * num_cores
         self._comp_asleep: List[int] = [0] * num_cores
         self._ff_skipped = 0
+        #: What :meth:`_step_fast` resets the per-core event counts to.
+        self._no_events: List[int] = [0] * num_cores
         #: Simulated-cycle attribution of the last completed :meth:`run`
         #: (the same object as its result's ``profile``).
         self.profile: Optional[RunProfile] = None
@@ -279,6 +281,7 @@ class Machine:
         metrics = self.metrics
         coproc = self.coproc
         wheel = self._wheel
+        wheel_heap = wheel._heap
         awake = self._awake
         active = self._active = [
             core_id
@@ -292,7 +295,7 @@ class Machine:
         cycle = 0
         last_progress = 0
         try:
-            while not self.finished:
+            while self._live_count:
                 if cycle >= max_cycles:
                     self._settle_all(cycle)
                     raise SimulationError(
@@ -300,12 +303,15 @@ class Machine:
                         f"(policy={self.policy.key})"
                     )
                 if self._asleep_count:
-                    due = wheel.due(cycle)
-                    if due and coupled:
-                        self._settle_all(cycle)
-                    else:
-                        for component in due:
-                            self._settle(component, cycle)
+                    # ``due`` is asked only when the heap top is due: below
+                    # that it would pop nothing and return nothing.
+                    if wheel_heap and wheel_heap[0][0] <= cycle:
+                        due = wheel.due(cycle)
+                        if due and coupled:
+                            self._settle_all(cycle)
+                        else:
+                            for component in due:
+                                self._settle(component, cycle)
                     if self._asleep_count == self._live_count:
                         nxt = wheel.next_wake()
                         if nxt is None:
@@ -370,8 +376,7 @@ class Machine:
         post-dispatch loops walk snapshots.
         """
         active = self._active
-        for component in range(len(core_events)):
-            core_events[component] = 0
+        core_events[:] = self._no_events
         progress = 0
         cores = self.cores
         for core_id in active:

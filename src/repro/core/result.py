@@ -81,9 +81,9 @@ class RunProfile:
     component_busy: List[int] = field(default_factory=list)
     component_idle: List[int] = field(default_factory=list)
     component_asleep: List[int] = field(default_factory=list)
-    #: Batch-execute backend attribution: per-core-cycle dispatch calls
-    #: planned and applied in opcode groups, uops issued via groups, and
-    #: plan segments cut at a zero-byte access.
+    #: Batch-execute backend attribution: per-core-cycle dispatch calls on
+    #: a non-empty pool, uops they issued, and ready-index re-queries after
+    #: a zero-byte access (named for the plan segments they once ended).
     batched_dispatch_calls: int = 0
     batched_uops: int = 0
     plan_cuts: int = 0

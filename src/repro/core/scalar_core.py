@@ -198,6 +198,7 @@ class ScalarCore:
         self.retired_vector = 0
         self._monitor_idx = frozenset(program.meta.get("monitor", ()))
         self._reconfig_idx = frozenset(program.meta.get("reconfig", ()))
+        self._instrumented = self._monitor_idx | self._reconfig_idx
         #: Pre-decoded dispatch table, one entry per instruction
         #: (``None`` for labels).
         self.decoded: List[Optional[DecodedInstr]] = [
@@ -312,7 +313,8 @@ class ScalarCore:
             for d in decoded:
                 if d is not None:
                     d.run = None
-        self._account_overhead(retired_indices, stall_kind)
+        if retired_indices or stall_kind is not None:
+            self._account_overhead(retired_indices, stall_kind)
         return len(retired_indices)
 
     def _account_overhead(
@@ -325,9 +327,8 @@ class ScalarCore:
             return
         if not retired_indices:
             return
-        instrumented = self._monitor_idx | self._reconfig_idx
-        if all(index in instrumented for index in retired_indices):
-            if any(index in self._reconfig_idx for index in retired_indices):
+        if self._instrumented.issuperset(retired_indices):
+            if not self._reconfig_idx.isdisjoint(retired_indices):
                 self.metrics.on_overhead_cycle(self.core_id, "reconfig")
             else:
                 self.metrics.on_overhead_cycle(self.core_id, "monitor")

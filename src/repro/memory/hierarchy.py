@@ -8,15 +8,14 @@ a single memory-intensive core can saturate DRAM and stall everyone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.common.config import MemoryConfig
 from repro.memory.bandwidth import BandwidthRegulator
 from repro.memory.cache import Cache
 
 
-@dataclass(frozen=True)
-class AccessResult:
+class AccessResult(NamedTuple):
     """Outcome of one vector memory access."""
 
     complete_cycle: float  # when the data is available / committed
@@ -36,7 +35,15 @@ class AccessResult:
 
 
 class VectorMemorySystem:
-    """Shared vector memory: VecCache, unified L2 and a DRAM channel."""
+    """Shared vector memory: VecCache, unified L2 and a DRAM channel.
+
+    :class:`Cache` and :class:`BandwidthRegulator` own the state; the
+    per-line walk of :meth:`access` reads and writes it directly.  The
+    oracle walks the same lines through ``Cache.access`` / ``Cache.fill``
+    and ``BandwidthRegulator.serve`` instead
+    (``ReferenceMemorySystem`` in :mod:`repro.validation.reference_engine`),
+    and the two are diffed access by access.
+    """
 
     def __init__(self, config: MemoryConfig) -> None:
         self.config = config
@@ -53,59 +60,124 @@ class VectorMemorySystem:
 
         Returns when the access completes.  Loads complete when all lines
         have arrived; stores complete when all lines are owned by the Vec
-        Cache (write-allocate).
+        Cache (write-allocate).  Each line is one lookup per level it
+        reaches (a hit moves the line to the MRU end of its set), a fill
+        that evicts the set's LRU line, a write-back of a dirty Vec Cache
+        victim into L2 and of a dirty L2 victim of a DRAM fill into DRAM,
+        and one serve per channel crossed: a request starts when both it
+        and the channel are free and holds the channel for ``line_bytes /
+        bytes_per_cycle`` cycles.  With ``--audit`` every serve is checked
+        as it happens.
         """
+        if nbytes <= 0:
+            return AccessResult(cycle, 0, 0, 0, 0)
         config = self.config
         line_bytes = config.line_bytes
-        vec_cache = self.vec_cache
-        l2 = self.l2
-        lines = vec_cache.lines_spanning(addr, nbytes)
-        if not lines:
-            return AccessResult(cycle, 0, 0, 0, 0)
-
-        # Per-line hot loop: latencies and bound methods hoisted out.
         vc_latency = config.vec_cache.latency
         l2_latency = config.l2.latency
         dram_latency = config.dram_latency
-        vc_serve = self.vec_cache_bw.serve
-        l2_serve = self.l2_bw.serve
-        dram_serve = self.dram_bw.serve
-        vc_hits = 0
-        l2_hits = 0
-        dram = 0
-        complete = float(cycle)
-        for line in lines:
+        vec_cache = self.vec_cache
+        l2 = self.l2
+        vc_sets, vc_num_sets, vc_ways = vec_cache._sets, vec_cache._num_sets, vec_cache._ways
+        l2_sets, l2_num_sets, l2_ways = l2._sets, l2._num_sets, l2._ways
+        vc_bw, l2_bw, dram_bw = self.vec_cache_bw, self.l2_bw, self.dram_bw
+        vc_time = line_bytes / vc_bw.bytes_per_cycle
+        l2_time = line_bytes / l2_bw.bytes_per_cycle
+        dram_time = line_bytes / dram_bw.bytes_per_cycle
+        audit = vc_bw.auditor  # installed on all three channels at once
+        cycle = float(cycle)
+        first = addr - addr % line_bytes
+        last = addr + nbytes - 1
+        last -= last % line_bytes
+        vc_hits = l2_hits = dram = l2_requests = dram_requests = 0
+        vc_writebacks = l2_writebacks = 0
+        complete = cycle
+        for line in range(first, last + line_bytes, line_bytes):
             # Every line moves through the Vec Cache port.
-            ready = vc_serve(line_bytes, cycle)
+            free = vc_bw._next_free
+            start = free if free > cycle else cycle
+            ready = vc_bw._next_free = start + vc_time
+            if audit is not None:
+                audit.on_bandwidth_serve(vc_bw, line_bytes, cycle, start, ready)
             latency = vc_latency
-            if vec_cache.access(line, is_store):
+            block = line // line_bytes
+            vc_set = vc_sets[block % vc_num_sets]
+            if line in vc_set:
                 vc_hits += 1
+                vc_set.move_to_end(line)
+                if is_store:
+                    vc_set[line] = True
             else:
                 # Miss: fetch from L2 (and DRAM below it), then fill.
-                ready = l2_serve(line_bytes, ready)
+                arrival = ready
+                free = l2_bw._next_free
+                start = free if free > arrival else arrival
+                ready = l2_bw._next_free = start + l2_time
+                l2_requests += 1
+                if audit is not None:
+                    audit.on_bandwidth_serve(l2_bw, line_bytes, arrival, start, ready)
                 latency += l2_latency
-                if l2.access(line, is_store=False):
+                l2_set = l2_sets[block % l2_num_sets]
+                if line in l2_set:
                     l2_hits += 1
+                    l2_set.move_to_end(line)
                 else:
-                    ready = dram_serve(line_bytes, ready)
+                    arrival = ready
+                    free = dram_bw._next_free
+                    start = free if free > arrival else arrival
+                    ready = dram_bw._next_free = start + dram_time
+                    dram_requests += 1
+                    if audit is not None:
+                        audit.on_bandwidth_serve(dram_bw, line_bytes, arrival, start, ready)
                     latency += dram_latency
                     dram += 1
-                    l2_victim = l2.fill(line, is_store=False)
-                    if l2_victim is not None:
-                        dram_serve(line_bytes, ready)
-                vc_victim = vec_cache.fill(line, is_store)
-                if vc_victim is not None:
-                    # Dirty eviction consumes L2 bandwidth (write-back).
-                    l2_serve(line_bytes, ready)
-                    l2.fill(vc_victim, is_store=True)
-            complete = max(complete, ready + latency)
-        return AccessResult(
-            complete_cycle=complete,
-            lines=len(lines),
-            vec_cache_hits=vc_hits,
-            l2_hits=l2_hits,
-            dram_accesses=dram,
-        )
+                    if len(l2_set) >= l2_ways and l2_set.popitem(last=False)[1]:
+                        # Dirty L2 victim: written back to DRAM.
+                        l2_writebacks += 1
+                        free = dram_bw._next_free
+                        start = free if free > ready else ready
+                        dram_bw._next_free = finish = start + dram_time
+                        dram_requests += 1
+                        if audit is not None:
+                            audit.on_bandwidth_serve(dram_bw, line_bytes, ready, start, finish)
+                    l2_set[line] = False
+                if len(vc_set) >= vc_ways:
+                    victim, dirty = vc_set.popitem(last=False)
+                    if dirty:
+                        # Dirty eviction consumes L2 bandwidth (write-back)
+                        # and lands dirty in L2, evicting there unserved.
+                        vc_writebacks += 1
+                        free = l2_bw._next_free
+                        start = free if free > ready else ready
+                        l2_bw._next_free = finish = start + l2_time
+                        l2_requests += 1
+                        if audit is not None:
+                            audit.on_bandwidth_serve(l2_bw, line_bytes, ready, start, finish)
+                        victim_set = l2_sets[(victim // line_bytes) % l2_num_sets]
+                        if victim in victim_set:
+                            del victim_set[victim]
+                        elif len(victim_set) >= l2_ways and victim_set.popitem(last=False)[1]:
+                            l2_writebacks += 1
+                        victim_set[victim] = True
+                vc_set[line] = is_store
+            end = ready + latency
+            if end > complete:
+                complete = end
+        lines = (last - first) // line_bytes + 1
+        vc_misses = lines - vc_hits
+        vec_cache.stats.hits += vc_hits
+        vec_cache.stats.misses += vc_misses
+        vec_cache.stats.writebacks += vc_writebacks
+        l2.stats.hits += l2_hits
+        l2.stats.misses += dram
+        l2.stats.writebacks += l2_writebacks
+        vc_bw.requests_served += lines
+        vc_bw.bytes_served += lines * line_bytes
+        l2_bw.requests_served += l2_requests
+        l2_bw.bytes_served += l2_requests * line_bytes
+        dram_bw.requests_served += dram_requests
+        dram_bw.bytes_served += dram_requests * line_bytes
+        return AccessResult(complete, lines, vc_hits, l2_hits, dram)
 
     def reset_bandwidth(self) -> None:
         """Forget queued traffic (between independent simulations)."""

@@ -9,16 +9,13 @@ address-overlap hazards and is exercised directly by the ordering tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import itemgetter
 from typing import List, Tuple
 
+#: One in-flight region: ``(start, end (exclusive), complete_cycle, is_store)``.
+_Entry = Tuple[int, int, float, bool]
 
-@dataclass
-class _Entry:
-    start: int
-    end: int  # exclusive
-    complete_cycle: float
-    is_store: bool
+_complete_cycle = itemgetter(2)
 
 
 class MemoryOrderingBuffer:
@@ -32,25 +29,29 @@ class MemoryOrderingBuffer:
         self.conflicts_detected = 0
 
     def _prune(self, cycle: float) -> None:
-        self._entries = [e for e in self._entries if e.complete_cycle > cycle]
+        self._entries = [e for e in self._entries if e[2] > cycle]
 
     def earliest_start(self, addr: int, nbytes: int, cycle: float, is_store: bool) -> float:
         """Earliest cycle a new access to ``[addr, addr+nbytes)`` may begin.
 
         Ordering rules: any access must wait for older overlapping *stores*;
         a store must additionally wait for older overlapping *loads*
-        (write-after-read).
+        (write-after-read).  Entries complete at or before ``cycle`` are
+        dropped — the list is rebuilt only when there is one.
         """
-        self._prune(cycle)
         start = float(cycle)
         end = addr + nbytes
-        for entry in self._entries:
-            if entry.end <= addr or entry.start >= end:
+        expired = False
+        for entry_start, entry_end, complete, entry_store in self._entries:
+            if complete <= cycle:
+                expired = True
+            elif entry_end <= addr or entry_start >= end:
                 continue
-            if entry.is_store or is_store:
-                if entry.complete_cycle > start:
-                    start = entry.complete_cycle
-                    self.conflicts_detected += 1
+            elif (entry_store or is_store) and complete > start:
+                start = complete
+                self.conflicts_detected += 1
+        if expired:
+            self._prune(cycle)
         return start
 
     def track(self, addr: int, nbytes: int, complete_cycle: float, is_store: bool) -> None:
@@ -58,11 +59,9 @@ class MemoryOrderingBuffer:
         if len(self._entries) >= self.capacity:
             # A full MOB stalls allocation; model by dropping the oldest
             # completed entries first, then the oldest outstanding one.
-            self._entries.sort(key=lambda e: e.complete_cycle)
+            self._entries.sort(key=_complete_cycle)
             self._entries.pop(0)
-        self._entries.append(
-            _Entry(start=addr, end=addr + nbytes, complete_cycle=complete_cycle, is_store=is_store)
-        )
+        self._entries.append((addr, addr + nbytes, complete_cycle, is_store))
 
     def outstanding(self, cycle: float) -> int:
         """Number of regions still incomplete at ``cycle``."""

@@ -13,6 +13,9 @@ parameter selects it — a caller names :class:`ReferenceMachine` (or
 
 Runs **only here**, top to bottom:
 
+* :class:`ReferenceMemorySystem` — Fig. 4's Vec Cache -> L2 -> DRAM walk,
+  one ``Cache.access`` / ``Cache.fill`` and one ``BandwidthRegulator.serve``
+  call per line and level.
 * :class:`ScanPool` — Fig. 5's Instruction Pool + ROB as a plain list;
   every question is answered by walking it.
 * :class:`WindowScan` — §4.2's per-uop age-order dispatch over the whole
@@ -40,8 +43,10 @@ Runs **only here**, top to bottom:
   execution (``_execute_emsimd``, ``_apply_oi``, ``_apply_vl``, §4.2.2),
   ``_dispatch`` (budgets, rotation, sharing modes), ``_cts_arbitrate``;
 * the modelled hardware: ``Metrics`` (its per-uop ``on_*_dispatch``),
-  ``Renamer`` (``try_allocate`` / ``release``), ``LoadStoreUnit`` and the
-  memory hierarchy, ``ResourceTable``, ``LaneTable``, the lane managers,
+  ``Renamer`` (``try_allocate`` / ``release``), ``LoadStoreUnit`` and its
+  MOB, the memory hierarchy's state (``Cache`` sets and stats,
+  ``BandwidthRegulator`` queues and counters, ``AccessResult``),
+  ``ResourceTable``, ``LaneTable``, the lane managers,
   ``DynamicInstruction``, ``InstructionPool.commit_ready``'s prefix scan;
 * the compiler, workloads and images, and the ``--audit`` checker.
 
@@ -50,7 +55,7 @@ Runs **only here**, top to bottom:
 ``Metrics.replay_core_idle_cycles``, ``skip_idle_cycles``), the ``_make_*``
 decoded handlers, ``BatchExecutor``, ``InstructionPool``'s ready index and
 completion heap, ``_attribute_zero_dispatch_stall``, the ``*_batch``
-kernels, ``RunProfile``.
+kernels, ``VectorMemorySystem.access``'s inlined line loop, ``RunProfile``.
 """
 
 from __future__ import annotations
@@ -100,6 +105,56 @@ from repro.isa.instructions import (
 )
 from repro.isa.operands import Imm, ScalarRef, VReg
 from repro.isa.registers import SystemRegister
+from repro.memory.hierarchy import AccessResult, VectorMemorySystem
+
+# --- the memory hierarchy (Fig. 4) -------------------------------------------
+
+
+class ReferenceMemorySystem(VectorMemorySystem):
+    """The Vec Cache -> L2 -> DRAM walk one method call at a time: each
+    line is looked up and filled through :meth:`Cache.access` /
+    :meth:`Cache.fill`, and each channel crossing is one
+    :meth:`BandwidthRegulator.serve`."""
+
+    def access(self, addr: int, nbytes: int, cycle: float, is_store: bool) -> AccessResult:
+        """Serve ``[addr, addr + nbytes)`` starting no earlier than ``cycle``."""
+        line_bytes = self.config.line_bytes
+        vec_cache = self.vec_cache
+        l2 = self.l2
+        lines = vec_cache.lines_spanning(addr, nbytes)
+        if not lines:
+            return AccessResult(cycle, 0, 0, 0, 0)
+        vc_hits = 0
+        l2_hits = 0
+        dram = 0
+        complete = float(cycle)
+        for line in lines:
+            # Every line moves through the Vec Cache port.
+            ready = self.vec_cache_bw.serve(line_bytes, cycle)
+            latency = self.config.vec_cache.latency
+            if vec_cache.access(line, is_store):
+                vc_hits += 1
+            else:
+                # Miss: fetch from L2 (and DRAM below it), then fill.
+                ready = self.l2_bw.serve(line_bytes, ready)
+                latency += self.config.l2.latency
+                if l2.access(line, is_store=False):
+                    l2_hits += 1
+                else:
+                    ready = self.dram_bw.serve(line_bytes, ready)
+                    latency += self.config.dram_latency
+                    dram += 1
+                    l2_victim = l2.fill(line, is_store=False)
+                    if l2_victim is not None:
+                        self.dram_bw.serve(line_bytes, ready)
+                vc_victim = vec_cache.fill(line, is_store)
+                if vc_victim is not None:
+                    # Dirty eviction consumes L2 bandwidth (write-back).
+                    self.l2_bw.serve(line_bytes, ready)
+                    l2.fill(vc_victim, is_store=True)
+            complete = max(complete, ready + latency)
+        return AccessResult(complete, len(lines), vc_hits, l2_hits, dram)
+
 
 # --- the instruction pool (Fig. 5) -------------------------------------------
 
@@ -247,7 +302,10 @@ class WindowScan:
 
 
 class ReferenceCoProcessor(CoProcessor):
-    """The shared co-processor shell over scan pools and the window scan."""
+    """The shared co-processor shell over scan pools, the window scan and
+    the per-call memory walk."""
+
+    memory_class = ReferenceMemorySystem
 
     def __init__(self, config, mode, metrics, lane_manager) -> None:
         super().__init__(config, mode, metrics, lane_manager)

@@ -1,7 +1,7 @@
 """Batch-execute backend: batched kernels vs. the scalar per-entry loops.
 
 Every kernel the batch backend replaces — dispatch metrics aggregation,
-the commit prefix scan, and the full plan/apply dispatch pass — is pinned
+the commit prefix scan, and the full one-pass dispatch — is pinned
 against the reference per-entry implementation on randomized inputs:
 random operand sets, opcodes and dependence edges.  Equality is exact
 (``==`` on every counter and float), not approximate: the backend promises
@@ -192,7 +192,7 @@ def _build_pair(mode, num_cores, config):
 
 
 class TestBatchedDispatchProperty:
-    """Full plan/apply dispatch == the reference per-entry scan, cycle by
+    """Full one-pass dispatch == the reference per-entry scan, cycle by
     cycle, on randomized instruction streams (random opcodes, operand
     vector lengths including 0, dependence edges, rename/STQ pressure)."""
 
@@ -241,8 +241,8 @@ class TestBatchedDispatchProperty:
     def test_zero_byte_access_cuts_a_plan_segment(self, monkeypatch):
         """A zero-byte memory op (VL 0 after a cts reclaim) completes within
         its own cycle and can wake a younger dependant mid-scan — the one
-        dispatch shape the planner must end a segment at, and still
-        without any per-uop loop."""
+        dispatch shape after which the walk must re-query the ready index,
+        and still without any per-uop loop."""
         per_uop = []
         loop = WindowScan.dispatch_core
 

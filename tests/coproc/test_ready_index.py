@@ -159,7 +159,7 @@ def test_index_equals_scan(seed):
 def test_cascade_paths_are_exercised():
     """Across the seed set, same-cycle wakes (an issue that makes a
     dependant ready at the very same cycle) occur — the exact case that
-    diverged dispatch order before the planner cut its segment there."""
+    diverged dispatch order before dispatch re-queried the index there."""
     cascades = 0
     for seed in range(25):
         driver = Driver(seed)

@@ -288,8 +288,8 @@ class TestCli:
         assert all(report["traffic"].values())
 
     def test_diff_fuzz_fails_a_starved_sweep(self, capsys):
-        """Seed 0 under FTS issues no zero-byte access, so the planner
-        never cuts a segment: clean, yet exit 1."""
+        """Seed 0 under FTS issues no zero-byte access, so dispatch never
+        re-queries after one: clean, yet exit 1."""
         from repro.cli import main
 
         code = main(["diff-fuzz", "--seeds", "1", "--policies", "fts"])
