@@ -86,8 +86,8 @@ def main() -> None:
     machine.metrics.close(cycle)
     print(f"\nDone in {cycle} cycles; "
           f"SIMD utilisation {100 * machine.metrics.simd_utilization():.1f}%; "
-          f"{machine.coproc.lane_table.reconfigurations} lane-table "
-          f"reconfigurations.")
+          f"{sum(machine.metrics.reconfig_success)} successful "
+          f"<VL> reconfigurations.")
 
 
 if __name__ == "__main__":

@@ -85,7 +85,6 @@ class BatchExecutor:
         ldst_left = budget["ldst"]
         avail = coproc.renamer.available(core)
         allocations = 0
-        rename_failed = False
         lsu = coproc.lsus[core]
         stq_used = lsu.stq_occupancy(cycle)
         stq_cap = lsu.store_queue_entries
@@ -114,7 +113,6 @@ class BatchExecutor:
                 writes = entry.writes_vreg
                 if writes:
                     if avail <= 0:
-                        rename_failed = True
                         blocked = StallReason.RENAME
                         break
                     avail -= 1
@@ -143,7 +141,6 @@ class BatchExecutor:
                     stq_used += 1
                 else:
                     if avail <= 0:
-                        rename_failed = True
                         blocked = StallReason.RENAME
                         break
                     avail -= 1
@@ -168,11 +165,8 @@ class BatchExecutor:
                     stq_used = lsu.stq_occupancy(cycle)
             else:  # EM-SIMD entries never appear (the scan stops at them)
                 raise SimulationError("EM-SIMD instruction in dispatch scan")
-        renamer = coproc.renamer
         if allocations:
-            renamer.allocate_batch(core, allocations)
-        if rename_failed:
-            renamer.note_failed_allocation()
+            coproc.renamer.allocate_batch(core, allocations)
         computes = len(short_vls) + len(long_vls)
         dispatched = computes + memory
         if dispatched == 0:

@@ -25,7 +25,6 @@ from repro.common.config import MachineConfig
 from repro.common.errors import SimulationError
 from repro.coproc.batch_exec import BatchExecutor
 from repro.coproc.dynamic import DynamicInstruction, EntryKind, EntryState, InstructionPool
-from repro.coproc.lanes import LaneTable
 from repro.coproc.lsu import LoadStoreUnit
 from repro.coproc.metrics import Metrics, StallReason
 from repro.coproc.renamer import Renamer
@@ -59,9 +58,7 @@ class CoProcessor:
         self.metrics = metrics
         self.lane_manager = lane_manager
         num_cores = config.num_cores
-        total = config.vector.total_lanes
-        self.resource_table = ResourceTable(num_cores, total)
-        self.lane_table = LaneTable(total)
+        self.resource_table = ResourceTable(num_cores, config.vector.total_lanes)
         self.renamer = Renamer(
             config.vector, num_cores, shared=(mode is SharingMode.TEMPORAL)
         )
@@ -191,7 +188,8 @@ class CoProcessor:
         instead of every core slot, so a cycle costs O(components with
         work).  Cores absent from it are either asleep (the ``awake`` mask
         skips them anyway) or done/absent (provably no-ops in every phase:
-        empty pool, inactive core flag, lazily-drained LSU).
+        empty pool, inactive core flag).  Store queues are drained where
+        they are read (``LoadStoreUnit.stq_occupancy``), not every cycle.
         """
         if active is None:
             awake = self._all_awake
@@ -201,7 +199,6 @@ class CoProcessor:
         for core in active:
             if not awake[core]:
                 continue
-            self.lsus[core].on_cycle(cycle)
             committed = self._batch.commit_core(self, core, cycle)
             core_events[core] += committed
             events += committed
@@ -262,7 +259,6 @@ class CoProcessor:
             return
         success = self.resource_table.apply_vl(core, lanes)
         if success:
-            self.lane_table.reconfigure(core, lanes)
             self.metrics.on_lane_change(core, lanes, cycle)
         self.metrics.on_reconfig(core, success)
 

@@ -77,10 +77,6 @@ class DynamicInstruction:
     def completed(self, cycle: float) -> bool:
         return self.state is not EntryState.WAITING and self.complete_cycle <= cycle
 
-    @property
-    def is_emsimd(self) -> bool:
-        return self.kind is EntryKind.EMSIMD
-
 
 class InstructionPool:
     """Per-core in-flight window with in-order commit.

@@ -54,22 +54,15 @@ class LoadStoreUnit:
     def stq_occupancy(self, cycle: float) -> int:
         """Occupied STQ entries once completed stores have retired at ``cycle``.
 
-        The narrowed batch-dispatch interface: the one-pass dispatch reads
-        the occupancy at the top of its walk (and again after a zero-byte
-        access) and counts its own stores, instead of re-asking
-        :meth:`store_queue_full` per entry the way the reference scan does.  Both observe the same
-        drained queue (retirement is idempotent within a cycle).
+        The only place stores retire: the one-pass dispatch reads the
+        occupancy at the top of its walk (and again after a zero-byte
+        access) and counts its own stores, refusing one at capacity, so the
+        queue never holds more than ``store_queue_entries`` completions.
         """
-        self._drain_stores(cycle)
-        return len(self._store_completions)
-
-    def store_queue_full(self, cycle: float) -> bool:
-        """True when a new store would have no STQ entry this cycle."""
-        return self.stq_occupancy(cycle) >= self.store_queue_entries
-
-    def _drain_stores(self, cycle: float) -> None:
-        while self._store_completions and self._store_completions[0] <= cycle:
-            self._store_completions.popleft()
+        completions = self._store_completions
+        while completions and completions[0] <= cycle:
+            completions.popleft()
+        return len(completions)
 
     def issue(self, addr: int, nbytes: int, cycle: float, is_store: bool) -> AccessResult:
         """Issue one ld/st uop at ``cycle``; returns its completion."""
@@ -94,10 +87,6 @@ class LoadStoreUnit:
         if self.auditor is not None:
             self.auditor.on_lsu_issue(self, cycle, result)
         return result
-
-    def on_cycle(self, cycle: float) -> None:
-        """Housekeeping: retire completed stores from the STQ model."""
-        self._drain_stores(cycle)
 
     def next_store_retire(self, cycle: float) -> Optional[float]:
         """Earliest future cycle a queued store retires (frees an STQ slot).

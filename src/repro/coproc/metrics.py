@@ -4,7 +4,7 @@ Definitions follow §2 of the paper:
 
 * **SIMD utilisation** — ``sum_c busy_lanes(c) / (total_lanes * C)`` where a
   lane contributes one busy *pipe-slot* per compute uop dispatched on it and
-  each ExeBU has ``pipes`` (= compute issue width) execution pipes;
+  each lane has ``pipes`` (= compute issue width) execution pipes;
 * **SIMD issue rate** — compute instructions dispatched per core per cycle,
   reported per *phase*;
 * **lane timeline** — the step function of lanes owned per core
@@ -113,31 +113,16 @@ class Metrics:
 
     # --- co-processor events --------------------------------------------
 
-    def on_compute_dispatch(self, core: int, vl_lanes: int, flops: int, cycle: int) -> None:
-        self.compute_uops[core] += 1
-        self.flops[core] += flops
-        self.busy_pipe_slots += vl_lanes
-        self.busy_lanes_series[core].add(cycle, vl_lanes / self.pipes_per_lane)
-        phase = self._open_phase[core]
-        if phase is not None:
-            phase.compute_uops += 1
-
-    def on_ldst_dispatch(self, core: int, vl_lanes: int, nbytes: int, cycle: int) -> None:
-        self.ldst_uops[core] += 1
-        phase = self._open_phase[core]
-        if phase is not None:
-            phase.ldst_uops += 1
-
-    # --- batched dispatch accounting (batch-execute backend) ---------------
-
     def on_compute_dispatch_batch(
         self, core: int, vls: List[int], total_flops: int, cycle: int
     ) -> None:
-        """Aggregated :meth:`on_compute_dispatch` for one opcode group.
+        """Book one latency group of compute uops dispatched by ``core``
+        at ``cycle``: ``vls`` holds each uop's vector length in lanes.
 
-        Bit-exact relative to the per-entry calls: the uop/flop counters are
-        integer sums, ``busy_pipe_slots`` accumulates integers into a float
-        (exact below 2**53, order-independent), and each busy-lane sample is
+        Bit-exact relative to one booking per uop (the oracle's
+        ``on_compute_dispatch``): the uop/flop counters are integer sums,
+        ``busy_pipe_slots`` accumulates integers into a float (exact below
+        2**53, order-independent), and each busy-lane sample is
         ``vl / pipes_per_lane`` — a dyadic rational when ``pipes_per_lane``
         is a power of two, so the bulk sum is exact too.  For a
         non-power-of-two pipe count the division is inexact and summation
@@ -162,7 +147,7 @@ class Metrics:
             phase.compute_uops += count
 
     def on_ldst_dispatch_batch(self, core: int, count: int) -> None:
-        """Aggregated :meth:`on_ldst_dispatch` for one memory-op group."""
+        """Book ``count`` ld/st uops dispatched by ``core`` in one cycle."""
         if count <= 0:
             return
         self.ldst_uops[core] += count

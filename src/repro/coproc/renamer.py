@@ -56,8 +56,6 @@ class Renamer:
             self._held = [0] * num_cores
             self._hold_cap = pool
         self._capacity = list(self._free)
-        self.allocations = 0
-        self.failed_allocations = 0
         #: Runtime invariant auditor (``REPRO_AUDIT``); when set, every
         #: allocate/release re-checks the freelist bounds.
         self.auditor = None
@@ -70,32 +68,18 @@ class Renamer:
         return self._capacity[self._slot(core)]
 
     def available(self, core: int) -> int:
-        """Free physical registers currently available to ``core``."""
+        """Free physical registers currently available to ``core``: the
+        pool's free count, bounded by the core's fairness cap under
+        temporal sharing.  At zero a new write is a renaming stall."""
         pool = self._free[self._slot(core)]
         return min(pool, self._hold_cap - self._held[core])
 
-    def try_allocate(self, core: int) -> bool:
-        """Claim one physical register for a new in-flight write.
-
-        Returns False (a renaming stall) when the pool is empty or the
-        core has hit its fairness cap under temporal sharing.
-        """
-        if self.available(core) <= 0:
-            self.failed_allocations += 1
-            return False
-        self._free[self._slot(core)] -= 1
-        self._held[core] += 1
-        self.allocations += 1
-        if self.auditor is not None:
-            self.auditor.on_renamer(self)
-        return True
-
     def allocate_batch(self, core: int, count: int) -> None:
-        """Claim ``count`` physical registers at once (batch-execute backend).
+        """Claim ``count`` physical registers for new in-flight writes.
 
-        Exactly equivalent to ``count`` successful :meth:`try_allocate`
-        calls; the one-pass dispatch must have counted availability down
-        from :meth:`available` as it admitted each write.
+        The one-pass dispatch counts availability down from
+        :meth:`available` as it admits each write, and settles here once
+        per core-cycle.
         """
         if count <= 0:
             return
@@ -106,34 +90,12 @@ class Renamer:
             )
         self._free[self._slot(core)] -= count
         self._held[core] += count
-        self.allocations += count
-        if self.auditor is not None:
-            self.auditor.on_renamer(self)
-
-    def note_failed_allocation(self) -> None:
-        """Record one renaming stall observed by the one-pass dispatch.
-
-        The walk never calls :meth:`try_allocate` (it counts headroom
-        locally), so the failure counter the reference scan would have
-        bumped is settled here once per core-cycle.
-        """
-        self.failed_allocations += 1
-
-    def release(self, core: int) -> None:
-        """Return one physical register at commit of the in-flight write."""
-        slot = self._slot(core)
-        if self._held[core] <= 0 or self._free[slot] >= self._capacity[slot]:
-            raise ProtocolError("renamer freelist overflow (double release)")
-        self._free[slot] += 1
-        self._held[core] -= 1
         if self.auditor is not None:
             self.auditor.on_renamer(self)
 
     def release_batch(self, core: int, count: int) -> None:
-        """Return ``count`` physical registers at once (batched commit).
-
-        Exactly equivalent to ``count`` :meth:`release` calls.
-        """
+        """Return ``count`` physical registers at commit of their in-flight
+        writes (one call per committed prefix)."""
         if count <= 0:
             return
         slot = self._slot(core)

@@ -3,12 +3,12 @@
 Given the operational intensities of the currently running phases, the
 algorithm:
 
-1. gives one ExeBU to every workload currently executing a phase
+1. gives one lane to every workload currently executing a phase
    (``<OI> != 0``) so nobody starves;
 2. iteratively sorts the workloads by the *net performance gain* (Eq. 3) of
-   one extra ExeBU and gives one ExeBU to each workload with a positive
+   one extra lane and gives one lane to each workload with a positive
    gain, in that order, while lanes remain;
-3. stops when all ExeBUs are allocated or no workload would gain.
+3. stops when all lanes are allocated or no workload would gain.
 
 Fairness properties proved by the paper and asserted by our property tests:
 co-running compute-intensive workloads split the lanes equally, and every
@@ -58,7 +58,7 @@ def _gain_profile(
 def _one_lane_each(
     demands: Mapping[int, OIValue], total_lanes: int
 ) -> Tuple[Dict[int, OIValue], Dict[int, int], int]:
-    """Step 1: one ExeBU per running workload.
+    """Step 1: one lane per running workload.
 
     Returns ``(active, plan, remaining)``.  Raises when more phases run
     than lanes exist (cannot satisfy the one-lane-minimum constraint of
@@ -77,7 +77,7 @@ def greedy_partition(
     total_lanes: int,
     roofline: RooflineModel,
 ) -> Dict[int, int]:
-    """Partition ``total_lanes`` ExeBUs across the running phases.
+    """Partition ``total_lanes`` lanes across the running phases.
 
     ``demands`` maps core id -> the OI of the phase it is executing; cores
     without a running phase must not appear.  Returns core id -> lane count.

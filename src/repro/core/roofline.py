@@ -6,7 +6,7 @@ running on ``l`` lanes:
 * **computation**:  ``FP_peak(l) = peak_flops_per_lane * l``  (scales with l)
 * **SIMD issue bandwidth**:  ``issue_bytes_per_lane * l * <OI>.issue``
   (Eq. 2 — the ld/st data-path width scales with l)
-* **memory bandwidth**:  ``mem_bandwidth * <OI>.mem``  (independent of l)
+* **memory bandwidth**:  ``bandwidth_for(level) * <OI>.mem``  (no l)
 
 and Eq. 4 takes their minimum.  Units are *flops per cycle* with the
 paper's per-32-bit-lane flop accounting; multiply by the clock to get
@@ -61,11 +61,6 @@ class RooflineModel:
             raise ConfigurationError("need positive bandwidths incl. 'dram'")
         if self.max_lanes < 1:
             raise ConfigurationError("max_lanes must be positive")
-
-    @property
-    def mem_bandwidth(self) -> float:
-        """The DRAM (streaming) bandwidth ceiling in B/cycle."""
-        return dict(self.mem_bandwidths)["dram"]
 
     def bandwidth_for(self, level: str) -> float:
         """Bandwidth ceiling (B/cycle) of ``level``.

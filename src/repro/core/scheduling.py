@@ -144,7 +144,6 @@ class TimeSliceScheduler:
         task.saved_vl = table.vl(core)
         if table.vl(core):
             table.apply_vl(core, 0)
-            self.coproc.lane_table.reconfigure(core, 0)
             self.metrics.on_lane_change(core, 0, cycle)
         table.set_oi(core, OIValue.ZERO)
         for decided, lanes in self.lane_manager.on_phase_change(table, cycle).items():
@@ -176,7 +175,6 @@ class TimeSliceScheduler:
         if task.saved_vl:
             if not table.apply_vl(core, task.saved_vl):
                 return  # lanes busy: retry next cycle
-            self.coproc.lane_table.reconfigure(core, task.saved_vl)
             self.metrics.on_lane_change(core, task.saved_vl, cycle)
         self._switching_in[core] = None
         self._running[core] = task_index
@@ -229,5 +227,4 @@ class TimeSliceScheduler:
         table = self.coproc.resource_table
         if table.vl(core):
             table.apply_vl(core, 0)
-            self.coproc.lane_table.reconfigure(core, 0)
             self.metrics.on_lane_change(core, 0, cycle)

@@ -26,7 +26,6 @@ class MemoryOrderingBuffer:
             raise ValueError("MOB capacity must be positive")
         self.capacity = capacity
         self._entries: List[_Entry] = []
-        self.conflicts_detected = 0
 
     def _prune(self, cycle: float) -> None:
         self._entries = [e for e in self._entries if e[2] > cycle]
@@ -49,7 +48,6 @@ class MemoryOrderingBuffer:
                 continue
             elif (entry_store or is_store) and complete > start:
                 start = complete
-                self.conflicts_detected += 1
         if expired:
             self._prune(cycle)
         return start

@@ -3,10 +3,8 @@
 When enabled, an :class:`InvariantAuditor` is attached to the machine at
 construction and re-checks the co-processor's structural invariants —
 
-* **lane conservation**: owned + free lane counts equal the total, the
-  :class:`LaneTable`'s incremental indexes agree with the per-ExeBU
-  ownership ground truth, and (under spatial sharing) the resource
-  table's ``<VL>`` registers agree with the lane table;
+* **lane conservation**: under spatial sharing, the lanes the resource
+  table's ``<VL>`` registers grant plus ``<AL>`` equal the total;
 * **ROB retire ordering**: every instruction pool holds its entries in
   strictly increasing sequence order, dependences point only at older
   instructions, and transmit/commit counters reconcile with occupancy;
@@ -33,7 +31,7 @@ import os
 import weakref
 from typing import Set, Tuple
 
-from repro.common.errors import InvariantViolation
+from repro.common.errors import InvariantViolation, ProtocolError
 from repro.coproc.sharing import SharingMode
 
 
@@ -45,8 +43,8 @@ def audit_enabled() -> bool:
 class InvariantAuditor:
     """Read-only consistency checker wired into one :class:`Machine`.
 
-    Construction installs the auditor on the machine's lane table,
-    renamer, LSUs and bandwidth regulators (their per-call hooks), and
+    Construction installs the auditor on the machine's metrics, renamer,
+    LSUs and bandwidth regulators (their per-call hooks), and
     :meth:`check_machine` runs the full structural audit — called by
     ``Machine.step`` every simulated cycle.  The machine is held weakly:
     its parts point at the auditor, and a finished machine must be freed by
@@ -61,7 +59,6 @@ class InvariantAuditor:
         self._core_events: Set[Tuple[int, str]] = set()
         machine.metrics.auditor = self
         coproc = machine.coproc
-        coproc.lane_table.auditor = self
         coproc.renamer.auditor = self
         for lsu in coproc.lsus:
             lsu.auditor = self
@@ -77,35 +74,6 @@ class InvariantAuditor:
         raise InvariantViolation(f"invariant audit: {message}")
 
     # --- per-call hooks -----------------------------------------------------
-
-    def on_lane_table(self, table) -> None:
-        """After a ``reconfigure``: indexes must agree with ground truth."""
-        self.checks += 1
-        owners = {}
-        for core, indices in table._owned.items():
-            if list(indices) != sorted(set(indices)):
-                self._fail(f"core {core} lane index list not sorted-unique: {indices}")
-            if not indices:
-                self._fail(f"core {core} has an empty (should be absent) index entry")
-            for index in indices:
-                owners[index] = core
-        if list(table._free) != sorted(set(table._free)):
-            self._fail(f"free list not sorted-unique: {table._free}")
-        owned_total = sum(len(v) for v in table._owned.values())
-        if owned_total + len(table._free) != table.total_lanes:
-            self._fail(
-                f"lane conservation broken: {owned_total} owned + "
-                f"{len(table._free)} free != {table.total_lanes} total"
-            )
-        for bu in table._lanes:
-            expected = owners.get(bu.index)
-            if bu.owner != expected:
-                self._fail(
-                    f"lane {bu.index} ground-truth owner {bu.owner} != "
-                    f"index owner {expected}"
-                )
-            if bu.owner is None and bu.index not in table._free:
-                self._fail(f"free lane {bu.index} missing from the free list")
 
     def on_renamer(self, renamer) -> None:
         """After an allocate/release: freelists stay within bounds."""
@@ -181,18 +149,11 @@ class InvariantAuditor:
 
     def _check_lanes(self) -> None:
         coproc = self.machine.coproc
-        self.on_lane_table(coproc.lane_table)
-        self.checks -= 1  # on_lane_table counted itself
         if coproc.mode is SharingMode.SPATIAL:
-            table = coproc.resource_table
-            table.check_invariant()  # allocated + free == total (<AL>)
-            for core in range(coproc.config.num_cores):
-                owned = coproc.lane_table.owned_count(core)
-                vl = table.vl(core)
-                if owned != vl:
-                    self._fail(
-                        f"core {core} owns {owned} lanes but <VL> says {vl}"
-                    )
+            try:
+                coproc.resource_table.check_invariant()  # sum(<VL>) + <AL>
+            except ProtocolError as exc:
+                self._fail(f"lane conservation: {exc}")
 
     def _check_pools(self, cycle: int) -> None:
         for pool in self.machine.coproc.pools:

@@ -17,7 +17,11 @@ Runs **only here**, top to bottom:
   one ``Cache.access`` / ``Cache.fill`` and one ``BandwidthRegulator.serve``
   call per line and level.
 * :class:`ScanPool` — Fig. 5's Instruction Pool + ROB as a plain list;
-  every question is answered by walking it.
+  every question is answered by walking it, commit included.
+* the per-uop hardware updates — :func:`try_allocate` / :func:`release`
+  (the renamer's headroom, worked out from its freelist, hold count and
+  hold cap), :func:`store_queue_full`, :func:`on_compute_dispatch` /
+  :func:`on_ldst_dispatch` (one metrics booking per uop).
 * :class:`WindowScan` — §4.2's per-uop age-order dispatch over the whole
   window and per-entry commit, behind the two-method ``commit_core`` /
   ``dispatch_core`` protocol of
@@ -42,20 +46,22 @@ Runs **only here**, top to bottom:
 * the co-processor shell: ``CoProcessor.step``'s phase order, EM-SIMD
   execution (``_execute_emsimd``, ``_apply_oi``, ``_apply_vl``, §4.2.2),
   ``_dispatch`` (budgets, rotation, sharing modes), ``_cts_arbitrate``;
-* the modelled hardware: ``Metrics`` (its per-uop ``on_*_dispatch``),
-  ``Renamer`` (``try_allocate`` / ``release``), ``LoadStoreUnit`` and its
-  MOB, the memory hierarchy's state (``Cache`` sets and stats,
-  ``BandwidthRegulator`` queues and counters, ``AccessResult``),
-  ``ResourceTable``, ``LaneTable``, the lane managers,
-  ``DynamicInstruction``, ``InstructionPool.commit_ready``'s prefix scan;
+* the modelled hardware's state and the rest of its methods: ``Metrics``
+  (stalls, phases, timelines), the ``Renamer``'s freelists,
+  ``LoadStoreUnit.issue`` / ``stq_occupancy`` and its MOB, the memory
+  hierarchy's state (``Cache`` sets and stats, ``BandwidthRegulator``
+  queues and counters, ``AccessResult``), ``ResourceTable``, the lane
+  managers, ``DynamicInstruction``;
 * the compiler, workloads and images, and the ``--audit`` checker.
 
 **Not touched**: the event wheel and sleep/settle path (``_run_fast``,
 ``_step_fast``, ``_component_wake``, ``_settle*``,
 ``Metrics.replay_core_idle_cycles``, ``skip_idle_cycles``), the ``_make_*``
-decoded handlers, ``BatchExecutor``, ``InstructionPool``'s ready index and
-completion heap, ``_attribute_zero_dispatch_stall``, the ``*_batch``
-kernels, ``VectorMemorySystem.access``'s inlined line loop, ``RunProfile``.
+decoded handlers, ``BatchExecutor``, ``InstructionPool`` (its ready index,
+completion heap and prefix-scan ``commit_ready``),
+``_attribute_zero_dispatch_stall``, ``Renamer.available`` and the
+``*_batch`` kernels, ``VectorMemorySystem.access``'s inlined line loop,
+``RunProfile``.
 """
 
 from __future__ import annotations
@@ -68,15 +74,12 @@ import numpy as np
 # monkeypatch of ``repro.core.machine.DEADLOCK_WINDOW`` moves both engines.
 import repro.core.machine as machine_mod
 from repro.common.config import MachineConfig
-from repro.common.errors import DeadlockError, SimulationError
+from repro.common.errors import DeadlockError, ProtocolError, SimulationError
 from repro.coproc.coprocessor import COMMIT_WIDTH, LONG_LATENCY, CoProcessor
-from repro.coproc.dynamic import (
-    DynamicInstruction,
-    EntryKind,
-    EntryState,
-    InstructionPool,
-)
-from repro.coproc.metrics import StallReason
+from repro.coproc.dynamic import DynamicInstruction, EntryKind, EntryState
+from repro.coproc.lsu import LoadStoreUnit
+from repro.coproc.metrics import Metrics, StallReason
+from repro.coproc.renamer import Renamer
 from repro.core.machine import Job, Machine, RunResult
 from repro.core.policies import Policy
 from repro.core.scalar_core import (
@@ -159,12 +162,24 @@ class ReferenceMemorySystem(VectorMemorySystem):
 # --- the instruction pool (Fig. 5) -------------------------------------------
 
 
-class ScanPool(InstructionPool):
-    """The per-core window as one plain list: every question is answered
-    by walking it.  The inherited ready index and completion heap stay
-    empty (``ready_dispatchable`` / ``oldest_waiting_seq`` mean nothing
-    here; the inherited ``commit_ready`` prefix scan finds nothing of the
-    index to drop); the window scan asks :meth:`dispatchable` instead."""
+class ScanPool:
+    """The per-core window as one plain list in program order: every
+    question is answered by walking it."""
+
+    def __init__(self, core_id: int, capacity: int) -> None:
+        self.core_id = core_id
+        self.capacity = capacity
+        self._entries: List[DynamicInstruction] = []
+        self.transmitted = 0
+        self.committed = 0
+
+    @property
+    def full(self) -> bool:
+        return len(self._entries) >= self.capacity
+
+    @property
+    def empty(self) -> bool:
+        return not self._entries
 
     def push(self, entry: DynamicInstruction) -> None:
         """Enqueue a freshly transmitted instruction (program order)."""
@@ -172,6 +187,10 @@ class ScanPool(InstructionPool):
             raise SimulationError(f"core {self.core_id}: pool overflow")
         self._entries.append(entry)
         self.transmitted += 1
+
+    def head(self) -> Optional[DynamicInstruction]:
+        """The oldest in-flight instruction."""
+        return self._entries[0] if self._entries else None
 
     def dispatchable(self) -> List[DynamicInstruction]:
         """Entries eligible for dispatch this cycle, oldest first.
@@ -181,11 +200,22 @@ class ScanPool(InstructionPool):
         """
         eligible: List[DynamicInstruction] = []
         for entry in self._entries:
-            if entry.is_emsimd:
+            if entry.kind is EntryKind.EMSIMD:
                 break
             if entry.state is EntryState.WAITING:
                 eligible.append(entry)
         return eligible
+
+    def commit_ready(self, cycle: float, width: int) -> List[DynamicInstruction]:
+        """Retire completed entries from the head, in order, one at a
+        time, at most ``width`` of them."""
+        committed: List[DynamicInstruction] = []
+        while self._entries and len(committed) < width:
+            if not self._entries[0].completed(cycle):
+                break
+            committed.append(self._entries.pop(0))
+        self.committed += len(committed)
+        return committed
 
     def next_completion(self, cycle: float) -> Optional[float]:
         """Earliest future completion among already-issued entries."""
@@ -204,7 +234,63 @@ class ScanPool(InstructionPool):
 
     def pending_emsimd(self) -> int:
         """Number of EM-SIMD instructions still in flight (for MRS sync)."""
-        return sum(1 for entry in self._entries if entry.is_emsimd)
+        return sum(1 for entry in self._entries if entry.kind is EntryKind.EMSIMD)
+
+
+# --- per-uop hardware updates (§4.2) -----------------------------------------
+
+
+def try_allocate(renamer: Renamer, core: int) -> bool:
+    """Claim one physical register for a new in-flight write of ``core``.
+
+    Returns False (a renaming stall) when the freelist serving ``core`` is
+    empty or ``core`` already holds its fairness cap (temporal sharing).
+    """
+    slot = renamer._slot(core)
+    if renamer._free[slot] <= 0 or renamer._held[core] >= renamer._hold_cap:
+        return False
+    renamer._free[slot] -= 1
+    renamer._held[core] += 1
+    if renamer.auditor is not None:
+        renamer.auditor.on_renamer(renamer)
+    return True
+
+
+def release(renamer: Renamer, core: int) -> None:
+    """Return one physical register at commit of its in-flight write."""
+    slot = renamer._slot(core)
+    if renamer._held[core] <= 0 or renamer._free[slot] >= renamer._capacity[slot]:
+        raise ProtocolError("renamer freelist overflow (double release)")
+    renamer._free[slot] += 1
+    renamer._held[core] -= 1
+    if renamer.auditor is not None:
+        renamer.auditor.on_renamer(renamer)
+
+
+def store_queue_full(lsu: LoadStoreUnit, cycle: float) -> bool:
+    """True when a new store would have no STQ entry this cycle."""
+    return lsu.stq_occupancy(cycle) >= lsu.store_queue_entries
+
+
+def on_compute_dispatch(
+    metrics: Metrics, core: int, vl_lanes: int, flops: int, cycle: int
+) -> None:
+    """Book one compute uop of ``vl_lanes`` lanes dispatched at ``cycle``."""
+    metrics.compute_uops[core] += 1
+    metrics.flops[core] += flops
+    metrics.busy_pipe_slots += vl_lanes
+    metrics.busy_lanes_series[core].add(cycle, vl_lanes / metrics.pipes_per_lane)
+    phase = metrics._open_phase[core]
+    if phase is not None:
+        phase.compute_uops += 1
+
+
+def on_ldst_dispatch(metrics: Metrics, core: int) -> None:
+    """Book one ld/st uop dispatched by ``core``."""
+    metrics.ldst_uops[core] += 1
+    phase = metrics._open_phase[core]
+    if phase is not None:
+        phase.ldst_uops += 1
 
 
 # --- the co-processor (§4.2) -------------------------------------------------
@@ -224,7 +310,7 @@ class WindowScan:
         committed = 0
         for entry in coproc.pools[core].commit_ready(cycle, COMMIT_WIDTH):
             if entry.holds_phys_reg:
-                coproc.renamer.release(core)
+                release(coproc.renamer, core)
             committed += 1
         return committed
 
@@ -253,7 +339,7 @@ class WindowScan:
                 if budget["compute"] <= 0:
                     blocked = blocked or StallReason.ISSUE_BUDGET
                     continue
-                if entry.writes_vreg and not coproc.renamer.try_allocate(core):
+                if entry.writes_vreg and not try_allocate(coproc.renamer, core):
                     # Renaming happens in program order: a rename stall
                     # blocks every younger instruction too.
                     blocked = StallReason.RENAME
@@ -267,7 +353,7 @@ class WindowScan:
                 entry.state = EntryState.ISSUED
                 entry.complete_cycle = cycle + latency
                 budget["compute"] -= 1
-                metrics.on_compute_dispatch(core, entry.vl_lanes, entry.flops, cycle)
+                on_compute_dispatch(metrics, core, entry.vl_lanes, entry.flops, cycle)
                 dispatched += 1
             elif entry.kind in (EntryKind.LOAD, EntryKind.STORE):
                 if budget["ldst"] <= 0:
@@ -275,10 +361,10 @@ class WindowScan:
                     continue
                 is_store = entry.kind is EntryKind.STORE
                 lsu = coproc.lsus[core]
-                if is_store and lsu.store_queue_full(cycle):
+                if is_store and store_queue_full(lsu, cycle):
                     blocked = blocked or StallReason.STORE_QUEUE
                     continue
-                if not is_store and not coproc.renamer.try_allocate(core):
+                if not is_store and not try_allocate(coproc.renamer, core):
                     blocked = StallReason.RENAME
                     break
                 entry.holds_phys_reg = not is_store
@@ -286,13 +372,13 @@ class WindowScan:
                 entry.state = EntryState.ISSUED
                 entry.complete_cycle = result.complete_cycle
                 budget["ldst"] -= 1
-                metrics.on_ldst_dispatch(core, entry.vl_lanes, entry.nbytes, cycle)
+                on_ldst_dispatch(metrics, core)
                 dispatched += 1
             else:  # EM-SIMD entries never appear (dispatchable() stops there)
                 raise SimulationError("EM-SIMD instruction in dispatch scan")
         if dispatched == 0:
             head = pool.head()
-            if head is not None and head.is_emsimd:
+            if head is not None and head.kind is EntryKind.EMSIMD:
                 metrics.on_stall(core, StallReason.RECONFIG, cycle)
             elif blocked is not None:
                 metrics.on_stall(core, blocked, cycle)

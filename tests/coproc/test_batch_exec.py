@@ -15,29 +15,20 @@ import pytest
 from repro.common.config import experiment_config
 from repro.coproc.coprocessor import CoProcessor, SharingMode
 from repro.coproc.dynamic import DynamicInstruction, EntryKind, EntryState, InstructionPool
-from repro.coproc.lanes import LaneTable
 from repro.coproc.metrics import Metrics
 from repro.core.lane_manager import StaticLaneManager, TemporalLaneManager
-from repro.validation.reference_engine import ReferenceCoProcessor, WindowScan
+from repro.validation.reference_engine import (
+    ReferenceCoProcessor,
+    WindowScan,
+    on_compute_dispatch,
+    on_ldst_dispatch,
+)
 from tests.conftest import scan_view
 
 
-class TestLaneBatchKernel:
-    def test_active_mask_matches_ownership(self):
-        rng = random.Random(7)
-        table = LaneTable(16)
-        for _ in range(30):
-            core = rng.randint(0, 2)
-            table.reconfigure(core, rng.randint(0, table.free_count + table.owned_count(core)))
-            for probe in range(3):
-                mask = table.active_mask(probe)
-                assert mask == [
-                    table.owner_of(lane) == probe for lane in range(16)
-                ]
-
-
 class TestMetricsBatchKernel:
-    """Aggregated dispatch accounting == per-uop calls, bit for bit."""
+    """Aggregated dispatch accounting == the oracle's per-uop bookings,
+    bit for bit."""
 
     @pytest.mark.parametrize("pipes", [1, 2, 4])
     def test_compute_batch_exact(self, pipes):
@@ -50,7 +41,7 @@ class TestMetricsBatchKernel:
                 vls = [rng.randint(0, 32) for _ in range(rng.randint(0, 6))]
                 flops = [rng.randint(0, 64) for _ in vls]
                 for vl, fl in zip(vls, flops):
-                    scalar.on_compute_dispatch(core, vl, fl, cycle)
+                    on_compute_dispatch(scalar, core, vl, fl, cycle)
                 batched.on_compute_dispatch_batch(core, vls, sum(flops), cycle)
             assert scalar.compute_uops == batched.compute_uops
             assert scalar.flops == batched.flops
@@ -68,7 +59,7 @@ class TestMetricsBatchKernel:
         batched = Metrics(1, 32, 3)
         vls = [1, 7, 13, 32, 5]
         for vl in vls:
-            scalar.on_compute_dispatch(0, vl, 2, 10)
+            on_compute_dispatch(scalar, 0, vl, 2, 10)
         batched.on_compute_dispatch_batch(0, vls, 10, 10)
         assert scalar.busy_lanes_series[0]._sums == batched.busy_lanes_series[0]._sums
         assert scalar.busy_pipe_slots == batched.busy_pipe_slots
@@ -77,7 +68,7 @@ class TestMetricsBatchKernel:
         scalar = Metrics(2, 32, 2)
         batched = Metrics(2, 32, 2)
         for _ in range(5):
-            scalar.on_ldst_dispatch(1, 16, 256, 3)
+            on_ldst_dispatch(scalar, 1)
         batched.on_ldst_dispatch_batch(1, 5)
         assert scalar.ldst_uops == batched.ldst_uops
 
@@ -154,7 +145,7 @@ def _observable_state(coproc):
             (
                 [
                     (e.seq, e.state.name, e.complete_cycle, e.holds_phys_reg)
-                    for e in pool.entries()
+                    for e in pool._entries
                 ],
                 pool.transmitted,
                 pool.committed,
@@ -171,8 +162,6 @@ def _observable_state(coproc):
             list(metrics.flops),
             [dict(s) for s in metrics.stalls],
             [(s._sums, s._counts) for s in metrics.busy_lanes_series],
-            coproc.renamer.allocations,
-            coproc.renamer.failed_allocations,
         )
     )
     return state

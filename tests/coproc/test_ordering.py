@@ -31,9 +31,8 @@ class TestEngineBasics:
     def test_apply_vl_through_resource_table(self, config):
         coproc = fresh_coproc(config)
         assert coproc.resource_table.apply_vl(0, 8)
-        coproc.lane_table.reconfigure(0, 8)
         assert coproc.configured_vl(0) == 8
-        assert coproc.lane_table.owned_count(0) == 8
+        assert coproc.resource_table.free_lanes == config.vector.total_lanes - 8
 
     def test_drained_initially(self, config):
         coproc = fresh_coproc(config)

@@ -81,7 +81,7 @@ class Driver:
         kind = self.rng.choice(KINDS)
         deps = ()
         if kind is not EntryKind.EMSIMD:
-            producers = [e for e in self.pool.entries() if not e.is_emsimd]
+            producers = [e for e in self.pool.entries() if e.kind is not EntryKind.EMSIMD]
             if producers:
                 deps = tuple(
                     self.rng.sample(
@@ -118,7 +118,7 @@ class Driver:
     def op_execute_emsimd(self) -> None:
         """EM-SIMD runs in order from a drained head (§4.2.2)."""
         head = self.pool.head()
-        if head is None or not head.is_emsimd:
+        if head is None or head.kind is not EntryKind.EMSIMD:
             return
         if any(e.state is EntryState.ISSUED for e in self.pool.entries()):
             return

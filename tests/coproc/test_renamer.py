@@ -5,6 +5,7 @@ import pytest
 from repro.common.config import VectorConfig
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.coproc.renamer import SHARED_MIN_RESERVE, Renamer
+from repro.validation.reference_engine import release, try_allocate
 
 
 def vector(vregs=128, arch=32):
@@ -19,22 +20,27 @@ class TestSpatial:
 
     def test_allocation_isolated_per_core(self):
         renamer = Renamer(vector(), num_cores=2, shared=False)
-        for _ in range(96):
-            assert renamer.try_allocate(0)
-        assert not renamer.try_allocate(0)
-        assert renamer.try_allocate(1)
+        renamer.allocate_batch(0, 96)
+        assert renamer.available(0) == 0
+        with pytest.raises(ProtocolError):
+            renamer.allocate_batch(0, 1)
+        assert renamer.available(1) == 96
+        renamer.allocate_batch(1, 1)
 
     def test_release_returns_register(self):
         renamer = Renamer(vector(), num_cores=2, shared=False)
-        renamer.try_allocate(0)
-        renamer.release(0)
+        renamer.allocate_batch(0, 1)
+        renamer.release_batch(0, 1)
         assert renamer.available(0) == 96
         assert renamer.in_flight(0) == 0
 
     def test_double_release_rejected(self):
         renamer = Renamer(vector(), num_cores=2, shared=False)
         with pytest.raises(ProtocolError):
-            renamer.release(0)
+            renamer.release_batch(0, 1)
+        renamer.allocate_batch(0, 2)
+        with pytest.raises(ProtocolError):
+            renamer.release_batch(0, 3)
 
 
 class TestTemporal:
@@ -49,17 +55,15 @@ class TestTemporal:
 
     def test_contention_visible_across_cores(self):
         renamer = Renamer(vector(), num_cores=2, shared=True)
-        while renamer.try_allocate(0):
-            pass
+        renamer.allocate_batch(0, renamer.available(0))
         # Core 0 hit its fairness cap; core 1 still has its reserve.
+        assert renamer.available(0) == 0
         assert renamer.available(1) >= SHARED_MIN_RESERVE
-        assert renamer.failed_allocations >= 1
 
     def test_fairness_cap(self):
         renamer = Renamer(vector(), num_cores=2, shared=True)
-        grabbed = 0
-        while renamer.try_allocate(0):
-            grabbed += 1
+        grabbed = renamer.available(0)
+        renamer.allocate_batch(0, grabbed)
         assert grabbed == renamer.capacity(0) - SHARED_MIN_RESERVE
 
     def test_insufficient_registers_rejected(self):
@@ -70,7 +74,39 @@ class TestTemporal:
 class TestCounters:
     def test_allocation_counters(self):
         renamer = Renamer(vector(), num_cores=2, shared=False)
-        renamer.try_allocate(0)
-        renamer.try_allocate(1)
-        assert renamer.allocations == 2
+        renamer.allocate_batch(0, 1)
+        renamer.allocate_batch(1, 2)
         assert renamer.in_flight(0) == 1
+        assert renamer.in_flight(1) == 2
+
+
+class TestOraclePerUop:
+    """The oracle's own headroom check: one register at a time, worked out
+    from the freelist, the hold count and the hold cap."""
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_claims_exactly_the_headroom(self, shared):
+        renamer = Renamer(vector(), num_cores=2, shared=shared)
+        expected = renamer.available(0)
+        grabbed = 0
+        while try_allocate(renamer, 0):
+            grabbed += 1
+        assert grabbed == expected
+        assert renamer.in_flight(0) == grabbed
+
+    def test_fairness_cap_leaves_the_reserve(self):
+        renamer = Renamer(vector(), num_cores=2, shared=True)
+        while try_allocate(renamer, 0):
+            pass
+        assert renamer.in_flight(0) == renamer.capacity(0) - SHARED_MIN_RESERVE
+        for _ in range(SHARED_MIN_RESERVE):
+            assert try_allocate(renamer, 1)
+        assert not try_allocate(renamer, 1)  # the shared freelist is empty
+
+    def test_release_and_double_release(self):
+        renamer = Renamer(vector(), num_cores=2, shared=False)
+        assert try_allocate(renamer, 0)
+        release(renamer, 0)
+        assert renamer.available(0) == 96 and renamer.in_flight(0) == 0
+        with pytest.raises(ProtocolError):
+            release(renamer, 0)

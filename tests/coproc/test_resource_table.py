@@ -1,6 +1,7 @@
 """ResourceTbl semantics (§4.2.1/§4.2.2)."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.common.errors import ProtocolError
 from repro.coproc.resource_table import ResourceTable
@@ -51,6 +52,17 @@ class TestApplyVL:
     def test_invariant_holds(self, table):
         table.apply_vl(0, 8)
         table.apply_vl(1, 20)
+        table.check_invariant()
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 32)), max_size=40))
+    def test_accounting_invariant(self, moves):
+        table = ResourceTable(num_cores=4, total_lanes=32)
+        for core, lanes in moves:
+            before, free = table.vl(core), table.free_lanes
+            granted = table.apply_vl(core, lanes)
+            assert granted == (lanes <= before + free)
+            assert table.vl(core) == (lanes if granted else before)
+        assert sum(table.vl(c) for c in range(4)) + table.free_lanes == 32
         table.check_invariant()
 
     def test_force_vl_bypasses_accounting(self, table):

@@ -59,15 +59,14 @@ class TestMetrics:
         m = self.metrics()
         # 2 uops/cycle at 16 lanes for 100 cycles on one core.
         for cycle in range(100):
-            m.on_compute_dispatch(0, 16, flops=16, cycle=cycle)
-            m.on_compute_dispatch(0, 16, flops=16, cycle=cycle)
+            m.on_compute_dispatch_batch(0, [16, 16], total_flops=32, cycle=cycle)
         m.close(100)
         assert m.simd_utilization() == pytest.approx(0.5)
 
     def test_utilization_capped_at_one(self):
         m = self.metrics()
         for _ in range(10):
-            m.on_compute_dispatch(0, 32, 0, 0)
+            m.on_compute_dispatch_batch(0, [32], 0, 0)
         m.close(1)
         assert m.simd_utilization() <= 1.0
 
@@ -75,7 +74,7 @@ class TestMetrics:
         m = self.metrics()
         oi = OIValue.uniform(0.25)
         m.on_phase_marker(0, oi, cycle=10, vl=8)
-        m.on_compute_dispatch(0, 8, 8, 20)
+        m.on_compute_dispatch_batch(0, [8], 8, 20)
         m.on_phase_marker(0, OIValue.ZERO, cycle=110, vl=8)
         phase = m.phases_of(0)[0]
         assert phase.duration == 100

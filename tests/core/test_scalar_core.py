@@ -218,7 +218,7 @@ class TestEmSimdInteraction:
         core, coproc, _ = machine_for(SETVL + "halt")
         run(core, coproc)
         assert coproc.configured_vl(0) == 8
-        assert coproc.lane_table.owned_count(0) == 8
+        assert coproc.resource_table.free_lanes == 32 - 8
 
     def test_out_of_range_request_trips_protocol_check(self):
         # Requesting more lanes than physically exist is a protocol error

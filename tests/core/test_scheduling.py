@@ -54,7 +54,7 @@ class TestScheduling:
         scheduler = TimeSliceScheduler(config, OCCAMY, jobs_for(kernels), quantum=500)
         scheduler.run()
         scheduler.coproc.resource_table.check_invariant()
-        assert scheduler.coproc.lane_table.free_count == 32
+        assert scheduler.coproc.resource_table.free_lanes == 32
 
     def test_exact_core_count_needs_no_switches(self, config):
         kernels = [make_axpy(300), make_axpy(300)]

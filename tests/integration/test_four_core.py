@@ -32,7 +32,7 @@ class TestFourCore:
         machine = Machine(config4, OCCAMY, jobs_for_group(GROUP, scale=SCALE))
         machine.run()
         machine.coproc.resource_table.check_invariant()
-        assert machine.coproc.lane_table.free_count == 64
+        assert machine.coproc.resource_table.free_lanes == 64
 
     def test_plans_never_oversubscribe(self, config4):
         machine = Machine(config4, OCCAMY, jobs_for_group(GROUP, scale=SCALE))

@@ -100,4 +100,4 @@ class TestForcedReconfiguration:
         kernel = make_axpy(length=500)
         _image, machine = run_with_forced_decisions(kernel, (4, 20, 8))
         machine.coproc.resource_table.check_invariant()
-        assert machine.coproc.lane_table.free_count == 32
+        assert machine.coproc.resource_table.free_lanes == 32

@@ -85,7 +85,7 @@ class TestFuzzedPairs:
     def test_lane_accounting_consistent(self, seed):
         _kernels, _jobs, _result, machine = self._run(seed, OCCAMY)
         machine.coproc.resource_table.check_invariant()
-        assert machine.coproc.lane_table.free_count == 32
+        assert machine.coproc.resource_table.free_lanes == 32
 
     def test_memory_core_not_devastated(self, seed):
         _k, _j, private, _m = self._run(seed, PRIVATE)
