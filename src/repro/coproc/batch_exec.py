@@ -14,8 +14,10 @@ observes), and the renamer and metric updates are settled once per
 core-cycle — one ``allocate_batch``, one ``on_compute_dispatch_batch`` per
 latency group (short, then long), one ``on_ldst_dispatch_batch``.  Memory
 ops issue in age order inside the walk (the MOB and bandwidth state are
-order-sensitive).  A core-cycle dispatches at most the compute plus ld/st
-issue widths, so the walk is short by construction.
+order-sensitive), through this module's :func:`_issue_memory` — the
+oracle issues through its own ``issue``.  An empty ready list books its
+stall without a walk.  A core-cycle dispatches at most the compute plus
+ld/st issue widths, so the walk is short by construction.
 
 **Zero-byte accesses.**  Every compute takes ``compute_latency >= 1``
 cycles (enforced where configs are built), so the only same-cycle
@@ -42,6 +44,37 @@ _COMPUTE = EntryKind.COMPUTE
 _LOAD = EntryKind.LOAD
 _STORE = EntryKind.STORE
 _ISSUED = EntryState.ISSUED
+
+
+def _issue_memory(lsu, addr: int, nbytes: int, cycle: int, is_store: bool) -> float:
+    """Issue one ld/st uop through ``lsu`` at ``cycle``; returns its
+    completion cycle.
+
+    The access starts once the MOB clears older overlapping accesses; a
+    store's completion joins the STQ in FIFO order (it retires no earlier
+    than the store ahead of it).  The oracle's per-uop counterpart is
+    ``issue`` in :mod:`repro.validation.reference_engine`.
+    """
+    mob = lsu.mob
+    start = mob.earliest_start(addr, nbytes, cycle, is_store)
+    result = lsu.memory.access(addr, nbytes, start, is_store)
+    complete = result.complete_cycle
+    mob.track(addr, nbytes, complete, is_store)
+    stats = lsu.stats
+    if is_store:
+        stats.stores += 1
+        stats.bytes_stored += nbytes
+        queue = lsu._store_queue
+        queue.append(queue[-1] if queue and complete < queue[-1] else complete)
+    else:
+        stats.loads += 1
+        stats.bytes_loaded += nbytes
+    stats.vec_cache_hits += result.vec_cache_hits
+    stats.l2_hits += result.l2_hits
+    stats.dram_accesses += result.dram_accesses
+    if lsu.auditor is not None:
+        lsu.auditor.on_lsu_issue(lsu, cycle, result)
+    return complete
 
 
 class BatchExecutor:
@@ -79,7 +112,18 @@ class BatchExecutor:
         self.batched_calls += 1
         scan = pool.ready_dispatchable(cycle)
         if not scan:
-            coproc._attribute_zero_dispatch_stall(core, pool, scan, budget, None, cycle)
+            # Nothing ready: the reason is the head's EM-SIMD barrier, else
+            # what blocks the oldest waiting entry (budget, then operands).
+            if pool._entries[0].kind is EntryKind.EMSIMD:
+                coproc.metrics.on_stall(core, StallReason.RECONFIG, cycle)
+            elif pool.oldest_waiting_seq() is not None:
+                coproc.metrics.on_stall(
+                    core,
+                    StallReason.ISSUE_BUDGET
+                    if budget["compute"] <= 0 and budget["ldst"] <= 0
+                    else StallReason.DEPENDENCY,
+                    cycle,
+                )
             return 0
         compute_left = budget["compute"]
         ldst_left = budget["ldst"]
@@ -149,9 +193,9 @@ class BatchExecutor:
                 memory += 1
                 entry.holds_phys_reg = not is_store
                 nbytes = entry.nbytes
-                entry.complete_cycle = lsu.issue(
-                    entry.addr, nbytes, cycle, is_store
-                ).complete_cycle
+                entry.complete_cycle = _issue_memory(
+                    lsu, entry.addr, nbytes, cycle, is_store
+                )
                 entry.state = _ISSUED
                 on_issue(entry, cycle)
                 if nbytes <= 0:

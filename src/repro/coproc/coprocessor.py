@@ -75,9 +75,8 @@ class CoProcessor:
         #: incrementally maintained ready set.
         self._batch = BatchExecutor()
         self.core_active = [True] * num_cores
-        #: Masks of a bare :meth:`step` call: every core, nobody asleep.
+        #: The cores a bare :meth:`step` walks.
         self._every_core = list(range(num_cores))
-        self._all_awake = [True] * num_cores
         self._seq = 0
         self._rotate = 0
         #: Tickless-scheduler callback: invoked with the current cycle when a
@@ -169,75 +168,44 @@ class CoProcessor:
 
     # --- per-cycle engine ---------------------------------------------------
 
-    def step(
-        self,
-        cycle: int,
-        awake: Optional[List[bool]] = None,
-        core_events: Optional[List[int]] = None,
-        active: Optional[List[int]] = None,
-    ) -> int:
-        """Advance one cycle; returns the number of events processed.
+    def step(self, cycle: int) -> int:
+        """Advance every core one cycle; returns the number of events.
 
-        The tickless run loop passes all three masks; a bare call steps
-        every core.  ``awake`` masks out sleeping core complexes: their
-        commit/EM-SIMD/dispatch phases are skipped entirely — their
-        per-cycle metric events are settled in bulk when they wake.
-        ``core_events`` accumulates per-core event counts so the scheduler
-        can make per-component sleep decisions.  ``active`` is the
-        machine's sorted awake-live core list: the per-core phases walk it
-        instead of every core slot, so a cycle costs O(components with
-        work).  Cores absent from it are either asleep (the ``awake`` mask
-        skips them anyway) or done/absent (provably no-ops in every phase:
-        empty pool, inactive core flag).  Store queues are drained where
-        they are read (``LoadStoreUnit.stq_occupancy``), not every cycle.
+        The phase order of one co-processor cycle — commit, EM-SIMD,
+        dispatch — as ``Machine.step``, the time-slice scheduler and the
+        oracle run it.  The tickless run loop runs the same phases itself,
+        over its awake cores only (``Machine._step_fast``).
         """
-        if active is None:
-            awake = self._all_awake
-            core_events = [0] * self.config.num_cores
-            active = self._every_core
+        cores = self._every_core
         events = 0
-        for core in active:
-            if not awake[core]:
-                continue
-            committed = self._batch.commit_core(self, core, cycle)
-            core_events[core] += committed
-            events += committed
-        events += self._execute_emsimd(cycle, awake, core_events, active)
-        events += self._dispatch(cycle, awake, core_events, active)
+        for core in cores:
+            events += self._batch.commit_core(self, core, cycle)
+        for core in cores:
+            head = self.pools[core].head()
+            if (
+                head is not None
+                and head.kind is EntryKind.EMSIMD
+                and head.state is EntryState.WAITING
+            ):
+                self._execute_emsimd(core, head, cycle)
+                events += 1
+        events += self._dispatch(cycle, cores, [0] * len(cores))
         return events
 
-    def _execute_emsimd(
-        self,
-        cycle: int,
-        awake: List[bool],
-        core_events: List[int],
-        active: List[int],
-    ) -> int:
-        """Process at most one head-of-pool EM-SIMD instruction per core."""
-        events = 0
-        for core in active:
-            if not awake[core]:
-                continue
-            pool = self.pools[core]
-            if not pool._entries:
-                continue
-            head = pool._entries[0]
-            if head.kind is not EntryKind.EMSIMD or head.state is not EntryState.WAITING:
-                continue
-            # The head being EM-SIMD means every older instruction committed:
-            # the core's SIMD pipeline is drained (in-order commit).
-            if head.sysreg is SystemRegister.OI:
-                self._apply_oi(core, head, cycle)
-            elif head.sysreg is SystemRegister.VL:
-                self._apply_vl(core, head, cycle)
-            else:
-                raise SimulationError(f"MSR to read-only register {head.sysreg}")
-            head.state = EntryState.DONE
-            head.complete_cycle = cycle + 1
-            pool.on_issue(head, cycle)
-            core_events[core] += 1
-            events += 1
-        return events
+    def _execute_emsimd(self, core: int, head: DynamicInstruction, cycle: int) -> None:
+        """Execute ``core``'s WAITING EM-SIMD pool head (at most one per
+        core per cycle)."""
+        # The head being EM-SIMD means every older instruction committed:
+        # the core's SIMD pipeline is drained (in-order commit).
+        if head.sysreg is SystemRegister.OI:
+            self._apply_oi(core, head, cycle)
+        elif head.sysreg is SystemRegister.VL:
+            self._apply_vl(core, head, cycle)
+        else:
+            raise SimulationError(f"MSR to read-only register {head.sysreg}")
+        head.state = EntryState.DONE
+        head.complete_cycle = cycle + 1
+        self.pools[core].on_issue(head, cycle)
 
     def _apply_oi(self, core: int, entry: DynamicInstruction, cycle: int) -> None:
         oi = entry.value
@@ -267,7 +235,7 @@ class CoProcessor:
 
         Returns the rotation ``rotate, rotate+1, ...`` (mod ``num_cores``)
         filtered to the sorted ``active`` cores (the dropped cores are
-        dispatch no-ops: asleep cores are masked out by the caller and
+        dispatch no-ops: asleep cores are skipped by the caller and
         done/absent cores have empty pools and an inactive core flag).
         A list of one core is its own rotation and is returned as is.
         """
@@ -306,13 +274,10 @@ class CoProcessor:
             return None  # draining/restoring contexts
         return self._cts_owner
 
-    def _dispatch(
-        self,
-        cycle: int,
-        awake: List[bool],
-        core_events: List[int],
-        active: List[int],
-    ) -> int:
+    def _dispatch(self, cycle: int, active: List[int], core_events: List[int]) -> int:
+        """Dispatch phase over the sorted ``active`` cores, adding each
+        core's issued uops to ``core_events``.  Cores absent from it are
+        asleep or done (an empty pool and an inactive core flag: no-ops)."""
         vector = self.config.vector
         dispatch_core = self._batch.dispatch_core
         dispatched = 0
@@ -325,14 +290,11 @@ class CoProcessor:
             ):
                 # An ownership switch changes sleepers' per-cycle stall
                 # attribution from this very cycle on: settle and wake them
-                # (in place, through the shared ``awake`` list) before
-                # dispatching.
+                # before dispatching.
                 self.wake_all_hook(cycle)
-            # The mid-cycle wake mutates ``active`` in place (via the
-            # machine's settle path), so iterate it only afterwards.
+            # The mid-cycle wake inserts the woken cores into ``active`` (via
+            # the machine's settle path), so iterate it only afterwards.
             for core in active:
-                if not awake[core]:
-                    continue
                 if core == owner:
                     budget = {
                         "compute": vector.compute_issue_width,
@@ -354,8 +316,6 @@ class CoProcessor:
         else:
             shared_budget = None
         for core in self._core_order(active):
-            if not awake[core]:
-                continue
             # Spatial modes get a fresh per-core budget, built lazily so a
             # mostly-idle wide machine does not allocate ``num_cores`` dicts
             # every cycle; temporal sharing keeps the one shared budget.
@@ -381,7 +341,8 @@ class CoProcessor:
         blocked: Optional[StallReason],
         cycle: int,
     ) -> None:
-        """Zero-dispatch stall attribution from the ready index.
+        """Stall attribution after a walk over a non-empty ready list
+        issued nothing (``dispatch_core`` books an empty list inline).
 
         Reconstructs the reason a per-uop age-order scan of the whole
         window reports (its first blocked reason; the oracle's
@@ -395,21 +356,15 @@ class CoProcessor:
         RENAME failure overrides unconditionally in both scans at the same
         (first ready renaming) entry.  At zero dispatches the one-pass walk
         has neither mutated budgets nor re-queried after a zero-byte
-        access, so ``scan`` is the whole window's ready list.  The pool is
-        not empty (its empty case never reaches here).
+        access, so ``scan`` is the whole window's ready list.  A ready entry
+        means the head is no EM-SIMD barrier (the list stops at it).
         """
-        oldest = pool.oldest_waiting_seq()
-        if oldest is None:
-            blocked = None
-        elif blocked is StallReason.RENAME:
-            pass
-        elif budget["compute"] <= 0 and budget["ldst"] <= 0:
-            blocked = StallReason.ISSUE_BUDGET
-        elif not scan or scan[0].seq != oldest:
-            blocked = StallReason.DEPENDENCY
-        if pool._entries[0].kind is EntryKind.EMSIMD:
-            self.metrics.on_stall(core, StallReason.RECONFIG, cycle)
-        elif blocked is not None:
+        if blocked is not StallReason.RENAME:
+            if budget["compute"] <= 0 and budget["ldst"] <= 0:
+                blocked = StallReason.ISSUE_BUDGET
+            elif scan[0].seq != pool.oldest_waiting_seq():
+                blocked = StallReason.DEPENDENCY
+        if blocked is not None:
             self.metrics.on_stall(core, blocked, cycle)
 
 

@@ -15,12 +15,13 @@ once ready, and commit in order from the head.
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, insort
+from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import ceil
-from typing import Deque, Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Deque, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 from repro.isa.instructions import Instruction
@@ -66,6 +67,14 @@ class DynamicInstruction:
     state: EntryState = EntryState.WAITING
     complete_cycle: float = 0.0
     holds_phys_reg: bool = False
+    # Readiness, kept by the fast engine's InstructionPool: producers not
+    # yet issued, the cycle the issued ones' results are all in, and the
+    # younger entries waiting on this one to issue.
+    pending: int = field(default=0, compare=False, repr=False)
+    wake: int = field(default=0, compare=False, repr=False)
+    waiters: Optional[List["DynamicInstruction"]] = field(
+        default=None, compare=False, repr=False
+    )
 
     def ready(self, cycle: float) -> bool:
         """All source producers have completed by ``cycle``."""
@@ -78,6 +87,9 @@ class DynamicInstruction:
         return self.state is not EntryState.WAITING and self.complete_cycle <= cycle
 
 
+_SEQ = attrgetter("seq")
+
+
 class InstructionPool:
     """Per-core in-flight window with in-order commit.
 
@@ -85,11 +97,12 @@ class InstructionPool:
     heap of entries whose producers have all issued, promoted into an
     age-ordered ready list as their operands' completion cycles pass.
     Dispatch consumes :meth:`ready_dispatchable` instead of re-scanning the
-    full window every cycle.  It also keeps a min-heap of issued entries'
-    completion cycles, so :meth:`next_completion` costs O(log n) instead of
-    a window scan.  Both are fed only by :meth:`push`, :meth:`on_issue` and
-    :meth:`commit_ready`: an entry's state must not change behind them.
-    (The window-scan pool these are property-tested against is
+    full window every cycle.  Each entry carries its own readiness
+    (``pending``, ``wake``, ``waiters``), so the index holds entries, never
+    per-sequence-number tables, and nothing outlives the window.  It is fed
+    only by :meth:`push`, :meth:`on_issue` and :meth:`commit_ready`: an
+    entry's state must not change behind them.  (The window-scan pool it
+    is property-tested against is
     ``repro.validation.reference_engine.ScanPool``.)
     """
 
@@ -101,22 +114,14 @@ class InstructionPool:
         self._entries: List[DynamicInstruction] = []
         self.transmitted = 0
         self.committed = 0
-        self._by_seq: Dict[int, DynamicInstruction] = {}
-        self._dep_waiters: Dict[int, List[DynamicInstruction]] = {}
-        self._pending_deps: Dict[int, int] = {}
-        self._wake_at: Dict[int, int] = {}
-        self._wake_heap: List[Tuple[int, int]] = []
-        self._ready_seqs: List[int] = []
-        self._waiting_seqs: List[int] = []
+        #: ``(wake, seq, entry)`` of entries whose producers have all issued.
+        self._wake_heap: List[Tuple[int, int, DynamicInstruction]] = []
+        #: Entries whose wake has passed, oldest first.
+        self._ready: List[DynamicInstruction] = []
+        #: Every indexed entry in program order, trimmed from the front
+        #: (:meth:`oldest_waiting_seq`, :meth:`commit_ready`).
+        self._waiting: Deque[DynamicInstruction] = deque()
         self._emsimd_seqs: Deque[int] = deque()
-        #: Completion cycles of issued entries (min-heap).  Stale only on
-        #: one side: an entry that left the window completed at or before
-        #: the cycle it committed, so pruning everything ``<= cycle`` drops
-        #: exactly the values no query at ``cycle`` or later can return.
-        self._completions: List[float] = []
-        #: Highest cycle the heap has been pruned to; an earlier query
-        #: cannot trust it and rebuilds.
-        self._pruned_to: float = -1.0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -135,11 +140,27 @@ class InstructionPool:
             raise SimulationError(f"core {self.core_id}: pool overflow")
         self._entries.append(entry)
         self.transmitted += 1
-        self._by_seq[entry.seq] = entry
         if entry.kind is EntryKind.EMSIMD:
             self._emsimd_seqs.append(entry.seq)
         elif entry.state is EntryState.WAITING:
-            self._register(entry)
+            self._waiting.append(entry)
+            pending = 0
+            wake = 0
+            for dep in entry.deps:
+                if dep.state is EntryState.WAITING:
+                    pending += 1
+                    if dep.waiters is None:
+                        dep.waiters = [entry]
+                    else:
+                        dep.waiters.append(entry)
+                else:
+                    done = ceil(dep.complete_cycle)
+                    if done > wake:
+                        wake = done
+            entry.pending = pending
+            entry.wake = wake
+            if pending == 0:
+                heappush(self._wake_heap, (wake, entry.seq, entry))
 
     def head(self) -> Optional[DynamicInstruction]:
         """The oldest in-flight instruction."""
@@ -150,17 +171,17 @@ class InstructionPool:
         return list(self._entries)
 
     def next_completion(self, cycle: float) -> Optional[float]:
-        """Earliest future completion among already-issued entries.
-
-        Next-event hook for the idle-cycle fast-forward: while no entry
-        completes, a stalled window cannot commit, unblock dependants, free
-        physical registers or drain for an EM-SIMD barrier.  Answered from
-        the completion heap.
-        """
-        if cycle < self._pruned_to:
-            self._rebuild_completions()
-        heap = self._prune_completions(cycle)
-        return heap[0] if heap else None
+        """Earliest future completion among already-issued entries (a
+        window scan: only the deadlock check asks)."""
+        return min(
+            (
+                entry.complete_cycle
+                for entry in self._entries
+                if entry.state is not EntryState.WAITING
+                and entry.complete_cycle > cycle
+            ),
+            default=None,
+        )
 
     def commit_ready(self, cycle: float, width: int) -> List[DynamicInstruction]:
         """Pop up to ``width`` completed entries from the head, in order:
@@ -178,32 +199,20 @@ class InstructionPool:
         committed = entries[:count]
         del entries[:count]
         self.committed += count
+        # The index forgets the committed prefix: it holds window entries only.
+        last = committed[-1].seq
+        del self._ready[: bisect_right(self._ready, last, key=_SEQ)]
+        waiting = self._waiting
+        while waiting and waiting[0].seq <= last:
+            waiting.popleft()
         emsimd = self._emsimd_seqs
-        for entry in committed:
-            seq = entry.seq
-            self._by_seq.pop(seq, None)
-            self._dep_waiters.pop(seq, None)
-            # Every producer of a committed entry issued before it did, so
-            # no ``on_issue`` looks its ready-index keys up again.
-            self._pending_deps.pop(seq, None)
-            self._wake_at.pop(seq, None)
-            if entry.kind is EntryKind.EMSIMD and emsimd and emsimd[0] == seq:
-                emsimd.popleft()
+        while emsimd and emsimd[0] <= last:
+            emsimd.popleft()
         return committed
 
     # ------------------------------------------------------------------
     # Ready-set index (incremental dispatch candidates)
     # ------------------------------------------------------------------
-
-    def _prune_completions(self, cycle: float) -> List[float]:
-        """Drop completion cycles at or before ``cycle`` (completed, and
-        possibly already committed, entries); returns the heap."""
-        heap = self._completions
-        while heap and heap[0] <= cycle:
-            heappop(heap)
-        if cycle > self._pruned_to:
-            self._pruned_to = cycle
-        return heap
 
     def on_issue(self, entry: DynamicInstruction, cycle: int) -> None:
         """Notify the index that ``entry`` moved WAITING→ISSUED (or, for the
@@ -212,36 +221,18 @@ class InstructionPool:
         completion (a zero-byte access) is ready at ``cycle`` itself: the
         next :meth:`ready_dispatchable` query returns it.
         """
-        # Pruning on every push keeps the heap within the window size even
-        # while nothing asks for the next completion (a busy stretch).  It is
-        # :meth:`_prune_completions`, inlined: this runs once per uop.
-        heap = self._completions
-        while heap and heap[0] <= cycle:
-            heappop(heap)
-        if cycle > self._pruned_to:
-            self._pruned_to = cycle
-        heappush(heap, entry.complete_cycle)
-        waiting = self._waiting_seqs
-        pos = bisect_left(waiting, entry.seq)
-        if pos < len(waiting) and waiting[pos] == entry.seq:
-            waiting.pop(pos)
-        waiters = self._dep_waiters.pop(entry.seq, None)
+        waiters = entry.waiters
         if not waiters:
             return
+        entry.waiters = None
         done = ceil(entry.complete_cycle)
-        pending = self._pending_deps
-        wake_at = self._wake_at
+        heap = self._wake_heap
         for waiter in waiters:
-            seq = waiter.seq
-            left = pending.get(seq)
-            if left is None:
-                continue
-            if done > wake_at[seq]:
-                wake_at[seq] = done
-            left -= 1
-            pending[seq] = left
-            if left == 0:
-                heappush(self._wake_heap, (wake_at[seq], seq))
+            if done > waiter.wake:
+                waiter.wake = done
+            waiter.pending -= 1
+            if waiter.pending == 0:
+                heappush(heap, (waiter.wake, waiter.seq, waiter))
 
     def ready_dispatchable(self, cycle: int) -> List[DynamicInstruction]:
         """Dispatch candidates this cycle, oldest first, via the ready index.
@@ -250,30 +241,21 @@ class InstructionPool:
         from-scratch window scan (``ScanPool.dispatchable``).
         """
         heap = self._wake_heap
-        ready = self._ready_seqs
+        ready = self._ready
         while heap and heap[0][0] <= cycle:
-            seq = heappop(heap)[1]
-            lo, hi = 0, len(ready)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if ready[mid] < seq:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            ready.insert(lo, seq)
+            insort(ready, heappop(heap)[2], key=_SEQ)
         barrier = self._emsimd_seqs[0] if self._emsimd_seqs else None
         out: List[DynamicInstruction] = []
-        stale: List[int] = []
-        for seq in ready:
-            if barrier is not None and seq > barrier:
+        stale = 0
+        for entry in ready:
+            if barrier is not None and entry.seq > barrier:
                 break
-            entry = self._by_seq.get(seq)
-            if entry is None or entry.state is not EntryState.WAITING:
-                stale.append(seq)
-                continue
-            out.append(entry)
-        for seq in stale:
-            ready.remove(seq)
+            if entry.state is EntryState.WAITING:
+                out.append(entry)
+            else:
+                stale += 1
+        if stale:
+            ready[: len(out) + stale] = out
         return out
 
     def oldest_waiting_seq(self) -> Optional[int]:
@@ -285,45 +267,15 @@ class InstructionPool:
         (whose reason leads the age-order scan) without walking the window.
         """
         barrier = self._emsimd_seqs[0] if self._emsimd_seqs else None
-        waiting = self._waiting_seqs
+        waiting = self._waiting
         while waiting:
-            seq = waiting[0]
-            if barrier is not None and seq > barrier:
+            entry = waiting[0]
+            if barrier is not None and entry.seq > barrier:
                 return None
-            entry = self._by_seq.get(seq)
-            if entry is None or entry.state is not EntryState.WAITING:
-                waiting.pop(0)  # stale: mutated behind the index's back
-                continue
-            return seq
+            if entry.state is EntryState.WAITING:
+                return entry.seq
+            waiting.popleft()  # issued: it never waits again
         return None
-
-    def _register(self, entry: DynamicInstruction) -> None:
-        insort(self._waiting_seqs, entry.seq)
-        pending = 0
-        wake = 0
-        for dep in entry.deps:
-            if dep.state is EntryState.WAITING:
-                pending += 1
-                self._dep_waiters.setdefault(dep.seq, []).append(entry)
-            else:
-                done = ceil(dep.complete_cycle)
-                if done > wake:
-                    wake = done
-        self._pending_deps[entry.seq] = pending
-        self._wake_at[entry.seq] = wake
-        if pending == 0:
-            heappush(self._wake_heap, (wake, entry.seq))
-
-    def _rebuild_completions(self) -> None:
-        """Refill the completion heap from the window (a query went back
-        past what the heap was pruned to)."""
-        self._completions = [
-            entry.complete_cycle
-            for entry in self._entries
-            if entry.state is not EntryState.WAITING
-        ]
-        heapify(self._completions)
-        self._pruned_to = -1.0
 
     def pending_emsimd(self) -> int:
         """Number of EM-SIMD instructions still in flight (for MRS sync)."""

@@ -6,6 +6,10 @@ clears address-overlap hazards.  Its throughput — ``ldst_issue_width`` uops
 per cycle, each moving ``VL * 16`` bytes — is exactly the paper's SIMD
 issue bandwidth (Eq. 2), which becomes the memory bottleneck at small
 vector lengths (Fig. 7).
+
+This class holds one core's ld/st state — MOB, store queue, traffic
+counters; a uop is issued against it by the dispatch walk
+(``_issue_memory`` in :mod:`repro.coproc.batch_exec`).
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.common.errors import SimulationError
-from repro.memory.hierarchy import AccessResult, VectorMemorySystem
+from repro.memory.hierarchy import VectorMemorySystem
 from repro.memory.mob import MemoryOrderingBuffer
 
 
@@ -46,7 +49,8 @@ class LoadStoreUnit:
         self.store_queue_entries = store_queue_entries
         self.mob = MemoryOrderingBuffer()
         self.stats = LsuStats()
-        self._store_completions: deque = deque()
+        #: The STQ: each queued store's retire cycle, in FIFO order.
+        self._store_queue: deque = deque()
         #: Runtime invariant auditor (``REPRO_AUDIT``); when set, every
         #: issued access re-checks completion and STQ ordering.
         self.auditor = None
@@ -59,34 +63,10 @@ class LoadStoreUnit:
         access) and counts its own stores, refusing one at capacity, so the
         queue never holds more than ``store_queue_entries`` completions.
         """
-        completions = self._store_completions
-        while completions and completions[0] <= cycle:
-            completions.popleft()
-        return len(completions)
-
-    def issue(self, addr: int, nbytes: int, cycle: float, is_store: bool) -> AccessResult:
-        """Issue one ld/st uop at ``cycle``; returns its completion."""
-        if nbytes < 0:
-            raise SimulationError("negative access size")
-        start = self.mob.earliest_start(addr, nbytes, cycle, is_store)
-        result = self.memory.access(addr, nbytes, start, is_store)
-        self.mob.track(addr, nbytes, result.complete_cycle, is_store)
-        if is_store:
-            self.stats.stores += 1
-            self.stats.bytes_stored += nbytes
-            completion = result.complete_cycle
-            if self._store_completions and completion < self._store_completions[-1]:
-                completion = self._store_completions[-1]  # FIFO retirement
-            self._store_completions.append(completion)
-        else:
-            self.stats.loads += 1
-            self.stats.bytes_loaded += nbytes
-        self.stats.vec_cache_hits += result.vec_cache_hits
-        self.stats.l2_hits += result.l2_hits
-        self.stats.dram_accesses += result.dram_accesses
-        if self.auditor is not None:
-            self.auditor.on_lsu_issue(self, cycle, result)
-        return result
+        queue = self._store_queue
+        while queue and queue[0] <= cycle:
+            queue.popleft()
+        return len(queue)
 
     def next_store_retire(self, cycle: float) -> Optional[float]:
         """Earliest future cycle a queued store retires (frees an STQ slot).
@@ -94,7 +74,7 @@ class LoadStoreUnit:
         Next-event hook for the idle-cycle fast-forward: an STQ-full stall
         can only clear when the oldest outstanding store completes.
         """
-        for completion in self._store_completions:
+        for completion in self._store_queue:
             if completion > cycle:
                 return completion
         return None

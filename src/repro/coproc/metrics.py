@@ -94,7 +94,8 @@ class Metrics:
         self.total_cycles = 0
         #: Sleep capture for the tickless run loop: per core, the last stall
         #: reason and the last EM-SIMD overhead kind recorded, each with the
-        #: cycle (as announced by :meth:`begin_cycle`) it was recorded in.
+        #: cycle it was recorded in — ``_now``, which the run loop sets to
+        #: the cycle about to be stepped.
         #: One slot of each suffices because a core records at most one
         #: stall and at most one overhead event per cycle (an ``--audit``
         #: invariant, through :attr:`auditor`).
@@ -194,11 +195,6 @@ class Metrics:
             self.auditor.on_core_event(core, "overhead")
 
     # --- sleep capture and settle (tickless run loop) ----------------------
-
-    def begin_cycle(self, cycle: int) -> None:
-        """Announce the cycle about to be stepped: the stamp under which
-        this cycle's stall and overhead records are captured."""
-        self._now = cycle
 
     def core_idle_events(
         self, core: int

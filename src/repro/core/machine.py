@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.common.config import MachineConfig
 from repro.common.errors import DeadlockError, SimulationError
 from repro.coproc.coprocessor import CoProcessor
+from repro.coproc.dynamic import EntryKind, EntryState
 from repro.coproc.metrics import Metrics
 from repro.coproc.sharing import SharingMode
 from repro.core.policies import Policy
@@ -26,6 +27,9 @@ from repro.validation.invariants import InvariantAuditor, audit_enabled
 
 #: Cycles without any retire/dispatch/commit before declaring deadlock.
 DEADLOCK_WINDOW = 100_000
+
+_WAITING = EntryState.WAITING
+_EMSIMD = EntryKind.EMSIMD
 
 
 class EventWheel:
@@ -92,8 +96,7 @@ class Machine:
 
     The engine stacks pre-decoded scalar dispatch, per-component sleep on
     the event wheel (whose limit case, every component asleep, is the idle
-    clock jump), the pools' ready index and completion heap, and batched
-    co-processor dispatch.
+    clock jump), the pools' ready index, and batched co-processor dispatch.
     """
 
     #: The co-processor and scalar-core classes a machine is built from.
@@ -146,8 +149,9 @@ class Machine:
         self._comp_idle: List[int] = [0] * num_cores
         self._comp_asleep: List[int] = [0] * num_cores
         self._ff_skipped = 0
-        #: What :meth:`_step_fast` resets the per-core event counts to.
-        self._no_events: List[int] = [0] * num_cores
+        #: Per core, the events it processed this cycle (:meth:`_step_fast`
+        #: resets the awake cores' slots, :meth:`_settle` a woken one's).
+        self._core_events: List[int] = [0] * num_cores
         #: Simulated-cycle attribution of the last completed :meth:`run`
         #: (the same object as its result's ``profile``).
         self.profile: Optional[RunProfile] = None
@@ -261,17 +265,18 @@ class Machine:
         A *component* is one core complex — scalar core, instruction pool
         and LSU.  After a cycle in which a component processed no event, it
         reports its wake cycle (earliest future cycle at which its
-        behaviour can change: next pool completion, store retire, pending
-        scalar writeback, or CTS quantum boundary) into the wheel and goes
-        to sleep; the stall reason and EM-SIMD overhead it recorded that
-        cycle are captured once and settled in bulk when it wakes.
-        Sleeping components are skipped by :meth:`CoProcessor.step`; when
+        behaviour can change: its pool head's completion, a waiting entry's
+        operands arriving, a store retire, a pending scalar writeback, or a
+        CTS quantum boundary — :meth:`_component_wake`) into the wheel and
+        goes to sleep; the stall reason and EM-SIMD overhead it recorded
+        that cycle are captured once and settled in bulk when it wakes.
+        Sleeping components are skipped by :meth:`_step_fast`; when
         every live component sleeps, the global clock jumps straight to the
         earliest wake.  Temporal sharing (FTS) couples the cores through
         one issue budget and one renamer, so there the components sleep all
         together or not at all — only after a machine-wide zero-progress
         cycle, and only if none would wake at the very next cycle — and a
-        due wake of any of them settles all.  The three per-core loops of a
+        due wake of any of them settles all.  The per-core loops of a
         cycle walk the sorted *active list* (awake live cores), so a cycle
         costs O(components with work).  Bit-identical to calling
         :meth:`step` once per cycle, which is what the oracle does
@@ -291,7 +296,7 @@ class Machine:
         self._live_count = len(active)
         coupled = coproc.mode is SharingMode.TEMPORAL
         coproc.wake_all_hook = self._wake_all_mid_cycle
-        core_events = [0] * self.config.num_cores
+        core_events = self._core_events
         cycle = 0
         last_progress = 0
         try:
@@ -325,8 +330,8 @@ class Machine:
                             self._ff_skipped += skipped
                             cycle = target
                             continue
-                metrics.begin_cycle(cycle)
-                progress = self._step_fast(cycle, core_events)
+                metrics._now = cycle  # the stamp this cycle's records carry
+                progress = self._step_fast(cycle)
                 if progress:
                     last_progress = cycle
                 elif (
@@ -365,43 +370,62 @@ class Machine:
         self._settle_all(cycle)
         return cycle
 
-    def _step_fast(self, cycle: int, core_events: List[int]) -> int:
-        """One tickless cycle: step only awake components.
+    def _step_fast(self, cycle: int) -> int:
+        """One tickless cycle: :meth:`CoProcessor.step`'s phases over the
+        awake cores only.
 
-        The three per-core loops walk the sorted active list instead of
-        every core slot; ``core_events`` is still reset for *all* slots
-        because a mid-cycle CTS wake can re-activate a sleeper whose entry
-        must read zero.  The active list is mutated in place by done
-        detection here and by :meth:`_settle` on mid-cycle wakes, so both
-        post-dispatch loops walk snapshots.
+        The scalar, commit and EM-SIMD loops walk the sorted active list and
+        call into a component only when it has something to do: commit
+        when its pool head has completed, EM-SIMD when the head is a
+        WAITING ``MSR``.  Dispatch is the co-processor's own phase; under
+        CTS an ownership switch there may wake sleepers mid-cycle, which
+        :meth:`_settle` inserts into the active list with a zeroed event
+        slot.  Done detection and the busy/idle count then walk a snapshot
+        of the list, which done detection shrinks.
         """
         active = self._active
-        core_events[:] = self._no_events
-        progress = 0
+        core_events = self._core_events
         cores = self.cores
+        coproc = self.coproc
+        pools = coproc.pools
+        progress = 0
         for core_id in active:
             retired = cores[core_id].step(cycle)
-            core_events[core_id] += retired
+            core_events[core_id] = retired
             progress += retired
-        progress += self.coproc.step(cycle, self._awake, core_events, active)
-        checklist = tuple(active)
-        for core_id in checklist:
-            core = cores[core_id]
-            if core.halted and self.coproc.drained(core_id):
+        commit_core = coproc._batch.commit_core
+        for core_id in active:
+            entries = pools[core_id]._entries
+            if entries:
+                head = entries[0]
+                if head.state is not _WAITING and head.complete_cycle <= cycle:
+                    committed = commit_core(coproc, core_id, cycle)
+                    core_events[core_id] += committed
+                    progress += committed
+        for core_id in active:
+            entries = pools[core_id]._entries
+            if entries:
+                head = entries[0]
+                if head.kind is _EMSIMD and head.state is _WAITING:
+                    coproc._execute_emsimd(core_id, head, cycle)
+                    core_events[core_id] += 1
+                    progress += 1
+        progress += coproc._dispatch(cycle, active, core_events)
+        busy = self._comp_busy
+        idle = self._comp_idle
+        for core_id in tuple(active):
+            if cores[core_id].halted and not pools[core_id]._entries:
                 self._done[core_id] = True
                 self.metrics.on_core_done(core_id, cycle)
-                self.coproc.set_core_active(core_id, False)
+                coproc.set_core_active(core_id, False)
                 self._live_count -= 1
                 active.remove(core_id)
                 core_events[core_id] += 1
                 progress += 1
-        for core_id in checklist:
-            if self._done[core_id]:
-                continue
-            if core_events[core_id]:
-                self._comp_busy[core_id] += 1
+            elif core_events[core_id]:
+                busy[core_id] += 1
             else:
-                self._comp_idle[core_id] += 1
+                idle[core_id] += 1
         if self.auditor is not None:
             self.auditor.check_machine(cycle)
         return progress
@@ -410,33 +434,40 @@ class Machine:
         """Earliest future cycle at which ``component`` can change behaviour.
 
         The wake-cycle contract: a sleeping component repeats this cycle's
-        captured stall and overhead verbatim until (a) one of its issued instructions
-        completes (unblocking commit, dependants, renamer frees and the
-        transmit gate), (b) a queued store retires from its STQ, (c) a
-        pending vector→scalar writeback lands in the scalar core, or — under
-        coarse temporal sharing — (d) a quantum/drain boundary passes.  CTS
-        ownership *switches* between boundaries are handled by a mid-cycle
-        wake from the arbiter (:attr:`CoProcessor.wake_all_hook`).  Early
-        wakes are harmless; ``None`` means no self-generated event can ever
-        occur (the component sleeps until an external wake or deadlock).
+        captured stall and overhead verbatim until (a) its pool head
+        completes — commit reads only the head, and the RENAME, pool-full
+        and MRS-sync stalls clear only at a commit; (b) a waiting entry's
+        operands arrive (the wake heap's top) — dispatch and the DEPENDENCY
+        stall change only then; (c) a queued store retires from its STQ;
+        (d) a pending vector→scalar writeback lands in the scalar core; or —
+        under coarse temporal sharing — (e) a quantum/drain boundary passes.
+        Any other completion (a younger entry with no waiting dependant)
+        changes nothing a zero-event cycle reads.  A wake-heap top at or
+        before ``cycle`` is a CTS non-owner's (only the owner's dispatch
+        drains its heap): its readiness is moot until an ownership change,
+        which (e) or the arbiter's mid-cycle wake
+        (:attr:`CoProcessor.wake_all_hook`) covers.  Early wakes are
+        harmless; ``None`` means no self-generated event can ever occur (the
+        component sleeps until an external wake or deadlock).
         """
         earliest: float = math.inf
-        completion = self.coproc.pools[component].next_completion(cycle)
-        if completion is not None and completion < earliest:
-            earliest = completion
-        retire = self.coproc.lsus[component].next_store_retire(cycle)
+        coproc = self.coproc
+        pool = coproc.pools[component]
+        if pool._entries:
+            head = pool._entries[0]
+            if head.state is not _WAITING:
+                earliest = head.complete_cycle
+        heap = pool._wake_heap
+        if heap and cycle < heap[0][0] < earliest:
+            earliest = heap[0][0]
+        retire = coproc.lsus[component].next_store_retire(cycle)
         if retire is not None and retire < earliest:
             earliest = retire
-        core = self.cores[component]
-        if core is not None:
-            pending = core.next_event_cycle(cycle)
-            if pending is not None and pending < earliest:
-                earliest = pending
-        if self.coproc.mode is SharingMode.COARSE_TEMPORAL:
-            for boundary in (
-                self.coproc._cts_blocked_until,
-                self.coproc._cts_until,
-            ):
+        pending = self.cores[component].next_event_cycle(cycle)
+        if pending is not None and pending < earliest:
+            earliest = pending
+        if coproc.mode is SharingMode.COARSE_TEMPORAL:
+            for boundary in (coproc._cts_blocked_until, coproc._cts_until):
                 if cycle < boundary < earliest:
                     earliest = boundary
         if earliest is math.inf:
@@ -457,6 +488,7 @@ class Machine:
             self._comp_asleep[component] += slept
         self._awake[component] = True
         self._asleep_count -= 1
+        self._core_events[component] = 0
         insort(self._active, component)
         self._wheel.cancel(component)
 

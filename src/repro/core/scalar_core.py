@@ -369,6 +369,15 @@ class ScalarCore:
             return DecodedInstr(index, instr, self._make_vhreduce(instr))
         raise SimulationError(f"cannot decode {instr!r}")
 
+    def _ports(self):
+        """What a transmitting handler binds once: the pool's window and
+        capacity (fullness is tested inline), its ``push``, the sequence
+        counter, and this core's ``ResourceTable`` row (its ``<VL>``)."""
+        coproc = self.coproc
+        pool = coproc.pools[self.core_id]
+        row = coproc.resource_table._cores[self.core_id]
+        return pool._entries, pool.capacity, pool.push, coproc.next_seq, row
+
     def _make_scalar_op(self, instr: ScalarOp):
         impl = _SCALAR_IMPLS[instr.op]
         specs = tuple(_scalar_spec(src) for src in instr.srcs)
@@ -427,13 +436,13 @@ class ScalarCore:
         spec = _scalar_spec(instr.src)
         dst = instr.dst
         elem_bytes = instr.elem_bytes
+        row = self.coproc.resource_table._cores[self.core_id]
 
         def run(cycle: int) -> Tuple[str, Optional[str]]:
             value = self._read_scalar_spec(spec, cycle)
             if value is _STALL:
                 return "stall", None
-            lanes = self.coproc.configured_vl(self.core_id)
-            self.regs[dst] = value + lanes * 16 // elem_bytes
+            self.regs[dst] = value + row.vl * 16 // elem_bytes
             return "ok", None
 
         return run
@@ -448,26 +457,26 @@ class ScalarCore:
     def _make_msr(self, instr: MSR):
         spec = _scalar_spec(instr.src)
         sysreg = instr.sysreg
-        coproc = self.coproc
         core_id = self.core_id
+        entries, capacity, push, next_seq, row = self._ports()
 
         def run(cycle: int) -> Tuple[str, Optional[str]]:
-            if not coproc.can_transmit(core_id):
+            if len(entries) >= capacity:
                 return "stall", None
             value = self._read_scalar_spec(spec, cycle)
             if value is _STALL:
                 return "stall", None
             entry = DynamicInstruction(
-                seq=coproc.next_seq(),
+                seq=next_seq(),
                 core=core_id,
                 kind=EntryKind.EMSIMD,
                 instr=instr,
-                vl_lanes=coproc.configured_vl(core_id),
+                vl_lanes=row.vl,
                 transmit_cycle=cycle,
                 sysreg=sysreg,
                 value=value,
             )
-            coproc.transmit(entry)
+            push(entry)
             self.retired_vector += 1
             return "ok", None
 
@@ -492,20 +501,20 @@ class ScalarCore:
         counter_spec = _scalar_spec(instr.counter)
         limit_spec = _scalar_spec(instr.limit)
         pdst = instr.pdst.name
-        coproc = self.coproc
         core_id = self.core_id
+        entries, capacity, push, next_seq, row = self._ports()
 
         def run(cycle: int) -> Tuple[str, Optional[str]]:
-            if not coproc.can_transmit(core_id):
+            if len(entries) >= capacity:
                 return "stall", None
             counter = self._read_scalar_spec(counter_spec, cycle)
             limit = self._read_scalar_spec(limit_spec, cycle)
             if counter is _STALL or limit is _STALL:
                 return "stall", None
-            active = max(0, min(self._elems(), int(limit) - int(counter)))
+            active = max(0, min(row.vl * ELEMS_PER_LANE, int(limit) - int(counter)))
             self.pregs[pdst] = active
             entry = DynamicInstruction(
-                seq=coproc.next_seq(),
+                seq=next_seq(),
                 core=core_id,
                 kind=EntryKind.COMPUTE,
                 instr=instr,
@@ -514,7 +523,7 @@ class ScalarCore:
                 writes_vreg=False,
             )
             self._last_writer[pdst] = entry
-            coproc.transmit(entry)
+            push(entry)
             self.retired_vector += 1
             return "ok", None
 
@@ -530,11 +539,11 @@ class ScalarCore:
         ) + ((pred.name,) if pred else ())
         flops_per_element = instr.flops_per_element
         long_latency = instr.is_long_latency
-        coproc = self.coproc
         core_id = self.core_id
+        entries, capacity, push, next_seq, row = self._ports()
 
         def run(cycle: int) -> Tuple[str, Optional[str]]:
-            if not coproc.can_transmit(core_id):
+            if len(entries) >= capacity:
                 return "stall", None
             active = self._active(pred)
             operands = []
@@ -543,8 +552,7 @@ class ScalarCore:
                 if value is _STALL:
                     return "stall", None
                 operands.append(value)
-            elems = self._elems()
-            width = max(elems, active)
+            width = max(row.vl * ELEMS_PER_LANE, active)
             # Merging predication: inactive lanes keep the old destination
             # value (SVE /M), which reduction accumulators rely on in tail
             # iterations.
@@ -557,11 +565,11 @@ class ScalarCore:
                 result[:active] = impl(operands)
             self.vregs[dst] = result
             entry = DynamicInstruction(
-                seq=coproc.next_seq(),
+                seq=next_seq(),
                 core=core_id,
                 kind=EntryKind.COMPUTE,
                 instr=instr,
-                vl_lanes=coproc.configured_vl(core_id),
+                vl_lanes=row.vl,
                 transmit_cycle=cycle,
                 deps=self._deps_for(dep_names),
                 flops=flops_per_element * active,
@@ -569,7 +577,7 @@ class ScalarCore:
                 writes_vreg=True,
             )
             self._last_writer[dst] = entry
-            coproc.transmit(entry)
+            push(entry)
             self.retired_vector += 1
             return "ok", None
 
@@ -583,12 +591,12 @@ class ScalarCore:
         stride = instr.stride
         elem_bytes = instr.elem_bytes
         dep_names = (pred.name,) if pred else ()
-        coproc = self.coproc
         core_id = self.core_id
         image = self.image
+        entries, capacity, push, next_seq, row = self._ports()
 
         def run(cycle: int) -> Tuple[str, Optional[str]]:
-            if not coproc.can_transmit(core_id):
+            if len(entries) >= capacity:
                 return "stall", None
             index = self._read_scalar_spec(index_spec, cycle)
             if index is _STALL:
@@ -603,17 +611,16 @@ class ScalarCore:
                     f"[{index}:{index + span}:{stride}] overruns "
                     f"length {len(array)}"
                 )
-            elems = self._elems()
-            value = np.zeros(max(elems, active), dtype=np.float32)
+            value = np.zeros(max(row.vl * ELEMS_PER_LANE, active), dtype=np.float32)
             if active > 0:
                 value[:active] = array[index : index + span : stride]
             self.vregs[dst] = value
             entry = DynamicInstruction(
-                seq=coproc.next_seq(),
+                seq=next_seq(),
                 core=core_id,
                 kind=EntryKind.LOAD,
                 instr=instr,
-                vl_lanes=coproc.configured_vl(core_id),
+                vl_lanes=row.vl,
                 transmit_cycle=cycle,
                 deps=self._deps_for(dep_names),
                 addr=image.address_of(array_name, index, elem_bytes),
@@ -622,7 +629,7 @@ class ScalarCore:
                 writes_vreg=True,
             )
             self._last_writer[dst] = entry
-            coproc.transmit(entry)
+            push(entry)
             self.retired_vector += 1
             return "ok", None
 
@@ -636,12 +643,12 @@ class ScalarCore:
         elem_bytes = instr.elem_bytes
         src_spec = _vector_spec(src)
         dep_names = (src.name,) + ((pred.name,) if pred else ())
-        coproc = self.coproc
         core_id = self.core_id
         image = self.image
+        entries, capacity, push, next_seq, row = self._ports()
 
         def run(cycle: int) -> Tuple[str, Optional[str]]:
-            if not coproc.can_transmit(core_id):
+            if len(entries) >= capacity:
                 return "stall", None
             index = self._read_scalar_spec(index_spec, cycle)
             if index is _STALL:
@@ -660,18 +667,18 @@ class ScalarCore:
             if active > 0:
                 array[index : index + active] = value[:active]
             entry = DynamicInstruction(
-                seq=coproc.next_seq(),
+                seq=next_seq(),
                 core=core_id,
                 kind=EntryKind.STORE,
                 instr=instr,
-                vl_lanes=coproc.configured_vl(core_id),
+                vl_lanes=row.vl,
                 transmit_cycle=cycle,
                 deps=self._deps_for(dep_names),
                 addr=image.address_of(array_name, index, elem_bytes),
                 nbytes=active * elem_bytes,
                 writes_vreg=False,
             )
-            coproc.transmit(entry)
+            push(entry)
             self.retired_vector += 1
             return "ok", None
 
@@ -683,11 +690,11 @@ class ScalarCore:
         pred = instr.pred
         src_spec = _vector_spec(instr.src)
         dep_names = (instr.src.name,) + ((pred.name,) if pred else ())
-        coproc = self.coproc
         core_id = self.core_id
+        entries, capacity, push, next_seq, row = self._ports()
 
         def run(cycle: int) -> Tuple[str, Optional[str]]:
-            if not coproc.can_transmit(core_id):
+            if len(entries) >= capacity:
                 return "stall", None
             active = self._active(pred)
             source = self._vec_read(src_spec[0], src_spec[1], active, cycle)
@@ -702,11 +709,11 @@ class ScalarCore:
                 value = 0.0
             self.regs[dst] = value
             entry = DynamicInstruction(
-                seq=coproc.next_seq(),
+                seq=next_seq(),
                 core=core_id,
                 kind=EntryKind.COMPUTE,
                 instr=instr,
-                vl_lanes=coproc.configured_vl(core_id),
+                vl_lanes=row.vl,
                 transmit_cycle=cycle,
                 deps=self._deps_for(dep_names),
                 flops=active,
@@ -714,7 +721,7 @@ class ScalarCore:
                 scalar_dst=dst,
             )
             self._pending_scalar[dst] = entry
-            coproc.transmit(entry)
+            push(entry)
             self.retired_vector += 1
             return "ok", None
 

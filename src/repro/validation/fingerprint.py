@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 #: Bytes values are escaped into the hash this many bytes at a time.
 _BYTES_CHUNK = 1 << 16
@@ -32,6 +32,18 @@ def fingerprint_sections(result) -> Dict[str, object]:
     Section values are plain hashable tuples, so two runs can be compared
     section-by-section and the diverging sections named.
     """
+    sections = _counter_sections(result)
+    sections["memory_images"] = tuple(
+        None
+        if image is None
+        else tuple((name, array.tobytes()) for name, array in image)
+        for image in result.images
+    )
+    return sections
+
+
+def _counter_sections(result) -> Dict[str, object]:
+    """Every section but the last, ``memory_images``."""
     m = result.metrics
     return {
         "policy": result.policy_key,
@@ -58,12 +70,6 @@ def fingerprint_sections(result) -> Dict[str, object]:
         "lsu_stats": tuple(repr(stats) for stats in result.lsu_stats),
         "cache_stats": tuple(
             sorted((name, repr(stats)) for name, stats in result.cache_stats.items())
-        ),
-        "memory_images": tuple(
-            None
-            if image is None
-            else tuple((name, array.tobytes()) for name, array in image)
-            for image in result.images
         ),
     }
 
@@ -101,6 +107,33 @@ def feed_repr(update: Callable[[bytes], object], value: object) -> None:
         update(repr(value).encode("utf-8"))
 
 
+def _feed_tuple(update: Callable[[bytes], object], items: Sequence, feed_item) -> None:
+    """:func:`feed_repr` of ``tuple(items)``, each item fed by ``feed_item``."""
+    update(b"(")
+    for index, item in enumerate(items):
+        if index:
+            update(b", ")
+        feed_item(item)
+    update(b",)" if len(items) == 1 else b")")
+
+
+def _feed_images(update: Callable[[bytes], object], images: Sequence) -> None:
+    """:func:`feed_repr` of the ``memory_images`` section, one array's
+    bytes alive at a time (the section itself holds every image's bytes)."""
+
+    def feed_image(image) -> None:
+        if image is None:
+            update(b"None")
+        else:
+            _feed_tuple(
+                update,
+                list(image),
+                lambda pair: feed_repr(update, (pair[0], pair[1].tobytes())),
+            )
+
+    _feed_tuple(update, images, feed_image)
+
+
 def fingerprint_digests(result) -> Dict[str, str]:
     """SHA-256 per named fingerprint section of ``result``.
 
@@ -108,13 +141,17 @@ def fingerprint_digests(result) -> Dict[str, str]:
     :func:`fingerprint_sections`; their ``repr`` is deterministic across
     processes, so equal digests mean bit-identical observable state.  Each
     digest equals ``sha256(repr(value).encode("utf-8"))``, streamed
-    through :func:`feed_repr`.
+    through :func:`feed_repr` — the memory images array by array, without
+    building their section.
     """
     digests = {}
-    for section, value in fingerprint_sections(result).items():
+    for section, value in _counter_sections(result).items():
         digest = hashlib.sha256()
         feed_repr(digest.update, value)
         digests[section] = digest.hexdigest()
+    digest = hashlib.sha256()
+    _feed_images(digest.update, result.images)
+    digests["memory_images"] = digest.hexdigest()
     return digests
 
 

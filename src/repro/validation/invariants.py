@@ -100,7 +100,7 @@ class InvariantAuditor:
                 f"core {lsu.core_id} access completes at "
                 f"{result.complete_cycle} before issue cycle {cycle}"
             )
-        completions = list(lsu._store_completions)
+        completions = list(lsu._store_queue)
         if any(b < a for a, b in zip(completions, completions[1:])):
             self._fail(
                 f"core {lsu.core_id} store queue retires out of FIFO order: "

@@ -20,8 +20,10 @@ Runs **only here**, top to bottom:
   every question is answered by walking it, commit included.
 * the per-uop hardware updates — :func:`try_allocate` / :func:`release`
   (the renamer's headroom, worked out from its freelist, hold count and
-  hold cap), :func:`store_queue_full`, :func:`on_compute_dispatch` /
-  :func:`on_ldst_dispatch` (one metrics booking per uop).
+  hold cap), :func:`issue` (one ld/st uop through the MOB, the memory
+  walk and the store queue), :func:`store_queue_full`,
+  :func:`on_compute_dispatch` / :func:`on_ldst_dispatch` (one metrics
+  booking per uop).
 * :class:`WindowScan` — §4.2's per-uop age-order dispatch over the whole
   window and per-entry commit, behind the two-method ``commit_core`` /
   ``dispatch_core`` protocol of
@@ -30,35 +32,39 @@ Runs **only here**, top to bottom:
   interpreter; it plugs into :meth:`ScalarCore._decode`, so the retire
   loop is shared.
 * :class:`ReferenceMachine` — the cycle-by-cycle run loop: nothing sleeps,
-  nothing is skipped, no profile is produced.
+  nothing is skipped, no profile is produced.  Each cycle goes through the
+  phase-order shells ``Machine.step`` and the bare ``CoProcessor.step``
+  (commit, EM-SIMD, dispatch); they live with the engine, but its own
+  cycle is ``Machine._step_fast``, so ``diff-fuzz`` checks its order.
 
 **Shared** with the fast engine — a bug in any of these is invisible to
 ``diff-fuzz``; closed-form limits and metamorphic laws (ROADMAP 3(b),
 3(c)) exist to cover them:
 
-* the machine shell: ``Machine.__init__``, ``step`` (one cycle: cores,
-  co-processor, done detection), ``next_event_cycle``, ``_result``;
+* the machine shell: ``Machine.__init__``, ``next_event_cycle``,
+  ``_result``;
 * the scalar shell: ``ScalarCore.step`` / ``_account_overhead`` (retire
   slots, transmit width, Fig. 15 attribution), ``next_event_cycle``, the
   operand helpers (``_read_reg``, ``_vec_read``, ``_elems``, ``_active``,
   ``_deps_for``) and the tables ``_SCALAR_IMPLS`` / ``_BRANCH_IMPLS`` /
   ``_VOP_IMPLS``;
-* the co-processor shell: ``CoProcessor.step``'s phase order, EM-SIMD
-  execution (``_execute_emsimd``, ``_apply_oi``, ``_apply_vl``, §4.2.2),
-  ``_dispatch`` (budgets, rotation, sharing modes), ``_cts_arbitrate``;
+* the co-processor shell: the per-core EM-SIMD body (``_execute_emsimd``,
+  ``_apply_oi``, ``_apply_vl``, §4.2.2), ``_dispatch`` (budgets,
+  rotation, sharing modes), ``_cts_arbitrate``;
 * the modelled hardware's state and the rest of its methods: ``Metrics``
   (stalls, phases, timelines), the ``Renamer``'s freelists,
-  ``LoadStoreUnit.issue`` / ``stq_occupancy`` and its MOB, the memory
+  ``LoadStoreUnit.stq_occupancy`` and its MOB, the memory
   hierarchy's state (``Cache`` sets and stats, ``BandwidthRegulator``
   queues and counters, ``AccessResult``), ``ResourceTable``, the lane
   managers, ``DynamicInstruction``;
 * the compiler, workloads and images, and the ``--audit`` checker.
 
 **Not touched**: the event wheel and sleep/settle path (``_run_fast``,
-``_step_fast``, ``_component_wake``, ``_settle*``,
+``_step_fast`` and its phase order, ``_component_wake``, ``_settle*``,
 ``Metrics.replay_core_idle_cycles``, ``skip_idle_cycles``), the ``_make_*``
-decoded handlers, ``BatchExecutor``, ``InstructionPool`` (its ready index,
-completion heap and prefix-scan ``commit_ready``),
+decoded handlers and their inline transmit, ``BatchExecutor`` and its
+ld/st issue ``_issue_memory``, ``InstructionPool`` (its ready index, kept
+on the uops, and prefix-scan ``commit_ready``),
 ``_attribute_zero_dispatch_stall``, ``Renamer.available`` and the
 ``*_batch`` kernels, ``VectorMemorySystem.access``'s inlined line loop,
 ``RunProfile``.
@@ -267,6 +273,33 @@ def release(renamer: Renamer, core: int) -> None:
         renamer.auditor.on_renamer(renamer)
 
 
+def issue(
+    lsu: LoadStoreUnit, addr: int, nbytes: int, cycle: float, is_store: bool
+) -> AccessResult:
+    """Issue one ld/st uop through ``lsu`` at ``cycle``; returns its completion."""
+    if nbytes < 0:
+        raise SimulationError("negative access size")
+    start = lsu.mob.earliest_start(addr, nbytes, cycle, is_store)
+    result = lsu.memory.access(addr, nbytes, start, is_store)
+    lsu.mob.track(addr, nbytes, result.complete_cycle, is_store)
+    if is_store:
+        lsu.stats.stores += 1
+        lsu.stats.bytes_stored += nbytes
+        completion = result.complete_cycle
+        if lsu._store_queue and completion < lsu._store_queue[-1]:
+            completion = lsu._store_queue[-1]  # FIFO retirement
+        lsu._store_queue.append(completion)
+    else:
+        lsu.stats.loads += 1
+        lsu.stats.bytes_loaded += nbytes
+    lsu.stats.vec_cache_hits += result.vec_cache_hits
+    lsu.stats.l2_hits += result.l2_hits
+    lsu.stats.dram_accesses += result.dram_accesses
+    if lsu.auditor is not None:
+        lsu.auditor.on_lsu_issue(lsu, cycle, result)
+    return result
+
+
 def store_queue_full(lsu: LoadStoreUnit, cycle: float) -> bool:
     """True when a new store would have no STQ entry this cycle."""
     return lsu.stq_occupancy(cycle) >= lsu.store_queue_entries
@@ -368,7 +401,7 @@ class WindowScan:
                     blocked = StallReason.RENAME
                     break
                 entry.holds_phys_reg = not is_store
-                result = lsu.issue(entry.addr, entry.nbytes, cycle, is_store)
+                result = issue(lsu, entry.addr, entry.nbytes, cycle, is_store)
                 entry.state = EntryState.ISSUED
                 entry.complete_cycle = result.complete_cycle
                 budget["ldst"] -= 1

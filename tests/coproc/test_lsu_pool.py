@@ -10,12 +10,13 @@ from repro.coproc.dynamic import (
     EntryState,
     InstructionPool,
 )
+from repro.coproc.batch_exec import _issue_memory
 from repro.coproc.lsu import LoadStoreUnit
 from repro.isa.instructions import MSR
 from repro.isa.operands import Imm
 from repro.isa.registers import SystemRegister
 from repro.memory.hierarchy import VectorMemorySystem
-from repro.validation.reference_engine import ScanPool, store_queue_full
+from repro.validation.reference_engine import ScanPool, issue, store_queue_full
 
 
 def entry(seq, kind=EntryKind.COMPUTE, core=0, **kw):
@@ -121,13 +122,16 @@ class TestScanPool:
 
 
 class TestLoadStoreUnit:
+    """The oracle's per-uop ``issue`` against one LSU, and the dispatch
+    walk's ``_issue_memory`` beside it."""
+
     def _lsu(self, stq=4):
         return LoadStoreUnit(0, VectorMemorySystem(MemoryConfig()), store_queue_entries=stq)
 
     def test_issue_counts_traffic(self):
         lsu = self._lsu()
-        lsu.issue(0, 128, 0, is_store=False)
-        lsu.issue(0, 64, 10, is_store=True)
+        issue(lsu, 0, 128, 0, is_store=False)
+        issue(lsu, 0, 64, 10, is_store=True)
         assert lsu.stats.loads == 1
         assert lsu.stats.stores == 1
         assert lsu.stats.bytes_loaded == 128
@@ -135,28 +139,47 @@ class TestLoadStoreUnit:
 
     def test_store_queue_fills_and_drains(self):
         lsu = self._lsu(stq=2)
-        lsu.issue(0, 64, 0, is_store=True)
-        lsu.issue(64, 64, 0, is_store=True)
+        issue(lsu, 0, 64, 0, is_store=True)
+        issue(lsu, 64, 64, 0, is_store=True)
         assert lsu.stq_occupancy(cycle=1) == 2
         completion = max(
-            lsu.issue(0, 0, 0, is_store=False).complete_cycle, 400.0
+            issue(lsu, 0, 0, 0, is_store=False).complete_cycle, 400.0
         )
         assert lsu.stq_occupancy(cycle=completion + 1) == 0
 
     def test_oracle_store_queue_full(self):
         lsu = self._lsu(stq=2)
-        store = lsu.issue(0, 64, 0, is_store=True)
+        store = issue(lsu, 0, 64, 0, is_store=True)
         assert not store_queue_full(lsu, cycle=1)
-        lsu.issue(64, 64, 0, is_store=True)
+        issue(lsu, 64, 64, 0, is_store=True)
         assert store_queue_full(lsu, cycle=1)
         assert not store_queue_full(lsu, cycle=store.complete_cycle)
 
     def test_mob_orders_load_after_store(self):
         lsu = self._lsu()
-        store = lsu.issue(0, 64, 0, is_store=True)
-        load = lsu.issue(0, 64, 1, is_store=False)
+        store = issue(lsu, 0, 64, 0, is_store=True)
+        load = issue(lsu, 0, 64, 1, is_store=False)
         assert load.complete_cycle >= store.complete_cycle
 
     def test_negative_size_rejected(self):
         with pytest.raises(SimulationError):
-            self._lsu().issue(0, -1, 0, is_store=False)
+            issue(self._lsu(), 0, -1, 0, is_store=False)
+
+    def test_walk_issue_matches_the_oracle(self):
+        """Same accesses, same LSUs: completions, STQ and stats agree."""
+        fast, slow = self._lsu(stq=8), self._lsu(stq=8)
+        accesses = [
+            (addr, nbytes, cycle, is_store)
+            for cycle in range(0, 60, 3)
+            for addr, nbytes, is_store in (
+                (cycle * 40 % 512, 128, False),
+                (cycle * 24 % 384, 64, True),
+                (cycle * 8 % 256, 0, cycle % 2 == 0),
+            )
+        ]
+        for addr, nbytes, cycle, is_store in accesses:
+            assert _issue_memory(fast, addr, nbytes, cycle, is_store) == issue(
+                slow, addr, nbytes, cycle, is_store
+            ).complete_cycle
+        assert list(fast._store_queue) == list(slow._store_queue)
+        assert fast.stats == slow.stats and fast.stats.stores > 0

@@ -11,11 +11,13 @@ import collections
 import dataclasses
 import hashlib
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.parallel import execute_task
 from repro.core.policies import POLICIES_BY_KEY
+from repro.memory.image import MemoryImage
 from repro.service.specs import build_task, spec_for_pair
 from repro.validation import fingerprint
 from repro.validation.fingerprint import (
@@ -119,3 +121,34 @@ def test_every_section_of_a_real_run_digests_as_its_repr(real_run):
         "profile": dataclasses.asdict(real_run.profile),
     }
     assert summary["profile"]["total_cycles"] == real_run.total_cycles
+
+
+def _image(*arrays):
+    image = MemoryImage()
+    for index, data in enumerate(arrays):
+        image.add_array(f"a{index}", data)
+    return image
+
+
+#: float32 data whose bytes hold both quote characters.
+_QUOTED = np.frombuffer(b"'\"ab" * 3 + b"\\\n\"\x00", dtype=np.float32)
+
+
+@pytest.mark.parametrize(
+    "images",
+    [
+        [None, _image(np.arange(5.0))],
+        [_image(_QUOTED)],
+        [_image(), None, _image(np.ones(3), _QUOTED)],
+        [None],
+        [],
+    ],
+    ids=["none-and-one-array", "one-core", "empty-image", "one-none", "no-images"],
+)
+def test_memory_images_digest_as_their_section_repr(real_run, images):
+    """The image section is fed one array at a time, never built whole;
+    its digest is still that of the section's ``repr``."""
+    result = dataclasses.replace(real_run, images=images)
+    section = fingerprint_sections(result)["memory_images"]
+    expected = hashlib.sha256(repr(section).encode("utf-8")).hexdigest()
+    assert fingerprint_digests(result)["memory_images"] == expected

@@ -3,12 +3,14 @@
 ``diff-fuzz`` can only see a slip in code that one engine runs and the
 other does not.  Each case below seeds one slip into a fast-engine kernel
 and requires the sweep to diverge: the oracle must be running its own
-commit walk, its own renamer headroom check and its own per-uop metric
-bookings.  The clean leg keeps the sweep honest in the other direction.
+commit walk, its own renamer headroom check, its own per-uop metric
+bookings and its own ld/st issue.  The clean leg keeps the sweep honest in
+the other direction.
 """
 
 import pytest
 
+from repro.coproc import batch_exec
 from repro.coproc.dynamic import InstructionPool
 from repro.coproc.metrics import Metrics
 from repro.coproc.renamer import Renamer
@@ -42,10 +44,35 @@ def _drop_one_compute(monkeypatch):
     monkeypatch.setattr(Metrics, "on_compute_dispatch_batch", slip)
 
 
+def _ignore_the_mob(monkeypatch):
+    def slip(lsu, addr, nbytes, cycle, is_store):
+        """``_issue_memory`` starting the access at ``cycle``, not at the
+        MOB's start: an overlapping older store no longer delays it."""
+        lsu.mob.earliest_start(addr, nbytes, cycle, is_store)
+        result = lsu.memory.access(addr, nbytes, cycle, is_store)
+        complete = result.complete_cycle
+        lsu.mob.track(addr, nbytes, complete, is_store)
+        stats = lsu.stats
+        if is_store:
+            stats.stores += 1
+            stats.bytes_stored += nbytes
+            queue = lsu._store_queue
+            queue.append(queue[-1] if queue and complete < queue[-1] else complete)
+        else:
+            stats.loads += 1
+            stats.bytes_loaded += nbytes
+        stats.vec_cache_hits += result.vec_cache_hits
+        stats.l2_hits += result.l2_hits
+        stats.dram_accesses += result.dram_accesses
+        return complete
+
+    monkeypatch.setattr(batch_exec, "_issue_memory", slip)
+
+
 @pytest.mark.parametrize(
     "seed_slip",
-    [_narrow_commit, _uncapped_headroom, _drop_one_compute],
-    ids=["commit-width", "renamer-hold-cap", "compute-batch-booking"],
+    [_narrow_commit, _uncapped_headroom, _drop_one_compute, _ignore_the_mob],
+    ids=["commit-width", "renamer-hold-cap", "compute-batch-booking", "ldst-mob-start"],
 )
 def test_fast_engine_slip_is_caught(monkeypatch, seed_slip):
     seed_slip(monkeypatch)
