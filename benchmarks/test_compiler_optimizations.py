@@ -1,6 +1,11 @@
-"""Compiler-knob study: FMA fusion and the Fig. 9 strip length ``s``.
+"""Compiler-knob study: FMA fusion, the Fig. 9 strip length ``s`` and the
+lazy partition monitor.
 
-Not a paper figure — quantifies the compiler optimisations the paper
+Not a paper figure, nor a row of :mod:`repro.analysis.fidelity`: every
+variant here is a ``CompileOptions`` value, and a task compiles its
+workloads with the default ones.
+
+The first study quantifies the compiler optimisations the paper
 leaves to "any existing vectorization algorithm" (§6.4/§8).  FMA fusion
 halves the multiply-add issue slots: with a deep enough out-of-order
 window both the parallel bank and the serial chain speed up (the window
@@ -9,14 +14,23 @@ dependency path).  Compiling *without* the residency hint shows a subtle
 interaction instead: fusion lowers the phase's Eq. 5 intensity, and a
 DRAM-level roofline then grants the loop fewer lanes — an example of why
 the hierarchical hint matters.
+
+The second is the eager-only ablation of §4's design: compiled with
+``elastic=False`` there is no lazy monitor, so a phase keeps its prologue
+vector length until it ends.
 """
 
 from benchmarks.conftest import banner, run_once
 from repro import Job, OCCAMY, build_image, compile_kernel, run_policy
+from repro.analysis.experiments import motivation_fig2
 from repro.analysis.reporting import format_table
 from repro.common.config import experiment_config
 from repro.compiler.ir import Assign, BinOp, Kernel, Load, Loop, Param
 from repro.compiler.pipeline import CompileOptions
+from repro.workloads.motivating import motivating_pair
+
+#: The motivating pair's scale for the eager-only ablation: Fig. 2's.
+SCALE = 0.5
 
 
 def parallel_bank(units: int = 6, trip: int = 1024, repeats: int = 60) -> Kernel:
@@ -59,7 +73,7 @@ def _run(kernel: Kernel, options: CompileOptions):
     return result.total_cycles, result.metrics.compute_uops[0]
 
 
-def test_fma_fusion_and_unrolling(benchmark, bench_scale):
+def test_fma_fusion_and_unrolling(benchmark):
     def run_all():
         out = {}
         for shape, kernel_factory in (("parallel", parallel_bank), ("serial", serial_chain)):
@@ -103,3 +117,40 @@ def test_fma_fusion_and_unrolling(benchmark, bench_scale):
     benchmark.extra_info["cycles"] = {
         f"{shape}/{label}": values[0] for (shape, label), values in data.items()
     }
+
+
+def test_eager_only_ablation(benchmark):
+    """The motivating pair compiled without the lazy monitor, under Occamy,
+    beside Fig. 2's cached Private and full-design runs."""
+    config = experiment_config()
+    runs = motivation_fig2(scale=SCALE).results
+    private, full = runs["private"], runs["occamy"]
+    eager_only = CompileOptions(memory=config.memory, elastic=False)
+
+    def run_eager_only():
+        jobs = [
+            Job(compile_kernel(kernel, eager_only), build_image(kernel, core))
+            for core, kernel in enumerate(motivating_pair(SCALE))
+        ]
+        return run_policy(config, OCCAMY, jobs)
+
+    eager = run_once(benchmark, run_eager_only)
+    rows = [
+        [
+            key,
+            f"{result.speedup_over(private, 0):.2f}",
+            f"{result.speedup_over(private, 1):.2f}",
+            f"{100 * result.metrics.simd_utilization():.1f}%",
+        ]
+        for key, result in (("occamy (full)", full), ("eager-only", eager))
+    ]
+    banner("Eager-only ablation — motivating pair (speedups over Private)")
+    print(format_table(["variant", "sp0 (memory)", "sp1 (compute)", "util"], rows))
+
+    # A phase can never shrink mid-flight, so a co-runner entering a more
+    # demanding phase spins on MSR <VL> until the hog exits: the memory
+    # core's performance collapses.
+    assert eager.speedup_over(private, 0) < 0.9
+    # And the full design's SIMD utilisation is not beaten.
+    assert full.metrics.simd_utilization() >= eager.metrics.simd_utilization()
+    benchmark.extra_info["sp0_eager_only"] = eager.speedup_over(private, 0)

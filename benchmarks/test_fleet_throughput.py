@@ -240,6 +240,7 @@ def test_fleet_throughput_scales(benchmark, tmp_path):
         speedup,
         single.elapsed,
         quad.elapsed,
+        SCALE,
         extra={
             "jobs": JOBS,
             "concurrency": CONCURRENCY,

@@ -1,9 +1,10 @@
-"""The paper's evaluation, one test per headline number.
+"""The paper's evaluation and our claims beyond it, one test per row.
 
 Every row of :data:`repro.analysis.fidelity.ROWS` (Figs. 2/8/10-16,
-Tables 3/5, §7.4) is measured once per session and must be inside its
-tolerance or carry the reason it is not — at ``CALIBRATED_SCALE``, whatever
-``REPRO_BENCH_SCALE`` says: the notes and the deltas they account for are
+Tables 3/5, §7.4, then the ablations, the CTS baseline, sensitivity, the
+roofline and ECM models and thread allocation) is measured once per
+session and must be inside its tolerance or carry the reason it is not —
+at ``CALIBRATED_SCALE``: the notes and the deltas they account for are
 calibrated there.  Run with ``-s`` for the rendered table (the block
 EXPERIMENTS.md carries, which ``repro fidelity`` prints without pytest).
 """
@@ -17,7 +18,7 @@ from repro.analysis.fidelity import ACCEPTED, CALIBRATED_SCALE, ROWS, fidelity_r
 @pytest.fixture(scope="module")
 def judged():
     results = fidelity_rows(scale=CALIBRATED_SCALE)
-    banner(f"Paper vs ours — every headline number (scale {CALIBRATED_SCALE:g})")
+    banner(f"Paper vs ours — every row (scale {CALIBRATED_SCALE:g})")
     print(render(results, CALIBRATED_SCALE))
     return {(result.row.artefact, result.row.quantity): result for result in results}
 

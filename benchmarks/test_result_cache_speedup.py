@@ -53,7 +53,7 @@ def test_warm_cache_speedup(benchmark, tmp_path, monkeypatch):
     benchmark.extra_info["warm_seconds"] = warm_seconds
     benchmark.extra_info["speedup"] = speedup
     record_bench(
-        "result_cache", speedup, cold_seconds, warm_seconds,
+        "result_cache", speedup, cold_seconds, warm_seconds, SCALE,
         extra={"entries": entries},
     )
 

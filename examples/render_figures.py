@@ -5,8 +5,7 @@ Runs the motivating example on all four architectures and writes:
 
 * ``fig2_busy_lanes.svg`` — per-core busy-lane curves (Fig. 2(b)/(e));
 * ``fig8_lane_plan.svg`` — Occamy's elastic lane schedule (Fig. 8);
-* ``fig2f_speedups.svg`` — per-architecture speedup bars (Fig. 2(f));
-* ``energy_edp.svg`` — the energy-delay comparison (extension).
+* ``fig2f_speedups.svg`` — per-architecture speedup bars (Fig. 2(f)).
 
 Run:  python examples/render_figures.py [output_dir]
 """
@@ -14,7 +13,6 @@ Run:  python examples/render_figures.py [output_dir]
 import os
 import sys
 
-from repro.analysis.energy import compare_energy
 from repro.analysis.experiments import motivation_fig2
 from repro.analysis.plots import (
     bar_chart_svg,
@@ -66,23 +64,6 @@ def main(output_dir: str = "figures") -> None:
         width=520,
     )
     path = os.path.join(output_dir, "fig2f_speedups.svg")
-    write_svg(svg, path)
-    print("wrote", path)
-
-    # Extension: energy-delay product.
-    reports = compare_energy(result.results)
-    svg = bar_chart_svg(
-        ["energy (uJ)", "EDP (uJ*us / 10)"],
-        {
-            key: [report.total_uj, report.edp / 10]
-            for key, report in reports.items()
-        },
-        y_label="",
-        baseline=None,
-        title="Energy and energy-delay product",
-        width=520,
-    )
-    path = os.path.join(output_dir, "energy_edp.svg")
     write_svg(svg, path)
     print("wrote", path)
 

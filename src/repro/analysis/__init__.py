@@ -11,12 +11,6 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.analysis.area import AreaBreakdown, area_model
-    from repro.analysis.energy import (
-        EnergyCoefficients,
-        EnergyReport,
-        compare_energy,
-        energy_report,
-    )
     from repro.analysis.experiments import (
         CaseStudyResult,
         MotivationResult,
@@ -45,9 +39,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
     __name__,
     {
         "repro.analysis.area": ("AreaBreakdown", "area_model"),
-        "repro.analysis.energy": (
-            "EnergyCoefficients", "EnergyReport", "compare_energy", "energy_report"
-        ),
         "repro.analysis.experiments": (
             "CaseStudyResult", "MotivationResult", "PairOutcome", "case_study_fig14",
             "clear_sweep_cache", "four_core_fig16", "motivation_fig2", "pair_outcome",

@@ -33,8 +33,8 @@ Calibration (see :class:`EcmCalibration`) is deliberately thin — three
 constants measured once against the simulator, all with a mechanical
 story, none fitted per workload.  Cross-validation against ``Machine.run``
 over the Table 3 workloads under occamy/fts/cts lands at a geometric-mean
-relative cycle error well inside the CI gate (see
-``benchmarks/test_model_validation.py`` and ``repro perf-report``).
+relative cycle error well inside the gate (see the ``ECM model`` rows of
+:mod:`repro.analysis.fidelity` and ``repro perf-report``).
 """
 
 from __future__ import annotations

@@ -222,7 +222,7 @@ def motivation_fig2(
 # --- Fig. 14: case study with fixed lane counts ------------------------------
 
 
-def _solo(kernel: Kernel, config: MachineConfig, core_id: int = 0) -> Dict[str, object]:
+def solo(kernel: Kernel, config: MachineConfig, core_id: int = 0) -> Dict[str, object]:
     """The workload set that runs ``kernel`` alone on ``core_id``."""
     kernels: List[Optional[Kernel]] = [None] * config.num_cores
     kernels[core_id] = kernel
@@ -242,7 +242,7 @@ def run_with_fixed_lanes(
     config = config or experiment_config()
     key = f"fixed{lanes}"
     # A kernel's scale is baked into it: the task's only labels the run.
-    return run_grid([_solo(kernel, config, core_id)], [key], 1.0, config, None)[0][key]
+    return run_grid([solo(kernel, config, core_id)], [key], 1.0, config, None)[0][key]
 
 
 @dataclass
@@ -290,7 +290,7 @@ def case_study_fig14(
     wl17 = spec_workload(17, scale=scale)
     fixed = [f"fixed{lanes}" for lanes in lane_choices]
     mem_runs, comp_runs = run_grid(
-        [_solo(wl20, config), _solo(wl17, config)], fixed, 1.0, config, jobs
+        [solo(wl20, config), solo(wl17, config)], fixed, 1.0, config, jobs
     )
     lane_sweep = {
         lanes: (

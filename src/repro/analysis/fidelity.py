@@ -1,30 +1,37 @@
-"""Ground truth as data: every headline number of the paper's evaluation, once.
+"""Ground truth as data: every headline number of the paper's evaluation,
+and every claim this repository makes beyond it, once.
 
 :data:`ROWS` is the table — one :class:`Row` per number the paper gives
-(§7, Figs. 2/8/10–16, Tables 3/5, §7.4): the artefact, the quantity, the
-paper's value, how ours is measured, a tolerance on the relative error
-and, where we already know ours is off, the reason as text.  A paper
-value is a number, a bound (:class:`Bound`: ``>70%``, ``<1%``) or an
-ordering (:class:`Best`: "Occamy has the best GM").
+(:data:`PAPER`: §7, Figs. 2/8/10–16, Tables 3/5, §7.4), then one per claim
+beyond the paper (:data:`BEYOND`: the ablations of §4's LaneMgr, the CTS
+baseline, sensitivity, the roofline and ECM models, thread allocation):
+the artefact, the quantity, the paper's value, how ours is measured, a
+tolerance on the relative error and, where we already know ours is off,
+the reason as text.  A paper value is a number, a bound (:class:`Bound`:
+``>70%``, ``<1%``) or an ordering (:class:`Best`: "Occamy has the best
+GM"); a claim beyond the paper is a bound or an ordering of our own.
 
 :func:`fidelity_rows` measures every row — a fold over what the figure
-drivers of :mod:`repro.analysis.experiments`, ``area_model`` and
-``analyze_kernel`` already return, so everything simulated is a cached,
-``--jobs``-parallel task list — and judges it PASS, KNOWN-DELTA, FAIL or
-STALE-NOTE; :func:`render` prints what each means above the table.
+drivers of :mod:`repro.analysis.experiments`, the sweeps of
+:mod:`~repro.analysis.sensitivity` and :mod:`~repro.analysis.validation`,
+``area_model`` and ``analyze_kernel`` already return, so everything
+simulated is a cached, ``--jobs``-parallel task list — and judges it PASS,
+KNOWN-DELTA, FAIL or STALE-NOTE; :func:`render` prints what each means
+above the table.
 
-Three consumers, no other copy of a paper number under ``src/`` or
-``benchmarks/``: ``repro report`` takes its paper columns from
-:data:`ROW`, ``benchmarks/test_paper_fidelity.py`` is one test
-parametrised over the rows, and ``repro fidelity`` prints :func:`render`,
-the block EXPERIMENTS.md carries between its ``fidelity`` markers.
+Four consumers, no other copy of a paper number or of one of our bounds
+under ``src/`` or ``benchmarks/``: ``repro report`` takes its paper columns
+from :data:`ROW`, ``repro perf-report`` its ECM gate,
+``benchmarks/test_paper_fidelity.py`` is one test parametrised over the
+rows, and ``repro fidelity`` prints :func:`render`, the block EXPERIMENTS.md
+carries between its ``fidelity`` markers.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.area import CONTROL_LOGIC, area_model
 from repro.analysis.experiments import (
@@ -32,20 +39,26 @@ from repro.analysis.experiments import (
     Jobs,
     MotivationResult,
     PairOutcome,
+    alloc_outcome,
     case_study_fig14,
     four_core_fig16,
-    motivation_fig2,
+    pair_outcome,
+    run_grid,
     sweep_pairs,
     table5_rows,
 )
 from repro.analysis.reporting import geomean, md_table
-from repro.common.config import table4_config
+from repro.common.config import experiment_config, table4_config
 from repro.compiler import analyze_kernel
 from repro.coproc.metrics import StallReason
 from repro.core.result import RunResult
 from repro.workloads.opencv import OPENCV_KERNELS, OPENCV_WORKLOADS, opencv_workload
 from repro.workloads.pairs import CoRunPair
 from repro.workloads.spec import SPEC_PHASES, SPEC_WORKLOADS, spec_workload
+
+if TYPE_CHECKING:  # measured by modules a warm ``repro report`` never loads
+    from repro.analysis.sensitivity import SensitivityPoint
+    from repro.analysis.validation import EcmValidation, PhaseValidation
 
 POLICIES = ("private", "fts", "vls", "occamy")
 SHARING = POLICIES[1:]
@@ -103,12 +116,23 @@ def relative_error(paper: PaperValue, ours: Measurement) -> float:
 
 @dataclass(frozen=True)
 class Measured:
-    """What the figure drivers return at one scale."""
+    """What the figure drivers, and the sweeps beyond the paper, return at
+    one scale."""
 
+    #: Fig. 2's co-run under its four policies and :data:`VARIANTS`.
     fig2: MotivationResult
     pairs: List[PairOutcome]
     fig14: CaseStudyResult
     fig16: List[Dict[str, RunResult]]
+    #: ``spec:1+13`` under Private, Occamy and ``flat-memory``.
+    spec_1_13: PairOutcome
+    #: ``sensitivity.sweep`` per parameter of ``SWEEPS``.
+    sensitivity: Dict[str, List["SensitivityPoint"]]
+    #: ``validate_phase`` per phase name of :data:`ROOFLINE_PHASES`.
+    roofline: Dict[str, "PhaseValidation"]
+    ecm: "EcmValidation"
+    #: Geomean per-thread cycles of the 16-core blend per placement.
+    alloc: Dict[str, float]
 
     def pair(self, core0: int, core1: int) -> PairOutcome:
         """One of the 25 pairs (the §7.4 cases are three of them)."""
@@ -323,6 +347,42 @@ def _case4_first_grant(m: Measured) -> float:
     return next(lanes for _cycle, lanes in timeline.points if lanes)
 
 
+# --- folds of the sweeps beyond the paper -------------------------------------
+
+#: The motivating co-run's runs beyond Fig. 2's four: the coarse temporal
+#: baseline and two LaneMgr ablations (``core.ablations``).
+VARIANTS = ("cts", "equal-split", "no-issue-ceiling")
+#: ``validate_phase``'s subjects: compute-bound, streaming, and the Case 4
+#: phase with reuse.
+ROOFLINE_PHASES = {"wsm52": 17, "sff2": 20, "rho_eos2": 19}
+#: The largest scale each sweep beyond the paper runs at: the one its claim
+#: was made at, which also holds each sweep to the cost it had then.
+SWEEP_SCALES = {"sensitivity": 0.35, "roofline": 0.2, "allocation": 0.2, "ECM": 0.1}
+#: Placements of the 16-core blend, as (policy, calibrated).
+PLACEMENTS = {
+    "random": ("random", False),
+    "symbiosis": ("symbiosis", False),
+    "calibrated symbiosis": ("symbiosis", True),
+    "oi-pack": ("oi-pack", False),
+}
+
+
+def _worst_rename_stalls(m: Measured, key: str) -> float:
+    metrics = m.fig2.results[key].metrics
+    return max(metrics.stall_fraction(core, StallReason.RENAME) for core in (0, 1))
+
+
+def _core1_peak_lanes(m: Measured, key: str) -> float:
+    timeline = m.spec_1_13.results[key].metrics.lane_timeline[1]
+    return max(lanes for _cycle, lanes in timeline.points)
+
+
+def _sensitivity_low(m: Measured, attribute: str) -> float:
+    return min(
+        getattr(point, attribute) for points in m.sensitivity.values() for point in points
+    )
+
+
 # --- the reasons, stated once ------------------------------------------------
 
 _FTS_WEAK = (
@@ -351,11 +411,12 @@ _PHASES_SHORT = (
     "release lanes; ROADMAP 2(c) is to test that at scale >= 1"
 )
 #: Where the paper says it in words only ("WL17 always benefits from more
-#: lanes", "the best speedups", "unlike FTS", a small overhead everywhere).
+#: lanes", "the best speedups", "unlike FTS", a small overhead everywhere),
+#: or not at all (:data:`BEYOND`).
 _OUR_BOUND = " (our bound)"
 
 
-ROWS: Tuple[Row, ...] = (
+PAPER: Tuple[Row, ...] = (
     # -- Fig. 2(f) / Fig. 8: 654.rom_s (WL#0) + 621.wrf_s (WL#1) ---------------
     Row("Fig. 2", "sp1 fts", 1.41, lambda m: m.fig2.speedup("fts", 1),
         note=_FTS_WEAK, upto=1.0),
@@ -521,33 +582,145 @@ ROWS: Tuple[Row, ...] = (
         upto=0.6),
 )
 
+
+def _ours(artefact: str, quantity: str, bound: Union[Bound, Best],
+          ours: Callable[[Measured], Measurement], fmt: str = ".2f") -> Row:
+    """A claim beyond the paper: our bound or ordering, no slack, no note."""
+    return Row(artefact, quantity + _OUR_BOUND, bound, ours, fmt, EXACT)
+
+
+BEYOND: Tuple[Row, ...] = (
+    # -- §8's coarse-grained temporal sharing (Beldianu & Ziavras), Fig. 2 pair
+    _ours("CTS baseline", "worst-core rename stalls, cts", Bound("<", 0.02),
+          lambda m: _worst_rename_stalls(m, "cts"), ".0%"),
+    _ours("CTS baseline", "worst-core rename stalls, fts", Bound(">", 0.30),
+          lambda m: _worst_rename_stalls(m, "fts"), ".0%"),
+    _ours("CTS baseline", "best sp1, occamy/fts/cts", Best("occamy"),
+          lambda m: {key: m.fig2.speedup(key, 1) for key in ("occamy", "fts", "cts")}),
+    # -- §4's LaneMgr, one ingredient off at a time, Fig. 2 pair ---------------
+    _ours("LaneMgr ablations", "sp0 occamy", Bound(">", 0.95),
+          lambda m: m.fig2.speedup("occamy", 0)),
+    # Without Eq. 2's issue ceiling the memory core is under-allocated (Case 4).
+    _ours("LaneMgr ablations", "sp0 no-issue-ceiling", Bound("<", 0.90),
+          lambda m: m.fig2.speedup("no-issue-ceiling", 0)),
+    _ours("LaneMgr ablations", "best sp1, occamy vs equal-split", Best("occamy"),
+          lambda m: {key: m.fig2.speedup(key, 1) for key in ("occamy", "equal-split")}),
+    _ours("LaneMgr ablations", "highest util, occamy vs private/equal-split/no-issue-ceiling",
+          Best("occamy"),
+          lambda m: {key: m.fig2.utilization(key)
+                     for key in ("private", "occamy", "equal-split", "no-issue-ceiling")},
+          ".1%"),
+    # WL13 is Vec-Cache resident: a DRAM-only roofline caps it at ~18 lanes.
+    _ours("LaneMgr ablations", "spec:1+13 best sp1, occamy vs flat-memory", Best("occamy"),
+          lambda m: {key: m.spec_1_13.speedup(key, 1) for key in ("occamy", "flat-memory")}),
+    _ours("LaneMgr ablations", "spec:1+13 most Core1 lanes, occamy vs flat-memory",
+          Best("occamy"),
+          lambda m: {key: _core1_peak_lanes(m, key) for key in ("occamy", "flat-memory")},
+          ".0f"),
+    # -- one machine parameter at a time, Occamy over Private, Fig. 2 pair -----
+    _ours("Sensitivity", "best sp1, 64 vs 16 lanes", Best("64 lanes"),
+          lambda m: {f"{p.value} lanes": p.compute_speedup
+                     for p in m.sensitivity["total_lanes"] if p.value in (16, 64)}),
+    _ours("Sensitivity", "lowest sp0, every sweep point", Bound(">", 0.80),
+          lambda m: _sensitivity_low(m, "memory_speedup"), ".3f"),
+    _ours("Sensitivity", "lowest sp1, every sweep point", Bound(">", 0.90),
+          lambda m: _sensitivity_low(m, "compute_speedup")),
+    # -- Eq. 4 vs the machine, solo at 2-32 fixed lanes ------------------------
+    # The sweep's top is 32 lanes, so "at least 32" is "still gaining at 32".
+    _ours("Roofline model", "wsm52 predicted knee (lanes)", Bound(">", 32),
+          lambda m: m.roofline["wsm52"].predicted_knee, ".0f"),
+    _ours("Roofline model", "wsm52 measured knee (lanes)", Bound(">", 24),
+          lambda m: m.roofline["wsm52"].measured_knee, ".0f"),
+    _ours("Roofline model", "sff2 predicted knee (lanes)", Bound("<", 8),
+          lambda m: m.roofline["sff2"].predicted_knee, ".0f"),
+    _ours("Roofline model", "sff2 measured knee (lanes)", Bound("<", 16),
+          lambda m: m.roofline["sff2"].measured_knee, ".0f"),
+    _ours("Roofline model", "lowest ordering agreement, wsm52/sff2/rho_eos2",
+          Bound(">", 0.70),
+          lambda m: min(v.ordering_agreement for v in m.roofline.values()), ".0%"),
+    # -- the ECM cycle predictor (arXiv 1509.03118) vs Table 3 solo runs -------
+    _ours("ECM model", "geomean cycle error, occamy/fts/cts", Bound("<", 0.35),
+          lambda m: m.ecm.geomean_error, ".1%"),
+    _ours("ECM model", "worst cycle error, occamy/fts/cts", Bound("<", 0.70),
+          lambda m: m.ecm.max_error, ".1%"),
+    # -- thread-to-core placement of the 16-core blend, Occamy per complex -----
+    # Symbiosis within 97 % of random's geomean cycles: random/ours > 1/0.97.
+    _ours("Allocation, 16 cores", "random / symbiosis, geomean cycles", Bound(">", 1 / 0.97),
+          lambda m: m.alloc["random"] / m.alloc["symbiosis"], ".3f"),
+    _ours("Allocation, 16 cores", "random / calibrated symbiosis, geomean cycles",
+          Bound(">", 1 / 0.97),
+          lambda m: m.alloc["random"] / m.alloc["calibrated symbiosis"], ".3f"),
+    _ours("Allocation, 16 cores", "oi-pack / random, geomean cycles", Bound(">", 1.03),
+          lambda m: m.alloc["oi-pack"] / m.alloc["random"], ".3f"),
+)
+
+ROWS: Tuple[Row, ...] = PAPER + BEYOND
+
 #: ``ROW["Fig. 10", "GM sp1 occamy"]``: where ``repro report`` reads its
 #: paper columns.
 ROW = {(r.artefact, r.quantity): r for r in ROWS}
 
 
 def fidelity_rows(scale: float = CALIBRATED_SCALE, jobs: Jobs = None) -> List[Judged]:
-    """Measure and judge every row at ``scale`` (138 cached simulations:
-    Fig. 2, 25 pairs x 4, Fig. 14's 14 solo + 4 co-runs, Fig. 16)."""
+    """Measure and judge every row at ``scale``.  The paper's take 138 cached
+    simulations (Fig. 2, 25 pairs x 4, Fig. 14's 14 solo + 4 co-runs,
+    Fig. 16); the sweeps beyond it, each at no more than the scale its
+    claim was made at (:data:`SWEEP_SCALES`), 184 more at scale 0.5."""
+    # Here, not above: a warm ``repro report`` reads ROW and loads none of them
+    # (``policy`` resolves an ablation key by importing ``core.ablations``).
+    from repro.analysis.sensitivity import SWEEPS, sweep
+    from repro.analysis.validation import validate_ecm, validate_phase
+    from repro.core.policies import policy
+
+    capped = {sweep_name: min(scale, cap) for sweep_name, cap in SWEEP_SCALES.items()}
+    (motivating,) = run_grid(
+        [{"kind": "motivate"}], POLICIES + VARIANTS, scale, experiment_config(), jobs
+    )
     measured = Measured(
-        fig2=motivation_fig2(scale=scale, jobs=jobs),
+        fig2=MotivationResult(results=motivating),
         pairs=sweep_pairs(scale=scale, jobs=jobs),
         fig14=case_study_fig14(scale=scale, jobs=jobs),
         fig16=four_core_fig16(scale=scale, jobs=jobs),
+        spec_1_13=pair_outcome(
+            CoRunPair("spec", 1, 13), scale,
+            policies=[policy(key) for key in ("private", "occamy", "flat-memory")], jobs=jobs,
+        ),
+        sensitivity={
+            name: sweep(name, scale=capped["sensitivity"], jobs=jobs) for name in SWEEPS
+        },
+        roofline={
+            name: validate_phase(spec_workload(workload, scale=capped["roofline"]), jobs=jobs)
+            for name, workload in ROOFLINE_PHASES.items()
+        },
+        ecm=validate_ecm(scale=capped["ECM"], jobs=jobs),
+        alloc={
+            label: alloc_outcome(
+                16, key, scale=capped["allocation"], calibrate=calibrate, jobs=jobs
+            ).geomean_cycles()
+            for label, (key, calibrate) in PLACEMENTS.items()
+        },
     )
     return [r.judge(r.ours(measured)) for r in ROWS]
 
 
 def render(results: Sequence[Judged], scale: float) -> str:
     """``repro fidelity``'s output: what is counted and how, then the table."""
-    counts = Counter(judged.status for judged in results)
+    paper = [judged for judged in results if judged.row in PAPER]
+    beyond = [judged for judged in results if judged.row in BEYOND]
+
+    def counts(section: Sequence[Judged]) -> str:
+        tally = Counter(judged.status for judged in section)
+        return ", ".join(f"{tally[s]} {s}" for s in (PASS, KNOWN_DELTA, FAIL, STALE_NOTE))
+
     return "\n".join(
         [
             "### What is measured",
             "",
-            f"- **Rows**: the {len(results)} headline numbers of the paper's "
-            "evaluation, from `repro.analysis.fidelity.ROWS` — nothing here is "
-            "typed by hand.",
+            f"- **Rows**: the {len(paper)} headline numbers of the paper's "
+            f"evaluation, then the {len(beyond)} claims this repository makes "
+            "beyond it (the LaneMgr ablations, the CTS baseline, sensitivity, "
+            "the roofline and ECM models, thread allocation), from "
+            "`repro.analysis.fidelity.ROWS` — nothing here is typed by hand.",
             f"- **Ours**: `python -m repro fidelity --scale {scale:g}` on "
             "`experiment_config()` (Table 4 timing and widths, caches shrunk "
             "in proportion — DESIGN.md §2); Fig. 12, Table 3 and Table 5 are "
@@ -560,8 +733,9 @@ def render(results: Sequence[Judged], scale: float) -> str:
             "whole run; GM is the geometric mean over the 25 pairs.",
             "- **Error** is relative to the paper's figure; for a bound or an "
             "ordering it is the fraction by which ours falls short (0 when it "
-            "holds).  A quantity marked *(our bound)* is one the paper states "
-            "in words only; the bound is this repository's.",
+            "holds; a bound holds at its own value).  A quantity marked *(our "
+            "bound)* is one the paper states in words only, or not at all; the "
+            "bound is this repository's.",
             "- **Status**: PASS = inside the tolerance; KNOWN-DELTA = outside "
             "it, the note says why (a calibration bug to fix, not a shape "
             "caveat — ROADMAP item 2(b)) and ours lies between the paper's "
@@ -571,11 +745,14 @@ def render(results: Sequence[Judged], scale: float) -> str:
             "exit 1.",
             f"- **Scale**: notes and known deltas are calibrated at scale "
             f"{CALIBRATED_SCALE:g}, the one CI and `benchmarks/"
-            "test_paper_fidelity.py` gate on; at another scale a row may FAIL.",
+            "test_paper_fidelity.py` gate on; at another scale a row may FAIL.  "
+            "Beyond the paper, each sweep runs at no more than the scale its claim "
+            "was made at: "
+            + ", ".join(f"{name} {cap:g}" for name, cap in SWEEP_SCALES.items())
+            + ".",
             "",
-            "### Paper vs ours ("
-            + ", ".join(f"{counts[s]} {s}" for s in (PASS, KNOWN_DELTA, FAIL, STALE_NOTE))
-            + ")",
+            f"### Paper vs ours ({counts(paper)}), then beyond the paper "
+            f"({counts(beyond)})",
             "",
             md_table(COLUMNS, [judged.cells() for judged in results]),
         ]

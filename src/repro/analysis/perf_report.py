@@ -10,7 +10,8 @@ a tracked ``ipc_report`` doc:
 * the ECM-vs-simulator cross-validation of
   :func:`repro.analysis.validation.validate_ecm` — the modelling
   trajectory: per-workload/policy predicted vs measured cycles, IPC,
-  relative errors and their geometric mean against the CI gate.
+  relative errors and their geometric mean against the gate its row in
+  :mod:`repro.analysis.fidelity` states.
 
 The report is deterministic given its inputs (records are sorted by
 bench name, validation rows by workload id), so two runs over the same
@@ -23,6 +24,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
+from repro.analysis.fidelity import ROW
 from repro.analysis.reporting import md_table
 from repro.analysis.validation import (
     ECM_VALIDATION_POLICIES,
@@ -32,8 +34,8 @@ from repro.analysis.validation import (
 from repro.common.config import MachineConfig, describe, experiment_config
 from repro.common.errors import ConfigurationError
 
-#: The CI-gated ceiling on the ECM geomean relative cycle error.
-ECM_ERROR_GATE = 0.35
+#: The fidelity row that gates the ECM geomean relative cycle error.
+ECM_GATE_ROW = ROW["ECM model", "geomean cycle error, occamy/fts/cts (our bound)"]
 
 #: Default workload scale for the report's validation sweep (small: the
 #: report is generated in CI after the benchmark jobs; accuracy holds
@@ -99,9 +101,9 @@ def _trajectory_section(records: List[Dict[str, object]]) -> List[str]:
 
 
 def _validation_section(validation: EcmValidation) -> List[str]:
-    gate = ECM_ERROR_GATE
+    gate = ECM_GATE_ROW.paper_value
     geo = validation.geomean_error
-    verdict = "PASS" if geo <= gate else "FAIL"
+    verdict = ECM_GATE_ROW.judge(geo).status
     lines = [
         "## ECM model vs simulator (cycle-prediction error)",
         "",

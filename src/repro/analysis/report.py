@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.analysis.area import area_model
-from repro.analysis.energy import compare_energy
 from repro.analysis.experiments import (
     TABLE5_HEADERS,
     MotivationResult,
@@ -107,20 +106,6 @@ def _area_section() -> str:
     )
 
 
-def _energy_section(result: MotivationResult) -> str:
-    reports = compare_energy(result.results)
-    rows = [
-        [key, f"{report.total_uj:.1f}", f"{report.runtime_us:.1f}",
-         f"{report.edp:.0f}"]
-        for key, report in reports.items()
-    ]
-    return (
-        "## Energy (extension)\n\n"
-        + md_table(["arch", "energy (uJ)", "runtime (us)", "EDP"], rows)
-        + "\n"
-    )
-
-
 def generate_report(
     scale: float = 0.4,
     pairs_limit: Optional[int] = 6,
@@ -144,7 +129,6 @@ def generate_report(
         _pairs_section(outcomes),
         _table5_section(config),
         _area_section(),
-        _energy_section(motivation),
     ]
     return "\n".join(sections)
 

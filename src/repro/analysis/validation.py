@@ -17,8 +17,8 @@ fan out under ``jobs`` / ``$REPRO_JOBS``, and import no engine themselves:
   *absolute* cycle predictions must land near the machine's measured
   totals; ``validate_ecm`` sweeps the Table 3 workloads under the
   sharing policies and reports per-point relative errors plus their
-  geometric mean (the CI-gated number, see
-  ``benchmarks/test_model_validation.py`` and ``repro perf-report``).
+  geometric mean (gated by a row of :mod:`repro.analysis.fidelity`, and
+  tabulated by ``repro perf-report``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.ecm import EcmModel
-from repro.analysis.experiments import run_grid, run_with_fixed_lanes
+from repro.analysis.experiments import run_grid, solo
 from repro.analysis.parallel import Jobs
 from repro.analysis.reporting import geomean
 from repro.common.config import MachineConfig, experiment_config
@@ -101,18 +101,21 @@ def validate_phase(
     phase_index: int = 0,
     lane_choices: Sequence[int] = (2, 4, 8, 16, 24, 32),
     config: Optional[MachineConfig] = None,
+    jobs: Jobs = None,
 ) -> PhaseValidation:
-    """Sweep ``kernel``'s phase over fixed lane counts and compare."""
+    """Sweep ``kernel``'s phase over fixed lane counts and compare: one
+    solo task per lane count (what :func:`run_with_fixed_lanes` runs)."""
     config = config or experiment_config()
     info = analyze_kernel(kernel)[phase_index]
     level = info.residency_level(config.memory)
     oi = info.oi_for_level(level)
     roofline = RooflineModel.from_config(config)
+    fixed = [f"fixed{lanes}" for lanes in lane_choices]
+    (runs,) = run_grid([solo(kernel, config)], fixed, 1.0, config, jobs)
 
     points = []
-    for lanes in lane_choices:
-        result = run_with_fixed_lanes(kernel, lanes, config)
-        phase = result.metrics.phases_of(0)[phase_index]
+    for lanes, key in zip(lane_choices, fixed):
+        phase = runs[key].metrics.phases_of(0)[phase_index]
         cycles = max(1, phase.duration)
         achieved = phase.compute_uops * lanes / cycles
         points.append(
@@ -188,7 +191,9 @@ class EcmValidation:
 
     @property
     def max_error(self) -> float:
-        return max((point.rel_error for point in self.points), default=0.0)
+        """The worst point's error; a sweep with no points has none, and
+        raises rather than pass the gate on nothing."""
+        return max(point.rel_error for point in self.points)
 
     def errors_by_policy(self) -> Dict[str, float]:
         """Per-policy geomean relative error."""

@@ -163,7 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     fidelity = sub.add_parser(
         "fidelity",
-        help="print the paper-vs-ours table (exit 1 on a failing row; calibrated at 0.5)",
+        help="print the paper-vs-ours table, our claims beyond the paper last "
+        "(exit 1 on a failing row; calibrated at 0.5)",
         parents=[runtime],
     )
     fidelity.add_argument("--scale", type=float, default=0.5)

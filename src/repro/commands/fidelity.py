@@ -1,5 +1,6 @@
-"""``repro fidelity``: every headline number of the paper beside ours, as
-Markdown — the block EXPERIMENTS.md carries.  Exits 1 when a row is outside
+"""``repro fidelity``: every headline number of the paper beside ours, then
+every claim of ours beyond the paper, as Markdown — the block EXPERIMENTS.md
+carries.  Exits 1 when a row is outside
 its tolerance with no stated reason, or states one it no longer needs."""
 
 import argparse

@@ -1,7 +1,9 @@
 """Ablation variants of Occamy's design choices.
 
-Each variant disables one ingredient of the full design so the benchmark
-suite can show what that ingredient buys:
+Each variant disables one ingredient of the full design, so the "Beyond the
+paper" rows of :mod:`repro.analysis.fidelity` can show what that ingredient
+buys; :func:`repro.core.policies.policy` resolves them by key, like any
+other policy a task names:
 
 * ``equal-split`` — replace the roofline-guided greedy partitioner with an
   equal division among running phases (no phase-behaviour awareness);
@@ -14,7 +16,8 @@ suite can show what that ingredient buys:
 * ``eager-only`` — compiled without the lazy partition monitor: a phase
   keeps its prologue vector length until it ends, so lanes freed by a
   co-runner mid-phase are never picked up (the eager-lazy ablation; this
-  one is a *compiler* knob: ``CompileOptions(elastic=False)``).
+  one is a *compiler* knob, ``CompileOptions(elastic=False)``, so
+  ``benchmarks/test_compiler_optimizations.py`` measures it).
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from dataclasses import replace
 from typing import Dict
 
 from repro.common.config import MachineConfig
-from repro.common.errors import ConfigurationError
 from repro.coproc.resource_table import ResourceTable
 from repro.coproc.sharing import SharingMode
 from repro.core.lane_manager import ElasticLaneManager
@@ -96,12 +98,5 @@ NO_ISSUE_CEILING = _variant_policy(
     ),
 )
 
+#: What :func:`repro.core.policies.policy` resolves beside the five.
 ABLATION_POLICIES = (EQUAL_SPLIT, FLAT_MEMORY, NO_ISSUE_CEILING)
-
-
-def ablation_policy(key: str) -> Policy:
-    """Look up an ablation policy by key."""
-    for policy in ABLATION_POLICIES:
-        if policy.key == key:
-            return policy
-    raise ConfigurationError(f"unknown ablation {key!r}")

@@ -96,7 +96,9 @@ POLICIES_BY_KEY: Dict[str, Policy] = {p.key: p for p in EXTENDED_POLICIES}
 
 def policy(key: str) -> Policy:
     """Look up a policy by key (``private``/``fts``/``vls``/``occamy``/``cts``),
-    or ``fixed<N>``: every core pinned at ``N`` lanes (Fig. 14(a)'s sweep)."""
+    ``fixed<N>``: every core pinned at ``N`` lanes (Fig. 14(a)'s sweep), or
+    one of :mod:`repro.core.ablations`' variants (``equal-split``,
+    ``flat-memory``, ``no-issue-ceiling``)."""
     if key.startswith("fixed") and key[5:].isdigit():
         lanes = int(key[5:])
 
@@ -104,9 +106,15 @@ def policy(key: str) -> Policy:
             return StaticLaneManager({core: lanes for core in range(config.num_cores)})
 
         return Policy(key, f"Fixed({lanes})", SharingMode.SPATIAL, pinned)
-    try:
+    if key in POLICIES_BY_KEY:
         return POLICIES_BY_KEY[key]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown policy {key!r}; choose from {sorted(POLICIES_BY_KEY)}"
-        ) from exc
+    # Imported on use: the variants are built from this module's Policy.
+    from repro.core.ablations import ABLATION_POLICIES
+
+    variants = {variant.key: variant for variant in ABLATION_POLICIES}
+    if key in variants:
+        return variants[key]
+    raise KeyError(
+        f"unknown policy {key!r}; choose from "
+        f"{sorted(POLICIES_BY_KEY) + sorted(variants)} or fixed<N>"
+    )

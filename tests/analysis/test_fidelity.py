@@ -8,6 +8,7 @@ import pytest
 
 from repro.analysis import experiments, fidelity, parallel, report, result_cache
 from repro.analysis.fidelity import (
+    BEYOND,
     EXACT,
     FAIL,
     KNOWN_DELTA,
@@ -90,6 +91,51 @@ def test_the_floors_of_the_deleted_benchmarks_still_fail():
         assert ROW[name].judge(failing).status == FAIL, name
 
 
+def test_the_asserts_of_the_folded_benchmarks_still_fail():
+    """Each assert of the beyond-the-paper benchmark modules is a row: the
+    value they printed passes it, one they rejected fails it."""
+    for quantity, passing, failing in [
+        # temporal baselines: CTS stalls < 2 %, FTS > 30 %, Occamy beats both
+        ("worst-core rename stalls, cts", 0.0, 0.03),
+        ("worst-core rename stalls, fts", 0.59, 0.29),
+        ("best sp1, occamy/fts/cts", {"occamy": 1.78, "fts": 1.03, "cts": 1.08},
+         {"occamy": 1.07, "fts": 1.03, "cts": 1.08}),
+        # ablations: sp0 > 0.95, no-issue-ceiling sp0 < 0.9, full beats the rest
+        ("sp0 occamy", 1.01, 0.94),
+        ("sp0 no-issue-ceiling", 0.72, 0.91),
+        ("best sp1, occamy vs equal-split", {"occamy": 1.78, "equal-split": 1.14},
+         {"occamy": 1.13, "equal-split": 1.14}),
+        ("highest util, occamy vs private/equal-split/no-issue-ceiling",
+         {"private": 0.237, "occamy": 0.328, "equal-split": 0.271, "no-issue-ceiling": 0.235},
+         {"private": 0.237, "occamy": 0.27, "equal-split": 0.271, "no-issue-ceiling": 0.235}),
+        ("spec:1+13 best sp1, occamy vs flat-memory", {"occamy": 1.48, "flat-memory": 1.10},
+         {"occamy": 1.09, "flat-memory": 1.10}),
+        ("spec:1+13 most Core1 lanes, occamy vs flat-memory", {"occamy": 24, "flat-memory": 18},
+         {"occamy": 16, "flat-memory": 18}),
+        # sensitivity: lanes[64] > lanes[16], sp0 > 0.8 and sp1 > 0.9 everywhere
+        ("best sp1, 64 vs 16 lanes", {"64 lanes": 2.98, "16 lanes": 1.14},
+         {"64 lanes": 1.10, "16 lanes": 1.14}),
+        ("lowest sp0, every sweep point", 0.801, 0.79),
+        ("lowest sp1, every sweep point", 1.11, 0.89),
+        # model validation: the knees, the ordering, the ECM error
+        ("wsm52 predicted knee (lanes)", 32, 24),
+        ("wsm52 measured knee (lanes)", 32, 16),
+        ("sff2 predicted knee (lanes)", 8, 16),
+        ("sff2 measured knee (lanes)", 16, 24),
+        ("lowest ordering agreement, wsm52/sff2/rho_eos2", 1.0, 0.69),
+        ("geomean cycle error, occamy/fts/cts", 0.067, 0.36),
+        ("worst cycle error, occamy/fts/cts", 0.171, 0.71),
+        # allocation: symbiosis <= 97 % of random's cycles, oi-pack >= 103 %
+        ("random / symbiosis, geomean cycles", 1.078, 1.02),
+        ("random / symbiosis, geomean cycles", 1.078, 1.030),
+        ("random / calibrated symbiosis, geomean cycles", 1.174, 1.02),
+        ("oi-pack / random, geomean cycles", 1.202, 1.02),
+    ]:
+        (row,) = [row for row in BEYOND if row.quantity == quantity + " (our bound)"]
+        assert row.judge(passing).status == PASS, quantity
+        assert row.judge(failing).status == FAIL, quantity
+
+
 def test_a_bound_or_an_ordering_that_holds_has_no_error():
     assert fidelity.relative_error(Bound(">", 0.7), 0.9) == 0
     assert fidelity.relative_error(Bound("<", 0.01), 0.0) == 0
@@ -113,6 +159,13 @@ def test_rows_are_uniquely_named_and_their_reasons_are_prose():
         # A reason is a sentence, on one line of a Markdown table.
         assert not row.note or len(row.note.split()) >= 5, row
         assert not set("|\n") & set(row.note + row.quantity), row
+    # Beyond the paper every bound is ours, exact, and has nothing to excuse.
+    assert BEYOND and ROWS[-len(BEYOND):] == BEYOND
+    for row in BEYOND:
+        assert row.quantity.endswith(" (our bound)"), row
+        assert isinstance(row.paper, (Bound, Best)), row
+        assert not row.note and row.upto is None, row
+        assert row.tolerance == EXACT, row
 
 
 def test_analytical_rows_pass_without_a_simulation():
@@ -159,8 +212,10 @@ def test_report_types_no_paper_number():
 
 
 def test_fidelity_is_cached_and_parallel(tmp_path, monkeypatch, capsys):
-    """138 simulations on a pool of two; a second, serial run in a process
-    that remembers nothing executes none, stores none and prints the same."""
+    """315 simulations on a pool of two (the paper's 138, then the sweeps
+    beyond it, allocation calibration included); a second, serial run in a
+    process that remembers nothing executes none, stores none and prints
+    the same."""
     monkeypatch.setenv(result_cache.CACHE_DIR_ENV, str(tmp_path / "cache"))
     monkeypatch.delenv(result_cache.NO_CACHE_ENV, raising=False)
     cache = result_cache.default_cache()
@@ -169,7 +224,7 @@ def test_fidelity_is_cached_and_parallel(tmp_path, monkeypatch, capsys):
     main(["fidelity", "--scale", "0.05", "--jobs", "2"])
     cold = capsys.readouterr().out
     assert cold.count("\n| ") == len(ROWS) + 1  # the header row
-    assert len(cache) == 138
+    assert len(cache) == 315
 
     executed = []
     monkeypatch.setattr(parallel, "execute_task", executed.append)
@@ -177,5 +232,5 @@ def test_fidelity_is_cached_and_parallel(tmp_path, monkeypatch, capsys):
     main(["fidelity", "--scale", "0.05", "--jobs", "1"])
     assert capsys.readouterr().out == cold
     assert not executed
-    assert len(cache) == 138
+    assert len(cache) == 315
     experiments._sweep_cache.clear()

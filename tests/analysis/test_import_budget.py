@@ -40,7 +40,7 @@ UNUSED_BY_A_HIT = ENGINE + (
 #: with, the compile path that hashes the keys, and the tables it prints.
 WARM_REPORT_MODULES = """
 repro repro._lazy repro.cli repro.commands repro.commands.report
-repro.analysis repro.analysis.area repro.analysis.energy
+repro.analysis repro.analysis.area
 repro.analysis.experiments repro.analysis.fidelity repro.analysis.parallel
 repro.analysis.report repro.analysis.reporting repro.analysis.result_cache
 repro.common repro.common.config repro.common.errors repro.common.timeline

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.analysis.perf_report import (
-    ECM_ERROR_GATE,
+    ECM_GATE_ROW,
     generate_perf_report,
     load_bench_records,
     render_report,
@@ -83,11 +83,11 @@ class TestValidationSection:
         assert "## ECM model vs simulator" in text
         assert "| WL17 | occamy |" in text
         assert "Geomean relative cycle error" in text
-        assert f"{100 * ECM_ERROR_GATE:.0f}%" in text
+        assert f"{100 * ECM_GATE_ROW.paper_value:.0f}%" in text
 
     def test_gate_verdict_rendered(self, validation):
         text = render_report([], validation)
-        verdict = "PASS" if validation.geomean_error <= ECM_ERROR_GATE else "FAIL"
+        verdict = "PASS" if validation.geomean_error <= ECM_GATE_ROW.paper_value else "FAIL"
         assert verdict in text
 
     def test_per_policy_geomean_table(self, validation):

@@ -20,7 +20,6 @@ class TestReport:
             "## Co-running pairs",
             "## Table 5",
             "## Area",
-            "## Energy",
         ):
             assert heading in report
 
@@ -34,7 +33,8 @@ class TestReport:
     def test_every_byte_is_the_captured_one(self, report):
         """``report_scale005_pairs1.md`` is what PR 23 wrote for these eight
         simulations, but for the two Fig. 12 lines PR 24 declared (VLS
-        carries no Manager: 1.265 -> 1.263; 4-core FTS +35.5% -> +33.5%)."""
+        carries no Manager: 1.265 -> 1.263; 4-core FTS +35.5% -> +33.5%)
+        and without the energy section, whose model is deleted."""
         golden = Path(__file__).with_name("report_scale005_pairs1.md")
         assert report == golden.read_text(encoding="utf-8")
 

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.analysis.validation import PhaseValidation, ValidationPoint, validate_phase
+from repro.analysis.validation import (
+    EcmValidation,
+    PhaseValidation,
+    ValidationPoint,
+    validate_phase,
+)
 from repro.workloads.spec import spec_workload
 
 
@@ -40,6 +45,11 @@ class TestStatistics:
     def test_measured_knee_uses_90_percent(self):
         v = validation([(2, 1, 1), (4, 2, 9.5), (8, 4, 10)])
         assert v.measured_knee == 4
+
+    def test_an_empty_ecm_sweep_has_no_worst_error(self):
+        """The ECM fidelity rows cannot pass on a sweep that measured nothing."""
+        with pytest.raises(ValueError):
+            EcmValidation(points=[], scale=0.1).max_error
 
 
 class TestEndToEnd:

@@ -3,16 +3,14 @@
 import pytest
 
 from repro.common.config import experiment_config
-from repro.common.errors import ConfigurationError
 from repro.coproc.resource_table import ResourceTable
 from repro.core.ablations import (
-    ABLATION_POLICIES,
     EQUAL_SPLIT,
     FLAT_MEMORY,
     NO_ISSUE_CEILING,
     EqualSplitLaneManager,
-    ablation_policy,
 )
+from repro.core.policies import policy
 from repro.isa.registers import OIValue
 
 
@@ -55,15 +53,16 @@ class TestRooflineVariants:
 
     def test_no_issue_ceiling_under_allocates_memory_phases(self):
         config = experiment_config()
-        full = ablation_policy("no-issue-ceiling").build_lane_manager(config, {})
+        full = policy("no-issue-ceiling").build_lane_manager(config, {})
         streaming = OIValue.uniform(0.083)
         # Without Eq. 2 the memory phase saturates where FP peak meets the
         # memory ceiling: ~3 lanes instead of 8.
         assert full.roofline.saturation_lanes(streaming) < 5
 
     def test_registry(self):
-        assert ablation_policy("equal-split") is EQUAL_SPLIT
-        assert ablation_policy("no-issue-ceiling") is NO_ISSUE_CEILING
-        with pytest.raises(ConfigurationError):
-            ablation_policy("nope")
-        assert len(ABLATION_POLICIES) == 3
+        """A task names a variant by key, like any other policy."""
+        assert policy("equal-split") is EQUAL_SPLIT
+        assert policy("flat-memory") is FLAT_MEMORY
+        assert policy("no-issue-ceiling") is NO_ISSUE_CEILING
+        with pytest.raises(KeyError, match="equal-split"):
+            policy("nope")
