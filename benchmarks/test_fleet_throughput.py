@@ -31,7 +31,7 @@ import time
 from pathlib import Path
 from types import SimpleNamespace
 
-from benchmarks.conftest import banner, record_bench, run_once
+from benchmarks.conftest import banner, run_once
 from repro.analysis.parallel import execute_task
 from repro.service.client import ServiceClient
 from repro.service.fleet import FleetManager
@@ -235,21 +235,6 @@ def test_fleet_throughput_scales(benchmark, tmp_path):
     benchmark.extra_info["throughput_4"] = quad.throughput
     benchmark.extra_info["rejections_1"] = single.rejections
     benchmark.extra_info["rejections_4"] = quad.rejections
-    record_bench(
-        "fleet",
-        speedup,
-        single.elapsed,
-        quad.elapsed,
-        SCALE,
-        extra={
-            "jobs": JOBS,
-            "concurrency": CONCURRENCY,
-            "throughput_1_jobs_per_s": round(single.throughput, 1),
-            "throughput_4_jobs_per_s": round(quad.throughput, 1),
-            "rejections_1": single.rejections,
-            "rejections_4": quad.rejections,
-        },
-    )
 
     assert speedup >= MIN_SPEEDUP
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 
-from benchmarks.conftest import banner, record_bench, run_once
+from benchmarks.conftest import banner, run_once
 from repro.analysis import experiments, result_cache
 from repro.workloads.pairs import all_pairs
 
@@ -52,10 +52,6 @@ def test_warm_cache_speedup(benchmark, tmp_path, monkeypatch):
     benchmark.extra_info["cold_seconds"] = cold_seconds
     benchmark.extra_info["warm_seconds"] = warm_seconds
     benchmark.extra_info["speedup"] = speedup
-    record_bench(
-        "result_cache", speedup, cold_seconds, warm_seconds, SCALE,
-        extra={"entries": entries},
-    )
 
     # The cached results are the simulated results, exactly.
     for key in cold_motivation.results:

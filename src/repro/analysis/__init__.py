@@ -2,7 +2,7 @@
 
 ``experiments`` runs the simulations (with memoisation so Fig. 10/11/13/15
 share one pair sweep), ``area`` provides the Fig. 12 analytical area model,
-and ``reporting`` renders ASCII tables/series like the paper's plots.
+and ``reporting`` renders the ASCII and Markdown tables.
 """
 
 from typing import TYPE_CHECKING
@@ -24,12 +24,6 @@ if TYPE_CHECKING:
         sweep_pairs,
         table5_rows,
     )
-    from repro.analysis.plots import (
-        bar_chart_svg,
-        lane_timeline_svg,
-        series_svg,
-        write_svg,
-    )
     from repro.analysis.reporting import format_series, format_table, geomean
     from repro.analysis.sensitivity import SensitivityPoint, sweep
     from repro.analysis.trace import export_trace, phase_gantt, trace_dict
@@ -43,9 +37,6 @@ __all__, __getattr__, __dir__ = lazy_exports(
             "CaseStudyResult", "MotivationResult", "PairOutcome", "case_study_fig14",
             "clear_sweep_cache", "four_core_fig16", "motivation_fig2", "pair_outcome",
             "run_with_fixed_lanes", "sweep_pairs", "table5_rows"
-        ),
-        "repro.analysis.plots": (
-            "bar_chart_svg", "lane_timeline_svg", "series_svg", "write_svg"
         ),
         "repro.analysis.reporting": ("format_series", "format_table", "geomean"),
         "repro.analysis.sensitivity": ("SensitivityPoint", "sweep"),

@@ -197,11 +197,6 @@ class MotivationResult(_PerPolicy):
         metrics = self.results[policy_key].metrics
         return [phase.issue_rate for phase in metrics.phases_of(core)]
 
-    def lane_series(self, policy_key: str, core: int) -> List[float]:
-        """Per-1000-cycle average busy lanes (the Fig. 2 plots)."""
-        series = self.results[policy_key].metrics.busy_lanes_series[core]
-        return [total / series.bucket_cycles for total in series.totals()]
-
 
 def motivation_fig2(
     scale: float = 0.5,
@@ -410,24 +405,6 @@ def ncore_outcome(
         jobs,
     )
     return NCoreOutcome(num_cores=num_cores, group=group, results=results)
-
-
-def ncore_sweep(
-    core_counts: Sequence[int] = (8, 16, 32),
-    scale: float = DEFAULT_SCALE,
-    policies: Sequence[str] = NCORE_POLICY_KEYS,
-    jobs: Jobs = None,
-) -> List[NCoreOutcome]:
-    """The N-core scaling matrix: every size × every policy, memoised.
-
-    The experiment dimension ROADMAP item 1 asks for — affordable because
-    the hierarchical wheel and sharded lane bookkeeping keep per-cycle cost
-    proportional to the cores that actually have work.
-    """
-    return [
-        ncore_outcome(num_cores, scale, policies, jobs=jobs)
-        for num_cores in core_counts
-    ]
 
 
 # --- Allocation sweep: pairing policy × sharing policy × core count ----------

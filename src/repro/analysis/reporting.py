@@ -1,4 +1,4 @@
-"""ASCII and Markdown rendering of the paper's tables and series plots."""
+"""ASCII and Markdown rendering of the paper's tables and series."""
 
 from __future__ import annotations
 

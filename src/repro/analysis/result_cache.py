@@ -53,6 +53,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.common.config import MachineConfig, config_fingerprint
+from repro.common.errors import ConfigurationError
 from repro.core.result import Job, RunResult
 from repro.validation.fingerprint import summarize_result
 
@@ -318,8 +319,12 @@ class ResultCache:
         Eviction is strictly oldest-first (by mtime), so the newest
         results — the ones the service's dedup layer is most likely to
         coalesce against — always survive.  With no bounds given this is
-        a no-op.
+        a no-op; a negative bound raises :class:`ConfigurationError`
+        rather than emptying the cache.
         """
+        for flag, bound in (("max_bytes", max_bytes), ("max_entries", max_entries)):
+            if bound is not None and bound < 0:
+                raise ConfigurationError(f"{flag} must be >= 0, got {bound}")
         entries = self.entries()
         total = sum(entry.size_bytes for entry in entries)
         count = len(entries)

@@ -3,7 +3,7 @@
 This module only parses.  Each sub-command's body lives in — and is
 documented by — the module of its name under :mod:`repro.commands`
 (``motivate``, ``pair``, ``roofline``, ``table5``, ``area``, ``trace``,
-``figures``, ``report``, ``fidelity``, ``perf-report``, ``diff-fuzz``,
+``report``, ``fidelity``, ``perf-report``, ``diff-fuzz``,
 ``alloc-sweep``, ``serve``, ``submit``, ``svc-status``, ``fleet``,
 ``cache``), and :func:`main` imports only the one selected: ``repro cache stats`` loads no
 numpy, a warm ``repro report`` no simulator (DESIGN.md, "Import layering").
@@ -49,6 +49,30 @@ POLICY_KEYS = ("private", "fts", "vls", "occamy")
 #: Default gateway URL for the fleet client commands.
 FLEET_HTTP_ENV = "REPRO_FLEET_HTTP"
 DEFAULT_FLEET_HTTP = "http://127.0.0.1:8765"
+
+
+def scale_type(text: str) -> float:
+    """``--scale``: a finite number above zero, else argparse exits 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text!r}"
+        )
+    return value
+
+
+def count_type(text: str) -> int:
+    """A count of at least one (``report --pairs``), else argparse exits 2."""
+    try:
+        value = int(text, 10)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,23 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
     motivate = sub.add_parser(
         "motivate", help="run the §2 motivating example", parents=[runtime]
     )
-    motivate.add_argument("--scale", type=float, default=0.5)
+    motivate.add_argument("--scale", type=scale_type, default=0.5)
     motivate.add_argument(
         "--cores", nargs="+", default=None, metavar="N",
         help="instead of the 2-core Fig. 2 pair, sweep the N-core scaling "
         "matrix (Fig. 16 blend tiled across each machine size, co-run "
         "under private/occamy/fts/cts); e.g. --cores 8 16 32",
-    )
-    motivate.add_argument(
-        "--alloc", default=None, metavar="POLICY",
-        help="with --cores: place the blend with this allocation policy "
-        "(random / round-robin / oi-balance / oi-pack / symbiosis) and "
-        "report per-pair cycles instead of the sharing-mode matrix",
-    )
-    motivate.add_argument(
-        "--calibrate", action="store_true",
-        help="with --alloc symbiosis: refine the ECM compatibility matrix "
-        "with short micro co-runs (cached)",
     )
 
     pair = sub.add_parser(
@@ -123,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("suite", choices=("spec", "opencv"))
     pair.add_argument("mem", type=int)
     pair.add_argument("comp", type=int)
-    pair.add_argument("--scale", type=float, default=0.5)
+    pair.add_argument("--scale", type=scale_type, default=0.5)
 
     roofline = sub.add_parser("roofline", help="explore the Eq. 4 roofline")
     roofline.add_argument("oi_issue", type=float)
@@ -144,13 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("mem", type=int)
     trace.add_argument("comp", type=int)
     trace.add_argument("output")
-    trace.add_argument("--scale", type=float, default=0.3)
-
-    figures = sub.add_parser(
-        "figures", help="render SVG figures", parents=[runtime]
-    )
-    figures.add_argument("output_dir")
-    figures.add_argument("--scale", type=float, default=0.4)
+    trace.add_argument("--scale", type=scale_type, default=0.3)
 
     report = sub.add_parser(
         "report",
@@ -158,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[runtime],
     )
     report.add_argument("output")
-    report.add_argument("--scale", type=float, default=0.4)
-    report.add_argument("--pairs", type=int, default=6)
+    report.add_argument("--scale", type=scale_type, default=0.4)
+    report.add_argument("--pairs", type=count_type, default=6)
 
     fidelity = sub.add_parser(
         "fidelity",
@@ -167,22 +174,18 @@ def build_parser() -> argparse.ArgumentParser:
         "(exit 1 on a failing row; calibrated at 0.5)",
         parents=[runtime],
     )
-    fidelity.add_argument("--scale", type=float, default=0.5)
+    fidelity.add_argument("--scale", type=scale_type, default=0.5)
 
     perf_report = sub.add_parser(
         "perf-report",
         help="generate the tracked markdown perf report",
     )
     perf_report.add_argument(
-        "--bench-dir", default=".",
-        help="directory searched (recursively) for BENCH_*.json records",
-    )
-    perf_report.add_argument(
         "--out", default=None, metavar="OUT.md",
         help="write the report here (default: print to stdout)",
     )
     perf_report.add_argument(
-        "--scale", type=float, default=0.05,
+        "--scale", type=scale_type, default=0.05,
         help="workload scale for the ECM validation sweep (default 0.05)",
     )
     perf_report.add_argument(
@@ -192,22 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     perf_report.add_argument(
         "--policies", default=None, metavar="KEYS",
         help="comma-separated sharing policies (default occamy,fts,cts)",
-    )
-    perf_report.add_argument(
-        "--skip-validation", action="store_true",
-        help="skip the ECM-vs-simulator sweep (report benches only)",
-    )
-    perf_report.add_argument(
-        "--cores", nargs="+", default=None, metavar="N",
-        help="add the N-core scaling section: per-core-count geomean "
-        "speedups of occamy/fts/cts over Private on the tiled Fig. 16 "
-        "blend (e.g. --cores 8 16 32)",
-    )
-    perf_report.add_argument(
-        "--alloc-cores", nargs="+", default=None, metavar="N",
-        help="add the allocation section: every pairing policy swept at "
-        "each size plus the per-pair sharing win/loss table under the "
-        "symbiosis placement (e.g. --alloc-cores 16)",
     )
 
     diff_fuzz = sub.add_parser(
@@ -278,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated sharing policies run inside each complex "
         "(default occamy)",
     )
-    alloc_sweep.add_argument("--scale", type=float, default=0.2)
+    alloc_sweep.add_argument("--scale", type=scale_type, default=0.2)
     alloc_sweep.add_argument(
         "--seed", type=int, default=0, metavar="N",
         help="seed for the random placement baseline (default 0)",
@@ -376,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--policy", choices=sorted(POLICY_KEYS + ("cts",)), default="occamy"
         )
-        sp.add_argument("--scale", type=float, default=default_scale)
+        sp.add_argument("--scale", type=scale_type, default=default_scale)
         sp.add_argument("--client", default="cli",
                         help="client name for per-client quotas")
         sp.add_argument("--no-wait", action="store_true",

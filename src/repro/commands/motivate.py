@@ -10,22 +10,18 @@ import argparse
 
 from repro.analysis.experiments import (
     NCORE_POLICY_KEYS,
-    alloc_outcome,
     motivation_fig2,
     ncore_outcome,
 )
 from repro.analysis.reporting import format_table
 from repro.cli import POLICY_KEYS
 from repro.common.config import validate_core_counts
-from repro.common.errors import ConfigurationError
 
 
 def run(args: argparse.Namespace) -> int:
     if args.cores:
         args.cores = validate_core_counts(args.cores)
         return _motivate_ncore(args)
-    if args.alloc:
-        raise ConfigurationError("--alloc requires --cores (an N-core sweep)")
     result = motivation_fig2(scale=args.scale, jobs=args.jobs)
     rows = []
     for key in POLICY_KEYS:
@@ -48,26 +44,6 @@ def run(args: argparse.Namespace) -> int:
 
 
 def _motivate_ncore(args: argparse.Namespace) -> int:
-    if args.alloc:
-        for num_cores in args.cores:
-            outcome = alloc_outcome(
-                num_cores,
-                args.alloc,
-                scale=args.scale,
-                calibrate=args.calibrate,
-                jobs=args.jobs,
-            )
-            rows = [
-                [outcome.pair_label(index), result.total_cycles]
-                for index, result in enumerate(outcome.results)
-            ]
-            print(
-                f"\n{num_cores} cores, alloc={args.alloc}, "
-                f"sharing={outcome.sharing_key}:"
-            )
-            print(format_table(["pair", "cycles"], rows))
-            print(f"per-thread geomean: {outcome.geomean_cycles():.1f}")
-        return 0
     for num_cores in args.cores:
         outcome = ncore_outcome(num_cores, scale=args.scale, jobs=args.jobs)
         rows = []

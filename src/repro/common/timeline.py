@@ -1,6 +1,6 @@
 """Cycle-bucketed time series used by the metrics layer.
 
-The paper's utilisation plots (Fig. 2(b)-(e), Fig. 14(b)) average lane usage
+The paper's utilisation figures (Fig. 2(b)-(e), Fig. 14(b)) average lane usage
 over buckets of 1000 consecutive cycles.  :class:`BucketSeries` accumulates
 per-cycle samples into such buckets without storing every cycle, and
 :class:`Timeline` records step changes (e.g. lane-allocation changes) as

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
+from repro.common.errors import ConfigurationError
 from repro.compiler.ir import (
     Assign,
     BinOp,
@@ -294,6 +295,11 @@ def opencv_phase(name: str, scale: float = 1.0) -> Loop:
 
 def opencv_workload(workload_id: int, scale: float = 1.0) -> Kernel:
     """Build OpenCV workload ``WL<workload_id>`` as a multi-phase kernel."""
+    if workload_id not in OPENCV_WORKLOADS:
+        raise ConfigurationError(
+            f"unknown OpenCV workload {workload_id!r} "
+            f"(have: {min(OPENCV_WORKLOADS)}-{max(OPENCV_WORKLOADS)})"
+        )
     kernel_names = OPENCV_WORKLOADS[workload_id]
     loops = tuple(opencv_phase(name, scale=scale) for name in kernel_names)
     array_length = max(loop.trip_count for loop in loops) + 2

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.common.errors import ConfigurationError
 from repro.compiler.ir import Kernel, Loop
 from repro.workloads.synth import synth_phase
 
@@ -103,6 +104,11 @@ def spec_phase(name: str, scale: float = 1.0) -> Loop:
 
 def spec_workload(workload_id: int, scale: float = 1.0) -> Kernel:
     """Build SPEC workload ``WL<workload_id>`` as a multi-phase kernel."""
+    if workload_id not in SPEC_WORKLOADS:
+        raise ConfigurationError(
+            f"unknown SPEC workload {workload_id!r} "
+            f"(have: {min(SPEC_WORKLOADS)}-{max(SPEC_WORKLOADS)})"
+        )
     phase_names = SPEC_WORKLOADS[workload_id]
     loops = tuple(spec_phase(name, scale=scale) for name in phase_names)
     array_length = max(loop.trip_count for loop in loops) + 2

@@ -29,7 +29,6 @@ ORACLE = "repro.validation.reference_engine"
 UNUSED_BY_A_HIT = ENGINE + (
     "repro.analysis.ecm",
     "repro.analysis.validation",
-    "repro.analysis.plots",
     "repro.analysis.sensitivity",
     "repro.service",
     "multiprocessing",
@@ -179,8 +178,7 @@ def test_warm_perf_report_loads_no_engine(tmp_path, monkeypatch):
     ``perf-report`` reads its measurements back and simulates nothing."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     command = [
-        "perf-report", "--bench-dir", str(tmp_path),
-        "--scale", "0.05", "--workloads", "17,20",
+        "perf-report", "--scale", "0.05", "--workloads", "17,20",
     ]
     cold_out, warm_out = tmp_path / "cold.md", tmp_path / "warm.md"
     _child(command=command, required=ENGINE[:1], output=str(cold_out))

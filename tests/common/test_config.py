@@ -181,5 +181,5 @@ class TestValidateCoreCounts:
     def test_names_the_source_flag(self):
         from repro.common.config import validate_core_counts
 
-        with pytest.raises(ConfigurationError, match="--alloc-cores"):
-            validate_core_counts(["x"], source="--alloc-cores")
+        with pytest.raises(ConfigurationError, match="motivate --cores"):
+            validate_core_counts(["x"], source="motivate --cores")
