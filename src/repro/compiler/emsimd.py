@@ -20,7 +20,6 @@ Instrumentation instruction indices are recorded in the builder's ``meta``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
 from repro.common.errors import CompilationError
@@ -45,25 +44,22 @@ from repro.isa.registers import DECISION, OI, STATUS, VL, OIValue
 P0 = PReg("p0")
 P1 = PReg("p1")
 
-
-@dataclass(frozen=True)
-class PhaseCodegenOptions:
-    """Knobs for one phase's code generation."""
-
-    default_vl: int = 16  # compiler-selected default lane count (Fig. 9)
-    elastic: bool = True  # emit the lazy monitor/reconfiguration code
-    multiversion_threshold: int = 0  # trip counts below this skip monitoring
-    #: Fig. 9's strip length ``s``: body copies per monitored iteration.
-    #: Tail-safe because every copy is governed by its own ``whilelt``.
-    unroll: int = 1
+#: The compiler-selected default lane count (Fig. 9): requested when the
+#: lane manager's decision is still zero.
+DEFAULT_VL = 16
 
 
 class EmSimdCodegen:
-    """Emits one kernel's phases into a :class:`ProgramBuilder`."""
+    """Emits one kernel's phases into a :class:`ProgramBuilder`.
 
-    def __init__(self, builder: ProgramBuilder, options: PhaseCodegenOptions) -> None:
+    ``elastic`` emits the lazy monitor/reconfiguration code; ``unroll`` is
+    Fig. 9's strip length ``s`` (see :class:`CompileOptions`).
+    """
+
+    def __init__(self, builder: ProgramBuilder, elastic: bool, unroll: int) -> None:
         self.builder = builder
-        self.options = options
+        self.elastic = elastic
+        self.unroll = unroll
         self.monitor_idx: Set[int] = set()
         self.reconfig_idx: Set[int] = set()
 
@@ -91,7 +87,7 @@ class EmSimdCodegen:
             nonzero = self.builder.fresh_label(f"{tag}_nz")
             self.builder.emit(Branch("ne", nonzero, register, Imm(0)))
             self.builder.emit(
-                ScalarOp("mov", register, (Imm(self.options.default_vl),))
+                ScalarOp("mov", register, (Imm(DEFAULT_VL),))
             )
             self.builder.label(nonzero)
         self.builder.emit(MSR(VL, source))
@@ -119,7 +115,7 @@ class EmSimdCodegen:
         b.emit(MRS("Xd", DECISION))
         have_dec = b.fresh_label("have_dec")
         b.emit(Branch("ne", have_dec, "Xd", Imm(0)))
-        b.emit(ScalarOp("mov", "Xd", (Imm(self.options.default_vl),)))
+        b.emit(ScalarOp("mov", "Xd", (Imm(DEFAULT_VL),)))
         b.label(have_dec)
         self._emit_set_vl("Xd", "setvl", track_decision=True)
         b.emit(ScalarOp("mov", "Xc", ("Xd",)))
@@ -147,11 +143,7 @@ class EmSimdCodegen:
         b.label(loop_top)
         b.emit(Branch("ge", loop_exit, "Xi", "Xn"))
 
-        monitored = (
-            self.options.elastic
-            and loop.trip_count >= self.options.multiversion_threshold
-        )
-        if monitored:
+        if self.elastic:
             # --- Partition Monitor (lazy) ----------------------------------
             mark = b.position
             b.emit(MRS("Xd", DECISION))  # speculative read (§4.1.1)
@@ -169,7 +161,7 @@ class EmSimdCodegen:
         # Fig. 9's strip-mined segment: `unroll` body copies per monitor
         # visit, each with its own governing predicate so partial tails
         # are handled without a remainder loop.
-        for _copy in range(max(1, self.options.unroll)):
+        for _copy in range(self.unroll):
             self._emit_strip_body(vloop, start_index)
             b.emit(AddVL("Xi", "Xi"))
         b.emit(Branch("al", loop_top))
@@ -281,7 +273,6 @@ def _vector_op(ir_op: str) -> str:
     """IR operator -> vector instruction mnemonic."""
     mapping = {
         "mov": "mov",
-        "fma": "fma",
         "add": "add",
         "sub": "sub",
         "mul": "mul",

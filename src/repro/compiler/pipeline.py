@@ -16,9 +16,8 @@ from typing import List, Optional
 import numpy as np
 
 from repro.common.config import MemoryConfig
-from repro.compiler.dag import build_dag
-from repro.compiler.emsimd import EmSimdCodegen, PhaseCodegenOptions
-from repro.compiler.optimizer import optimize
+from repro.common.errors import ConfigurationError
+from repro.compiler.emsimd import EmSimdCodegen
 from repro.compiler.ir import Kernel
 from repro.compiler.phase_analysis import PhaseInfo, analyze_kernel
 from repro.compiler.vectorizer import vectorize_loop
@@ -29,7 +28,13 @@ from repro.memory.image import MemoryImage
 
 @dataclass(frozen=True)
 class CompileOptions:
-    """Compilation knobs (see :class:`PhaseCodegenOptions`).
+    """Compilation knobs.
+
+    ``elastic`` emits Fig. 9's lazy partition monitor and vector-length
+    reconfiguration; without it a phase keeps its prologue vector length
+    until its epilogue.  ``unroll`` is Fig. 9's strip length ``s``: body
+    copies per monitored iteration, each governed by its own ``whilelt``
+    so partial tails need no remainder loop.
 
     ``memory`` enables the hierarchical-roofline residency hint: when the
     target memory configuration is known at compile time, each phase's
@@ -37,37 +42,26 @@ class CompileOptions:
     manager bounds it by that level's bandwidth instead of DRAM's.
     """
 
-    default_vl: int = 16
     elastic: bool = True
-    multiversion_threshold: int = 0
     memory: Optional[MemoryConfig] = None
-    unroll: int = 1  # Fig. 9's strip length s
-    fold_constants: bool = False  # optimiser: evaluate constant subtrees
-    fuse_fma: bool = False  # optimiser: form fused multiply-adds
+    unroll: int = 1
 
-    def codegen(self) -> PhaseCodegenOptions:
-        return PhaseCodegenOptions(
-            default_vl=self.default_vl,
-            elastic=self.elastic,
-            multiversion_threshold=self.multiversion_threshold,
-            unroll=self.unroll,
-        )
+    def __post_init__(self) -> None:
+        if self.unroll < 1:
+            raise ConfigurationError(
+                f"unroll must be at least 1 (got {self.unroll})"
+            )
 
 
 def compile_kernel(kernel: Kernel, options: CompileOptions = CompileOptions()) -> Program:
     """Compile ``kernel`` into an EM-SIMD-instrumented program."""
     builder = ProgramBuilder(name=kernel.name)
-    codegen = EmSimdCodegen(builder, options.codegen())
+    codegen = EmSimdCodegen(builder, elastic=options.elastic, unroll=options.unroll)
     codegen.emit_params(kernel.params)
     infos: List[PhaseInfo] = []
     phase_ois = []
     for loop in kernel.loops:
-        dag = build_dag(loop)
-        if options.fold_constants or options.fuse_fma:
-            dag = optimize(
-                dag, fold=options.fold_constants, fma=options.fuse_fma
-            )
-        vloop = vectorize_loop(loop, dag=dag)
+        vloop = vectorize_loop(loop)
         infos.append(vloop.info)
         if options.memory is not None:
             level = vloop.info.residency_level(options.memory)

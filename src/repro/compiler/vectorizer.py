@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import VectorizationError
-from repro.compiler.dag import DagNode, LoopDag, build_dag
+from repro.compiler.dag import LoopDag, build_dag
 from repro.compiler.ir import Loop
 from repro.compiler.phase_analysis import PhaseInfo, analyze_loop
 from repro.isa.operands import VReg
@@ -50,15 +50,10 @@ class VectorizedLoop:
         )
 
 
-def vectorize_loop(loop: Loop, dag: LoopDag = None) -> VectorizedLoop:
-    """Vectorize ``loop``; raises :class:`VectorizationError` on overflow.
-
-    ``dag`` lets the driver pass a pre-optimised DAG (see
-    :mod:`repro.compiler.optimizer`); by default the loop's own DAG is
-    built here.
-    """
-    if dag is None:
-        dag = build_dag(loop)
+def vectorize_loop(loop: Loop) -> VectorizedLoop:
+    """Vectorize ``loop`` over its post-CSE DAG; raises
+    :class:`VectorizationError` on register overflow."""
+    dag = build_dag(loop)
     info = analyze_loop(loop, dag)
     vloop = VectorizedLoop(loop=loop, dag=dag, info=info)
 

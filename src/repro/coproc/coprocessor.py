@@ -172,9 +172,9 @@ class CoProcessor:
         """Advance every core one cycle; returns the number of events.
 
         The phase order of one co-processor cycle — commit, EM-SIMD,
-        dispatch — as ``Machine.step``, the time-slice scheduler and the
-        oracle run it.  The tickless run loop runs the same phases itself,
-        over its awake cores only (``Machine._step_fast``).
+        dispatch — as ``Machine.step`` and the oracle run it.  The
+        tickless run loop runs the same phases itself, over its awake
+        cores only (``Machine._step_fast``).
         """
         cores = self._every_core
         events = 0

@@ -17,7 +17,7 @@ other policy a task names:
   keeps its prologue vector length until it ends, so lanes freed by a
   co-runner mid-phase are never picked up (the eager-lazy ablation; this
   one is a *compiler* knob, ``CompileOptions(elastic=False)``, so
-  ``benchmarks/test_compiler_optimizations.py`` measures it).
+  ``benchmarks/test_eager_only_ablation.py`` measures it).
 """
 
 from __future__ import annotations

@@ -86,8 +86,6 @@ class CaseSpec:
     seed: int
     cores: Tuple[Optional[Tuple[PhaseSpec, ...]], ...]
     unroll: int = 1
-    fold_constants: bool = False
-    fuse_fma: bool = False
 
 
 @dataclass
@@ -165,8 +163,6 @@ def generate_case(seed: int, num_cores: int = 2) -> CaseSpec:
         seed=seed,
         cores=tuple(cores),
         unroll=rng.choice((1, 1, 1, 2)),
-        fold_constants=rng.random() < 0.25,
-        fuse_fma=rng.random() < 0.25,
     )
 
 
@@ -205,12 +201,7 @@ class CompiledCase:
     def __init__(self, spec: CaseSpec, config: Optional[MachineConfig] = None) -> None:
         self.spec = spec
         self.config = config if config is not None else experiment_config()
-        options = CompileOptions(
-            memory=self.config.memory,
-            unroll=spec.unroll,
-            fold_constants=spec.fold_constants,
-            fuse_fma=spec.fuse_fma,
-        )
+        options = CompileOptions(memory=self.config.memory, unroll=spec.unroll)
         self.kernels = case_kernels(spec)
         self.programs = [
             None if kernel is None else compile_kernel(kernel, options)
@@ -387,8 +378,6 @@ def place_case(
                 seed=spec.seed,
                 cores=tuple(spec.cores[index] for index in members),
                 unroll=spec.unroll,
-                fold_constants=spec.fold_constants,
-                fuse_fma=spec.fuse_fma,
             ),
         )
         for members in placement

@@ -80,10 +80,6 @@ def _candidates(spec: CaseSpec) -> Iterator[CaseSpec]:
                 )
     if spec.unroll > 1:
         yield replace(spec, unroll=1)
-    if spec.fold_constants:
-        yield replace(spec, fold_constants=False)
-    if spec.fuse_fma:
-        yield replace(spec, fuse_fma=False)
 
 
 def shrink_case(

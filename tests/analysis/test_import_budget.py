@@ -44,8 +44,7 @@ repro.analysis.experiments repro.analysis.fidelity repro.analysis.parallel
 repro.analysis.report repro.analysis.reporting repro.analysis.result_cache
 repro.common repro.common.config repro.common.errors repro.common.timeline
 repro.compiler repro.compiler.dag repro.compiler.emsimd repro.compiler.ir
-repro.compiler.optimizer repro.compiler.phase_analysis repro.compiler.pipeline
-repro.compiler.vectorizer
+repro.compiler.phase_analysis repro.compiler.pipeline repro.compiler.vectorizer
 repro.coproc repro.coproc.lsu repro.coproc.metrics repro.coproc.resource_table
 repro.coproc.sharing
 repro.core repro.core.lane_manager repro.core.partition repro.core.policies
@@ -252,7 +251,7 @@ def test_only_diff_fuzz_loads_the_oracle():
     run_fresh_python(
         f"""
 import sys
-import repro.core.machine, repro.core.scheduling
+import repro.core.machine
 assert {ORACLE!r} not in sys.modules
 """
     )

@@ -71,11 +71,6 @@ class TestFig9Structure:
         program = compile_kernel(make_axpy(), CompileOptions(elastic=False))
         assert program.meta["monitor"] == frozenset()
 
-    def test_multiversion_threshold_disables_small_loops(self):
-        kernel = make_axpy(length=256)
-        program = compile_kernel(kernel, CompileOptions(multiversion_threshold=512))
-        assert program.meta["monitor"] == frozenset()
-
     def test_strip_body_predicated(self):
         instrs = _instrs(make_axpy())
         assert any(isinstance(i, WhileLT) for i in instrs)

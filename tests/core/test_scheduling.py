@@ -1,87 +1,11 @@
-"""OS time-slice scheduling over the elastic co-processor (§5)."""
+"""Scheduling wakes on the machine's event wheel.
 
-import numpy as np
-import pytest
+:class:`repro.core.machine.EventWheel` against a brute-force ``min``
+oracle, and the wheel-driven fast engine against the wheel-less
+reference.
+"""
 
-from repro import (
-    FTS,
-    OCCAMY,
-    PRIVATE,
-    build_image,
-    compile_kernel,
-    reference_execute,
-)
-from repro.common.errors import ConfigurationError
-from repro.core.machine import Job
-from repro.core.scheduling import TimeSliceScheduler
-from tests.conftest import make_axpy, make_reduction, make_two_phase
-
-
-def jobs_for(kernels):
-    return [
-        Job(compile_kernel(kernel), build_image(kernel, core_id=index % 2))
-        for index, kernel in enumerate(kernels)
-    ]
-
-
-class TestScheduling:
-    def test_more_jobs_than_cores_all_finish(self, config):
-        kernels = [make_axpy(400), make_two_phase(400), make_reduction(400), make_axpy(300)]
-        scheduler = TimeSliceScheduler(config, OCCAMY, jobs_for(kernels), quantum=800)
-        result = scheduler.run()
-        assert all(cycles is not None for cycles in result.finish_cycles)
-        assert result.context_switches > 0
-
-    def test_results_correct_across_context_switches(self, config):
-        kernels = [make_axpy(512, repeats=3), make_reduction(512, repeats=3),
-                   make_two_phase(512)]
-        jobs = jobs_for(kernels)
-        expected = [
-            reference_execute(kernel, job.image)
-            for kernel, job in zip(kernels, jobs)
-        ]
-        scheduler = TimeSliceScheduler(config, OCCAMY, jobs, quantum=600)
-        scheduler.run()
-        for kernel, job, oracle in zip(kernels, jobs, expected):
-            for name, array in oracle:
-                np.testing.assert_allclose(
-                    job.image.array(name), array, rtol=1e-3,
-                    err_msg=f"{kernel.name}/{name} corrupted by scheduling",
-                )
-
-    def test_lane_accounting_survives_switches(self, config):
-        kernels = [make_axpy(400), make_axpy(400), make_two_phase(400)]
-        scheduler = TimeSliceScheduler(config, OCCAMY, jobs_for(kernels), quantum=500)
-        scheduler.run()
-        scheduler.coproc.resource_table.check_invariant()
-        assert scheduler.coproc.resource_table.free_lanes == 32
-
-    def test_exact_core_count_needs_no_switches(self, config):
-        kernels = [make_axpy(300), make_axpy(300)]
-        scheduler = TimeSliceScheduler(
-            config, PRIVATE, jobs_for(kernels), quantum=10_000_000
-        )
-        result = scheduler.run()
-        assert result.context_switches == 0
-
-    def test_scheduled_cycles_accounted(self, config):
-        kernels = [make_axpy(400), make_axpy(400), make_axpy(400)]
-        scheduler = TimeSliceScheduler(config, PRIVATE, jobs_for(kernels), quantum=500)
-        result = scheduler.run()
-        assert all(cycles > 0 for cycles in result.scheduled_cycles)
-        assert result.turnaround(2) >= result.scheduled_cycles[2]
-
-    def test_temporal_policy_rejected(self, config):
-        with pytest.raises(ConfigurationError):
-            TimeSliceScheduler(config, FTS, jobs_for([make_axpy(200)]))
-
-    def test_bad_quantum_rejected(self, config):
-        with pytest.raises(ConfigurationError):
-            TimeSliceScheduler(config, OCCAMY, jobs_for([make_axpy(200)]), quantum=10)
-
-    def test_no_jobs_rejected(self, config):
-        with pytest.raises(ConfigurationError):
-            TimeSliceScheduler(config, OCCAMY, [])
+from tests.conftest import make_axpy, make_reduction
 
 
 class TestHierarchicalWheel:
