@@ -366,25 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--scale", type=scale_type, default=default_scale)
         sp.add_argument("--client", default="cli",
                         help="client name for per-client quotas")
-        sp.add_argument("--no-wait", action="store_true",
-                        help="return after the queued acknowledgement")
         sp.add_argument("--json", action="store_true",
                         help="print the final event as JSON")
 
     svc_status = sub.add_parser(
         "svc-status",
-        help="query (and optionally drain/stop) one daemon, or aggregate "
-        "a whole fleet with repeated --socket",
-    )
-    svc_status.add_argument(
-        "--socket", action="append", default=None, metavar="ADDR",
-        help="daemon address (Unix socket path or tcp:HOST:PORT); repeat "
-        "for a fleet-wide aggregate view (default $REPRO_SERVICE_SOCKET, "
-        "else <cache-dir>/service.sock)",
-    )
-    svc_status.add_argument(
-        "--timeout", type=float, default=600.0, metavar="S",
-        help="client-side response timeout in seconds (default 600)",
+        help="query (and optionally drain/stop) one daemon",
+        parents=[svc_common],
     )
     svc_status.add_argument(
         "--drain", action="store_true",
@@ -392,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     svc_status.add_argument(
         "--shutdown", action="store_true",
-        help="stop the daemon(s) after reporting status",
+        help="stop the daemon after reporting status",
     )
     svc_status.add_argument("--json", action="store_true")
 
@@ -462,12 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
         "drain", help="quiesce every shard (finish queued + running work)",
         parents=[fleet_client],
     )
-
-    fleet_scale = fleet_sub.add_parser(
-        "scale", help="grow or shrink the fleet to N shards",
-        parents=[fleet_client],
-    )
-    fleet_scale.add_argument("n", type=int, help="target shard count")
 
     fleet_stop = fleet_sub.add_parser(
         "stop", help="shut down every shard and the gateway",

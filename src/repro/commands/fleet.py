@@ -8,7 +8,6 @@ import urllib.error
 import urllib.request
 
 from repro.cli import DEFAULT_FLEET_HTTP, FLEET_HTTP_ENV
-from repro.commands.svc_status import print_fleet_totals, print_shard_line
 from repro.common.errors import (
     ConfigurationError,
     ServiceError,
@@ -107,6 +106,38 @@ def _fleet_request(args: argparse.Namespace, path: str, method="GET", body=None)
         return None, None
 
 
+def _print_fleet_totals(totals: dict) -> None:
+    counters = totals.get("counters", {})
+    print(
+        f"fleet: {totals.get('reachable')}/{totals.get('shards')} shards "
+        f"reachable, {totals.get('queued')} queued, "
+        f"{totals.get('busy_workers')}/{totals.get('workers')} workers busy, "
+        f"cache hit rate {totals.get('cache_hit_rate')}"
+    )
+    print(
+        "fleet counters: "
+        + ", ".join(f"{k}={v}" for k, v in sorted(counters.items()))
+    )
+
+
+def _print_shard_line(label: str, status) -> None:
+    if not status or not status.get("ok"):
+        detail = (status or {}).get("error", "unreachable")
+        print(f"  {label}: UNREACHABLE ({detail})")
+        return
+    queue = status.get("queue", {})
+    workers = status.get("workers", {})
+    counters = status.get("counters", {})
+    submitted = counters.get("submitted", 0)
+    print(
+        f"  {label}: pid {status.get('pid')}, "
+        f"queue {queue.get('depth')}/{queue.get('max_depth')}, "
+        f"workers {workers.get('busy')}/{workers.get('size')} busy, "
+        f"cache_hits {counters.get('cache_hits', 0)}/{submitted}, "
+        f"retries {counters.get('retries', 0)}"
+    )
+
+
 def _status(args: argparse.Namespace) -> int:
     code, payload = _fleet_request(args, "/status")
     if code is None:
@@ -125,10 +156,10 @@ def _status(args: argparse.Namespace) -> int:
             f"{k}={v}" for k, v in sorted((gateway.get("counters") or {}).items())
         )
     )
-    print_fleet_totals(payload.get("totals", {}))
+    _print_fleet_totals(payload.get("totals", {}))
     for entry in payload.get("shards", []):
         label = f"{entry.get('shard')} {entry.get('address')}"
-        print_shard_line(label, entry.get("status"))
+        _print_shard_line(label, entry.get("status"))
     return 0 if code == 200 and payload.get("ok") else 1
 
 
@@ -138,20 +169,6 @@ def _drain(args: argparse.Namespace) -> int:
         return 2
     if code == 200 and payload.get("ok"):
         print(f"drained {payload.get('drained', 0)} pending job(s) fleet-wide")
-        return 0
-    print(f"error: {payload.get('detail', payload)}", file=sys.stderr)
-    return 2
-
-
-def _scale(args: argparse.Namespace) -> int:
-    code, payload = _fleet_request(args, "/scale", method="POST", body={"n": args.n})
-    if code is None:
-        return 2
-    if code == 200 and payload.get("ok"):
-        shards = payload.get("shards", [])
-        print(f"fleet scaled to {len(shards)} shard(s):")
-        for entry in shards:
-            print(f"  {entry.get('shard')}: {entry.get('address')}")
         return 0
     print(f"error: {payload.get('detail', payload)}", file=sys.stderr)
     return 2
@@ -170,7 +187,7 @@ def _stop(args: argparse.Namespace) -> int:
     return 2
 
 
-_OPS = {"serve": _serve, "status": _status, "drain": _drain, "scale": _scale, "stop": _stop}
+_OPS = {"serve": _serve, "status": _status, "drain": _drain, "stop": _stop}
 
 
 def run(args: argparse.Namespace) -> int:

@@ -49,7 +49,6 @@ def run(args: argparse.Namespace) -> int:
             final = client.submit(
                 spec,
                 client=args.client,
-                wait=not args.no_wait,
                 on_event=on_event,
                 timeout=args.timeout,
                 raise_on_failure=False,
@@ -63,8 +62,6 @@ def run(args: argparse.Namespace) -> int:
     if final.get("event") == "failed":
         print(f"[{final.get('job')}] FAILED: {final.get('error')}", file=sys.stderr)
         return 1
-    if args.no_wait:
-        return 0
     result = final.get("result") or {}
     print(
         f"[{final.get('job')}] done: policy={result.get('policy')} "

@@ -24,10 +24,15 @@ Modules
     Supervised worker-process pool: per-job timeouts, crash detection,
     worker recycling.
 :mod:`~repro.service.server`
-    The asyncio daemon: socket endpoints, streaming job events, retry
-    orchestration, drain/shutdown.
+    The asyncio daemon: five socket ops (``ping``, ``submit``,
+    ``status``, ``drain``, ``shutdown``), streaming job events, retry
+    orchestration, and the one coalescing of duplicate submissions.
 :mod:`~repro.service.client`
     Blocking stdlib-socket client used by the CLI and tests.
+:mod:`~repro.service.fleet` / :mod:`~repro.service.gateway`
+    N daemons behind one HTTP front door: hash-ring routing (duplicates
+    share a home shard and coalesce in its daemon), failover in ring
+    order, and the one fleet status view.
 """
 
 from typing import TYPE_CHECKING

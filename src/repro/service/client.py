@@ -151,12 +151,6 @@ class ServiceClient:
     def shutdown(self, drain: bool = False) -> Dict[str, object]:
         return self.request("shutdown", drain=drain)
 
-    def cancel(self, job_id: str) -> Dict[str, object]:
-        return self.request("cancel", job=job_id)
-
-    def result(self, job_id: str) -> Dict[str, object]:
-        return self.request("result", job=job_id)
-
     def submit(
         self,
         spec: Dict[str, object],
@@ -188,7 +182,7 @@ class ServiceClient:
         if not wait:
             return ack
         event = ack
-        while event.get("event") not in ("done", "failed", "cancelled"):
+        while event.get("event") not in ("done", "failed"):
             event = self.read_message(timeout=timeout)
             if on_event is not None:
                 on_event(event)
@@ -197,21 +191,4 @@ class ServiceClient:
                 f"job {event.get('job')} failed after "
                 f"{event.get('attempts')} attempt(s): {event.get('error')}"
             )
-        return event
-
-    def watch(
-        self,
-        job_id: str,
-        on_event: Optional[Callable[[Dict[str, object]], None]] = None,
-        timeout: Optional[float] = None,
-    ) -> Dict[str, object]:
-        """Attach to a job's event stream; returns its terminal event."""
-        self.send({"op": "watch", "job": job_id})
-        event = self.read_message(timeout=timeout)
-        if not event.get("ok", True) and event.get("error"):
-            raise ServiceProtocolError(str(event))
-        while event.get("event") not in ("done", "failed", "cancelled"):
-            event = self.read_message(timeout=timeout)
-            if on_event is not None:
-                on_event(event)
         return event

@@ -8,17 +8,17 @@ is independent of HTTP:
 
 * :class:`HashRing` — consistent hashing of job identities onto shard
   names, so repeat submissions of the same spec land on the shard whose
-  key memo and OS page cache are already warm for it, and so adding or
-  removing a shard only remaps the keys that lived on it;
+  key memo and OS page cache are already warm for it (and concurrent
+  duplicates meet in that daemon, which coalesces them), and so a shard
+  going down only remaps the keys that lived on it;
 * :func:`choose_shard` — the one routing rule: a job goes to its hash
   home, and when that shard is down or already tried, to the next live
   shard in ring order;
 * :func:`aggregate_statuses` — folds per-daemon ``status`` payloads into
   one fleet view (queue depths, worker occupancy, cache hit rate, retry
-  counts) shared by the gateway's ``/status`` endpoint and the
-  multi-socket ``repro svc-status`` CLI;
-* :class:`FleetManager` — spawns, scales and reaps ``repro serve``
-  daemon subprocesses, each on its own socket, all sharing one result
+  counts) for the gateway's ``/status`` endpoint;
+* :class:`FleetManager` — spawns and stops ``repro serve`` daemon
+  subprocesses, each on its own socket, all sharing one result
   cache directory (the shared cache tier: content-hash keys make results
   location-independent, so any shard can serve any other shard's past
   work).
@@ -38,8 +38,8 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.common.errors import ConfigurationError, ServiceUnavailableError
 
 #: Virtual nodes per shard on the hash ring.  Enough that a 2..32-shard
-#: fleet balances within a few percent; small enough that rebuilding the
-#: ring on scale events is trivial.
+#: fleet balances within a few percent; small enough that building the
+#: ring is trivial.
 RING_REPLICAS = 64
 
 
@@ -317,9 +317,3 @@ class FleetManager:
     def stop_all(self) -> None:
         for name in list(self._shards):
             self.stop_shard(name)
-
-    def reap(self, name: str) -> None:
-        """Reap a shard something else (the gateway) already shut down."""
-        shard = self._shards.pop(name, None)
-        if shard is not None:
-            shard.reap()

@@ -2,20 +2,18 @@
 
 Many submitters compete for a pool of shards.  The gateway speaks plain
 HTTP/1.1 + JSON to clients (any language, ``curl``-able) and the existing
-line-delimited JSON socket protocol to each daemon, adding exactly four
+line-delimited JSON socket protocol to each daemon, adding exactly three
 things a single daemon cannot provide:
 
 * **shard routing** — each submission is routed by consistent hash of
   its spec signature (the stable identity behind the content-hash
   simulation key), so repeat keys land on the warm shard
-  (:func:`repro.service.fleet.choose_shard`);
-* **fleet-wide single-flight** — identical specs submitted concurrently
-  through the gateway execute once *globally*, even when shard routing
-  alone would have sent them to different daemons; late arrivals attach
-  to the first submission's in-flight future;
+  (:func:`repro.service.fleet.choose_shard`).  Identical specs
+  therefore share a home shard and coalesce there, in the daemon;
 * **health-checked failover** — a daemon that dies mid-run (connection
   lost before the terminal event) is marked down and the job is resubmitted
-  to the next shard in ring order; because specs are idempotent
+  to the next shard in ring order (duplicates walk the same order, so
+  they still meet on one shard); because specs are idempotent
   descriptions and results are content-addressed, a retried job is
   bit-identical to a first-try run;
 * **aggregation** — ``/status`` fans out to every shard and folds the
@@ -34,17 +32,15 @@ Endpoints (all responses JSON):
     502 when no shard could be reached.
 ``POST /drain``
     Quiesce every shard; replies once queued+running work is finished.
-``POST /scale``
-    Body ``{"n": N}``.  Grow or shrink the fleet (only when the gateway
-    owns its daemons through a :class:`~repro.service.fleet.FleetManager`);
-    shrinking drains retiring shards first.
 ``POST /shutdown``
     Body ``{"drain": bool}``.  Stop every shard, then the gateway.
 
 Admission rejections are *not* failed over: backpressure is a deliberate
 signal the client must see, otherwise a full fleet would buffer without
 bound at the gateway.  Only transport loss (shard death) triggers
-failover.
+failover.  A request whose request line or ``Content-Length`` is
+malformed gets a 400, one whose body is over :data:`MAX_BODY_BYTES` a
+413; the gateway then closes that connection.
 """
 
 from __future__ import annotations
@@ -66,7 +62,7 @@ from repro.service.fleet import HashRing, aggregate_statuses, choose_shard
 from repro.service.specs import normalize_spec, task_signature
 
 #: Job events that end a submission stream.
-TERMINAL_EVENTS = ("done", "failed", "cancelled")
+TERMINAL_EVENTS = ("done", "failed")
 
 #: Upper bound on one HTTP request body.
 MAX_BODY_BYTES = protocol.MAX_LINE_BYTES
@@ -76,13 +72,21 @@ _REASONS = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
-    409: "Conflict",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
     502: "Bad Gateway",
     503: "Service Unavailable",
 }
+
+
+class _RequestRejected(Exception):
+    """A request the gateway answers with ``status`` and then hangs up on."""
+
+    def __init__(self, status: int, error: str, detail: str) -> None:
+        super().__init__(detail)
+        self.status = status
+        self.error = error
 
 
 @dataclass
@@ -96,8 +100,8 @@ class GatewayOptions:
     connect_timeout: float = 10.0
     #: Per-job wall-clock bound on one shard conversation (ack + events).
     shard_timeout: float = 600.0
-    #: A FleetManager when the gateway owns its daemons (enables /scale
-    #: and process reaping on /shutdown).
+    #: A FleetManager when the gateway owns its daemons (they are stopped
+    #: on /shutdown).
     fleet: object = None
 
 
@@ -147,14 +151,12 @@ class Gateway:
                 name = f"shard{index}"
                 self.shards[name] = ShardState(name, address)
         self.ring = HashRing(self.shards)
-        self._singleflight: Dict[str, asyncio.Future] = {}
         self.counters: Dict[str, int] = {
             "requests": 0,
             "submitted": 0,
             "completed": 0,
             "failed": 0,
             "rejected": 0,
-            "coalesced": 0,
             "failovers": 0,
             "unroutable": 0,
         }
@@ -274,7 +276,7 @@ class Gateway:
         except Exception:  # pragma: no cover - teardown race
             pass
 
-    # -- submission: single-flight + routing + failover ------------------------
+    # -- submission: routing + failover ----------------------------------------
 
     async def submit(
         self, spec: Dict[str, object], client: str = "gateway"
@@ -288,34 +290,6 @@ class Gateway:
         spec = normalize_spec(spec)
         signature = task_signature(spec)
         self.counters["submitted"] += 1
-        existing = self._singleflight.get(signature)
-        if existing is not None:
-            # Fleet-wide single-flight: attach to the in-flight submission.
-            self.counters["coalesced"] += 1
-            event = dict(await asyncio.shield(existing))
-            gateway_meta = dict(event.get("gateway") or {})
-            gateway_meta["coalesced"] = True
-            event["gateway"] = gateway_meta
-            return event
-        future: asyncio.Future = self._loop.create_future()
-        self._singleflight[signature] = future
-        try:
-            event = await self._submit_failover(spec, signature, client)
-        except BaseException as exc:
-            if not future.cancelled():
-                future.set_exception(exc)
-                future.exception()  # consumed: waiters re-await, no GC warning
-            raise
-        else:
-            if not future.cancelled():
-                future.set_result(event)
-            return event
-        finally:
-            self._singleflight.pop(signature, None)
-
-    async def _submit_failover(
-        self, spec: Dict[str, object], signature: str, client: str
-    ) -> Dict[str, object]:
         tried: set = set()
         failovers = 0
         last_error: Optional[ServiceUnavailableError] = None
@@ -351,11 +325,7 @@ class Gateway:
             shard.completed += 1
             self.counters["completed" if event.get("event") == "done" else "failed"] += 1
             event = dict(event)
-            event["gateway"] = {
-                "shard": shard.name,
-                "failovers": failovers,
-                "coalesced": False,
-            }
+            event["gateway"] = {"shard": shard.name, "failovers": failovers}
             return event
 
     async def _submit_to_shard(
@@ -387,10 +357,6 @@ class Gateway:
             return event
         finally:
             await self._close_writer(writer)
-
-    def shard_for_signature(self, signature: str) -> str:
-        """The hash-home shard name for a spec signature (tests, docs)."""
-        return self.ring.node_for(signature)
 
     # -- health ----------------------------------------------------------------
 
@@ -441,7 +407,6 @@ class Gateway:
                 "uptime_s": round(time.monotonic() - self._started_at, 3),
                 "http": f"{self.options.host}:{self.bound_port}",
                 "counters": dict(self.counters),
-                "singleflight": len(self._singleflight),
                 "alive": sum(1 for shard in states if shard.alive),
             },
             "totals": aggregate_statuses(statuses),
@@ -469,41 +434,6 @@ class Gateway:
         )
         return {"ok": True, "op": "drain", "drained": sum(drained)}
 
-    async def scale_fleet(self, count: int) -> Dict[str, object]:
-        """Grow or shrink the owned fleet to ``count`` shards."""
-        fleet = self.options.fleet
-        if fleet is None:
-            raise ConfigurationError(
-                "this gateway fronts externally-managed daemons; scale them "
-                "directly and restart the gateway"
-            )
-        if count < 1:
-            raise ServiceProtocolError(f"fleet size must be >= 1, got {count}")
-        current = len(self.shards)
-        if count > current:
-            spawned = await asyncio.to_thread(fleet.start, count - current)
-            for shard in spawned:
-                self.shards[shard.name] = ShardState(shard.name, shard.address)
-        elif count < current:
-            retiring = list(self.shards.values())[count:]
-            for state in retiring:
-                try:
-                    await self.shard_request(
-                        state.address,
-                        {"op": "shutdown", "drain": True},
-                        timeout=self.options.shard_timeout,
-                    )
-                except (ServiceUnavailableError, ServiceProtocolError):
-                    pass
-                await asyncio.to_thread(fleet.reap, state.name)
-                del self.shards[state.name]
-        self.ring = HashRing(self.shards)
-        return {
-            "ok": True,
-            "op": "scale",
-            "shards": [shard.public() for shard in self.shards.values()],
-        }
-
     async def shutdown_fleet(self, drain: bool = False) -> Dict[str, object]:
         """Stop every shard (optionally draining first), then the gateway."""
 
@@ -529,20 +459,17 @@ class Gateway:
     async def _handle_conn(self, reader, writer) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _RequestRejected as exc:
+                    payload = {"ok": False, "error": exc.error, "detail": str(exc)}
+                    await self._respond(writer, exc.status, payload, keep_alive=False)
+                    break
                 if request is None:
                     break
                 method, path, body = request
                 status, payload = await self._dispatch(method, path, body)
-                data = json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
-                head = (
-                    f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
-                    f"Content-Type: application/json\r\n"
-                    f"Content-Length: {len(data)}\r\n"
-                    f"Connection: keep-alive\r\n\r\n"
-                ).encode("latin-1")
-                writer.write(head + data)
-                await writer.drain()
+                await self._respond(writer, status, payload)
         except (
             ConnectionError,
             asyncio.IncompleteReadError,
@@ -553,16 +480,33 @@ class Gateway:
         finally:
             await self._close_writer(writer)
 
+    @staticmethod
+    async def _respond(writer, status: int, payload, keep_alive: bool = True) -> None:
+        data = json.dumps(payload, sort_keys=True).encode("utf-8") + b"\n"
+        head = (
+            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
+            f"Content-Type: application/json\r\n"
+            f"Content-Length: {len(data)}\r\n"
+            f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n\r\n"
+        ).encode("latin-1")
+        writer.write(head + data)
+        await writer.drain()
+
     async def _read_request(
         self, reader
     ) -> Optional[Tuple[str, str, bytes]]:
-        """Parse one HTTP/1.1 request; None on a cleanly closed connection."""
+        """Parse one HTTP/1.1 request; None on a cleanly closed connection.
+
+        Raises :class:`_RequestRejected` for a request that gets an error
+        reply: a malformed request line or ``Content-Length`` (400), or a
+        body over :data:`MAX_BODY_BYTES` (413).
+        """
         line = await reader.readline()
         if not line or line in (b"\r\n", b"\n"):
             return None
         parts = line.split()
         if len(parts) < 2:
-            raise ValueError(f"malformed request line {line!r}")
+            raise _RequestRejected(400, "protocol", f"malformed request line {line!r}")
         method = parts[0].decode("latin-1").upper()
         path = parts[1].decode("latin-1").split("?", 1)[0]
         content_length = 0
@@ -572,12 +516,18 @@ class Gateway:
                 break
             name, _, value = header.decode("latin-1").partition(":")
             if name.strip().lower() == "content-length":
-                try:
-                    content_length = int(value.strip())
-                except ValueError:
-                    raise ValueError(f"bad Content-Length {value!r}") from None
+                value = value.strip()
+                if not (value.isascii() and value.isdigit()):
+                    raise _RequestRejected(
+                        400, "protocol", f"bad Content-Length {value!r}"
+                    )
+                content_length = int(value)
         if content_length > MAX_BODY_BYTES:
-            raise ValueError(f"oversized request body ({content_length} bytes)")
+            raise _RequestRejected(
+                413,
+                "payload-too-large",
+                f"request body of {content_length} bytes is over {MAX_BODY_BYTES}",
+            )
         body = await reader.readexactly(content_length) if content_length else b""
         return method, path, body
 
@@ -598,8 +548,6 @@ class Gateway:
             }
         except ServiceUnavailableError as exc:
             return 502, {"ok": False, "error": "unavailable", "detail": str(exc)}
-        except ConfigurationError as exc:
-            return 409, {"ok": False, "error": "configuration", "detail": str(exc)}
 
     async def _route(
         self, method: str, path: str, body: bytes
@@ -633,14 +581,6 @@ class Gateway:
             if method != "POST":
                 return 405, {"ok": False, "error": "method-not-allowed"}
             return 200, await self.drain_fleet()
-        if path == "/scale":
-            if method != "POST":
-                return 405, {"ok": False, "error": "method-not-allowed"}
-            message = self._parse_body(body)
-            count = message.get("n")
-            if not isinstance(count, int) or isinstance(count, bool):
-                raise ServiceProtocolError(f'scale body needs an integer "n", got {count!r}')
-            return 200, await self.scale_fleet(count)
         if path == "/shutdown":
             if method != "POST":
                 return 405, {"ok": False, "error": "method-not-allowed"}

@@ -48,15 +48,6 @@ class QueuedJob:
     not_before: float = 0.0
 
 
-@dataclass
-class QueueStats:
-    depth: int
-    max_depth: int
-    admitted: int = 0
-    rejected_full: int = 0
-    rejected_quota: int = 0
-
-
 class JobQueue:
     """Bounded FIFO job queue with explicit backpressure.
 
@@ -80,7 +71,6 @@ class JobQueue:
         self.max_per_client = max_per_client
         self._jobs: List[QueuedJob] = []
         self._seq = 0
-        self.stats = QueueStats(depth=0, max_depth=max_depth)
 
     # -- admission -------------------------------------------------------------
 
@@ -99,7 +89,6 @@ class JobQueue:
         in-flight (dispatched, unfinished) job count.
         """
         if len(self._jobs) >= self.max_depth:
-            self.stats.rejected_full += 1
             raise AdmissionError(
                 f"queue full ({len(self._jobs)}/{self.max_depth} jobs queued); "
                 f"retry after a job completes",
@@ -107,7 +96,6 @@ class JobQueue:
             )
         queued_for_client = sum(1 for j in self._jobs if j.client == job.client)
         if queued_for_client + running_for_client >= self.max_per_client:
-            self.stats.rejected_quota += 1
             raise AdmissionError(
                 f"client {job.client!r} at quota "
                 f"({queued_for_client} queued + {running_for_client} running "
@@ -115,8 +103,6 @@ class JobQueue:
                 reason="client-quota",
             )
         self._jobs.append(job)
-        self.stats.admitted += 1
-        self.stats.depth = len(self._jobs)
 
     def requeue(self, job: QueuedJob, not_before: float = 0.0) -> None:
         """Put a previously-popped job back (retry path).
@@ -127,7 +113,6 @@ class JobQueue:
         """
         job.not_before = not_before
         self._jobs.append(job)
-        self.stats.depth = len(self._jobs)
 
     # -- scheduling ------------------------------------------------------------
 
@@ -139,17 +124,7 @@ class JobQueue:
             return None
         job = min(eligible, key=lambda job: job.seq)
         self._jobs.remove(job)
-        self.stats.depth = len(self._jobs)
         return job
-
-    def remove(self, job_id: str) -> Optional[QueuedJob]:
-        """Remove a queued job by id (cancellation); None if not queued."""
-        for job in self._jobs:
-            if job.job_id == job_id:
-                self._jobs.remove(job)
-                self.stats.depth = len(self._jobs)
-                return job
-        return None
 
     # -- introspection ---------------------------------------------------------
 

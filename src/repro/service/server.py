@@ -21,15 +21,8 @@ Endpoints (``op`` field of each request):
     holds the key, the job completes instantly from the summary stored
     in front of the entry, without touching the queue or loading the
     cached ``RunResult``.
-``watch``
-    Attach to an existing job's event stream (replays the terminal event
-    if the job already finished).
-``result``
-    Fetch a finished job's summary without streaming.
 ``status``
     Queue depth and snapshot, worker pids, counters.
-``cancel``
-    Remove a *queued* job; running jobs are not interrupted.
 ``drain``
     Stop admitting new jobs, wait until queued+running work finishes,
     then reply — the clean way to quiesce before shutdown.
@@ -48,11 +41,10 @@ cache.
 from __future__ import annotations
 
 import asyncio
-import collections
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.common.errors import AdmissionError, ServiceProtocolError
 from repro.service import protocol
@@ -61,17 +53,8 @@ from repro.service.specs import build_task, normalize_spec, task_signature
 from repro.service.workers import PoolEvent, WorkerPool, run_cached_task
 
 #: Job lifecycle states.
-QUEUED, RUNNING, DONE, FAILED, CANCELLED = (
-    "queued",
-    "running",
-    "done",
-    "failed",
-    "cancelled",
-)
-TERMINAL_STATES = frozenset({DONE, FAILED, CANCELLED})
-
-#: Completed jobs kept in the registry for late ``result``/``watch`` calls.
-FINISHED_KEEP = 256
+QUEUED, RUNNING, DONE, FAILED = ("queued", "running", "done", "failed")
+TERMINAL_STATES = frozenset({DONE, FAILED})
 
 #: Spec signatures whose content-hash key is remembered; the oldest is
 #: dropped first, and a dropped signature is simply hashed again.
@@ -130,9 +113,9 @@ class SimulationServer:
             job_timeout=options.job_timeout,
             recycle_after=options.recycle_after,
         )
+        # job_id -> job, from admission until its terminal event
         self._jobs: Dict[str, ServiceJob] = {}
         self._inflight: Dict[str, str] = {}  # key -> job_id (non-terminal)
-        self._finished_order: Deque[str] = collections.deque()
         self._key_memo: Dict[str, str] = {}  # signature -> content-hash key
         self._next_id = 0
         self.draining = False
@@ -144,7 +127,6 @@ class SimulationServer:
             "executed": 0,
             "completed": 0,
             "failed": 0,
-            "cancelled": 0,
             "coalesced": 0,
             "cache_hits": 0,
             "rejected": 0,
@@ -172,12 +154,14 @@ class SimulationServer:
         self._loop = loop
         if protocol.is_tcp_address(self.address):
             host, port = protocol.split_tcp_address(self.address)
-            self._server = await asyncio.start_server(self._handle_client, host, port)
+            self._server = await asyncio.start_server(
+                self._handle_client, host, port, limit=protocol.MAX_LINE_BYTES
+            )
         else:
             protocol.cleanup_socket(self.address)
             os.makedirs(os.path.dirname(self.address) or ".", exist_ok=True)
             self._server = await asyncio.start_unix_server(
-                self._handle_client, path=self.address
+                self._handle_client, path=self.address, limit=protocol.MAX_LINE_BYTES
             )
         self._pump_task = loop.create_task(self._pump())
 
@@ -304,16 +288,9 @@ class SimulationServer:
         job.summary = summary
         job.error = error
         self._inflight.pop(job.key, None)
-        self.counters["completed" if state == DONE else
-                      "cancelled" if state == CANCELLED else "failed"] += 1
+        self._jobs.pop(job.job_id, None)
+        self.counters["completed" if state == DONE else "failed"] += 1
         self._publish(job, self._terminal_event(job, reason=reason))
-        self._finished_order.append(job.job_id)
-        while len(self._finished_order) > FINISHED_KEEP:
-            stale = self._finished_order.popleft()
-            if self._jobs.get(stale) is not None and (
-                self._jobs[stale].state in TERMINAL_STATES
-            ):
-                del self._jobs[stale]
 
     def _terminal_event(self, job: ServiceJob, reason: Optional[str] = None):
         if job.state == DONE:
@@ -324,8 +301,6 @@ class SimulationServer:
                 "cached": job.cached,
                 "attempts": job.attempts,
             }
-        if job.state == CANCELLED:
-            return {"event": "cancelled", "job": job.job_id}
         return {
             "event": "failed",
             "job": job.job_id,
@@ -402,7 +377,6 @@ class SimulationServer:
                     client=client,
                     cached=True,
                 )
-                self._jobs[job.job_id] = job
                 self._finish(job, DONE, summary=summary)
                 return job
 
@@ -447,6 +421,12 @@ class SimulationServer:
                     line = await reader.readline()
                 except (ConnectionResetError, asyncio.IncompleteReadError):
                     break
+                except ValueError:  # the frame is over the stream's limit
+                    detail = f"oversized frame (> {protocol.MAX_LINE_BYTES} bytes)"
+                    await self._send(
+                        writer, {"ok": False, "error": "protocol", "detail": detail}
+                    )
+                    break
                 if not line:
                     break
                 try:
@@ -489,14 +469,8 @@ class SimulationServer:
             )
         elif op == "submit":
             await self._op_submit(message, writer)
-        elif op == "watch":
-            await self._op_watch(message, writer)
-        elif op == "result":
-            await self._op_result(message, writer)
         elif op == "status":
             await self._send(writer, self.status_payload())
-        elif op == "cancel":
-            await self._op_cancel(message, writer)
         elif op == "drain":
             await self._op_drain(writer)
         elif op == "shutdown":
@@ -548,26 +522,6 @@ class SimulationServer:
             return
         await self._stream_events(job, watcher, writer)
 
-    async def _op_watch(self, message, writer) -> None:
-        job = self._jobs.get(str(message.get("job")))
-        if job is None:
-            await self._send(
-                writer, {"ok": False, "error": "unknown-job", "job": message.get("job")}
-            )
-            return
-        if job.state in TERMINAL_STATES:
-            await self._send(writer, self._terminal_event(job))
-            return
-        watcher: asyncio.Queue = asyncio.Queue()
-        job.watchers.append(watcher)
-        if not await self._send(
-            writer,
-            {"ok": True, "event": "watching", "job": job.job_id, "state": job.state},
-        ):
-            self._detach(job, watcher)
-            return
-        await self._stream_events(job, watcher, writer)
-
     async def _stream_events(self, job: ServiceJob, watcher, writer) -> None:
         """Forward job events until terminal or the client disconnects.
 
@@ -579,7 +533,7 @@ class SimulationServer:
                 event = await watcher.get()
                 if not await self._send(writer, event):
                     break
-                if event.get("event") in ("done", "failed", "cancelled"):
+                if event.get("event") in ("done", "failed"):
                     break
         finally:
             self._detach(job, watcher)
@@ -587,43 +541,6 @@ class SimulationServer:
     def _detach(self, job: ServiceJob, watcher) -> None:
         if watcher is not None and watcher in job.watchers:
             job.watchers.remove(watcher)
-
-    async def _op_result(self, message, writer) -> None:
-        job = self._jobs.get(str(message.get("job")))
-        if job is None:
-            await self._send(
-                writer, {"ok": False, "error": "unknown-job", "job": message.get("job")}
-            )
-        elif job.state not in TERMINAL_STATES:
-            await self._send(
-                writer,
-                {"ok": True, "job": job.job_id, "state": job.state, "result": None},
-            )
-        else:
-            payload = dict(self._terminal_event(job))
-            payload.update({"ok": True, "state": job.state})
-            await self._send(writer, payload)
-
-    async def _op_cancel(self, message, writer) -> None:
-        job = self._jobs.get(str(message.get("job")))
-        if job is None:
-            await self._send(
-                writer, {"ok": False, "error": "unknown-job", "job": message.get("job")}
-            )
-            return
-        if job.state == QUEUED and self.queue.remove(job.job_id) is not None:
-            self._finish(job, CANCELLED)
-            await self._send(writer, {"ok": True, "job": job.job_id, "state": CANCELLED})
-        else:
-            await self._send(
-                writer,
-                {
-                    "ok": False,
-                    "error": "not-cancellable",
-                    "job": job.job_id,
-                    "state": job.state,
-                },
-            )
 
     async def _op_drain(self, writer) -> None:
         drained = await self._drain_jobs()
@@ -641,9 +558,6 @@ class SimulationServer:
     # -- status ----------------------------------------------------------------
 
     def status_payload(self) -> Dict[str, object]:
-        states: Dict[str, int] = {}
-        for job in self._jobs.values():
-            states[job.state] = states.get(job.state, 0) + 1
         return {
             "ok": True,
             "op": "status",
@@ -665,6 +579,5 @@ class SimulationServer:
                 "recycled": self.pool.recycled,
                 "job_timeout_s": self.options.job_timeout,
             },
-            "jobs_by_state": states,
             "counters": dict(self.counters),
         }

@@ -16,7 +16,7 @@ A spec looks like::
 
 :func:`normalize_spec` validates and fills defaults (rejecting unknown
 fields so typos fail loudly); :func:`task_signature` produces the stable
-string the gateway routes and coalesces by.
+string the gateway routes by.
 """
 
 from __future__ import annotations
@@ -138,8 +138,8 @@ def build_task(spec: Dict[str, object]):
 
 
 def task_signature(spec: Dict[str, object]) -> str:
-    """Stable identity of a spec: the gateway's routing and single-flight
-    key and the daemon's key-memo index.
+    """Stable identity of a spec: the gateway's routing key and the
+    daemon's key-memo index.
 
     Unlike the result-cache key this does **not** hash compiled programs
     (no compilation needed), so a resubmission is recognised before the

@@ -249,6 +249,7 @@ class WorkerPool:
         events: List[PoolEvent] = []
         for worker in self._workers:
             pid = worker.proc.pid
+            retiring = False
             # 1. drain finished work
             while True:
                 try:
@@ -261,6 +262,7 @@ class WorkerPool:
                     break
                 if tag == "recycled":
                     self.recycled += 1
+                    retiring = True
                     continue
                 if job_id == worker.job_id:
                     worker.job_id = None
@@ -273,8 +275,10 @@ class WorkerPool:
                     events.append(
                         PoolEvent("error", job_id, worker_pid=pid, error=payload)
                     )
-            # 2. liveness: a dead worker holding a job crashed mid-job
-            if not worker.proc.is_alive():
+            # 2. liveness: a dead worker holding a job crashed mid-job.  A
+            #    retiring one has sent its last message but may not have
+            #    exited yet: replace it now, or it would count as idle.
+            if retiring or not worker.proc.is_alive():
                 if worker.job_id is not None:
                     events.append(
                         PoolEvent(

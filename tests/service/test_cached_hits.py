@@ -223,16 +223,13 @@ def test_key_memo_is_capped_and_an_evicted_signature_is_rekeyed(
     assert len(server._key_memo) == 3
 
 
-def test_finished_registry_keeps_only_the_newest_jobs(offline_server, monkeypatch):
-    monkeypatch.setattr(server_module, "FINISHED_KEEP", 4)
-    server = offline_server
-    jobs = []
-    for index in range(7):
-        job = server._admit(
-            spec_for_motivate(scale=0.05 + index / 100), f"client-{index}"
-        )
-        server.queue.remove(job.job_id)
-        server._finish(job, server_module.CANCELLED)
-        jobs.append(job)
-    assert list(server._finished_order) == [job.job_id for job in jobs[-4:]]
-    assert sorted(server._jobs) == [job.job_id for job in jobs[-4:]]
+def test_finished_and_cached_jobs_leave_no_record(service_server):
+    """A job record lives from admission to its terminal event: nothing
+    keeps a finished job, and a cache hit never makes a record."""
+    handle = service_server(workers=1)
+    first = _submit(handle, _spec())
+    assert first["event"] == "done" and not first["cached"]
+    assert handle.server._jobs == {} and handle.server._inflight == {}
+    again = _submit(handle, _spec())
+    assert again["event"] == "done" and again["cached"]
+    assert handle.server._jobs == {}

@@ -1,4 +1,5 @@
-"""Fleet tests: ring routing, gateway single-flight, failover, shared cache.
+"""Fleet tests: ring routing, coalescing at the home shard, failover,
+shared cache.
 
 The failover and cross-daemon cache tests are the satellite coverage from
 ISSUE 7: a daemon dying mid-job must not change the bytes a client sees
@@ -7,6 +8,7 @@ key executed on one shard must be a cache hit on every other shard.
 """
 
 import json
+import socket
 import threading
 import time
 from types import SimpleNamespace
@@ -19,6 +21,7 @@ from repro.service.fleet import (
     aggregate_statuses,
     choose_shard,
 )
+from repro.service.gateway import MAX_BODY_BYTES
 from repro.service.protocol import summarize_result
 from repro.service.specs import build_task, normalize_spec, spec_for_pair, task_signature
 
@@ -37,7 +40,7 @@ def _spec_homing_on(gateway, shard_name, policy="occamy"):
     for max_cycles in range(3_000_000, 3_000_200):
         spec = _pair_spec(policy=policy, max_cycles=max_cycles)
         signature = task_signature(normalize_spec(spec))
-        if gateway.gateway.shard_for_signature(signature) == shard_name:
+        if gateway.gateway.ring.node_for(signature) == shard_name:
             return spec
     raise AssertionError(f"no spec homing on {shard_name} in 200 candidates")
 
@@ -193,13 +196,13 @@ def test_gateway_single_flight_coalesces_across_fleet(
     assert len(results) == 3
     events = [payload for code, payload in results]
     assert all(payload["event"] == "done" for payload in events)
-    # Exactly one execution across the whole fleet.
+    # The gateway forwards all three to one home shard; that daemon runs
+    # the job once and attaches the other two to it.
     executed = sum(handle.server.counters["executed"] for handle in (a, b))
-    submitted = sum(handle.server.counters["submitted"] for handle in (a, b))
-    assert submitted == 1
+    coalesced = sum(handle.server.counters["coalesced"] for handle in (a, b))
     assert executed == 1
-    assert gw.gateway.counters["coalesced"] == 2
-    assert sum(1 for payload in events if payload["gateway"]["coalesced"]) == 2
+    assert coalesced == 2
+    assert len({payload["gateway"]["shard"] for payload in events}) == 1
     fingerprints = {
         json.dumps(payload["result"]["fingerprint"], sort_keys=True)
         for payload in events
@@ -327,6 +330,21 @@ def test_gateway_surfaces_admission_rejection_as_429(
     assert results["blocker"][0] == 200
 
 
+def _raw_http(port, request: bytes):
+    """Send raw request bytes; returns ``(status, json_payload)``."""
+    with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+        sock.sendall(request)
+        response = b""
+        while True:
+            chunk = sock.recv(4096)
+            if not chunk:
+                break
+            response += chunk
+    assert response, "the gateway closed without a reply"
+    head, _, body = response.partition(b"\r\n\r\n")
+    return int(head.split()[1]), json.loads(body)
+
+
 def test_gateway_http_error_paths(service_server, gateway_for):
     a = service_server(runner=runners.fast_runner)
     gw = gateway_for(a.address)
@@ -338,8 +356,16 @@ def test_gateway_http_error_paths(service_server, gateway_for):
     assert code == 400 and payload["error"] == "protocol"
     code, payload = gw.request("POST", "/submit", {"spec": {"kind": "bogus"}})
     assert code == 400
-    code, payload = gw.request("POST", "/scale", {"n": 3})
-    assert code == 409  # gateway does not own its daemons
+    # A malformed request is answered, then the connection is closed.
+    post = "POST /submit HTTP/1.1\r\nContent-Length: {}\r\n\r\n".format
+    for request, status, error in (
+        (post(MAX_BODY_BYTES + 1), 413, "payload-too-large"),
+        (post("-1"), 400, "protocol"),
+        (post("ten"), 400, "protocol"),
+        ("GARBAGE\r\n\r\n", 400, "protocol"),
+    ):
+        code, payload = _raw_http(gw.gateway.bound_port, request.encode())
+        assert (code, payload["ok"], payload["error"]) == (status, False, error)
     code, payload = gw.request("GET", "/healthz")
     assert code == 200 and payload["ok"] and payload["alive"] == 1
 
@@ -381,58 +407,50 @@ def test_gateway_drain_fans_out(service_server, gateway_for):
     assert a.server.draining and b.server.draining
 
 
-# --- svc-status fleet aggregation (CLI satellite) -----------------------------
+# --- repro fleet status (the one fleet table) --------------------------------
 
 
-def test_svc_status_aggregates_multiple_sockets(service_server, capsys):
+def test_fleet_status_prints_totals_and_unreachable_shards(
+    service_server, gateway_for, capsys
+):
     from repro import cli
 
     a = service_server(runner=runners.fast_runner)
     b = service_server(runner=runners.fast_runner)
-    with a.client() as client:
-        client.submit(_pair_spec(), timeout=60)
-    code = cli.main(
-        ["svc-status", "--socket", a.address, "--socket", b.address, "--json"]
-    )
-    assert code == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["ok"]
-    assert payload["totals"]["reachable"] == 2
-    assert payload["totals"]["counters"]["submitted"] == 1
-    assert len(payload["shards"]) == 2
-
-
-def test_svc_status_reports_unreachable_shards(service_server, capsys):
-    from repro import cli
-
-    a = service_server(runner=runners.fast_runner)
-    code = cli.main(
-        [
-            "svc-status",
-            "--socket",
-            a.address,
-            "--socket",
-            str(a.address) + ".missing",
-            "--json",
-        ]
-    )
-    assert code == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["totals"]["reachable"] == 1
-    assert payload["totals"]["shards"] == 2
+    gw = gateway_for(a.address, b.address)
+    code, _ = gw.submit(_pair_spec())
+    assert code == 200
+    assert cli.main(["fleet", "status", "--http", gw.url]) == 0
+    out = capsys.readouterr().out
+    assert "fleet: 2/2 shards reachable" in out
+    assert "submitted=1" in out
+    b.stop()
+    assert cli.main(["fleet", "status", "--http", gw.url]) == 0
+    out = capsys.readouterr().out
+    assert "fleet: 1/2 shards reachable" in out
+    assert f"shard1 {b.address}: UNREACHABLE" in out
 
 
 def test_policy_flags_are_gone_not_ignored(capsys):
-    """The daemon schedules one way and the gateway routes one way."""
+    """The daemon schedules one way and the gateway routes one way; the
+    fleet is resized by restarting it, and a submit waits for its job."""
     from repro import cli
 
-    for argv in (
-        ["serve", "--sched", "fifo"],
-        ["fleet", "serve", "--sched", "fifo"],
-        ["fleet", "serve", "--routing", "hash"],
-        ["fleet", "serve", "--steal-threshold", "4"],
+    for argv, gone in (
+        (["serve", "--sched", "fifo"], "unrecognized arguments: --sched"),
+        (["fleet", "serve", "--sched", "fifo"], "unrecognized arguments: --sched"),
+        (["fleet", "serve", "--routing", "hash"], "unrecognized arguments: --routing"),
+        (
+            ["fleet", "serve", "--steal-threshold", "4"],
+            "unrecognized arguments: --steal-threshold",
+        ),
+        (["fleet", "scale", "3"], "invalid choice: 'scale'"),
+        (
+            ["submit", "pair", "spec", "20", "17", "--no-wait"],
+            "unrecognized arguments: --no-wait",
+        ),
     ):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
         assert excinfo.value.code == 2
-        assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+        assert gone in capsys.readouterr().err

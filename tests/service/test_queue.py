@@ -23,7 +23,6 @@ def test_bounded_depth_rejects_with_queue_full():
     with pytest.raises(AdmissionError) as excinfo:
         queue.submit(_job(queue, "c"))
     assert excinfo.value.reason == "queue-full"
-    assert queue.stats.rejected_full == 1
     assert len(queue) == 2
 
 
@@ -79,7 +78,6 @@ _OPS = st.one_of(
     st.tuples(st.just("submit"), st.integers(0, 3), st.integers(0, 3)),
     st.tuples(st.just("pop"), st.integers(0, 3), st.just(0)),
     st.tuples(st.just("requeue"), st.integers(0, 7), st.integers(0, 3)),
-    st.tuples(st.just("remove"), st.integers(0, 40), st.just(0)),
 )
 
 
@@ -90,7 +88,7 @@ _OPS = st.one_of(
     ops=st.lists(_OPS, max_size=60),
 )
 def test_every_interleaving_keeps_the_queue_promises(max_depth, max_per_client, ops):
-    """submit / requeue / pop_next / remove in any order, 1-4 clients:
+    """submit / requeue / pop_next in any order, 1-4 clients:
     bounded admission, lowest eligible seq first, nothing lost or doubled."""
     queue = JobQueue(max_depth=max_depth, max_per_client=max_per_client)
     queued = {}  # job_id -> job: what the queue must hold
@@ -137,12 +135,7 @@ def test_every_interleaving_keeps_the_queue_promises(max_depth, max_per_client, 
             queue.requeue(job, not_before=now + b)  # past depth and quota alike
             queued[job.job_id] = job
             entered[job.job_id] += 1
-        elif op == "remove":
-            job = queue.remove(f"j{a}")
-            assert job is queued.get(f"j{a}")
-            if job is not None:
-                took_out(job)
-        assert queue.stats.depth == len(queue) == len(queued)
+        assert len(queue) == len(queued)
         assert [row["job"] for row in queue.snapshot()] == [
             job.job_id for job in sorted(queued.values(), key=lambda other: other.seq)
         ]

@@ -8,6 +8,7 @@ must carry exactly the fingerprint digests of a direct in-process
 
 import json
 import os
+import socket as socket_module
 import time
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from repro.analysis import result_cache
 from repro.analysis.parallel import execute_task
 from repro.common.errors import AdmissionError, JobFailedError
+from repro.service import protocol
 from repro.service.protocol import summarize_result
 from repro.service.specs import build_task, spec_for_motivate, spec_for_pair
 
@@ -288,51 +290,63 @@ def test_shutdown_stops_workers(service_server):
 # --- misc endpoints -----------------------------------------------------------
 
 
-def test_status_watch_result_and_cancel(service_server, monkeypatch):
+def test_status_and_unknown_ops(service_server, monkeypatch):
     monkeypatch.setenv(runners.SLEEP_ENV, "1.0")
     handle = service_server(runner=runners.sleep_runner, workers=1)
     with handle.client() as client:
-        running = client.submit(
-            spec_for_motivate(policy="occamy", scale=0.05), wait=False, timeout=30
-        )
-        queued = client.submit(
-            spec_for_motivate(policy="fts", scale=0.05), wait=False, timeout=30
-        )
+        for policy in ("occamy", "fts"):
+            ack = client.submit(
+                spec_for_motivate(policy=policy, scale=0.05), wait=False, timeout=30
+            )
+            assert ack["ok"]
         _wait_running(handle, jobs=1)
 
         status = client.status()
         assert status["ok"]
         assert status["workers"]["size"] == 1
+        assert status["workers"]["busy"] == 1
+        assert status["queue"]["depth"] == 1
         assert status["counters"]["submitted"] == 2
 
-        # a queued job can be cancelled; events say so
-        reply = client.cancel(queued["job"])
-        assert reply["ok"] and reply["state"] == "cancelled"
+        # unknown ops produce structured errors; watch / result / cancel
+        # are not ops (a job is followed on the connection that submits it)
+        for op in ("frobnicate", "watch", "result", "cancel"):
+            reply = client.request(op, job=ack["job"])
+            assert not reply["ok"] and reply["error"] == "protocol", op
 
-        # the running one cannot
-        reply = client.cancel(running["job"])
-        assert not reply["ok"] and reply["error"] == "not-cancellable"
 
-        # watch the running job to completion on a second connection
-        with handle.client() as watcher:
-            final = watcher.watch(running["job"], timeout=60)
-        assert final["event"] == "done"
+def test_frames_up_to_the_line_limit_are_served_and_longer_ones_refused(
+    service_server,
+):
+    """The daemon reads frames up to ``protocol.MAX_LINE_BYTES``, past
+    asyncio's 64 KiB default, and answers a longer one before hanging up."""
+    handle = service_server(workers=1)
+    with handle.client() as client:
+        reply = client.request("ping", padding="x" * 70_000)
+    assert reply["ok"] and reply["op"] == "ping"
 
-        # result endpoint replays the terminal event
-        replay = client.result(running["job"])
-        assert replay["ok"] and replay["event"] == "done"
-        assert replay["result"]["fingerprint"] == final["result"]["fingerprint"]
-
-        # unknown ops and jobs produce structured errors
-        assert client.result("j99999")["error"] == "unknown-job"
-        reply = client.request("frobnicate")
-        assert not reply["ok"] and reply["error"] == "protocol"
+    frame = protocol.encode_message(
+        {"op": "ping", "padding": "x" * protocol.MAX_LINE_BYTES}
+    )
+    sock = socket_module.socket(socket_module.AF_UNIX, socket_module.SOCK_STREAM)
+    sock.settimeout(30)
+    sock.connect(handle.address)
+    try:
+        sock.sendall(frame)
+    except OSError:
+        pass  # the daemon may hang up before the whole frame is sent
+    buffer = b""
+    while b"\n" not in buffer:
+        chunk = sock.recv(4096)
+        assert chunk, "the daemon closed without a reply"
+        buffer += chunk
+    sock.close()
+    reply = json.loads(buffer.split(b"\n", 1)[0])
+    assert reply["ok"] is False and reply["error"] == "protocol"
 
 
 def test_submit_json_protocol_is_line_delimited(service_server):
     """The wire format is plain enough for any client: raw socket + JSON."""
-    import socket as socket_module
-
     handle = service_server(workers=1)
     sock = socket_module.socket(socket_module.AF_UNIX, socket_module.SOCK_STREAM)
     sock.settimeout(30)
