@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.parallel import Jobs, SimTask, run_tasks
 from repro.common.config import MachineConfig, experiment_config
 from repro.compiler.ir import Kernel
-import repro.compiler.pipeline  # noqa: F401  isort: skip  (see the last import)
 from repro.coproc.metrics import StallReason
 from repro.core.policies import ALL_POLICIES, Policy
 from repro.core.result import RunResult, attribution_report
@@ -33,14 +33,6 @@ from repro.core.roofline import RooflineModel
 from repro.isa.registers import OIValue
 from repro.workloads.pairs import FOUR_CORE_GROUPS, CoRunPair, all_pairs
 from repro.workloads.spec import spec_workload
-
-# Last on purpose: imported first, it is what loads numpy, one import frame
-# deeper, and a warm `repro report` then takes ~1300 more page faults
-# (ru_minflt 6480 -> 7800; +15 % on the bench's report_warm wall_s).  The
-# same goes for `workloads.pairs`, which is why `compiler.pipeline` — what
-# imports numpy, and used by nothing here — is imported above it by name
-# (without it: ru_minflt 6460 -> 7770, report_warm wall_s +21 %, n=10).
-from repro.analysis.parallel import Jobs, SimTask, run_tasks  # isort: skip
 
 #: Default workload scale for the benchmark harness (repeat multiplier).
 DEFAULT_SCALE = 0.35

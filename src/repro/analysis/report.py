@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.analysis import fidelity
 from repro.analysis.area import area_model
 from repro.analysis.experiments import (
     TABLE5_HEADERS,
@@ -23,11 +24,6 @@ from repro.analysis.experiments import (
 from repro.analysis.reporting import md_table
 from repro.common.config import MachineConfig, experiment_config, table4_config
 from repro.workloads.pairs import all_pairs
-
-# After `experiments` on purpose: imported first, `fidelity` is what loads it
-# (and numpy) one import frame deeper, and a warm `repro report` takes ~400
-# more page faults (ru_minflt 6410 -> 7100; see experiments.py's last import).
-from repro.analysis import fidelity  # isort: skip
 
 
 def _paper(artefact: str, quantity: str) -> str:

@@ -6,11 +6,11 @@ program, memory image)`` simulations.  Those are deterministic, so their
 a warm re-run of a figure costs only compilation plus deserialisation.
 
 Keys are content hashes: the full configuration fingerprint, the policy
-key, each core's program text (including instrumentation metadata) and the
-initial bytes of each memory image.  Changing any input — a cache size, a
-compiler optimisation, a workload scale — changes the key, so stale
-entries are never returned; bump :data:`CACHE_VERSION` when the
-*simulator's timing semantics* change instead.
+key, each core's program text (including instrumentation metadata) and
+each memory image's recipe, or its bytes once filled.  Changing any input
+— a cache size, a compiler optimisation, a workload scale — changes the
+key, so stale entries are never returned; bump :data:`CACHE_VERSION` when
+the *simulator's timing semantics* change instead.
 
 Entry layout (``<key>.pkl``, one layout, written by :meth:`ResultCache.put`
 only)::
@@ -55,6 +55,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.common.config import MachineConfig, config_fingerprint
 from repro.common.errors import ConfigurationError
 from repro.core.result import Job, RunResult
+from repro.memory.image import RANDOM_FILL
 from repro.validation.fingerprint import summarize_result
 
 #: Bump when simulation *semantics* change so old entries stop matching.
@@ -66,7 +67,9 @@ from repro.validation.fingerprint import summarize_result
 #:     calibration namespace) joins the key.
 #: v6: engine kill switches deleted; the key no longer carries an engine
 #:     tuple (nothing keyed here can select the reference engine).
-CACHE_VERSION = 6
+#: v7: an unfilled memory image is hashed as its recipe (seed, length,
+#:     names, generator), not as its bytes, so a hit needs no numpy.
+CACHE_VERSION = 7
 
 #: Fixed-width entry prefix: (CACHE_VERSION, total file length in bytes).
 _PREFIX = struct.Struct(">IQ")
@@ -117,10 +120,15 @@ def _feed_job(digest: "hashlib._Hash", job: Optional[Job]) -> None:
         digest.update(_hash_meta_value(program.meta[key]).encode("utf-8"))
     image = job.image
     digest.update(str(image.base_address).encode("utf-8"))
-    for name, array in image:
+    recipe = image.recipe
+    if recipe is not None:
+        # Unfilled: the recipe names its bytes exactly (layout included).
+        digest.update(f"recipe:{RANDOM_FILL}:{recipe!r}".encode("utf-8"))
+        return
+    for name, values in image.buffers():
         digest.update(name.encode("utf-8"))
-        digest.update(str(array.shape).encode("utf-8"))
-        digest.update(array.tobytes())
+        digest.update(str((len(values),)).encode("utf-8"))
+        digest.update(values.tobytes())
 
 
 def simulation_key(

@@ -6,7 +6,8 @@ documented by — the module of its name under :mod:`repro.commands`
 ``report``, ``fidelity``, ``perf-report``, ``diff-fuzz``,
 ``alloc-sweep``, ``serve``, ``submit``, ``svc-status``, ``fleet``,
 ``cache``), and :func:`main` imports only the one selected: ``repro cache stats`` loads no
-numpy, a warm ``repro report`` no simulator (DESIGN.md, "Import layering").
+numpy, and a warm ``repro report`` neither numpy nor the simulator
+(DESIGN.md, "Import layering").
 
 Simulation commands accept these runtime options:
 

@@ -13,8 +13,6 @@ import zlib
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from repro.common.config import MemoryConfig
 from repro.common.errors import ConfigurationError
 from repro.compiler.emsimd import EmSimdCodegen
@@ -85,20 +83,25 @@ def build_image(
 ) -> MemoryImage:
     """Functional memory for ``kernel`` in core ``core_id``'s address range.
 
-    Arrays are filled with deterministic pseudo-random values in
-    ``[0.5, 1.5)`` (strictly positive so ``div``/``sqrt`` stay benign);
-    reduction outputs become zeroed one-element arrays.  The default seed
-    is a *stable* hash of the kernel name — ``hash()`` is randomised per
-    process, which would give every invocation different image bytes and
-    defeat the persistent result cache's content keys.
+    Arrays hold deterministic pseudo-random values in ``[0.5, 1.5)``
+    (strictly positive so ``div``/``sqrt`` stay benign); reduction outputs
+    become zeroed one-element arrays.  The default seed is a *stable* hash
+    of the kernel name — ``hash()`` is randomised per process, which would
+    give every invocation different image bytes and defeat the persistent
+    result cache's content keys.
+
+    The layout is fixed here; the values are only a recipe
+    (:meth:`MemoryImage.fill_random`) until the engine reads an array.  A
+    cache hit hashes the recipe instead, so a warm ``repro report`` loads
+    no numpy.
     """
     if seed is None:
         seed = zlib.crc32(kernel.name.encode("utf-8"))
-    rng = np.random.default_rng(seed)
     image = MemoryImage.for_core(core_id)
-    for name in sorted(kernel.arrays()):
-        data = rng.random(kernel.array_length, dtype=np.float32) + np.float32(0.5)
-        image.add_array(name, data)
-    for name in sorted(kernel.reduction_outputs()):
-        image.zeros(name, 1)
+    image.fill_random(
+        seed,
+        kernel.array_length,
+        filled=sorted(kernel.arrays()),
+        zeroed=sorted(kernel.reduction_outputs()),
+    )
     return image

@@ -15,24 +15,11 @@ counters; a uop is issued against it by the dispatch walk
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Optional
 
+from repro.coproc.metrics import LsuStats  # noqa: F401  (its old path)
 from repro.memory.hierarchy import VectorMemorySystem
 from repro.memory.mob import MemoryOrderingBuffer
-
-
-@dataclass
-class LsuStats:
-    """Traffic counters for one core's LSU."""
-
-    loads: int = 0
-    stores: int = 0
-    bytes_loaded: int = 0
-    bytes_stored: int = 0
-    vec_cache_hits: int = 0
-    l2_hits: int = 0
-    dram_accesses: int = 0
 
 
 class LoadStoreUnit:

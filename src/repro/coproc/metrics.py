@@ -57,6 +57,41 @@ class PhaseRecord:
         return self.compute_uops / self.duration if self.duration else 0.0
 
 
+# The per-core LSU and per-cache counters a RunResult carries live here, not
+# beside the LSU and cache models (which re-export them), so that a cached
+# result unpickles without loading the memory hierarchy.
+
+
+@dataclass
+class LsuStats:
+    """Traffic counters for one core's LSU."""
+
+    loads: int = 0
+    stores: int = 0
+    bytes_loaded: int = 0
+    bytes_stored: int = 0
+    vec_cache_hits: int = 0
+    l2_hits: int = 0
+    dram_accesses: int = 0
+
+
+@dataclass
+class CacheStats:
+    """Hit/miss/writeback counters for one cache."""
+
+    hits: int = 0
+    misses: int = 0
+    writebacks: int = 0
+
+    @property
+    def accesses(self) -> int:
+        return self.hits + self.misses
+
+    @property
+    def hit_rate(self) -> float:
+        return self.hits / self.accesses if self.accesses else 0.0
+
+
 class Metrics:
     """Aggregates everything the evaluation section reports."""
 

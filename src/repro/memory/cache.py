@@ -8,27 +8,10 @@ the next level.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.common.config import CacheConfig
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss/writeback counters for one cache."""
-
-    hits: int = 0
-    misses: int = 0
-    writebacks: int = 0
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.accesses if self.accesses else 0.0
+from repro.coproc.metrics import CacheStats  # noqa: F401  (its old path)
 
 
 class Cache:

@@ -36,7 +36,7 @@ def fingerprint_sections(result) -> Dict[str, object]:
     sections["memory_images"] = tuple(
         None
         if image is None
-        else tuple((name, array.tobytes()) for name, array in image)
+        else tuple((name, values.tobytes()) for name, values in image.buffers())
         for image in result.images
     )
     return sections
@@ -127,7 +127,7 @@ def _feed_images(update: Callable[[bytes], object], images: Sequence) -> None:
         else:
             _feed_tuple(
                 update,
-                list(image),
+                list(image.buffers()),
                 lambda pair: feed_repr(update, (pair[0], pair[1].tobytes())),
             )
 

@@ -12,6 +12,7 @@ import pytest
 from repro.analysis import experiments, result_cache
 from repro.analysis.result_cache import ResultCache, simulation_key
 from repro.common.config import experiment_config
+from repro.compiler.pipeline import build_image
 from repro.core.machine import run_policy
 from repro.core.policies import ALL_POLICIES, PRIVATE
 from repro.validation.fingerprint import summarize_result
@@ -75,6 +76,20 @@ def test_key_covers_every_simulation_input(config):
     assert simulation_key(config, PRIVATE.key, other_program) != base
     moved_image = [compiled_job(make_axpy(length=64), core_id=1), None]
     assert simulation_key(config, PRIVATE.key, moved_image) != base
+    # An unfilled image keys by its recipe: another seed is another key.
+    reseeded = dataclasses.replace(jobs[0], image=build_image(make_axpy(length=64), seed=1))
+    assert simulation_key(config, PRIVATE.key, [reseeded, None]) != base
+    # A filled image keys by its bytes: equal until one element differs.
+    filled = [compiled_job(make_axpy(length=64)) for _ in range(2)]
+    for job in filled:
+        job.image.array("x")
+    assert simulation_key(config, PRIVATE.key, filled[:1]) == simulation_key(
+        config, PRIVATE.key, filled[1:]
+    )
+    filled[1].image.array("y")[7] += 1.0
+    assert simulation_key(config, PRIVATE.key, filled[:1]) != simulation_key(
+        config, PRIVATE.key, filled[1:]
+    )
     # The allocation ingredient namespaces calibration micro co-runs away
     # from ordinary complex runs; the default "" must be the identity.
     assert simulation_key(config, PRIVATE.key, jobs, alloc="") == base

@@ -1,10 +1,16 @@
-"""Functional memory image: layout and isolation."""
+"""Functional memory image: layout, isolation and the fill recipe."""
+
+import hashlib
+import pickle
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.common.errors import SimulationError
+from repro.compiler.pipeline import build_image
 from repro.memory.image import ARRAY_ALIGN, CORE_ADDRESS_STRIDE, MemoryImage
+from tests.conftest import make_reduction, make_stencil, run_fresh_python
 
 
 class TestLayout:
@@ -68,3 +74,65 @@ class TestCopy:
         assert image.footprint_bytes() == 400
         assert "a" in image
         assert [name for name, _ in image] == ["a"]
+
+
+class TestRecipe:
+    """``build_image`` records a recipe; the first read fills every array
+    with the bytes the eager fill gave, and the cache key trusts that."""
+
+    @pytest.mark.parametrize("make", [make_reduction, make_stencil])
+    def test_a_filled_recipe_holds_the_eager_bytes(self, make):
+        kernel = make(length=96)
+        image = build_image(kernel, core_id=1)
+        names = [*sorted(kernel.arrays()), *sorted(kernel.reduction_outputs())]
+        before = {name: image.address_of(name, 5) for name in names}
+        assert all(name in image for name in names)
+        assert image.footprint_bytes() == 4 * (
+            96 * len(kernel.arrays()) + len(kernel.reduction_outputs())
+        )
+        assert image.recipe is not None  # layout queries do not fill
+
+        rng = np.random.default_rng(zlib.crc32(kernel.name.encode("utf-8")))
+        expected = [
+            (name, rng.random(96, dtype=np.float32) + np.float32(0.5))
+            for name in sorted(kernel.arrays())
+        ] + [(name, np.zeros(1, dtype=np.float32)) for name in sorted(kernel.reduction_outputs())]
+        filled = list(image)
+        assert image.recipe is None
+        assert [name for name, _ in filled] == names
+        for (name, values), (_, wanted) in zip(filled, expected):
+            assert values.dtype == np.float32
+            assert values.tobytes() == wanted.tobytes(), name
+        assert {name: image.address_of(name, 5) for name in names} == before
+
+    def test_the_fill_is_golden(self):
+        image = build_image(make_reduction(length=64))
+        digest = hashlib.sha256()
+        for name, values in image.buffers():
+            digest.update(name.encode("utf-8"))
+            digest.update(values.tobytes())
+        assert digest.hexdigest() == (
+            "827b8bea482eb1f0cf170cbbded0cbd9f5828cd74e5b28a7e5bf166e12a9776b"
+        ), (
+            "the bytes a recipe fills changed: cache keys hash the recipe, so "
+            "bump CACHE_VERSION (and expect every sim_digest to move)"
+        )
+
+    def test_a_pickled_image_loads_without_numpy(self, tmp_path):
+        image = build_image(make_reduction(length=64))
+        image.array("y")[3] = 7.0
+        image.array("acc")[0] = -2.5
+        path = tmp_path / "image.pkl"
+        wanted = {name: values.tolist() for name, values in image}
+        path.write_bytes(pickle.dumps((image, wanted)))
+        run_fresh_python(
+            """
+import pickle, sys
+image, wanted = pickle.loads(open(sys.argv[1], "rb").read())
+assert "numpy" not in sys.modules
+assert image.recipe is None
+assert image.array("y")[3] == 7.0 and image.array("acc")[0] == -2.5
+assert {name: values.tolist() for name, values in image} == wanted
+""",
+            str(path),
+        )
