@@ -66,7 +66,8 @@ def scale_type(text: str) -> float:
 
 
 def count_type(text: str) -> int:
-    """A count of at least one (``report --pairs``), else argparse exits 2."""
+    """A count of at least one (``report --pairs``, ``fleet serve --workers``),
+    else argparse exits 2."""
     try:
         value = int(text, 10)
     except ValueError:
@@ -74,6 +75,20 @@ def count_type(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return value
+
+
+def http_bind_type(text: str):
+    """``fleet serve --http``: ``HOST:PORT`` with a port in 0..65535."""
+    host, _, port_text = text.rpartition(":")
+    try:
+        port = int(port_text, 10)
+    except ValueError:
+        port = -1
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must look like HOST:PORT with a port in 0..65535, got {text!r}"
+        )
+    return host or "127.0.0.1", port
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,36 +400,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     svc_status.add_argument("--json", action="store_true")
 
-    # --- fleet: HTTP gateway + N daemons --------------------------------------
+    # --- fleet: HTTP gateway + one daemon -------------------------------------
 
     fleet = sub.add_parser(
         "fleet",
-        help="run or control an HTTP gateway fronting N simulation daemons",
+        help="run or control an HTTP gateway fronting one simulation daemon",
     )
     fleet_sub = fleet.add_subparsers(dest="fleet_op", required=True)
 
     fleet_serve = fleet_sub.add_parser(
-        "serve", help="spawn N daemons and serve the HTTP gateway (foreground)"
+        "serve", help="spawn the daemon and serve the HTTP gateway (foreground)"
     )
     fleet_serve.add_argument(
-        "-n", "--count", type=int, default=2, metavar="N",
-        help="daemon shards to spawn (default 2)",
+        "--http", dest="http_bind", type=http_bind_type, default="127.0.0.1:8765",
+        metavar="HOST:PORT", help="gateway listen address (default 127.0.0.1:8765)",
     )
     fleet_serve.add_argument(
-        "--http", dest="http_bind", default="127.0.0.1:8765", metavar="HOST:PORT",
-        help="gateway listen address (default 127.0.0.1:8765)",
+        "--workers", type=count_type, default=2, metavar="N",
+        help="daemon worker processes (default 2)",
     )
     fleet_serve.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="worker processes per daemon (default 2)",
+        "--queue-depth", type=count_type, default=64, metavar="N",
+        help="daemon queue depth (default 64)",
     )
     fleet_serve.add_argument(
-        "--queue-depth", type=int, default=64, metavar="N",
-        help="per-daemon queue depth (default 64)",
-    )
-    fleet_serve.add_argument(
-        "--max-per-client", type=int, default=16, metavar="N",
-        help="per-daemon per-client quota (default 16)",
+        "--max-per-client", type=count_type, default=16, metavar="N",
+        help="daemon per-client quota (default 16)",
     )
     fleet_serve.add_argument(
         "--job-timeout", type=float, default=300.0, metavar="S",
@@ -422,12 +433,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_serve.add_argument(
         "--base-dir", default=None, metavar="DIR",
-        help="directory for shard sockets and logs "
+        help="directory for the daemon's socket and log "
         "(default <cache-dir>/fleet)",
     )
     fleet_serve.add_argument(
         "--runner", default=None, metavar="MOD:FUNC",
-        help="job runner forwarded to every daemon (see 'serve --runner')",
+        help="job runner forwarded to the daemon (see 'serve --runner')",
     )
 
     fleet_client = argparse.ArgumentParser(add_help=False)
@@ -442,18 +453,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     fleet_status = fleet_sub.add_parser(
-        "status", help="aggregate fleet status via the gateway",
+        "status", help="gateway counters and the daemon's status",
         parents=[fleet_client],
     )
     fleet_status.add_argument("--json", action="store_true")
 
     fleet_drain = fleet_sub.add_parser(
-        "drain", help="quiesce every shard (finish queued + running work)",
+        "drain", help="quiesce the daemon (finish queued + running work)",
         parents=[fleet_client],
     )
 
     fleet_stop = fleet_sub.add_parser(
-        "stop", help="shut down every shard and the gateway",
+        "stop", help="shut down the daemon and the gateway",
         parents=[fleet_client],
     )
     fleet_stop.add_argument(

@@ -1,4 +1,4 @@
-"""``repro fleet``: run or control an HTTP gateway fronting N daemons."""
+"""``repro fleet``: run or control an HTTP gateway fronting one daemon."""
 
 import argparse
 import json
@@ -8,11 +8,7 @@ import urllib.error
 import urllib.request
 
 from repro.cli import DEFAULT_FLEET_HTTP, FLEET_HTTP_ENV
-from repro.common.errors import (
-    ConfigurationError,
-    ServiceError,
-    ServiceUnavailableError,
-)
+from repro.common.errors import ServiceError, ServiceUnavailableError
 
 
 def _fleet_url(args: argparse.Namespace, path: str) -> str:
@@ -48,15 +44,9 @@ def _serve(args: argparse.Namespace) -> int:
     from repro.service.fleet import FleetManager
     from repro.service.gateway import Gateway, GatewayOptions
 
-    host, _, port_text = args.http_bind.rpartition(":")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise ConfigurationError(
-            f"--http must look like HOST:PORT, got {args.http_bind!r}"
-        ) from None
+    host, port = args.http_bind
     if args.runner:
-        resolve_runner(args.runner)  # fail fast before spawning daemons
+        resolve_runner(args.runner)  # fail fast before spawning the daemon
     manager = FleetManager(
         base_dir=args.base_dir,
         workers=args.workers,
@@ -66,25 +56,20 @@ def _serve(args: argparse.Namespace) -> int:
         runner=args.runner,
     )
     print(
-        f"repro fleet: starting {args.count} daemon(s) "
-        f"({args.workers} worker(s) each) ...",
+        f"repro fleet: starting the daemon ({args.workers} worker(s)) ...",
         flush=True,
     )
     try:
-        manager.start(args.count)
-        for shard in manager.shards():
-            print(f"  {shard.name}: pid {shard.pid} on {shard.address}", flush=True)
-        gateway = Gateway(
-            GatewayOptions(
-                host=host or "127.0.0.1",
-                port=port,
-                fleet=manager,
-            )
-        )
+        try:
+            manager.start(1)
+        except ServiceError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(
-            f"repro fleet: gateway on http://{host or '127.0.0.1'}:{port}",
-            flush=True,
+            f"  daemon: pid {manager.process.pid} on {manager.address}", flush=True
         )
+        gateway = Gateway(GatewayOptions(host=host, port=port, fleet=manager))
+        print(f"repro fleet: gateway on http://{host}:{port}", flush=True)
         try:
             gateway.run()
         except KeyboardInterrupt:
@@ -106,39 +91,9 @@ def _fleet_request(args: argparse.Namespace, path: str, method="GET", body=None)
         return None, None
 
 
-def _print_fleet_totals(totals: dict) -> None:
-    counters = totals.get("counters", {})
-    print(
-        f"fleet: {totals.get('reachable')}/{totals.get('shards')} shards "
-        f"reachable, {totals.get('queued')} queued, "
-        f"{totals.get('busy_workers')}/{totals.get('workers')} workers busy, "
-        f"cache hit rate {totals.get('cache_hit_rate')}"
-    )
-    print(
-        "fleet counters: "
-        + ", ".join(f"{k}={v}" for k, v in sorted(counters.items()))
-    )
-
-
-def _print_shard_line(label: str, status) -> None:
-    if not status or not status.get("ok"):
-        detail = (status or {}).get("error", "unreachable")
-        print(f"  {label}: UNREACHABLE ({detail})")
-        return
-    queue = status.get("queue", {})
-    workers = status.get("workers", {})
-    counters = status.get("counters", {})
-    submitted = counters.get("submitted", 0)
-    print(
-        f"  {label}: pid {status.get('pid')}, "
-        f"queue {queue.get('depth')}/{queue.get('max_depth')}, "
-        f"workers {workers.get('busy')}/{workers.get('size')} busy, "
-        f"cache_hits {counters.get('cache_hits', 0)}/{submitted}, "
-        f"retries {counters.get('retries', 0)}"
-    )
-
-
 def _status(args: argparse.Namespace) -> int:
+    from repro.commands.svc_status import _print_daemon_status
+
     code, payload = _fleet_request(args, "/status")
     if code is None:
         return 2
@@ -148,7 +103,7 @@ def _status(args: argparse.Namespace) -> int:
     gateway = payload.get("gateway", {})
     print(
         f"gateway {gateway.get('http')} up {gateway.get('uptime_s')}s "
-        f"({gateway.get('alive')} shard(s) alive)"
+        f"(daemon {'alive' if gateway.get('alive') else 'down'})"
     )
     print(
         "gateway counters: "
@@ -156,10 +111,11 @@ def _status(args: argparse.Namespace) -> int:
             f"{k}={v}" for k, v in sorted((gateway.get("counters") or {}).items())
         )
     )
-    _print_fleet_totals(payload.get("totals", {}))
-    for entry in payload.get("shards", []):
-        label = f"{entry.get('shard')} {entry.get('address')}"
-        _print_shard_line(label, entry.get("status"))
+    daemon = payload.get("daemon") or {}
+    if daemon.get("ok"):
+        _print_daemon_status(daemon)
+    else:
+        print(f"daemon: UNREACHABLE ({daemon.get('error', 'no status')})")
     return 0 if code == 200 and payload.get("ok") else 1
 
 
@@ -168,7 +124,7 @@ def _drain(args: argparse.Namespace) -> int:
     if code is None:
         return 2
     if code == 200 and payload.get("ok"):
-        print(f"drained {payload.get('drained', 0)} pending job(s) fleet-wide")
+        print(f"drained {payload.get('drained', 0)} pending job(s)")
         return 0
     print(f"error: {payload.get('detail', payload)}", file=sys.stderr)
     return 2

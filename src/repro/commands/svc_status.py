@@ -1,7 +1,8 @@
 """``repro svc-status``: query one running daemon.
 
 Queue depth, workers, counters; ``--drain`` quiesces it, ``--shutdown``
-stops it.  A fleet's table is ``repro fleet status``.
+stops it.  ``repro fleet status`` prints the same table for the daemon
+behind the HTTP gateway, after the gateway's own line.
 """
 
 import argparse

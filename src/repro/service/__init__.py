@@ -30,9 +30,8 @@ Modules
 :mod:`~repro.service.client`
     Blocking stdlib-socket client used by the CLI and tests.
 :mod:`~repro.service.fleet` / :mod:`~repro.service.gateway`
-    N daemons behind one HTTP front door: hash-ring routing (duplicates
-    share a home shard and coalesce in its daemon), failover in ring
-    order, and the one fleet status view.
+    One daemon subprocess behind an HTTP front door that adds HTTP and
+    nothing else (``repro fleet``).
 """
 
 from typing import TYPE_CHECKING

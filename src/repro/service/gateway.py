@@ -1,46 +1,35 @@
-"""HTTP/JSON gateway: one front door for a fleet of simulation daemons.
+"""HTTP/JSON gateway: an HTTP front door for one simulation daemon.
 
-Many submitters compete for a pool of shards.  The gateway speaks plain
-HTTP/1.1 + JSON to clients (any language, ``curl``-able) and the existing
-line-delimited JSON socket protocol to each daemon, adding exactly three
-things a single daemon cannot provide:
-
-* **shard routing** — each submission is routed by consistent hash of
-  its spec signature (the stable identity behind the content-hash
-  simulation key), so repeat keys land on the warm shard
-  (:func:`repro.service.fleet.choose_shard`).  Identical specs
-  therefore share a home shard and coalesce there, in the daemon;
-* **health-checked failover** — a daemon that dies mid-run (connection
-  lost before the terminal event) is marked down and the job is resubmitted
-  to the next shard in ring order (duplicates walk the same order, so
-  they still meet on one shard); because specs are idempotent
-  descriptions and results are content-addressed, a retried job is
-  bit-identical to a first-try run;
-* **aggregation** — ``/status`` fans out to every shard and folds the
-  answers into one fleet view (queue depths, worker occupancy, cache hit
-  rate, retry counts).
+The gateway speaks plain HTTP/1.1 + JSON to clients (any language,
+``curl``-able) and the daemon's line-delimited JSON socket protocol to
+the daemon behind it.  It adds HTTP and nothing else: admission,
+coalescing, retries and the result cache all stay in the daemon, so a
+submission through the gateway gets exactly the reply a socket client
+would.
 
 Endpoints (all responses JSON):
 
 ``GET /healthz``
-    Liveness: 200 with shard alive counts, 503 when no shard is up.
+    Liveness of the daemon as of the last health probe or request:
+    200 when it answers, 503 when it does not.
+``GET /status``
+    The gateway's own block (uptime, listen address, counters, whether
+    the daemon is alive) plus the daemon's ``status`` payload.
 ``POST /submit``
     Body ``{"spec": {...}, "client": "name"}``.  Blocks until the job is
     terminal; 200 carries the ``done`` event (summary + fingerprint
-    digests + ``gateway`` routing metadata), 500 a ``failed`` event,
-    429 an admission rejection (explicit backpressure, never buffering),
-    502 when no shard could be reached.
+    digests), 500 a ``failed`` event, 400 a spec the daemon refused, 429
+    an admission rejection (explicit backpressure, never buffering), 502
+    when the daemon cannot be reached.
 ``POST /drain``
-    Quiesce every shard; replies once queued+running work is finished.
+    Quiesce the daemon; replies once queued+running work is finished.
 ``POST /shutdown``
-    Body ``{"drain": bool}``.  Stop every shard, then the gateway.
+    Body ``{"drain": bool}``.  Stop the daemon, then the gateway.
 
-Admission rejections are *not* failed over: backpressure is a deliberate
-signal the client must see, otherwise a full fleet would buffer without
-bound at the gateway.  Only transport loss (shard death) triggers
-failover.  A request whose request line or ``Content-Length`` is
-malformed gets a 400, one whose body is over :data:`MAX_BODY_BYTES` a
-413; the gateway then closes that connection.
+A request whose request line or ``Content-Length`` is malformed, or
+whose request line or a header is over :data:`MAX_HEAD_LINE_BYTES`, gets
+a 400; one whose body is over :data:`MAX_BODY_BYTES` a 413.  The gateway
+then closes that connection.
 """
 
 from __future__ import annotations
@@ -48,8 +37,8 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Tuple
 
 from repro.common.errors import (
     AdmissionError,
@@ -58,14 +47,15 @@ from repro.common.errors import (
     ServiceUnavailableError,
 )
 from repro.service import protocol
-from repro.service.fleet import HashRing, aggregate_statuses, choose_shard
-from repro.service.specs import normalize_spec, task_signature
 
 #: Job events that end a submission stream.
 TERMINAL_EVENTS = ("done", "failed")
 
 #: Upper bound on one HTTP request body.
 MAX_BODY_BYTES = protocol.MAX_LINE_BYTES
+
+#: Upper bound on the request line and on each header line.
+MAX_HEAD_LINE_BYTES = 64 * 1024
 
 _REASONS = {
     200: "OK",
@@ -93,72 +83,39 @@ class _RequestRejected(Exception):
 class GatewayOptions:
     """Everything tunable about one gateway instance."""
 
-    shards: Sequence[str] = ()
+    #: The daemon's socket address; taken from ``fleet`` when empty.
+    daemon: str = ""
     host: str = "127.0.0.1"
     port: int = 0
     health_interval: float = 2.0
     connect_timeout: float = 10.0
-    #: Per-job wall-clock bound on one shard conversation (ack + events).
-    shard_timeout: float = 600.0
-    #: A FleetManager when the gateway owns its daemons (they are stopped
-    #: on /shutdown).
+    #: Per-job wall-clock bound on one daemon conversation (ack + events).
+    daemon_timeout: float = 600.0
+    #: A FleetManager when the gateway owns its daemon (stopped on
+    #: /shutdown).
     fleet: object = None
 
 
-@dataclass
-class ShardState:
-    """Gateway-side view of one daemon."""
-
-    name: str
-    address: str
-    alive: bool = True
-    #: Gateway-tracked jobs currently routed here (reported by ``/status``).
-    inflight: int = 0
-    routed: int = 0
-    completed: int = 0
-    failures: int = 0
-    last_status: Optional[Dict[str, object]] = field(default=None, repr=False)
-
-    def public(self) -> Dict[str, object]:
-        return {
-            "shard": self.name,
-            "address": self.address,
-            "alive": self.alive,
-            "inflight": self.inflight,
-            "routed": self.routed,
-            "completed": self.completed,
-            "failures": self.failures,
-        }
-
-
 class Gateway:
-    """The fleet front door.  ``Gateway(options).run()`` serves until shutdown."""
+    """The HTTP front door.  ``Gateway(options).run()`` serves until shutdown."""
 
     def __init__(self, options: Optional[GatewayOptions] = None, **overrides) -> None:
         options = options or GatewayOptions(**overrides)
         self.options = options
-        addresses = list(options.shards)
-        if not addresses and options.fleet is not None:
-            addresses = options.fleet.addresses()
-        if not addresses:
-            raise ConfigurationError("a gateway needs at least one shard address")
-        self.shards: Dict[str, ShardState] = {}
-        if options.fleet is not None and not options.shards:
-            for shard in options.fleet.shards():
-                self.shards[shard.name] = ShardState(shard.name, shard.address)
-        else:
-            for index, address in enumerate(addresses):
-                name = f"shard{index}"
-                self.shards[name] = ShardState(name, address)
-        self.ring = HashRing(self.shards)
+        address = options.daemon
+        if not address and options.fleet is not None:
+            address = next(iter(options.fleet.addresses()), "")
+        if not address:
+            raise ConfigurationError("a gateway needs a daemon address")
+        self.address = address
+        #: Whether the daemon answered the last probe, status or submit.
+        self.alive = True
         self.counters: Dict[str, int] = {
             "requests": 0,
             "submitted": 0,
             "completed": 0,
             "failed": 0,
             "rejected": 0,
-            "failovers": 0,
-            "unroutable": 0,
         }
         self.bound_port: Optional[int] = None
         self._stop_event: Optional[asyncio.Event] = None
@@ -182,7 +139,10 @@ class Gateway:
         self._stop_event = asyncio.Event()
         self._loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
-            self._handle_conn, self.options.host, self.options.port
+            self._handle_conn,
+            self.options.host,
+            self.options.port,
+            limit=MAX_HEAD_LINE_BYTES,
         )
         self.bound_port = self._server.sockets[0].getsockname()[1]
         self._health_task = self._loop.create_task(self._health_loop())
@@ -217,23 +177,23 @@ class Gateway:
                 pass
             self._health_task = None
 
-    # -- shard conversations ---------------------------------------------------
+    # -- daemon conversations --------------------------------------------------
 
-    async def _open(self, address: str):
-        if protocol.is_tcp_address(address):
-            host, port = protocol.split_tcp_address(address)
+    async def _open(self):
+        if protocol.is_tcp_address(self.address):
+            host, port = protocol.split_tcp_address(self.address)
             connect = asyncio.open_connection(
                 host, port, limit=protocol.MAX_LINE_BYTES
             )
         else:
             connect = asyncio.open_unix_connection(
-                address, limit=protocol.MAX_LINE_BYTES
+                self.address, limit=protocol.MAX_LINE_BYTES
             )
         try:
             return await asyncio.wait_for(connect, self.options.connect_timeout)
         except (OSError, asyncio.TimeoutError) as exc:
             raise ServiceUnavailableError(
-                f"cannot reach daemon at {address}: {exc}"
+                f"cannot reach daemon at {self.address}: {exc}"
             ) from None
 
     async def _read_frame(self, reader, timeout: float) -> Dict[str, object]:
@@ -249,24 +209,37 @@ class Gateway:
             raise ServiceUnavailableError("daemon closed the connection")
         return protocol.decode_line(line)
 
-    async def shard_request(
-        self, address: str, message: Dict[str, object], timeout: Optional[float] = None
-    ) -> Dict[str, object]:
-        """One request → one response against a single shard."""
-        reader, writer = await self._open(address)
+    async def _converse(self, message: Dict[str, object], read_reply) -> Dict[str, object]:
+        """Send ``message`` to the daemon; ``read_reply(reader)`` reads the
+        answer.  Records whether the daemon could be reached."""
         try:
-            writer.write(protocol.encode_message(message))
+            reader, writer = await self._open()
             try:
-                await writer.drain()
-            except (ConnectionError, OSError) as exc:
-                raise ServiceUnavailableError(
-                    f"daemon connection lost: {exc}"
-                ) from None
-            return await self._read_frame(
-                reader, timeout if timeout is not None else self.options.shard_timeout
-            )
-        finally:
-            await self._close_writer(writer)
+                writer.write(protocol.encode_message(message))
+                try:
+                    await writer.drain()
+                except (ConnectionError, OSError) as exc:
+                    raise ServiceUnavailableError(
+                        f"daemon connection lost: {exc}"
+                    ) from None
+                reply = await read_reply(reader)
+            finally:
+                await self._close_writer(writer)
+        except ServiceUnavailableError:
+            self.alive = False
+            raise
+        self.alive = True
+        return reply
+
+    async def daemon_request(
+        self, message: Dict[str, object], timeout: Optional[float] = None
+    ) -> Dict[str, object]:
+        """One request → one response against the daemon."""
+        if timeout is None:
+            timeout = self.options.daemon_timeout
+        return await self._converse(
+            message, lambda reader: self._read_frame(reader, timeout)
+        )
 
     @staticmethod
     async def _close_writer(writer) -> None:
@@ -276,75 +249,22 @@ class Gateway:
         except Exception:  # pragma: no cover - teardown race
             pass
 
-    # -- submission: routing + failover ----------------------------------------
+    # -- submission ------------------------------------------------------------
 
     async def submit(
         self, spec: Dict[str, object], client: str = "gateway"
     ) -> Dict[str, object]:
-        """Route one submission; returns the terminal job event.
+        """Forward one submission; returns the terminal job event.
 
-        Raises :class:`ServiceProtocolError` (bad spec),
-        :class:`AdmissionError` (backpressure — deliberately not failed
-        over) or :class:`ServiceUnavailableError` (no shard reachable).
+        Raises :class:`ServiceProtocolError` (the daemon refused the
+        spec), :class:`AdmissionError` (backpressure) or
+        :class:`ServiceUnavailableError` (the daemon cannot be reached).
         """
-        spec = normalize_spec(spec)
-        signature = task_signature(spec)
         self.counters["submitted"] += 1
-        tried: set = set()
-        failovers = 0
-        last_error: Optional[ServiceUnavailableError] = None
-        while True:
-            shard = choose_shard(self.ring, signature, self.shards, exclude=tried)
-            if shard is None:
-                self.counters["unroutable"] += 1
-                raise ServiceUnavailableError(
-                    f"no live shard left for job (tried {sorted(tried) or 'none'}): "
-                    f"{last_error}"
-                )
-            tried.add(shard.name)
-            shard.inflight += 1
-            shard.routed += 1
-            try:
-                event = await self._submit_to_shard(shard, spec, client)
-            except ServiceUnavailableError as exc:
-                # The shard died mid-conversation: mark it down (the
-                # health loop revives it) and retry on the next shard in
-                # ring order.  Specs are idempotent descriptions, so the
-                # retried run is bit-identical to a first-try run.
-                shard.alive = False
-                shard.failures += 1
-                self.counters["failovers"] += 1
-                failovers += 1
-                last_error = exc
-                continue
-            except AdmissionError:
-                self.counters["rejected"] += 1
-                raise
-            finally:
-                shard.inflight -= 1
-            shard.completed += 1
-            self.counters["completed" if event.get("event") == "done" else "failed"] += 1
-            event = dict(event)
-            event["gateway"] = {"shard": shard.name, "failovers": failovers}
-            return event
 
-    async def _submit_to_shard(
-        self, shard: ShardState, spec: Dict[str, object], client: str
-    ) -> Dict[str, object]:
-        reader, writer = await self._open(shard.address)
-        try:
-            writer.write(
-                protocol.encode_message(
-                    {"op": "submit", "spec": spec, "client": client, "wait": True}
-                )
-            )
-            try:
-                await writer.drain()
-            except (ConnectionError, OSError) as exc:
-                raise ServiceUnavailableError(
-                    f"shard {shard.name} connection lost: {exc}"
-                ) from None
-            ack = await self._read_frame(reader, self.options.shard_timeout)
+        async def read_events(reader) -> Dict[str, object]:
+            timeout = self.options.daemon_timeout
+            ack = await self._read_frame(reader, timeout)
             if not ack.get("ok"):
                 reason = str(ack.get("error", "rejected"))
                 detail = str(ack.get("detail", ack))
@@ -353,10 +273,17 @@ class Gateway:
                 raise AdmissionError(detail, reason=reason)
             event = ack
             while event.get("event") not in TERMINAL_EVENTS:
-                event = await self._read_frame(reader, self.options.shard_timeout)
+                event = await self._read_frame(reader, timeout)
             return event
-        finally:
-            await self._close_writer(writer)
+
+        message = {"op": "submit", "spec": spec, "client": client, "wait": True}
+        try:
+            event = await self._converse(message, read_events)
+        except AdmissionError:
+            self.counters["rejected"] += 1
+            raise
+        self.counters["completed" if event.get("event") == "done" else "failed"] += 1
+        return event
 
     # -- health ----------------------------------------------------------------
 
@@ -365,41 +292,25 @@ class Gateway:
             await asyncio.sleep(self.options.health_interval)
             await self.check_health()
 
-    async def check_health(self) -> Dict[str, bool]:
-        """Ping every shard; flips ``alive`` both ways (down *and* revived)."""
+    async def check_health(self) -> bool:
+        """Ping the daemon; ``alive`` follows the answer both ways."""
+        try:
+            reply = await self.daemon_request(
+                {"op": "ping"}, timeout=self.options.connect_timeout
+            )
+            self.alive = bool(reply.get("ok"))
+        except (ServiceUnavailableError, ServiceProtocolError):
+            self.alive = False
+        return self.alive
 
-        async def probe(shard: ShardState) -> None:
-            try:
-                reply = await self.shard_request(
-                    shard.address, {"op": "ping"}, timeout=self.options.connect_timeout
-                )
-                shard.alive = bool(reply.get("ok"))
-            except (ServiceUnavailableError, ServiceProtocolError):
-                shard.alive = False
+    # -- status, drain, shutdown -----------------------------------------------
 
-        await asyncio.gather(*(probe(shard) for shard in list(self.shards.values())))
-        return {shard.name: shard.alive for shard in self.shards.values()}
-
-    # -- fleet-wide operations -------------------------------------------------
-
-    async def fleet_status(self) -> Dict[str, object]:
-        """Fan ``status`` out to every shard; fold into one fleet view."""
-
-        async def fetch(shard: ShardState) -> Optional[Dict[str, object]]:
-            try:
-                status = await self.shard_request(
-                    shard.address, {"op": "status"}, timeout=30.0
-                )
-            except (ServiceUnavailableError, ServiceProtocolError) as exc:
-                shard.alive = False
-                shard.last_status = None
-                return {"ok": False, "error": str(exc)}
-            shard.alive = True
-            shard.last_status = status
-            return status
-
-        states = list(self.shards.values())
-        statuses = await asyncio.gather(*(fetch(shard) for shard in states))
+    async def status(self) -> Dict[str, object]:
+        """The gateway's own block plus the daemon's ``status`` payload."""
+        try:
+            daemon = await self.daemon_request({"op": "status"}, timeout=30.0)
+        except (ServiceUnavailableError, ServiceProtocolError) as exc:
+            daemon = {"ok": False, "error": str(exc)}
         return {
             "ok": True,
             "op": "fleet-status",
@@ -407,47 +318,22 @@ class Gateway:
                 "uptime_s": round(time.monotonic() - self._started_at, 3),
                 "http": f"{self.options.host}:{self.bound_port}",
                 "counters": dict(self.counters),
-                "alive": sum(1 for shard in states if shard.alive),
+                "alive": self.alive,
             },
-            "totals": aggregate_statuses(statuses),
-            "shards": [
-                dict(shard.public(), status=status)
-                for shard, status in zip(states, statuses)
-            ],
+            "daemon": daemon,
         }
 
-    async def drain_fleet(self) -> Dict[str, object]:
-        """Quiesce every shard; replies once all pending work finished."""
+    async def drain(self) -> Dict[str, object]:
+        """Quiesce the daemon; replies once its pending work finished."""
+        reply = await self.daemon_request({"op": "drain"})
+        return {"ok": True, "op": "drain", "drained": int(reply.get("drained") or 0)}
 
-        async def drain(shard: ShardState) -> int:
-            try:
-                reply = await self.shard_request(
-                    shard.address, {"op": "drain"}, timeout=self.options.shard_timeout
-                )
-                return int(reply.get("drained") or 0)
-            except (ServiceUnavailableError, ServiceProtocolError):
-                shard.alive = False
-                return 0
-
-        drained = await asyncio.gather(
-            *(drain(shard) for shard in list(self.shards.values()))
-        )
-        return {"ok": True, "op": "drain", "drained": sum(drained)}
-
-    async def shutdown_fleet(self, drain: bool = False) -> Dict[str, object]:
-        """Stop every shard (optionally draining first), then the gateway."""
-
-        async def stop(shard: ShardState) -> None:
-            try:
-                await self.shard_request(
-                    shard.address,
-                    {"op": "shutdown", "drain": drain},
-                    timeout=self.options.shard_timeout,
-                )
-            except (ServiceUnavailableError, ServiceProtocolError):
-                pass
-
-        await asyncio.gather(*(stop(shard) for shard in list(self.shards.values())))
+    async def shutdown(self, drain: bool = False) -> Dict[str, object]:
+        """Stop the daemon (optionally draining first), then the gateway."""
+        try:
+            await self.daemon_request({"op": "shutdown", "drain": drain})
+        except (ServiceUnavailableError, ServiceProtocolError):
+            pass
         if self.options.fleet is not None:
             await asyncio.to_thread(self.options.fleet.stop_all)
         # Reply first, stop just after: the caller gets a clean response.
@@ -470,12 +356,7 @@ class Gateway:
                 method, path, body = request
                 status, payload = await self._dispatch(method, path, body)
                 await self._respond(writer, status, payload)
-        except (
-            ConnectionError,
-            asyncio.IncompleteReadError,
-            ValueError,
-            OSError,
-        ):
+        except (ConnectionError, asyncio.IncompleteReadError, OSError):
             pass
         finally:
             await self._close_writer(writer)
@@ -492,16 +373,28 @@ class Gateway:
         writer.write(head + data)
         await writer.drain()
 
+    @staticmethod
+    async def _read_line(reader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError:  # the stream's limit: no newline within it
+            raise _RequestRejected(
+                400,
+                "protocol",
+                f"request line or header over {MAX_HEAD_LINE_BYTES} bytes",
+            ) from None
+
     async def _read_request(
         self, reader
     ) -> Optional[Tuple[str, str, bytes]]:
         """Parse one HTTP/1.1 request; None on a cleanly closed connection.
 
         Raises :class:`_RequestRejected` for a request that gets an error
-        reply: a malformed request line or ``Content-Length`` (400), or a
-        body over :data:`MAX_BODY_BYTES` (413).
+        reply: a malformed request line or ``Content-Length``, or a line
+        over :data:`MAX_HEAD_LINE_BYTES` (400), or a body over
+        :data:`MAX_BODY_BYTES` (413).
         """
-        line = await reader.readline()
+        line = await self._read_line(reader)
         if not line or line in (b"\r\n", b"\n"):
             return None
         parts = line.split()
@@ -511,7 +404,7 @@ class Gateway:
         path = parts[1].decode("latin-1").split("?", 1)[0]
         content_length = 0
         while True:
-            header = await reader.readline()
+            header = await self._read_line(reader)
             if header in (b"\r\n", b"\n", b""):
                 break
             name, _, value = header.decode("latin-1").partition(":")
@@ -552,23 +445,23 @@ class Gateway:
     async def _route(
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, Dict[str, object]]:
+        expected = {
+            "/healthz": "GET",
+            "/status": "GET",
+            "/submit": "POST",
+            "/drain": "POST",
+            "/shutdown": "POST",
+        }.get(path)
+        if expected is None:
+            return 404, {"ok": False, "error": "not-found", "path": path}
+        if method != expected:
+            return 405, {"ok": False, "error": "method-not-allowed"}
         if path == "/healthz":
-            if method != "GET":
-                return 405, {"ok": False, "error": "method-not-allowed"}
-            alive = sum(1 for shard in self.shards.values() if shard.alive)
-            payload = {
-                "ok": alive > 0,
-                "alive": alive,
-                "shards": len(self.shards),
-            }
-            return (200 if alive else 503), payload
+            payload = {"ok": self.alive, "daemon": self.address}
+            return (200 if self.alive else 503), payload
         if path == "/status":
-            if method != "GET":
-                return 405, {"ok": False, "error": "method-not-allowed"}
-            return 200, await self.fleet_status()
+            return 200, await self.status()
         if path == "/submit":
-            if method != "POST":
-                return 405, {"ok": False, "error": "method-not-allowed"}
             message = self._parse_body(body)
             spec = message.get("spec")
             if spec is None:
@@ -578,15 +471,9 @@ class Gateway:
             done = event.get("event") == "done"
             return (200 if done else 500), dict(event, ok=done)
         if path == "/drain":
-            if method != "POST":
-                return 405, {"ok": False, "error": "method-not-allowed"}
-            return 200, await self.drain_fleet()
-        if path == "/shutdown":
-            if method != "POST":
-                return 405, {"ok": False, "error": "method-not-allowed"}
-            message = self._parse_body(body) if body else {}
-            return 200, await self.shutdown_fleet(drain=bool(message.get("drain")))
-        return 404, {"ok": False, "error": "not-found", "path": path}
+            return 200, await self.drain()
+        message = self._parse_body(body)
+        return 200, await self.shutdown(drain=bool(message.get("drain")))
 
     @staticmethod
     def _parse_body(body: bytes) -> Dict[str, object]:
@@ -606,7 +493,7 @@ class Gateway:
 def serve_in_thread(gateway: Gateway, deadline_s: float = 15.0):
     """Run ``gateway`` on a daemon thread; returns once the port is bound.
 
-    Shared by the test fixtures and the fleet benchmark harness — the
+    Shared by the test fixtures and the benchmark harnesses — the
     gateway's asyncio loop lives on the thread, the caller keeps the
     handle for ``stop_threadsafe``.
     """

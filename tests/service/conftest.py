@@ -96,15 +96,15 @@ class RunningGateway:
 
 @pytest.fixture
 def gateway_for():
-    """Factory fixture: ``gateway_for(addr1, addr2, **GatewayOptions fields)``.
+    """Factory fixture: ``gateway_for(address, **GatewayOptions fields)``.
 
-    Starts an HTTP gateway on an ephemeral port fronting the given daemon
-    addresses; stopped at teardown even when the test fails.
+    Starts an HTTP gateway on an ephemeral port fronting the daemon at
+    ``address``; stopped at teardown even when the test fails.
     """
     started = []
 
-    def start(*addresses, **options) -> RunningGateway:
-        options.setdefault("shards", list(addresses))
+    def start(address, **options) -> RunningGateway:
+        options.setdefault("daemon", address)
         options.setdefault("health_interval", 30.0)  # tests probe explicitly
         gateway = Gateway(GatewayOptions(**options))
         thread = serve_in_thread(gateway)

@@ -1,29 +1,26 @@
-"""Fleet tests: ring routing, coalescing at the home shard, failover,
-shared cache.
+"""Fleet tests: one daemon behind the HTTP gateway, and the shared cache.
 
-The failover and cross-daemon cache tests are the satellite coverage from
-ISSUE 7: a daemon dying mid-job must not change the bytes a client sees
-(the gateway re-routes and the fingerprint matches a direct run), and a
-key executed on one shard must be a cache hit on every other shard.
+The gateway adds HTTP and nothing else, so what it serves must be what
+the daemon serves: duplicates coalesce in the daemon, repeats are cache
+hits, and the bytes match a direct run.  A key executed by one daemon is
+a cache hit on every other daemon that shares the cache directory.
 """
 
 import json
+import os
 import socket
 import threading
 import time
-from types import SimpleNamespace
+from pathlib import Path
 
 import pytest
 
-from repro.common.errors import ConfigurationError
-from repro.service.fleet import (
-    HashRing,
-    aggregate_statuses,
-    choose_shard,
-)
-from repro.service.gateway import MAX_BODY_BYTES
+import repro
+from repro.common.errors import ConfigurationError, ServiceUnavailableError
+from repro.service.fleet import FleetManager
+from repro.service.gateway import MAX_BODY_BYTES, MAX_HEAD_LINE_BYTES
 from repro.service.protocol import summarize_result
-from repro.service.specs import build_task, normalize_spec, spec_for_pair, task_signature
+from repro.service.specs import build_task, spec_for_pair
 
 from tests.service import runners
 
@@ -35,143 +32,47 @@ def _pair_spec(policy="occamy", scale=SCALE, max_cycles=None):
     return spec_for_pair(*PAIR, policy=policy, scale=scale, max_cycles=max_cycles)
 
 
-def _spec_homing_on(gateway, shard_name, policy="occamy"):
-    """A spec whose consistent-hash home is ``shard_name`` on this ring."""
-    for max_cycles in range(3_000_000, 3_000_200):
-        spec = _pair_spec(policy=policy, max_cycles=max_cycles)
-        signature = task_signature(normalize_spec(spec))
-        if gateway.gateway.ring.node_for(signature) == shard_name:
-            return spec
-    raise AssertionError(f"no spec homing on {shard_name} in 200 candidates")
+# --- fleet manager: one supervised daemon -------------------------------------
 
 
-# --- hash ring ----------------------------------------------------------------
+def test_fleet_manager_runs_exactly_one_daemon(tmp_path):
+    manager = FleetManager(base_dir=tmp_path / "fleet")
+    try:
+        with pytest.raises(ConfigurationError, match="got a count of 2"):
+            manager.start(2)
+        assert manager.addresses() == []
+    finally:
+        manager.stop_all()
 
 
-def test_ring_is_stable_across_instances():
-    nodes = ["shard0", "shard1", "shard2"]
-    first = HashRing(nodes)
-    second = HashRing(list(reversed(nodes)))
-    for i in range(200):
-        key = f"key-{i}"
-        assert first.node_for(key) == second.node_for(key)
+def test_fleet_manager_reports_a_daemon_that_dies_at_startup(tmp_path):
+    """A daemon that exits at once is reported at once, with its log's
+    last line, not after the startup deadline."""
+    env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "cache"))
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    manager = FleetManager(base_dir=tmp_path / "fleet", workers=0, env=env)
+    begin = time.monotonic()
+    with pytest.raises(ServiceUnavailableError, match="workers must be positive"):
+        manager.start(1, deadline_s=60.0)
+    assert time.monotonic() - begin < 10.0
+    assert manager.addresses() == []
 
 
-def test_ring_balances_keys():
-    ring = HashRing([f"shard{i}" for i in range(4)])
-    counts = {}
-    for i in range(2000):
-        home = ring.node_for(f"key-{i}")
-        counts[home] = counts.get(home, 0) + 1
-    for node, count in counts.items():
-        assert count > 2000 * 0.10, f"{node} got only {count}/2000 keys"
+# --- gateway: what it serves is what the daemon serves ------------------------
 
 
-def test_ring_removal_only_remaps_lost_node():
-    before = HashRing(["shard0", "shard1", "shard2", "shard3"])
-    after = HashRing(["shard0", "shard1", "shard3"])  # shard2 died
-    moved = 0
-    for i in range(1000):
-        key = f"key-{i}"
-        old = before.node_for(key)
-        if old == "shard2":
-            moved += 1
-            continue
-        # Keys on surviving shards must not move.
-        assert after.node_for(key) == old, key
-    assert 0 < moved < 1000
-
-
-def test_ring_preference_covers_all_nodes_in_order():
-    ring = HashRing(["a", "b", "c"])
-    pref = ring.preference("some-key")
-    assert sorted(pref) == ["a", "b", "c"]
-    assert pref[0] == ring.node_for("some-key")
-
-
-def test_empty_ring_rejected():
-    with pytest.raises(ConfigurationError):
-        HashRing([])
-
-
-# --- routing ------------------------------------------------------------------
-
-
-def _shards(**inflight):
-    return {
-        name: SimpleNamespace(name=name, alive=True, inflight=load)
-        for name, load in inflight.items()
-    }
-
-
-def test_hash_routing_follows_ring_preference():
-    shards = _shards(a=0, b=0, c=0)
-    ring = HashRing(shards)
-    pref = ring.preference("sig")
-    assert choose_shard(ring, "sig", shards).name == pref[0]
-    # Excluding the home (failover) walks to the next shard in ring order.
-    assert choose_shard(ring, "sig", shards, exclude={pref[0]}).name == pref[1]
-
-
-def test_dead_shards_are_never_chosen():
-    shards = _shards(a=0, b=0)
-    for shard in shards.values():
-        shard.alive = False
-    ring = HashRing(shards)
-    assert choose_shard(ring, "sig", shards) is None
-
-
-# --- status aggregation -------------------------------------------------------
-
-
-def test_aggregate_statuses_sums_and_rates():
-    ok = {
-        "ok": True,
-        "queue": {"depth": 3},
-        "workers": {"busy": 1, "size": 2},
-        "counters": {"submitted": 10, "cache_hits": 4, "retries": 1},
-    }
-    other = {
-        "ok": True,
-        "queue": {"depth": 1},
-        "workers": {"busy": 2, "size": 2},
-        "counters": {"submitted": 10, "cache_hits": 6},
-    }
-    totals = aggregate_statuses([ok, other, None, {"ok": False, "error": "x"}])
-    assert totals["shards"] == 4
-    assert totals["reachable"] == 2
-    assert totals["queued"] == 4
-    assert totals["busy_workers"] == 3
-    assert totals["workers"] == 4
-    assert totals["counters"]["submitted"] == 20
-    assert totals["counters"]["retries"] == 1
-    assert totals["cache_hit_rate"] == pytest.approx(0.5)
-
-
-def test_aggregate_statuses_empty():
-    totals = aggregate_statuses([])
-    assert totals["reachable"] == 0
-    assert totals["cache_hit_rate"] == 0.0
-
-
-# --- gateway: routing + warm-shard affinity -----------------------------------
-
-
-def test_gateway_routes_and_repeats_land_on_same_shard(service_server, gateway_for):
-    a = service_server(runner=runners.fast_runner)
-    b = service_server(runner=runners.fast_runner)
-    gw = gateway_for(a.address, b.address)
+def test_gateway_repeat_is_a_cache_hit(service_server, gateway_for):
+    a = service_server(workers=1)
+    gw = gateway_for(a.address)
     spec = _pair_spec()
     code, first = gw.submit(spec)
-    assert code == 200 and first["event"] == "done"
+    assert code == 200 and first["event"] == "done" and not first["cached"]
     code, second = gw.submit(spec)
-    assert code == 200 and second["event"] == "done"
-    # Consistent hashing: the repeat lands on the warm shard.
-    assert first["gateway"]["shard"] == second["gateway"]["shard"]
-    assert first["gateway"]["failovers"] == 0
-    expected = runners.fast_runner(build_task(spec))
-    assert first["result"]["fingerprint"] == expected["fingerprint"]
-    assert second["result"]["fingerprint"] == expected["fingerprint"]
+    assert code == 200 and second["event"] == "done" and second["cached"]
+    assert a.server.counters["executed"] == 1
+    assert a.server.counters["cache_hits"] == 1
+    assert second["result"]["fingerprint"] == first["result"]["fingerprint"]
 
 
 def test_gateway_single_flight_coalesces_across_fleet(
@@ -179,8 +80,7 @@ def test_gateway_single_flight_coalesces_across_fleet(
 ):
     monkeypatch.setenv(runners.SLEEP_ENV, "0.5")
     a = service_server(runner=runners.sleep_runner)
-    b = service_server(runner=runners.sleep_runner)
-    gw = gateway_for(a.address, b.address)
+    gw = gateway_for(a.address)
     spec = _pair_spec()
     results = []
 
@@ -196,60 +96,15 @@ def test_gateway_single_flight_coalesces_across_fleet(
     assert len(results) == 3
     events = [payload for code, payload in results]
     assert all(payload["event"] == "done" for payload in events)
-    # The gateway forwards all three to one home shard; that daemon runs
-    # the job once and attaches the other two to it.
-    executed = sum(handle.server.counters["executed"] for handle in (a, b))
-    coalesced = sum(handle.server.counters["coalesced"] for handle in (a, b))
-    assert executed == 1
-    assert coalesced == 2
-    assert len({payload["gateway"]["shard"] for payload in events}) == 1
+    # The gateway forwards all three; the daemon runs the job once and
+    # attaches the other two to it.
+    assert a.server.counters["executed"] == 1
+    assert a.server.counters["coalesced"] == 2
     fingerprints = {
         json.dumps(payload["result"]["fingerprint"], sort_keys=True)
         for payload in events
     }
     assert len(fingerprints) == 1
-
-
-# --- gateway: health-checked failover -----------------------------------------
-
-
-def test_gateway_fails_over_when_shard_dies_mid_job(
-    service_server, gateway_for, monkeypatch
-):
-    """Satellite: kill a daemon mid-job; the gateway re-routes and the
-    result fingerprint is identical to a direct run."""
-    monkeypatch.setenv(runners.SLEEP_ENV, "30.0")
-    sleeper = service_server(runner=runners.sleep_runner)
-    healthy = service_server(runner=runners.fast_runner)
-    gw = gateway_for(sleeper.address, healthy.address)
-    spec = _spec_homing_on(gw, "shard0")  # shard0 == sleeper
-
-    outcome = {}
-
-    def submit():
-        outcome["response"] = gw.submit(spec, timeout=60)
-
-    thread = threading.Thread(target=submit)
-    thread.start()
-    # Wait until the job is actually running on the sleeper shard.
-    deadline = time.monotonic() + 10
-    while time.monotonic() < deadline:
-        if sleeper.server.counters.get("submitted", 0) >= 1:
-            break
-        time.sleep(0.02)
-    else:
-        raise AssertionError("job never reached the sleeper shard")
-    sleeper.stop()  # daemon dies mid-run
-    thread.join(timeout=30)
-    assert "response" in outcome, "gateway never answered"
-    code, payload = outcome["response"]
-    assert code == 200 and payload["event"] == "done"
-    assert payload["gateway"]["shard"] == "shard1"
-    assert payload["gateway"]["failovers"] == 1
-    assert gw.gateway.counters["failovers"] == 1
-    assert gw.gateway.shards["shard0"].alive is False
-    expected = runners.fast_runner(build_task(spec))
-    assert payload["result"]["fingerprint"] == expected["fingerprint"]
 
 
 # --- shared cache tier --------------------------------------------------------
@@ -280,18 +135,15 @@ def test_gateway_served_result_bit_identical_to_direct_run(
     from repro.analysis.parallel import execute_task
 
     a = service_server(workers=1)
-    b = service_server(workers=1)
-    gw = gateway_for(a.address, b.address)
+    gw = gateway_for(a.address)
     spec = _pair_spec()
     code, served = gw.submit(spec)
     assert code == 200 and served["event"] == "done"
     direct = summarize_result(execute_task(build_task(spec)))
     assert served["result"]["fingerprint"] == direct["fingerprint"]
     assert served["result"]["total_cycles"] == direct["total_cycles"]
-    # Hitting the *other* shard directly is a cross-shard cache hit with
-    # the same bytes.
-    other = a if served["gateway"]["shard"] == "shard1" else b
-    with other.client() as client:
+    # Submitting straight at the daemon is a cache hit with the same bytes.
+    with a.client() as client:
         relayed = client.submit(spec, timeout=120)
     assert relayed["cached"]
     assert relayed["result"]["fingerprint"] == direct["fingerprint"]
@@ -366,74 +218,94 @@ def test_gateway_http_error_paths(service_server, gateway_for):
     ):
         code, payload = _raw_http(gw.gateway.bound_port, request.encode())
         assert (code, payload["ok"], payload["error"]) == (status, False, error)
+    # A request line or a header with no newline within the stream limit.
+    for request in (
+        "GET /" + "x" * 70_000 + " HTTP/1.1\r\n\r\n",
+        "GET /healthz HTTP/1.1\r\nX-Big: " + "x" * 70_000 + "\r\n\r\n",
+    ):
+        code, payload = _raw_http(gw.gateway.bound_port, request.encode())
+        assert (code, payload["ok"], payload["error"]) == (400, False, "protocol")
+        assert f"over {MAX_HEAD_LINE_BYTES} bytes" in payload["detail"]
     code, payload = gw.request("GET", "/healthz")
-    assert code == 200 and payload["ok"] and payload["alive"] == 1
+    assert code == 200 and payload == {"ok": True, "daemon": a.address}
 
 
-def test_gateway_status_aggregates_and_marks_dead_shards(
-    service_server, gateway_for
-):
+def test_gateway_status_carries_the_daemon_payload(service_server, gateway_for):
     a = service_server(runner=runners.fast_runner)
-    b = service_server(runner=runners.fast_runner)
-    gw = gateway_for(a.address, b.address)
+    gw = gateway_for(a.address)
     for offset in (1, 2):
         code, payload = gw.submit(_pair_spec(max_cycles=3_000_000 + offset))
         assert code == 200
     code, status = gw.request("GET", "/status")
     assert code == 200 and status["ok"]
-    assert status["totals"]["reachable"] == 2
-    assert status["totals"]["counters"]["submitted"] == 2
     assert status["gateway"]["counters"]["submitted"] == 2
-    assert len(status["shards"]) == 2
-    b.stop()
-    code, status = gw.request("GET", "/status")
-    assert status["totals"]["reachable"] == 1
-    dead = [entry for entry in status["shards"] if not entry["alive"]]
-    assert len(dead) == 1 and dead[0]["shard"] == "shard1"
-    code, payload = gw.request("GET", "/healthz")
-    assert code == 200 and payload["alive"] == 1
+    assert status["gateway"]["alive"] is True
+    assert status["daemon"]["ok"] and status["daemon"]["op"] == "status"
+    assert status["daemon"]["counters"]["submitted"] == 2
+    assert "totals" not in status and "shards" not in status
     a.stop()
-    gw.request("GET", "/status")
+    code, status = gw.request("GET", "/status")
+    assert code == 200 and status["daemon"]["ok"] is False
+    assert status["gateway"]["alive"] is False
     code, payload = gw.request("GET", "/healthz")
     assert code == 503 and not payload["ok"]
+    code, payload = gw.submit(_pair_spec())
+    assert code == 502 and payload["error"] == "unavailable"
 
 
-def test_gateway_drain_fans_out(service_server, gateway_for):
+def test_gateway_drain_reaches_the_daemon(service_server, gateway_for):
     a = service_server(runner=runners.fast_runner)
-    b = service_server(runner=runners.fast_runner)
-    gw = gateway_for(a.address, b.address)
+    gw = gateway_for(a.address)
     code, payload = gw.request("POST", "/drain")
     assert code == 200 and payload["ok"]
-    assert a.server.draining and b.server.draining
+    assert a.server.draining
 
 
-# --- repro fleet status (the one fleet table) --------------------------------
+# --- repro fleet status: the gateway line, then the daemon's table -----------
 
 
-def test_fleet_status_prints_totals_and_unreachable_shards(
-    service_server, gateway_for, capsys
-):
+def test_fleet_status_prints_the_daemon_table(service_server, gateway_for, capsys):
     from repro import cli
 
     a = service_server(runner=runners.fast_runner)
-    b = service_server(runner=runners.fast_runner)
-    gw = gateway_for(a.address, b.address)
+    gw = gateway_for(a.address)
     code, _ = gw.submit(_pair_spec())
     assert code == 200
     assert cli.main(["fleet", "status", "--http", gw.url]) == 0
     out = capsys.readouterr().out
-    assert "fleet: 2/2 shards reachable" in out
+    assert "(daemon alive)" in out
+    assert f"daemon pid {os.getpid()} " in out  # the in-process test daemon
     assert "submitted=1" in out
-    b.stop()
+    a.stop()
     assert cli.main(["fleet", "status", "--http", gw.url]) == 0
     out = capsys.readouterr().out
-    assert "fleet: 1/2 shards reachable" in out
-    assert f"shard1 {b.address}: UNREACHABLE" in out
+    assert "(daemon down)" in out
+    assert "daemon: UNREACHABLE" in out
+
+
+def test_fleet_serve_rejects_bad_values_before_spawning(capsys, monkeypatch):
+    from repro import cli
+
+    def spawn(*args, **kwargs):
+        raise AssertionError("fleet serve spawned a daemon")
+
+    monkeypatch.setattr(FleetManager, "start", spawn)
+    for argv, named in (
+        (["fleet", "serve", "--workers", "0"], "--workers: must be an integer >= 1, got '0'"),
+        (["fleet", "serve", "--queue-depth", "0"], "--queue-depth: must be"),
+        (["fleet", "serve", "--max-per-client", "-3"], "--max-per-client: must be"),
+        (["fleet", "serve", "--http", "127.0.0.1:70000"], "'127.0.0.1:70000'"),
+        (["fleet", "serve", "--http", "localhost"], "'localhost'"),
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
 
 
 def test_policy_flags_are_gone_not_ignored(capsys):
-    """The daemon schedules one way and the gateway routes one way; the
-    fleet is resized by restarting it, and a submit waits for its job."""
+    """The daemon schedules one way, the gateway fronts one daemon, and a
+    submit waits for its job."""
     from repro import cli
 
     for argv, gone in (
@@ -445,6 +317,7 @@ def test_policy_flags_are_gone_not_ignored(capsys):
             "unrecognized arguments: --steal-threshold",
         ),
         (["fleet", "scale", "3"], "invalid choice: 'scale'"),
+        (["fleet", "serve", "-n", "2"], "unrecognized arguments: -n 2"),
         (
             ["submit", "pair", "spec", "20", "17", "--no-wait"],
             "unrecognized arguments: --no-wait",
