@@ -33,9 +33,8 @@ Quickstart::
     print(result.total_cycles, result.metrics.simd_utilization())
 """
 
-from typing import TYPE_CHECKING
-
-from repro._lazy import lazy_exports
+from importlib import import_module
+from typing import TYPE_CHECKING, List
 
 if TYPE_CHECKING:
     from repro.common.config import (
@@ -55,50 +54,48 @@ if TYPE_CHECKING:
         SimulationError,
         VectorizationError,
     )
-    from repro.compiler import (
+    from repro.compiler.ir import (
         Assign,
         BinOp,
         Call,
-        CompileOptions,
         Const,
         Kernel,
         Load,
         Loop,
         Param,
-        PhaseInfo,
         Reduce,
-        analyze_kernel,
-        analyze_loop,
-        build_image,
-        compile_kernel,
-        reference_execute,
     )
-    from repro.core import (
+    from repro.compiler.phase_analysis import PhaseInfo, analyze_kernel, analyze_loop
+    from repro.compiler.pipeline import CompileOptions, build_image, compile_kernel
+    from repro.compiler.reference import reference_execute
+    from repro.coproc.metrics import Metrics, StallReason
+    from repro.core.machine import Machine, run_policy
+    from repro.core.partition import greedy_partition, static_partition
+    from repro.core.policies import (
         ALL_POLICIES,
         FTS,
         OCCAMY,
         PRIVATE,
         VLS,
-        Job,
-        Machine,
-        Metrics,
         Policy,
-        RooflineModel,
-        RunResult,
-        StallReason,
-        greedy_partition,
         policy,
-        run_policy,
-        static_partition,
     )
-    from repro.isa import OIValue, Program
-    from repro.memory import MemoryImage
+    from repro.core.result import Job, RunResult
+    from repro.core.roofline import RooflineModel
+    from repro.isa.program import Program
+    from repro.isa.registers import OIValue
+    from repro.memory.image import MemoryImage
 
 __version__ = "1.0.0"
 
-__all__, __getattr__, __dir__ = lazy_exports(
-    __name__,
-    {
+#: Public name -> the module that defines it.  Exports load on use
+#: (PEP 562): ``from repro import X`` imports the module defining ``X`` the
+#: first time it is asked for and nothing else, so importing ``repro``
+#: (which importing any submodule does) loads none of the engine.  The
+#: ``TYPE_CHECKING`` imports above show tools the same names.
+_HOME = {
+    name: module
+    for module, names in {
         "repro.common.config": (
             "CacheConfig", "CoreConfig", "MachineConfig", "MemoryConfig",
             "VectorConfig", "experiment_config", "table4_config"
@@ -127,5 +124,19 @@ __all__, __getattr__, __dir__ = lazy_exports(
         "repro.isa.program": ("Program",),
         "repro.isa.registers": ("OIValue",),
         "repro.memory.image": ("MemoryImage",),
-    },
-)
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(_HOME[name]), name)
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(_HOME))

@@ -49,7 +49,7 @@ from repro.analysis.experiments import (
 )
 from repro.analysis.reporting import geomean, md_table
 from repro.common.config import experiment_config, table4_config
-from repro.compiler import analyze_kernel
+from repro.compiler.phase_analysis import analyze_kernel
 from repro.coproc.metrics import StallReason
 from repro.core.result import RunResult
 from repro.workloads.opencv import OPENCV_KERNELS, OPENCV_WORKLOADS, opencv_workload

@@ -66,14 +66,29 @@ def scale_type(text: str) -> float:
 
 
 def count_type(text: str) -> int:
-    """A count of at least one (``report --pairs``, ``fleet serve --workers``),
-    else argparse exits 2."""
+    """A count of at least one (``report --pairs``, the daemon's
+    ``--workers`` / ``--queue-depth`` / ``--max-per-client``), else argparse
+    exits 2."""
     try:
         value = int(text, 10)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
+def timeout_type(text: str) -> float:
+    """``--job-timeout``: a finite number of seconds >= 0 (0 disables),
+    else argparse exits 2."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = -1.0
+    if not 0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}"
+        )
     return value
 
 
@@ -98,8 +113,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Shared runtime options for every command that runs simulations.
-    runtime = argparse.ArgumentParser(add_help=False)
+    # The persistent result cache, for every command that runs simulations
+    # (the daemon included).
+    cache_options = argparse.ArgumentParser(add_help=False)
+    cache_options.add_argument(
+        "--cache-dir",
+        default=None,
+        metavar="DIR",
+        help="persistent result-cache directory (default $REPRO_CACHE_DIR, "
+        "else ~/.cache/repro)",
+    )
+    cache_options.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable the persistent result cache",
+    )
+
+    # Shared runtime options for every command that runs simulations here.
+    runtime = argparse.ArgumentParser(add_help=False, parents=[cache_options])
     runtime.add_argument(
         "--jobs",
         type=str,
@@ -107,18 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes ('auto' = all CPUs; default $REPRO_JOBS, "
         "else serial; non-positive values are rejected)",
-    )
-    runtime.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persistent result-cache directory (default $REPRO_CACHE_DIR, "
-        "else ~/.cache/repro)",
-    )
-    runtime.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the persistent result cache",
     )
     runtime.add_argument(
         "--profile",
@@ -311,54 +330,39 @@ def build_parser() -> argparse.ArgumentParser:
         help="client-side response timeout in seconds (default 600)",
     )
 
+    # The daemon's settings: `repro serve` takes them and `repro fleet serve`
+    # forwards them to the daemon it spawns.
+    daemon_options = argparse.ArgumentParser(add_help=False)
+    daemon_options.add_argument(
+        "--workers", type=count_type, default=2, metavar="N",
+        help="worker processes in the daemon's pool (default 2)",
+    )
+    daemon_options.add_argument(
+        "--queue-depth", type=count_type, default=64, metavar="N",
+        help="max queued jobs before submissions are rejected (default 64)",
+    )
+    daemon_options.add_argument(
+        "--max-per-client", type=count_type, default=16, metavar="N",
+        help="max queued+running jobs per client (default 16)",
+    )
+    daemon_options.add_argument(
+        "--job-timeout", type=timeout_type, default=300.0, metavar="S",
+        help="per-job wall-clock deadline in seconds; 0 disables "
+        "(default 300)",
+    )
+    daemon_options.add_argument(
+        "--runner", default=None, metavar="MOD:FUNC",
+        help="job runner as package.module:callable (default: the cached "
+        "simulation runner; test/bench harnesses inject stubs here)",
+    )
+
     serve = sub.add_parser(
-        "serve", help="run the simulation daemon (async job service)"
+        "serve", help="run the simulation daemon (async job service)",
+        parents=[daemon_options, cache_options],
     )
     serve.add_argument(
         "--socket", default=None, metavar="ADDR",
         help="listen address: Unix socket path or tcp:HOST:PORT",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="worker processes in the pool (default 2)",
-    )
-    serve.add_argument(
-        "--queue-depth", type=int, default=64, metavar="N",
-        help="max queued jobs before submissions are rejected (default 64)",
-    )
-    serve.add_argument(
-        "--max-per-client", type=int, default=16, metavar="N",
-        help="max queued+running jobs per client (default 16)",
-    )
-    serve.add_argument(
-        "--job-timeout", type=float, default=300.0, metavar="S",
-        help="per-job wall-clock deadline in seconds; 0 disables "
-        "(default 300)",
-    )
-    serve.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
-        help="retries after a worker crash or timeout (default 2)",
-    )
-    serve.add_argument(
-        "--retry-backoff", type=float, default=0.25, metavar="S",
-        help="base retry backoff, doubled per attempt (default 0.25s)",
-    )
-    serve.add_argument(
-        "--recycle-after", type=int, default=64, metavar="N",
-        help="recycle a worker after N jobs; 0 disables (default 64)",
-    )
-    serve.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="persistent result-cache directory for dedup/coalescing",
-    )
-    serve.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the persistent result cache (disables dedup)",
-    )
-    serve.add_argument(
-        "--runner", default=None, metavar="MOD:FUNC",
-        help="job runner as package.module:callable (default: the cached "
-        "simulation runner; test/bench harnesses inject stubs here)",
     )
 
     submit = sub.add_parser(
@@ -409,36 +413,17 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_sub = fleet.add_subparsers(dest="fleet_op", required=True)
 
     fleet_serve = fleet_sub.add_parser(
-        "serve", help="spawn the daemon and serve the HTTP gateway (foreground)"
+        "serve", help="spawn the daemon and serve the HTTP gateway (foreground)",
+        parents=[daemon_options],
     )
     fleet_serve.add_argument(
         "--http", dest="http_bind", type=http_bind_type, default="127.0.0.1:8765",
         metavar="HOST:PORT", help="gateway listen address (default 127.0.0.1:8765)",
     )
     fleet_serve.add_argument(
-        "--workers", type=count_type, default=2, metavar="N",
-        help="daemon worker processes (default 2)",
-    )
-    fleet_serve.add_argument(
-        "--queue-depth", type=count_type, default=64, metavar="N",
-        help="daemon queue depth (default 64)",
-    )
-    fleet_serve.add_argument(
-        "--max-per-client", type=count_type, default=16, metavar="N",
-        help="daemon per-client quota (default 16)",
-    )
-    fleet_serve.add_argument(
-        "--job-timeout", type=float, default=300.0, metavar="S",
-        help="per-job wall-clock deadline in seconds (default 300)",
-    )
-    fleet_serve.add_argument(
         "--base-dir", default=None, metavar="DIR",
         help="directory for the daemon's socket and log "
         "(default <cache-dir>/fleet)",
-    )
-    fleet_serve.add_argument(
-        "--runner", default=None, metavar="MOD:FUNC",
-        help="job runner forwarded to the daemon (see 'serve --runner')",
     )
 
     fleet_client = argparse.ArgumentParser(add_help=False)

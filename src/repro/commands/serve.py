@@ -40,10 +40,7 @@ def run(args: argparse.Namespace) -> int:
         workers=args.workers,
         queue_depth=args.queue_depth,
         max_per_client=args.max_per_client,
-        job_timeout=args.job_timeout if args.job_timeout > 0 else None,
-        max_retries=args.max_retries,
-        retry_backoff=args.retry_backoff,
-        recycle_after=args.recycle_after if args.recycle_after > 0 else None,
+        job_timeout=args.job_timeout or None,
         **kwargs,
     )
     server = SimulationServer(options)

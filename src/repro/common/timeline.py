@@ -126,23 +126,5 @@ class Timeline:
         """The recorded breakpoints, oldest first."""
         return tuple(self._points)
 
-    def integrate(self, start: int, end: int) -> float:
-        """Integral of the step function over ``[start, end)`` cycles."""
-        if end <= start:
-            return 0.0
-        total = 0.0
-        cursor = start
-        level = self.value_at(start)
-        for point_cycle, value in self._points:
-            if point_cycle <= start:
-                continue
-            if point_cycle >= end:
-                break
-            total += level * (point_cycle - cursor)
-            cursor = point_cycle
-            level = value
-        total += level * (end - cursor)
-        return total
-
     def __len__(self) -> int:
         return len(self._points)

@@ -15,7 +15,6 @@ from repro.isa.instructions import (
     Branch,
     Halt,
     Instruction,
-    InstructionClass,
     Label,
 )
 
@@ -53,15 +52,6 @@ class Program:
             return self.labels[label]
         except KeyError as exc:
             raise AssemblyError(f"undefined label {label!r}") from exc
-
-    def counts_by_class(self) -> Dict[InstructionClass, int]:
-        """Static instruction counts per family (Labels excluded)."""
-        counts: Dict[InstructionClass, int] = {cls: 0 for cls in InstructionClass}
-        for instr in self.instructions:
-            if isinstance(instr, Label):
-                continue
-            counts[instr.iclass] += 1
-        return counts
 
     def disassemble(self) -> str:
         """Readable listing, one instruction per line."""

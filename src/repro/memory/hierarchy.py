@@ -24,15 +24,6 @@ class AccessResult(NamedTuple):
     l2_hits: int
     dram_accesses: int
 
-    @property
-    def deepest_level(self) -> str:
-        """Name of the slowest level this access reached."""
-        if self.dram_accesses:
-            return "dram"
-        if self.l2_hits:
-            return "l2"
-        return "vec_cache"
-
 
 class VectorMemorySystem:
     """Shared vector memory: VecCache, unified L2 and a DRAM channel.
@@ -178,9 +169,3 @@ class VectorMemorySystem:
         dram_bw.requests_served += dram_requests
         dram_bw.bytes_served += dram_requests * line_bytes
         return AccessResult(complete, lines, vc_hits, l2_hits, dram)
-
-    def reset_bandwidth(self) -> None:
-        """Forget queued traffic (between independent simulations)."""
-        self.vec_cache_bw.reset()
-        self.l2_bw.reset()
-        self.dram_bw.reset()

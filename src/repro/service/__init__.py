@@ -33,33 +33,3 @@ Modules
     One daemon subprocess behind an HTTP front door that adds HTTP and
     nothing else (``repro fleet``).
 """
-
-from typing import TYPE_CHECKING
-
-from repro._lazy import lazy_exports
-
-if TYPE_CHECKING:
-    from repro.service.client import ServiceClient, wait_for_server
-    from repro.service.queue import JobQueue
-    from repro.service.protocol import (
-        default_address,
-        fingerprint_digests,
-        summarize_result,
-    )
-    from repro.service.server import ServerOptions, SimulationServer
-    from repro.service.specs import build_task, normalize_spec
-    from repro.service.workers import WorkerPool
-
-__all__, __getattr__, __dir__ = lazy_exports(
-    __name__,
-    {
-        "repro.service.client": ("ServiceClient", "wait_for_server"),
-        "repro.service.protocol": (
-            "default_address", "fingerprint_digests", "summarize_result"
-        ),
-        "repro.service.queue": ("JobQueue",),
-        "repro.service.server": ("ServerOptions", "SimulationServer"),
-        "repro.service.specs": ("build_task", "normalize_spec"),
-        "repro.service.workers": ("WorkerPool",),
-    },
-)

@@ -100,23 +100,6 @@ def decode_line(line: bytes) -> Dict[str, object]:
     return message
 
 
-# --- result summaries ---------------------------------------------------------
-
-
-def load_cached_result(key: str):
-    """Fetch the full :class:`RunResult` behind a served summary's ``key``.
-
-    Returns ``None`` when the persistent cache is disabled or the entry
-    has been evicted.
-    """
-    from repro.analysis import result_cache
-
-    cache = result_cache.default_cache()
-    if cache is None or key is None:
-        return None
-    return cache.get(key)
-
-
 def cleanup_socket(address: str) -> None:
     """Best-effort removal of a stale Unix socket file."""
     if is_tcp_address(address):

@@ -24,27 +24,3 @@ codebase grows:
     Opt-in runtime invariant audits (``REPRO_AUDIT`` / ``--audit``) wired
     into the machine, lane table, renamer, LSUs and bandwidth model.
 """
-
-from typing import TYPE_CHECKING
-
-from repro._lazy import lazy_exports
-
-if TYPE_CHECKING:
-    from repro.validation.fingerprint import (
-        diff_fingerprints,
-        fingerprint_sections,
-        run_fingerprint,
-    )
-    from repro.validation.invariants import InvariantAuditor, audit_enabled
-    from repro.validation.reference_engine import ReferenceMachine, run_reference
-
-__all__, __getattr__, __dir__ = lazy_exports(
-    __name__,
-    {
-        "repro.validation.fingerprint": (
-            "diff_fingerprints", "fingerprint_sections", "run_fingerprint"
-        ),
-        "repro.validation.invariants": ("InvariantAuditor", "audit_enabled"),
-        "repro.validation.reference_engine": ("ReferenceMachine", "run_reference"),
-    },
-)

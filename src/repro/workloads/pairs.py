@@ -91,16 +91,6 @@ def dedup_unordered(keys: Sequence) -> List[Tuple]:
     return pairs
 
 
-def corun_pair_set(group: Sequence[int]) -> Tuple[Tuple[int, int], ...]:
-    """The deduplicated unordered pair-set a workload group can form.
-
-    This is the candidate set the allocation layer scores: every complex
-    any placement of ``group`` could create, each symmetric pair counted
-    once.
-    """
-    return tuple(dedup_unordered(list(group)))
-
-
 @lru_cache(maxsize=None)
 def _compiled(
     suite: str, workload_id: int, scale: float, memory: MemoryConfig

@@ -40,7 +40,7 @@ UNUSED_BY_A_HIT = ENGINE + (
 #: with, the compile path that hashes the keys, and the tables it prints.
 #: Not the LSU or the memory hierarchy: a result's counters are leaf types.
 WARM_REPORT_MODULES = """
-repro repro._lazy repro.cli repro.commands repro.commands.report
+repro repro.cli repro.commands repro.commands.report
 repro.analysis repro.analysis.area
 repro.analysis.experiments repro.analysis.fidelity repro.analysis.parallel
 repro.analysis.report repro.analysis.reporting repro.analysis.result_cache
@@ -211,8 +211,7 @@ def test_only_the_sweep_engine_imports_the_simulator():
                 engine = [
                     name for name in names
                     if name.startswith("repro.core.machine")
-                    or name in ("repro.core.Machine", "repro.core.run_policy",
-                                "repro.Machine", "repro.run_policy")
+                    or name in ("repro.Machine", "repro.run_policy")
                 ]
                 where = str(path.relative_to(root))
                 preload = isinstance(node, ast.Import) and where in preloads_only

@@ -64,22 +64,3 @@ class TestTimeline:
         timeline.record(10, 8)
         with pytest.raises(ValueError):
             timeline.record(5, 4)
-
-    def test_integrate(self):
-        timeline = Timeline()
-        timeline.record(0, 2)
-        timeline.record(10, 4)
-        # 10 cycles at 2 plus 10 cycles at 4.
-        assert timeline.integrate(0, 20) == 60
-
-    def test_integrate_partial_window(self):
-        timeline = Timeline()
-        timeline.record(0, 2)
-        timeline.record(10, 4)
-        assert timeline.integrate(5, 15) == 5 * 2 + 5 * 4
-
-    def test_integrate_empty(self):
-        assert Timeline().integrate(0, 100) == 0
-        timeline = Timeline()
-        timeline.record(0, 3)
-        assert timeline.integrate(10, 10) == 0

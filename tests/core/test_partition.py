@@ -5,11 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.common.config import table4_config
 from repro.common.errors import ConfigurationError
-from repro.core.partition import (
-    greedy_partition,
-    greedy_partition_rounds,
-    static_partition,
-)
+from repro.core.partition import greedy_partition, static_partition
 from repro.core.roofline import RooflineModel
 from repro.isa.registers import OIValue
 
@@ -167,7 +163,6 @@ class TestTotalAllocationOptimality:
             total_lanes = len(ois)
         demands = dict(enumerate(ois))
         plan = greedy_partition(demands, total_lanes, ROOFLINE)
-        assert plan == greedy_partition_rounds(demands, total_lanes, ROOFLINE)
 
         # 1. Every lane past the fairness minimum earned its grant.
         for core, lanes in plan.items():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import AssemblyError
-from repro.isa.instructions import Branch, Halt, InstructionClass, ScalarOp
+from repro.isa.instructions import Branch, Halt, ScalarOp
 from repro.isa.operands import Imm
 from repro.isa.program import Program, ProgramBuilder
 
@@ -59,11 +59,6 @@ class TestProgram:
         builder.emit(ScalarOp("mov", "X0", (Imm(1),)))
         with pytest.raises(AssemblyError):
             builder.build()
-
-    def test_counts_by_class_excludes_labels(self):
-        program = _simple_builder().build()
-        counts = program.counts_by_class()
-        assert counts[InstructionClass.SCALAR] == 3  # mov, branch, halt
 
     def test_unknown_label_lookup(self):
         program = _simple_builder().build()

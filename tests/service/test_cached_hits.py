@@ -184,7 +184,7 @@ def test_truncated_entry_is_executed_again_and_healed(service_server):
     assert not second["cached"]
     assert second["result"] == first["result"]
     assert handle.server.counters["executed"] == 2
-    assert protocol.load_cached_result(key) is not None  # healed
+    assert result_cache.default_cache().get(key) is not None  # healed
     assert _submit(handle, spec)["cached"]
 
 

@@ -53,7 +53,9 @@ def test_fleet_manager_reports_a_daemon_that_dies_at_startup(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     manager = FleetManager(base_dir=tmp_path / "fleet", workers=0, env=env)
     begin = time.monotonic()
-    with pytest.raises(ServiceUnavailableError, match="workers must be positive"):
+    with pytest.raises(
+        ServiceUnavailableError, match="--workers: must be an integer >= 1, got '0'"
+    ):
         manager.start(1, deadline_s=60.0)
     assert time.monotonic() - begin < 10.0
     assert manager.addresses() == []
@@ -296,6 +298,33 @@ def test_fleet_serve_rejects_bad_values_before_spawning(capsys, monkeypatch):
         (["fleet", "serve", "--max-per-client", "-3"], "--max-per-client: must be"),
         (["fleet", "serve", "--http", "127.0.0.1:70000"], "'127.0.0.1:70000'"),
         (["fleet", "serve", "--http", "localhost"], "'localhost'"),
+        (["fleet", "serve", "--job-timeout", "-5"], "--job-timeout: must be"),
+        (["fleet", "serve", "--job-timeout", "nan"], "'nan'"),
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert named in capsys.readouterr().err
+
+
+def test_serve_rejects_bad_values_before_binding(capsys, monkeypatch):
+    """``repro serve`` takes the daemon flags from the same definitions as
+    ``fleet serve``: a bad value is a usage error naming the flag, not a
+    daemon serving without a deadline or a late error from the queue."""
+    from repro import cli
+    from repro.service.server import SimulationServer
+
+    def bind(self):
+        raise AssertionError("serve started a daemon")
+
+    monkeypatch.setattr(SimulationServer, "run", bind)
+    for argv, named in (
+        (["serve", "--job-timeout", "-5"], "--job-timeout: must be a finite number >= 0, got '-5'"),
+        (["serve", "--job-timeout", "nan"], "--job-timeout: must be"),
+        (["serve", "--job-timeout", "inf"], "'inf'"),
+        (["serve", "--workers", "0"], "--workers: must be an integer >= 1, got '0'"),
+        (["serve", "--queue-depth", "0"], "--queue-depth: must be"),
+        (["serve", "--max-per-client", "x"], "--max-per-client: must be"),
     ):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)
@@ -304,8 +333,8 @@ def test_fleet_serve_rejects_bad_values_before_spawning(capsys, monkeypatch):
 
 
 def test_policy_flags_are_gone_not_ignored(capsys):
-    """The daemon schedules one way, the gateway fronts one daemon, and a
-    submit waits for its job."""
+    """The daemon schedules one way, the gateway fronts one daemon, a
+    submit waits for its job, and retries and recycling are set in Python."""
     from repro import cli
 
     for argv, gone in (
@@ -322,6 +351,9 @@ def test_policy_flags_are_gone_not_ignored(capsys):
             ["submit", "pair", "spec", "20", "17", "--no-wait"],
             "unrecognized arguments: --no-wait",
         ),
+        (["serve", "--max-retries", "2"], "unrecognized arguments: --max-retries"),
+        (["serve", "--retry-backoff", "1"], "unrecognized arguments: --retry-backoff"),
+        (["serve", "--recycle-after", "8"], "unrecognized arguments: --recycle-after"),
     ):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(argv)

@@ -19,7 +19,7 @@ from repro import (
     reference_execute,
     run_policy,
 )
-from repro.compiler import analyze_kernel
+from repro.compiler.phase_analysis import analyze_kernel
 from repro.compiler.pipeline import CompileOptions
 from repro.core.machine import Machine
 from repro.workloads.generator import random_pair, random_workload

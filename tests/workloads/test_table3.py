@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.compiler import analyze_kernel
+from repro.compiler.phase_analysis import analyze_kernel
 from repro.compiler.vectorizer import vectorize_loop
 from repro.workloads.opencv import OPENCV_KERNELS, OPENCV_WORKLOADS, opencv_workload
 from repro.workloads.pairs import (
