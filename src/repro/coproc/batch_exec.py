@@ -25,7 +25,8 @@ completion in the machine is a zero-byte memory access: it can wake a
 younger dependant mid-scan, which the reference loop observes as it walks
 past it.  After one, the walk re-queries the ready index for younger
 sequence numbers (older skipped entries are not revisited by the reference
-either) and re-reads the STQ occupancy; ``plan_cuts`` counts these.
+either) and re-reads the STQ occupancy at its next store; ``plan_cuts``
+counts these.
 
 The backend is the engine's one dispatch path and is bit-identical to
 ``WindowScan``'s per-uop loop under every sharing mode — the differential
@@ -34,6 +35,7 @@ fuzzer diffs the two engines.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.common.errors import SimulationError
@@ -43,7 +45,15 @@ from repro.coproc.metrics import StallReason
 _COMPUTE = EntryKind.COMPUTE
 _LOAD = EntryKind.LOAD
 _STORE = EntryKind.STORE
+_EMSIMD = EntryKind.EMSIMD
 _ISSUED = EntryState.ISSUED
+_HOLDS_PHYS_REG = attrgetter("holds_phys_reg")
+_EMPTY = StallReason.EMPTY
+_DEPENDENCY = StallReason.DEPENDENCY
+_RENAME = StallReason.RENAME
+_ISSUE_BUDGET = StallReason.ISSUE_BUDGET
+_STORE_QUEUE = StallReason.STORE_QUEUE
+_RECONFIG = StallReason.RECONFIG
 
 
 def _issue_memory(lsu, addr: int, nbytes: int, cycle: int, is_store: bool) -> float:
@@ -107,21 +117,21 @@ class BatchExecutor:
         pool = coproc.pools[core]
         if not pool._entries:
             if coproc.core_active[core]:
-                coproc.metrics.on_stall(core, StallReason.EMPTY, cycle)
+                coproc.metrics.on_stall(core, _EMPTY, cycle)
             return 0
         self.batched_calls += 1
         scan = pool.ready_dispatchable(cycle)
         if not scan:
             # Nothing ready: the reason is the head's EM-SIMD barrier, else
             # what blocks the oldest waiting entry (budget, then operands).
-            if pool._entries[0].kind is EntryKind.EMSIMD:
-                coproc.metrics.on_stall(core, StallReason.RECONFIG, cycle)
+            if pool._entries[0].kind is _EMSIMD:
+                coproc.metrics.on_stall(core, _RECONFIG, cycle)
             elif pool.oldest_waiting_seq() is not None:
                 coproc.metrics.on_stall(
                     core,
-                    StallReason.ISSUE_BUDGET
+                    _ISSUE_BUDGET
                     if budget["compute"] <= 0 and budget["ldst"] <= 0
-                    else StallReason.DEPENDENCY,
+                    else _DEPENDENCY,
                     cycle,
                 )
             return 0
@@ -130,7 +140,7 @@ class BatchExecutor:
         avail = coproc.renamer.available(core)
         allocations = 0
         lsu = coproc.lsus[core]
-        stq_used = lsu.stq_occupancy(cycle)
+        stq_used = -1  # read at the walk's first store: only stores use it
         stq_cap = lsu.store_queue_entries
         short_latency = coproc.config.vector.compute_latency
         short_vls: List[int] = []
@@ -144,7 +154,7 @@ class BatchExecutor:
             entry = window[index]
             index += 1
             if compute_left <= 0 and ldst_left <= 0:
-                blocked = blocked or StallReason.ISSUE_BUDGET
+                blocked = blocked or _ISSUE_BUDGET
                 break
             # ``entry.ready(cycle)`` holds for every index candidate, and no
             # admission can un-ready a later one, so the reference loop's
@@ -152,12 +162,12 @@ class BatchExecutor:
             kind = entry.kind
             if kind is _COMPUTE:
                 if compute_left <= 0:
-                    blocked = blocked or StallReason.ISSUE_BUDGET
+                    blocked = blocked or _ISSUE_BUDGET
                     continue
                 writes = entry.writes_vreg
                 if writes:
                     if avail <= 0:
-                        blocked = StallReason.RENAME
+                        blocked = _RENAME
                         break
                     avail -= 1
                     allocations += 1
@@ -172,20 +182,23 @@ class BatchExecutor:
                     entry.complete_cycle = cycle + short_latency
                     short_vls.append(entry.vl_lanes)
                     short_flops += entry.flops
-                on_issue(entry, cycle)
+                if entry.waiters:
+                    on_issue(entry, cycle)
             elif kind is _LOAD or kind is _STORE:
                 if ldst_left <= 0:
-                    blocked = blocked or StallReason.ISSUE_BUDGET
+                    blocked = blocked or _ISSUE_BUDGET
                     continue
                 is_store = kind is _STORE
                 if is_store:
+                    if stq_used < 0:
+                        stq_used = lsu.stq_occupancy(cycle)
                     if stq_used >= stq_cap:
-                        blocked = blocked or StallReason.STORE_QUEUE
+                        blocked = blocked or _STORE_QUEUE
                         continue
                     stq_used += 1
                 else:
                     if avail <= 0:
-                        blocked = StallReason.RENAME
+                        blocked = _RENAME
                         break
                     avail -= 1
                     allocations += 1
@@ -197,7 +210,8 @@ class BatchExecutor:
                     lsu, entry.addr, nbytes, cycle, is_store
                 )
                 entry.state = _ISSUED
-                on_issue(entry, cycle)
+                if entry.waiters:
+                    on_issue(entry, cycle)
                 if nbytes <= 0:
                     # Zero-byte access: may have completed within this very
                     # cycle and woken a younger dependant.  Walk on from the
@@ -206,7 +220,7 @@ class BatchExecutor:
                     seq = entry.seq
                     window = [e for e in pool.ready_dispatchable(cycle) if e.seq > seq]
                     index = 0
-                    stq_used = lsu.stq_occupancy(cycle)
+                    stq_used = -1
             else:  # EM-SIMD entries never appear (the scan stops at them)
                 raise SimulationError("EM-SIMD instruction in dispatch scan")
         if allocations:
@@ -239,7 +253,7 @@ class BatchExecutor:
         the whole committed prefix.  Returns the entries committed."""
         committed = coproc.pools[core].commit_ready(cycle, self._commit_width)
         if committed:
-            holders = sum(1 for entry in committed if entry.holds_phys_reg)
+            holders = sum(map(_HOLDS_PHYS_REG, committed))
             if holders:
                 coproc.renamer.release_batch(core, holders)
         return len(committed)

@@ -17,6 +17,7 @@ is in program order per core).  Each cycle it:
 
 from __future__ import annotations
 
+import itertools
 import math
 from bisect import bisect_left
 from typing import Dict, List, Optional
@@ -38,6 +39,13 @@ COMMIT_WIDTH = 8
 
 #: Latency of a long-latency vector op (div/sqrt), in cycles.
 LONG_LATENCY = 12
+
+_CTS = SharingMode.COARSE_TEMPORAL
+_TEMPORAL = SharingMode.TEMPORAL
+_EMPTY = StallReason.EMPTY
+_DEPENDENCY = StallReason.DEPENDENCY
+_RENAME = StallReason.RENAME
+_ISSUE_BUDGET = StallReason.ISSUE_BUDGET
 
 
 class CoProcessor:
@@ -77,7 +85,9 @@ class CoProcessor:
         self.core_active = [True] * num_cores
         #: The cores a bare :meth:`step` walks.
         self._every_core = list(range(num_cores))
-        self._seq = 0
+        #: Program-order sequence numbers, shared by every core's transmits
+        #: (a C-level counter: one call per transmitted instruction).
+        self.next_seq = itertools.count(1).__next__
         self._rotate = 0
         #: Tickless-scheduler callback: invoked with the current cycle when a
         #: CTS ownership switch fires while components are asleep, so the
@@ -91,10 +101,6 @@ class CoProcessor:
         self.cts_switches = 0
 
     # --- scalar-core-facing interface -------------------------------------
-
-    def next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
 
     def can_transmit(self, core: int) -> bool:
         """True when core ``core`` may transmit one more instruction."""
@@ -163,7 +169,7 @@ class CoProcessor:
         """
         if cycles <= 0:
             return
-        if self.mode is not SharingMode.COARSE_TEMPORAL:
+        if self.mode is not _CTS:
             self._rotate = (self._rotate + cycles) % self.config.num_cores
 
     # --- per-cycle engine ---------------------------------------------------
@@ -230,21 +236,6 @@ class CoProcessor:
             self.metrics.on_lane_change(core, lanes, cycle)
         self.metrics.on_reconfig(core, success)
 
-    def _core_order(self, active: List[int]) -> List[int]:
-        """Rotate dispatch priority for fairness under temporal sharing.
-
-        Returns the rotation ``rotate, rotate+1, ...`` (mod ``num_cores``)
-        filtered to the sorted ``active`` cores (the dropped cores are
-        dispatch no-ops: asleep cores are skipped by the caller and
-        done/absent cores have empty pools and an inactive core flag).
-        A list of one core is its own rotation and is returned as is.
-        """
-        self._rotate = (self._rotate + 1) % self.config.num_cores
-        if len(active) < 2:
-            return active
-        start = bisect_left(active, self._rotate)
-        return active[start:] + active[:start]
-
     def _cts_arbitrate(self, cycle: int) -> Optional[int]:
         """Coarse-temporal ownership: rotate at quantum expiry or when the
         owner has nothing in flight; each hand-over pays the drain/restore
@@ -281,7 +272,7 @@ class CoProcessor:
         vector = self.config.vector
         dispatch_core = self._batch.dispatch_core
         dispatched = 0
-        if self.mode is SharingMode.COARSE_TEMPORAL:
+        if self.mode is _CTS:
             switches_before = self.cts_switches
             owner = self._cts_arbitrate(cycle)
             if (
@@ -304,29 +295,31 @@ class CoProcessor:
                     core_events[core] += issued
                     dispatched += issued
                 elif not self.pools[core].empty:
-                    self.metrics.on_stall(core, StallReason.ISSUE_BUDGET, cycle)
+                    self.metrics.on_stall(core, _ISSUE_BUDGET, cycle)
                 elif self.core_active[core]:
-                    self.metrics.on_stall(core, StallReason.EMPTY, cycle)
+                    self.metrics.on_stall(core, _EMPTY, cycle)
             return dispatched
-        if self.mode is SharingMode.TEMPORAL:
-            shared_budget = {
-                "compute": vector.compute_issue_width,
-                "ldst": vector.ldst_issue_width,
-            }
-        else:
-            shared_budget = None
-        for core in self._core_order(active):
-            # Spatial modes get a fresh per-core budget, built lazily so a
-            # mostly-idle wide machine does not allocate ``num_cores`` dicts
-            # every cycle; temporal sharing keeps the one shared budget.
-            budget = (
-                shared_budget
-                if shared_budget is not None
-                else {
-                    "compute": vector.compute_issue_width,
-                    "ldst": vector.ldst_issue_width,
-                }
-            )
+        compute_width = vector.compute_issue_width
+        ldst_width = vector.ldst_issue_width
+        # Temporal sharing draws every core from one budget; the spatial
+        # modes give each core its own, built as its turn comes.
+        shared_budget = (
+            {"compute": compute_width, "ldst": ldst_width}
+            if self.mode is _TEMPORAL
+            else None
+        )
+        # Dispatch priority rotates for fairness: ``rotate, rotate+1, ...``
+        # (mod ``num_cores``) filtered to the sorted ``active`` cores (the
+        # dropped cores are dispatch no-ops: asleep cores are skipped and
+        # done/absent cores have empty pools and an inactive core flag).
+        self._rotate = rotate = (self._rotate + 1) % self.config.num_cores
+        order = active
+        if len(active) > 1:
+            start = bisect_left(active, rotate)
+            if start:
+                order = active[start:] + active[:start]
+        for core in order:
+            budget = shared_budget or {"compute": compute_width, "ldst": ldst_width}
             issued = dispatch_core(self, core, budget, cycle)
             core_events[core] += issued
             dispatched += issued
@@ -359,11 +352,11 @@ class CoProcessor:
         access, so ``scan`` is the whole window's ready list.  A ready entry
         means the head is no EM-SIMD barrier (the list stops at it).
         """
-        if blocked is not StallReason.RENAME:
+        if blocked is not _RENAME:
             if budget["compute"] <= 0 and budget["ldst"] <= 0:
-                blocked = StallReason.ISSUE_BUDGET
+                blocked = _ISSUE_BUDGET
             elif scan[0].seq != pool.oldest_waiting_seq():
-                blocked = StallReason.DEPENDENCY
+                blocked = _DEPENDENCY
         if blocked is not None:
             self.metrics.on_stall(core, blocked, cycle)
 

@@ -41,6 +41,12 @@ class EntryKind(enum.Enum):
     EMSIMD = "emsimd"
 
 
+# Module-level aliases: an enum member read through its class is a
+# descriptor call, paid on every per-uop test.
+_EMSIMD = EntryKind.EMSIMD
+_WAITING = EntryState.WAITING
+
+
 @dataclass(slots=True)
 class DynamicInstruction:
     """One in-flight instance of a transmitted vector/EM-SIMD instruction."""
@@ -79,12 +85,12 @@ class DynamicInstruction:
     def ready(self, cycle: float) -> bool:
         """All source producers have completed by ``cycle``."""
         for dep in self.deps:
-            if dep.state is EntryState.WAITING or dep.complete_cycle > cycle:
+            if dep.state is _WAITING or dep.complete_cycle > cycle:
                 return False
         return True
 
     def completed(self, cycle: float) -> bool:
-        return self.state is not EntryState.WAITING and self.complete_cycle <= cycle
+        return self.state is not _WAITING and self.complete_cycle <= cycle
 
 
 _SEQ = attrgetter("seq")
@@ -136,23 +142,25 @@ class InstructionPool:
 
     def push(self, entry: DynamicInstruction) -> None:
         """Enqueue a freshly transmitted instruction (program order)."""
-        if self.full:
+        entries = self._entries
+        if len(entries) >= self.capacity:
             raise SimulationError(f"core {self.core_id}: pool overflow")
-        self._entries.append(entry)
+        entries.append(entry)
         self.transmitted += 1
-        if entry.kind is EntryKind.EMSIMD:
+        if entry.kind is _EMSIMD:
             self._emsimd_seqs.append(entry.seq)
-        elif entry.state is EntryState.WAITING:
+        elif entry.state is _WAITING:
             self._waiting.append(entry)
             pending = 0
             wake = 0
             for dep in entry.deps:
-                if dep.state is EntryState.WAITING:
+                if dep.state is _WAITING:
                     pending += 1
-                    if dep.waiters is None:
+                    waiters = dep.waiters
+                    if waiters is None:
                         dep.waiters = [entry]
                     else:
-                        dep.waiters.append(entry)
+                        waiters.append(entry)
                 else:
                     done = ceil(dep.complete_cycle)
                     if done > wake:
@@ -177,7 +185,7 @@ class InstructionPool:
             (
                 entry.complete_cycle
                 for entry in self._entries
-                if entry.state is not EntryState.WAITING
+                if entry.state is not _WAITING
                 and entry.complete_cycle > cycle
             ),
             default=None,
@@ -191,7 +199,7 @@ class InstructionPool:
         limit = min(width, len(entries))
         while count < limit:
             head = entries[count]
-            if head.state is EntryState.WAITING or head.complete_cycle > cycle:
+            if head.state is _WAITING or head.complete_cycle > cycle:
                 break
             count += 1
         if count == 0:
@@ -244,18 +252,16 @@ class InstructionPool:
         ready = self._ready
         while heap and heap[0][0] <= cycle:
             insort(ready, heappop(heap)[2], key=_SEQ)
-        barrier = self._emsimd_seqs[0] if self._emsimd_seqs else None
-        out: List[DynamicInstruction] = []
-        stale = 0
-        for entry in ready:
-            if barrier is not None and entry.seq > barrier:
-                break
-            if entry.state is EntryState.WAITING:
-                out.append(entry)
-            else:
-                stale += 1
-        if stale:
-            ready[: len(out) + stale] = out
+        if not ready:
+            return []
+        out = [entry for entry in ready if entry.state is _WAITING]
+        if len(out) != len(ready):
+            ready[:] = out  # issued entries leave the index
+        if self._emsimd_seqs and out:
+            # Nothing younger than the oldest in-flight EM-SIMD dispatches.
+            barrier = self._emsimd_seqs[0]
+            if out[-1].seq > barrier:
+                out = [entry for entry in out if entry.seq < barrier]
         return out
 
     def oldest_waiting_seq(self) -> Optional[int]:
@@ -272,7 +278,7 @@ class InstructionPool:
             entry = waiting[0]
             if barrier is not None and entry.seq > barrier:
                 return None
-            if entry.state is EntryState.WAITING:
+            if entry.state is _WAITING:
                 return entry.seq
             waiting.popleft()  # issued: it never waits again
         return None

@@ -46,9 +46,10 @@ class LoadStoreUnit:
         """Occupied STQ entries once completed stores have retired at ``cycle``.
 
         The only place stores retire: the one-pass dispatch reads the
-        occupancy at the top of its walk (and again after a zero-byte
-        access) and counts its own stores, refusing one at capacity, so the
-        queue never holds more than ``store_queue_entries`` completions.
+        occupancy at the first store of its walk (and again at the first
+        store after a zero-byte access) and counts its own stores, refusing
+        one at capacity, so the queue never holds more than
+        ``store_queue_entries`` completions.
         """
         queue = self._store_queue
         while queue and queue[0] <= cycle:

@@ -33,6 +33,11 @@ class StallReason(enum.Enum):
     STORE_QUEUE = "store-queue"  # STQ full
     RECONFIG = "reconfig"  # EM-SIMD barrier / pipeline drain
 
+    # Members are singletons, so identity hashing is exact — and C-level,
+    # where ``Enum.__hash__`` is a Python call on every per-cycle stall
+    # booking.  No digest reads it: fingerprints sort stalls by name.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class PhaseRecord:

@@ -71,8 +71,9 @@ class Renamer:
         """Free physical registers currently available to ``core``: the
         pool's free count, bounded by the core's fairness cap under
         temporal sharing.  At zero a new write is a renaming stall."""
-        pool = self._free[self._slot(core)]
-        return min(pool, self._hold_cap - self._held[core])
+        pool = self._free[0 if self.shared else core]
+        headroom = self._hold_cap - self._held[core]
+        return pool if pool < headroom else headroom
 
     def allocate_batch(self, core: int, count: int) -> None:
         """Claim ``count`` physical registers for new in-flight writes.
@@ -83,13 +84,16 @@ class Renamer:
         """
         if count <= 0:
             return
-        if self.available(core) < count:
+        slot = 0 if self.shared else core
+        free = self._free
+        held = self._held
+        if free[slot] < count or self._hold_cap - held[core] < count:
             raise ProtocolError(
                 f"batch allocation of {count} registers for core {core} "
                 f"exceeds availability {self.available(core)}"
             )
-        self._free[self._slot(core)] -= count
-        self._held[core] += count
+        free[slot] -= count
+        held[core] += count
         if self.auditor is not None:
             self.auditor.on_renamer(self)
 
@@ -98,7 +102,7 @@ class Renamer:
         writes (one call per committed prefix)."""
         if count <= 0:
             return
-        slot = self._slot(core)
+        slot = 0 if self.shared else core
         if self._held[core] < count or self._free[slot] + count > self._capacity[slot]:
             raise ProtocolError("renamer freelist overflow (double release)")
         self._free[slot] += count

@@ -30,6 +30,7 @@ DEADLOCK_WINDOW = 100_000
 
 _WAITING = EntryState.WAITING
 _EMSIMD = EntryKind.EMSIMD
+_CTS = SharingMode.COARSE_TEMPORAL
 
 
 class EventWheel:
@@ -374,10 +375,12 @@ class Machine:
         """One tickless cycle: :meth:`CoProcessor.step`'s phases over the
         awake cores only.
 
-        The scalar, commit and EM-SIMD loops walk the sorted active list and
-        call into a component only when it has something to do: commit
-        when its pool head has completed, EM-SIMD when the head is a
-        WAITING ``MSR``.  Dispatch is the co-processor's own phase; under
+        The scalar loop and then one commit + EM-SIMD loop walk the sorted
+        active list and call into a component only when it has something
+        to do: commit when its pool head has completed, EM-SIMD when the
+        (post-commit) head is a WAITING ``MSR``.  One core's EM-SIMD and
+        another's commit touch disjoint state, so one walk takes both
+        phases core by core.  Dispatch is the co-processor's own phase; under
         CTS an ownership switch there may wake sleepers mid-cycle, which
         :meth:`_settle` inserts into the active list with a zeroed event
         slot.  Done detection and the busy/idle count then walk a snapshot
@@ -396,20 +399,20 @@ class Machine:
         commit_core = coproc._batch.commit_core
         for core_id in active:
             entries = pools[core_id]._entries
-            if entries:
+            if not entries:
+                continue
+            head = entries[0]
+            if head.state is not _WAITING and head.complete_cycle <= cycle:
+                committed = commit_core(coproc, core_id, cycle)
+                core_events[core_id] += committed
+                progress += committed
+                if not entries:
+                    continue
                 head = entries[0]
-                if head.state is not _WAITING and head.complete_cycle <= cycle:
-                    committed = commit_core(coproc, core_id, cycle)
-                    core_events[core_id] += committed
-                    progress += committed
-        for core_id in active:
-            entries = pools[core_id]._entries
-            if entries:
-                head = entries[0]
-                if head.kind is _EMSIMD and head.state is _WAITING:
-                    coproc._execute_emsimd(core_id, head, cycle)
-                    core_events[core_id] += 1
-                    progress += 1
+            if head.kind is _EMSIMD and head.state is _WAITING:
+                coproc._execute_emsimd(core_id, head, cycle)
+                core_events[core_id] += 1
+                progress += 1
         progress += coproc._dispatch(cycle, active, core_events)
         busy = self._comp_busy
         idle = self._comp_idle
@@ -463,10 +466,12 @@ class Machine:
         retire = coproc.lsus[component].next_store_retire(cycle)
         if retire is not None and retire < earliest:
             earliest = retire
-        pending = self.cores[component].next_event_cycle(cycle)
-        if pending is not None and pending < earliest:
-            earliest = pending
-        if coproc.mode is SharingMode.COARSE_TEMPORAL:
+        core = self.cores[component]
+        if core._pending_scalar:
+            pending = core.next_event_cycle(cycle)
+            if pending is not None and pending < earliest:
+                earliest = pending
+        if coproc.mode is _CTS:
             for boundary in (coproc._cts_blocked_until, coproc._cts_until):
                 if cycle < boundary < earliest:
                     earliest = boundary

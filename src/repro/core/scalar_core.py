@@ -55,7 +55,7 @@ from repro.isa.instructions import (
     VStore,
     WhileLT,
 )
-from repro.isa.operands import Imm, PReg, ScalarRef, VReg
+from repro.isa.operands import Imm, ScalarRef, VReg
 from repro.isa.program import Program
 from repro.isa.registers import SystemRegister
 from repro.memory.image import MemoryImage
@@ -65,6 +65,12 @@ _STALL = object()
 
 #: Elements per 128-bit lane for 32-bit data.
 ELEMS_PER_LANE = 4
+
+_COMPUTE = EntryKind.COMPUTE
+_LOAD = EntryKind.LOAD
+_STORE = EntryKind.STORE
+_F32 = np.float32
+_zeros = np.zeros
 
 
 #: Scalar ALU semantics (the oracle's seed interpreter shares this table,
@@ -118,6 +124,17 @@ _VOP_IMPLS: Dict[str, Callable[[List[object]], np.ndarray]] = {
     "cmpgt": lambda o: (o[0] > o[1]).astype(np.float32),
     "sel": lambda o: np.where(o[0] > 0, o[1], o[2]).astype(np.float32),
 }
+
+
+def _fit(value: Optional[np.ndarray], active: int) -> np.ndarray:
+    """Vector register ``value`` (``None`` before its first write) as
+    exactly ``active`` elements: zero-extended or cut.  The handlers call
+    this only when the register's length is not already ``active``."""
+    if value is None:
+        return np.zeros(active, dtype=np.float32)
+    if len(value) < active:
+        return np.concatenate([value, np.zeros(active - len(value), dtype=np.float32)])
+    return value[:active]
 
 
 class DecodedInstr:
@@ -218,40 +235,6 @@ class ScalarCore:
             del self._pending_scalar[name]
         return self.regs.get(name, 0)
 
-    def _elems(self) -> int:
-        """Current vector length in 32-bit elements."""
-        return self.coproc.configured_vl(self.core_id) * ELEMS_PER_LANE
-
-    def _vec_read(self, kind: int, payload: object, active: int, cycle: int) -> object:
-        """Materialise a pre-classified vector operand spec as an array of
-        >= ``active`` elems (or ``_STALL`` when a broadcast scalar is
-        still pending)."""
-        if kind == _V_VREG:
-            value = self.vregs.get(payload)
-            if value is None:
-                value = np.zeros(active, dtype=np.float32)
-            elif len(value) < active:
-                value = np.concatenate(
-                    [value, np.zeros(active - len(value), dtype=np.float32)]
-                )
-            return value[:active]
-        if kind == _V_SCALAR:
-            scalar = self._read_reg(payload, cycle)
-            if scalar is _STALL:
-                return _STALL
-            return np.float32(scalar)
-        return payload  # immediate, already an np.float32
-
-    def _deps_for(self, names: Tuple[str, ...]) -> Tuple[DynamicInstruction, ...]:
-        return tuple(
-            self._last_writer[name] for name in names if name in self._last_writer
-        )
-
-    def _active(self, pred: Optional[PReg]) -> int:
-        if pred is None:
-            return self._elems()
-        return self.pregs.get(pred.name, 0)
-
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Earliest future cycle a blocked scalar read can unblock.
 
@@ -284,10 +267,11 @@ class ScalarCore:
         retired_indices: List[int] = []
         stall_kind: Optional[str] = None
         decoded = self.decoded
+        pc = self.pc
         while slots > 0 and not self.halted:
-            d = decoded[self.pc]
+            d = decoded[pc]
             if d is None:  # label: occupies no slot
-                self.pc += 1
+                pc += 1
                 continue
             if d.is_vector and transmits <= 0:
                 break
@@ -298,15 +282,16 @@ class ScalarCore:
             # The retired instruction's own index feeds the Fig. 15
             # overhead attribution — for branches too (the branch *target*
             # is where execution resumes, not what retired this cycle).
-            retired_indices.append(self.pc)
+            retired_indices.append(pc)
             if outcome == "branch":
-                self.pc = self._branch_target
+                pc = self._branch_target
             else:
-                self.pc += 1
+                pc += 1
             slots -= 1
             if d.is_vector:
                 transmits -= 1
-            self.retired += 1
+        self.pc = pc
+        self.retired += len(retired_indices)
         if self.halted:
             # The handlers close over this core; a halted core never runs
             # one again, and without them it is freed by reference count.
@@ -410,13 +395,13 @@ class ScalarCore:
 
             return run_always
         impl = _BRANCH_IMPLS[instr.cond]
-        spec1 = _scalar_spec(instr.src1)
-        spec2 = _scalar_spec(instr.src2)
-        read = self._read_scalar_spec
+        imm1, src1 = _scalar_spec(instr.src1)
+        imm2, src2 = _scalar_spec(instr.src2)
+        read_reg = self._read_reg
 
         def run(cycle: int) -> Tuple[str, Optional[str]]:
-            lhs = read(spec1, cycle)
-            rhs = read(spec2, cycle)
+            lhs = src1 if imm1 else read_reg(src1, cycle)
+            rhs = src2 if imm2 else read_reg(src2, cycle)
             if lhs is _STALL or rhs is _STALL:
                 return "stall", None
             if impl(lhs, rhs):
@@ -426,20 +411,15 @@ class ScalarCore:
 
         return run
 
-    def _read_scalar_spec(self, spec: Tuple[bool, object], cycle: int) -> object:
-        is_imm, payload = spec
-        if is_imm:
-            return payload
-        return self._read_reg(payload, cycle)
-
     def _make_addvl(self, instr: AddVL):
-        spec = _scalar_spec(instr.src)
+        imm, src = _scalar_spec(instr.src)
         dst = instr.dst
         elem_bytes = instr.elem_bytes
+        read_reg = self._read_reg
         row = self.coproc.resource_table._cores[self.core_id]
 
         def run(cycle: int) -> Tuple[str, Optional[str]]:
-            value = self._read_scalar_spec(spec, cycle)
+            value = src if imm else read_reg(src, cycle)
             if value is _STALL:
                 return "stall", None
             self.regs[dst] = value + row.vl * 16 // elem_bytes
@@ -455,15 +435,16 @@ class ScalarCore:
         return run
 
     def _make_msr(self, instr: MSR):
-        spec = _scalar_spec(instr.src)
+        imm, src = _scalar_spec(instr.src)
         sysreg = instr.sysreg
         core_id = self.core_id
+        read_reg = self._read_reg
         entries, capacity, push, next_seq, row = self._ports()
 
         def run(cycle: int) -> Tuple[str, Optional[str]]:
             if len(entries) >= capacity:
                 return "stall", None
-            value = self._read_scalar_spec(spec, cycle)
+            value = src if imm else read_reg(src, cycle)
             if value is _STALL:
                 return "stall", None
             entry = DynamicInstruction(
@@ -488,9 +469,10 @@ class ScalarCore:
         coproc = self.coproc
         core_id = self.core_id
         synchronising = sysreg is not SystemRegister.DECISION
+        in_flight_emsimd = coproc.pools[core_id]._emsimd_seqs
 
         def run(cycle: int) -> Tuple[str, Optional[str]]:
-            if synchronising and coproc.pending_emsimd(core_id) > 0:
+            if synchronising and in_flight_emsimd:
                 return "stall", "reconfig"
             self.regs[dst] = coproc.read_sysreg(core_id, sysreg)
             return "ok", None
@@ -498,31 +480,32 @@ class ScalarCore:
         return run
 
     def _make_whilelt(self, instr: WhileLT):
-        counter_spec = _scalar_spec(instr.counter)
-        limit_spec = _scalar_spec(instr.limit)
+        counter_imm, counter = _scalar_spec(instr.counter)
+        limit_imm, limit = _scalar_spec(instr.limit)
         pdst = instr.pdst.name
         core_id = self.core_id
+        read_reg = self._read_reg
+        pregs = self.pregs
+        last_writer = self._last_writer
         entries, capacity, push, next_seq, row = self._ports()
 
         def run(cycle: int) -> Tuple[str, Optional[str]]:
             if len(entries) >= capacity:
                 return "stall", None
-            counter = self._read_scalar_spec(counter_spec, cycle)
-            limit = self._read_scalar_spec(limit_spec, cycle)
-            if counter is _STALL or limit is _STALL:
+            low = counter if counter_imm else read_reg(counter, cycle)
+            high = limit if limit_imm else read_reg(limit, cycle)
+            if low is _STALL or high is _STALL:
                 return "stall", None
-            active = max(0, min(row.vl * ELEMS_PER_LANE, int(limit) - int(counter)))
-            self.pregs[pdst] = active
-            entry = DynamicInstruction(
-                seq=next_seq(),
-                core=core_id,
-                kind=EntryKind.COMPUTE,
-                instr=instr,
-                vl_lanes=0,  # predicate generation occupies no FP lanes
-                transmit_cycle=cycle,
-                writes_vreg=False,
-            )
-            self._last_writer[pdst] = entry
+            active = int(high) - int(low)
+            elems = row.vl * ELEMS_PER_LANE
+            if active > elems:
+                active = elems
+            if active < 0:
+                active = 0
+            pregs[pdst] = active
+            # Predicate generation occupies no FP lanes (``vl_lanes`` 0).
+            entry = DynamicInstruction(next_seq(), core_id, _COMPUTE, instr, 0, cycle)
+            last_writer[pdst] = entry
             push(entry)
             self.retired_vector += 1
             return "ok", None
@@ -533,50 +516,73 @@ class ScalarCore:
         impl = _VOP_IMPLS[instr.op]
         src_specs = tuple(_vector_spec(src) for src in instr.srcs)
         dst = instr.dst.name
-        pred = instr.pred
+        pred = instr.pred.name if instr.pred else None
         dep_names = tuple(
             src.name for src in instr.srcs if isinstance(src, VReg)
-        ) + ((pred.name,) if pred else ())
+        ) + ((pred,) if pred else ())
+        # With a vector-register operand ``impl`` returns a fresh float32
+        # array of the active length; with scalars only, a scalar.
+        has_vreg = any(kind == _V_VREG for kind, _ in src_specs)
         flops_per_element = instr.flops_per_element
         long_latency = instr.is_long_latency
         core_id = self.core_id
+        read_reg = self._read_reg
+        vregs = self.vregs
+        pregs = self.pregs
+        last_writer = self._last_writer
         entries, capacity, push, next_seq, row = self._ports()
 
         def run(cycle: int) -> Tuple[str, Optional[str]]:
             if len(entries) >= capacity:
                 return "stall", None
-            active = self._active(pred)
+            elems = row.vl * ELEMS_PER_LANE
+            active = elems if pred is None else pregs.get(pred, 0)
             operands = []
             for kind, payload in src_specs:
-                value = self._vec_read(kind, payload, active, cycle)
-                if value is _STALL:
-                    return "stall", None
+                if kind == _V_VREG:
+                    value = vregs.get(payload)
+                    if value is None or len(value) != active:
+                        value = _fit(value, active)
+                elif kind == _V_SCALAR:
+                    value = read_reg(payload, cycle)
+                    if value is _STALL:
+                        return "stall", None
+                    value = _F32(value)
+                else:
+                    value = payload  # immediate, already an np.float32
                 operands.append(value)
-            width = max(row.vl * ELEMS_PER_LANE, active)
-            # Merging predication: inactive lanes keep the old destination
-            # value (SVE /M), which reduction accumulators rely on in tail
-            # iterations.
-            old = self.vregs.get(dst)
-            result = np.zeros(width, dtype=np.float32)
-            if old is not None:
-                span = min(len(old), width)
-                result[:span] = old[:span]
-            if active > 0:
-                result[:active] = impl(operands)
-            self.vregs[dst] = result
+            if has_vreg and active >= elems and active > 0:
+                # Every lane of the destination is written: the result is
+                # the register (no merge, no tail).
+                vregs[dst] = impl(operands)
+            else:
+                # Merging predication: inactive lanes keep the old
+                # destination value (SVE /M), which reduction accumulators
+                # rely on in tail iterations.
+                width = elems if elems > active else active
+                old = vregs.get(dst)
+                result = _zeros(width, _F32)
+                if old is not None:
+                    span = min(len(old), width)
+                    result[:span] = old[:span]
+                if active > 0:
+                    result[:active] = impl(operands)
+                vregs[dst] = result
             entry = DynamicInstruction(
-                seq=next_seq(),
-                core=core_id,
-                kind=EntryKind.COMPUTE,
-                instr=instr,
-                vl_lanes=row.vl,
-                transmit_cycle=cycle,
-                deps=self._deps_for(dep_names),
-                flops=flops_per_element * active,
-                long_latency=long_latency,
-                writes_vreg=True,
+                next_seq(),
+                core_id,
+                _COMPUTE,
+                instr,
+                row.vl,
+                cycle,
+                tuple([last_writer[name] for name in dep_names if name in last_writer]),
+                0,
+                0,
+                flops_per_element * active,
+                long_latency,
+                True,
             )
-            self._last_writer[dst] = entry
+            last_writer[dst] = entry
             push(entry)
             self.retired_vector += 1
             return "ok", None
@@ -586,24 +592,30 @@ class ScalarCore:
     def _make_vload(self, instr: VLoad):
         dst = instr.dst.name
         array_name = instr.array
-        index_spec = _scalar_spec(instr.index)
-        pred = instr.pred
+        index_imm, index_payload = _scalar_spec(instr.index)
+        pred = instr.pred.name if instr.pred else None
         stride = instr.stride
         elem_bytes = instr.elem_bytes
-        dep_names = (pred.name,) if pred else ()
+        dep_names = (pred,) if pred else ()
         core_id = self.core_id
-        image = self.image
+        read_reg = self._read_reg
+        vregs = self.vregs
+        pregs = self.pregs
+        last_writer = self._last_writer
+        array_of = self.image.array
+        bases = self.image._bases
         entries, capacity, push, next_seq, row = self._ports()
 
         def run(cycle: int) -> Tuple[str, Optional[str]]:
             if len(entries) >= capacity:
                 return "stall", None
-            index = self._read_scalar_spec(index_spec, cycle)
+            index = index_payload if index_imm else read_reg(index_payload, cycle)
             if index is _STALL:
                 return "stall", None
             index = int(index)
-            active = self._active(pred)
-            array = image.array(array_name)
+            elems = row.vl * ELEMS_PER_LANE
+            active = elems if pred is None else pregs.get(pred, 0)
+            array = array_of(array_name)
             span = (active - 1) * stride + 1 if active > 0 else 0
             if active > 0 and index + span > len(array):
                 raise SimulationError(
@@ -611,24 +623,31 @@ class ScalarCore:
                     f"[{index}:{index + span}:{stride}] overruns "
                     f"length {len(array)}"
                 )
-            value = np.zeros(max(row.vl * ELEMS_PER_LANE, active), dtype=np.float32)
-            if active > 0:
-                value[:active] = array[index : index + span : stride]
-            self.vregs[dst] = value
+            if active >= elems and active > 0:
+                # Every lane is loaded: a copy of the (float32) span is the
+                # register, never a view of the image.
+                value = array[index : index + span : stride].copy()
+            else:
+                value = _zeros(elems if elems > active else active, _F32)
+                if active > 0:
+                    value[:active] = array[index : index + span : stride]
+            vregs[dst] = value
             entry = DynamicInstruction(
-                seq=next_seq(),
-                core=core_id,
-                kind=EntryKind.LOAD,
-                instr=instr,
-                vl_lanes=row.vl,
-                transmit_cycle=cycle,
-                deps=self._deps_for(dep_names),
-                addr=image.address_of(array_name, index, elem_bytes),
+                next_seq(),
+                core_id,
+                _LOAD,
+                instr,
+                row.vl,
+                cycle,
+                tuple([last_writer[name] for name in dep_names if name in last_writer]),
+                bases[array_name] + index * elem_bytes,
                 # A strided access touches every line in its span.
-                nbytes=span * elem_bytes,
-                writes_vreg=True,
+                span * elem_bytes,
+                0,
+                False,
+                True,
             )
-            self._last_writer[dst] = entry
+            last_writer[dst] = entry
             push(entry)
             self.retired_vector += 1
             return "ok", None
@@ -636,47 +655,50 @@ class ScalarCore:
         return run
 
     def _make_vstore(self, instr: VStore):
-        src = instr.src
+        src = instr.src.name
         array_name = instr.array
-        index_spec = _scalar_spec(instr.index)
-        pred = instr.pred
+        index_imm, index_payload = _scalar_spec(instr.index)
+        pred = instr.pred.name if instr.pred else None
         elem_bytes = instr.elem_bytes
-        src_spec = _vector_spec(src)
-        dep_names = (src.name,) + ((pred.name,) if pred else ())
+        dep_names = (src,) + ((pred,) if pred else ())
         core_id = self.core_id
-        image = self.image
+        read_reg = self._read_reg
+        vregs = self.vregs
+        pregs = self.pregs
+        last_writer = self._last_writer
+        array_of = self.image.array
+        bases = self.image._bases
         entries, capacity, push, next_seq, row = self._ports()
 
         def run(cycle: int) -> Tuple[str, Optional[str]]:
             if len(entries) >= capacity:
                 return "stall", None
-            index = self._read_scalar_spec(index_spec, cycle)
+            index = index_payload if index_imm else read_reg(index_payload, cycle)
             if index is _STALL:
                 return "stall", None
             index = int(index)
-            active = self._active(pred)
-            array = image.array(array_name)
+            active = row.vl * ELEMS_PER_LANE if pred is None else pregs.get(pred, 0)
+            array = array_of(array_name)
             if active > 0 and index + active > len(array):
                 raise SimulationError(
                     f"core {core_id}: store to {array_name}"
                     f"[{index}:{index + active}] overruns length {len(array)}"
                 )
-            value = self._vec_read(src_spec[0], src_spec[1], active, cycle)
-            if value is _STALL:
-                return "stall", None
             if active > 0:
-                array[index : index + active] = value[:active]
+                value = vregs.get(src)
+                if value is None or len(value) != active:
+                    value = _fit(value, active)
+                array[index : index + active] = value
             entry = DynamicInstruction(
-                seq=next_seq(),
-                core=core_id,
-                kind=EntryKind.STORE,
-                instr=instr,
-                vl_lanes=row.vl,
-                transmit_cycle=cycle,
-                deps=self._deps_for(dep_names),
-                addr=image.address_of(array_name, index, elem_bytes),
-                nbytes=active * elem_bytes,
-                writes_vreg=False,
+                next_seq(),
+                core_id,
+                _STORE,
+                instr,
+                row.vl,
+                cycle,
+                tuple([last_writer[name] for name in dep_names if name in last_writer]),
+                bases[array_name] + index * elem_bytes,
+                active * elem_bytes,
             )
             push(entry)
             self.retired_vector += 1
@@ -687,35 +709,42 @@ class ScalarCore:
     def _make_vhreduce(self, instr: VHReduce):
         op = instr.op
         dst = instr.dst
-        pred = instr.pred
-        src_spec = _vector_spec(instr.src)
-        dep_names = (instr.src.name,) + ((pred.name,) if pred else ())
+        src = instr.src.name
+        pred = instr.pred.name if instr.pred else None
+        dep_names = (src,) + ((pred,) if pred else ())
         core_id = self.core_id
+        vregs = self.vregs
+        pregs = self.pregs
+        last_writer = self._last_writer
         entries, capacity, push, next_seq, row = self._ports()
 
         def run(cycle: int) -> Tuple[str, Optional[str]]:
             if len(entries) >= capacity:
                 return "stall", None
-            active = self._active(pred)
-            source = self._vec_read(src_spec[0], src_spec[1], active, cycle)
+            active = row.vl * ELEMS_PER_LANE if pred is None else pregs.get(pred, 0)
             if active > 0:
+                source = vregs.get(src)
+                if source is None or len(source) != active:
+                    source = _fit(source, active)
                 if op == "add":
-                    value = float(np.add.reduce(source[:active], dtype=np.float64))
+                    value = float(np.add.reduce(source, dtype=np.float64))
                 elif op == "max":
-                    value = float(np.max(source[:active]))
+                    value = float(np.max(source))
                 else:
-                    value = float(np.min(source[:active]))
+                    value = float(np.min(source))
             else:
                 value = 0.0
             self.regs[dst] = value
             entry = DynamicInstruction(
                 seq=next_seq(),
                 core=core_id,
-                kind=EntryKind.COMPUTE,
+                kind=_COMPUTE,
                 instr=instr,
                 vl_lanes=row.vl,
                 transmit_cycle=cycle,
-                deps=self._deps_for(dep_names),
+                deps=tuple(
+                    [last_writer[name] for name in dep_names if name in last_writer]
+                ),
                 flops=active,
                 writes_vreg=False,
                 scalar_dst=dst,

@@ -39,16 +39,3 @@ class BandwidthRegulator:
         if self.auditor is not None:
             self.auditor.on_bandwidth_serve(self, nbytes, earliest_cycle, start, finish)
         return finish
-
-    def utilization(self, total_cycles: int) -> float:
-        """Fraction of the channel's capacity used over ``total_cycles``."""
-        if total_cycles <= 0:
-            return 0.0
-        capacity = self.bytes_per_cycle * total_cycles
-        return min(1.0, self.bytes_served / capacity)
-
-    def reset(self) -> None:
-        """Forget all queued traffic and statistics."""
-        self._next_free = 0.0
-        self.bytes_served = 0
-        self.requests_served = 0

@@ -82,11 +82,6 @@ class Cache:
         target_set[line_addr] = is_store
         return victim
 
-    def invalidate_all(self) -> None:
-        """Drop every line (dirty data is discarded — test helper only)."""
-        for target_set in self._sets:
-            target_set.clear()
-
     def resident_lines(self) -> int:
         """Number of lines currently resident."""
         return sum(len(s) for s in self._sets)

@@ -25,6 +25,9 @@ class AccessResult(NamedTuple):
     dram_accesses: int
 
 
+_new_tuple = tuple.__new__
+
+
 class VectorMemorySystem:
     """Shared vector memory: VecCache, unified L2 and a DRAM channel.
 
@@ -45,6 +48,30 @@ class VectorMemorySystem:
         )
         self.l2_bw = BandwidthRegulator("l2", config.l2.bytes_per_cycle)
         self.dram_bw = BandwidthRegulator("dram", config.dram_bytes_per_cycle)
+        line_bytes = config.line_bytes
+        vec_cache, l2 = self.vec_cache, self.l2
+        vc_bw, l2_bw, dram_bw = self.vec_cache_bw, self.l2_bw, self.dram_bw
+        #: What :meth:`access` reads of the geometry, bound once: the line
+        #: size, each level's latency, sets and ways, each channel and the
+        #: cycles one line holds it.
+        self._walk = (
+            line_bytes,
+            config.vec_cache.latency,
+            config.l2.latency,
+            config.dram_latency,
+            vec_cache._sets,
+            vec_cache._num_sets,
+            vec_cache._ways,
+            l2._sets,
+            l2._num_sets,
+            l2._ways,
+            vc_bw,
+            l2_bw,
+            dram_bw,
+            line_bytes / vc_bw.bytes_per_cycle,
+            line_bytes / l2_bw.bytes_per_cycle,
+            line_bytes / dram_bw.bytes_per_cycle,
+        )
 
     def access(self, addr: int, nbytes: int, cycle: float, is_store: bool) -> AccessResult:
         """Serve ``[addr, addr + nbytes)`` starting no earlier than ``cycle``.
@@ -62,19 +89,24 @@ class VectorMemorySystem:
         """
         if nbytes <= 0:
             return AccessResult(cycle, 0, 0, 0, 0)
-        config = self.config
-        line_bytes = config.line_bytes
-        vc_latency = config.vec_cache.latency
-        l2_latency = config.l2.latency
-        dram_latency = config.dram_latency
-        vec_cache = self.vec_cache
-        l2 = self.l2
-        vc_sets, vc_num_sets, vc_ways = vec_cache._sets, vec_cache._num_sets, vec_cache._ways
-        l2_sets, l2_num_sets, l2_ways = l2._sets, l2._num_sets, l2._ways
-        vc_bw, l2_bw, dram_bw = self.vec_cache_bw, self.l2_bw, self.dram_bw
-        vc_time = line_bytes / vc_bw.bytes_per_cycle
-        l2_time = line_bytes / l2_bw.bytes_per_cycle
-        dram_time = line_bytes / dram_bw.bytes_per_cycle
+        (
+            line_bytes,
+            vc_latency,
+            l2_latency,
+            dram_latency,
+            vc_sets,
+            vc_num_sets,
+            vc_ways,
+            l2_sets,
+            l2_num_sets,
+            l2_ways,
+            vc_bw,
+            l2_bw,
+            dram_bw,
+            vc_time,
+            l2_time,
+            dram_time,
+        ) = self._walk
         audit = vc_bw.auditor  # installed on all three channels at once
         cycle = float(cycle)
         first = addr - addr % line_bytes
@@ -83,53 +115,58 @@ class VectorMemorySystem:
         vc_hits = l2_hits = dram = l2_requests = dram_requests = 0
         vc_writebacks = l2_writebacks = 0
         complete = cycle
-        for line in range(first, last + line_bytes, line_bytes):
+        # The channels' queue tails live in locals for the walk and are
+        # stored back after it (and before each audited serve).
+        vc_free = vc_bw._next_free
+        l2_free = l2_bw._next_free
+        dram_free = dram_bw._next_free
+        for block in range(first // line_bytes, last // line_bytes + 1):
+            line = block * line_bytes
             # Every line moves through the Vec Cache port.
-            free = vc_bw._next_free
-            start = free if free > cycle else cycle
-            ready = vc_bw._next_free = start + vc_time
+            start = vc_free if vc_free > cycle else cycle
+            ready = vc_free = start + vc_time
             if audit is not None:
+                vc_bw._next_free = vc_free
                 audit.on_bandwidth_serve(vc_bw, line_bytes, cycle, start, ready)
-            latency = vc_latency
-            block = line // line_bytes
             vc_set = vc_sets[block % vc_num_sets]
             if line in vc_set:
                 vc_hits += 1
                 vc_set.move_to_end(line)
                 if is_store:
                     vc_set[line] = True
+                end = ready + vc_latency
             else:
                 # Miss: fetch from L2 (and DRAM below it), then fill.
                 arrival = ready
-                free = l2_bw._next_free
-                start = free if free > arrival else arrival
-                ready = l2_bw._next_free = start + l2_time
+                start = l2_free if l2_free > arrival else arrival
+                ready = l2_free = start + l2_time
                 l2_requests += 1
                 if audit is not None:
+                    l2_bw._next_free = l2_free
                     audit.on_bandwidth_serve(l2_bw, line_bytes, arrival, start, ready)
-                latency += l2_latency
+                latency = vc_latency + l2_latency
                 l2_set = l2_sets[block % l2_num_sets]
                 if line in l2_set:
                     l2_hits += 1
                     l2_set.move_to_end(line)
                 else:
                     arrival = ready
-                    free = dram_bw._next_free
-                    start = free if free > arrival else arrival
-                    ready = dram_bw._next_free = start + dram_time
+                    start = dram_free if dram_free > arrival else arrival
+                    ready = dram_free = start + dram_time
                     dram_requests += 1
                     if audit is not None:
+                        dram_bw._next_free = dram_free
                         audit.on_bandwidth_serve(dram_bw, line_bytes, arrival, start, ready)
                     latency += dram_latency
                     dram += 1
                     if len(l2_set) >= l2_ways and l2_set.popitem(last=False)[1]:
                         # Dirty L2 victim: written back to DRAM.
                         l2_writebacks += 1
-                        free = dram_bw._next_free
-                        start = free if free > ready else ready
-                        dram_bw._next_free = finish = start + dram_time
+                        start = dram_free if dram_free > ready else ready
+                        finish = dram_free = start + dram_time
                         dram_requests += 1
                         if audit is not None:
+                            dram_bw._next_free = dram_free
                             audit.on_bandwidth_serve(dram_bw, line_bytes, ready, start, finish)
                     l2_set[line] = False
                 if len(vc_set) >= vc_ways:
@@ -138,11 +175,11 @@ class VectorMemorySystem:
                         # Dirty eviction consumes L2 bandwidth (write-back)
                         # and lands dirty in L2, evicting there unserved.
                         vc_writebacks += 1
-                        free = l2_bw._next_free
-                        start = free if free > ready else ready
-                        l2_bw._next_free = finish = start + l2_time
+                        start = l2_free if l2_free > ready else ready
+                        finish = l2_free = start + l2_time
                         l2_requests += 1
                         if audit is not None:
+                            l2_bw._next_free = l2_free
                             audit.on_bandwidth_serve(l2_bw, line_bytes, ready, start, finish)
                         victim_set = l2_sets[(victim // line_bytes) % l2_num_sets]
                         if victim in victim_set:
@@ -151,11 +188,16 @@ class VectorMemorySystem:
                             l2_writebacks += 1
                         victim_set[victim] = True
                 vc_set[line] = is_store
-            end = ready + latency
+                end = ready + latency
             if end > complete:
                 complete = end
+        vc_bw._next_free = vc_free
+        l2_bw._next_free = l2_free
+        dram_bw._next_free = dram_free
         lines = (last - first) // line_bytes + 1
         vc_misses = lines - vc_hits
+        vec_cache = self.vec_cache
+        l2 = self.l2
         vec_cache.stats.hits += vc_hits
         vec_cache.stats.misses += vc_misses
         vec_cache.stats.writebacks += vc_writebacks
@@ -168,4 +210,6 @@ class VectorMemorySystem:
         l2_bw.bytes_served += l2_requests * line_bytes
         dram_bw.requests_served += dram_requests
         dram_bw.bytes_served += dram_requests * line_bytes
-        return AccessResult(complete, lines, vc_hits, l2_hits, dram)
+        # ``tuple.__new__`` directly: the namedtuple's own ``__new__`` is a
+        # Python-level call, once per access.
+        return _new_tuple(AccessResult, (complete, lines, vc_hits, l2_hits, dram))

@@ -28,11 +28,11 @@ from __future__ import annotations
 
 import random
 import traceback
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import MachineConfig, experiment_config
-from repro.compiler.ir import Kernel
+from repro.compiler.ir import Kernel, Load, Reduce
 from repro.compiler.pipeline import CompileOptions, build_image, compile_kernel
 from repro.core.machine import Job, Machine
 from repro.core.policies import policy
@@ -61,7 +61,13 @@ RESIDENT_TRIPS = (96, 160, 256)
 
 @dataclass(frozen=True)
 class PhaseSpec:
-    """One phase: an explicit instruction mix plus loop shape."""
+    """One phase: an explicit instruction mix plus loop shape.
+
+    ``reduce`` adds a sum of the first input: a loop-carried vector
+    register, so a tail iteration's merging predication, the splice at a
+    VL change and the horizontal reduction are diffed too (an element-wise
+    body never reads an inactive lane).
+    """
 
     comp: int
     reads: int
@@ -69,6 +75,7 @@ class PhaseSpec:
     stores: int
     trip: int
     repeats: int
+    reduce: bool = False
 
     def counts(self) -> Counts:
         """The (validated) instruction mix; raises ``CompilationError``."""
@@ -159,11 +166,13 @@ def generate_case(seed: int, num_cores: int = 2) -> CaseSpec:
                 )
             )
         cores.append(tuple(phases))
-    return CaseSpec(
-        seed=seed,
-        cores=tuple(cores),
-        unroll=rng.choice((1, 1, 1, 2)),
-    )
+    unroll = rng.choice((1, 1, 1, 2))
+    # Drawn last, so every earlier field keeps its historical draw.
+    cores = [
+        tuple(replace(phase, reduce=rng.random() < 0.5) for phase in phases)
+        for phases in cores
+    ]
+    return CaseSpec(seed=seed, cores=tuple(cores), unroll=unroll)
 
 
 def case_kernels(spec: CaseSpec) -> List[Optional[Kernel]]:
@@ -173,20 +182,21 @@ def case_kernels(spec: CaseSpec) -> List[Optional[Kernel]]:
         if not phases:
             kernels.append(None)
             continue
-        loops = tuple(
-            synth_loop(
-                f"s{spec.seed}c{core}p{index}",
-                phase.counts(),
-                trip_count=phase.trip,
-                repeats=phase.repeats,
+        loops = []
+        for index, phase in enumerate(phases):
+            name = f"s{spec.seed}c{core}p{index}"
+            loop = synth_loop(
+                name, phase.counts(), trip_count=phase.trip, repeats=phase.repeats
             )
-            for index, phase in enumerate(phases)
-        )
+            if phase.reduce:
+                acc = Reduce("add", f"{name}_acc", Load(f"{name}_in0"))
+                loop = replace(loop, body=loop.body + (acc,))
+            loops.append(loop)
         kernels.append(
             Kernel(
                 name=f"difftest.s{spec.seed}c{core}",
                 array_length=max(loop.trip_count for loop in loops) + 2,
-                loops=loops,
+                loops=tuple(loops),
             )
         )
     return kernels

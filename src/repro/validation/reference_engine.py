@@ -29,8 +29,10 @@ Runs **only here**, top to bottom:
   ``dispatch_core`` protocol of
   :class:`~repro.coproc.batch_exec.BatchExecutor`.
 * :class:`SeedCore` — §4.1's transmit rules as an ``isinstance``
-  interpreter; it plugs into :meth:`ScalarCore._decode`, so the retire
-  loop is shared.
+  interpreter, with its own vector operand reads (``_elems``,
+  ``_active``, ``_vec_operand``, ``_deps_for``: the decoded handlers read
+  registers and build dependence edges inline); it plugs into
+  :meth:`ScalarCore._decode`, so the retire loop is shared.
 * :class:`ReferenceMachine` — the cycle-by-cycle run loop: nothing sleeps,
   nothing is skipped, no profile is produced.  Each cycle goes through the
   phase-order shells ``Machine.step`` and the bare ``CoProcessor.step``
@@ -45,9 +47,8 @@ Runs **only here**, top to bottom:
   ``_result``;
 * the scalar shell: ``ScalarCore.step`` / ``_account_overhead`` (retire
   slots, transmit width, Fig. 15 attribution), ``next_event_cycle``, the
-  operand helpers (``_read_reg``, ``_vec_read``, ``_elems``, ``_active``,
-  ``_deps_for``) and the tables ``_SCALAR_IMPLS`` / ``_BRANCH_IMPLS`` /
-  ``_VOP_IMPLS``;
+  scalar read ``_read_reg`` and the tables ``_SCALAR_IMPLS`` /
+  ``_BRANCH_IMPLS`` / ``_VOP_IMPLS``;
 * the co-processor shell: the per-core EM-SIMD body (``_execute_emsimd``,
   ``_apply_oi``, ``_apply_vl``, §4.2.2), ``_dispatch`` (budgets,
   rotation, sharing modes), ``_cts_arbitrate``;
@@ -62,7 +63,8 @@ Runs **only here**, top to bottom:
 **Not touched**: the event wheel and sleep/settle path (``_run_fast``,
 ``_step_fast`` and its phase order, ``_component_wake``, ``_settle*``,
 ``Metrics.replay_core_idle_cycles``, ``skip_idle_cycles``), the ``_make_*``
-decoded handlers and their inline transmit, ``BatchExecutor`` and its
+decoded handlers with their inline operand reads, the ``VOp`` full-width
+store and their inline transmit, ``BatchExecutor`` and its
 ld/st issue ``_issue_memory``, ``InstructionPool`` (its ready index, kept
 on the uops, and prefix-scan ``commit_ready``),
 ``_attribute_zero_dispatch_stall``, ``Renamer.available`` and the
@@ -93,9 +95,9 @@ from repro.core.scalar_core import (
     _SCALAR_IMPLS,
     _STALL,
     _VOP_IMPLS,
+    ELEMS_PER_LANE,
     DecodedInstr,
     ScalarCore,
-    _vector_spec,
 )
 from repro.isa.instructions import (
     MRS,
@@ -112,7 +114,7 @@ from repro.isa.instructions import (
     VStore,
     WhileLT,
 )
-from repro.isa.operands import Imm, ScalarRef, VReg
+from repro.isa.operands import Imm, PReg, ScalarRef, VReg
 from repro.isa.registers import SystemRegister
 from repro.memory.hierarchy import AccessResult, VectorMemorySystem
 
@@ -472,11 +474,43 @@ class SeedCore(ScalarCore):
         name = src.name if isinstance(src, ScalarRef) else src
         return self._read_reg(name, cycle)
 
+    def _elems(self) -> int:
+        """Current vector length in 32-bit elements."""
+        return self.coproc.configured_vl(self.core_id) * ELEMS_PER_LANE
+
+    def _active(self, pred: Optional[PReg]) -> int:
+        """Active elements under ``pred`` (all of the vector length without one)."""
+        if pred is None:
+            return self._elems()
+        return self.pregs.get(pred.name, 0)
+
     def _vec_operand(self, operand: object, active: int, cycle: int) -> object:
         """Materialise a vector operand as an array of >= ``active`` elems
         (or ``_STALL`` when a broadcast scalar is still pending)."""
-        kind, payload = _vector_spec(operand)
-        return self._vec_read(kind, payload, active, cycle)
+        if isinstance(operand, VReg):
+            value = self.vregs.get(operand.name)
+            if value is None:
+                value = np.zeros(active, dtype=np.float32)
+            elif len(value) < active:
+                value = np.concatenate(
+                    [value, np.zeros(active - len(value), dtype=np.float32)]
+                )
+            return value[:active]
+        if isinstance(operand, (ScalarRef, str)):
+            name = operand.name if isinstance(operand, ScalarRef) else operand
+            scalar = self._read_reg(name, cycle)
+            if scalar is _STALL:
+                return _STALL
+            return np.float32(scalar)
+        if isinstance(operand, Imm):
+            return np.float32(operand.value)
+        raise SimulationError(f"bad vector operand {operand!r}")
+
+    def _deps_for(self, names: Tuple[str, ...]) -> Tuple[DynamicInstruction, ...]:
+        """The last writers of ``names`` still known to this core."""
+        return tuple(
+            self._last_writer[name] for name in names if name in self._last_writer
+        )
 
     def _transmit(
         self, instr: Instruction, cycle: int, kind: EntryKind, **fields: object

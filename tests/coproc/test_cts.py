@@ -130,7 +130,7 @@ class TestCtsArbitrateEdges:
 
         coproc.pools[core].push(
             DynamicInstruction(
-                seq=coproc._seq,
+                seq=coproc.next_seq(),
                 core=core,
                 kind=EntryKind.COMPUTE,
                 instr=None,
@@ -138,7 +138,6 @@ class TestCtsArbitrateEdges:
                 transmit_cycle=0,
             )
         )
-        coproc._seq += 1
 
     def test_penalty_longer_than_quantum_cannot_ping_pong(self):
         machine = self._machine(penalty=100, quantum=10)

@@ -8,8 +8,11 @@ from repro.common.errors import SimulationError
 from repro.coproc.coprocessor import CoProcessor, SharingMode
 from repro.coproc.metrics import Metrics
 from repro.core.lane_manager import StaticLaneManager
-from repro.core.scalar_core import ScalarCore
+from repro.core.scalar_core import _VOP_IMPLS, ELEMS_PER_LANE, ScalarCore
 from repro.isa.assembler import assemble
+from repro.isa.instructions import Halt, VOp
+from repro.isa.operands import Imm, PReg, ScalarRef, VReg
+from repro.isa.program import Program
 from repro.memory.image import MemoryImage
 from repro.validation.reference_engine import ReferenceCoProcessor, SeedCore
 
@@ -211,6 +214,78 @@ class TestVectorSemantics:
         core, coproc, _ = machine_for(source)
         run(core, coproc)
         assert core.regs["Xs"] == pytest.approx(2.0 * 3.0 * 32)
+
+
+class TestVopFullWidthShortcut:
+    """A ``VOp`` whose every destination lane is active stores ``impl``'s
+    result as the register; any other case zero-fills and merges.  Both
+    must leave the bytes the zero-fill-and-merge rule gives, and the stored
+    array must be a fresh one."""
+
+    ARITY = {"dup": 1, "mov": 1, "abs": 1, "neg": 1, "sqrt": 1, "fma": 3, "sel": 3}
+    LANES = 4  # the VL the instruction runs at: 16 elements
+
+    @staticmethod
+    def _merge(op, operands, old, active, width):
+        """The zero-fill-and-merge rule, spelled out."""
+        result = np.zeros(width, dtype=np.float32)
+        if old is not None:
+            span = min(len(old), width)
+            result[:span] = old[:span]
+        if active > 0:
+            result[:active] = _VOP_IMPLS[op](operands)
+        return result
+
+    @pytest.mark.parametrize("op", sorted(_VOP_IMPLS))
+    @pytest.mark.parametrize(
+        "case", ["full-width", "predicated-tail", "vl-shrunk", "scalar-operand"]
+    )
+    def test_matches_zero_fill_and_merge(self, op, case):
+        rng = np.random.default_rng(7)
+        elems = self.LANES * ELEMS_PER_LANE
+        # Under "vl-shrunk" every register was written at twice today's VL.
+        written = 2 * elems if case == "vl-shrunk" else elems
+        names = [f"z{index}" for index in range(1, self.ARITY.get(op, 2) + 1)]
+        srcs = [VReg(name) for name in names]
+        if case == "scalar-operand":
+            srcs[0] = ScalarRef("Xk")
+            if len(srcs) > 1:
+                srcs[-1] = Imm(1.5)
+        pred = PReg("p0") if case == "predicated-tail" else None
+        instr = VOp(op, VReg("z0"), tuple(srcs), pred=pred)
+        config = experiment_config()
+        metrics = Metrics(config.num_cores, config.vector.total_lanes, 2)
+        coproc = CoProcessor(
+            config, SharingMode.SPATIAL, metrics, StaticLaneManager({0: 16, 1: 16})
+        )
+        coproc.resource_table.force_vl(0, self.LANES)
+        program = Program(instructions=(instr, Halt()))
+        core = ScalarCore(0, program, MemoryImage.for_core(0), coproc, metrics, config.core)
+        for name in ["z0"] + names:
+            core.vregs[name] = (rng.random(written, dtype=np.float32) - 0.5) * 4
+        core.regs["Xk"] = 2.5
+        active = elems
+        if pred is not None:
+            active = core.pregs["p0"] = 5
+        operands = []
+        for src in srcs:
+            if isinstance(src, VReg):
+                operands.append(core.vregs[src.name][:active])
+            elif isinstance(src, ScalarRef):
+                operands.append(np.float32(core.regs[src.name]))
+            else:
+                operands.append(np.float32(src.value))
+        old = core.vregs["z0"]
+        inputs = [core.vregs[name] for name in names] + [old]
+        want = self._merge(op, operands, old, active, max(elems, active))
+
+        assert core.decoded[0].run(0) == ("ok", None)
+
+        got = core.vregs["z0"]
+        assert got.dtype == np.float32
+        assert got.tobytes() == want.tobytes()
+        for array in inputs:
+            assert not np.shares_memory(got, array)
 
 
 class TestEmSimdInteraction:

@@ -30,18 +30,6 @@ class TestServe:
         with pytest.raises(ValueError):
             BandwidthRegulator("t", 0)
 
-    def test_utilization(self):
-        bw = BandwidthRegulator("t", 32)
-        bw.serve(160, 0)
-        assert bw.utilization(10) == pytest.approx(0.5)
-
-    def test_reset(self):
-        bw = BandwidthRegulator("t", 32)
-        bw.serve(320, 0)
-        bw.reset()
-        assert bw.bytes_served == 0
-        assert bw.serve(32, 0) == pytest.approx(1.0)
-
     @given(st.lists(st.integers(1, 512), min_size=1, max_size=50))
     def test_total_time_is_sum_of_bytes(self, sizes):
         bw = BandwidthRegulator("t", 16)

@@ -66,12 +66,6 @@ class TestHitMiss:
         cache.access(0, is_store=True)  # dirty via hit
         assert cache.fill(64, is_store=False) == 0
 
-    def test_invalidate_all(self):
-        cache = small_cache()
-        cache.fill(0, False)
-        cache.invalidate_all()
-        assert cache.resident_lines() == 0
-
 
 class TestCapacity:
     @given(st.lists(st.integers(0, 63), min_size=1, max_size=200))

@@ -4,8 +4,9 @@
 other does not.  Each case below seeds one slip into a fast-engine kernel
 and requires the sweep to diverge: the oracle must be running its own
 commit walk, its own renamer headroom check, its own per-uop metric
-bookings and its own ld/st issue.  The clean leg keeps the sweep honest in
-the other direction.
+bookings, its own ld/st issue and its own operand reads at transmit (the
+decoded handlers read registers and build dependence edges inline).  The
+clean leg keeps the sweep honest in the other direction.
 """
 
 import pytest
@@ -14,6 +15,7 @@ from repro.coproc import batch_exec
 from repro.coproc.dynamic import InstructionPool
 from repro.coproc.metrics import Metrics
 from repro.coproc.renamer import Renamer
+from repro.core.scalar_core import ScalarCore
 from repro.validation.difftest import fuzz_seeds
 
 SEEDS = range(12)
@@ -69,10 +71,67 @@ def _ignore_the_mob(monkeypatch):
     monkeypatch.setattr(batch_exec, "_issue_memory", slip)
 
 
+def _shortcut_skips_tail_merge(monkeypatch):
+    make_vop = ScalarCore._make_vop
+
+    def slip(self, instr):
+        """A ``VOp`` handler that takes the full-width shortcut on a
+        predicated tail too: the register becomes the active lanes only,
+        so the inactive ones read back as zeros instead of the old value."""
+        run = make_vop(self, instr)
+        if instr.pred is None:
+            return run
+
+        def slipped(cycle):
+            outcome = run(cycle)
+            if outcome[0] == "ok":
+                active = self.pregs.get(instr.pred.name, 0)
+                self.vregs[instr.dst.name] = self.vregs[instr.dst.name][:active].copy()
+            return outcome
+
+        return slipped
+
+    monkeypatch.setattr(ScalarCore, "_make_vop", slip)
+
+
+def _deps_drop_the_predicate(monkeypatch):
+    ports = ScalarCore._ports
+
+    def slip(self):
+        """The transmit port: every entry reaches the pool without an edge
+        to its predicate's writer."""
+        entries, capacity, push, next_seq, row = ports(self)
+
+        def push_without_predicate(entry):
+            pred = getattr(entry.instr, "pred", None)
+            if pred is not None:
+                writer = self._last_writer.get(pred.name)
+                entry.deps = tuple(dep for dep in entry.deps if dep is not writer)
+            push(entry)
+
+        return entries, capacity, push_without_predicate, next_seq, row
+
+    monkeypatch.setattr(ScalarCore, "_ports", slip)
+
+
 @pytest.mark.parametrize(
     "seed_slip",
-    [_narrow_commit, _uncapped_headroom, _drop_one_compute, _ignore_the_mob],
-    ids=["commit-width", "renamer-hold-cap", "compute-batch-booking", "ldst-mob-start"],
+    [
+        _narrow_commit,
+        _uncapped_headroom,
+        _drop_one_compute,
+        _ignore_the_mob,
+        _shortcut_skips_tail_merge,
+        _deps_drop_the_predicate,
+    ],
+    ids=[
+        "commit-width",
+        "renamer-hold-cap",
+        "compute-batch-booking",
+        "ldst-mob-start",
+        "vop-tail-merge",
+        "predicate-dependence",
+    ],
 )
 def test_fast_engine_slip_is_caught(monkeypatch, seed_slip):
     seed_slip(monkeypatch)
