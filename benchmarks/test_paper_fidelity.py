@@ -2,7 +2,7 @@
 
 Every row of :data:`repro.analysis.fidelity.ROWS` (Figs. 2/8/10-16,
 Tables 3/5, §7.4, then the ablations, the CTS baseline, sensitivity, the
-roofline and ECM models and thread allocation) is measured once per
+roofline and ECM models) is measured once per
 session and must be inside its tolerance or carry the reason it is not —
 at ``CALIBRATED_SCALE``: the notes and the deltas they account for are
 calibrated there.  Run with ``-s`` for the rendered table (the block

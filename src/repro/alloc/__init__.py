@@ -1,24 +1,19 @@
-"""Thread-to-core allocation: the pairing-policy subsystem.
+"""Thread-to-core placement: which threads share a two-core complex.
 
-Decides *which* threads share a co-processor complex before the sharing
-policy (private/occamy/fts/cts) decides *how* they share it within the
-complex.  See ``docs/allocation.md`` and ROADMAP item 1.
+Only the frozen ledger's ``ncore16_cold`` set-up calls this; ROADMAP item
+1's bench PR deletes it.  What is left is the one policy it times — the
+ECM-prior symbiosis matrix solved by greedy + 2-opt matching::
 
-Public surface::
+    from repro.alloc import ALLOC_POLICIES_BY_KEY, AllocContext
 
-    from repro.alloc import (
-        ALLOC_POLICIES_BY_KEY, ALLOC_POLICY_KEYS,
-        AllocContext, AllocationPolicy, Placement, ThreadSpec,
-        canonical_placement, placement_labels, validate_placement,
-    )
+    placement = ALLOC_POLICIES_BY_KEY["symbiosis"](threads, AllocContext(config))
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.alloc.placement import (
-    DEFAULT_COMPLEX_SIZE,
     Placement,
     ThreadSpec,
     canonical_placement,
@@ -27,65 +22,37 @@ from repro.alloc.placement import (
     thread_order,
     validate_placement,
 )
-from repro.alloc.policies import (
-    AllocContext,
-    AllocationPolicy,
-    OiBalanceAllocation,
-    OiPackAllocation,
-    RandomAllocation,
-    RoundRobinAllocation,
-    thread_demand,
-)
 from repro.alloc.symbiosis import (
+    AllocContext,
     MatrixEntry,
     SymbiosisAllocation,
     SymbiosisMatrix,
     build_matrix,
-    calibrate_matrix,
     expected_random_matching_weight,
     matching_weight,
     solve_pairing,
 )
 
-#: The policy registry — one instance per family member, keyed by CLI name.
-ALLOC_POLICIES_BY_KEY: Dict[str, AllocationPolicy] = {
-    policy.key: policy
-    for policy in (
-        RandomAllocation(),
-        RoundRobinAllocation(),
-        OiBalanceAllocation(),
-        OiPackAllocation(),
-        SymbiosisAllocation(),
-    )
+#: The policy registry, keyed by name (the ledger looks ``symbiosis`` up).
+ALLOC_POLICIES_BY_KEY: Dict[str, SymbiosisAllocation] = {
+    SymbiosisAllocation.key: SymbiosisAllocation()
 }
-
-#: Registry order for sweeps and CLI ``--alloc all``.
-ALLOC_POLICY_KEYS: Tuple[str, ...] = tuple(ALLOC_POLICIES_BY_KEY)
 
 __all__ = [
     "ALLOC_POLICIES_BY_KEY",
-    "ALLOC_POLICY_KEYS",
     "AllocContext",
-    "AllocationPolicy",
-    "DEFAULT_COMPLEX_SIZE",
     "MatrixEntry",
-    "OiBalanceAllocation",
-    "OiPackAllocation",
     "Placement",
-    "RandomAllocation",
-    "RoundRobinAllocation",
     "SymbiosisAllocation",
     "SymbiosisMatrix",
     "ThreadSpec",
     "build_matrix",
-    "calibrate_matrix",
     "canonical_placement",
     "expected_random_matching_weight",
     "matching_weight",
     "num_complexes",
     "placement_labels",
     "solve_pairing",
-    "thread_demand",
     "thread_order",
     "validate_placement",
 ]

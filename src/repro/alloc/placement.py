@@ -1,31 +1,21 @@
-"""Thread/placement primitives for the allocation subsystem.
+"""Thread/placement primitives for the allocation layer.
 
-The allocation layer answers a question the paper never asks: on a
-machine large enough to hold several co-processor *complexes* (each the
-paper's evaluated 2-core machine), **which threads should share a
-complex in the first place**?  A :class:`Placement` is that decision —
-a partition of the thread set into equal-sized complexes — made before
-any simulation runs; the sharing policy (private/occamy/fts/cts) then
-plays out *within* each complex exactly as in the 2-core evaluation.
-
-Placement is a pure pre-simulation decision.  Two invariants make that
-checkable:
+A :class:`Placement` partitions a thread set into equal-sized
+*complexes* — each the paper's evaluated two-core machine — before any
+simulation runs.  Two invariants make the decision checkable:
 
 * **Canonical form** — threads within a complex and complexes within a
-  placement are ordered deterministically (by thread sort key), so two
-  policies that choose the same unordered pair-set produce *identical*
-  per-complex simulations, bit for bit, and hit the same result-cache
-  entries.
+  placement are ordered deterministically (by thread sort key), so the
+  same unordered pair-set is the same placement, bit for bit.
 * **Validation** — every thread appears in exactly one complex and every
   complex has exactly ``complex_size`` members; violations raise
-  :class:`~repro.common.errors.ConfigurationError` before any simulation
-  is attempted.
+  :class:`~repro.common.errors.ConfigurationError`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.compiler.ir import Kernel
@@ -44,18 +34,11 @@ class ThreadSpec:
     ``key`` is the thread's stable identity (e.g. ``"spec:15"``): two
     threads with equal keys are interchangeable for placement purposes,
     which is what lets the symbiosis matrix deduplicate symmetric pairs.
-    ``kernel`` feeds the ECM/OI analysis the scoring policies run;
-    ``calib_kernel`` is an optional short-running variant used for
-    calibration micro co-runs (defaults to ``kernel``).
+    ``kernel`` feeds the ECM analysis the matrix is built from.
     """
 
     key: str
     kernel: Kernel
-    calib_kernel: Optional[Kernel] = field(default=None, compare=False)
-
-    @property
-    def calibration_kernel(self) -> Kernel:
-        return self.calib_kernel if self.calib_kernel is not None else self.kernel
 
 
 def thread_order(threads: Sequence[ThreadSpec]) -> Tuple[int, ...]:

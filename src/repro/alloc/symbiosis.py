@@ -9,9 +9,9 @@ No simulation is needed to build the matrix.
 A pair's matching weight is ``-(log t_a + log t_b)`` where ``t_a, t_b``
 are the two threads' predicted drain times in the co-run, so maximising
 total matching weight minimises the *product* — hence the geometric
-mean — of per-thread drain cycles across the whole machine, which is
-the blended metric the CI gate measures (the co-scheduling literature's
-geomean-of-per-thread-performance, inverted to cycles).
+mean — of per-thread drain cycles across the whole machine (the
+co-scheduling literature's geomean-of-per-thread-performance, inverted
+to cycles).
 
 The solver is greedy max-weight matching refined by 2-opt pair swaps to
 a fixed point.  A 2-opt-stable matching is never worse than the expected
@@ -22,11 +22,8 @@ is the total weight of all unordered pairs and ``S/(n-1)`` is exactly
 the random expectation (each specific pair is matched with probability
 ``1/(n-1)``).  The property test in ``tests/alloc`` pins this bound.
 
-``--calibrate`` replaces the prior with *measured* entries: every
-candidate pair is co-run once at a short fixed scale through
-``run_tasks`` and its result cache (keyed with the ``alloc=`` ingredient
-of ``simulation_key``), so a warm cache makes calibration nearly free and
-repeated calibrations are bit-identical.
+Only the frozen ledger's ``ncore16_cold`` set-up calls this; ROADMAP
+item 1's bench PR deletes it.
 """
 
 from __future__ import annotations
@@ -40,8 +37,14 @@ from repro.common.config import MachineConfig
 from repro.common.errors import ConfigurationError
 from repro.compiler.ir import Kernel
 
-from repro.alloc.placement import Placement, ThreadSpec
-from repro.alloc.policies import AllocationPolicy, AllocContext
+from repro.alloc.placement import (
+    DEFAULT_COMPLEX_SIZE,
+    Placement,
+    ThreadSpec,
+    canonical_placement,
+    num_complexes,
+    validate_placement,
+)
 
 #: Floor for matrix costs so ``-log(cost)`` stays finite.
 _MIN_COST = 1e-9
@@ -53,16 +56,28 @@ def matrix_key(key_a: str, key_b: str) -> Tuple[str, str]:
 
 
 @dataclass(frozen=True)
+class AllocContext:
+    """Everything a placement decision consults.
+
+    ``config`` is the *complex* machine (two cores), not the whole
+    machine: the matrix reasons about what one complex will experience.
+    ``sharing_key`` is the sharing policy that will run within each
+    complex (the prior is sharing-aware).
+    """
+
+    config: MachineConfig
+    sharing_key: str = "occamy"
+
+
+@dataclass(frozen=True)
 class MatrixEntry:
     """One pair's compatibility score.
 
-    ``drains`` are the two threads' predicted (``source="ecm"``) or
-    measured (``source="measured"``) co-run drain times in cycles, in
-    canonical key order; lower is better.
+    ``drains`` are the two threads' ECM-predicted co-run drain times in
+    cycles, in canonical key order; lower is better.
     """
 
     drains: Tuple[float, float]
-    source: str
 
     @property
     def cost(self) -> float:
@@ -181,7 +196,7 @@ def build_matrix(
     threads: Sequence[ThreadSpec], context: AllocContext
 ) -> SymbiosisMatrix:
     """The ECM-prior compatibility matrix (no simulation)."""
-    config = context.complex_config()
+    config = context.config
     kernels = {thread.key: thread.kernel for thread in threads}
     entries = []
     for key_a, key_b in candidate_pairs(threads):
@@ -189,66 +204,10 @@ def build_matrix(
             [kernels[key_a], kernels[key_b]], config, context.sharing_key
         )
         entries.append(
-            ((key_a, key_b), MatrixEntry(drains=tuple(drains), source="ecm"))
+            ((key_a, key_b), MatrixEntry(drains=tuple(drains)))
         )
     return SymbiosisMatrix(
         sharing_key=context.sharing_key, entries=tuple(entries)
-    )
-
-
-def calibrate_matrix(
-    threads: Sequence[ThreadSpec], context: AllocContext
-) -> SymbiosisMatrix:
-    """The measured matrix: one short co-run per candidate pair.
-
-    Every entry is measured (never mixed with ECM-prior entries, which
-    live at a different scale) by simulating the pair's *calibration
-    kernels* on the complex config under the context's sharing policy.
-    The co-runs are ordinary tasks for ``run_tasks`` (``context.jobs``
-    fans them out), keyed with the ``alloc`` ingredient, so re-calibration
-    is a cache hit.
-    """
-    from repro.analysis.parallel import SimTask, run_tasks
-    from repro.core.policies import POLICIES_BY_KEY
-
-    if context.sharing_key not in POLICIES_BY_KEY:
-        raise ConfigurationError(
-            f"unknown sharing policy {context.sharing_key!r} for calibration"
-        )
-    config = context.complex_config()
-    if config.num_cores != 2:
-        raise ConfigurationError(
-            "symbiosis calibration needs a 2-core complex config, got "
-            f"{config.num_cores} cores"
-        )
-    kernels = {thread.key: thread.calibration_kernel for thread in threads}
-    pairs = candidate_pairs(threads)
-    results = run_tasks(
-        [
-            SimTask(
-                policy_key=context.sharing_key,
-                scale=context.calib_scale,
-                config=config,
-                kind="kernels",
-                kernels=(kernels[key_a], kernels[key_b]),
-                alloc=f"symbiosis-calib:{context.sharing_key}",
-            )
-            for key_a, key_b in pairs
-        ],
-        jobs=context.jobs,
-    )
-    return SymbiosisMatrix(
-        sharing_key=context.sharing_key,
-        entries=tuple(
-            (
-                pair,
-                MatrixEntry(
-                    drains=(float(result.core_time(0)), float(result.core_time(1))),
-                    source="measured",
-                ),
-            )
-            for pair, result in zip(pairs, results)
-        ),
     )
 
 
@@ -342,30 +301,16 @@ def matching_weight(
 # --- the policy --------------------------------------------------------------
 
 
-class SymbiosisAllocation(AllocationPolicy):
-    """ECM-prior (or calibrated) compatibility matrix + matching."""
+class SymbiosisAllocation:
+    """ECM-prior compatibility matrix + matching, in canonical form."""
 
     key = "symbiosis"
-    label = "Symbiosis"
 
-    def place(
+    def __call__(
         self, threads: Sequence[ThreadSpec], context: AllocContext
     ) -> Placement:
-        if context.complex_size != 2:
-            raise ConfigurationError(
-                "symbiosis pairing is defined for 2-core complexes, got "
-                f"complex_size={context.complex_size}"
-            )
-        if len(threads) % 2 != 0:
-            raise ConfigurationError(
-                f"symbiosis pairing needs an even thread count, got "
-                f"{len(threads)}"
-            )
-        matrix = (
-            calibrate_matrix(threads, context)
-            if context.calibrate
-            else build_matrix(threads, context)
-        )
+        num_complexes(threads, DEFAULT_COMPLEX_SIZE)
+        matrix = build_matrix(threads, context)
         n = len(threads)
         weights = [
             [
@@ -378,4 +323,5 @@ class SymbiosisAllocation(AllocationPolicy):
             ]
             for i in range(n)
         ]
-        return solve_pairing(weights)
+        placement = canonical_placement(threads, solve_pairing(weights))
+        return validate_placement(threads, placement)

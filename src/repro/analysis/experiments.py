@@ -399,244 +399,22 @@ def ncore_outcome(
     return NCoreOutcome(num_cores=num_cores, group=group, results=results)
 
 
-# --- Allocation sweep: pairing policy × sharing policy × core count ----------
+# --- The ledger's placement input ---------------------------------------------
 #
-# The allocation layer (ROADMAP item 1's remaining half) partitions the
-# N-core thread blend into 2-core *complexes* — each the paper's evaluated
-# machine — and simulates every complex independently under the sharing
-# policy.  Placement is a pure pre-simulation decision: a complex's task
-# names only its workloads, so the same pair is the same simulation (same
-# memo slot, same disk entry) no matter which policy placed it together,
-# which is what the alloc-smoke CI job asserts via per-pair fingerprints.
-
-#: Sharing policies the allocation matrix runs within each complex.
-ALLOC_SHARING_KEYS: Tuple[str, ...] = NCORE_POLICY_KEYS
-
-#: Calibration micro co-runs use this short repeat scale.
-ALLOC_CALIB_SCALE = 0.05
+# Only the frozen ledger's ``ncore16_cold`` set-up calls this; ROADMAP item
+# 1's bench PR deletes it.
 
 
-def alloc_group(num_cores: int) -> Tuple[int, ...]:
-    """The workload-id blend the allocation sweep places at ``num_cores``.
-
-    Identical to :func:`ncore_group` so the pairing comparison runs the
-    same blend the N-core sharing sweep runs — only *who shares with
-    whom* changes.
-    """
-    return ncore_group(num_cores)
-
-
-def alloc_threads(
-    num_cores: int,
-    scale: float = DEFAULT_SCALE,
-    calib_scale: float = ALLOC_CALIB_SCALE,
-):
-    """The blend as allocation-layer :class:`~repro.alloc.ThreadSpec`s.
+def alloc_threads(num_cores: int, scale: float = DEFAULT_SCALE):
+    """The :func:`ncore_group` blend, one allocation-layer
+    :class:`~repro.alloc.placement.ThreadSpec` per core.
 
     Keys are zero-padded (``spec:06``) so canonical string order matches
     workload-id order and identical pairs collapse to identical labels.
     """
-    from repro.alloc import ThreadSpec
+    from repro.alloc.placement import ThreadSpec
 
     return [
-        ThreadSpec(
-            key=f"spec:{workload:02d}",
-            kernel=spec_workload(workload, scale=scale),
-            calib_kernel=spec_workload(workload, scale=calib_scale),
-        )
-        for workload in alloc_group(num_cores)
-    ]
-
-
-@dataclass
-class AllocOutcome:
-    """One (core count, pairing policy, sharing policy) sweep point."""
-
-    num_cores: int
-    alloc_key: str
-    sharing_key: str
-    group: Tuple[int, ...]
-    #: Canonical placement: complexes of thread indices into ``group``.
-    placement: Tuple[Tuple[int, ...], ...]
-    #: One result per complex, in placement order.
-    results: Tuple[RunResult, ...]
-
-    def complex_workloads(self, index: int) -> Tuple[int, ...]:
-        """The workload ids co-running on complex ``index``."""
-        return tuple(self.group[t] for t in self.placement[index])
-
-    def pair_label(self, index: int) -> str:
-        return "+".join(str(w) for w in self.complex_workloads(index))
-
-    def pair_labels(self) -> Tuple[str, ...]:
-        return tuple(self.pair_label(i) for i in range(len(self.placement)))
-
-    def pair_cycles(self) -> List[int]:
-        """Per-complex makespans, in placement order."""
-        return [result.total_cycles for result in self.results]
-
-    def thread_cycles(self) -> List[int]:
-        """Every thread's own drain time, placement order then core order."""
-        return [
-            result.core_time(core)
-            for result, members in zip(self.results, self.placement)
-            for core in range(len(members))
-        ]
-
-    def geomean_cycles(self) -> float:
-        """The blended metric: geometric-mean per-thread drain cycles.
-
-        The co-scheduling literature's geomean-of-per-thread-performance,
-        inverted to cycles (lower is better) — exactly what the symbiosis
-        matching minimises, and what the CI gate compares across pairing
-        policies.
-        """
-        from repro.analysis.reporting import geomean
-
-        return geomean(
-            [float(c) for c in self.thread_cycles()],
-            series=f"alloc {self.alloc_key}/{self.sharing_key}",
-        )
-
-    def makespan(self) -> int:
-        """Whole-machine finish time: the slowest complex."""
-        return max(self.pair_cycles())
-
-
-def alloc_outcome(
-    num_cores: int,
-    alloc_key: str,
-    sharing_key: str = "occamy",
-    scale: float = DEFAULT_SCALE,
-    seed: int = 0,
-    calibrate: bool = False,
-    jobs: Jobs = None,
-) -> AllocOutcome:
-    """Place the ``num_cores`` blend with ``alloc_key``, then run every
-    complex under ``sharing_key`` (two-level cached, like the pair sweep)."""
-    from repro.alloc import ALLOC_POLICIES_BY_KEY, AllocContext
-    from repro.common.config import validate_core_count
-    from repro.common.errors import ConfigurationError
-    from repro.core.policies import POLICIES_BY_KEY
-
-    validate_core_count(num_cores, source="alloc_outcome num_cores")
-    if alloc_key not in ALLOC_POLICIES_BY_KEY:
-        raise ConfigurationError(
-            f"unknown allocation policy {alloc_key!r} "
-            f"(have: {', '.join(sorted(ALLOC_POLICIES_BY_KEY))})"
-        )
-    if sharing_key not in POLICIES_BY_KEY:
-        raise ConfigurationError(
-            f"unknown sharing policy {sharing_key!r} "
-            f"(have: {', '.join(sorted(POLICIES_BY_KEY))})"
-        )
-    context = AllocContext(
-        sharing_key=sharing_key, seed=seed, calibrate=calibrate, jobs=jobs
-    )
-    complex_config = context.complex_config()
-    group = alloc_group(num_cores)
-    placement = ALLOC_POLICIES_BY_KEY[alloc_key](
-        alloc_threads(num_cores, scale), context
-    )
-    grid = run_grid(
-        _group_workloads(
-            [[group[thread] for thread in members] for members in placement]
-        ),
-        [sharing_key],
-        scale,
-        complex_config,
-        jobs,
-    )
-    return AllocOutcome(
-        num_cores=num_cores,
-        alloc_key=alloc_key,
-        sharing_key=sharing_key,
-        group=group,
-        placement=placement,
-        results=tuple(results[sharing_key] for results in grid),
-    )
-
-
-@dataclass
-class PairWinLoss:
-    """One complex's cycles under every sharing policy (win/loss row)."""
-
-    label: str
-    workloads: Tuple[int, ...]
-    cycles: Dict[str, int]
-
-    @property
-    def winner(self) -> str:
-        """The sharing policy with the fewest cycles (ties: key order)."""
-        return min(self.cycles, key=lambda key: (self.cycles[key], key))
-
-
-def alloc_winloss(
-    num_cores: int,
-    alloc_key: str = "symbiosis",
-    sharing_keys: Sequence[str] = ALLOC_SHARING_KEYS,
-    scale: float = DEFAULT_SCALE,
-    seed: int = 0,
-    calibrate: bool = False,
-    jobs: Jobs = None,
-) -> List[PairWinLoss]:
-    """Per-pair sharing-policy win/loss under one placement.
-
-    The placement is decided once (``alloc_key`` scoring for occamy);
-    each complex then runs under every sharing policy, so the table asks
-    "given who shares, which sharing policy wins each pair?" — the
-    ROADMAP item 3 follow-on.
-    """
-    base = alloc_outcome(
-        num_cores, alloc_key, "occamy", scale=scale, seed=seed,
-        calibrate=calibrate, jobs=jobs,
-    )
-    complexes = [base.complex_workloads(i) for i in range(len(base.placement))]
-    grid = run_grid(
-        _group_workloads(complexes),
-        sharing_keys,
-        scale,
-        experiment_config(num_cores=len(complexes[0])),
-        jobs,
-    )
-    return [
-        PairWinLoss(
-            label="+".join(str(w) for w in workloads),
-            workloads=workloads,
-            cycles={key: result.total_cycles for key, result in results.items()},
-        )
-        for workloads, results in zip(complexes, grid)
-    ]
-
-
-def alloc_sweep(
-    core_counts: Sequence[int] = (16,),
-    alloc_keys: Optional[Sequence[str]] = None,
-    sharing_keys: Sequence[str] = ("occamy",),
-    scale: float = DEFAULT_SCALE,
-    seed: int = 0,
-    calibrate: bool = False,
-    jobs: Jobs = None,
-) -> List[AllocOutcome]:
-    """The pairing × sharing × core-count matrix, memoised.
-
-    Identical pairs recur across placements, so the marginal cost of an
-    extra pairing policy is only the pairs nobody else formed.
-    """
-    from repro.alloc import ALLOC_POLICY_KEYS
-
-    keys = tuple(alloc_keys) if alloc_keys is not None else ALLOC_POLICY_KEYS
-    return [
-        alloc_outcome(
-            num_cores,
-            alloc_key,
-            sharing_key,
-            scale=scale,
-            seed=seed,
-            calibrate=calibrate,
-            jobs=jobs,
-        )
-        for num_cores in core_counts
-        for sharing_key in sharing_keys
-        for alloc_key in keys
+        ThreadSpec(key=f"spec:{workload:02d}", kernel=spec_workload(workload, scale=scale))
+        for workload in ncore_group(num_cores)
     ]

@@ -4,7 +4,7 @@ and every claim this repository makes beyond it, once.
 :data:`ROWS` is the table — one :class:`Row` per number the paper gives
 (:data:`PAPER`: §7, Figs. 2/8/10–16, Tables 3/5, §7.4), then one per claim
 beyond the paper (:data:`BEYOND`: the ablations of §4's LaneMgr, the CTS
-baseline, sensitivity, the roofline and ECM models, thread allocation):
+baseline, sensitivity, the roofline and ECM models):
 the artefact, the quantity, the paper's value, how ours is measured, a
 tolerance on the relative error and, where we already know ours is off,
 the reason as text.  A paper value is a number, a bound (:class:`Bound`:
@@ -39,7 +39,6 @@ from repro.analysis.experiments import (
     Jobs,
     MotivationResult,
     PairOutcome,
-    alloc_outcome,
     case_study_fig14,
     four_core_fig16,
     pair_outcome,
@@ -131,8 +130,6 @@ class Measured:
     #: ``validate_phase`` per phase name of :data:`ROOFLINE_PHASES`.
     roofline: Dict[str, "PhaseValidation"]
     ecm: "EcmValidation"
-    #: Geomean per-thread cycles of the 16-core blend per placement.
-    alloc: Dict[str, float]
 
     def pair(self, core0: int, core1: int) -> PairOutcome:
         """One of the 25 pairs (the §7.4 cases are three of them)."""
@@ -357,14 +354,7 @@ VARIANTS = ("cts", "equal-split", "no-issue-ceiling")
 ROOFLINE_PHASES = {"wsm52": 17, "sff2": 20, "rho_eos2": 19}
 #: The largest scale each sweep beyond the paper runs at: the one its claim
 #: was made at, which also holds each sweep to the cost it had then.
-SWEEP_SCALES = {"sensitivity": 0.35, "roofline": 0.2, "allocation": 0.2, "ECM": 0.1}
-#: Placements of the 16-core blend, as (policy, calibrated).
-PLACEMENTS = {
-    "random": ("random", False),
-    "symbiosis": ("symbiosis", False),
-    "calibrated symbiosis": ("symbiosis", True),
-    "oi-pack": ("oi-pack", False),
-}
+SWEEP_SCALES = {"sensitivity": 0.35, "roofline": 0.2, "ECM": 0.1}
 
 
 def _worst_rename_stalls(m: Measured, key: str) -> float:
@@ -643,15 +633,6 @@ BEYOND: Tuple[Row, ...] = (
           lambda m: m.ecm.geomean_error, ".1%"),
     _ours("ECM model", "worst cycle error, occamy/fts/cts", Bound("<", 0.70),
           lambda m: m.ecm.max_error, ".1%"),
-    # -- thread-to-core placement of the 16-core blend, Occamy per complex -----
-    # Symbiosis within 97 % of random's geomean cycles: random/ours > 1/0.97.
-    _ours("Allocation, 16 cores", "random / symbiosis, geomean cycles", Bound(">", 1 / 0.97),
-          lambda m: m.alloc["random"] / m.alloc["symbiosis"], ".3f"),
-    _ours("Allocation, 16 cores", "random / calibrated symbiosis, geomean cycles",
-          Bound(">", 1 / 0.97),
-          lambda m: m.alloc["random"] / m.alloc["calibrated symbiosis"], ".3f"),
-    _ours("Allocation, 16 cores", "oi-pack / random, geomean cycles", Bound(">", 1.03),
-          lambda m: m.alloc["oi-pack"] / m.alloc["random"], ".3f"),
 )
 
 ROWS: Tuple[Row, ...] = PAPER + BEYOND
@@ -665,7 +646,7 @@ def fidelity_rows(scale: float = CALIBRATED_SCALE, jobs: Jobs = None) -> List[Ju
     """Measure and judge every row at ``scale``.  The paper's take 138 cached
     simulations (Fig. 2, 25 pairs x 4, Fig. 14's 14 solo + 4 co-runs,
     Fig. 16); the sweeps beyond it, each at no more than the scale its
-    claim was made at (:data:`SWEEP_SCALES`), 184 more at scale 0.5."""
+    claim was made at (:data:`SWEEP_SCALES`), 98 more at scale 0.5."""
     # Here, not above: a warm ``repro report`` reads ROW and loads none of them
     # (``policy`` resolves an ablation key by importing ``core.ablations``).
     from repro.analysis.sensitivity import SWEEPS, sweep
@@ -693,12 +674,6 @@ def fidelity_rows(scale: float = CALIBRATED_SCALE, jobs: Jobs = None) -> List[Ju
             for name, workload in ROOFLINE_PHASES.items()
         },
         ecm=validate_ecm(scale=capped["ECM"], jobs=jobs),
-        alloc={
-            label: alloc_outcome(
-                16, key, scale=capped["allocation"], calibrate=calibrate, jobs=jobs
-            ).geomean_cycles()
-            for label, (key, calibrate) in PLACEMENTS.items()
-        },
     )
     return [r.judge(r.ours(measured)) for r in ROWS]
 
@@ -719,7 +694,7 @@ def render(results: Sequence[Judged], scale: float) -> str:
             f"- **Rows**: the {len(paper)} headline numbers of the paper's "
             f"evaluation, then the {len(beyond)} claims this repository makes "
             "beyond it (the LaneMgr ablations, the CTS baseline, sensitivity, "
-            "the roofline and ECM models, thread allocation), from "
+            "the roofline and ECM models), from "
             "`repro.analysis.fidelity.ROWS` — nothing here is typed by hand.",
             f"- **Ours**: `python -m repro fidelity --scale {scale:g}` on "
             "`experiment_config()` (Table 4 timing and widths, caches shrunk "

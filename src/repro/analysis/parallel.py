@@ -7,8 +7,7 @@ is the only place one becomes a content key, is looked up in the
 persistent :mod:`~repro.analysis.result_cache`, run — in this process or
 fanned out over a :class:`concurrent.futures.ProcessPoolExecutor` — and
 stored.  Every driver (:mod:`repro.analysis.experiments`, and through it
-the validation and sensitivity sweeps), the allocation layer's calibration
-and the daemon's worker call it, :func:`execute_task` is the engine's only
+the validation and sensitivity sweeps) and the daemon's worker call it, :func:`execute_task` is the engine's only
 caller above ``core/``, and everything a run produced comes back through
 it — the result, its summary, the engine's profile on both.
 
@@ -114,11 +113,10 @@ class SimTask:
     * ``"pair"`` — the Table 3 co-run ``pair`` (Figs. 10/11/13/15);
     * ``"motivate"`` — the §2 motivating pair (Fig. 2);
     * ``"group"`` — SPEC workload ids in ``group``, one per core: a
-      Fig. 16 group, an N-core blend, one allocation complex, or a solo
-      run (the ECM validation's ``(id, None, ...)``);
-    * ``"kernels"`` — the IR ``kernels`` themselves, one per core (the
-      allocation layer's calibration micro co-runs, Fig. 14's co-run and
-      its fixed-lane solo runs).
+      Fig. 16 group, an N-core blend, or a solo run (the ECM
+      validation's ``(id, None, ...)``);
+    * ``"kernels"`` — the IR ``kernels`` themselves, one per core
+      (Fig. 14's co-run and its fixed-lane solo runs).
 
     A ``None`` member of ``group`` / ``kernels`` is an idle core.  Whatever
     the kind, the programs are compiled for ``config.memory``.  Hashable,
@@ -134,8 +132,6 @@ class SimTask:
     max_cycles: int = 3_000_000
     # Compared but not hashed: ``Kernel.params`` is a dict.
     kernels: Optional[Tuple[Kernel, ...]] = field(default=None, hash=False)
-    #: ``simulation_key``'s ``alloc`` namespace ("" for ordinary runs).
-    alloc: str = ""
 
     def build_jobs(self) -> List[Optional[Job]]:
         """Compile the task's workloads, one per core, for the memory the
@@ -192,11 +188,7 @@ def task_keys(tasks: Sequence[SimTask]) -> List[str]:
             built[workload] = task.build_jobs()
         keys.append(
             simulation_key(
-                task.config,
-                task.policy_key,
-                built[workload],
-                task.max_cycles,
-                alloc=task.alloc,
+                task.config, task.policy_key, built[workload], task.max_cycles
             )
         )
     return keys

@@ -136,21 +136,16 @@ def simulation_key(
     policy_key: str,
     jobs: Sequence[Optional[Job]],
     max_cycles: int = 3_000_000,
-    alloc: str = "",
 ) -> str:
-    """Content hash identifying one simulation's full input.
-
-    ``alloc`` namespaces allocation-layer runs (e.g. symbiosis
-    calibration micro co-runs).  It stays ``""`` for ordinary complex
-    runs on purpose: placement is a pure pre-simulation decision, so the
-    same pair under any placement policy must share one cache entry.
-    """
+    """Content hash identifying one simulation's full input."""
     digest = hashlib.sha256()
     digest.update(f"v{CACHE_VERSION}".encode("utf-8"))
     digest.update(config_fingerprint(config).encode("utf-8"))
     digest.update(policy_key.encode("utf-8"))
     digest.update(str(max_cycles).encode("utf-8"))
-    digest.update(f"alloc:{alloc}".encode("utf-8"))
+    # Part of the v7 key format (v5's allocation namespace, now always
+    # empty): dropping it would move every key.
+    digest.update(b"alloc:")
     for job in jobs:
         _feed_job(digest, job)
     return digest.hexdigest()

@@ -3,11 +3,11 @@
 This module only parses.  Each sub-command's body lives in — and is
 documented by — the module of its name under :mod:`repro.commands`
 (``motivate``, ``pair``, ``roofline``, ``table5``, ``area``, ``trace``,
-``report``, ``fidelity``, ``perf-report``, ``diff-fuzz``,
-``alloc-sweep``, ``serve``, ``submit``, ``svc-status``, ``fleet``,
-``cache``), and :func:`main` imports only the one selected: ``repro cache stats`` loads no
-numpy, and a warm ``repro report`` neither numpy nor the simulator
-(DESIGN.md, "Import layering").
+``report``, ``fidelity``, ``perf-report``, ``diff-fuzz``, ``serve``,
+``submit``, ``svc-status``, ``fleet``, ``cache``), and :func:`main`
+imports only the one selected: ``repro cache stats`` loads no numpy, and
+a warm ``repro report`` neither numpy nor the simulator (DESIGN.md,
+"Import layering").
 
 Simulation commands accept these runtime options:
 
@@ -65,17 +65,29 @@ def scale_type(text: str) -> float:
     return value
 
 
-def count_type(text: str) -> int:
-    """A count of at least one (``report --pairs``, the daemon's
-    ``--workers`` / ``--queue-depth`` / ``--max-per-client``), else argparse
-    exits 2."""
+def _integer_at_least(text: str, least: int) -> int:
     try:
         value = int(text, 10)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+        value = least - 1
+    if value < least:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= {least}, got {text!r}"
+        )
     return value
+
+
+def count_type(text: str) -> int:
+    """A count of at least one (``report --pairs``, ``diff-fuzz --seeds``,
+    the daemon's ``--workers`` / ``--queue-depth`` / ``--max-per-client``),
+    else argparse exits 2."""
+    return _integer_at_least(text, 1)
+
+
+def nonnegative_type(text: str) -> int:
+    """A count that may be zero (``diff-fuzz --shrink-limit``), else
+    argparse exits 2."""
+    return _integer_at_least(text, 0)
 
 
 def timeout_type(text: str) -> float:
@@ -238,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[runtime],
     )
     diff_fuzz.add_argument(
-        "--seeds", type=int, default=50, metavar="N",
+        "--seeds", type=count_type, default=50, metavar="N",
         help="number of random cases (default 50)",
     )
     diff_fuzz.add_argument(
@@ -256,13 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default 2)",
     )
     diff_fuzz.add_argument(
-        "--alloc", default=None, metavar="POLICY",
-        help="split each generated N-core case into two-core complexes "
-        "with this allocation policy and diff every complex "
-        "independently — exercises the placement layer's simulation "
-        "invariance",
-    )
-    diff_fuzz.add_argument(
         "--report", default=None, metavar="OUT.json",
         help="write a JSON divergence report",
     )
@@ -271,50 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip shrinking diverging cases",
     )
     diff_fuzz.add_argument(
-        "--shrink-limit", type=int, default=3, metavar="N",
+        "--shrink-limit", type=nonnegative_type, default=3, metavar="N",
         help="shrink at most N divergences (default 3)",
     )
     diff_fuzz.add_argument(
         "--emit-dir", default="tests/regressions", metavar="DIR",
         help="directory for emitted regression tests "
         "(default tests/regressions)",
-    )
-
-    alloc_sweep = sub.add_parser(
-        "alloc-sweep",
-        help="sweep thread-to-core allocation policies on large machines",
-        parents=[runtime],
-    )
-    alloc_sweep.add_argument(
-        "--cores", nargs="+", default=["16"], metavar="N",
-        help="machine sizes to sweep (default 16); threads are the tiled "
-        "Fig. 16 blend, placed into two-core complexes",
-    )
-    alloc_sweep.add_argument(
-        "--alloc", default=None, metavar="KEYS",
-        help="comma-separated allocation policies (default: all of "
-        "random, round-robin, oi-balance, oi-pack, symbiosis)",
-    )
-    alloc_sweep.add_argument(
-        "--policies", default=None, metavar="KEYS",
-        help="comma-separated sharing policies run inside each complex "
-        "(default occamy)",
-    )
-    alloc_sweep.add_argument("--scale", type=scale_type, default=0.2)
-    alloc_sweep.add_argument(
-        "--seed", type=int, default=0, metavar="N",
-        help="seed for the random placement baseline (default 0)",
-    )
-    alloc_sweep.add_argument(
-        "--calibrate", action="store_true",
-        help="refine the symbiosis matrix with short micro co-runs "
-        "(cached; only affects the symbiosis policy)",
-    )
-    alloc_sweep.add_argument(
-        "--report", default=None, metavar="OUT.json",
-        help="write a JSON report with per-pair cycles and run-"
-        "fingerprint digests (CI asserts digests are placement-"
-        "invariant)",
     )
 
     # --- simulation service ---------------------------------------------------

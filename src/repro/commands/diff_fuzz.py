@@ -29,9 +29,8 @@ def run(args: argparse.Namespace) -> int:
         policies = DEFAULT_POLICIES
     cores = validate_core_count(args.cores)
     seeds = list(range(args.start, args.start + args.seeds))
-    alloc_note = f", alloc={args.alloc}" if args.alloc else ""
     print(
-        f"diff-fuzz: {len(seeds)} case(s), {cores} cores{alloc_note}, "
+        f"diff-fuzz: {len(seeds)} case(s), {cores} cores, "
         f"policies {', '.join(policies)}, fast vs reference"
     )
     report = fuzz_seeds(
@@ -40,7 +39,6 @@ def run(args: argparse.Namespace) -> int:
         audit=True if args.audit else None,
         progress=print,
         num_cores=cores,
-        alloc=args.alloc,
     )
     if report.clean:
         print(f"OK: {report.runs} runs, fast engine bit-identical to reference")

@@ -346,54 +346,6 @@ class FuzzReport:
         }
 
 
-def place_case(
-    spec: CaseSpec,
-    alloc_key: str,
-    sharing_key: str = "occamy",
-    seed: int = 0,
-    config: Optional[MachineConfig] = None,
-) -> List[Tuple[Tuple[int, ...], CaseSpec]]:
-    """Split an N-core case into per-complex sub-cases via ``alloc_key``.
-
-    Returns ``(complex member indices, sub-case)`` pairs.  Placement is a
-    pure pre-simulation decision, so two policies forming the same
-    unordered core set produce byte-identical sub-cases — diff-fuzz then
-    proves every (placement, sharing-policy) combination bit-identical
-    across the two engines.
-    """
-    from repro.alloc import ALLOC_POLICIES_BY_KEY, AllocContext, ThreadSpec
-    from repro.common.errors import ConfigurationError
-
-    if alloc_key not in ALLOC_POLICIES_BY_KEY:
-        raise ConfigurationError(
-            f"unknown allocation policy {alloc_key!r} "
-            f"(have: {', '.join(sorted(ALLOC_POLICIES_BY_KEY))})"
-        )
-    kernels = case_kernels(spec)
-    if any(kernel is None for kernel in kernels):
-        raise ConfigurationError(
-            "placement-aware fuzzing needs every core populated "
-            f"(case seed {spec.seed} has idle slots)"
-        )
-    threads = [
-        ThreadSpec(key=f"c{core:02d}", kernel=kernel)
-        for core, kernel in enumerate(kernels)
-    ]
-    context = AllocContext(config=config, sharing_key=sharing_key, seed=seed)
-    placement = ALLOC_POLICIES_BY_KEY[alloc_key](threads, context)
-    return [
-        (
-            members,
-            CaseSpec(
-                seed=spec.seed,
-                cores=tuple(spec.cores[index] for index in members),
-                unroll=spec.unroll,
-            ),
-        )
-        for members in placement
-    ]
-
-
 def fuzz_seeds(
     seeds: Sequence[int],
     policies: Sequence[str] = DEFAULT_POLICIES,
@@ -402,31 +354,19 @@ def fuzz_seeds(
     audit: Optional[bool] = None,
     progress: Optional[Callable[[str], None]] = None,
     num_cores: int = 2,
-    alloc: Optional[str] = None,
 ) -> FuzzReport:
     """Run :func:`check_case` over ``seeds``; collect every divergence.
 
     ``num_cores`` widens the generated co-runs (and, when no explicit
-    ``config`` is given, the machine) — the N-core smoke lever.  With
-    ``alloc`` set, each N-core case is first split into 2-core complexes
-    by that allocation policy (:func:`place_case`) and every complex is
-    diffed independently on the complex-sized machine.
+    ``config`` is given, the machine) — the N-core smoke lever.
     """
     report = FuzzReport(seeds=list(seeds), cases=len(seeds), runs=0, divergences=[])
     for index, seed in enumerate(seeds):
         spec = generate_case(seed, num_cores)
-        if alloc is None:
-            subs = [spec]
-        else:
-            subs = [sub for _members, sub in place_case(spec, alloc, config=config)]
-        found: List[Divergence] = []
-        for sub in subs:
-            # Without a config, the machine is as wide as the (sub-)case.
-            sub_config = config or experiment_config(len(sub.cores))
-            found.extend(
-                check_case(sub, policies, sub_config, max_cycles, audit, report.profile)
-            )
-            report.runs += 2 * len(policies)
+        # Without a config, the machine is as wide as the case.
+        case_config = config or experiment_config(len(spec.cores))
+        found = check_case(spec, policies, case_config, max_cycles, audit, report.profile)
+        report.runs += 2 * len(policies)
         report.divergences.extend(found)
         if progress is not None and ((index + 1) % 10 == 0 or found):
             status = (

@@ -1,22 +1,22 @@
-"""The pairing-policy family: determinism, partitions, OI shaping."""
+"""The policy registry, and the placement the frozen ledger reads from it."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
-from repro.alloc import ALLOC_POLICIES_BY_KEY, ALLOC_POLICY_KEYS
+from repro.alloc import ALLOC_POLICIES_BY_KEY, AllocContext
 from repro.alloc.placement import ThreadSpec
-from repro.alloc.policies import (
-    AllocContext,
-    OiBalanceAllocation,
-    OiPackAllocation,
-    RandomAllocation,
-    RoundRobinAllocation,
-    thread_demand,
-)
+from repro.analysis.ecm import predict_workload
+from repro.analysis.experiments import alloc_threads
+from repro.common.config import experiment_config
 from repro.common.errors import ConfigurationError
 
-from tests.conftest import make_axpy, make_two_phase
+from tests.conftest import make_axpy
+
+BASELINE = Path(__file__).resolve().parents[2] / "bench" / "results" / "baseline.json"
 
 
 def _threads(count=4, kernel=None):
@@ -24,74 +24,38 @@ def _threads(count=4, kernel=None):
     return [ThreadSpec(key=f"t:{i:02d}", kernel=kernel) for i in range(count)]
 
 
-def _mixed_threads():
-    """Two bandwidth-hungry streaming threads + two compute-dense ones."""
-    streaming = make_axpy(length=4096)
-    compute = make_two_phase(length=256)
-    return [
-        ThreadSpec(key="mem:00", kernel=streaming),
-        ThreadSpec(key="mem:01", kernel=streaming),
-        ThreadSpec(key="cmp:02", kernel=compute),
-        ThreadSpec(key="cmp:03", kernel=compute),
-    ]
+def _ledger_placement(num_cores):
+    """What ``bench/wl_sim.py``'s ``ncore16_cold`` set-up times and records."""
+    threads = alloc_threads(num_cores, scale=0.05)
+    context = AllocContext(config=experiment_config(num_cores=2), sharing_key="occamy")
+    return threads, ALLOC_POLICIES_BY_KEY["symbiosis"](threads, context)
 
 
 def test_registry_is_complete_and_consistent():
-    assert ALLOC_POLICY_KEYS == (
-        "random",
-        "round-robin",
-        "oi-balance",
-        "oi-pack",
-        "symbiosis",
-    )
+    assert tuple(ALLOC_POLICIES_BY_KEY) == ("symbiosis",)
     for key, policy in ALLOC_POLICIES_BY_KEY.items():
         assert policy.key == key
-        assert policy.label
-
-
-@pytest.mark.parametrize("key", [k for k in ALLOC_POLICY_KEYS if k != "symbiosis"])
-def test_every_policy_returns_a_canonical_partition(key):
-    threads = _threads(6)
-    placement = ALLOC_POLICIES_BY_KEY[key](threads)
-    assert len(placement) == 3
-    flat = sorted(index for group in placement for index in group)
-    assert flat == list(range(6))
-    for group in placement:
-        assert list(group) == sorted(group)  # keys equal-width, so index order
-
-
-def test_random_is_seed_deterministic():
-    threads = _threads(8)
-    policy = RandomAllocation()
-    a = policy(threads, AllocContext(seed=7))
-    b = policy(threads, AllocContext(seed=7))
-    assert a == b
-    different = {policy(threads, AllocContext(seed=s)) for s in range(6)}
-    assert len(different) > 1  # the seed actually matters
-
-
-def test_round_robin_deals_in_arrival_order():
-    threads = _threads(6)
-    placement = RoundRobinAllocation()(threads)
-    assert placement == ((0, 3), (1, 4), (2, 5))
-
-
-def test_oi_balance_mixes_and_oi_pack_separates():
-    threads = _mixed_threads()
-    context = AllocContext()
-    config = context.complex_config()
-    demands = {t.key: thread_demand(t, config) for t in threads}
-    assert demands["mem:00"] != demands["cmp:02"]  # the axis is real
-
-    kinds = lambda group: {threads[i].key.split(":")[0] for i in group}
-    balanced = OiBalanceAllocation()(threads, context)
-    for group in balanced:
-        assert kinds(group) == {"mem", "cmp"}  # one of each per complex
-    packed = OiPackAllocation()(threads, context)
-    for group in packed:
-        assert len(kinds(group)) == 1  # likes packed with likes
 
 
 def test_policies_reject_uneven_thread_counts():
+    context = AllocContext(config=experiment_config(num_cores=2))
     with pytest.raises(ConfigurationError, match="evenly"):
-        RoundRobinAllocation()(_threads(5))
+        ALLOC_POLICIES_BY_KEY["symbiosis"](_threads(5), context)
+
+
+def test_ledger_placement_and_ecm_cycles_match_the_baseline():
+    """``ncore16_cold``'s exact extras, as the committed baseline holds them."""
+    exact = json.loads(BASELINE.read_text(encoding="utf-8"))["workloads"]["ncore16_cold"]["exact"]
+    threads, placement = _ledger_placement(16)
+    assert repr(placement) == exact["alloc_placement"]["value"]
+    assert repr(placement) == (
+        "((1, 10), (12, 15), (8, 3), (0, 5), (2, 11), (6, 14), (7, 4), (13, 9))"
+    )
+    cycles = [predict_workload(thread.kernel, "occamy").cycles for thread in threads]
+    assert repr(cycles) == exact["ecm_cycles"]["value"]
+
+
+def test_ledger_smoke_placement_is_pinned():
+    """The 4-core blend the bench's ``--smoke`` run places."""
+    _, placement = _ledger_placement(4)
+    assert placement == ((1, 3), (0, 2))

@@ -1,4 +1,4 @@
-"""Symbiosis matrix + matching solver: bounds, determinism, calibration."""
+"""Symbiosis matrix + matching solver: bounds and determinism."""
 
 from __future__ import annotations
 
@@ -7,18 +7,17 @@ import random
 import pytest
 
 from repro.alloc.placement import ThreadSpec
-from repro.alloc.policies import AllocContext
 from repro.alloc.symbiosis import (
+    AllocContext,
     MatrixEntry,
     SymbiosisAllocation,
     build_matrix,
-    calibrate_matrix,
     expected_random_matching_weight,
     matching_weight,
     matrix_key,
     solve_pairing,
 )
-from repro.analysis import result_cache
+from repro.common.config import experiment_config
 from repro.common.errors import ConfigurationError
 
 from tests.conftest import make_axpy, make_reduction, make_stencil
@@ -108,7 +107,7 @@ def test_expected_random_matching_weight():
 
 
 def test_matrix_entry_weight_and_cost():
-    entry = MatrixEntry(drains=(100.0, 200.0), source="ecm")
+    entry = MatrixEntry(drains=(100.0, 200.0))
     assert entry.cost == 200.0
     import math
 
@@ -118,7 +117,7 @@ def test_matrix_entry_weight_and_cost():
 
 def test_matrix_is_deterministic_under_identical_priors():
     threads = _threads()
-    context = AllocContext()
+    context = AllocContext(config=experiment_config(num_cores=2))
     first = build_matrix(threads, context)
     second = build_matrix(threads, context)
     assert first == second
@@ -134,44 +133,11 @@ def test_matrix_is_deterministic_under_identical_priors():
 def test_symbiosis_placement_is_valid_and_deterministic():
     threads = _threads()
     policy = SymbiosisAllocation()
-    placement = policy(threads)
-    assert placement == policy(threads)
+    context = AllocContext(config=experiment_config(num_cores=2))
+    placement = policy(threads, context)
+    assert placement == policy(threads, context)
     flat = sorted(index for group in placement for index in group)
     assert flat == list(range(4))
     with pytest.raises(ConfigurationError, match="even"):
-        policy(threads[:3])
-    with pytest.raises(ConfigurationError, match="complex"):
-        policy.place(threads, AllocContext(complex_size=4))
+        policy(threads[:3], context)
 
-
-# --- calibration -------------------------------------------------------------
-
-
-def test_calibrated_entries_round_trip_through_the_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "calib"))
-    threads = [
-        ThreadSpec(key="axpy:00", kernel=make_axpy(length=64)),
-        ThreadSpec(key="red:01", kernel=make_reduction(length=64)),
-    ]
-    context = AllocContext(calibrate=True)
-    cold = calibrate_matrix(threads, context)
-    assert all(entry.source == "measured" for _, entry in cold.entries)
-    disk = result_cache.default_cache()
-    assert len(disk) == len(cold.entries)  # one entry per candidate pair
-    hits_before = disk.hits
-    warm = calibrate_matrix(threads, context)
-    assert warm == cold  # bit-identical drains from the cached runs
-    assert disk.hits == hits_before + len(cold.entries)
-
-
-def test_calibration_keys_are_namespaced_away_from_ordinary_runs(config):
-    """The alloc ingredient keeps micro co-runs from colliding with (or
-    serving) ordinary complex simulations of the same jobs."""
-    from tests.conftest import compiled_job
-
-    jobs = [compiled_job(make_axpy(length=64)), None]
-    plain = result_cache.simulation_key(config, "occamy", jobs)
-    calib = result_cache.simulation_key(
-        config, "occamy", jobs, alloc="symbiosis-calib:occamy"
-    )
-    assert plain != calib

@@ -1,65 +1,26 @@
-"""The ``repro alloc-sweep`` subcommand and --cores validation."""
+"""CLI input validation, and the commands and flags that are gone."""
 
 from __future__ import annotations
 
-import json
 import re
 
 import pytest
 
-from repro.cli import main
-
-SCALE = "0.05"
-
-
-def test_alloc_sweep_report_fingerprints_are_placement_invariant(tmp_path, capsys):
-    """The CI smoke's identity assertion: the same pair label carries the
-    same run-fingerprint digest no matter which policy placed it."""
-    report = tmp_path / "alloc.json"
-    code = main(
-        [
-            "alloc-sweep",
-            "--cores", "4",
-            "--alloc", "random,round-robin,oi-balance,oi-pack",
-            "--scale", SCALE,
-            "--report", str(report),
-        ]
-    )
-    assert code == 0
-    payload = json.loads(report.read_text())
-    by_label = {}
-    for entry in payload["sweep"]:
-        assert entry["num_cores"] == 4
-        assert entry["geomean_cycles"] > 0
-        for pair in entry["pairs"]:
-            seen = by_label.setdefault(pair["label"], pair["fingerprint"])
-            assert seen == pair["fingerprint"], (
-                f"pair {pair['label']} diverged across placements"
-            )
-    assert len(by_label) > 2
-    out = capsys.readouterr().out
-    assert "alloc=oi-pack" in out
-    assert "per-thread geomean" in out
-
-
-def test_alloc_sweep_rejects_unknown_policy(capsys):
-    assert main(["alloc-sweep", "--cores", "4", "--alloc", "nope",
-                 "--scale", SCALE]) == 2
-    assert "nope" in capsys.readouterr().err
+from repro.cli import build_parser, main
 
 
 #: Each bad input and the value its error line must name.
 BAD_INPUTS = [
-    (["alloc-sweep", "--cores", "4x"], "'4x'"),
-    (["alloc-sweep", "--cores", "4", "4"], "duplicate core count 4"),
-    (["alloc-sweep", "--cores", "-4"], "got -4"),
+    (["motivate", "--cores", "4x"], "'4x'"),
+    (["motivate", "--cores", "4", "4"], "duplicate core count 4"),
+    (["motivate", "--cores", "-4"], "got -4"),
     (["motivate", "--cores", "0"], "got 0"),
     (["motivate", "--cores", "two"], "'two'"),
     (["diff-fuzz", "--seeds", "1", "--cores", "junk"], "'junk'"),
     (["pair", "spec", "1", "13", "--scale", "0"], "'0'"),
     (["motivate", "--scale", "-1"], "'-1'"),
     (["fidelity", "--scale", "0"], "'0'"),
-    (["alloc-sweep", "--scale", "nan"], "'nan'"),
+    (["report", "r.md", "--scale", "nan"], "'nan'"),
     (["perf-report", "--scale", "inf"], "'inf'"),
     (["report", "r.md", "--pairs", "-1"], "'-1'"),
     (["report", "r.md", "--pairs", "0"], "'0'"),
@@ -70,6 +31,11 @@ BAD_INPUTS = [
     (["perf-report", "--workloads", "99"], "workload 99"),
     (["perf-report", "--workloads", "17,x"], "'17,x'"),
     (["perf-report", "--policies", "nope"], "'nope'"),
+    (["diff-fuzz", "--seeds", "0"], "--seeds: must be an integer >= 1, got '0'"),
+    (["diff-fuzz", "--seeds", "-3"], "--seeds: must be an integer >= 1, got '-3'"),
+    (["diff-fuzz", "--shrink-limit", "-1"],
+     "--shrink-limit: must be an integer >= 0, got '-1'"),
+    (["diff-fuzz", "--shrink-limit", "x"], "--shrink-limit: must be an integer >= 0, got 'x'"),
 ]
 
 
@@ -94,6 +60,7 @@ def test_bad_cores_values_exit_2_naming_the_value(argv, bad, tmp_path, capsys):
         ("perf-report", "skip-validation"),
         ("motivate", "alloc"),
         ("motivate", "calibrate"),
+        ("diff-fuzz", "alloc"),
     ],
 )
 def test_removed_flags_exit_2(command, flag, capsys):
@@ -105,6 +72,16 @@ def test_removed_flags_exit_2(command, flag, capsys):
 def test_removed_figures_command_exits_2(capsys):
     assert _exit_code(["figures", "out"]) == 2
     assert "invalid choice: 'figures'" in capsys.readouterr().err
+
+
+def test_removed_alloc_sweep_command_exits_2(capsys):
+    assert _exit_code(["alloc-sweep", "--cores", "16"]) == 2
+    assert "invalid choice: 'alloc-sweep'" in capsys.readouterr().err
+
+
+def test_diff_fuzz_counts_at_their_floor_parse():
+    args = build_parser().parse_args(["diff-fuzz", "--seeds", "1", "--shrink-limit", "0"])
+    assert (args.seeds, args.shrink_limit) == (1, 0)
 
 
 def _exit_code(argv):

@@ -112,45 +112,14 @@ def test_a_group_given_as_a_list_keys_like_the_tuple(config):
     assert task_key(as_list) == task_key(as_tuple)
 
 
-def test_group_and_calibration_tasks_key_like_the_jobs_they_build(config, monkeypatch):
+def test_group_tasks_key_like_the_jobs_they_build(config):
     """The seams folded into ``run_tasks`` kept their keys: an N-core blend
-    and an allocation complex are ``simulation_key`` over ``jobs_for_group``,
-    a calibration co-run the same over its compiled kernels plus the
-    ``alloc`` namespace."""
-    from repro.alloc import AllocContext, ThreadSpec, calibrate_matrix
-    from repro.analysis import parallel
+    and a two-core group are ``simulation_key`` over ``jobs_for_group``."""
     from repro.analysis.experiments import ncore_group
     from repro.common.config import experiment_config
-    from repro.compiler.pipeline import CompileOptions, build_image, compile_kernel
-    from repro.core.result import Job
     from repro.workloads.pairs import jobs_for_group
-    from repro.workloads.spec import spec_workload
 
     blend = ncore_group(8)
     for group, cfg in ((blend, experiment_config(num_cores=8)), (blend[:2], config)):
         task = SimTask(policy_key="fts", scale=0.05, config=cfg, kind="group", group=group)
         assert task_key(task) == simulation_key(cfg, "fts", jobs_for_group(group, 0.05))
-
-    kernels = tuple(spec_workload(workload, scale=0.05) for workload in blend[:2])
-    task = SimTask(
-        policy_key="occamy", scale=0.05, config=config, kind="kernels",
-        kernels=kernels, alloc="symbiosis-calib:occamy",
-    )
-    options = CompileOptions(memory=config.memory)
-    jobs = [
-        Job(compile_kernel(kernel, options), build_image(kernel, core))
-        for core, kernel in enumerate(kernels)
-    ]
-    expected = simulation_key(config, "occamy", jobs, alloc="symbiosis-calib:occamy")
-    assert task_key(task) == expected
-    assert expected != simulation_key(config, "occamy", jobs)
-
-    # ... and that task is the one a calibration hands to run_tasks.
-    seen = []
-    real = parallel.run_tasks
-    monkeypatch.setattr(
-        parallel, "run_tasks", lambda tasks, **kw: seen.extend(tasks) or real(tasks, **kw)
-    )
-    threads = [ThreadSpec(key=f"t{index}", kernel=kernel) for index, kernel in enumerate(kernels)]
-    calibrate_matrix(threads, AllocContext(config=config, calibrate=True))
-    assert seen == [task]

@@ -63,19 +63,12 @@ def _ncore_fingerprints(jobs):
     return [(key, run_fingerprint(result)) for key, result in outcome.results.items()]
 
 
-def _alloc_fingerprints(jobs):
-    return [
-        (outcome.alloc_key, outcome.pair_labels(), [run_fingerprint(r) for r in outcome.results])
-        for outcome in experiments.alloc_sweep((8,), scale=0.05, jobs=jobs)
-    ]
-
-
-@pytest.mark.parametrize("fingerprints", [_ncore_fingerprints, _alloc_fingerprints])
-def test_ncore_and_alloc_sweeps_match_serial(fingerprints):
-    """The drivers that used to drop ``jobs`` fan out to the same results."""
-    serial = fingerprints(jobs=1)
+def test_ncore_sweep_matches_serial():
+    """The N-core driver, which used to drop ``jobs``, fans out to the same
+    results."""
+    serial = _ncore_fingerprints(jobs=1)
     experiments._sweep_cache.clear()
-    assert fingerprints(jobs=2) == serial
+    assert _ncore_fingerprints(jobs=2) == serial
 
 
 def test_run_tasks_order_is_positional(config):

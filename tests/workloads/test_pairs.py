@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiments import alloc_group
+from repro.analysis.experiments import ncore_group
 from repro.workloads.pairs import dedup_unordered
 
 
@@ -46,7 +46,7 @@ def test_distinct_keys_give_n_choose_2():
     ],
 )
 def test_blend_pair_set_cardinality(num_cores, expected):
-    group = alloc_group(num_cores)
+    group = ncore_group(num_cores)
     pair_set = dedup_unordered(group)
     assert len(pair_set) == expected
     assert pair_set == sorted(set(pair_set))
@@ -54,7 +54,7 @@ def test_blend_pair_set_cardinality(num_cores, expected):
 
 def test_pair_set_is_placement_superset():
     """Every complex any placement could form is in the candidate set."""
-    group = alloc_group(8)
+    group = ncore_group(8)
     pair_set = set(dedup_unordered(group))
     for i in range(len(group)):
         for j in range(i + 1, len(group)):
