@@ -79,8 +79,8 @@ def _integer_at_least(text: str, least: int) -> int:
 
 def count_type(text: str) -> int:
     """A count of at least one (``report --pairs``, ``diff-fuzz --seeds``,
-    the daemon's ``--workers`` / ``--queue-depth`` / ``--max-per-client``),
-    else argparse exits 2."""
+    ``area --cores``, the daemon's ``--workers`` / ``--queue-depth`` /
+    ``--max-per-client``), else argparse exits 2."""
     return _integer_at_least(text, 1)
 
 
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     table5 = sub.add_parser("table5", help="reproduce Table 5")
 
     area = sub.add_parser("area", help="Fig. 12 area model")
-    area.add_argument("--cores", type=int, default=2)
+    area.add_argument("--cores", type=count_type, default=2)
 
     trace = sub.add_parser(
         "trace", help="export a JSON trace of a pair run", parents=[runtime]

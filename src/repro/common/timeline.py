@@ -48,30 +48,6 @@ class BucketSeries:
         self._sums[index] += total
         self._counts[index] += samples
 
-    def add_range(self, start_cycle: int, end_cycle: int, value: float) -> None:
-        """Record ``value`` once per cycle over ``[start_cycle, end_cycle)``.
-
-        Equivalent to calling :meth:`add` for every cycle in the span but in
-        O(buckets touched) — the batch-recording primitive the tickless
-        scheduler uses for skipped spans (a span of thousands of slept
-        cycles lands as a handful of bucket updates).
-        """
-        if end_cycle <= start_cycle:
-            return
-        size = self.bucket_cycles
-        last_index = (end_cycle - 1) // size
-        while len(self._sums) <= last_index:
-            self._sums.append(0.0)
-            self._counts.append(0)
-        cursor = start_cycle
-        while cursor < end_cycle:
-            index = cursor // size
-            bucket_end = (index + 1) * size
-            span = min(end_cycle, bucket_end) - cursor
-            self._sums[index] += value * span
-            self._counts[index] += span
-            cursor += span
-
     def averages(self) -> List[float]:
         """Average value in each bucket (0.0 for empty buckets)."""
         return [

@@ -160,12 +160,14 @@ class CoProcessor:
         return int(math.ceil(nxt))
 
     def skip_idle_cycles(self, cycles: int) -> None:
-        """Account for ``cycles`` elided zero-progress cycles.
+        """Account for ``cycles`` cycles run without :meth:`_dispatch`.
 
         The only engine state the per-cycle loop mutates during an idle
         cycle is the dispatch-fairness rotation (advanced once per
         :meth:`_dispatch` in the spatial/temporal modes); replay it so a
         fast-forwarded run stays bit-identical to the cycle-by-cycle one.
+        The lone-core body (``Machine._run_lone``) replays it here for the
+        cycles it steps too: with one core dispatching, no order reads it.
         """
         if cycles <= 0:
             return
@@ -180,7 +182,8 @@ class CoProcessor:
         The phase order of one co-processor cycle — commit, EM-SIMD,
         dispatch — as ``Machine.step`` and the oracle run it.  The
         tickless run loop runs the same phases itself, over its awake
-        cores only (``Machine._step_fast``).
+        cores only (``Machine._step_fast``), or over its one awake core
+        (``Machine._run_lone``).
         """
         cores = self._every_core
         events = 0

@@ -45,11 +45,10 @@ class LoadStoreUnit:
     def stq_occupancy(self, cycle: float) -> int:
         """Occupied STQ entries once completed stores have retired at ``cycle``.
 
-        The only place stores retire: the one-pass dispatch reads the
-        occupancy at the first store of its walk (and again at the first
-        store after a zero-byte access) and counts its own stores, refusing
-        one at capacity, so the queue never holds more than
-        ``store_queue_entries`` completions.
+        The one-pass dispatch reads the occupancy at the first store of its
+        walk (and again at the first store after a zero-byte access) and
+        counts its own stores, refusing one at capacity, so the queue never
+        holds more than ``store_queue_entries`` completions.
         """
         queue = self._store_queue
         while queue and queue[0] <= cycle:
@@ -60,9 +59,10 @@ class LoadStoreUnit:
         """Earliest future cycle a queued store retires (frees an STQ slot).
 
         Next-event hook for the idle-cycle fast-forward: an STQ-full stall
-        can only clear when the oldest outstanding store completes.
+        can only clear when the oldest outstanding store completes.  Pops
+        the stores retired by ``cycle``, as :meth:`stq_occupancy` does.
         """
-        for completion in self._store_queue:
-            if completion > cycle:
-                return completion
-        return None
+        queue = self._store_queue
+        while queue and queue[0] <= cycle:
+            queue.popleft()
+        return queue[0] if queue else None

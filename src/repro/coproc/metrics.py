@@ -126,11 +126,6 @@ class Metrics:
         self.reconfig_failed = [0] * num_cores
         self.monitor_cycles = [0] * num_cores
         self.reconfig_cycles = [0] * num_cores
-        #: Per-core sleep occupancy (1.0 per slept cycle), bucketed like the
-        #: lane-usage series.  Written only by the tickless event-wheel run
-        #: loop via :meth:`on_sleep_span`; not part of the result
-        #: fingerprint (it describes the engine, not the machine).
-        self.sleep_series = [BucketSeries(bucket_cycles) for _ in range(num_cores)]
         self.total_cycles = 0
         #: Sleep capture for the tickless run loop: per core, the last stall
         #: reason and the last EM-SIMD overhead kind recorded, each with the
@@ -269,10 +264,6 @@ class Metrics:
             self.monitor_cycles[core] += times
         elif overhead is not None:
             self.reconfig_cycles[core] += times
-
-    def on_sleep_span(self, core: int, start_cycle: int, end_cycle: int) -> None:
-        """Record that ``core``'s complex slept over ``[start, end)``."""
-        self.sleep_series[core].add_range(start_cycle, end_cycle, 1.0)
 
     def on_core_done(self, core: int, cycle: int) -> None:
         if self.core_done_cycle[core] is None:

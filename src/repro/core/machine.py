@@ -151,7 +151,8 @@ class Machine:
         self._comp_asleep: List[int] = [0] * num_cores
         self._ff_skipped = 0
         #: Per core, the events it processed this cycle (:meth:`_step_fast`
-        #: resets the awake cores' slots, :meth:`_settle` a woken one's).
+        #: resets the awake cores' slots, :meth:`_settle` a woken one's;
+        #: the lean body :meth:`_run_lone` counts in a local instead).
         self._core_events: List[int] = [0] * num_cores
         #: Simulated-cycle attribution of the last completed :meth:`run`
         #: (the same object as its result's ``profile``).
@@ -273,22 +274,24 @@ class Machine:
         that cycle are captured once and settled in bulk when it wakes.
         Sleeping components are skipped by :meth:`_step_fast`; when
         every live component sleeps, the global clock jumps straight to the
-        earliest wake.  Temporal sharing (FTS) couples the cores through
-        one issue budget and one renamer, so there the components sleep all
-        together or not at all — only after a machine-wide zero-progress
-        cycle, and only if none would wake at the very next cycle — and a
-        due wake of any of them settles all.  The per-core loops of a
-        cycle walk the sorted *active list* (awake live cores), so a cycle
-        costs O(components with work).  Bit-identical to calling
-        :meth:`step` once per cycle, which is what the oracle does
-        (``ReferenceMachine`` in :mod:`repro.validation.reference_engine`;
-        the differential fuzzer diffs the two).
+        earliest wake.  Under a spatial policy, while exactly one component
+        is awake, its cycles run in the lean body :meth:`_run_lone`, which
+        folds its short sleeps in place.  Temporal sharing (FTS) couples
+        the cores through one issue budget and one renamer, so there the
+        components sleep all together or not at all — only after a
+        machine-wide zero-progress cycle, and only if none would wake at
+        the very next cycle — and a due wake of any of them settles all.
+        The per-core loops of a cycle walk the sorted *active list* (awake
+        live cores), so a cycle costs O(components with work).
+        Bit-identical to calling :meth:`step` once per cycle, which is what
+        the oracle does (``ReferenceMachine`` in
+        :mod:`repro.validation.reference_engine`; the differential fuzzer
+        diffs the two).
         """
         metrics = self.metrics
         coproc = self.coproc
         wheel = self._wheel
         wheel_heap = wheel._heap
-        awake = self._awake
         active = self._active = [
             core_id
             for core_id, core in enumerate(self.cores)
@@ -296,6 +299,7 @@ class Machine:
         ]
         self._live_count = len(active)
         coupled = coproc.mode is SharingMode.TEMPORAL
+        lone = coproc.mode is SharingMode.SPATIAL
         coproc.wake_all_hook = self._wake_all_mid_cycle
         core_events = self._core_events
         cycle = 0
@@ -331,19 +335,17 @@ class Machine:
                             self._ff_skipped += skipped
                             cycle = target
                             continue
+                if lone and len(active) == 1:
+                    cycle, last_progress = self._run_lone(
+                        active[0], cycle, last_progress, max_cycles
+                    )
+                    continue
                 metrics._now = cycle  # the stamp this cycle's records carry
                 progress = self._step_fast(cycle)
                 if progress:
                     last_progress = cycle
-                elif (
-                    cycle - last_progress > DEADLOCK_WINDOW
-                    and self.next_event_cycle(cycle) is None
-                ):
-                    self._settle_all(cycle)
-                    raise DeadlockError(
-                        f"no forward progress since cycle {last_progress} "
-                        f"(policy={self.policy.key})"
-                    )
+                else:
+                    self._check_deadlock(cycle, last_progress)
                 if not (coupled and progress):
                     sleepers = []
                     for component in active:
@@ -356,15 +358,7 @@ class Machine:
                     if coupled and len(sleepers) < len(active):
                         sleepers = ()
                     for component, wake in sleepers:
-                        awake[component] = False
-                        self._asleep_count += 1
-                        self._sleep_from[component] = cycle + 1
-                        self._sleep_events[component] = metrics.core_idle_events(
-                            component
-                        )
-                        active.remove(component)
-                        if wake is not None:
-                            wheel.schedule(component, wake)
+                        self._sleep(component, cycle, wake)
                 cycle += 1
         finally:
             coproc.wake_all_hook = None
@@ -384,7 +378,9 @@ class Machine:
         CTS an ownership switch there may wake sleepers mid-cycle, which
         :meth:`_settle` inserts into the active list with a zeroed event
         slot.  Done detection and the busy/idle count then walk a snapshot
-        of the list, which done detection shrinks.
+        of the list, which done detection shrinks.  A core whose pool is
+        full and whose ``pc`` is pool-bound (``ScalarCore.pool_bound``) is
+        not stepped: its step would retire and book nothing.
         """
         active = self._active
         core_events = self._core_events
@@ -393,7 +389,12 @@ class Machine:
         pools = coproc.pools
         progress = 0
         for core_id in active:
-            retired = cores[core_id].step(cycle)
+            core = cores[core_id]
+            pool = pools[core_id]
+            if len(pool._entries) >= pool.capacity and core.pool_bound[core.pc]:
+                core_events[core_id] = 0  # the step would be a no-op
+                continue
+            retired = core.step(cycle)
             core_events[core_id] = retired
             progress += retired
         commit_core = coproc._batch.commit_core
@@ -432,6 +433,112 @@ class Machine:
         if self.auditor is not None:
             self.auditor.check_machine(cycle)
         return progress
+
+    def _run_lone(
+        self, component: int, cycle: int, last_progress: int, max_cycles: int
+    ) -> Tuple[int, int]:
+        """The lean body: ``component`` is the one awake live component
+        under a spatial policy.  Runs its cycles as :meth:`_step_fast`
+        would, minus the active-list walks and :meth:`CoProcessor._dispatch`'s
+        multi-core prologue (the rotation is replayed on exit), up to the
+        next wake another component registered or ``max_cycles``.  A sleep
+        with a wake strictly before that bound is *folded*: booked as the
+        wheel's jump and :meth:`_settle` would book it, and the loop goes on
+        at the wake.  Returns the next cycle and the last with progress.
+        """
+        metrics, coproc, auditor = self.metrics, self.coproc, self.auditor
+        core = self.cores[component]
+        pool, pool_bound = coproc.pools[component], core.pool_bound
+        entries, capacity = pool._entries, pool.capacity
+        batch = coproc._batch
+        commit_core, dispatch_core = batch.commit_core, batch.dispatch_core
+        step, component_wake = core.step, self._component_wake
+        vector = self.config.vector
+        widths = vector.compute_issue_width, vector.ldst_issue_width
+        nxt = self._wheel.next_wake()
+        limit = max_cycles if nxt is None or nxt > max_cycles else nxt
+        busy = idle = asleep = done = 0
+        while cycle < limit:
+            metrics._now = cycle
+            if len(entries) >= capacity and pool_bound[core.pc]:
+                events = 0
+            else:
+                events = step(cycle)
+            if entries:
+                head = entries[0]
+                if head.state is not _WAITING and head.complete_cycle <= cycle:
+                    events += commit_core(coproc, component, cycle)
+                    head = entries[0] if entries else None
+                if head and head.kind is _EMSIMD and head.state is _WAITING:
+                    coproc._execute_emsimd(component, head, cycle)
+                    events += 1
+            budget = {"compute": widths[0], "ldst": widths[1]}
+            events += dispatch_core(coproc, component, budget, cycle)
+            if core.halted and not entries:
+                done = events = 1
+                self._done[component] = True
+                metrics.on_core_done(component, cycle)
+                coproc.set_core_active(component, False)
+                self._live_count -= 1
+                self._active.remove(component)
+            elif events:
+                busy += 1
+            else:
+                idle += 1
+            if auditor is not None:
+                auditor.check_machine(cycle)
+            if events:
+                last_progress = cycle
+                cycle += 1
+                if done:
+                    break
+                continue
+            if cycle - last_progress > DEADLOCK_WINDOW:
+                self._check_deadlock(cycle, last_progress)
+            wake = component_wake(component, cycle)
+            if wake is not None and cycle + 1 < wake < limit:  # the fold
+                slept = wake - cycle - 1
+                captured = metrics.core_idle_events(component)
+                metrics.replay_core_idle_cycles(component, captured, slept)
+                asleep += slept
+                cycle = wake
+                continue
+            if wake is None or wake > cycle + 1:
+                self._sleep(component, cycle, wake)
+                cycle += 1
+                break
+            cycle += 1
+        # A raise above leaves these unflushed: the run has failed.
+        self._comp_busy[component] += busy
+        self._comp_idle[component] += idle
+        self._comp_asleep[component] += asleep
+        self._ff_skipped += asleep
+        coproc.skip_idle_cycles(busy + idle + done + asleep)
+        return cycle, last_progress
+
+    def _sleep(self, component: int, cycle: int, wake: Optional[int]) -> None:
+        """Put ``component`` to sleep after ``cycle`` until ``wake`` (on the
+        wheel; ``None``: until an external wake), capturing its idle events."""
+        self._awake[component] = False
+        self._asleep_count += 1
+        self._sleep_from[component] = cycle + 1
+        self._sleep_events[component] = self.metrics.core_idle_events(component)
+        self._active.remove(component)
+        if wake is not None:
+            self._wheel.schedule(component, wake)
+
+    def _check_deadlock(self, cycle: int, last_progress: int) -> None:
+        """After a zero-progress ``cycle``: raise once nothing has moved for
+        ``DEADLOCK_WINDOW`` cycles and no component has a future event."""
+        if (
+            cycle - last_progress > DEADLOCK_WINDOW
+            and self.next_event_cycle(cycle) is None
+        ):
+            self._settle_all(cycle)
+            raise DeadlockError(
+                f"no forward progress since cycle {last_progress} "
+                f"(policy={self.policy.key})"
+            )
 
     def _component_wake(self, component: int, cycle: int) -> Optional[int]:
         """Earliest future cycle at which ``component`` can change behaviour.
@@ -489,7 +596,6 @@ class Machine:
             self.metrics.replay_core_idle_cycles(
                 component, self._sleep_events[component], slept
             )
-            self.metrics.on_sleep_span(component, start, cycle)
             self._comp_asleep[component] += slept
         self._awake[component] = True
         self._asleep_count -= 1

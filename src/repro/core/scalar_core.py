@@ -72,6 +72,10 @@ _STORE = EntryKind.STORE
 _F32 = np.float32
 _zeros = np.zeros
 
+#: The instructions whose handler tests pool fullness before anything else:
+#: with the pool full, a step at one retires nothing and books nothing.
+_POOL_BOUND = (VOp, VLoad, VStore, WhileLT, VHReduce, MSR)
+
 
 #: Scalar ALU semantics (the oracle's seed interpreter shares this table,
 #: so both compute identical values).
@@ -222,6 +226,12 @@ class ScalarCore:
             self._decode(index, instr)
             for index, instr in enumerate(program.instructions)
         ]
+        #: Per pc, whether the instruction is :data:`_POOL_BOUND`: the run
+        #: loop skips a step there while the pool is full.  The extra slot
+        #: is where a halted core's ``pc`` points.
+        self.pool_bound: List[bool] = [
+            isinstance(instr, _POOL_BOUND) for instr in program.instructions
+        ] + [False]
 
     # --- operand helpers ---------------------------------------------------
 

@@ -37,7 +37,8 @@ Runs **only here**, top to bottom:
   nothing is skipped, no profile is produced.  Each cycle goes through the
   phase-order shells ``Machine.step`` and the bare ``CoProcessor.step``
   (commit, EM-SIMD, dispatch); they live with the engine, but its own
-  cycle is ``Machine._step_fast``, so ``diff-fuzz`` checks its order.
+  cycles are ``Machine._step_fast`` and, for one awake core,
+  ``Machine._run_lone``, so ``diff-fuzz`` checks their order.
 
 **Shared** with the fast engine — a bug in any of these is invisible to
 ``diff-fuzz``; closed-form limits and metamorphic laws (ROADMAP 3(b),
@@ -61,9 +62,10 @@ Runs **only here**, top to bottom:
 * the compiler, workloads and images, and the ``--audit`` checker.
 
 **Not touched**: the event wheel and sleep/settle path (``_run_fast``,
-``_step_fast`` and its phase order, ``_component_wake``, ``_settle*``,
-``Metrics.replay_core_idle_cycles``, ``skip_idle_cycles``), the ``_make_*``
-decoded handlers with their inline operand reads, the ``VOp`` full-width
+``_step_fast`` and its phase order, the lone-core body ``_run_lone`` and
+its in-place fold, the pool-bound step skip, ``_component_wake``,
+``_settle*``, ``Metrics.replay_core_idle_cycles``, ``skip_idle_cycles``),
+the ``_make_*`` decoded handlers with their inline operand reads, the ``VOp`` full-width
 store and their inline transmit, ``BatchExecutor`` and its
 ld/st issue ``_issue_memory``, ``InstructionPool`` (its ready index, kept
 on the uops, and prefix-scan ``commit_ready``),

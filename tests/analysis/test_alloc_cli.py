@@ -36,6 +36,8 @@ BAD_INPUTS = [
     (["diff-fuzz", "--shrink-limit", "-1"],
      "--shrink-limit: must be an integer >= 0, got '-1'"),
     (["diff-fuzz", "--shrink-limit", "x"], "--shrink-limit: must be an integer >= 0, got 'x'"),
+    (["area", "--cores", "0"], "--cores: must be an integer >= 1, got '0'"),
+    (["area", "--cores", "-3"], "--cores: must be an integer >= 1, got '-3'"),
 ]
 
 

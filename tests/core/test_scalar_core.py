@@ -6,11 +6,12 @@ import pytest
 from repro.common.config import experiment_config
 from repro.common.errors import SimulationError
 from repro.coproc.coprocessor import CoProcessor, SharingMode
+from repro.coproc.dynamic import DynamicInstruction, EntryKind
 from repro.coproc.metrics import Metrics
 from repro.core.lane_manager import StaticLaneManager
 from repro.core.scalar_core import _VOP_IMPLS, ELEMS_PER_LANE, ScalarCore
 from repro.isa.assembler import assemble
-from repro.isa.instructions import Halt, VOp
+from repro.isa.instructions import Halt, Instruction, VOp
 from repro.isa.operands import Imm, PReg, ScalarRef, VReg
 from repro.isa.program import Program
 from repro.memory.image import MemoryImage
@@ -337,3 +338,72 @@ class TestEmSimdInteraction:
         phases = core.metrics.phases_of(0)
         assert len(phases) == 1
         assert phases[0].oi.issue == 0.5
+
+
+#: One program per decoded kind, its first instruction the one under test;
+#: the MRS cases run with and without an EM-SIMD write in the full pool.
+POOL_BOUND_CASES = {
+    "label": "top:\nhalt",
+    "scalar-op": "mov Xa, #1\nhalt",
+    "branch": "b done\ndone:\nhalt",
+    "branch-cond": "b.lt Xa, #1, done\ndone:\nhalt",
+    "addvl": "addvl Xi, Xi\nhalt",
+    "halt": "halt",
+    "msr-vl": "msr <VL>, #8\nhalt",
+    "msr-oi": "msr <OI>, #(0.5, 0.5)\nhalt",
+    "mrs-status": "mrs X3, <status>\nhalt",
+    "mrs-status-behind-msr": "mrs X3, <status>\nhalt",
+    "mrs-decision": "mrs X3, <decision>\nhalt",
+    "whilelt": "whilelt p0, Xi, Xn\nhalt",
+    "vop": "fadd z3, z1, z2\nhalt",
+    "vload": "ld1w z1, [a, Xi]\nhalt",
+    "vstore": "st1w z1, [a, Xi]\nhalt",
+    "vhreduce": "faddv Xs, z1\nhalt",
+}
+
+
+class TestPoolBoundFlag:
+    """``ScalarCore.pool_bound`` marks exactly the pcs where a step with a
+    full pool is a no-op, which is what lets both run bodies skip it."""
+
+    @staticmethod
+    def _state(core, coproc):
+        metrics = coproc.metrics
+        return (
+            dict(core.regs),
+            {name: value.tolist() for name, value in core.vregs.items()},
+            dict(core.pregs),
+            core.pc,
+            core.halted,
+            core.retired,
+            core.retired_vector,
+            [entry.seq for entry in coproc.pools[0]._entries],
+            [dict(stalls) for stalls in metrics.stalls],
+            list(metrics.monitor_cycles),
+            list(metrics.reconfig_cycles),
+        )
+
+    @pytest.mark.parametrize("case", sorted(POOL_BOUND_CASES))
+    def test_flag_is_set_exactly_where_a_full_pool_step_is_a_no_op(self, case):
+        core, coproc, _ = machine_for(POOL_BOUND_CASES[case], arrays={"a": [0.0] * 64})
+        pool = coproc.pools[0]
+        kinds = [EntryKind.COMPUTE] * pool.capacity
+        if case == "mrs-status-behind-msr":
+            kinds[0] = EntryKind.EMSIMD
+        for kind in kinds:
+            pool.push(DynamicInstruction(coproc.next_seq(), 0, kind, None, 1, 0))
+        outcomes = []
+        decoded = core.decoded[0]
+        if decoded is not None:
+            run_once = decoded.run
+            decoded.run = lambda cycle: outcomes.append(run_once(cycle)) or outcomes[-1]
+        before = self._state(core, coproc)
+        core.step(5)
+        no_op = outcomes[:1] == [("stall", None)] and self._state(core, coproc) == before
+        assert core.pool_bound[0] is no_op
+        assert core.pool_bound[-1] is False  # a halted core's pc
+        assert len(core.pool_bound) == len(core.program.instructions) + 1
+
+    def test_cases_cover_every_decoded_kind(self):
+        covered = {type(assemble(src).instructions[0]) for src in POOL_BOUND_CASES.values()}
+        assert covered == set(Instruction.__subclasses__())

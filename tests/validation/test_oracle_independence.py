@@ -5,17 +5,27 @@ other does not.  Each case below seeds one slip into a fast-engine kernel
 and requires the sweep to diverge: the oracle must be running its own
 commit walk, its own renamer headroom check, its own per-uop metric
 bookings, its own ld/st issue and its own operand reads at transmit (the
-decoded handlers read registers and build dependence edges inline).  The
-clean leg keeps the sweep honest in the other direction.
+decoded handlers read registers and build dependence edges inline) — and
+it never sleeps, so a lean body that folds a sleep too far or skips a step
+that was not a no-op shows too.  The clean leg keeps the sweep honest in
+the other direction.
 """
+
+import __future__
+import inspect
+import textwrap
 
 import pytest
 
+import repro.core.machine as machine_mod
 from repro.coproc import batch_exec
 from repro.coproc.dynamic import InstructionPool
 from repro.coproc.metrics import Metrics
 from repro.coproc.renamer import Renamer
+from repro.core import scalar_core
+from repro.core.machine import Machine
 from repro.core.scalar_core import ScalarCore
+from repro.isa.instructions import MRS
 from repro.validation.difftest import fuzz_seeds
 
 SEEDS = range(12)
@@ -114,6 +124,31 @@ def _deps_drop_the_predicate(monkeypatch):
     monkeypatch.setattr(ScalarCore, "_ports", slip)
 
 
+def _fold_across_other_wakes(monkeypatch):
+    """The lean body's fold also taken when another component's wake comes
+    first or at the same cycle: the lone component jumps over it, and the
+    other is woken late.  Cut from the method's own source."""
+    source = textwrap.dedent(inspect.getsource(Machine._run_lone))
+    bound = "cycle + 1 < wake < limit"
+    assert source.count(bound) == 1
+    code = compile(
+        source.replace(bound, "cycle + 1 < wake < max_cycles"),
+        machine_mod.__file__,
+        "exec",
+        flags=__future__.annotations.compiler_flag,
+        dont_inherit=True,
+    )
+    namespace = {}
+    exec(code, vars(machine_mod), namespace)
+    monkeypatch.setattr(Machine, "_run_lone", namespace["_run_lone"])
+
+
+def _mrs_pool_bound(monkeypatch):
+    """The pool-bound flag also set for ``MRS``, whose handler never tests
+    the pool: a full pool now also skips its read and its EM-SIMD sync stall."""
+    monkeypatch.setattr(scalar_core, "_POOL_BOUND", scalar_core._POOL_BOUND + (MRS,))
+
+
 @pytest.mark.parametrize(
     "seed_slip",
     [
@@ -123,6 +158,8 @@ def _deps_drop_the_predicate(monkeypatch):
         _ignore_the_mob,
         _shortcut_skips_tail_merge,
         _deps_drop_the_predicate,
+        _fold_across_other_wakes,
+        _mrs_pool_bound,
     ],
     ids=[
         "commit-width",
@@ -131,6 +168,8 @@ def _deps_drop_the_predicate(monkeypatch):
         "ldst-mob-start",
         "vop-tail-merge",
         "predicate-dependence",
+        "fold-across-wakes",
+        "mrs-pool-bound",
     ],
 )
 def test_fast_engine_slip_is_caught(monkeypatch, seed_slip):
