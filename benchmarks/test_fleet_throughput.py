@@ -155,7 +155,7 @@ def _run_leg(base_dir, workers, specs):
     gateway = thread = None
     try:
         manager.start(1)
-        gateway = Gateway(GatewayOptions(fleet=manager, health_interval=30.0))
+        gateway = Gateway(GatewayOptions(fleet=manager))
         thread = serve_in_thread(gateway)
         start = time.perf_counter()
         results, rejections = asyncio.run(
@@ -241,7 +241,7 @@ def test_fleet_identity_across_sharing_modes(tmp_path):
     gateway = thread = None
     try:
         manager.start(1)
-        gateway = Gateway(GatewayOptions(fleet=manager, health_interval=30.0))
+        gateway = Gateway(GatewayOptions(fleet=manager))
         thread = serve_in_thread(gateway)
         for policy in SHARING_MODES:
             spec = spec_for_pair(*PAIR, policy=policy, scale=SCALE)

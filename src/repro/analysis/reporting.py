@@ -1,9 +1,9 @@
-"""ASCII and Markdown rendering of the paper's tables and series."""
+"""ASCII and Markdown rendering of the paper's tables."""
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.common.errors import ConfigurationError
 
@@ -54,38 +54,6 @@ def md_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     for row in rows:
         lines.append("| " + " | ".join(str(cell) for cell in row) + " |")
     return "\n".join(lines)
-
-
-def format_series(
-    label: str, values: Sequence[float], width: int = 60, unit: str = ""
-) -> str:
-    """A one-line sparkline-ish rendering of a numeric series."""
-    if not values:
-        return f"{label}: (empty)"
-    peak = max(values)
-    # An all-non-positive series has no meaningful peak to normalise by;
-    # render it flat rather than dividing by a negative/zero peak.
-    scale_by = peak if peak > 0 else 1.0
-    glyphs = " .:-=+*#%@"
-    # Clamp below as well as above: a negative value would otherwise
-    # produce a negative glyph index, which Python silently wraps to the
-    # *highest* glyph — a dip would render as a spike.
-    bar = "".join(
-        glyphs[max(0, min(len(glyphs) - 1, int(v / scale_by * (len(glyphs) - 1))))]
-        for v in _resample(values, width)
-    )
-    return f"{label:>18} |{bar}| peak={peak:.3g}{unit}"
-
-
-def _resample(values: Sequence[float], width: int) -> List[float]:
-    if len(values) <= width:
-        return list(values)
-    out = []
-    for i in range(width):
-        lo = i * len(values) // width
-        hi = max(lo + 1, (i + 1) * len(values) // width)
-        out.append(sum(values[lo:hi]) / (hi - lo))
-    return out
 
 
 def _fmt(value: object) -> str:

@@ -4,7 +4,7 @@ This module only parses.  Each sub-command's body lives in — and is
 documented by — the module of its name under :mod:`repro.commands`
 (``motivate``, ``pair``, ``roofline``, ``table5``, ``area``, ``trace``,
 ``report``, ``fidelity``, ``perf-report``, ``diff-fuzz``, ``serve``,
-``submit``, ``svc-status``, ``fleet``, ``cache``), and :func:`main`
+``submit``, ``svc-status``, ``cache``), and :func:`main`
 imports only the one selected: ``repro cache stats`` loads no numpy, and
 a warm ``repro report`` neither numpy nor the simulator (DESIGN.md,
 "Import layering").
@@ -47,22 +47,29 @@ from typing import List, Optional
 
 POLICY_KEYS = ("private", "fts", "vls", "occamy")
 
-#: Default gateway URL for the fleet client commands.
-FLEET_HTTP_ENV = "REPRO_FLEET_HTTP"
-DEFAULT_FLEET_HTTP = "http://127.0.0.1:8765"
 
-
-def scale_type(text: str) -> float:
-    """``--scale``: a finite number above zero, else argparse exits 2."""
+def _float_where(text: str, accept, wanted: str) -> float:
     try:
         value = float(text)
     except ValueError:
-        value = 0.0
-    if not 0 < value < float("inf"):
-        raise argparse.ArgumentTypeError(
-            f"must be a positive finite number, got {text!r}"
-        )
+        value = float("nan")  # fails every bound below
+    if not accept(value):
+        raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
     return value
+
+
+def scale_type(text: str) -> float:
+    """A finite number above zero (``--scale``, the client ``--timeout``),
+    else argparse exits 2."""
+    return _float_where(
+        text, lambda v: 0 < v < float("inf"), "a positive finite number"
+    )
+
+
+def intensity_type(text: str) -> float:
+    """``roofline``'s intensities: a number >= 0, else argparse exits 2.
+    ``inf`` is a phase that moves no bytes."""
+    return _float_where(text, lambda v: v >= 0, "a number >= 0")
 
 
 def _integer_at_least(text: str, least: int) -> int:
@@ -93,29 +100,9 @@ def nonnegative_type(text: str) -> int:
 def timeout_type(text: str) -> float:
     """``--job-timeout``: a finite number of seconds >= 0 (0 disables),
     else argparse exits 2."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = -1.0
-    if not 0 <= value < float("inf"):
-        raise argparse.ArgumentTypeError(
-            f"must be a finite number >= 0, got {text!r}"
-        )
-    return value
-
-
-def http_bind_type(text: str):
-    """``fleet serve --http``: ``HOST:PORT`` with a port in 0..65535."""
-    host, _, port_text = text.rpartition(":")
-    try:
-        port = int(port_text, 10)
-    except ValueError:
-        port = -1
-    if not 0 <= port <= 65535:
-        raise argparse.ArgumentTypeError(
-            f"must look like HOST:PORT with a port in 0..65535, got {text!r}"
-        )
-    return host or "127.0.0.1", port
+    return _float_where(
+        text, lambda v: 0 <= v < float("inf"), "a finite number >= 0"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -186,8 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
     pair.add_argument("--scale", type=scale_type, default=0.5)
 
     roofline = sub.add_parser("roofline", help="explore the Eq. 4 roofline")
-    roofline.add_argument("oi_issue", type=float)
-    roofline.add_argument("oi_mem", type=float)
+    roofline.add_argument("oi_issue", type=intensity_type)
+    roofline.add_argument("oi_mem", type=intensity_type)
     roofline.add_argument(
         "--level", choices=("dram", "l2", "vec_cache"), default="dram"
     )
@@ -294,43 +281,39 @@ def build_parser() -> argparse.ArgumentParser:
         "(default $REPRO_SERVICE_SOCKET, else <cache-dir>/service.sock)",
     )
     svc_common.add_argument(
-        "--timeout", type=float, default=600.0, metavar="S",
+        "--timeout", type=scale_type, default=600.0, metavar="S",
         help="client-side response timeout in seconds (default 600)",
-    )
-
-    # The daemon's settings: `repro serve` takes them and `repro fleet serve`
-    # forwards them to the daemon it spawns.
-    daemon_options = argparse.ArgumentParser(add_help=False)
-    daemon_options.add_argument(
-        "--workers", type=count_type, default=2, metavar="N",
-        help="worker processes in the daemon's pool (default 2)",
-    )
-    daemon_options.add_argument(
-        "--queue-depth", type=count_type, default=64, metavar="N",
-        help="max queued jobs before submissions are rejected (default 64)",
-    )
-    daemon_options.add_argument(
-        "--max-per-client", type=count_type, default=16, metavar="N",
-        help="max queued+running jobs per client (default 16)",
-    )
-    daemon_options.add_argument(
-        "--job-timeout", type=timeout_type, default=300.0, metavar="S",
-        help="per-job wall-clock deadline in seconds; 0 disables "
-        "(default 300)",
-    )
-    daemon_options.add_argument(
-        "--runner", default=None, metavar="MOD:FUNC",
-        help="job runner as package.module:callable (default: the cached "
-        "simulation runner; test/bench harnesses inject stubs here)",
     )
 
     serve = sub.add_parser(
         "serve", help="run the simulation daemon (async job service)",
-        parents=[daemon_options, cache_options],
+        parents=[cache_options],
     )
     serve.add_argument(
         "--socket", default=None, metavar="ADDR",
         help="listen address: Unix socket path or tcp:HOST:PORT",
+    )
+    serve.add_argument(
+        "--workers", type=count_type, default=2, metavar="N",
+        help="worker processes in the daemon's pool (default 2)",
+    )
+    serve.add_argument(
+        "--queue-depth", type=count_type, default=64, metavar="N",
+        help="max queued jobs before submissions are rejected (default 64)",
+    )
+    serve.add_argument(
+        "--max-per-client", type=count_type, default=16, metavar="N",
+        help="max queued+running jobs per client (default 16)",
+    )
+    serve.add_argument(
+        "--job-timeout", type=timeout_type, default=300.0, metavar="S",
+        help="per-job wall-clock deadline in seconds; 0 disables "
+        "(default 300)",
+    )
+    serve.add_argument(
+        "--runner", default=None, metavar="MOD:FUNC",
+        help="job runner as package.module:callable (default: the cached "
+        "simulation runner; test/bench harnesses inject stubs here)",
     )
 
     submit = sub.add_parser(
@@ -371,59 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stop the daemon after reporting status",
     )
     svc_status.add_argument("--json", action="store_true")
-
-    # --- fleet: HTTP gateway + one daemon -------------------------------------
-
-    fleet = sub.add_parser(
-        "fleet",
-        help="run or control an HTTP gateway fronting one simulation daemon",
-    )
-    fleet_sub = fleet.add_subparsers(dest="fleet_op", required=True)
-
-    fleet_serve = fleet_sub.add_parser(
-        "serve", help="spawn the daemon and serve the HTTP gateway (foreground)",
-        parents=[daemon_options],
-    )
-    fleet_serve.add_argument(
-        "--http", dest="http_bind", type=http_bind_type, default="127.0.0.1:8765",
-        metavar="HOST:PORT", help="gateway listen address (default 127.0.0.1:8765)",
-    )
-    fleet_serve.add_argument(
-        "--base-dir", default=None, metavar="DIR",
-        help="directory for the daemon's socket and log "
-        "(default <cache-dir>/fleet)",
-    )
-
-    fleet_client = argparse.ArgumentParser(add_help=False)
-    fleet_client.add_argument(
-        "--http", default=None, metavar="URL",
-        help=f"gateway URL (default ${FLEET_HTTP_ENV}, "
-        f"else {DEFAULT_FLEET_HTTP})",
-    )
-    fleet_client.add_argument(
-        "--timeout", type=float, default=600.0, metavar="S",
-        help="HTTP response timeout in seconds (default 600)",
-    )
-
-    fleet_status = fleet_sub.add_parser(
-        "status", help="gateway counters and the daemon's status",
-        parents=[fleet_client],
-    )
-    fleet_status.add_argument("--json", action="store_true")
-
-    fleet_drain = fleet_sub.add_parser(
-        "drain", help="quiesce the daemon (finish queued + running work)",
-        parents=[fleet_client],
-    )
-
-    fleet_stop = fleet_sub.add_parser(
-        "stop", help="shut down the daemon and the gateway",
-        parents=[fleet_client],
-    )
-    fleet_stop.add_argument(
-        "--drain", action="store_true",
-        help="finish in-flight work before stopping",
-    )
 
     cache = sub.add_parser(
         "cache", help="inspect / prune the persistent result cache"

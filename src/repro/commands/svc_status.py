@@ -1,8 +1,7 @@
 """``repro svc-status``: query one running daemon.
 
 Queue depth, workers, counters; ``--drain`` quiesces it, ``--shutdown``
-stops it.  ``repro fleet status`` prints the same table for the daemon
-behind the HTTP gateway, after the gateway's own line.
+stops it (``--drain --shutdown`` finishes in-flight work first).
 """
 
 import argparse

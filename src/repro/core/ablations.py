@@ -38,7 +38,6 @@ class EqualSplitLaneManager:
 
     def __init__(self, total_lanes: int) -> None:
         self.total_lanes = total_lanes
-        self.plans_generated = 0
         self.plan_history: list = []
 
     def on_phase_change(self, table: ResourceTable, cycle: int) -> Dict[int, int]:
@@ -49,7 +48,6 @@ class EqualSplitLaneManager:
             remainder = self.total_lanes - share * len(running)
             for index, core in enumerate(running):
                 decisions[core] = share + (1 if index < remainder else 0)
-        self.plans_generated += 1
         self.plan_history.append((cycle, dict(decisions)))
         return decisions
 

@@ -28,7 +28,6 @@ class ElasticLaneManager:
     def __init__(self, roofline: RooflineModel, total_lanes: int) -> None:
         self.roofline = roofline
         self.total_lanes = total_lanes
-        self.plans_generated = 0
         self.plan_history: List[Tuple[int, Dict[int, int]]] = []
 
     def on_phase_change(self, table: ResourceTable, cycle: int) -> Dict[int, int]:
@@ -36,7 +35,6 @@ class ElasticLaneManager:
         running = table.running_phases()
         plan = greedy_partition(running, self.total_lanes, self.roofline)
         decisions = {core: plan.get(core, 0) for core in range(table.num_cores)}
-        self.plans_generated += 1
         self.plan_history.append((cycle, dict(decisions)))
         return decisions
 
@@ -46,10 +44,8 @@ class StaticLaneManager:
 
     def __init__(self, plan: Mapping[int, int]) -> None:
         self.plan = dict(plan)
-        self.plans_generated = 0
 
     def on_phase_change(self, table: ResourceTable, cycle: int) -> Dict[int, int]:
-        self.plans_generated += 1
         return {
             core: self.plan.get(core, 0) for core in range(table.num_cores)
         }
@@ -60,8 +56,6 @@ class TemporalLaneManager:
 
     def __init__(self, total_lanes: int) -> None:
         self.total_lanes = total_lanes
-        self.plans_generated = 0
 
     def on_phase_change(self, table: ResourceTable, cycle: int) -> Dict[int, int]:
-        self.plans_generated += 1
         return {core: self.total_lanes for core in range(table.num_cores)}

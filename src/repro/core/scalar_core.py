@@ -151,20 +151,18 @@ class DecodedInstr:
     decode time.
     """
 
-    __slots__ = ("pc", "instr", "run", "is_vector", "is_branch")
+    __slots__ = ("pc", "instr", "run", "is_vector")
 
     def __init__(
         self,
         pc: int,
         instr: Instruction,
         run: Callable[[int], Tuple[str, Optional[str]]],
-        is_branch: bool = False,
     ) -> None:
         self.pc = pc
         self.instr = instr
         self.run = run
         self.is_vector = instr.is_vector
-        self.is_branch = is_branch
 
 
 def _scalar_spec(src: object) -> Tuple[bool, object]:
@@ -216,7 +214,6 @@ class ScalarCore:
         self._last_writer: Dict[str, DynamicInstruction] = {}
         self._pending_scalar: Dict[str, DynamicInstruction] = {}
         self.retired = 0
-        self.retired_vector = 0
         self._monitor_idx = frozenset(program.meta.get("monitor", ()))
         self._reconfig_idx = frozenset(program.meta.get("reconfig", ()))
         self._instrumented = self._monitor_idx | self._reconfig_idx
@@ -341,9 +338,7 @@ class ScalarCore:
         if isinstance(instr, ScalarOp):
             return DecodedInstr(index, instr, self._make_scalar_op(instr))
         if isinstance(instr, Branch):
-            return DecodedInstr(
-                index, instr, self._make_branch(instr), is_branch=True
-            )
+            return DecodedInstr(index, instr, self._make_branch(instr))
         if isinstance(instr, AddVL):
             return DecodedInstr(index, instr, self._make_addvl(instr))
         if isinstance(instr, Halt):
@@ -468,7 +463,6 @@ class ScalarCore:
                 value=value,
             )
             push(entry)
-            self.retired_vector += 1
             return "ok", None
 
         return run
@@ -517,7 +511,6 @@ class ScalarCore:
             entry = DynamicInstruction(next_seq(), core_id, _COMPUTE, instr, 0, cycle)
             last_writer[pdst] = entry
             push(entry)
-            self.retired_vector += 1
             return "ok", None
 
         return run
@@ -594,7 +587,6 @@ class ScalarCore:
             )
             last_writer[dst] = entry
             push(entry)
-            self.retired_vector += 1
             return "ok", None
 
         return run
@@ -659,7 +651,6 @@ class ScalarCore:
             )
             last_writer[dst] = entry
             push(entry)
-            self.retired_vector += 1
             return "ok", None
 
         return run
@@ -711,7 +702,6 @@ class ScalarCore:
                 active * elem_bytes,
             )
             push(entry)
-            self.retired_vector += 1
             return "ok", None
 
         return run
@@ -761,7 +751,6 @@ class ScalarCore:
             )
             self._pending_scalar[dst] = entry
             push(entry)
-            self.retired_vector += 1
             return "ok", None
 
         return run

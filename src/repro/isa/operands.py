@@ -66,7 +66,3 @@ VectorOperand = Union[VReg, ScalarRef, Imm]
 #: Anything acceptable as a scalar-instruction source operand.
 ScalarOperand = Union[str, Imm]
 
-
-def operand_repr(operand: object) -> str:
-    """Uniform textual form of any operand (used by disassembly)."""
-    return str(operand)

@@ -75,7 +75,7 @@ class OIValue:
     ZERO: "OIValue" = None  # type: ignore[assignment]  # set below
 
     def __post_init__(self) -> None:
-        if self.issue < 0 or self.mem < 0:
+        if not (self.issue >= 0 and self.mem >= 0):  # NaN fails too
             raise ValueError("operational intensities must be non-negative")
         if self.level not in MEMORY_LEVELS:
             raise ConfigurationError(

@@ -31,5 +31,6 @@ Modules
     Blocking stdlib-socket client used by the CLI and tests.
 :mod:`~repro.service.fleet` / :mod:`~repro.service.gateway`
     One daemon subprocess behind an HTTP front door that adds HTTP and
-    nothing else (``repro fleet``).
+    nothing else: a library only, the harness of the ledger's
+    ``serve_mixed`` workload.  No command starts it.
 """

@@ -1,9 +1,10 @@
-"""Daemon supervision for ``repro fleet serve``: one ``repro serve`` subprocess.
+"""Daemon supervision for the gateway harness: one ``repro serve`` subprocess.
 
 :class:`FleetManager` spawns the daemon on a private socket, waits until it
-answers ``ping`` and stops it again.  The daemon inherits the parent's
-environment, in particular ``REPRO_CACHE_DIR``, so it reads and writes the
-same result cache as every other ``repro`` process on the host.
+answers ``ping`` and stops it again.  Every setting not passed here keeps
+``repro serve``'s default.  The daemon inherits the parent's environment,
+in particular ``REPRO_CACHE_DIR``, so it reads and writes the same result
+cache as every other ``repro`` process on the host.
 """
 
 from __future__ import annotations
@@ -23,23 +24,15 @@ class FleetManager:
 
     def __init__(
         self,
-        base_dir: Optional[os.PathLike] = None,
+        base_dir: os.PathLike,
         workers: int = 2,
         queue_depth: int = 64,
-        max_per_client: int = 16,
-        job_timeout: float = 300.0,
         runner: Optional[str] = None,
         env: Optional[Dict[str, str]] = None,
     ) -> None:
-        if base_dir is None:
-            from repro.analysis.result_cache import default_cache_dir
-
-            base_dir = default_cache_dir() / "fleet"
         self.base_dir = Path(base_dir)
         self.workers = workers
         self.queue_depth = queue_depth
-        self.max_per_client = max_per_client
-        self.job_timeout = job_timeout
         self.runner = runner
         self.env = env
         self.address = str(self.base_dir / "daemon.sock")
@@ -75,10 +68,6 @@ class FleetManager:
             str(self.workers),
             "--queue-depth",
             str(self.queue_depth),
-            "--max-per-client",
-            str(self.max_per_client),
-            "--job-timeout",
-            str(self.job_timeout),
         ]
         if self.runner:
             command += ["--runner", self.runner]

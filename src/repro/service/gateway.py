@@ -1,30 +1,24 @@
-"""HTTP/JSON gateway: an HTTP front door for one simulation daemon.
+"""HTTP/JSON gateway: the HTTP harness of the ledger's ``serve_mixed`` workload.
 
-The gateway speaks plain HTTP/1.1 + JSON to clients (any language,
-``curl``-able) and the daemon's line-delimited JSON socket protocol to
-the daemon behind it.  It adds HTTP and nothing else: admission,
-coalescing, retries and the result cache all stay in the daemon, so a
-submission through the gateway gets exactly the reply a socket client
-would.
+A library only (no command starts it): the gateway speaks plain
+HTTP/1.1 + JSON to clients and the daemon's line-delimited JSON socket
+protocol to the one daemon behind it.  It adds HTTP and nothing else:
+admission, coalescing, retries and the result cache all stay in the
+daemon, so a submission through the gateway gets exactly the reply a
+socket client would.
 
 Endpoints (all responses JSON):
 
-``GET /healthz``
-    Liveness of the daemon as of the last health probe or request:
-    200 when it answers, 503 when it does not.
 ``GET /status``
     The gateway's own block (uptime, listen address, counters, whether
-    the daemon is alive) plus the daemon's ``status`` payload.
+    the daemon answered the last conversation) plus the daemon's
+    ``status`` payload.
 ``POST /submit``
     Body ``{"spec": {...}, "client": "name"}``.  Blocks until the job is
     terminal; 200 carries the ``done`` event (summary + fingerprint
     digests), 500 a ``failed`` event, 400 a spec the daemon refused, 429
     an admission rejection (explicit backpressure, never buffering), 502
     when the daemon cannot be reached.
-``POST /drain``
-    Quiesce the daemon; replies once queued+running work is finished.
-``POST /shutdown``
-    Body ``{"drain": bool}``.  Stop the daemon, then the gateway.
 
 A request whose request line or ``Content-Length`` is malformed, or
 whose request line or a header is over :data:`MAX_HEAD_LINE_BYTES`, gets
@@ -57,6 +51,13 @@ MAX_BODY_BYTES = protocol.MAX_LINE_BYTES
 #: Upper bound on the request line and on each header line.
 MAX_HEAD_LINE_BYTES = 64 * 1024
 
+#: The gateway listens on an ephemeral loopback port (``bound_port``).
+HOST = "127.0.0.1"
+
+#: Bound on reaching the daemon, and on each daemon frame of one job.
+CONNECT_TIMEOUT_S = 10.0
+DAEMON_TIMEOUT_S = 600.0
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -66,7 +67,6 @@ _REASONS = {
     429: "Too Many Requests",
     500: "Internal Server Error",
     502: "Bad Gateway",
-    503: "Service Unavailable",
 }
 
 
@@ -81,34 +81,27 @@ class _RequestRejected(Exception):
 
 @dataclass
 class GatewayOptions:
-    """Everything tunable about one gateway instance."""
+    """The daemon one gateway instance fronts."""
 
     #: The daemon's socket address; taken from ``fleet`` when empty.
     daemon: str = ""
-    host: str = "127.0.0.1"
-    port: int = 0
-    health_interval: float = 2.0
-    connect_timeout: float = 10.0
-    #: Per-job wall-clock bound on one daemon conversation (ack + events).
-    daemon_timeout: float = 600.0
-    #: A FleetManager when the gateway owns its daemon (stopped on
-    #: /shutdown).
+    #: A FleetManager whose daemon the gateway fronts.
     fleet: object = None
+    #: Unused; ``bench/wl_serve.py`` still passes it.
+    health_interval: float = 0.0
 
 
 class Gateway:
-    """The HTTP front door.  ``Gateway(options).run()`` serves until shutdown."""
+    """The HTTP front door.  ``serve_in_thread(Gateway(options))`` serves it."""
 
-    def __init__(self, options: Optional[GatewayOptions] = None, **overrides) -> None:
-        options = options or GatewayOptions(**overrides)
-        self.options = options
+    def __init__(self, options: GatewayOptions) -> None:
         address = options.daemon
         if not address and options.fleet is not None:
             address = next(iter(options.fleet.addresses()), "")
         if not address:
             raise ConfigurationError("a gateway needs a daemon address")
         self.address = address
-        #: Whether the daemon answered the last probe, status or submit.
+        #: Whether the daemon answered the last status or submit.
         self.alive = True
         self.counters: Dict[str, int] = {
             "requests": 0,
@@ -118,64 +111,40 @@ class Gateway:
             "rejected": 0,
         }
         self.bound_port: Optional[int] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._server: Optional[asyncio.AbstractServer] = None
         self._started_at = time.monotonic()
 
     # -- lifecycle -------------------------------------------------------------
 
     def run(self) -> None:
-        """Blocking entry point used by ``repro fleet serve``."""
+        """Serve until :meth:`stop_threadsafe` (see :func:`serve_in_thread`)."""
         asyncio.run(self._amain())
 
     async def _amain(self) -> None:
-        await self.start()
-        try:
-            await self.wait_closed()
-        finally:
-            await self.aclose()
-
-    async def start(self) -> None:
         self._stop_event = asyncio.Event()
         self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._handle_conn,
-            self.options.host,
-            self.options.port,
-            limit=MAX_HEAD_LINE_BYTES,
+        server = await asyncio.start_server(
+            self._handle_conn, HOST, 0, limit=MAX_HEAD_LINE_BYTES
         )
-        self.bound_port = self._server.sockets[0].getsockname()[1]
-        self._health_task = self._loop.create_task(self._health_loop())
-
-    async def wait_closed(self) -> None:
-        assert self._stop_event is not None
-        await self._stop_event.wait()
-
-    def request_stop(self) -> None:
-        if self._stop_event is not None:
-            self._stop_event.set()
+        self.bound_port = server.sockets[0].getsockname()[1]
+        try:
+            await self._stop_event.wait()
+        finally:
+            server.close()
+            try:
+                await server.wait_closed()
+            except Exception:  # pragma: no cover
+                pass
+            # Let the handlers of clients that hung up finish closing:
+            # asyncio.run cancels what is left, and a cancelled handler is
+            # logged as an unhandled error.
+            handlers = asyncio.all_tasks() - {asyncio.current_task()}
+            if handlers:
+                await asyncio.wait(handlers, timeout=1.0)
 
     def stop_threadsafe(self) -> None:
         loop = getattr(self, "_loop", None)
         if loop is not None and not loop.is_closed():
-            loop.call_soon_threadsafe(self.request_stop)
-
-    async def aclose(self) -> None:
-        self.request_stop()
-        if self._server is not None:
-            self._server.close()
-            try:
-                await self._server.wait_closed()
-            except Exception:  # pragma: no cover
-                pass
-            self._server = None
-        if getattr(self, "_health_task", None) is not None:
-            self._health_task.cancel()
-            try:
-                await self._health_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._health_task = None
+            loop.call_soon_threadsafe(self._stop_event.set)
 
     # -- daemon conversations --------------------------------------------------
 
@@ -190,7 +159,7 @@ class Gateway:
                 self.address, limit=protocol.MAX_LINE_BYTES
             )
         try:
-            return await asyncio.wait_for(connect, self.options.connect_timeout)
+            return await asyncio.wait_for(connect, CONNECT_TIMEOUT_S)
         except (OSError, asyncio.TimeoutError) as exc:
             raise ServiceUnavailableError(
                 f"cannot reach daemon at {self.address}: {exc}"
@@ -231,16 +200,6 @@ class Gateway:
         self.alive = True
         return reply
 
-    async def daemon_request(
-        self, message: Dict[str, object], timeout: Optional[float] = None
-    ) -> Dict[str, object]:
-        """One request → one response against the daemon."""
-        if timeout is None:
-            timeout = self.options.daemon_timeout
-        return await self._converse(
-            message, lambda reader: self._read_frame(reader, timeout)
-        )
-
     @staticmethod
     async def _close_writer(writer) -> None:
         try:
@@ -263,8 +222,7 @@ class Gateway:
         self.counters["submitted"] += 1
 
         async def read_events(reader) -> Dict[str, object]:
-            timeout = self.options.daemon_timeout
-            ack = await self._read_frame(reader, timeout)
+            ack = await self._read_frame(reader, DAEMON_TIMEOUT_S)
             if not ack.get("ok"):
                 reason = str(ack.get("error", "rejected"))
                 detail = str(ack.get("detail", ack))
@@ -273,7 +231,7 @@ class Gateway:
                 raise AdmissionError(detail, reason=reason)
             event = ack
             while event.get("event") not in TERMINAL_EVENTS:
-                event = await self._read_frame(reader, timeout)
+                event = await self._read_frame(reader, DAEMON_TIMEOUT_S)
             return event
 
         message = {"op": "submit", "spec": spec, "client": client, "wait": True}
@@ -285,30 +243,14 @@ class Gateway:
         self.counters["completed" if event.get("event") == "done" else "failed"] += 1
         return event
 
-    # -- health ----------------------------------------------------------------
-
-    async def _health_loop(self) -> None:
-        while True:
-            await asyncio.sleep(self.options.health_interval)
-            await self.check_health()
-
-    async def check_health(self) -> bool:
-        """Ping the daemon; ``alive`` follows the answer both ways."""
-        try:
-            reply = await self.daemon_request(
-                {"op": "ping"}, timeout=self.options.connect_timeout
-            )
-            self.alive = bool(reply.get("ok"))
-        except (ServiceUnavailableError, ServiceProtocolError):
-            self.alive = False
-        return self.alive
-
-    # -- status, drain, shutdown -----------------------------------------------
+    # -- status ---------------------------------------------------------------
 
     async def status(self) -> Dict[str, object]:
         """The gateway's own block plus the daemon's ``status`` payload."""
         try:
-            daemon = await self.daemon_request({"op": "status"}, timeout=30.0)
+            daemon = await self._converse(
+                {"op": "status"}, lambda reader: self._read_frame(reader, 30.0)
+            )
         except (ServiceUnavailableError, ServiceProtocolError) as exc:
             daemon = {"ok": False, "error": str(exc)}
         return {
@@ -316,29 +258,12 @@ class Gateway:
             "op": "fleet-status",
             "gateway": {
                 "uptime_s": round(time.monotonic() - self._started_at, 3),
-                "http": f"{self.options.host}:{self.bound_port}",
+                "http": f"{HOST}:{self.bound_port}",
                 "counters": dict(self.counters),
                 "alive": self.alive,
             },
             "daemon": daemon,
         }
-
-    async def drain(self) -> Dict[str, object]:
-        """Quiesce the daemon; replies once its pending work finished."""
-        reply = await self.daemon_request({"op": "drain"})
-        return {"ok": True, "op": "drain", "drained": int(reply.get("drained") or 0)}
-
-    async def shutdown(self, drain: bool = False) -> Dict[str, object]:
-        """Stop the daemon (optionally draining first), then the gateway."""
-        try:
-            await self.daemon_request({"op": "shutdown", "drain": drain})
-        except (ServiceUnavailableError, ServiceProtocolError):
-            pass
-        if self.options.fleet is not None:
-            await asyncio.to_thread(self.options.fleet.stop_all)
-        # Reply first, stop just after: the caller gets a clean response.
-        self._loop.call_later(0.05, self.request_stop)
-        return {"ok": True, "op": "shutdown"}
 
     # -- HTTP layer ------------------------------------------------------------
 
@@ -445,35 +370,21 @@ class Gateway:
     async def _route(
         self, method: str, path: str, body: bytes
     ) -> Tuple[int, Dict[str, object]]:
-        expected = {
-            "/healthz": "GET",
-            "/status": "GET",
-            "/submit": "POST",
-            "/drain": "POST",
-            "/shutdown": "POST",
-        }.get(path)
+        expected = {"/status": "GET", "/submit": "POST"}.get(path)
         if expected is None:
             return 404, {"ok": False, "error": "not-found", "path": path}
         if method != expected:
             return 405, {"ok": False, "error": "method-not-allowed"}
-        if path == "/healthz":
-            payload = {"ok": self.alive, "daemon": self.address}
-            return (200 if self.alive else 503), payload
         if path == "/status":
             return 200, await self.status()
-        if path == "/submit":
-            message = self._parse_body(body)
-            spec = message.get("spec")
-            if spec is None:
-                raise ServiceProtocolError('submit body needs a "spec" object')
-            client = str(message.get("client") or "http")
-            event = await self.submit(spec, client=client)
-            done = event.get("event") == "done"
-            return (200 if done else 500), dict(event, ok=done)
-        if path == "/drain":
-            return 200, await self.drain()
         message = self._parse_body(body)
-        return 200, await self.shutdown(drain=bool(message.get("drain")))
+        spec = message.get("spec")
+        if spec is None:
+            raise ServiceProtocolError('submit body needs a "spec" object')
+        client = str(message.get("client") or "http")
+        event = await self.submit(spec, client=client)
+        done = event.get("event") == "done"
+        return (200 if done else 500), dict(event, ok=done)
 
     @staticmethod
     def _parse_body(body: bytes) -> Dict[str, object]:

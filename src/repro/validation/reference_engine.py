@@ -460,10 +460,7 @@ class SeedCore(ScalarCore):
         if isinstance(instr, Label):
             return None
         return DecodedInstr(
-            index,
-            instr,
-            lambda cycle: self._execute(instr, cycle),
-            is_branch=isinstance(instr, Branch),
+            index, instr, lambda cycle: self._execute(instr, cycle)
         )
 
     def _read_scalar(self, src: object, cycle: int) -> object:
@@ -529,7 +526,6 @@ class SeedCore(ScalarCore):
             **fields,
         )
         self.coproc.transmit(entry)
-        self.retired_vector += 1
         return entry
 
     def _execute(self, instr: Instruction, cycle: int) -> Tuple[str, Optional[str]]:

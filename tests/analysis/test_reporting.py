@@ -5,13 +5,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis.reporting import format_series, format_table, geomean
+from repro.analysis.reporting import format_table, geomean
 from repro.common.errors import ConfigurationError
-
-
-def _bar(text):
-    """The glyph run between the two pipes of a format_series line."""
-    return text.split("|")[1]
 
 
 class TestGeomean:
@@ -58,27 +53,3 @@ class TestFormatting:
         lines = table.splitlines()
         assert len(lines) == 4
         assert len(set(len(line) for line in lines)) == 1
-
-    def test_series_renders(self):
-        text = format_series("lanes", [0, 8, 16, 32])
-        assert "lanes" in text
-        assert "peak=32" in text
-
-    def test_series_resamples_long_input(self):
-        text = format_series("x", list(range(1000)), width=40)
-        assert text.count("|") == 2
-
-    def test_empty_series(self):
-        assert "(empty)" in format_series("x", [])
-
-    def test_negative_value_renders_as_dip_not_spike(self):
-        """A negative sample must clamp to the *lowest* glyph; the old
-        negative index silently wrapped to the highest one, turning a
-        dip into a spike."""
-        bar = _bar(format_series("x", [-5.0, 10.0]))
-        assert bar[0] == " "  # clamped floor, not '@'
-        assert bar[1] == "@"
-
-    def test_all_nonpositive_series_renders_flat(self):
-        bar = _bar(format_series("x", [-1.0, -2.0, 0.0]))
-        assert set(bar) == {" "}

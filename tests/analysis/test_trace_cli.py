@@ -72,6 +72,26 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "saturation: 12 lanes" in out
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["0.1667", "-0.5"], "argument oi_mem: must be a number >= 0, got '-0.5'"),
+            (["nan", "0.25"], "argument oi_issue: must be a number >= 0, got 'nan'"),
+            (["x", "0.25"], "argument oi_issue: must be"),
+        ],
+    )
+    def test_roofline_rejects_negative_and_nan_intensities(self, capsys, argv, named):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["roofline", *argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr()
+        assert named in err.err and "saturation" not in err.out
+
+    def test_roofline_accepts_an_infinite_intensity(self, capsys):
+        """A phase that moves no bytes has an infinite intensity."""
+        assert main(["roofline", "inf", "0.25"]) == 0
+        assert "saturation:" in capsys.readouterr().out
+
     def test_trace_command(self, capsys, tmp_path):
         path = tmp_path / "t.json"
         assert main(["trace", "spec", "20", "17", str(path), "--scale", "0.05"]) == 0

@@ -41,7 +41,7 @@ class TestElastic:
         table = table_with_phases(core0=OIValue.uniform(0.25))
         manager.on_phase_change(table, cycle=5)
         manager.on_phase_change(table, cycle=9)
-        assert manager.plans_generated == 2
+        assert len(manager.plan_history) == 2
         assert manager.plan_history[0][0] == 5
 
 

@@ -11,7 +11,7 @@ from repro.coproc.metrics import Metrics
 from repro.core.lane_manager import StaticLaneManager
 from repro.core.scalar_core import _VOP_IMPLS, ELEMS_PER_LANE, ScalarCore
 from repro.isa.assembler import assemble
-from repro.isa.instructions import Halt, Instruction, VOp
+from repro.isa.instructions import Branch, Halt, Instruction, VOp
 from repro.isa.operands import Imm, PReg, ScalarRef, VReg
 from repro.isa.program import Program
 from repro.memory.image import MemoryImage
@@ -127,7 +127,9 @@ class TestBranchRetirement:
         run(core, coproc)
         assert core.regs["Xi"] == 5
         branch_pc = next(
-            i for i, d in enumerate(core.decoded) if d is not None and d.is_branch
+            i
+            for i, d in enumerate(core.decoded)
+            if d is not None and isinstance(d.instr, Branch)
         )
         loop_head = core.program.target("top")
         # Xi = 1..4 branch back, Xi = 5 falls through: five retirements, all
@@ -376,7 +378,6 @@ class TestPoolBoundFlag:
             core.pc,
             core.halted,
             core.retired,
-            core.retired_vector,
             [entry.seq for entry in coproc.pools[0]._entries],
             [dict(stalls) for stalls in metrics.stalls],
             list(metrics.monitor_cycles),

@@ -44,6 +44,14 @@ class TestOIValue:
         with pytest.raises(ValueError):
             OIValue(-0.1, 0.2)
 
+    @pytest.mark.parametrize("pair", [(float("nan"), 0.2), (0.2, float("nan"))])
+    def test_nan_rejected(self, pair):
+        with pytest.raises(ValueError, match="non-negative"):
+            OIValue(*pair)
+
+    def test_infinite_accepted(self):
+        assert OIValue(float("inf"), 0.25).issue == float("inf")
+
     def test_default_level_is_dram(self):
         assert OIValue(0.5, 0.25).level == "dram"
 

@@ -105,7 +105,6 @@ def gateway_for():
 
     def start(address, **options) -> RunningGateway:
         options.setdefault("daemon", address)
-        options.setdefault("health_interval", 30.0)  # tests probe explicitly
         gateway = Gateway(GatewayOptions(**options))
         thread = serve_in_thread(gateway)
         handle = RunningGateway(gateway, thread)

@@ -3,7 +3,9 @@
 The gateway adds HTTP and nothing else, so what it serves must be what
 the daemon serves: duplicates coalesce in the daemon, repeats are cache
 hits, and the bytes match a direct run.  A key executed by one daemon is
-a cache hit on every other daemon that shares the cache directory.
+a cache hit on every other daemon that shares the cache directory.  The
+daemon's commands (``serve``, ``svc-status``, ``submit``) check their
+arguments before they bind or connect.
 """
 
 import json
@@ -17,6 +19,7 @@ import pytest
 
 import repro
 from repro.common.errors import ConfigurationError, ServiceUnavailableError
+from repro.service.client import ServiceClient
 from repro.service.fleet import FleetManager
 from repro.service.gateway import MAX_BODY_BYTES, MAX_HEAD_LINE_BYTES
 from repro.service.protocol import summarize_result
@@ -35,6 +38,14 @@ def _pair_spec(policy="occamy", scale=SCALE, max_cycles=None):
 # --- fleet manager: one supervised daemon -------------------------------------
 
 
+def _daemon_env(tmp_path):
+    """The spawned daemon imports this checkout and caches under tmp_path."""
+    env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "cache"))
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
 def test_fleet_manager_runs_exactly_one_daemon(tmp_path):
     manager = FleetManager(base_dir=tmp_path / "fleet")
     try:
@@ -48,16 +59,53 @@ def test_fleet_manager_runs_exactly_one_daemon(tmp_path):
 def test_fleet_manager_reports_a_daemon_that_dies_at_startup(tmp_path):
     """A daemon that exits at once is reported at once, with its log's
     last line, not after the startup deadline."""
-    env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "cache"))
-    src = str(Path(repro.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    manager = FleetManager(base_dir=tmp_path / "fleet", workers=0, env=env)
+    manager = FleetManager(
+        base_dir=tmp_path / "fleet", workers=0, env=_daemon_env(tmp_path)
+    )
     begin = time.monotonic()
     with pytest.raises(
         ServiceUnavailableError, match="--workers: must be an integer >= 1, got '0'"
     ):
         manager.start(1, deadline_s=60.0)
     assert time.monotonic() - begin < 10.0
+    assert manager.addresses() == []
+
+
+def _alive(pid):
+    """Whether ``pid`` runs; a zombie awaiting its reaper counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        if os.path.isdir("/proc"):
+            return False
+    try:
+        os.kill(pid, 0)
+    except OSError:
+        return False
+    return True
+
+
+def test_fleet_manager_stop_all_leaves_no_process_or_socket(tmp_path):
+    """After ``stop_all`` the daemon and its workers have exited and the
+    daemon's socket file is gone."""
+    manager = FleetManager(
+        base_dir=tmp_path / "fleet", workers=1, env=_daemon_env(tmp_path)
+    )
+    try:
+        manager.start(1)
+        with ServiceClient(manager.address, timeout=30.0) as client:
+            status = client.status()
+        assert status["pid"] == manager.process.pid
+        pids = [status["pid"], *status["workers"]["pids"]]
+        assert len(pids) == 2
+    finally:
+        manager.stop_all()
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline and any(_alive(pid) for pid in pids):
+        time.sleep(0.1)
+    assert [pid for pid in pids if _alive(pid)] == []
+    assert not (tmp_path / "fleet" / "daemon.sock").exists()
     assert manager.addresses() == []
 
 
@@ -223,13 +271,16 @@ def test_gateway_http_error_paths(service_server, gateway_for):
     # A request line or a header with no newline within the stream limit.
     for request in (
         "GET /" + "x" * 70_000 + " HTTP/1.1\r\n\r\n",
-        "GET /healthz HTTP/1.1\r\nX-Big: " + "x" * 70_000 + "\r\n\r\n",
+        "GET /status HTTP/1.1\r\nX-Big: " + "x" * 70_000 + "\r\n\r\n",
     ):
         code, payload = _raw_http(gw.gateway.bound_port, request.encode())
         assert (code, payload["ok"], payload["error"]) == (400, False, "protocol")
         assert f"over {MAX_HEAD_LINE_BYTES} bytes" in payload["detail"]
-    code, payload = gw.request("GET", "/healthz")
-    assert code == 200 and payload == {"ok": True, "daemon": a.address}
+    # The health probe and the drain / shutdown routes are gone, not ignored.
+    for method, path in (("GET", "/healthz"), ("POST", "/drain"), ("POST", "/shutdown")):
+        code, payload = gw.request(method, path)
+        assert (code, payload["error"], payload["path"]) == (404, "not-found", path)
+    assert not a.server.draining
 
 
 def test_gateway_status_carries_the_daemon_payload(service_server, gateway_for):
@@ -249,68 +300,33 @@ def test_gateway_status_carries_the_daemon_payload(service_server, gateway_for):
     code, status = gw.request("GET", "/status")
     assert code == 200 and status["daemon"]["ok"] is False
     assert status["gateway"]["alive"] is False
-    code, payload = gw.request("GET", "/healthz")
-    assert code == 503 and not payload["ok"]
     code, payload = gw.submit(_pair_spec())
     assert code == 502 and payload["error"] == "unavailable"
 
 
-def test_gateway_drain_reaches_the_daemon(service_server, gateway_for):
-    a = service_server(runner=runners.fast_runner)
-    gw = gateway_for(a.address)
-    code, payload = gw.request("POST", "/drain")
-    assert code == 200 and payload["ok"]
-    assert a.server.draining
+# --- repro svc-status: the daemon's table, one route ------------------------
 
 
-# --- repro fleet status: the gateway line, then the daemon's table -----------
-
-
-def test_fleet_status_prints_the_daemon_table(service_server, gateway_for, capsys):
+def test_svc_status_prints_the_daemon_table(service_server, capsys):
+    """``svc-status`` is the one route to the daemon's table (it replaced
+    ``fleet status``); an unreachable daemon exits 2 naming the error."""
     from repro import cli
 
     a = service_server(runner=runners.fast_runner)
-    gw = gateway_for(a.address)
-    code, _ = gw.submit(_pair_spec())
-    assert code == 200
-    assert cli.main(["fleet", "status", "--http", gw.url]) == 0
+    with a.client() as client:
+        assert client.submit(_pair_spec(), timeout=120)["event"] == "done"
+    assert cli.main(["svc-status", "--socket", a.address]) == 0
     out = capsys.readouterr().out
-    assert "(daemon alive)" in out
     assert f"daemon pid {os.getpid()} " in out  # the in-process test daemon
     assert "submitted=1" in out
     a.stop()
-    assert cli.main(["fleet", "status", "--http", gw.url]) == 0
-    out = capsys.readouterr().out
-    assert "(daemon down)" in out
-    assert "daemon: UNREACHABLE" in out
-
-
-def test_fleet_serve_rejects_bad_values_before_spawning(capsys, monkeypatch):
-    from repro import cli
-
-    def spawn(*args, **kwargs):
-        raise AssertionError("fleet serve spawned a daemon")
-
-    monkeypatch.setattr(FleetManager, "start", spawn)
-    for argv, named in (
-        (["fleet", "serve", "--workers", "0"], "--workers: must be an integer >= 1, got '0'"),
-        (["fleet", "serve", "--queue-depth", "0"], "--queue-depth: must be"),
-        (["fleet", "serve", "--max-per-client", "-3"], "--max-per-client: must be"),
-        (["fleet", "serve", "--http", "127.0.0.1:70000"], "'127.0.0.1:70000'"),
-        (["fleet", "serve", "--http", "localhost"], "'localhost'"),
-        (["fleet", "serve", "--job-timeout", "-5"], "--job-timeout: must be"),
-        (["fleet", "serve", "--job-timeout", "nan"], "'nan'"),
-    ):
-        with pytest.raises(SystemExit) as excinfo:
-            cli.main(argv)
-        assert excinfo.value.code == 2
-        assert named in capsys.readouterr().err
+    assert cli.main(["svc-status", "--socket", a.address]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_serve_rejects_bad_values_before_binding(capsys, monkeypatch):
-    """``repro serve`` takes the daemon flags from the same definitions as
-    ``fleet serve``: a bad value is a usage error naming the flag, not a
-    daemon serving without a deadline or a late error from the queue."""
+    """A bad daemon flag is a usage error naming the flag, not a daemon
+    serving without a deadline or a late error from the queue."""
     from repro import cli
     from repro.service.server import SimulationServer
 
@@ -333,20 +349,13 @@ def test_serve_rejects_bad_values_before_binding(capsys, monkeypatch):
 
 
 def test_policy_flags_are_gone_not_ignored(capsys):
-    """The daemon schedules one way, the gateway fronts one daemon, a
-    submit waits for its job, and retries and recycling are set in Python."""
+    """The daemon schedules one way and has one command, a submit waits
+    for its job, and retries and recycling are set in Python."""
     from repro import cli
 
     for argv, gone in (
         (["serve", "--sched", "fifo"], "unrecognized arguments: --sched"),
-        (["fleet", "serve", "--sched", "fifo"], "unrecognized arguments: --sched"),
-        (["fleet", "serve", "--routing", "hash"], "unrecognized arguments: --routing"),
-        (
-            ["fleet", "serve", "--steal-threshold", "4"],
-            "unrecognized arguments: --steal-threshold",
-        ),
-        (["fleet", "scale", "3"], "invalid choice: 'scale'"),
-        (["fleet", "serve", "-n", "2"], "unrecognized arguments: -n 2"),
+        (["fleet", "serve"], "invalid choice: 'fleet'"),
         (
             ["submit", "pair", "spec", "20", "17", "--no-wait"],
             "unrecognized arguments: --no-wait",
@@ -359,3 +368,21 @@ def test_policy_flags_are_gone_not_ignored(capsys):
             cli.main(argv)
         assert excinfo.value.code == 2
         assert gone in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-5", "0", "nan", "inf"])
+@pytest.mark.parametrize(
+    "argv", [["svc-status"], ["submit", "pair", "spec", "20", "17"]]
+)
+def test_client_timeout_must_be_positive_and_finite(capsys, argv, value):
+    """A client ``--timeout`` of 0 would make the socket non-blocking, and
+    a negative or NaN one crashed in ``settimeout``: all exit 2 at parse
+    time, naming the flag, before any connection."""
+    from repro import cli
+
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([*argv, "--socket", "/nonexistent/daemon.sock", "--timeout", value])
+    assert excinfo.value.code == 2
+    assert f"argument --timeout: must be a positive finite number, got '{value}'" in (
+        capsys.readouterr().err
+    )
