@@ -7,8 +7,7 @@ the next level.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.common.config import CacheConfig
 from repro.coproc.metrics import CacheStats  # noqa: F401  (its old path)
@@ -17,8 +16,9 @@ from repro.coproc.metrics import CacheStats  # noqa: F401  (its old path)
 class Cache:
     """Tag store for one cache level.
 
-    Each set is an :class:`OrderedDict` mapping line address -> dirty flag,
-    ordered least-recently-used first.
+    Each set is a plain ``dict`` mapping line address -> dirty flag; its
+    insertion order is the LRU order, least-recently-used first, so a hit
+    re-inserts its line and an eviction takes the first key.
     """
 
     def __init__(self, name: str, config: CacheConfig) -> None:
@@ -30,11 +30,9 @@ class Cache:
         self._line_bytes = config.line_bytes
         self._num_sets = config.num_sets
         self._ways = config.ways
-        self._sets: List["OrderedDict[int, bool]"] = [
-            OrderedDict() for _ in range(self._num_sets)
-        ]
+        self._sets: List[Dict[int, bool]] = [{} for _ in range(self._num_sets)]
 
-    def _set_for(self, line_addr: int) -> "OrderedDict[int, bool]":
+    def _set_for(self, line_addr: int) -> Dict[int, bool]:
         return self._sets[(line_addr // self._line_bytes) % self._num_sets]
 
     def line_of(self, addr: int) -> int:
@@ -57,13 +55,13 @@ class Cache:
     def access(self, line_addr: int, is_store: bool) -> bool:
         """Look up one line; returns True on hit and updates LRU/dirty."""
         target_set = self._set_for(line_addr)
-        if line_addr in target_set:
-            dirty = target_set.pop(line_addr)
-            target_set[line_addr] = dirty or is_store
-            self.stats.hits += 1
-            return True
-        self.stats.misses += 1
-        return False
+        dirty = target_set.pop(line_addr, None)
+        if dirty is None:
+            self.stats.misses += 1
+            return False
+        target_set[line_addr] = dirty or is_store
+        self.stats.hits += 1
+        return True
 
     def fill(self, line_addr: int, is_store: bool) -> Optional[int]:
         """Install a line after a miss.
@@ -74,8 +72,8 @@ class Cache:
         target_set = self._set_for(line_addr)
         victim: Optional[int] = None
         if line_addr not in target_set and len(target_set) >= self._ways:
-            evicted_addr, evicted_dirty = target_set.popitem(last=False)
-            if evicted_dirty:
+            evicted_addr = next(iter(target_set))
+            if target_set.pop(evicted_addr):
                 self.stats.writebacks += 1
                 victim = evicted_addr
         target_set.pop(line_addr, None)

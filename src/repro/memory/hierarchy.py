@@ -129,11 +129,11 @@ class VectorMemorySystem:
                 vc_bw._next_free = vc_free
                 audit.on_bandwidth_serve(vc_bw, line_bytes, cycle, start, ready)
             vc_set = vc_sets[block % vc_num_sets]
-            if line in vc_set:
+            # A set's insertion order is its LRU order: a hit re-inserts.
+            dirty = vc_set.pop(line, None)
+            if dirty is not None:
                 vc_hits += 1
-                vc_set.move_to_end(line)
-                if is_store:
-                    vc_set[line] = True
+                vc_set[line] = dirty or is_store
                 end = ready + vc_latency
             else:
                 # Miss: fetch from L2 (and DRAM below it), then fill.
@@ -146,9 +146,10 @@ class VectorMemorySystem:
                     audit.on_bandwidth_serve(l2_bw, line_bytes, arrival, start, ready)
                 latency = vc_latency + l2_latency
                 l2_set = l2_sets[block % l2_num_sets]
-                if line in l2_set:
+                dirty = l2_set.pop(line, None)
+                if dirty is not None:
                     l2_hits += 1
-                    l2_set.move_to_end(line)
+                    l2_set[line] = dirty
                 else:
                     arrival = ready
                     start = dram_free if dram_free > arrival else arrival
@@ -159,7 +160,7 @@ class VectorMemorySystem:
                         audit.on_bandwidth_serve(dram_bw, line_bytes, arrival, start, ready)
                     latency += dram_latency
                     dram += 1
-                    if len(l2_set) >= l2_ways and l2_set.popitem(last=False)[1]:
+                    if len(l2_set) >= l2_ways and l2_set.pop(next(iter(l2_set))):
                         # Dirty L2 victim: written back to DRAM.
                         l2_writebacks += 1
                         start = dram_free if dram_free > ready else ready
@@ -170,8 +171,8 @@ class VectorMemorySystem:
                             audit.on_bandwidth_serve(dram_bw, line_bytes, ready, start, finish)
                     l2_set[line] = False
                 if len(vc_set) >= vc_ways:
-                    victim, dirty = vc_set.popitem(last=False)
-                    if dirty:
+                    victim = next(iter(vc_set))
+                    if vc_set.pop(victim):
                         # Dirty eviction consumes L2 bandwidth (write-back)
                         # and lands dirty in L2, evicting there unserved.
                         vc_writebacks += 1
@@ -184,7 +185,7 @@ class VectorMemorySystem:
                         victim_set = l2_sets[(victim // line_bytes) % l2_num_sets]
                         if victim in victim_set:
                             del victim_set[victim]
-                        elif len(victim_set) >= l2_ways and victim_set.popitem(last=False)[1]:
+                        elif len(victim_set) >= l2_ways and victim_set.pop(next(iter(victim_set))):
                             l2_writebacks += 1
                         victim_set[victim] = True
                 vc_set[line] = is_store

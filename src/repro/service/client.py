@@ -106,26 +106,32 @@ class ServiceClient:
             raise ServiceUnavailableError(f"daemon connection lost: {exc}") from None
 
     def read_message(self, timeout: Optional[float] = None) -> Dict[str, object]:
-        """Read one framed response (blocking, honouring ``timeout``)."""
+        """Read one framed response (blocking, honouring ``timeout``, else
+        the client's own)."""
         self.connect()
+        applied = self.timeout if timeout is None else timeout
         if timeout is not None:
             self._sock.settimeout(timeout)
-        while b"\n" not in self._buffer:
-            if len(self._buffer) > protocol.MAX_LINE_BYTES:
-                raise ServiceProtocolError("oversized frame from daemon")
-            try:
-                chunk = self._sock.recv(65536)
-            except socket.timeout:
-                raise ServiceUnavailableError(
-                    f"daemon did not respond within {timeout or self.timeout}s"
-                ) from None
-            except OSError as exc:
-                raise ServiceUnavailableError(
-                    f"daemon connection lost: {exc}"
-                ) from None
-            if not chunk:
-                raise ServiceUnavailableError("daemon closed the connection")
-            self._buffer += chunk
+        try:
+            while b"\n" not in self._buffer:
+                if len(self._buffer) > protocol.MAX_LINE_BYTES:
+                    raise ServiceProtocolError("oversized frame from daemon")
+                try:
+                    chunk = self._sock.recv(65536)
+                except socket.timeout:
+                    raise ServiceUnavailableError(
+                        f"daemon did not respond within {applied}s"
+                    ) from None
+                except OSError as exc:
+                    raise ServiceUnavailableError(
+                        f"daemon connection lost: {exc}"
+                    ) from None
+                if not chunk:
+                    raise ServiceUnavailableError("daemon closed the connection")
+                self._buffer += chunk
+        finally:
+            if timeout is not None:
+                self._sock.settimeout(self.timeout)
         line, self._buffer = self._buffer.split(b"\n", 1)
         return protocol.decode_line(line)
 

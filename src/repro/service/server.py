@@ -4,7 +4,9 @@ One long-lived process owns the worker pool; any number of clients
 connect over a local socket and speak the line-delimited JSON protocol
 (:mod:`repro.service.protocol`).  The daemon's event loop does three
 things: answer socket requests, pump the queue onto idle workers, and
-turn pool supervision events into streamed job events.
+turn pool supervision events into streamed job events.  It never polls:
+one pump step runs when a worker's pipe is readable, a job was admitted,
+or a dispatched job's deadline or a retry fence expired.
 
 Endpoints (``op`` field of each request):
 
@@ -73,7 +75,6 @@ class ServerOptions:
     max_retries: int = 2
     retry_backoff: float = 0.25
     recycle_after: Optional[int] = 64
-    poll_interval: float = 0.02
     runner: object = run_cached_task
 
 
@@ -99,8 +100,7 @@ class ServiceJob:
 class SimulationServer:
     """The daemon.  ``SimulationServer(opts).run()`` serves until shutdown."""
 
-    def __init__(self, options: Optional[ServerOptions] = None, **overrides) -> None:
-        options = options or ServerOptions(**overrides)
+    def __init__(self, options: ServerOptions) -> None:
         self.options = options
         self.address = options.address or protocol.default_address()
         self.queue = JobQueue(
@@ -112,15 +112,19 @@ class SimulationServer:
             runner=options.runner,
             job_timeout=options.job_timeout,
             recycle_after=options.recycle_after,
+            on_open=self._watch,
+            on_close=self._unwatch,
         )
         # job_id -> job, from admission until its terminal event
         self._jobs: Dict[str, ServiceJob] = {}
         self._inflight: Dict[str, str] = {}  # key -> job_id (non-terminal)
         self._key_memo: Dict[str, str] = {}  # signature -> content-hash key
+        self._deadlines: Dict[str, asyncio.TimerHandle] = {}  # job_id -> deadline timer
         self._next_id = 0
         self.draining = False
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stop_event: Optional[asyncio.Event] = None
-        self._server: Optional[asyncio.AbstractServer] = None
+        self._idle: Optional[asyncio.Event] = None  # set: nothing queued or running
         self._started_at = time.monotonic()
         self.counters: Dict[str, int] = {
             "submitted": 0,
@@ -140,34 +144,39 @@ class SimulationServer:
         asyncio.run(self._amain())
 
     async def _amain(self) -> None:
-        await self.start()
-        try:
-            await self.wait_closed()
-        finally:
-            await self.aclose()
-
-    async def start(self) -> None:
-        """Bind the socket, start workers and the pump task."""
-        self.pool.start()
+        """Start the workers (watching their pipes), bind the socket, serve
+        until a stop is requested, then tear down."""
+        self._loop = asyncio.get_running_loop()
         self._stop_event = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        self._loop = loop
+        self._idle = asyncio.Event()
+        self.pool.start()
         if protocol.is_tcp_address(self.address):
             host, port = protocol.split_tcp_address(self.address)
-            self._server = await asyncio.start_server(
+            server = await asyncio.start_server(
                 self._handle_client, host, port, limit=protocol.MAX_LINE_BYTES
             )
         else:
             protocol.cleanup_socket(self.address)
             os.makedirs(os.path.dirname(self.address) or ".", exist_ok=True)
-            self._server = await asyncio.start_unix_server(
+            server = await asyncio.start_unix_server(
                 self._handle_client, path=self.address, limit=protocol.MAX_LINE_BYTES
             )
-        self._pump_task = loop.create_task(self._pump())
-
-    async def wait_closed(self) -> None:
-        assert self._stop_event is not None
-        await self._stop_event.wait()
+        try:
+            await self._stop_event.wait()
+        finally:
+            server.close()
+            try:
+                await server.wait_closed()
+            except Exception:  # pragma: no cover
+                pass
+            self.pool.stop()
+            protocol.cleanup_socket(self.address)
+            # Let the handlers of clients that hung up finish closing (the
+            # one that asked for the shutdown, say): asyncio.run cancels what
+            # is left, and a cancelled handler is logged as an unhandled error.
+            handlers = asyncio.all_tasks() - {asyncio.current_task()}
+            if handlers:
+                await asyncio.wait(handlers, timeout=1.0)
 
     def request_stop(self) -> None:
         if self._stop_event is not None:
@@ -176,56 +185,43 @@ class SimulationServer:
     def stop_threadsafe(self) -> None:
         """Request a stop from outside the server's event loop (tests,
         signal handlers).  Safe to call repeatedly or before start."""
-        loop = getattr(self, "_loop", None)
+        loop = self._loop
         if loop is not None and not loop.is_closed():
             loop.call_soon_threadsafe(self.request_stop)
 
-    async def aclose(self) -> None:
-        """Tear down: stop pump, close socket, stop workers."""
-        self.request_stop()
-        if self._server is not None:
-            self._server.close()
-            try:
-                await self._server.wait_closed()
-            except Exception:  # pragma: no cover
-                pass
-            self._server = None
-        if getattr(self, "_pump_task", None) is not None:
-            self._pump_task.cancel()
-            try:
-                await self._pump_task
-            except (asyncio.CancelledError, Exception):
-                pass
-            self._pump_task = None
-        self.pool.stop()
-        protocol.cleanup_socket(self.address)
-
     # -- pump: queue -> workers, pool events -> job events ---------------------
 
-    async def _pump(self) -> None:
-        while True:
-            progressed = self._pump_once()
-            await asyncio.sleep(0 if progressed else self.options.poll_interval)
+    def _watch(self, conn) -> None:
+        self._loop.add_reader(conn.fileno(), self._pump_once)
 
-    def _pump_once(self) -> bool:
-        progressed = False
+    def _unwatch(self, conn) -> None:
+        self._loop.remove_reader(conn.fileno())
+
+    def _pump_once(self) -> None:
+        """The one pump step: called when a worker's pipe is readable, a
+        job was admitted, or a deadline or retry fence expired."""
         for event in self.pool.poll():
             self._on_pool_event(event)
-            progressed = True
         now = time.monotonic()
         while self.pool.idle_count() > 0:
             queued = self.queue.pop_next(now)
             if queued is None:
                 break
             self._start_job(queued)
-            progressed = True
-        return progressed
+        if len(self.queue) + self.pool.busy_count() == 0:
+            self._idle.set()
 
     def _start_job(self, queued: QueuedJob) -> None:
         job = self._jobs[queued.job_id]
         job.state = RUNNING
         job.attempts += 1
         pid = self.pool.dispatch(job.job_id, queued.task)
+        if self.options.job_timeout is not None:
+            # The pool stamped the dispatch before this reads the clock, so
+            # the timer cannot fire before the pool's deadline has passed.
+            self._deadlines[job.job_id] = self._loop.call_later(
+                self.options.job_timeout, self._pump_once
+            )
         self.counters["executed"] += 1 if job.attempts == 1 else 0
         self._publish(
             job,
@@ -238,6 +234,9 @@ class SimulationServer:
         )
 
     def _on_pool_event(self, event: PoolEvent) -> None:
+        deadline = self._deadlines.pop(event.job_id, None)
+        if deadline is not None:
+            deadline.cancel()
         job = self._jobs.get(event.job_id)
         if job is None or job.state in TERMINAL_STATES:  # pragma: no cover
             return
@@ -257,6 +256,7 @@ class SimulationServer:
                 self.queue.requeue(
                     job.queued_entry, not_before=time.monotonic() + backoff
                 )
+                self._loop.call_later(backoff, self._pump_once)
                 self._publish(
                     job,
                     {
@@ -310,11 +310,8 @@ class SimulationServer:
         }
 
     def _publish(self, job: ServiceJob, event: Dict[str, object]) -> None:
-        for watcher in list(job.watchers):
-            try:
-                watcher.put_nowait(event)
-            except asyncio.QueueFull:  # pragma: no cover - unbounded queues
-                pass
+        for watcher in job.watchers:
+            watcher.put_nowait(event)  # unbounded: never full
 
     # -- submission ------------------------------------------------------------
 
@@ -408,6 +405,9 @@ class SimulationServer:
         job.queued_entry = entry
         self._jobs[job.job_id] = job
         self._inflight[key] = job.job_id
+        if self._loop is not None:  # None: never started, so it only admits
+            # Pump soon, not now: the submitter attaches its watcher first.
+            self._loop.call_soon(self._pump_once)
         return job
 
     # -- connection handling ---------------------------------------------------
@@ -552,7 +552,8 @@ class SimulationServer:
         drained = len(self.queue) + self.pool.busy_count()
         while len(self.queue) + self.pool.busy_count() > 0:
             # retry-fenced jobs sit in the queue, so they count as pending
-            await asyncio.sleep(self.options.poll_interval)
+            self._idle.clear()
+            await self._idle.wait()
         return drained
 
     # -- status ----------------------------------------------------------------

@@ -8,11 +8,13 @@ after N jobs so slow leaks in long-lived processes cannot accumulate.
 
 Design:
 
-* each worker is one ``multiprocessing.Process`` with a **private** task
-  queue and a **private** result queue — killing a worker mid-write can
-  only corrupt its own queues, which are discarded on respawn;
-* the pool is polled (:meth:`WorkerPool.poll`), never blocked on: the
-  asyncio server calls ``poll()`` from its pump loop and receives plain
+* each worker is one ``multiprocessing.Process`` talking over one
+  **private** duplex pipe — killing a worker mid-send can only corrupt
+  its own pipe, which is discarded on respawn, and a dead worker's pipe
+  reads end-of-file;
+* :meth:`WorkerPool.poll` never blocks: the asyncio server calls it when
+  a worker's pipe is readable (``on_open`` / ``on_close`` tell it which
+  pipes are live) or a deadline is due, and receives plain
   :class:`PoolEvent` records (``done`` / ``error`` / ``crashed`` /
   ``timeout``).  Retry policy lives in the server, which owns the queue;
 * results are drained *before* liveness/timeout checks, so a job that
@@ -29,7 +31,6 @@ Design:
 from __future__ import annotations
 
 import multiprocessing
-import os
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
@@ -55,22 +56,25 @@ def run_cached_task(task) -> Dict[str, object]:
     return summary
 
 
-def _worker_main(task_q, result_q, runner, recycle_after) -> None:
-    """Worker process loop: run jobs until recycled or told to stop."""
+def _worker_main(conn, runner, recycle_after) -> None:
+    """Worker process loop: run jobs until recycled, told to stop or the
+    daemon's end of the pipe is closed."""
     done = 0
     while True:
-        item = task_q.get()
+        try:
+            item = conn.recv()
+        except EOFError:
+            break
         if item is None:
             break
         job_id, payload = item
         try:
-            result = runner(payload)
-            result_q.put((job_id, "ok", result))
+            conn.send((job_id, "ok", runner(payload)))
         except BaseException as exc:  # noqa: BLE001 — report, don't die
-            result_q.put((job_id, "error", f"{type(exc).__name__}: {exc}"))
+            conn.send((job_id, "error", f"{type(exc).__name__}: {exc}"))
         done += 1
         if recycle_after is not None and done >= recycle_after:
-            result_q.put((None, "recycled", None))
+            conn.send((None, "recycled", None))
             break
 
 
@@ -94,29 +98,30 @@ class PoolEvent:
 class _Worker:
     """Supervisor-side handle for one worker process."""
 
-    def __init__(self, context, runner, recycle_after) -> None:
-        self._context = context
-        self._runner = runner
-        self._recycle_after = recycle_after
-        self.job_id: Optional[str] = None
-        self.dispatched_at: Optional[float] = None
+    def __init__(self, pool: "WorkerPool") -> None:
+        self._pool = pool
         self._spawn()
 
     def _spawn(self) -> None:
-        self.task_q = self._context.Queue()
-        self.result_q = self._context.Queue()
-        self.proc = self._context.Process(
+        pool = self._pool
+        self.conn, child = pool._context.Pipe()
+        self.proc = pool._context.Process(
             target=_worker_main,
-            args=(self.task_q, self.result_q, self._runner, self._recycle_after),
+            args=(child, pool.runner, pool.recycle_after),
             daemon=True,
         )
         self.proc.start()
-        self.job_id = None
-        self.dispatched_at = None
+        # Only the worker holds its end now: its death reads as EOF here,
+        # and no later fork inherits that end.
+        child.close()
+        self.job_id: Optional[str] = None
+        self.dispatched_at: Optional[float] = None
+        if pool.on_open is not None:
+            pool.on_open(self.conn)
 
     def respawn(self) -> None:
         """Discard the dead/killed process and its (possibly corrupt)
-        queues, and start a fresh worker."""
+        pipe, and start a fresh worker."""
         self._discard()
         self._spawn()
 
@@ -127,19 +132,16 @@ class _Worker:
             if self.proc.is_alive():  # pragma: no cover - last resort
                 self.proc.kill()
                 self.proc.join(timeout=5.0)
-        for queue in (self.task_q, self.result_q):
-            try:
-                queue.close()
-                queue.cancel_join_thread()
-            except (OSError, AttributeError):  # pragma: no cover
-                pass
+        if self._pool.on_close is not None:
+            self._pool.on_close(self.conn)
+        self.conn.close()
 
     def stop(self) -> None:
         """Graceful stop: sentinel, short join, then terminate."""
         if self.proc.is_alive():
             try:
-                self.task_q.put_nowait(None)
-            except (OSError, ValueError):  # pragma: no cover - full/closed
+                self.conn.send(None)
+            except OSError:  # pragma: no cover - died meanwhile
                 pass
             self.proc.join(timeout=1.0)
         self._discard()
@@ -151,7 +153,10 @@ class WorkerPool:
     ``runner`` is the module-level callable a worker applies to each
     dispatched payload (default :func:`run_cached_task`); tests inject
     slow/crashing runners through it.  ``job_timeout`` is the per-job
-    wall-clock deadline enforced by :meth:`poll`.
+    wall-clock deadline enforced by :meth:`poll`.  ``on_open`` and
+    ``on_close`` are called with a worker's pipe once it is open and
+    before it is closed, so an event loop can wait on exactly the live
+    ones.
     """
 
     def __init__(
@@ -161,6 +166,8 @@ class WorkerPool:
         job_timeout: Optional[float] = 300.0,
         recycle_after: Optional[int] = DEFAULT_RECYCLE_AFTER,
         mp_context: Optional[str] = None,
+        on_open: Optional[Callable] = None,
+        on_close: Optional[Callable] = None,
     ) -> None:
         if workers <= 0:
             raise ConfigurationError(f"workers must be positive, got {workers}")
@@ -176,6 +183,8 @@ class WorkerPool:
         self.runner = runner
         self.job_timeout = job_timeout
         self.recycle_after = recycle_after
+        self.on_open = on_open
+        self.on_close = on_close
         if mp_context is None:
             # fork keeps runners injectable (tests) and inherits the
             # configured cache; fall back where fork is unavailable.
@@ -193,10 +202,7 @@ class WorkerPool:
         # fork (and respawn) inherits it instead of importing it per worker.
         import repro.core.machine  # noqa: F401
 
-        self._workers = [
-            _Worker(self._context, self.runner, self.recycle_after)
-            for _ in range(self.size)
-        ]
+        self._workers = [_Worker(self) for _ in range(self.size)]
 
     def stop(self) -> None:
         """Stop every worker (graceful sentinel, then terminate)."""
@@ -225,22 +231,19 @@ class WorkerPool:
             if worker.job_id is None and worker.proc.is_alive():
                 worker.job_id = job_id
                 worker.dispatched_at = time.monotonic()
-                worker.task_q.put((job_id, payload))
+                try:
+                    worker.conn.send((job_id, payload))
+                except OSError:
+                    pass  # it just died: the next poll reports the job crashed
                 return worker.proc.pid
         raise RuntimeError("dispatch with no idle worker")
-
-    def pid_for_job(self, job_id: str) -> Optional[int]:
-        for worker in self._workers:
-            if worker.job_id == job_id:
-                return worker.proc.pid
-        return None
 
     # -- supervision -----------------------------------------------------------
 
     def poll(self, now: Optional[float] = None) -> List[PoolEvent]:
         """Drain results and enforce liveness/timeouts; never blocks.
 
-        Order matters: each worker's result queue is drained *before* its
+        Order matters: each worker's pipe is drained *before* its
         liveness and deadline checks, so a completed job is never
         misreported as crashed or timed out.
         """
@@ -249,36 +252,33 @@ class WorkerPool:
         events: List[PoolEvent] = []
         for worker in self._workers:
             pid = worker.proc.pid
-            retiring = False
+            retiring = dead = False
             # 1. drain finished work
-            while True:
-                try:
-                    if worker.result_q.empty():
-                        break
-                    job_id, tag, payload = worker.result_q.get_nowait()
-                except (OSError, EOFError, ValueError):  # pragma: no cover
-                    break
-                except Exception:  # pragma: no cover - queue race
-                    break
-                if tag == "recycled":
-                    self.recycled += 1
-                    retiring = True
-                    continue
-                if job_id == worker.job_id:
-                    worker.job_id = None
-                    worker.dispatched_at = None
-                if tag == "ok":
-                    events.append(
-                        PoolEvent("done", job_id, worker_pid=pid, result=payload)
-                    )
-                else:
-                    events.append(
-                        PoolEvent("error", job_id, worker_pid=pid, error=payload)
-                    )
+            try:
+                while worker.conn.poll():
+                    job_id, tag, payload = worker.conn.recv()
+                    if tag == "recycled":
+                        self.recycled += 1
+                        retiring = True
+                        continue
+                    if job_id == worker.job_id:
+                        worker.job_id = None
+                        worker.dispatched_at = None
+                    if tag == "ok":
+                        events.append(
+                            PoolEvent("done", job_id, worker_pid=pid, result=payload)
+                        )
+                    else:
+                        events.append(
+                            PoolEvent("error", job_id, worker_pid=pid, error=payload)
+                        )
+            except (EOFError, OSError):  # end of file, perhaps mid-message
+                dead = True
+                worker.proc.join(timeout=1.0)  # reap it, for its exit code
             # 2. liveness: a dead worker holding a job crashed mid-job.  A
             #    retiring one has sent its last message but may not have
             #    exited yet: replace it now, or it would count as idle.
-            if retiring or not worker.proc.is_alive():
+            if retiring or dead or not worker.proc.is_alive():
                 if worker.job_id is not None:
                     events.append(
                         PoolEvent(
@@ -310,19 +310,3 @@ class WorkerPool:
                 )
                 worker.respawn()
         return events
-
-    def kill_worker(self, pid: int) -> bool:
-        """Forcibly kill one worker by pid (tests / admin).
-
-        The next :meth:`poll` observes the death, reports any bound job
-        as ``crashed`` and respawns the worker.
-        """
-        for worker in self._workers:
-            if worker.proc.pid == pid:
-                try:
-                    os.kill(pid, 9)
-                except OSError:  # pragma: no cover
-                    pass
-                worker.proc.join(timeout=5.0)
-                return True
-        return False

@@ -279,7 +279,7 @@ from repro.service.specs import spec_for_pair
 from tests.service import runners
 
 server = SimulationServer(ServerOptions(
-    address=sys.argv[2], workers=1, poll_interval=0.01, runner=runners.fast_runner))
+    address=sys.argv[2], workers=1, runner=runners.fast_runner))
 thread = threading.Thread(target=server.run, daemon=True)
 thread.start()
 wait_for_server(server.address, deadline_s=15.0)

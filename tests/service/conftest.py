@@ -48,7 +48,6 @@ def service_server(tmp_path, monkeypatch):
         counter[0] += 1
         options.setdefault("address", str(tmp_path / f"svc{counter[0]}.sock"))
         options.setdefault("workers", 1)
-        options.setdefault("poll_interval", 0.01)
         options.setdefault("retry_backoff", 0.05)
         server = SimulationServer(ServerOptions(**options))
         thread = threading.Thread(target=server.run, daemon=True)

@@ -9,14 +9,20 @@ must carry exactly the fingerprint digests of a direct in-process
 import json
 import os
 import socket as socket_module
+import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import result_cache
 from repro.analysis.parallel import execute_task
 from repro.common.errors import AdmissionError, JobFailedError
 from repro.service import protocol
+from repro.service.client import wait_for_server
 from repro.service.protocol import summarize_result
 from repro.service.specs import build_task, spec_for_motivate, spec_for_pair
 
@@ -285,6 +291,71 @@ def test_shutdown_stops_workers(service_server):
     assert not handle.thread.is_alive()
     for pid in pids:
         _wait_dead(pid)
+
+
+def test_shutdown_leaves_no_traceback_in_the_daemon_log(tmp_path):
+    """``svc-status --shutdown`` stops a ``repro serve`` whose log then
+    holds its two status lines and no error: the handler of the client
+    that asked for the stop is not left to be cancelled."""
+    address = str(tmp_path / "svc.sock")
+    env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "cache"))
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--workers", "1", "--socket", address],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, env=env, text=True,
+    )
+    try:
+        wait_for_server(address, deadline_s=30.0)
+        stop = subprocess.run(
+            [sys.executable, "-m", "repro", "svc-status", "--shutdown", "--socket", address],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert stop.returncode == 0, stop.stderr
+        log, _ = daemon.communicate(timeout=30)
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait()
+    assert daemon.returncode == 0, log
+    assert "repro daemon: stopped" in log
+    assert "Traceback" not in log and "Exception in callback" not in log, log
+
+
+# --- the daemon waits, it does not poll ----------------------------------------
+
+
+def test_idle_daemon_never_polls_its_workers(service_server, monkeypatch):
+    handle = service_server(runner=runners.fast_runner)
+    with handle.client() as client:
+        assert client.submit(spec_for_motivate(scale=0.05), timeout=30)["event"] == "done"
+    polls = []
+    pool = handle.server.pool
+    real_poll = pool.poll
+
+    def counting_poll():
+        polls.append(time.monotonic())
+        return real_poll()
+
+    monkeypatch.setattr(pool, "poll", counting_poll)
+    time.sleep(0.5)
+    assert polls == []
+
+
+def test_a_miss_on_an_idle_worker_waits_for_no_tick(service_server):
+    """The result is read when the worker's pipe turns readable: a miss
+    that the runner answers at once is back in well under a poll tick."""
+    handle = service_server(runner=runners.fast_runner, workers=1)
+    latencies = []
+    with handle.client() as client:
+        for index in range(20):
+            spec = _pair_spec(scale=SCALE + index / 1000)
+            start = time.perf_counter()
+            final = client.submit(spec, timeout=30)
+            latencies.append(time.perf_counter() - start)
+            assert final["event"] == "done" and not final["cached"]
+    assert handle.server.counters["executed"] == 20
+    assert statistics.median(latencies) < 0.020, latencies
 
 
 # --- misc endpoints -----------------------------------------------------------
