@@ -1,8 +1,8 @@
 """Benchmark harness configuration.
 
 Every claim — the paper's numbers and ours beyond them — is a row of
-:mod:`repro.analysis.fidelity`, judged by ``test_paper_fidelity.py``.  What
-else lives here is measured outside that table: the eager-only ablation
+:mod:`repro.analysis.fidelity`, judged by ``repro fidelity``.  What lives
+here is measured outside that table: the eager-only ablation
 (a compile option, which a task does not carry) and the two speedup gates
 of the result cache and the fleet.  Run pytest with ``-s`` to see each
 printout; simulations run once per benchmark (``pedantic`` with one

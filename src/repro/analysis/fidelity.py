@@ -19,12 +19,11 @@ simulated is a cached, ``--jobs``-parallel task list — and judges it PASS,
 KNOWN-DELTA, FAIL or STALE-NOTE; :func:`render` prints what each means
 above the table.
 
-Four consumers, no other copy of a paper number or of one of our bounds
+Three consumers, no other copy of a paper number or of one of our bounds
 under ``src/`` or ``benchmarks/``: ``repro report`` takes its paper columns
-from :data:`ROW`, ``repro perf-report`` its ECM gate,
-``benchmarks/test_paper_fidelity.py`` is one test parametrised over the
-rows, and ``repro fidelity`` prints :func:`render`, the block EXPERIMENTS.md
-carries between its ``fidelity`` markers.
+from :data:`ROW`, ``repro perf-report`` its ECM gate, and ``repro
+fidelity`` prints :func:`render`, the block EXPERIMENTS.md carries between
+its ``fidelity`` markers, and exits 1 on a row outside :data:`ACCEPTED`.
 """
 
 from __future__ import annotations
@@ -719,8 +718,8 @@ def render(results: Sequence[Judged], scale: float) -> str:
             "although a reason is still stated.  The last two make the command "
             "exit 1.",
             f"- **Scale**: notes and known deltas are calibrated at scale "
-            f"{CALIBRATED_SCALE:g}, the one CI and `benchmarks/"
-            "test_paper_fidelity.py` gate on; at another scale a row may FAIL.  "
+            f"{CALIBRATED_SCALE:g}, the one CI's `fidelity` job gates on; at "
+            "another scale a row may FAIL.  "
             "Beyond the paper, each sweep runs at no more than the scale its claim "
             "was made at: "
             + ", ".join(f"{name} {cap:g}" for name, cap in SWEEP_SCALES.items())

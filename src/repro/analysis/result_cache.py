@@ -69,7 +69,9 @@ from repro.validation.fingerprint import summarize_result
 #:     tuple (nothing keyed here can select the reference engine).
 #: v7: an unfilled memory image is hashed as its recipe (seed, length,
 #:     names, generator), not as its bytes, so a hit needs no numpy.
-CACHE_VERSION = 7
+#: v8: three unread ``VectorConfig`` fields deleted (every config
+#:     fingerprint moves) and the empty ``alloc`` ingredient dropped.
+CACHE_VERSION = 8
 
 #: Fixed-width entry prefix: (CACHE_VERSION, total file length in bytes).
 _PREFIX = struct.Struct(">IQ")
@@ -143,9 +145,6 @@ def simulation_key(
     digest.update(config_fingerprint(config).encode("utf-8"))
     digest.update(policy_key.encode("utf-8"))
     digest.update(str(max_cycles).encode("utf-8"))
-    # Part of the v7 key format (v5's allocation namespace, now always
-    # empty): dropping it would move every key.
-    digest.update(b"alloc:")
     for job in jobs:
         _feed_job(digest, job)
     return digest.hexdigest()

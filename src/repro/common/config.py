@@ -106,10 +106,7 @@ class VectorConfig:
     #: every block — contends visibly (Fig. 13).  See DESIGN.md §6 on the
     #: paper's own inconsistent VRF sizing.
     vregs_per_block: int = 128
-    pregs_per_block: int = 64  # physical 16-bit predicate registers per RegBlk
     arch_vregs: int = 32  # architectural z0..z31
-    arch_pregs: int = 16  # architectural p0..p15
-    flops_per_lane_per_cycle: float = 4.0  # FP32 elements per 128-bit lane
     #: Coarse-grained temporal sharing (the CTS baseline of Beldianu &
     #: Ziavras): ownership quantum and context-switch drain penalty.
     cts_quantum: int = 256
@@ -133,19 +130,6 @@ class VectorConfig:
     def issue_width(self) -> int:
         """Total vector issue width per core (paper: 4 = 2 + 2)."""
         return self.compute_issue_width + self.ldst_issue_width
-
-    def fp_peak(self, vl: int) -> float:
-        """Peak FP32 FLOPs/cycle attainable at vector length ``vl`` lanes.
-
-        This is the paper's "FP peak (vl)" horizontal roofline ceiling: each
-        128-bit ExeBU retires ``flops_per_lane_per_cycle`` single-precision
-        FLOPs per cycle, multiplied by the compute issue width.
-        """
-        return self.flops_per_lane_per_cycle * vl * self.compute_issue_width
-
-    def simd_issue_bandwidth(self, vl: int) -> float:
-        """SIMD issue bandwidth in bytes/cycle at ``vl`` lanes (Eq. 2)."""
-        return self.ldst_issue_width * vl * LANE_BYTES
 
 
 @dataclass(frozen=True)

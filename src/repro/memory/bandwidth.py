@@ -18,8 +18,6 @@ class BandwidthRegulator:
         self.name = name
         self.bytes_per_cycle = float(bytes_per_cycle)
         self._next_free = 0.0
-        self.bytes_served = 0
-        self.requests_served = 0
         #: Runtime invariant auditor (``REPRO_AUDIT``); when set, every
         #: served request re-checks the channel's queue accounting.
         self.auditor = None
@@ -34,8 +32,6 @@ class BandwidthRegulator:
         start = max(self._next_free, float(earliest_cycle))
         finish = start + nbytes / self.bytes_per_cycle
         self._next_free = finish
-        self.bytes_served += nbytes
-        self.requests_served += 1
         if self.auditor is not None:
             self.auditor.on_bandwidth_serve(self, nbytes, earliest_cycle, start, finish)
         return finish

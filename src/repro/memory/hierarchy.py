@@ -112,7 +112,7 @@ class VectorMemorySystem:
         first = addr - addr % line_bytes
         last = addr + nbytes - 1
         last -= last % line_bytes
-        vc_hits = l2_hits = dram = l2_requests = dram_requests = 0
+        vc_hits = l2_hits = dram = 0
         vc_writebacks = l2_writebacks = 0
         complete = cycle
         # The channels' queue tails live in locals for the walk and are
@@ -140,7 +140,6 @@ class VectorMemorySystem:
                 arrival = ready
                 start = l2_free if l2_free > arrival else arrival
                 ready = l2_free = start + l2_time
-                l2_requests += 1
                 if audit is not None:
                     l2_bw._next_free = l2_free
                     audit.on_bandwidth_serve(l2_bw, line_bytes, arrival, start, ready)
@@ -154,7 +153,6 @@ class VectorMemorySystem:
                     arrival = ready
                     start = dram_free if dram_free > arrival else arrival
                     ready = dram_free = start + dram_time
-                    dram_requests += 1
                     if audit is not None:
                         dram_bw._next_free = dram_free
                         audit.on_bandwidth_serve(dram_bw, line_bytes, arrival, start, ready)
@@ -165,7 +163,6 @@ class VectorMemorySystem:
                         l2_writebacks += 1
                         start = dram_free if dram_free > ready else ready
                         finish = dram_free = start + dram_time
-                        dram_requests += 1
                         if audit is not None:
                             dram_bw._next_free = dram_free
                             audit.on_bandwidth_serve(dram_bw, line_bytes, ready, start, finish)
@@ -178,7 +175,6 @@ class VectorMemorySystem:
                         vc_writebacks += 1
                         start = l2_free if l2_free > ready else ready
                         finish = l2_free = start + l2_time
-                        l2_requests += 1
                         if audit is not None:
                             l2_bw._next_free = l2_free
                             audit.on_bandwidth_serve(l2_bw, line_bytes, ready, start, finish)
@@ -205,12 +201,6 @@ class VectorMemorySystem:
         l2.stats.hits += l2_hits
         l2.stats.misses += dram
         l2.stats.writebacks += l2_writebacks
-        vc_bw.requests_served += lines
-        vc_bw.bytes_served += lines * line_bytes
-        l2_bw.requests_served += l2_requests
-        l2_bw.bytes_served += l2_requests * line_bytes
-        dram_bw.requests_served += dram_requests
-        dram_bw.bytes_served += dram_requests * line_bytes
         # ``tuple.__new__`` directly: the namedtuple's own ``__new__`` is a
         # Python-level call, once per access.
         return _new_tuple(AccessResult, (complete, lines, vc_hits, l2_hits, dram))

@@ -35,8 +35,12 @@ def _connect(address: str, timeout: Optional[float]) -> socket.socket:
             host, port = protocol.split_tcp_address(address)
             return socket.create_connection((host, port), timeout=timeout)
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.settimeout(timeout)
-        sock.connect(address)
+        try:
+            sock.settimeout(timeout)
+            sock.connect(address)
+        except OSError:
+            sock.close()
+            raise
         return sock
     except OSError as exc:
         raise ServiceUnavailableError(

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from multiprocessing.connection import wait
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
@@ -57,10 +58,19 @@ def run_cached_task(task) -> Dict[str, object]:
 
 
 def _worker_main(conn, runner, recycle_after) -> None:
-    """Worker process loop: run jobs until recycled, told to stop or the
-    daemon's end of the pipe is closed."""
+    """Worker process loop: run jobs until recycled, told to stop, or the
+    daemon is gone.
+
+    A forked worker keeps copies of the daemon's pipe ends (its own and
+    every earlier worker's), so a killed daemon's pipe never reads EOF:
+    the worker also waits on the daemon's process sentinel.
+    """
+    parent = multiprocessing.parent_process()
+    watched = [conn] if parent is None else [conn, parent.sentinel]
     done = 0
     while True:
+        if parent is not None and parent.sentinel in wait(watched):
+            break
         try:
             item = conn.recv()
         except EOFError:

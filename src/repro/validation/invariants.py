@@ -233,13 +233,3 @@ class InvariantAuditor:
                     f"{regulator.name} channel queue tail is negative: "
                     f"{regulator._next_free}"
                 )
-            if regulator.bytes_served < 0 or regulator.requests_served < 0:
-                self._fail(
-                    f"{regulator.name} channel counters negative: "
-                    f"{regulator.bytes_served}B / {regulator.requests_served} reqs"
-                )
-            if regulator.requests_served == 0 and regulator.bytes_served != 0:
-                self._fail(
-                    f"{regulator.name} channel served {regulator.bytes_served}B "
-                    f"in zero requests"
-                )

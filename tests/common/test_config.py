@@ -1,7 +1,12 @@
 """Configuration (Table 4) validation and scaling."""
 
+import ast
+import dataclasses
+from pathlib import Path
+
 import pytest
 
+from repro.common import config as config_module
 from repro.common.config import (
     CacheConfig,
     CoreConfig,
@@ -131,17 +136,6 @@ class TestValidation:
             )
 
 
-class TestVectorConfigCeilings:
-    def test_fp_peak_scales_with_lanes(self):
-        vector = VectorConfig()
-        assert vector.fp_peak(8) == 2 * vector.fp_peak(4)
-
-    def test_issue_bandwidth_eq2(self):
-        # Eq. 2: width * vl * 16 bytes.
-        vector = VectorConfig()
-        assert vector.simd_issue_bandwidth(4) == 2 * 4 * 16
-
-
 class TestValidateCoreCounts:
     """Satellite: --cores values are validated everywhere they appear."""
 
@@ -183,3 +177,30 @@ class TestValidateCoreCounts:
 
         with pytest.raises(ConfigurationError, match="motivate --cores"):
             validate_core_counts(["x"], source="motivate --cores")
+
+
+def _attributes_read(root, skip):
+    """Every ``.<name>`` that a module under ``root`` other than ``skip`` loads."""
+    names = set()
+    for path in root.rglob("*.py"):
+        if path == skip:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_every_config_field_is_read_outside_its_definition():
+    """A field that nothing reads still splits every cache key and every
+    sweep over it; a field read only by ``common/config.py`` itself (its
+    validation, its scaling) configures nothing."""
+    root = Path(config_module.__file__).resolve().parents[1]
+    read = _attributes_read(root, Path(config_module.__file__).resolve())
+    unread = sorted(
+        f"{cls.__name__}.{field.name}"
+        for cls in (MachineConfig, VectorConfig, CoreConfig, MemoryConfig, CacheConfig)
+        for field in dataclasses.fields(cls)
+        if field.name not in read
+    )
+    assert unread == []

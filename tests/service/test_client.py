@@ -1,8 +1,11 @@
 """The blocking client against a plain local socket: no daemon involved."""
 
+import gc
+import os
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -39,3 +42,18 @@ def test_a_per_read_timeout_does_not_stick_to_the_connection(tmp_path):
         assert not thread.is_alive()
     finally:
         listener.close()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_failed_connect_closes_its_socket(tmp_path):
+    """``wait_for_server`` retries a refused connect every 50 ms while a
+    daemon starts: each attempt must give its socket back at once, not
+    leave it to the garbage collector."""
+    before = set(os.listdir("/proc/self/fd"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(ServiceUnavailableError, match="cannot reach"):
+            ServiceClient(str(tmp_path / "missing.sock"), timeout=1.0).connect()
+        assert set(os.listdir("/proc/self/fd")) - before == set()
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []

@@ -8,6 +8,7 @@ must carry exactly the fingerprint digests of a direct in-process
 
 import json
 import os
+import signal
 import socket as socket_module
 import statistics
 import subprocess
@@ -320,6 +321,72 @@ def test_shutdown_leaves_no_traceback_in_the_daemon_log(tmp_path):
     assert daemon.returncode == 0, log
     assert "repro daemon: stopped" in log
     assert "Traceback" not in log and "Exception in callback" not in log, log
+
+
+def _gone(pid: int) -> bool:
+    """No such process, or a zombie that its new parent has not reaped."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:  # reaped meanwhile (the next probe sees it), or no procfs
+        return False
+
+
+def test_a_killed_daemon_leaves_no_worker_behind(tmp_path):
+    """SIGKILL gives the daemon no chance to stop its workers: each one
+    notices on its own that the daemon is gone, and exits.  The socket
+    file the daemon left behind does not stop a new daemon binding."""
+    address = str(tmp_path / "svc.sock")
+    env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "cache"))
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+
+    def command(*args):
+        return [sys.executable, "-m", "repro", *args, "--socket", address]
+
+    def start(workers):
+        return subprocess.Popen(
+            command("serve", "--workers", str(workers)),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env,
+        )
+
+    def run(*args):
+        done = subprocess.run(command(*args), capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    daemon = start(2)
+    pids = []
+    try:
+        wait_for_server(address, deadline_s=30.0)
+        pids = json.loads(run("svc-status", "--json"))["workers"]["pids"]
+        assert len(pids) == 2
+        daemon.kill()
+        daemon.wait()
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline and not all(_gone(pid) for pid in pids):
+            time.sleep(0.05)
+        assert [pid for pid in pids if not _gone(pid)] == []
+        restarted = start(1)
+        try:
+            wait_for_server(address, deadline_s=30.0)
+            run("svc-status", "--shutdown")
+            assert restarted.wait(timeout=30) == 0
+        finally:
+            if restarted.poll() is None:
+                restarted.kill()
+                restarted.wait()
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait()
+        for pid in pids:  # never leak a worker past the test, even on failure
+            if not _gone(pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 # --- the daemon waits, it does not poll ----------------------------------------

@@ -1,5 +1,7 @@
 """Cross-engine differential fuzzer: generation, checking, bug detection."""
 
+import hashlib
+
 import pytest
 
 from repro.coproc.metrics import Metrics
@@ -43,6 +45,32 @@ class TestGeneration:
         monkeypatch.setattr(Machine, "__init__", spy)
         assert not check_case(generate_case(4))
         assert sorted(built) == [False] * 3 + [True] * 3
+
+    def test_two_core_cases_keep_their_historical_draws(self):
+        """Regression seeds name cases: a wider machine's extra draws come
+        after every two-core one, so no two-core case moves."""
+        assert generate_case(2) == CaseSpec(
+            seed=2,
+            cores=(
+                (PhaseSpec(comp=5, reads=5, extra_loads=0, stores=3, trip=192, repeats=1),),
+                (
+                    PhaseSpec(comp=3, reads=4, extra_loads=0, stores=3, trip=192, repeats=1),
+                    PhaseSpec(comp=19, reads=4, extra_loads=0, stores=3, trip=160, repeats=3),
+                ),
+            ),
+            unroll=2,
+        )
+        assert [generate_case(seed).unroll for seed in range(12)] == [
+            1, 1, 2, 2, 1, 2, 1, 1, 1, 2, 1, 1,
+        ]
+        digest = hashlib.sha256(
+            "".join(repr(generate_case(seed)) for seed in range(200)).encode()
+        ).hexdigest()
+        assert digest == "4e8be3caed738236d450fe0dbe173179c2ec55b80b4f4685e6216fad6b924867"
+
+    def test_a_short_wide_sweep_draws_an_unrolled_case(self):
+        """Only an unrolled body makes a zero-byte plan cut."""
+        assert 2 in [generate_case(seed, num_cores=16).unroll for seed in range(5)]
 
     def test_default_policies_cover_every_sharing_mode(self):
         from repro.core.policies import POLICIES_BY_KEY
@@ -286,6 +314,17 @@ class TestCli:
         assert report["clean"] is True
         assert report["runs"] == len(DEFAULT_POLICIES) * 2
         assert all(report["traffic"].values())
+
+    def test_a_five_seed_sixteen_core_sweep_passes(self, capsys):
+        """The shortest wide sweep is a usable gate: clean, and every
+        mechanism (zero-byte plan cuts included) saw traffic."""
+        from repro.cli import main
+
+        code = main(["diff-fuzz", "--cores", "16", "--seeds", "5", "--no-shrink"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        cuts = next(line for line in out.splitlines() if "zero-byte plan cuts" in line)
+        assert int(cuts.split()[-1]) > 0
 
     def test_diff_fuzz_fails_a_starved_sweep(self, capsys):
         """Seed 0 under FTS issues no zero-byte access, so dispatch never
