@@ -10,8 +10,6 @@ utilisation and the lane plan.
 Run:  python examples/quickstart.py
 """
 
-import numpy as np
-
 from repro import (
     ALL_POLICIES,
     Assign,
@@ -24,9 +22,9 @@ from repro import (
     build_image,
     compile_kernel,
     experiment_config,
-    reference_execute,
     run_policy,
 )
+from repro.compiler.reference import check_answers
 
 
 def main() -> None:
@@ -60,16 +58,12 @@ def main() -> None:
     print(f"Phase operational intensity: {program.meta['phase_ois'][0]}")
     print()
 
-    # The numpy oracle we will verify every simulation against.
-    oracle = reference_execute(kernel, build_image(kernel, core_id=0))
-
     print(f"{'policy':>8} {'cycles':>8} {'util':>7} {'lanes used'}")
     for policy in ALL_POLICIES:
-        image = build_image(kernel, core_id=0)
-        result = run_policy(config, policy, [Job(program, image), None])
-        assert np.allclose(image.array("y"), oracle.array("y"), rtol=1e-4), (
-            "simulation diverged from the numpy oracle!"
-        )
+        job = Job(program, build_image(kernel, core_id=0))
+        result = run_policy(config, policy, [job, None])
+        # Raises unless every array equals the numpy oracle's bit for bit.
+        check_answers([kernel, None], result.images, f"{kernel.name} under {policy.key}")
         lanes = sorted(
             {int(v) for _, v in result.metrics.lane_timeline[0].points if v}
         )

@@ -196,14 +196,26 @@ def motivation_fig2(
     jobs: Jobs = None,
 ) -> MotivationResult:
     """Run the §2 motivating example on all four architectures."""
-    (results,) = run_grid(
-        [{"kind": "motivate"}],
+    return motivation_and_pairs((), scale, config, jobs)[0]
+
+
+def motivation_and_pairs(
+    pairs: Sequence[CoRunPair],
+    scale: float,
+    config: Optional[MachineConfig] = None,
+    jobs: Jobs = None,
+) -> Tuple[MotivationResult, List[PairOutcome]]:
+    """The motivating example and ``pairs`` on all four architectures, as
+    one task list (one pool runs them all)."""
+    fig2, *grid = run_grid(
+        [{"kind": "motivate"}] + [{"pair": pair} for pair in pairs],
         _ALL_POLICY_KEYS,
         scale,
         config or experiment_config(),
         jobs,
     )
-    return MotivationResult(results=results)
+    outcomes = [PairOutcome(pair, results) for pair, results in zip(pairs, grid)]
+    return MotivationResult(results=fig2), outcomes
 
 
 # --- Fig. 14: case study with fixed lane counts ------------------------------

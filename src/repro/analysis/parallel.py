@@ -39,7 +39,7 @@ from repro.core.policies import policy
 from repro.core.result import Job, RunResult
 from repro.validation.fingerprint import summarize_result
 from repro.workloads.motivating import motivating_pair
-from repro.workloads.pairs import CoRunPair, job_for
+from repro.workloads.pairs import CoRunPair, job_for, kernel_for
 
 #: Environment variable supplying the default worker count.
 JOBS_ENV = "REPRO_JOBS"
@@ -133,38 +133,58 @@ class SimTask:
     # Compared but not hashed: ``Kernel.params`` is a dict.
     kernels: Optional[Tuple[Kernel, ...]] = field(default=None, hash=False)
 
+    def workloads(self) -> list:
+        """What runs on each core: a Table 3 ``(suite, id)``, a kernel, or
+        ``None`` where the core idles."""
+        if self.kind == "pair":
+            suite = self.pair.suite
+            return [(suite, self.pair.core0), (suite, self.pair.core1)]
+        if self.kind == "group":
+            return [None if w is None else ("spec", w) for w in self.group]
+        if self.kind == "motivate":
+            return list(motivating_pair(self.scale))
+        if self.kind == "kernels":
+            return list(self.kernels)
+        raise ValueError(f"unknown task kind {self.kind!r}")
+
     def build_jobs(self) -> List[Optional[Job]]:
         """Compile the task's workloads, one per core, for the memory the
         task runs on (``None`` where the core idles)."""
-        if self.kind == "pair":
-            suite = self.pair.suite
-            workloads = [(suite, self.pair.core0), (suite, self.pair.core1)]
-        elif self.kind == "group":
-            workloads = [None if w is None else ("spec", w) for w in self.group]
-        elif self.kind == "motivate":
-            workloads = motivating_pair(self.scale)
-        elif self.kind == "kernels":
-            workloads = self.kernels
-        else:
-            raise ValueError(f"unknown task kind {self.kind!r}")
         memory = self.config.memory
         return [
             job_for(workload, core, self.scale, memory)
-            for core, workload in enumerate(workloads)
+            for core, workload in enumerate(self.workloads())
         ]
+
+    def __str__(self) -> str:
+        if self.kind == "pair":
+            what = str(self.pair)
+        elif self.kind == "group":
+            what = f"group {tuple(self.group)}"
+        elif self.kind == "kernels":
+            what = "+".join("idle" if k is None else k.name for k in self.kernels)
+        else:
+            what = self.kind
+        return f"{what} under {self.policy_key} at scale {self.scale}"
 
 
 def execute_task(task: SimTask) -> RunResult:
     """Run one task to completion (the worker entry point): the one place
-    above ``core/`` where the engine is entered."""
-    from repro.core.machine import run_policy  # the engine loads where it runs
+    above ``core/`` where the engine is entered.  Every run it returns has
+    passed :func:`~repro.compiler.reference.check_answers` (§6.4)."""
+    # The engine and the oracle load where a task runs.
+    from repro.compiler.reference import check_answers
+    from repro.core.machine import run_policy
 
-    return run_policy(
+    result = run_policy(
         task.config,
         policy(task.policy_key),
         task.build_jobs(),
         max_cycles=task.max_cycles,
     )
+    kernels = [kernel_for(workload, task.scale) for workload in task.workloads()]
+    check_answers(kernels, result.images, str(task))
+    return result
 
 
 def task_keys(tasks: Sequence[SimTask]) -> List[str]:
@@ -238,8 +258,10 @@ def run_tasks(
     pending = [index for index, result in enumerate(results) if result is None]
 
     if pending:
-        # The engine is imported here, before any fork, so pool workers
-        # inherit it; a run that is all hits never loads it.
+        # The engine and the answers check are imported here, before any
+        # fork, so pool workers inherit them; a run that is all hits never
+        # loads them.
+        import repro.compiler.reference  # noqa: F401
         import repro.core.machine  # noqa: F401
 
         if jobs > 1 and len(pending) > 1:

@@ -17,8 +17,7 @@ from repro.analysis.area import area_model
 from repro.analysis.experiments import (
     TABLE5_HEADERS,
     MotivationResult,
-    motivation_fig2,
-    sweep_pairs,
+    motivation_and_pairs,
     table5_cells,
 )
 from repro.analysis.reporting import md_table
@@ -111,11 +110,10 @@ def generate_report(
     """Build the Markdown report (runs the simulations; ``jobs`` fans them
     across worker processes)."""
     config = config or experiment_config()
-    motivation = motivation_fig2(scale=scale, config=config, jobs=jobs)
     pairs = all_pairs()
     if pairs_limit is not None:
         pairs = pairs[:pairs_limit]
-    outcomes = sweep_pairs(pairs, scale=scale, config=config, jobs=jobs)
+    motivation, outcomes = motivation_and_pairs(pairs, scale, config, jobs)
     sections = [
         "# Occamy reproduction report\n",
         f"Workload scale {scale}; {config.num_cores} cores, "

@@ -14,6 +14,14 @@ Fairness properties proved by the paper and asserted by our property tests:
 co-running compute-intensive workloads split the lanes equally, and every
 running workload receives at least one lane.
 
+What the loop computes is a max-min fair share capped at each phase's
+roofline knee (its ``saturation_lanes``): a water-fill to the highest level
+``L`` at which every phase can hold ``min(knee, L)`` lanes, the lanes left
+over going one each to the phases above ``L`` by gain at ``L``, then core
+id.  It does not maximise the sum of attainable performance: a phase that
+gains more per lane does not take lanes from one that gains less
+(``tests/core/test_partition.py`` states both facts).
+
 :func:`greedy_partition` is that loop as written, one lane per grant,
 recomputing each gain from the roofline; the elastic lane manager, the VLS
 split (:func:`static_partition`) and ``repro roofline`` all call it.

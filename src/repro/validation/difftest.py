@@ -13,6 +13,13 @@ stalls, phase records, cycle counts) — the ECM-style model-validation loop
 turned on the simulator itself: one model, validated against one
 reference.
 
+Two engines that run the same compiled program agree on a compiler slip
+too, so every case's answers are also held to the numpy oracle
+(:func:`~repro.compiler.reference.check_answers`, section ``answers``),
+and a case may add a run that forces a ``<decision>`` rotation no lane
+manager would choose (:func:`run_forced`), splicing reductions and
+re-initialising loop invariants at many vector-length changes (§6.4).
+
 One fast stack means a mechanism can go unexercised without anyone
 noticing — starved by a layer above it, or never reached by the cases —
 so :class:`FuzzReport` also sums the fast runs' mechanism counters; a
@@ -32,8 +39,12 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import MachineConfig, experiment_config
+from repro.common.errors import DeadlockError, SimulationError
 from repro.compiler.ir import Kernel, Load, Reduce
 from repro.compiler.pipeline import CompileOptions, build_image, compile_kernel
+from repro.compiler.reference import check_answers
+from repro.coproc.sharing import SharingMode
+from repro.core import machine as machine_mod
 from repro.core.machine import Job, Machine
 from repro.core.policies import policy
 from repro.core.result import RunProfile, RunResult
@@ -42,7 +53,7 @@ from repro.validation.fingerprint import (
     diff_fingerprints,
     fingerprint_sections,
 )
-from repro.validation.reference_engine import run_reference
+from repro.validation.reference_engine import ReferenceMachine
 from repro.workloads.generator import COMPUTE_OI_RANGE, MEMORY_OI_RANGE
 from repro.workloads.synth import Counts, solve_counts, synth_loop
 
@@ -57,6 +68,12 @@ DEFAULT_POLICIES: Tuple[str, ...] = ("occamy", "fts", "cts")
 #: footprints still split across residency classes under the scaled caches.
 STREAMING_TRIPS = (192, 320, 512)
 RESIDENT_TRIPS = (96, 160, 256)
+
+#: Lane counts a forced ``<decision>`` rotation draws from.
+FORCED_LANES = (1, 2, 3, 4, 6, 8, 12, 16, 24, 32)
+
+#: Cycles between two forced ``<decision>`` writes.
+FORCED_PERIOD = 20
 
 
 @dataclass(frozen=True)
@@ -88,20 +105,26 @@ class CaseSpec:
 
     ``cores[i]`` is either a tuple of :class:`PhaseSpec` or ``None`` (an
     idle core slot) — the shrinker uses ``None`` to drop whole co-runners.
+    A non-empty ``forced`` also runs the spatial policies through
+    :func:`run_forced` with that ``<decision>`` rotation, after each
+    engine's own loop.
     """
 
     seed: int
     cores: Tuple[Optional[Tuple[PhaseSpec, ...]], ...]
     unroll: int = 1
+    forced: Tuple[int, ...] = ()
 
 
 @dataclass
 class Divergence:
-    """The fast engine disagreeing with the reference under one policy.
+    """The fast engine disagreeing with the reference, or its answers with
+    the oracle, under one policy.
 
     ``sections`` names the fingerprint sections that differ, or is
     ``["error"]`` when an engine crashed and the other did not crash the
-    same way.
+    same way; ``"answers"`` ends it when the fast run's memory failed
+    :func:`~repro.compiler.reference.check_answers`.
     """
 
     seed: int
@@ -113,7 +136,7 @@ class Divergence:
     def __str__(self) -> str:
         return (
             f"seed {self.seed}: fast engine under {self.policy} diverged "
-            f"from reference in {', '.join(self.sections)}"
+            f"from reference or oracle in {', '.join(self.sections)}"
         )
 
     def to_json(self) -> Dict[str, object]:
@@ -176,7 +199,11 @@ def generate_case(seed: int, num_cores: int = 2) -> CaseSpec:
         # Zero-byte plan cuts come from unrolled bodies only, and a short
         # wide sweep has too few cases to count on the 1-in-4 draw above.
         unroll = 2
-    return CaseSpec(seed=seed, cores=tuple(cores), unroll=unroll)
+    # Drawn after every other field, so no earlier case moves.
+    forced: Tuple[int, ...] = ()
+    if rng.random() < 0.25:
+        forced = tuple(rng.choice(FORCED_LANES) for _ in range(rng.randint(2, 4)))
+    return CaseSpec(seed=seed, cores=tuple(cores), unroll=unroll, forced=forced)
 
 
 def case_kernels(spec: CaseSpec) -> List[Optional[Kernel]]:
@@ -238,18 +265,118 @@ class CompiledCase:
         return Machine(self.config, policy(policy_key), self.jobs(), audit=audit)
 
 
-def _outcome(run: Callable[[], RunResult]) -> Dict[str, object]:
-    """What one engine made of a case: its fingerprint sections, or an
-    ``error`` section holding the ``(type, message)`` it died of (plus
+def run_forced(
+    machine: Machine,
+    schedule: Sequence[int],
+    period: int = FORCED_PERIOD,
+    max_cycles: int = 3_000_000,
+) -> RunResult:
+    """Run ``machine`` one :meth:`~repro.core.machine.Machine.step` at a
+    time, writing ``schedule[k % len(schedule)]`` into the first running
+    core's ``<decision>`` at cycle ``k * period`` whenever it holds lanes.
+
+    No lane manager would choose that schedule: the core's partition
+    monitor sees a new length every ``period`` cycles, mid-loop and
+    mid-reduction, so its program splices reductions and re-initialises
+    loop invariants over and over (§6.4).  Both engines run through here
+    the same way, so their fingerprints stay comparable.
+    """
+    core = next(index for index, job in enumerate(machine.jobs) if job is not None)
+    table = machine.coproc.resource_table
+    cycle = 0
+    last_progress = 0
+    while not machine.finished:
+        if cycle >= max_cycles:
+            raise SimulationError(
+                f"forced-decision run exceeded {max_cycles} cycles "
+                f"(policy={machine.policy.key})"
+            )
+        if cycle % period == 0 and table.vl(core) > 0:
+            table.set_decision(core, schedule[(cycle // period) % len(schedule)])
+        if machine.step(cycle):
+            last_progress = cycle
+        elif (
+            cycle - last_progress > machine_mod.DEADLOCK_WINDOW
+            and machine.next_event_cycle(cycle) is None
+        ):
+            raise DeadlockError(
+                f"no forward progress since cycle {last_progress} "
+                f"(policy={machine.policy.key})"
+            )
+        cycle += 1
+    return machine._result(cycle)
+
+
+def schedules(spec: CaseSpec, policy_key: str) -> List[Tuple[int, ...]]:
+    """The runs ``spec`` makes under ``policy_key``: always each engine's
+    own loop (``()``), plus the forced rotation when the case has one and
+    the policy partitions lanes spatially."""
+    if spec.forced and policy(policy_key).mode is SharingMode.SPATIAL:
+        return [(), spec.forced]
+    return [()]
+
+
+def _outcome(run: Callable[[], RunResult]) -> Tuple[Dict[str, object], Optional[RunResult]]:
+    """What one engine made of a case: its fingerprint sections and result,
+    or an ``error`` section holding the ``(type, message)`` it died of (plus
     where, for the report — the engines' loops differ, so not compared)."""
     try:
-        return fingerprint_sections(run())
+        result = run()
     except Exception as exc:  # a crash is an outcome to diff, not to die of
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         return {
             "error": (type(exc).__name__, str(exc)),
             "raised at": f"{frame.filename}:{frame.lineno} in {frame.name}",
-        }
+        }, None
+    return fingerprint_sections(result), result
+
+
+def _check_run(
+    compiled: CompiledCase,
+    policy_key: str,
+    schedule: Tuple[int, ...],
+    max_cycles: int,
+    audit: Optional[bool],
+    profile: Optional[RunProfile],
+) -> Tuple[List[str], List[str]]:
+    """One run of both engines under ``policy_key`` — each through its own
+    loop, or both through :func:`run_forced` when ``schedule`` is set —
+    and of the fast run's answers against the oracle: the sections that
+    differ and the lines describing them."""
+
+    def run(machine: Machine) -> RunResult:
+        if schedule:
+            return run_forced(machine, schedule, FORCED_PERIOD, max_cycles)
+        return machine.run(max_cycles)
+
+    reference = ReferenceMachine(
+        compiled.config, policy(policy_key), compiled.jobs(), audit=audit
+    )
+    baseline, _ = _outcome(lambda: run(reference))
+    fast = compiled.machine(policy_key, audit=audit)
+    sections, result = _outcome(lambda: run(fast))
+    if profile is not None and fast.profile is not None:
+        profile.merge(fast.profile)
+    errors = [o["error"] for o in (baseline, sections) if "error" in o]
+    if errors:
+        same = len(errors) == 2 and errors[0] == errors[1]
+        audit_violation = errors[0][0] == "InvariantViolation"
+        diverged = [] if same and not audit_violation else ["error"]
+        shown = ["error", "raised at"]
+    else:
+        shown = diverged = diff_fingerprints(baseline, sections)
+    detail = describe_divergence(baseline, sections, shown) if diverged else []
+    if result is not None:
+        try:
+            check_answers(
+                compiled.kernels,
+                result.images,
+                f"seed {compiled.spec.seed} under {policy_key}",
+            )
+        except SimulationError as exc:
+            diverged = diverged + ["answers"]
+            detail.append(str(exc))
+    return diverged, detail
 
 
 def check_case(
@@ -260,44 +387,47 @@ def check_case(
     audit: Optional[bool] = None,
     profile: Optional[RunProfile] = None,
 ) -> List[Divergence]:
-    """Diff the fast engine against the reference engine, per policy.
+    """Diff the fast engine against the reference engine, per policy, and
+    hold the fast run's answers to the oracle.
 
     Returns one :class:`Divergence` per policy whose full fast-run
-    fingerprint differs from the reference's; empty means the fast engine
-    is bit-exact on this case.  An engine that raises is an outcome too:
-    both dying of the same simulation error (a deadlock, ``max_cycles``)
-    agree, anything else — one crashing, different errors, an ``--audit``
-    invariant violation even on both — is a divergence in section
-    ``error``.  ``profile``, when given, accumulates the fast runs'
+    fingerprint differs from the reference's, or whose memory fails
+    :func:`~repro.compiler.reference.check_answers` (section ``answers``);
+    empty means the fast engine is bit-exact and right on this case.  An
+    engine that raises is an outcome too: both dying of the same
+    simulation error (a deadlock, ``max_cycles``) agree, anything else —
+    one crashing, different errors, an ``--audit`` invariant violation
+    even on both — is a divergence in section ``error``.  A case with a
+    forced rotation adds a second run of both engines under a spatial
+    policy (:func:`schedules`); what it finds is named ``forced <section>``.
+    ``profile``, when given, accumulates the fast engine's own runs'
     ``Machine.profile``.
     """
     compiled = CompiledCase(spec, config)
     divergences: List[Divergence] = []
     for policy_key in policies:
-        baseline = _outcome(
-            lambda: run_reference(
-                compiled.config, policy(policy_key), compiled.jobs(), max_cycles, audit
+        diverged: List[str] = []
+        detail: List[str] = []
+        for schedule in schedules(spec, policy_key):
+            sections, lines = _check_run(
+                compiled, policy_key, schedule, max_cycles, audit, profile
             )
-        )
-        fast = compiled.machine(policy_key, audit=audit)
-        sections = _outcome(lambda: fast.run(max_cycles))
-        if profile is not None and fast.profile is not None:
-            profile.merge(fast.profile)
-        errors = [o["error"] for o in (baseline, sections) if "error" in o]
-        if errors:
-            same = len(errors) == 2 and errors[0] == errors[1]
-            audit_violation = errors[0][0] == "InvariantViolation"
-            diverged = [] if same and not audit_violation else ["error"]
-            shown = ["error", "raised at"]
-        else:
-            shown = diverged = diff_fingerprints(baseline, sections)
+            if schedule and sections:
+                sections = [f"forced {section}" for section in sections]
+                lines.insert(
+                    0,
+                    f"under the forced <decision> rotation {list(schedule)} "
+                    f"every {FORCED_PERIOD} cycles:",
+                )
+            diverged += sections
+            detail += lines
         if diverged:
             divergences.append(
                 Divergence(
                     seed=spec.seed,
                     policy=policy_key,
                     sections=diverged,
-                    detail=describe_divergence(baseline, sections, shown),
+                    detail=detail,
                     spec=spec,
                 )
             )

@@ -17,6 +17,7 @@ so the cache can summarise a result without importing the service package.
 
 from __future__ import annotations
 
+import codecs
 import dataclasses
 import hashlib
 from typing import Callable, Dict, List, Optional, Sequence
@@ -93,15 +94,17 @@ def feed_repr(update: Callable[[bytes], object], value: object) -> None:
             feed_repr(update, item)
         update(b",)" if len(value) == 1 else b")")
     elif kind is bytes:
-        # bytes.__repr__ picks its quote from the whole value; appending
-        # the *other* quote to a chunk forces the same choice on it (and
-        # is sliced off again together with the delimiters).
+        # bytes.__repr__ picks its quote from the whole value and escapes
+        # each byte on its own, as ``codecs.escape_encode`` does — except
+        # that the latter always escapes ``'``, which a double-quoted repr
+        # leaves bare.  That function is undocumented CPython API;
+        # ``test_escaped_bytes_digest_as_their_repr`` pins it to ``repr``.
         single = b'"' in value or b"'" not in value
-        quote, other = (b"'", b'"') if single else (b'"', b"'")
+        quote = b"'" if single else b'"'
         update(b"b" + quote)
         for start in range(0, len(value), _BYTES_CHUNK):
-            chunk = value[start : start + _BYTES_CHUNK] + other
-            update(repr(chunk)[2:-2].encode("ascii"))
+            escaped = codecs.escape_encode(value[start : start + _BYTES_CHUNK])[0]
+            update(escaped if single else escaped.replace(b"\\'", b"'"))
         update(quote)
     else:
         update(repr(value).encode("utf-8"))

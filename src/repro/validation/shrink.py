@@ -80,6 +80,8 @@ def _candidates(spec: CaseSpec) -> Iterator[CaseSpec]:
                 )
     if spec.unroll > 1:
         yield replace(spec, unroll=1)
+    if spec.forced:
+        yield replace(spec, forced=())
 
 
 def shrink_case(

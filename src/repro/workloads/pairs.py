@@ -92,16 +92,30 @@ def dedup_unordered(keys: Sequence) -> List[Tuple]:
 
 
 @lru_cache(maxsize=None)
+def _kernel(suite: str, workload_id: int, scale: float) -> Kernel:
+    if suite == "spec":
+        return spec_workload(workload_id, scale=scale)
+    if suite == "opencv":
+        return opencv_workload(workload_id, scale=scale)
+    raise KeyError(f"unknown suite {suite!r}")
+
+
+@lru_cache(maxsize=None)
 def _compiled(
     suite: str, workload_id: int, scale: float, memory: MemoryConfig
 ) -> Tuple[Kernel, Program]:
-    if suite == "spec":
-        kernel = spec_workload(workload_id, scale=scale)
-    elif suite == "opencv":
-        kernel = opencv_workload(workload_id, scale=scale)
-    else:
-        raise KeyError(f"unknown suite {suite!r}")
+    kernel = _kernel(suite, workload_id, scale)
     return kernel, compile_kernel(kernel, CompileOptions(memory=memory))
+
+
+def kernel_for(
+    workload: Union[Tuple[str, int], Kernel, None], scale: float = 1.0
+) -> Optional[Kernel]:
+    """The kernel :func:`job_for` compiles for ``workload`` (``None``
+    for an idle core)."""
+    if workload is None or isinstance(workload, Kernel):
+        return workload
+    return _kernel(*workload, scale)
 
 
 def job_for(

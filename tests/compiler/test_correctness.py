@@ -1,7 +1,6 @@
 """Functional correctness: simulation must match the numpy oracle under
 EVERY sharing policy and re-partitioning schedule (paper §6.4)."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,25 +19,20 @@ from repro import (
     build_image,
     compile_kernel,
     experiment_config,
-    reference_execute,
     run_policy,
 )
+from repro.compiler.reference import check_answers
 from tests.conftest import make_axpy, make_reduction, make_stencil, make_two_phase
 
 
-def assert_matches_reference(kernel, policy, config=None, core=0, rtol=1e-4):
+def assert_matches_reference(kernel, policy, config=None, core=0):
     config = config or experiment_config()
-    program = compile_kernel(kernel)
-    image = build_image(kernel, core_id=core)
-    expected = reference_execute(kernel, image)
     jobs = [None] * config.num_cores
-    jobs[core] = Job(program, image)
-    run_policy(config, policy, jobs)
-    for name, array in expected:
-        np.testing.assert_allclose(
-            image.array(name), array, rtol=rtol, atol=1e-5,
-            err_msg=f"{kernel.name}/{name} diverged under {policy.key}",
-        )
+    jobs[core] = Job(compile_kernel(kernel), build_image(kernel, core_id=core))
+    result = run_policy(config, policy, jobs)
+    kernels = [None] * config.num_cores
+    kernels[core] = kernel
+    check_answers(kernels, result.images, f"{kernel.name} under {policy.key}")
 
 
 class TestAllPolicies:
@@ -52,7 +46,7 @@ class TestAllPolicies:
 
     @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.key)
     def test_reduction(self, policy):
-        assert_matches_reference(make_reduction(), policy, rtol=1e-3)
+        assert_matches_reference(make_reduction(), policy)
 
     @pytest.mark.parametrize("policy", ALL_POLICIES, ids=lambda p: p.key)
     def test_two_phase(self, policy):
@@ -113,7 +107,7 @@ class TestOperatorSemantics:
                 Loop(op, trip_count=150, body=(Reduce(op, "acc", Load("a")),),),
             ),
         )
-        assert_matches_reference(kernel, ALL_POLICIES[3], rtol=1e-3)
+        assert_matches_reference(kernel, ALL_POLICIES[3])
 
     def test_params_broadcast(self):
         kernel = Kernel(

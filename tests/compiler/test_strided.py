@@ -1,6 +1,5 @@
 """Strided (interleaved-layout) loads through the whole stack."""
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -10,9 +9,9 @@ from repro import (
     build_image,
     compile_kernel,
     experiment_config,
-    reference_execute,
     run_policy,
 )
+from repro.compiler.reference import check_answers
 from repro.common.errors import CompilationError, VectorizationError
 from repro.compiler.dag import build_dag
 from repro.compiler.ir import Assign, BinOp, Const, Kernel, Load, Loop
@@ -92,23 +91,17 @@ class TestCorrectness:
     def test_interleaved_gray_matches_oracle(self, policy):
         kernel = interleaved_gray()
         config = experiment_config()
-        image = build_image(kernel, 0)
-        expected = reference_execute(kernel, image)
-        run_policy(config, policy, [Job(compile_kernel(kernel), image), None])
-        np.testing.assert_allclose(
-            image.array("gray")[:PIXELS], expected.array("gray")[:PIXELS], rtol=1e-5
-        )
+        job = Job(compile_kernel(kernel), build_image(kernel, 0))
+        result = run_policy(config, policy, [job, None])
+        check_answers([kernel, None], result.images, f"gray under {policy.key}")
 
     @pytest.mark.parametrize("stride", [2, 3, 4, 7])
     def test_strides_and_offsets(self, stride):
         kernel = single_channel(200, stride)
         config = experiment_config()
-        image = build_image(kernel, 0)
-        expected = reference_execute(kernel, image)
-        run_policy(config, OCCAMY, [Job(compile_kernel(kernel), image), None])
-        np.testing.assert_allclose(
-            image.array("out")[:200], expected.array("out")[:200], rtol=1e-5
-        )
+        job = Job(compile_kernel(kernel), build_image(kernel, 0))
+        result = run_policy(config, OCCAMY, [job, None])
+        check_answers([kernel, None], result.images, f"stride {stride}")
 
 
 class TestTimingCost:

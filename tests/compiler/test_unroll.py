@@ -1,6 +1,5 @@
 """Strip-mining (Fig. 9's ``s``): unrolled bodies under one monitor."""
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -11,9 +10,9 @@ from repro import (
     build_image,
     compile_kernel,
     experiment_config,
-    reference_execute,
     run_policy,
 )
+from repro.compiler.reference import check_answers
 from repro.common.errors import ConfigurationError
 from repro.compiler.ir import Assign, BinOp, Kernel, Load, Loop, Param
 from repro.isa.instructions import AddVL, WhileLT
@@ -73,14 +72,11 @@ def test_unrolling_never_hurts_the_parallel_bank():
 
 @pytest.mark.parametrize("unroll", [2, 3, 4])
 class TestUnrollCorrectness:
-    def _check(self, kernel, unroll, policy=OCCAMY, rtol=1e-4):
+    def _check(self, kernel, unroll, policy=OCCAMY):
         config = experiment_config()
         program = compile_kernel(kernel, CompileOptions(unroll=unroll))
-        image = build_image(kernel, 0)
-        expected = reference_execute(kernel, image)
-        run_policy(config, policy, [Job(program, image), None])
-        for name, array in expected:
-            np.testing.assert_allclose(image.array(name), array, rtol=rtol)
+        result = run_policy(config, policy, [Job(program, build_image(kernel, 0)), None])
+        check_answers([kernel, None], result.images, f"unroll {unroll} under {policy.key}")
 
     def test_axpy_with_awkward_tails(self, unroll):
         # Lengths chosen so the tail lands inside different body copies.
@@ -91,7 +87,7 @@ class TestUnrollCorrectness:
         self._check(make_stencil(401), unroll)
 
     def test_reduction_spliced(self, unroll):
-        self._check(make_reduction(391, repeats=2), unroll, rtol=1e-3)
+        self._check(make_reduction(391, repeats=2), unroll)
 
     def test_under_every_policy(self, unroll):
         for policy in ALL_POLICIES:

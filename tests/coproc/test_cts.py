@@ -1,6 +1,5 @@
 """Coarse-grained temporal sharing (CTS) arbitration."""
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -8,9 +7,9 @@ from repro import (
     build_image,
     compile_kernel,
     experiment_config,
-    reference_execute,
     run_policy,
 )
+from repro.compiler.reference import check_answers
 from repro.coproc.coprocessor import SharingMode
 from repro.coproc.metrics import StallReason
 from repro.core.machine import Machine
@@ -38,11 +37,8 @@ class TestCtsPolicy:
     def test_corun_correctness(self, config):
         kernels = (make_axpy(512), make_two_phase(512))
         jobs = [compiled_job(kernels[0], 0), compiled_job(kernels[1], 1)]
-        oracles = [reference_execute(k, j.image) for k, j in zip(kernels, jobs)]
-        run_policy(config, CTS, jobs)
-        for job, oracle in zip(jobs, oracles):
-            for name, array in oracle:
-                np.testing.assert_allclose(job.image.array(name), array, rtol=1e-3)
+        result = run_policy(config, CTS, jobs)
+        check_answers(kernels, result.images, "axpy+two-phase under cts")
 
     def test_ownership_rotates(self, config):
         jobs = [

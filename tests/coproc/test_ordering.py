@@ -1,7 +1,6 @@
 """Instruction-ordering rules of Table 2, observed through whole-machine
 behaviour (the co-processor engine is exercised via real programs)."""
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -11,9 +10,9 @@ from repro import (
     build_image,
     compile_kernel,
     experiment_config,
-    reference_execute,
     run_policy,
 )
+from repro.compiler.reference import check_answers
 from repro.compiler.ir import Assign, BinOp, Kernel, Load, Loop, Reduce
 from repro.coproc.coprocessor import CoProcessor, SharingMode
 from repro.coproc.metrics import Metrics
@@ -53,12 +52,9 @@ class TestSveScalarOrdering:
 
     def test_vhreduce_scalar_result_correct(self, config):
         kernel = make_reduction(length=300)
-        image = build_image(kernel, 0)
-        expected = reference_execute(kernel, image)
-        run_policy(config, PRIVATE, [Job(compile_kernel(kernel), image), None])
-        np.testing.assert_allclose(
-            image.array("acc"), expected.array("acc"), rtol=1e-3
-        )
+        job = Job(compile_kernel(kernel), build_image(kernel, 0))
+        result = run_policy(config, PRIVATE, [job, None])
+        check_answers([kernel, None], result.images, "reduction under private")
 
 
 class TestLdStOrdering:
@@ -78,13 +74,9 @@ class TestLdStOrdering:
                 ),
             ),
         )
-        image = build_image(kernel, 0)
-        expected = reference_execute(kernel, image)
-        run_policy(config, policy, [Job(compile_kernel(kernel), image), None])
-        np.testing.assert_allclose(image.array("a"), expected.array("a"), rtol=1e-4)
-        np.testing.assert_allclose(
-            image.array("sum_a"), expected.array("sum_a"), rtol=1e-3
-        )
+        job = Job(compile_kernel(kernel), build_image(kernel, 0))
+        result = run_policy(config, policy, [job, None])
+        check_answers([kernel, None], result.images, f"rmw under {policy.key}")
 
 
 class TestEmSimdOrdering:

@@ -1,9 +1,11 @@
 """Greedy lane partitioning (§5.2) and its fairness properties."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.common.config import table4_config
+from repro.common.config import experiment_config, table4_config
 from repro.common.errors import ConfigurationError
 from repro.core.partition import greedy_partition, static_partition
 from repro.core.roofline import RooflineModel
@@ -184,6 +186,81 @@ class TestTotalAllocationOptimality:
             ROOFLINE,
         )
         assert plan == {0: 8, 1: 24}
+
+
+#: The lane manager's roofline on the evaluation machine.
+EXPERIMENT_ROOFLINE = RooflineModel.from_config(experiment_config())
+
+
+def water_fill(demands, total_lanes, roofline):
+    """The capped max-min share in closed form: every phase holds
+    ``min(knee, L)`` lanes for the highest level ``L`` that fits, and the
+    lanes left go one each to the phases above ``L``, by gain at ``L``,
+    then by core id."""
+    knees = {core: roofline.saturation_lanes(oi) for core, oi in demands.items()}
+    level = 1
+    while level < max(knees.values()) and sum(
+        min(knee, level + 1) for knee in knees.values()
+    ) <= total_lanes:
+        level += 1
+    plan = {core: min(knee, level) for core, knee in knees.items()}
+    hungry = sorted(
+        (core for core, knee in knees.items() if knee > level),
+        key=lambda core: (-roofline.net_gain(level, demands[core]), core),
+    )
+    for core in hungry[: total_lanes - sum(plan.values())]:
+        plan[core] += 1
+    return plan
+
+
+class TestObjective:
+    """What the §5.2 loop optimises: a max-min share capped at each
+    phase's roofline knee, not the sum of attainable performance."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(8, 64),
+        st.lists(
+            st.builds(
+                OIValue,
+                st.floats(0.01, 2.0),
+                st.floats(0.01, 2.0),
+                st.sampled_from(["dram", "l2", "vec_cache"]),
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_greedy_is_the_capped_water_fill(self, total_lanes, ois):
+        demands = dict(enumerate(ois))
+        assert greedy_partition(demands, total_lanes, EXPERIMENT_ROOFLINE) == (
+            water_fill(demands, total_lanes, EXPERIMENT_ROOFLINE)
+        )
+
+    def test_the_plan_is_not_the_throughput_optimum(self):
+        """Three phases gaining 0.73 per lane and one gaining 1: the share
+        is 4/4/4/4, while giving the fourth every lane it can take earns
+        more.  A "fix" that maximised the sum would fail here."""
+        issue_bound = OIValue.uniform(11 / 60)  # 4 B/lane x 11/60 = 0.73 per lane
+        compute_bound = OIValue(1.0, 1.0, level="vec_cache")  # 1 per lane
+        demands = {0: issue_bound, 1: compute_bound, 2: issue_bound, 3: issue_bound}
+
+        def total_ap(plan):
+            return sum(EXPERIMENT_ROOFLINE.attainable(plan[c], demands[c]) for c in plan)
+
+        plan = greedy_partition(demands, 16, EXPERIMENT_ROOFLINE)
+        assert plan == {0: 4, 1: 4, 2: 4, 3: 4}
+        assert total_ap(plan) == pytest.approx(12.8)
+        best = max(
+            (
+                dict(enumerate(alloc))
+                for alloc in itertools.product(range(1, 14), repeat=4)
+                if sum(alloc) == 16
+            ),
+            key=total_ap,
+        )
+        assert best == {0: 1, 1: 13, 2: 1, 3: 1}
+        assert total_ap(best) == pytest.approx(15.2)
 
 
 class TestStaticPartition:

@@ -18,6 +18,7 @@ from repro.common.errors import DeadlockError, SimulationError
 from repro.coproc.dynamic import DynamicInstruction, EntryKind
 from repro.core.machine import Machine
 from repro.core.policies import PRIVATE
+from repro.validation.difftest import run_forced
 from repro.validation.reference_engine import ReferenceMachine
 
 from tests.conftest import BOTH_ENGINES, compiled_job, make_axpy
@@ -86,6 +87,18 @@ def test_deadlock_fires_at_identical_cycle(config, monkeypatch):
             _wedged_machine(config, machine_class).run()
         messages.append(str(excinfo.value))
     assert messages[0] == messages[1]
+
+
+@BOTH_ENGINES
+def test_a_forced_run_detects_the_deadlock_too(config, monkeypatch, machine_class):
+    """``run_forced`` steps cycle by cycle and gives up where the engine's
+    own loop does, with the same message, not at its ``max_cycles``."""
+    monkeypatch.setattr(machine_mod, "DEADLOCK_WINDOW", WINDOW)
+    with pytest.raises(DeadlockError) as own:
+        _wedged_machine(config, machine_class).run()
+    with pytest.raises(DeadlockError) as forced:
+        run_forced(_wedged_machine(config, machine_class), (16,), max_cycles=10 * WINDOW)
+    assert str(forced.value) == str(own.value)
 
 
 def test_fast_forward_actually_skips(config, monkeypatch):

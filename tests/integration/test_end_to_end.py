@@ -1,6 +1,5 @@
 """End-to-end behavioural claims of the paper on small co-runs."""
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -13,11 +12,11 @@ from repro import (
     build_image,
     compile_kernel,
     experiment_config,
-    reference_execute,
     run_policy,
 )
 from repro.analysis.reporting import geomean
 from repro.compiler.pipeline import CompileOptions
+from repro.compiler.reference import check_answers
 from repro.coproc.metrics import StallReason
 from repro.workloads.motivating import motivating_pair
 
@@ -83,15 +82,9 @@ class TestMotivatingExample(object):
         config = experiment_config()
         wl0, _ = motivating_pair(0.05)
         program = compile_kernel(wl0, CompileOptions(memory=config.memory))
-        expected = reference_execute(wl0, build_image(wl0, 0))
         for policy in ALL_POLICIES:
-            image = build_image(wl0, 0)
-            run_policy(config, policy, [Job(program, image), None])
-            for name, array in expected:
-                np.testing.assert_allclose(
-                    image.array(name), array, rtol=1e-4,
-                    err_msg=f"{name} under {policy.key}",
-                )
+            result = run_policy(config, policy, [Job(program, build_image(wl0, 0)), None])
+            check_answers([wl0, None], result.images, f"WL0 under {policy.key}")
 
 
 class TestFourCores:

@@ -32,7 +32,9 @@ class TestGeneration:
             assert any(program is not None for program in compiled.programs)
 
     def test_engine_matrix_is_complete(self, monkeypatch):
-        """The matrix is fast vs reference: two runs per policy."""
+        """The matrix is fast vs reference: two runs per policy, and two
+        more under the one spatial policy when the case forces a rotation
+        (each engine's own loop still runs)."""
         from repro.core.machine import Machine
 
         built = []
@@ -43,8 +45,12 @@ class TestGeneration:
             original(self, *args, **kwargs)
 
         monkeypatch.setattr(Machine, "__init__", spy)
-        assert not check_case(generate_case(4))
-        assert sorted(built) == [False] * 3 + [True] * 3
+        for seed, runs in ((3, 3), (4, 4)):
+            built.clear()
+            spec = generate_case(seed)
+            assert bool(spec.forced) is (runs == 4)
+            assert not check_case(spec)
+            assert sorted(built) == [False] * runs + [True] * runs
 
     def test_two_core_cases_keep_their_historical_draws(self):
         """Regression seeds name cases: a wider machine's extra draws come
@@ -63,10 +69,24 @@ class TestGeneration:
         assert [generate_case(seed).unroll for seed in range(12)] == [
             1, 1, 2, 2, 1, 2, 1, 1, 1, 2, 1, 1,
         ]
+        # The fields a case had before the forced rotation was drawn; the
+        # digest is the one the generator gave before that draw existed.
         digest = hashlib.sha256(
-            "".join(repr(generate_case(seed)) for seed in range(200)).encode()
+            "".join(
+                repr((case.seed, case.cores, case.unroll))
+                for case in map(generate_case, range(200))
+            ).encode()
         ).hexdigest()
-        assert digest == "4e8be3caed738236d450fe0dbe173179c2ec55b80b4f4685e6216fad6b924867"
+        assert digest == "330d15691baf3ace623f200406c67caf3bef512b876527efb7b2815731b9a084"
+
+    def test_forced_rotations_are_drawn_last(self):
+        """A quarter of the cases force a ``<decision>`` rotation; the draw
+        comes after every other one, so it moved none of them (above)."""
+        forced = [generate_case(seed).forced for seed in range(200)]
+        assert 30 <= sum(map(bool, forced)) <= 70
+        assert all(2 <= len(schedule) <= 4 for schedule in forced if schedule)
+        digest = hashlib.sha256("".join(map(repr, forced)).encode()).hexdigest()
+        assert digest == "55f441b60b3a631ddaf15b0b4a6ad0d5e9c18e32c8a3649df204efd4d69a00be"
 
     def test_a_short_wide_sweep_draws_an_unrolled_case(self):
         """Only an unrolled body makes a zero-byte plan cut."""

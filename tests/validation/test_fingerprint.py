@@ -98,6 +98,30 @@ def test_streamed_repr_of_edge_cases(value):
     assert _streamed(value) == repr(value).encode("utf-8")
 
 
+_CONTROL = bytes(range(0x20)) + bytes(range(0x7F, 0x100))
+_CHUNK = fingerprint._BYTES_CHUNK
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        _CONTROL + b"\\ '\t\n\r\"",  # both quotes: single-quoted
+        _CONTROL + b"\\'\t\n\r",  # only ': double-quoted
+        b"\\'" * 40 + b"\\\\'" * 40,  # backslashes before a bare '
+        b"x" * (_CHUNK - 1) + b"\\'" + _CONTROL,  # '\\' ends one chunk, "'" starts the next
+        b"x" * (_CHUNK - 1) + b"\\\"'" + _CONTROL,  # the same, single-quoted
+        (_CONTROL + b"'\\") * (2 * _CHUNK // 162 + 1),  # three chunks, double-quoted
+    ],
+    ids=["single", "double", "backslash-quote", "straddle-double", "straddle-single", "three-chunks"],
+)
+def test_escaped_bytes_digest_as_their_repr(value):
+    """``feed_repr`` escapes bytes with ``codecs.escape_encode``, which is
+    not documented API: the digest must stay ``sha256(repr(value))``."""
+    digest = hashlib.sha256()
+    feed_repr(digest.update, value)
+    assert digest.hexdigest() == hashlib.sha256(repr(value).encode()).hexdigest()
+
+
 @pytest.fixture(scope="module", params=sorted(POLICIES_BY_KEY))
 def real_run(request):
     spec = spec_for_pair("spec", 20, 17, policy=request.param, scale=0.05)

@@ -23,7 +23,7 @@ from repro.validation.shrink import (
 
 def _weight(spec: CaseSpec) -> int:
     """A size measure that every reduction pass strictly decreases."""
-    total = spec.unroll
+    total = spec.unroll + len(spec.forced)
     for phases in spec.cores:
         for phase in phases or ():
             total += (
